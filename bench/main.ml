@@ -355,6 +355,24 @@ let bench_conflict_check =
     (Bechamel.Staged.stage (fun () ->
          ignore (Ccdb_serial.Check.conflict_serializable logs)))
 
+let bench_deadlock_scan =
+  (* the graph step of one centralized deadlock-detector scan: build the
+     wait-for graph from a fixed 2048-edge snapshot (repeats included, as
+     replicated copies report the same wait twice) and search it for a
+     cycle.  Waiters only wait on older transactions, so the snapshot is
+     acyclic: the common no-deadlock scan, which walks the whole graph. *)
+  let edges =
+    let rng = Ccdb_util.Rng.create ~seed:5 in
+    List.init 2048 (fun _ ->
+        let waiter = 2 + Ccdb_util.Rng.int rng 400 in
+        (waiter, 1 + Ccdb_util.Rng.int rng (waiter - 1)))
+  in
+  Bechamel.Test.make ~name:"deadlock.scan"
+    (Bechamel.Staged.stage (fun () ->
+         ignore
+           (Ccdb_serial.Conflict_graph.find_cycle
+              (Ccdb_serial.Conflict_graph.of_edges ~nodes:[] ~edges))))
+
 let bench_incremental_edge =
   (* one edge insertion + Pearce-Kelly acyclicity re-check on a live
      incremental graph over the same 100-transaction population as
@@ -599,7 +617,8 @@ let run_micro () =
     Bechamel.Test.make_grouped ~name:"ccdb"
       [ bench_precedence_compare; bench_semi_lock_cycle; bench_lock_table_cycle;
         bench_wal_append; bench_wal_replay; bench_stl_eval;
-        bench_conflict_check; bench_incremental_edge; bench_stream_feed;
+        bench_conflict_check; bench_deadlock_scan; bench_incremental_edge;
+        bench_stream_feed;
         bench_heap; bench_end_to_end; bench_sharded_sim; bench_2pc_round;
         bench_paxos_round ]
   in

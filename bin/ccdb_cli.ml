@@ -128,17 +128,107 @@ let commit_term =
               0..2F — requires at least 2F+1 sites).  See DESIGN.md \
               section 15.")
 
-(* The acceptor set of [--commit paxos:F] lives at sites 0..2F, so the
-   site count bounds the tolerable F; report the mismatch as a usage
-   error rather than letting [Runtime.create] raise mid-run. *)
-let check_commit_sites ~sites commit =
-  match commit with
-  | Ccdb_protocols.Runtime.Paxos { f } when sites < (2 * f) + 1 ->
-    Printf.eprintf
-      "ccdb_cli: --commit paxos:%d needs at least %d sites (2F+1), got %d\n"
-      f ((2 * f) + 1) sites;
-    exit 124
+(* --- checked flags ------------------------------------------------------ *)
+
+(* Numeric flags are range-checked as they are parsed, so an out-of-range
+   value is a usage error (exit 124) naming the flag, not an
+   [Invalid_argument] raised deep inside set-up (exit 125) or, for NaN, a
+   run that never ends. *)
+let checked ~what ok conv =
+  let parse s =
+    match Cmdliner.Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Cmdliner.Arg.conv (parse, Cmdliner.Arg.conv_printer conv)
+
+let positive_int =
+  checked ~what:"a positive integer" (fun n -> n > 0) Cmdliner.Arg.int
+
+let count =
+  checked ~what:"a non-negative integer" (fun n -> n >= 0) Cmdliner.Arg.int
+
+let positive_float =
+  checked ~what:"a positive finite number"
+    (fun x -> x > 0. && Float.is_finite x)
+    Cmdliner.Arg.float
+
+let fraction =
+  checked ~what:"a number in [0, 1]"
+    (fun x -> x >= 0. && x <= 1.)
+    Cmdliner.Arg.float
+
+(* The workload and topology flags of run, analyze, faults, recover,
+   insights and sweep. *)
+let lambda_term ~default =
+  Cmdliner.Arg.(
+    value & opt positive_float default & info [ "lambda" ] ~doc:"Arrival rate.")
+
+let txns_term ~default =
+  Cmdliner.Arg.(
+    value & opt count default & info [ "txns" ] ~doc:"Transactions.")
+
+let sites_term =
+  Cmdliner.Arg.(value & opt positive_int 4 & info [ "sites" ] ~doc:"Sites.")
+
+let items_term =
+  Cmdliner.Arg.(
+    value & opt positive_int 24 & info [ "items" ] ~doc:"Logical items.")
+
+let replication_term =
+  Cmdliner.Arg.(
+    value & opt positive_int 2 & info [ "replication" ] ~doc:"Copies per item.")
+
+let read_fraction_term =
+  Cmdliner.Arg.(
+    value & opt fraction 0.5 & info [ "read-fraction" ] ~doc:"Read fraction.")
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("ccdb_cli: " ^ msg);
+      exit 124)
+    fmt
+
+(* Relations between flags that no single converter sees, checked on the
+   assembled set-up before anything runs.  The acceptor set of
+   [--commit paxos:F] lives at sites 0..2F, so the site count bounds the
+   tolerable F. *)
+let check_setup (setup : Ccdb_harness.Driver.setup)
+    (spec : Ccdb_workload.Generator.spec) =
+  if setup.replication > setup.sites then
+    usage_error
+      "--sites %d is fewer than the %d copies of each item (--replication)"
+      setup.sites setup.replication;
+  if spec.size_min > spec.size_max then
+    usage_error "--size-min %d exceeds --size-max %d" spec.size_min
+      spec.size_max;
+  if spec.size_max > setup.items then
+    usage_error
+      "--items %d is fewer than the %d items a transaction may access \
+       (--size-max)"
+      setup.items spec.size_max;
+  match setup.commit with
+  | Ccdb_protocols.Runtime.Paxos { f } when setup.sites < (2 * f) + 1 ->
+    usage_error "--commit paxos:%d needs at least %d sites (2F+1), got %d" f
+      ((2 * f) + 1) setup.sites
   | _ -> ()
+
+(* A fault plan may only name sites that exist; the harness places the
+   [k]-th acceptor at site [k]. *)
+let check_plan ~sites plan =
+  let top =
+    List.fold_left
+      (fun top (rc : Ccdb_sim.Fault_plan.role_crash) ->
+        match rc.role with
+        | Ccdb_sim.Fault_plan.Acceptor k -> max top k
+        | Ccdb_sim.Fault_plan.Coordinator -> top)
+      (Ccdb_sim.Fault_plan.max_site plan)
+      (Ccdb_sim.Fault_plan.role_crashes plan)
+  in
+  if top >= sites then
+    usage_error "--plan names site %d, but --sites is %d" top sites
 
 (* ------------------------------------------------------------------ run *)
 
@@ -152,19 +242,13 @@ let run_cmd =
                 pure-cto, unified, unified-2pl, unified-to, unified-pa, \
                 full-lock, dynamic.")
   in
-  let lambda =
-    Arg.(value & opt float 0.1 & info [ "lambda" ] ~doc:"Arrival rate.")
+  let lambda = lambda_term ~default:0.1 in
+  let txns = txns_term ~default:400 in
+  let size_min =
+    Arg.(value & opt positive_int 1 & info [ "size-min" ] ~doc:"Min st.")
   in
-  let txns = Arg.(value & opt int 400 & info [ "txns" ] ~doc:"Transactions.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Sites.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
-  let repl =
-    Arg.(value & opt int 2 & info [ "replication" ] ~doc:"Copies per item.")
-  in
-  let size_min = Arg.(value & opt int 1 & info [ "size-min" ] ~doc:"Min st.") in
-  let size_max = Arg.(value & opt int 3 & info [ "size-max" ] ~doc:"Max st.") in
-  let qr =
-    Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~doc:"Read fraction.")
+  let size_max =
+    Arg.(value & opt positive_int 3 & info [ "size-max" ] ~doc:"Max st.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let mix =
@@ -173,18 +257,27 @@ let run_cmd =
              ~doc:"Protocol mix for the unified mode (even weights).")
   in
   let detection =
+    let period what v =
+      match float_of_string_opt v with
+      | Some x when x > 0. && Float.is_finite x -> Ok x
+      | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "bad %s %S: expected a positive finite number"
+                what v))
+    in
     let parse s =
       match String.split_on_char ':' (String.lowercase_ascii s) with
       | [ "centralized"; v ] ->
-        (try
-           Ok (Ccdb_protocols.Deadlock.Centralized
-                 { interval = float_of_string v; detector_site = 0 })
-         with _ -> Error (`Msg "bad interval"))
+        Result.map
+          (fun interval ->
+            Ccdb_protocols.Deadlock.Centralized { interval; detector_site = 0 })
+          (period "interval" v)
       | [ "edge-chasing"; v ] ->
-        (try
-           Ok (Ccdb_protocols.Deadlock.Edge_chasing
-                 { probe_delay = float_of_string v })
-         with _ -> Error (`Msg "bad probe delay"))
+        Result.map
+          (fun probe_delay ->
+            Ccdb_protocols.Deadlock.Edge_chasing { probe_delay })
+          (period "probe delay" v)
       | _ -> Error (`Msg "expected centralized:INTERVAL or edge-chasing:DELAY")
     in
     let print ppf = function
@@ -247,7 +340,6 @@ let run_cmd =
   in
   let run mode lambda txns sites items repl size_min size_max qr seed mix
       detection prevention twr audit no_store_check shards commit =
-    check_commit_sites ~sites commit;
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -262,6 +354,7 @@ let run_cmd =
         net = Ccdb_sim.Net.default_config ~sites;
         detection; prevention; thomas_write_rule = twr }
     in
+    check_setup setup spec;
     let r =
       Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit
         ~verify_store:(not no_store_check) mode spec
@@ -314,9 +407,10 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
     Term.(
-      const run $ mode $ lambda $ txns $ sites $ items $ repl $ size_min
-      $ size_max $ qr $ seed $ mix $ detection $ prevention $ twr $ audit
-      $ no_store_check $ shards_term $ commit_term)
+      const run $ mode $ lambda $ txns $ sites_term $ items_term
+      $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
+      $ mix $ detection $ prevention $ twr $ audit $ no_store_check
+      $ shards_term $ commit_term)
 
 (* -------------------------------------------------------------- analyze *)
 
@@ -327,18 +421,8 @@ let analyze_cmd =
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"System to audit (same values as $(b,run) --mode).")
   in
-  let lambda =
-    Arg.(value & opt float 0.1 & info [ "lambda" ] ~doc:"Arrival rate.")
-  in
-  let txns = Arg.(value & opt int 400 & info [ "txns" ] ~doc:"Transactions.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Sites.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
-  let repl =
-    Arg.(value & opt int 2 & info [ "replication" ] ~doc:"Copies per item.")
-  in
-  let qr =
-    Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~doc:"Read fraction.")
-  in
+  let lambda = lambda_term ~default:0.1 in
+  let txns = txns_term ~default:400 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let mix =
     Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
@@ -351,7 +435,6 @@ let analyze_cmd =
   in
   let run mode lambda txns sites items repl qr seed mix quiet audit_path
       shards commit =
-    check_commit_sites ~sites commit;
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -363,6 +446,7 @@ let analyze_cmd =
         sites; items; replication = repl; seed; shards; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
+    check_setup setup spec;
     let r =
       Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:true ~audit_path mode
         spec
@@ -386,8 +470,9 @@ let analyze_cmd =
           both and fails on disagreement.  Exits 1 on any error-severity \
           finding.")
     Term.(
-      const run $ mode $ lambda $ txns $ sites $ items $ repl $ qr $ seed
-      $ mix $ quiet $ audit_path_term $ shards_term $ commit_term)
+      const run $ mode $ lambda $ txns $ sites_term $ items_term
+      $ replication_term $ read_fraction_term $ seed $ mix $ quiet
+      $ audit_path_term $ shards_term $ commit_term)
 
 (* ---------------------------------------------------------- experiments *)
 
@@ -474,12 +559,8 @@ let faults_cmd =
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"System to run (same values as $(b,run) --mode).")
   in
-  let lambda =
-    Arg.(value & opt float 0.08 & info [ "lambda" ] ~doc:"Arrival rate.")
-  in
-  let txns = Arg.(value & opt int 200 & info [ "txns" ] ~doc:"Transactions.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Sites.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
+  let lambda = lambda_term ~default:0.08 in
+  let txns = txns_term ~default:200 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let mix =
     Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
@@ -487,12 +568,12 @@ let faults_cmd =
              ~doc:"Protocol mix for the unified mode (even weights).")
   in
   let rto =
-    Arg.(value & opt float Ccdb_sim.Net.default_retry.Ccdb_sim.Net.rto
+    Arg.(value & opt positive_float Ccdb_sim.Net.default_retry.Ccdb_sim.Net.rto
          & info [ "rto" ] ~doc:"Initial retransmission timeout.")
   in
   let max_retries =
     Arg.(value
-         & opt int Ccdb_sim.Net.default_retry.Ccdb_sim.Net.max_retries
+         & opt count Ccdb_sim.Net.default_retry.Ccdb_sim.Net.max_retries
          & info [ "max-retries" ] ~doc:"Retransmissions before giving up.")
   in
   let no_audit =
@@ -502,7 +583,6 @@ let faults_cmd =
   in
   let run plan mode lambda txns sites items seed mix rto max_retries no_audit
       audit_path shards commit =
-    check_commit_sites ~sites commit;
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -513,7 +593,12 @@ let faults_cmd =
         sites; items; seed; shards; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
+    check_setup setup spec;
+    check_plan ~sites plan;
     let retry = { Ccdb_sim.Net.default_retry with rto; max_retries } in
+    if rto > retry.rto_cap then
+      usage_error "--rto %g exceeds the retransmission cap %g" rto
+        retry.rto_cap;
     let r =
       Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(not no_audit)
         ~audit_path ~faults:plan ~retry mode spec
@@ -566,8 +651,8 @@ let faults_cmd =
           invariants.  Exits 1 if any transaction fails to commit or the \
           audit finds an error.")
     Term.(
-      const run $ plan $ mode $ lambda $ txns $ sites $ items $ seed $ mix
-      $ rto $ max_retries $ no_audit $ audit_path_term $ shards_term
+      const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
+      $ mix $ rto $ max_retries $ no_audit $ audit_path_term $ shards_term
       $ commit_term)
 
 (* -------------------------------------------------------------- recover *)
@@ -603,12 +688,8 @@ let recover_cmd =
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"System to run (same values as $(b,run) --mode).")
   in
-  let lambda =
-    Arg.(value & opt float 0.08 & info [ "lambda" ] ~doc:"Arrival rate.")
-  in
-  let txns = Arg.(value & opt int 200 & info [ "txns" ] ~doc:"Transactions.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Sites.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
+  let lambda = lambda_term ~default:0.08 in
+  let txns = txns_term ~default:200 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let mix =
     Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
@@ -622,7 +703,6 @@ let recover_cmd =
   in
   let run plan mode lambda txns sites items seed mix no_audit audit_path
       shards commit =
-    check_commit_sites ~sites commit;
     let plan =
       (* fail-stop is the point of this command *)
       Ccdb_sim.Fault_plan.make ~seed:(Ccdb_sim.Fault_plan.seed plan)
@@ -641,6 +721,8 @@ let recover_cmd =
         sites; items; seed; shards; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
+    check_setup setup spec;
+    check_plan ~sites plan;
     let r =
       Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(not no_audit)
         ~audit_path ~faults:plan mode spec
@@ -697,15 +779,15 @@ let recover_cmd =
           commit, no resurrected lock).  Exits 1 if any transaction fails \
           to commit or the audit finds an error.")
     Term.(
-      const run $ plan $ mode $ lambda $ txns $ sites $ items $ seed $ mix
-      $ no_audit $ audit_path_term $ shards_term $ commit_term)
+      const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
+      $ mix $ no_audit $ audit_path_term $ shards_term $ commit_term)
 
 (* ---------------------------------------------------------------- sweep *)
 
 let sweep_cmd =
   let open Cmdliner in
   let lambdas =
-    Arg.(value & opt (list float) [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
+    Arg.(value & opt (list positive_float) [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
          & info [ "lambdas" ] ~doc:"Arrival rates to sweep.")
   in
   let modes =
@@ -716,13 +798,15 @@ let sweep_cmd =
                Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Pa ]
          & info [ "modes" ] ~doc:"Systems to sweep.")
   in
-  let txns = Arg.(value & opt int 400 & info [ "txns" ] ~doc:"Transactions.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
+  let txns = txns_term ~default:400 in
   let csv =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
   in
   let run lambdas modes txns items csv =
+    check_setup
+      { Ccdb_harness.Driver.default_setup with items }
+      Ccdb_workload.Generator.default;
     let table =
       Ccdb_util.Table.create
         ~columns:
@@ -766,7 +850,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep arrival rates across systems; print/CSV.")
-    Term.(const run $ lambdas $ modes $ txns $ items $ csv)
+    Term.(const run $ lambdas $ modes $ txns $ items_term $ csv)
 
 (* ------------------------------------------------------------- insights *)
 
@@ -813,20 +897,25 @@ let phase_conv =
       | Some i -> (
         let k = String.sub kv 0 i
         and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let fl () =
+        let fl ok =
           match float_of_string_opt v with
-          | Some f -> Ok f
-          | None -> Error (`Msg (Printf.sprintf "phase %s: bad float %S" k v))
+          | Some f when ok f -> Ok f
+          | _ -> Error (`Msg (Printf.sprintf "phase %s: bad value %S" k v))
         in
+        let positive f = f > 0. && Float.is_finite f in
         match k with
-        | "lambda" -> Result.map (fun f -> { acc with ph_lambda = Some f }) (fl ())
+        | "lambda" ->
+          Result.map (fun f -> { acc with ph_lambda = Some f }) (fl positive)
         | "txns" -> (
           match int_of_string_opt v with
           | Some n when n > 0 -> Ok { acc with ph_txns = n }
           | _ -> Error (`Msg (Printf.sprintf "phase txns: bad count %S" v)))
         | "read-fraction" ->
-          Result.map (fun f -> { acc with ph_rf = Some f }) (fl ())
-        | "zipf" -> Result.map (fun f -> { acc with ph_zipf = Some f }) (fl ())
+          Result.map
+            (fun f -> { acc with ph_rf = Some f })
+            (fl (fun f -> f >= 0. && f <= 1.))
+        | "zipf" ->
+          Result.map (fun f -> { acc with ph_zipf = Some f }) (fl positive)
         | "size" -> (
           match String.split_on_char '-' v with
           | [ a; b ] -> (
@@ -868,21 +957,11 @@ let insights_cmd =
          & info [ "reselect" ]
              ~doc:"Re-run the selector when a dynamic transaction restarts.")
   in
-  let lambda =
-    Arg.(value & opt float 0.1 & info [ "lambda" ] ~doc:"Arrival rate.")
-  in
-  let txns = Arg.(value & opt int 400 & info [ "txns" ] ~doc:"Transactions.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Sites.") in
-  let items = Arg.(value & opt int 24 & info [ "items" ] ~doc:"Logical items.") in
-  let repl =
-    Arg.(value & opt int 2 & info [ "replication" ] ~doc:"Copies per item.")
-  in
-  let qr =
-    Arg.(value & opt float 0.5 & info [ "read-fraction" ] ~doc:"Read fraction.")
-  in
+  let lambda = lambda_term ~default:0.1 in
+  let txns = txns_term ~default:400 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let window =
-    Arg.(value & opt float 500.
+    Arg.(value & opt positive_float 500.
          & info [ "window" ] ~docv:"UNITS"
              ~doc:"Width of the insights time-series windows.")
   in
@@ -932,7 +1011,9 @@ let insights_cmd =
     in
     let r =
       match phases with
-      | [] -> Ccdb_harness.Driver.run ~setup ~n_txns:txns ~observer mode base
+      | [] ->
+        check_setup setup base;
+        Ccdb_harness.Driver.run ~setup ~n_txns:txns ~observer mode base
       | phases ->
         let spec_of p =
           { base with
@@ -945,8 +1026,9 @@ let insights_cmd =
                | Some theta -> Ccdb_workload.Generator.Zipf theta
                | None -> base.access) }
         in
-        Ccdb_harness.Driver.run_phases ~setup ~observer mode
-          (List.map (fun p -> (spec_of p, p.ph_txns)) phases)
+        let specs = List.map (fun p -> (spec_of p, p.ph_txns)) phases in
+        List.iter (fun (spec, _) -> check_setup setup spec) specs;
+        Ccdb_harness.Driver.run_phases ~setup ~observer mode specs
     in
     let c = Option.get !collector in
     let doc = Ccdb_insights.Collector.to_json c in
@@ -1060,8 +1142,9 @@ let insights_cmd =
           (OBSERVABILITY.md documents every field); $(b,--check) validates \
           it against the schema and exits 1 on a violation.")
     Term.(
-      const run $ mode $ adaptive $ reselect $ lambda $ txns $ sites $ items
-      $ repl $ qr $ seed $ window $ phases $ json_path $ check $ top)
+      const run $ mode $ adaptive $ reselect $ lambda $ txns $ sites_term
+      $ items_term $ replication_term $ read_fraction_term $ seed $ window
+      $ phases $ json_path $ check $ top)
 
 (* ------------------------------------------------------------------ stl *)
 

@@ -19,7 +19,10 @@
      order: a write is implemented only after every implemented operation
      with a bigger timestamp... never — i.e. writes are flagged when an
      operation with a bigger timestamp was already implemented, reads when a
-     {e write} with a bigger timestamp was.
+     {e write} with a bigger timestamp was.  A read implemented at grant
+     stays tentative until its transaction commits: if the transaction
+     restarts first, [Reads_discarded] withdraws it from the log, and from
+     the order check with it.
 
    Events with [ts = None] (pure 2PL, MVTO) have no precedence space and
    are skipped; MVTO in particular legally reorders reads via multiple
@@ -60,17 +63,25 @@ type cstate = {
   mutable arrival_counter : int;
   mutable hwm_r : int;  (* high-water marks of released entries *)
   mutable hwm_w : int;
-  mutable impl_any : int;  (* biggest implemented timestamp *)
+  mutable impl_any : int;  (* biggest implemented timestamp, tentative
+                              reads aside *)
   mutable impl_w : int;    (* biggest implemented write timestamp *)
+  mutable tentative : (int * int) list;
+      (* (txn, ts) of reads implemented at grant by transactions that have
+         not committed yet *)
 }
 
 type state = {
   copies : (int * int, cstate) Hashtbl.t;
+  tentative_at : (int, (int * int) list) Hashtbl.t;
+      (* txn -> copies where it has tentative reads *)
   mutable findings : Finding.t list; (* newest first, drained by [feed] *)
   mutable idx : int;                 (* events fed so far *)
 }
 
-let create () = { copies = Hashtbl.create 64; findings = []; idx = 0 }
+let create () =
+  { copies = Hashtbl.create 64; tentative_at = Hashtbl.create 64;
+    findings = []; idx = 0 }
 
 let add_finding st f = st.findings <- f :: st.findings
 
@@ -80,7 +91,7 @@ let cstate st copy =
   | None ->
     let c =
       { entries = []; max_ts_seen = 0; arrival_counter = 0; hwm_r = -1;
-        hwm_w = -1; impl_any = -1; impl_w = -1 }
+        hwm_w = -1; impl_any = -1; impl_w = -1; tentative = [] }
     in
     Hashtbl.add st.copies copy c;
     c
@@ -99,8 +110,12 @@ let floor_for c op =
   | Ccdb_model.Op.Read -> w ()
   | Ccdb_model.Op.Write -> max (w ()) (r ())
 
-(* E1: implementation order per copy. *)
-let implement st c i ~copy e =
+let implemented_max c =
+  List.fold_left (fun acc (_, ts) -> max acc ts) c.impl_any c.tentative
+
+(* E1: implementation order per copy.  A [tentative] read is one
+   implemented at grant, which its transaction's restart may withdraw. *)
+let implement ?(tentative = false) st c i ~copy e =
   (match e.p_op with
    | Ccdb_model.Op.Read ->
      if e.p_ts < c.impl_w then
@@ -111,14 +126,23 @@ let implement st c i ~copy e =
                "read (ts %d) implemented after a write with ts %d" e.p_ts
                c.impl_w))
    | Ccdb_model.Op.Write ->
-     if e.p_ts < c.impl_any then
+     let impl_any = implemented_max c in
+     if e.p_ts < impl_any then
        add_finding st
          (Finding.make ~event_index:i ~txns:[ e.p_txn ] ~copy
             ~check:"prec.e1-write-order"
             (Printf.sprintf
                "write (ts %d) implemented after an operation with ts %d"
-               e.p_ts c.impl_any)));
-  c.impl_any <- max c.impl_any e.p_ts;
+               e.p_ts impl_any)));
+  if tentative then begin
+    c.tentative <- (e.p_txn, e.p_ts) :: c.tentative;
+    let copies =
+      Option.value ~default:[] (Hashtbl.find_opt st.tentative_at e.p_txn)
+    in
+    if not (List.mem copy copies) then
+      Hashtbl.replace st.tentative_at e.p_txn (copy :: copies)
+  end
+  else c.impl_any <- max c.impl_any e.p_ts;
   (match e.p_op with
    | Ccdb_model.Op.Write -> c.impl_w <- max c.impl_w e.p_ts
    | Ccdb_model.Op.Read -> ());
@@ -285,11 +309,13 @@ let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
     if
       Ccdb_model.Protocol.equal e.p_protocol Ccdb_model.Protocol.T_o
       && Ccdb_model.Op.equal e.p_op Ccdb_model.Op.Read
-    then implement st c i ~copy e
+    then implement ~tentative:true st c i ~copy e
   | None ->
     (* perform-style grant: the operation is implemented and leaves the
        queue now; the floor advances exactly as To_queue does at perform *)
-    implement st c i ~copy e;
+    implement
+      ~tentative:(Ccdb_model.Op.equal op Ccdb_model.Op.Read)
+      st c i ~copy e;
     remove_entry c e;
     advance_hwm c op e.p_ts
 
@@ -329,6 +355,25 @@ let on_withdrawn st ~txn ~copy =
   | None -> ()
   | Some e -> remove_entry c e
 
+(* A restart withdrew [txn]'s grant-time reads from the copy's log. *)
+let on_reads_discarded st ~txn ~copy =
+  let c = cstate st copy in
+  c.tentative <- List.filter (fun (t, _) -> t <> txn) c.tentative
+
+(* Past its commit point a transaction's reads are final. *)
+let on_committed st ~txn =
+  match Hashtbl.find_opt st.tentative_at txn with
+  | None -> ()
+  | Some copies ->
+    Hashtbl.remove st.tentative_at txn;
+    List.iter
+      (fun copy ->
+        let c = cstate st copy in
+        let mine, others = List.partition (fun (t, _) -> t = txn) c.tentative in
+        c.tentative <- others;
+        List.iter (fun (_, ts) -> c.impl_any <- max c.impl_any ts) mine)
+      copies
+
 let on_ts_updated st ~txn ~ts ~copy =
   let c = cstate st copy in
   c.max_ts_seen <- max c.max_ts_seen ts;
@@ -363,12 +408,14 @@ let feed st event =
      on_withdrawn st ~txn ~copy:(item, site)
    | Rt.Ts_updated { txn; item; site; ts; _ } ->
      on_ts_updated st ~txn ~ts ~copy:(item, site)
-   | Rt.Lock_promoted _ | Rt.Deadlock_detected _ | Rt.Txn_committed _
-   | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Site_crashed _
-   | Rt.Site_recovered _ | Rt.Site_wiped _ | Rt.Wal_replayed _
-   | Rt.Prepared _ | Rt.Decision_logged _
-   | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
-   | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ());
+   | Rt.Reads_discarded { txn; item; site; _ } ->
+     on_reads_discarded st ~txn ~copy:(item, site)
+   | Rt.Txn_committed { txn; _ } -> on_committed st ~txn:txn.Ccdb_model.Txn.id
+   | Rt.Lock_promoted _ | Rt.Deadlock_detected _ | Rt.Txn_restarted _
+   | Rt.Pa_backoff _ | Rt.Site_crashed _ | Rt.Site_recovered _
+   | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Prepared _
+   | Rt.Decision_logged _ | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
+   | Rt.Op_implemented _ -> ());
   let out = List.rev st.findings in
   st.findings <- [];
   out

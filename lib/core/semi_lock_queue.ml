@@ -391,6 +391,6 @@ let waits_for t =
             | _, _ -> ())
           t.entries)
     t.entries;
-  List.sort_uniq compare !edges
+  !edges
 
 let entries t = t.entries

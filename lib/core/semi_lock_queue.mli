@@ -127,7 +127,8 @@ val waits_for : t -> (int * int) list
     additionally, the owner of a held {e pre-scheduled} lock waits on the
     holders of the conflicting earlier grants — a draining T/O transaction
     cannot release until those clear, and a deadlock cycle can run through
-    it. *)
+    it.  Each [(waiter, holder)] pair appears once, in no particular
+    order. *)
 
 val entries : t -> entry list
 (** Pending entries in precedence order (tests / diagnostics). *)

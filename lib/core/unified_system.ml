@@ -105,7 +105,7 @@ let set_slot st copy slot =
     List.map (fun (c, s) -> if c = copy then (c, slot) else (c, s)) st.slots
 
 let all_edges t =
-  Hashtbl.fold (fun _ q acc -> Q.waits_for q @ acc) t.queues []
+  Hashtbl.fold (fun _ q acc -> List.rev_append (Q.waits_for q) acc) t.queues []
 
 let send t ~src ~dst ~kind f = Ccdb_sim.Net.send (Rt.net t.rt) ~src ~dst ~kind f
 

@@ -27,7 +27,8 @@ type t = {
 
 let create_centralized ~engine ~net ~interval ~detector_site ~edges
     ~choose_victim ~victim_site ~abort =
-  if interval <= 0. then invalid_arg "Deadlock: interval must be positive";
+  (* negated so that a NaN interval is refused too *)
+  if not (interval > 0.) then invalid_arg "Deadlock: interval must be positive";
   { engine; net; interval; detector_site; edges; choose_victim; victim_site;
     abort; running = false; pending = None; scans = 0; cycles_found = 0 }
 

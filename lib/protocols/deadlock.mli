@@ -46,7 +46,8 @@ val create_centralized :
     transaction to its issuing site ([None] if it no longer exists);
     [abort v] is invoked at the victim's site after the abort message
     arrives.  The snapshot may be stale by then — the owning system must
-    ignore aborts for transactions that are no longer waiting. *)
+    ignore aborts for transactions that are no longer waiting.  Raises
+    [Invalid_argument] unless [interval > 0.] (so NaN is refused). *)
 
 val start : t -> unit
 (** Schedules the periodic scans. *)

@@ -32,7 +32,7 @@ type t = {
 }
 
 let create engine net config cb =
-  if config.probe_delay <= 0. then
+  if not (config.probe_delay > 0.) then
     invalid_arg "Edge_chasing.create: probe_delay must be positive";
   { engine; net; config; cb; timers = Hashtbl.create 32;
     next_round = Hashtbl.create 32; valid_from = Hashtbl.create 32;

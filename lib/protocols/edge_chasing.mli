@@ -53,6 +53,8 @@ type callbacks = {
 type t
 
 val create : Ccdb_sim.Engine.t -> Ccdb_sim.Net.t -> config -> callbacks -> t
+(** Raises [Invalid_argument] unless [probe_delay > 0.] (so NaN is
+    refused). *)
 
 val txn_blocked : t -> int -> unit
 (** Arm (or re-arm) the probe timer for a transaction that just started

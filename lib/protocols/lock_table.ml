@@ -125,7 +125,7 @@ let waits_for t =
       scan (e :: earlier) rest
   in
   scan [] queue;
-  List.rev !edges
+  !edges
 
 let holders t =
   List.filter_map

@@ -39,7 +39,8 @@ val entries : t -> entry list
 
 val waits_for : t -> (int * int) list
 (** Wait-for edges contributed by this queue: [(waiter, holder)] for every
-    ungranted request and each earlier conflicting request's transaction. *)
+    ungranted request and each earlier conflicting request's transaction,
+    in no particular order. *)
 
 val holders : t -> (int * Ccdb_model.Op.kind) list
 (** Transactions currently granted, in grant order. *)

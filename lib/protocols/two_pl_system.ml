@@ -85,7 +85,9 @@ let table t copy =
     table
 
 let all_edges t =
-  Hashtbl.fold (fun _ table acc -> Lock_table.waits_for table @ acc) t.tables []
+  Hashtbl.fold
+    (fun _ table acc -> List.rev_append (Lock_table.waits_for table) acc)
+    t.tables []
 
 (* Commit point: the transaction is durably decided.  Without 2PC this is
    the end of the compute phase; with it, the coordinator's commit record. *)

@@ -114,7 +114,8 @@ let push_heap t shard ev =
   ev.status <- Heaped (Ccdb_util.Heap.push t.heaps.(shard) ev)
 
 let schedule_at ?site t ~at action =
-  if at < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  (* negated so that a NaN time is refused rather than queued *)
+  if not (at >= t.clock) then invalid_arg "Engine.schedule_at: time in the past";
   let target =
     match site with
     | Some s -> t.shard_of s
@@ -146,7 +147,7 @@ let schedule_at ?site t ~at action =
   ev
 
 let schedule ?site t ~after action =
-  if after < 0. then invalid_arg "Engine.schedule: negative delay";
+  if not (after >= 0.) then invalid_arg "Engine.schedule: negative delay";
   schedule_at ?site t ~at:(t.clock +. after) action
 
 let cancel t ev =

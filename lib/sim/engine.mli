@@ -43,13 +43,14 @@ val shards : t -> int
 
 val schedule : ?site:int -> t -> after:time -> (unit -> unit) -> handle
 (** [schedule t ~after f] fires [f] at [now t +. after].  [after] must be
-    [>= 0.]; negative delays raise [Invalid_argument].  [?site] names the
+    [>= 0.]; negative and NaN delays raise [Invalid_argument].  [?site] names the
     site whose shard should execute the event (network deliveries, crash
     windows, per-site timers); untagged events inherit the scheduling
     event's shard, so purely local follow-ups never cross shards. *)
 
 val schedule_at : ?site:int -> t -> at:time -> (unit -> unit) -> handle
-(** Absolute-time variant; [at] must be [>= now t]. *)
+(** Absolute-time variant; [at] must be [>= now t] (a NaN [at] raises
+    [Invalid_argument] too). *)
 
 val cancel : t -> handle -> bool
 (** [cancel t h] prevents the event from firing; returns [false] if it

@@ -120,6 +120,47 @@ let test_allows_pre_scheduled_over_semi () =
   check Alcotest.bool "lock.never-promoted reported" true
     (has_error unpromoted "lock.never-promoted")
 
+(* E1 write order around a withdrawn T/O read.  T/O txn 2 reads at ts 758
+   (implemented at grant); when it restarts, the store discards that read
+   and the queue forgets its timestamp, so an older T/O write (ts 757) may
+   be admitted and implemented after it.  The write-order check must
+   withdraw the read too; a read that was not discarded, or whose
+   transaction committed, still orders the write. *)
+let test_discarded_read_leaves_write_order () =
+  let read_ts = 758 and write_ts = 757 in
+  let read_then ~committed ~discarded =
+    [ request ~txn:2 ~ts:read_ts ~outcome:Rt.Req_admitted ~at:1. ();
+      grant ~txn:2 ~protocol:P.T_o ~op:Op.Read ~mode:(Some L.Rl) ~ts:read_ts
+        ~at:2. () ]
+    @ (if discarded then
+         [ Rt.Reads_discarded
+             { txn = 2; item = 0; site = 0; removed = 1; at = 3. } ]
+       else [])
+    @ (if committed then
+         [ Rt.Txn_committed
+             { txn = mk_txn ~protocol:P.T_o 2; submitted_at = 0.;
+               executed_at = 3.; restarts = 0 } ]
+       else [])
+    @ [ release ~txn:2 ~protocol:P.T_o ~op:Op.Read ~aborted:(not committed)
+          ~ts:read_ts ~at:4. ();
+        request ~txn:1 ~op:Op.Write ~ts:write_ts ~outcome:Rt.Req_admitted
+          ~at:5. ();
+        grant ~txn:1 ~protocol:P.T_o ~ts:write_ts ~at:6. ();
+        Rt.Lock_transformed
+          { txn = 1; item = 0; site = 0; mode = L.Swl; at = 7. } ]
+  in
+  let write_order events =
+    List.exists
+      (fun (f : An.Finding.t) -> f.check = "prec.e1-write-order")
+      (An.Precedence_audit.run (Array.of_list events))
+  in
+  check Alcotest.bool "discarded read withdrawn" false
+    (write_order (read_then ~committed:false ~discarded:true));
+  check Alcotest.bool "aborted but not discarded" true
+    (write_order (read_then ~committed:false ~discarded:false));
+  check Alcotest.bool "committed read is final" true
+    (write_order (read_then ~committed:true ~discarded:false))
+
 let test_detects_release_before_commit () =
   let report = analyze [ grant ~at:1. (); release ~at:2. () ] in
   check Alcotest.bool "lock.release-before-commit reported" true
@@ -444,6 +485,8 @@ let suites =
           test_allows_pre_scheduled_over_semi;
         Alcotest.test_case "release before commit" `Quick
           test_detects_release_before_commit;
+        Alcotest.test_case "discarded read leaves write order" `Quick
+          test_discarded_read_leaves_write_order;
         Alcotest.test_case "PA restart" `Quick test_detects_pa_restart;
         Alcotest.test_case "bad T/O rejection" `Quick
           test_detects_bad_rejection;

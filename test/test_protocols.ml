@@ -1085,6 +1085,42 @@ let test_centralized_detector_unit () =
   check Alcotest.bool "cycles seen" true
     (Ccdb_protocols.Deadlock.cycles_found d >= 1)
 
+(* Both detectors refuse a non-positive or NaN period up front.  NaN
+   compares false with everything, so a [<= 0.] guard would let it
+   through. *)
+let test_detector_period_guards () =
+  let e = Ccdb_sim.Engine.create () in
+  let rng = Ccdb_util.Rng.create ~seed:1 in
+  let net = Ccdb_sim.Net.create e rng (Ccdb_sim.Net.default_config ~sites:2) in
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises
+        (Printf.sprintf "centralized interval %g" interval)
+        (Invalid_argument "Deadlock: interval must be positive") (fun () ->
+          ignore
+            (Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net
+               ~interval ~detector_site:0
+               ~edges:(fun () -> [])
+               ~choose_victim:Ccdb_protocols.Deadlock.youngest
+               ~victim_site:(fun _ -> None) ~abort:ignore)))
+    [ 0.; -1.; nan ];
+  let cb =
+    { Ccdb_protocols.Edge_chasing.is_waiting = (fun _ -> false);
+      home_site = (fun _ -> None); pending_sites = (fun _ -> []);
+      local_waits_on = (fun ~site:_ ~txn:_ -> []);
+      may_initiate = (fun _ -> false); on_deadlock = ignore }
+  in
+  List.iter
+    (fun probe_delay ->
+      Alcotest.check_raises
+        (Printf.sprintf "probe delay %g" probe_delay)
+        (Invalid_argument "Edge_chasing.create: probe_delay must be positive")
+        (fun () ->
+          ignore
+            (Ccdb_protocols.Edge_chasing.create e net
+               { Ccdb_protocols.Edge_chasing.probe_delay } cb)))
+    [ 0.; -1.; nan ]
+
 let test_stress_unified_mixed () =
   (* a long mixed run: 1500 transactions across every protocol *)
   let sites = 4 and items = 40 in
@@ -1121,7 +1157,9 @@ let suites =
   @ [ ( "protocols.runtime",
         [ Alcotest.test_case "counters + subscribe" `Quick test_runtime_counters_and_subscribe;
           Alcotest.test_case "site mismatch" `Quick test_runtime_site_mismatch;
-          Alcotest.test_case "centralized detector unit" `Quick test_centralized_detector_unit ] );
+          Alcotest.test_case "centralized detector unit" `Quick test_centralized_detector_unit;
+          Alcotest.test_case "detector period guards" `Quick
+            test_detector_period_guards ] );
       ( "protocols.stress",
         [ Alcotest.test_case "1500-txn unified mix" `Slow test_stress_unified_mixed ] ) ]
 

@@ -11,6 +11,130 @@ let w txn at = entry txn Ccdb_model.Op.Write at
 
 (* --- Conflict_graph ------------------------------------------------------ *)
 
+(* The executable specification of [Ccdb_serial.Conflict_graph]: a plain
+   set-based implementation.  The library's int-array version must agree
+   with it on every query, down to the exact cycle witness the deadlock
+   detector picks its victim from. *)
+module Reference = struct
+  module Imap = Map.Make (Int)
+  module Iset = Set.Make (Int)
+
+  module Edge_set = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = {
+    node_set : Iset.t;
+    edge_set : Edge_set.t;
+    succ : Iset.t Imap.t;
+  }
+
+  let build node_set edge_set =
+    let succ =
+      Edge_set.fold
+        (fun (a, b) acc ->
+          let cur = Option.value ~default:Iset.empty (Imap.find_opt a acc) in
+          Imap.add a (Iset.add b cur) acc)
+        edge_set Imap.empty
+    in
+    { node_set; edge_set; succ }
+
+  let of_edges ~nodes ~edges =
+    let node_set =
+      List.fold_left
+        (fun acc (a, b) -> Iset.add a (Iset.add b acc))
+        (Iset.of_list nodes) edges
+    in
+    let edge_set =
+      List.fold_left
+        (fun acc (a, b) -> if a = b then acc else Edge_set.add (a, b) acc)
+        Edge_set.empty edges
+    in
+    build node_set edge_set
+
+  let of_logs logs =
+    let nodes = ref Iset.empty in
+    let edges = ref Edge_set.empty in
+    let scan_log entries =
+      let rec loop earlier = function
+        | [] -> ()
+        | (e : Ccdb_storage.Store.log_entry) :: rest ->
+          nodes := Iset.add e.txn !nodes;
+          List.iter
+            (fun (e' : Ccdb_storage.Store.log_entry) ->
+              if e'.txn <> e.txn && Ccdb_model.Op.conflicts e'.kind e.kind then
+                edges := Edge_set.add (e'.txn, e.txn) !edges)
+            earlier;
+          loop (e :: earlier) rest
+      in
+      loop [] entries
+    in
+    List.iter (fun (_copy, entries) -> scan_log entries) logs;
+    build !nodes !edges
+
+  let nodes t = Iset.elements t.node_set
+  let edges t = Edge_set.elements t.edge_set
+
+  let successors t n =
+    Option.value ~default:Iset.empty (Imap.find_opt n t.succ)
+
+  let find_cycle t =
+    let state = Hashtbl.create 64 in
+    let cycle = ref None in
+    let rec visit path n =
+      match Hashtbl.find_opt state n with
+      | Some 2 -> ()
+      | Some 1 ->
+        if !cycle = None then begin
+          let rec take acc = function
+            | [] -> acc
+            | x :: rest -> if x = n then x :: acc else take (x :: acc) rest
+          in
+          cycle := Some (take [] path)
+        end
+      | Some _ | None ->
+        Hashtbl.replace state n 1;
+        Iset.iter
+          (fun m -> if !cycle = None then visit (n :: path) m)
+          (successors t n);
+        Hashtbl.replace state n 2
+    in
+    Iset.iter (fun n -> if !cycle = None then visit [] n) t.node_set;
+    !cycle
+
+  let has_cycle t = Option.is_some (find_cycle t)
+
+  let topological_order t =
+    let indeg = Hashtbl.create 64 in
+    Iset.iter (fun n -> Hashtbl.replace indeg n 0) t.node_set;
+    Edge_set.iter
+      (fun (_, b) ->
+        Hashtbl.replace indeg b
+          (1 + Option.value ~default:0 (Hashtbl.find_opt indeg b)))
+      t.edge_set;
+    let frontier = ref Iset.empty in
+    Hashtbl.iter
+      (fun n d -> if d = 0 then frontier := Iset.add n !frontier)
+      indeg;
+    let order = ref [] in
+    let count = ref 0 in
+    while not (Iset.is_empty !frontier) do
+      let n = Iset.min_elt !frontier in
+      frontier := Iset.remove n !frontier;
+      order := n :: !order;
+      incr count;
+      Iset.iter
+        (fun m ->
+          let d = Hashtbl.find indeg m - 1 in
+          Hashtbl.replace indeg m d;
+          if d = 0 then frontier := Iset.add m !frontier)
+        (successors t n)
+    done;
+    if !count = Iset.cardinal t.node_set then Some (List.rev !order) else None
+end
+
 let test_graph_edges_from_log () =
   (* log on one copy: r1 w2 r3  =>  1->2 (rw), 2->3 (wr) *)
   let logs = [ ((0, 0), [ r 1 1.; w 2 2.; r 3 3. ]) ] in
@@ -91,6 +215,96 @@ let test_graph_isolated_node () =
     (Alcotest.option (Alcotest.list Alcotest.int))
     "topo" (Some [ 9 ])
     (Ccdb_serial.Conflict_graph.topological_order g)
+
+(* Differential check against [Reference].  Ids come mostly from a small
+   pool, so repeated edges, self-loops, shared endpoints and cycles are
+   common, with some at the extremes of the int range (negative, and at or
+   past 2^31) and some drawn from the whole range. *)
+let graph_id_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, int_range 0 7);
+        ( 2,
+          oneofl
+            [ min_int; -(1 lsl 40); -3; -1; 1 lsl 31; (1 lsl 31) + 5;
+              1 lsl 40; max_int ] );
+        (1, int) ])
+
+let graph_input_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return ([], []));
+        ( 12,
+          pair
+            (list_size (int_range 0 4) graph_id_gen)
+            (list_size (int_range 0 40) (pair graph_id_gen graph_id_gen)) ) ])
+
+let print_graph_input =
+  QCheck.Print.(pair (list int) (list (pair int int)))
+
+let graph_log_gen =
+  let open QCheck.Gen in
+  let kind =
+    map
+      (fun is_w -> if is_w then Ccdb_model.Op.Write else Ccdb_model.Op.Read)
+      bool
+  in
+  let log i entries =
+    ((i, 0), List.mapi (fun j (txn, k) -> entry txn k (float_of_int j)) entries)
+  in
+  map (List.mapi log)
+    (list_size (int_range 0 4)
+       (list_size (int_range 0 10) (pair graph_id_gen kind)))
+
+let print_graph_logs logs =
+  QCheck.Print.(list (list (pair int string)))
+    (List.map
+       (fun (_, entries) ->
+         List.map
+           (fun (e : Ccdb_storage.Store.log_entry) ->
+             (e.txn, Ccdb_model.Op.to_string e.kind))
+           entries)
+       logs)
+
+let agrees_with_reference g r =
+  let module G = Ccdb_serial.Conflict_graph in
+  G.nodes g = Reference.nodes r
+  && G.edges g = Reference.edges r
+  && G.has_cycle g = Reference.has_cycle r
+  && G.find_cycle g = Reference.find_cycle r
+  && G.topological_order g = Reference.topological_order r
+
+let prop_of_edges_matches_reference =
+  qtest ~count:1500 "of_edges agrees with the set-based reference"
+    (QCheck.make ~print:print_graph_input graph_input_gen)
+    (fun (nodes, edges) ->
+      agrees_with_reference
+        (Ccdb_serial.Conflict_graph.of_edges ~nodes ~edges)
+        (Reference.of_edges ~nodes ~edges))
+
+let prop_of_logs_matches_reference =
+  qtest ~count:1000 "of_logs agrees with the set-based reference"
+    (QCheck.make ~print:print_graph_logs graph_log_gen)
+    (fun logs ->
+      agrees_with_reference
+        (Ccdb_serial.Conflict_graph.of_logs logs)
+        (Reference.of_logs logs))
+
+(* One long log: enough repeated conflicts to make [of_logs] deduplicate
+   its edge buffer several times over. *)
+let test_graph_long_log_matches_reference () =
+  let logs =
+    List.init 3 (fun c ->
+        ( (c, 0),
+          List.init 300 (fun j ->
+              let txn = ((j * 7) + c) mod 23 in
+              if j mod 3 = 0 then w txn (float_of_int j)
+              else r txn (float_of_int j)) ))
+  in
+  check Alcotest.bool "agrees" true
+    (agrees_with_reference
+       (Ccdb_serial.Conflict_graph.of_logs logs)
+       (Reference.of_logs logs))
 
 (* --- Check ---------------------------------------------------------------- *)
 
@@ -336,7 +550,11 @@ let suites =
         Alcotest.test_case "acyclic" `Quick test_graph_acyclic;
         Alcotest.test_case "cycle witness" `Quick test_graph_cycle;
         Alcotest.test_case "two cycles" `Quick test_graph_two_cycles;
-        Alcotest.test_case "isolated node" `Quick test_graph_isolated_node ] );
+        Alcotest.test_case "isolated node" `Quick test_graph_isolated_node;
+        Alcotest.test_case "long log matches reference" `Quick
+          test_graph_long_log_matches_reference;
+        prop_of_edges_matches_reference;
+        prop_of_logs_matches_reference ] );
     ( "serial.check",
       [ Alcotest.test_case "serializable verdicts" `Quick test_check_serializable;
         Alcotest.test_case "brute force examples" `Quick test_brute_force_agrees_on_examples;

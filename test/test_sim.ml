@@ -83,6 +83,19 @@ let test_engine_past_schedule_at () =
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> ignore (Ccdb_sim.Engine.schedule_at e ~at:1. ignore))
 
+(* NaN compares false with everything, so the guards are written to fail
+   it: a NaN time must be refused, not queued where it would never fire in
+   order. *)
+let test_engine_nan_times () =
+  let e = Ccdb_sim.Engine.create () in
+  Alcotest.check_raises "nan delay"
+    (Invalid_argument "Engine.schedule: negative delay") (fun () ->
+      ignore (Ccdb_sim.Engine.schedule e ~after:nan ignore));
+  Alcotest.check_raises "nan time"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      ignore (Ccdb_sim.Engine.schedule_at e ~at:nan ignore));
+  check Alcotest.int "nothing queued" 0 (Ccdb_sim.Engine.pending e)
+
 let test_engine_step () =
   let e = Ccdb_sim.Engine.create () in
   check Alcotest.bool "empty step" false (Ccdb_sim.Engine.step e);
@@ -159,6 +172,7 @@ let suites =
         Alcotest.test_case "max events" `Quick test_engine_max_events;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
         Alcotest.test_case "schedule in past" `Quick test_engine_past_schedule_at;
+        Alcotest.test_case "nan times" `Quick test_engine_nan_times;
         Alcotest.test_case "step" `Quick test_engine_step ] );
     ( "sim.net",
       [ Alcotest.test_case "remote delay" `Quick test_net_delivery_delay;
