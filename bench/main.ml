@@ -1,5 +1,5 @@
 (* The benchmark binary: regenerates every reproduced experiment table
-   (E1-E16 and X1-X7, see DESIGN.md section 5 and EXPERIMENTS.md) and then
+   (E1-E14, E16 and X1-X7, see DESIGN.md section 5 and EXPERIMENTS.md) and
    runs bechamel micro-benchmarks of the core data structures.
 
    Run with: dune exec bench/main.exe
@@ -14,7 +14,6 @@ let micro_only = ref false
 let exp_only = ref false
 let audit = ref false
 let jobs = ref (Ccdb_harness.Parallel.default_jobs ())
-let shards = ref 1
 let json_path = ref None
 let insights_path = ref None
 
@@ -28,9 +27,6 @@ let () =
       ("--jobs", Arg.Set_int jobs,
        "N fan experiment points across N domains (default: recommended \
         domain count)");
-      ("--shards", Arg.Set_int shards,
-       "N run every experiment on an N-shard engine (default 1; with \
-        --json the suite is additionally timed at 1/2/4 shards)");
       ("--json", Arg.String (fun p -> json_path := Some p),
        "FILE write a machine-readable baseline (ns/op, r^2, wall-clocks) \
         to FILE");
@@ -50,11 +46,8 @@ let micro_only = !micro_only
 let exp_only = !exp_only
 let audit = !audit
 let jobs = max 1 !jobs
-let shards = max 1 !shards
 let json_path = !json_path
 let insights_path = !insights_path
-
-let () = if shards > 1 then Ccdb_harness.Driver.set_default_shards shards
 
 (* ----------------------------------------------------------------- audit *)
 
@@ -106,9 +99,6 @@ type exp_stats = {
   (* (jobs, wall-clock, tables byte-identical to serial) when a parallel
      pass ran as well *)
   parallel : (int * float * bool) option;
-  (* (shards, wall-clock, tables byte-identical to the serial pass) for
-     the 1/2/4-shard sweep that --json triggers *)
-  sharded : (int * float * bool) list;
 }
 
 let render_all outcomes =
@@ -120,41 +110,9 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* The determinism sweep behind BENCH.json's "sharded" section: the whole
-   suite re-run on a 2- and 4-shard engine (single job, so the only change
-   is the engine partitioning) and compared byte-for-byte against the
-   serial pass.  Setups that pin their own shard count (E15) are immune to
-   the default, so their tables compare too. *)
-let run_sharded serial_s serial_txt =
-  let passes =
-    List.map
-      (fun s ->
-        if s = 1 && shards = 1 then (1, serial_s, true)
-        else begin
-          Ccdb_harness.Driver.set_default_shards (if s = 1 then 0 else s);
-          let outs, secs =
-            timed (fun () -> Ccdb_harness.Parallel.experiments ~quick ~jobs:1 ())
-          in
-          let identical = String.equal (render_all outs) serial_txt in
-          (s, secs, identical)
-        end)
-      [ 1; 2; 4 ]
-  in
-  Ccdb_harness.Driver.set_default_shards (if shards > 1 then shards else 0);
-  List.iter
-    (fun (s, secs, identical) ->
-      Printf.printf "(suite at %d shard%s: %.2fs, tables %s)\n" s
-        (if s = 1 then "" else "s")
-        secs
-        (if identical then "byte-identical" else "DIFFER"))
-    passes;
-  print_newline ();
-  passes
-
 (* With [--json] the suite runs twice — serially and at [jobs] domains — so
    the baseline records both wall-clocks and pins that the parallel tables
-   are byte-identical; the 1/2/4-shard sweep then re-runs it on the
-   partitioned engine.  Without it the suite runs once at [jobs]. *)
+   are byte-identical.  Without it the suite runs once at [jobs]. *)
 let run_experiments () =
   print_endline "=== Paper reproduction: one table per experiment ===";
   print_endline
@@ -187,10 +145,7 @@ let run_experiments () =
         Some (jobs, par_s, identical)
       end
     in
-    let sharded =
-      if json_path = None then [] else run_sharded serial_s serial_txt
-    in
-    { n_experiments; n_points; serial_s; parallel; sharded }
+    { n_experiments; n_points; serial_s; parallel }
   end
   else begin
     let outs, par_s =
@@ -200,7 +155,7 @@ let run_experiments () =
     (* a single parallel pass has no serial wall-clock to compare against;
        record what ran *)
     { n_experiments; n_points; serial_s = par_s;
-      parallel = Some (jobs, par_s, true); sharded = [] }
+      parallel = Some (jobs, par_s, true) }
   end
 
 (* ------------------------------------------------------ micro-benchmarks *)
@@ -469,38 +424,16 @@ let bench_end_to_end =
             (Ccdb_harness.Driver.run ~setup ~n_txns:40
                Ccdb_harness.Driver.Unified spec)))
 
-let bench_sharded_sim =
-  (* the same 40-transaction unified simulation on a 2-shard engine: the
-     overhead (or win) of the conservative-window merge relative to
-     unified.sim-40txn is the sharding cost the DESIGN.md section 14
-     roadmap tracks *)
-  Bechamel.Test.make ~name:"engine.sharded-sim"
-    (Bechamel.Staged.stage
-       (let spec =
-          { Ccdb_workload.Generator.default with
-            arrival_rate = 0.2;
-            protocol_mix =
-              [ (Ccdb_model.Protocol.Two_pl, 1.);
-                (Ccdb_model.Protocol.T_o, 1.); (Ccdb_model.Protocol.Pa, 1.) ] }
-        in
-        let setup =
-          { Ccdb_harness.Driver.default_setup with
-            items = 12; sites = 3; shards = 2 }
-        in
-        fun () ->
-          ignore
-            (Ccdb_harness.Driver.run ~setup ~n_txns:40
-               Ccdb_harness.Driver.Unified spec)))
-
-(* Atomic-commitment round cost: a durable (wipe=true, otherwise
-   fault-free) run of 16 multi-operation transactions through the unified
-   system, so every commit drives a full round of the selected engine —
-   presumed-abort 2PC vs Paxos Commit over three acceptors (f = 1).  Both
+(* Atomic-commitment cost, timed as a whole run: one operation is a durable
+   (wipe=true, otherwise fault-free) simulation of 16 multi-operation
+   transactions through the unified system, so every commit drives a full
+   round of the selected engine — presumed-abort 2PC vs Paxos Commit over
+   three acceptors (f = 1).  Divide by 16 for a per-round figure.  Both
    rows share the workload and the durable-run fixed costs (WAL forces,
    vote collection), so their difference is the consensus premium
    DESIGN.md section 15 quantifies: one extra phase-2a/2b exchange per
    participant vote on the ballot-0 fast path. *)
-let bench_commit_round name commit =
+let bench_commit_run name commit =
   let spec =
     { Ccdb_workload.Generator.default with
       arrival_rate = 0.2;
@@ -524,10 +457,12 @@ let bench_commit_round name commit =
            (Ccdb_harness.Driver.run ~setup ~n_txns:16 ~faults
               Ccdb_harness.Driver.Unified spec)))
 
-let bench_2pc_round = bench_commit_round "commit.2pc-round" Ccdb_protocols.Runtime.Two_pc
+let bench_2pc_run =
+  bench_commit_run "commit.2pc-sim-16txn" Ccdb_protocols.Runtime.Two_pc
 
-let bench_paxos_round =
-  bench_commit_round "commit.paxos-round" (Ccdb_protocols.Runtime.Paxos { f = 1 })
+let bench_paxos_run =
+  bench_commit_run "commit.paxos-sim-16txn"
+    (Ccdb_protocols.Runtime.Paxos { f = 1 })
 
 (* A micro-benchmark result after the confidence pass below. *)
 type micro_row = {
@@ -619,8 +554,7 @@ let run_micro () =
         bench_wal_append; bench_wal_replay; bench_stl_eval;
         bench_conflict_check; bench_deadlock_scan; bench_incremental_edge;
         bench_stream_feed;
-        bench_heap; bench_end_to_end; bench_sharded_sim; bench_2pc_round;
-        bench_paxos_round ]
+        bench_heap; bench_end_to_end; bench_2pc_run; bench_paxos_run ]
   in
   let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
   (* discarded warmup pass: every staged closure runs until code, caches
@@ -698,36 +632,23 @@ let write_json path ~exp ~micro =
         ([ ("count", Num (float_of_int e.n_experiments));
            ("points", Num (float_of_int e.n_points));
            ("serial_wall_clock_s", Num e.serial_s) ]
-         @ (match e.parallel with
-           | None -> []
-           | Some (n, par_s, identical) ->
-             [ ("parallel_jobs", Num (float_of_int n));
-               ("parallel_wall_clock_s", Num par_s);
-               ("speedup", Num (e.serial_s /. par_s));
-               ("identical_tables", Bool identical) ])
          @
-         match e.sharded with
-         | [] -> []
-         | passes ->
-           [ ( "sharded",
-               List
-                 (List.map
-                    (fun (s, secs, identical) ->
-                      Obj
-                        [ ("shards", Num (float_of_int s));
-                          ("wall_clock_s", Num secs);
-                          ("identical_tables", Bool identical) ])
-                    passes) ) ])
+         match e.parallel with
+         | None -> []
+         | Some (n, par_s, identical) ->
+           [ ("parallel_jobs", Num (float_of_int n));
+             ("parallel_wall_clock_s", Num par_s);
+             ("speedup", Num (e.serial_s /. par_s));
+             ("identical_tables", Bool identical) ])
   in
   let doc =
     Obj
-      [ ("schema", Str "ccdb-bench/5");
+      [ ("schema", Str "ccdb-bench/6");
         ("quick", Bool quick);
         (* Parallel.cores: the parallelism actually available, so a
            speedup <= 1 here reads as "cores-limited", not "overhead" *)
         ("cores", Num (float_of_int (Ccdb_harness.Parallel.cores ())));
         ("jobs", Num (float_of_int jobs));
-        ("shards", Num (float_of_int shards));
         ("micro", micro_j);
         ("experiments", exp_j) ]
   in

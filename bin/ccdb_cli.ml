@@ -81,20 +81,6 @@ let audit_path_term =
   in
   Term.(const pick $ stream $ batch $ differential)
 
-(* [--shards N]: partition the simulator's sites across N shard heaps with
-   the deterministic cross-shard merge (DESIGN.md section 14); shared by
-   run/analyze/faults/recover. *)
-let shards_term =
-  let open Cmdliner in
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:
-             "Partition the simulator's sites into $(docv) shards \
-              (conservative lookahead windows, deterministic cross-shard \
-              merge).  Results are byte-identical for every value, which \
-              the $(b,@shard-smoke) lint gate enforces; the count is \
-              clamped to the site count.  See DESIGN.md section 14.")
-
 (* [--commit 2pc|paxos|paxos:F]: atomic-commitment engine for durable
    runs; shared by run/analyze/faults/recover.  Inert without a fail-stop
    fault plan (only durable runtimes build a commit engine). *)
@@ -336,10 +322,10 @@ let run_cmd =
                 serializability, replica consistency) — they re-scan every \
                 log pair, prohibitive at millions of transactions.  Combine \
                 with $(b,--audit) to keep the flat-cost streaming audit as \
-                the correctness gate (EXPERIMENTS.md E15).")
+                the correctness gate (EXPERIMENTS.md E13).")
   in
   let run mode lambda txns sites items repl size_min size_max qr seed mix
-      detection prevention twr audit no_store_check shards commit =
+      detection prevention twr audit no_store_check commit =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -350,7 +336,7 @@ let run_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; shards; commit;
+        sites; items; replication = repl; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites;
         detection; prevention; thomas_write_rule = twr }
     in
@@ -376,14 +362,6 @@ let run_cmd =
        Format.printf "serializable:    %b@." s.serializable;
        Format.printf "replicas ok:     %b@." s.replica_consistent
      end);
-    (if r.sync.shards > 1 then
-       Format.printf
-         "shards:          %d (%d barriers, %d cross-shard messages, fired \
-          %s)@."
-         r.sync.shards r.sync.barriers r.sync.cross_shard
-         (String.concat "/"
-            (Array.to_list
-               (Array.map string_of_int r.sync.fired_by_shard))));
     (match r.audit with
      | None -> ()
      | Some report ->
@@ -410,7 +388,7 @@ let run_cmd =
       const run $ mode $ lambda $ txns $ sites_term $ items_term
       $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
       $ mix $ detection $ prevention $ twr $ audit $ no_store_check
-      $ shards_term $ commit_term)
+      $ commit_term)
 
 (* -------------------------------------------------------------- analyze *)
 
@@ -434,7 +412,7 @@ let analyze_cmd =
          & info [ "quiet" ] ~doc:"Print only the summary line, not findings.")
   in
   let run mode lambda txns sites items repl qr seed mix quiet audit_path
-      shards commit =
+      commit =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -443,7 +421,7 @@ let analyze_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; shards; commit;
+        sites; items; replication = repl; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     check_setup setup spec;
@@ -472,7 +450,7 @@ let analyze_cmd =
     Term.(
       const run $ mode $ lambda $ txns $ sites_term $ items_term
       $ replication_term $ read_fraction_term $ seed $ mix $ quiet
-      $ audit_path_term $ shards_term $ commit_term)
+      $ audit_path_term $ commit_term)
 
 (* ---------------------------------------------------------- experiments *)
 
@@ -499,37 +477,33 @@ let experiments_cmd =
                 byte-identical for every job count; 1 takes the plain \
                 serial path.")
   in
-  let run quick only csv_dir jobs shards =
+  let run quick only csv_dir jobs =
     let wanted o =
       only = [] || List.exists (fun id -> String.uppercase_ascii id = o.Ccdb_harness.Experiments.id) only
     in
-    if shards > 1 then Ccdb_harness.Driver.set_default_shards shards;
-    Fun.protect
-      ~finally:(fun () -> Ccdb_harness.Driver.set_default_shards 0)
-      (fun () ->
-        List.iter
-          (fun o ->
-            if wanted o then begin
-              print_endline (Ccdb_harness.Experiments.render o);
-              print_newline ();
-              match csv_dir with
-              | None -> ()
-              | Some dir ->
-                let path =
-                  Filename.concat dir
-                    (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
-                in
-                let oc = open_out path in
-                output_string oc (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
-                close_out oc;
-                Printf.printf "(wrote %s)\n\n" path
-            end)
-          (Ccdb_harness.Parallel.experiments ~quick ~jobs ()))
+    List.iter
+      (fun o ->
+        if wanted o then begin
+          print_endline (Ccdb_harness.Experiments.render o);
+          print_newline ();
+          match csv_dir with
+          | None -> ()
+          | Some dir ->
+            let path =
+              Filename.concat dir
+                (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
+            in
+            let oc = open_out path in
+            output_string oc (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
+            close_out oc;
+            Printf.printf "(wrote %s)\n\n" path
+        end)
+      (Ccdb_harness.Parallel.experiments ~quick ~jobs ())
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Regenerate the paper-reproduction tables (E1-E16, X1-X7).")
-    Term.(const run $ quick $ only $ csv_dir $ jobs $ shards_term)
+       ~doc:"Regenerate the paper-reproduction tables (E1-E14, E16, X1-X7).")
+    Term.(const run $ quick $ only $ csv_dir $ jobs)
 
 (* --------------------------------------------------------------- faults *)
 
@@ -582,7 +556,7 @@ let faults_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix rto max_retries no_audit
-      audit_path shards commit =
+      audit_path commit =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -590,7 +564,7 @@ let faults_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; shards; commit;
+        sites; items; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     check_setup setup spec;
@@ -652,8 +626,7 @@ let faults_cmd =
           audit finds an error.")
     Term.(
       const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
-      $ mix $ rto $ max_retries $ no_audit $ audit_path_term $ shards_term
-      $ commit_term)
+      $ mix $ rto $ max_retries $ no_audit $ audit_path_term $ commit_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -702,7 +675,7 @@ let recover_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix no_audit audit_path
-      shards commit =
+      commit =
     let plan =
       (* fail-stop is the point of this command *)
       Ccdb_sim.Fault_plan.make ~seed:(Ccdb_sim.Fault_plan.seed plan)
@@ -718,7 +691,7 @@ let recover_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; shards; commit;
+        sites; items; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     check_setup setup spec;
@@ -780,7 +753,7 @@ let recover_cmd =
           to commit or the audit finds an error.")
     Term.(
       const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
-      $ mix $ no_audit $ audit_path_term $ shards_term $ commit_term)
+      $ mix $ no_audit $ audit_path_term $ commit_term)
 
 (* ---------------------------------------------------------------- sweep *)
 

@@ -8,7 +8,6 @@ type setup = {
   replication : int;
   net : Ccdb_sim.Net.config;
   seed : int;
-  shards : int;
   restart_delay : float;
   restart_cap : float;
   detection : Ccdb_protocols.Deadlock.detection;
@@ -21,29 +20,12 @@ type setup = {
 
 let default_setup =
   { sites = 4; items = 32; replication = 2;
-    net = Ccdb_sim.Net.default_config ~sites:4; seed = 42; shards = 0;
+    net = Ccdb_sim.Net.default_config ~sites:4; seed = 42;
     restart_delay = 50.; restart_cap = 800.;
     detection = Ccdb_protocols.Deadlock.default_detection;
     thomas_write_rule = false;
     prevention = Ccdb_protocols.Two_pl_system.No_prevention;
     adaptive = Cumulative; reselect = false; commit = Rt.Two_pc }
-
-(* Suite-wide shard override ([0] = none): lets the bench harness and the
-   CLI re-run a whole experiment suite sharded without threading a setup
-   change through every call site.  Atomic because worker domains of the
-   parallel harness read it. *)
-let default_shards = Atomic.make 0
-
-let set_default_shards n =
-  if n < 0 then invalid_arg "Driver.set_default_shards: negative";
-  Atomic.set default_shards n
-
-(* The override is a default, not a force: [setup.shards = 0] means
-   "inherit the suite default", any explicit count >= 1 (E15's scaling
-   rows, the CLI's --shards) is pinned. *)
-let effective_shards (setup : setup) =
-  if setup.shards >= 1 then setup.shards
-  else max 1 (Atomic.get default_shards)
 
 type mode =
   | Pure of Ccdb_model.Protocol.t
@@ -70,7 +52,6 @@ type result = {
   runtime : Rt.t;
   decisions : (Ccdb_model.Protocol.t * int) list;
   audit : Ccdb_analysis.Report.t option;
-  sync : Ccdb_sim.Engine.sync_stats;
 }
 
 (* A uniform submit interface over the five system shapes. *)
@@ -249,9 +230,9 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
       faults
   in
   let rt =
-    Rt.create ~seed:setup.seed ~shards:(effective_shards setup) ?faults ?retry
-      ?replay_cost ~restart_cap:setup.restart_cap ~commit:setup.commit
-      ~net_config:net ~catalog ()
+    Rt.create ~seed:setup.seed ?faults ?retry ?replay_cost
+      ~restart_cap:setup.restart_cap ~commit:setup.commit ~net_config:net
+      ~catalog ()
   in
   (match observer with Some f -> f rt | None -> ());
   (* MVTO keeps the physical store as a per-copy newest-version cache, not
@@ -273,15 +254,13 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
   in
   let system = build_system ~setup ~spec mode rt in
   List.iter
-    (fun (at, (txn : Ccdb_model.Txn.t)) ->
-      (* Arrivals land on the home site's shard, so a transaction's local
-         follow-up events (compute, restarts) stay shard-local. *)
+    (fun (at, txn) ->
       ignore
-        (Ccdb_sim.Engine.schedule ~site:txn.site (Rt.engine rt) ~after:at
-           (fun () -> system.submit txn)))
+        (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:at (fun () ->
+             system.submit txn)))
     arrivals;
   (* The budget is an anti-livelock backstop, not a limit: scale it with the
-     workload so million-transaction runs (E15) fit. *)
+     workload so million-transaction runs (EXPERIMENTS.md E13) fit. *)
   let budget = max 50_000_000 (400 * List.length arrivals) in
   Rt.quiesce ~max_events:budget rt;
   let store = if theorem2 then Some (Rt.store rt) else None in
@@ -314,8 +293,7 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
                  divergences))
   in
   { summary = Metrics.summarize ~verify:verify_store rt; runtime = rt;
-    decisions = system.decisions (); audit;
-    sync = Ccdb_sim.Engine.sync_stats (Rt.engine rt) }
+    decisions = system.decisions (); audit }
 
 let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
     ?(audit_path = Streaming) ?faults ?retry ?replay_cost ?verify_store mode

@@ -19,12 +19,6 @@ type setup = {
   replication : int;
   net : Ccdb_sim.Net.config;
   seed : int;
-  shards : int;
-      (** simulator shards ({!Ccdb_protocols.Runtime.create}[ ?shards]);
-          results are byte-identical for any value — see DESIGN.md §14.
-          [0] (the default) inherits the suite-wide value of
-          {!set_default_shards}, or 1 if none is set; any explicit count
-          >= 1 is pinned and ignores the suite default *)
   restart_delay : float;
       (** resubmission delay after a T/O rejection or a deadlock abort,
           applied to every system built by {!run} *)
@@ -55,18 +49,8 @@ type setup = {
 
 val default_setup : setup
 (** 4 sites, 32 items, replication 2, default network, seed 42,
-    [shards = 0] (inherit the suite default, else 1),
     restart_delay 50., restart_cap 800., centralized detection, Thomas
     Write Rule off, cumulative adaptivity, reselection off, 2PC commit. *)
-
-val set_default_shards : int -> unit
-(** Suite-wide shard default applied by every subsequent {!run} whose setup
-    left [shards] at 0 ([0] clears the default itself).  Setups that pin
-    an explicit count — E15's scaling rows do, including the 1-shard
-    row — keep it.  For harnesses that re-run a fixed experiment suite at
-    several shard counts (bench, CLI [--shards]) — byte-identical tables at
-    any value are the determinism gate.  @raise Invalid_argument on a
-    negative count. *)
 
 (** Which concurrency-control system executes the workload. *)
 type mode =
@@ -112,10 +96,6 @@ type result = {
       (** protocol routing (meaningful for [Dynamic] and [Unified]) *)
   audit : Ccdb_analysis.Report.t option;
       (** invariant-analysis report ([Some] iff [run ~audit:true]) *)
-  sync : Ccdb_sim.Engine.sync_stats;
-      (** shard-synchronization counters of the run's engine (barriers,
-          cross-shard traffic, per-shard event counts); deterministic for a
-          given setup and shard count *)
 }
 
 val run :
@@ -144,7 +124,7 @@ val run :
     {!Ccdb_sim.Recovery}).  [verify_store] (default [true]) controls the
     post-hoc store checks of {!Metrics.summarize} — switch it off for
     million-transaction runs where the streaming audit replaces them
-    (EXPERIMENTS.md E15).
+    (EXPERIMENTS.md E13).
     @raise Failure if the run livelocks (event budget exhausted). *)
 
 val run_phases :

@@ -1524,102 +1524,6 @@ let e14_staged ~quick =
 
 let e14_phase_change ?(quick = false) () = run_one (e14_staged ~quick)
 
-(* ---------------------------------------------------------------- E15 --- *)
-
-let e15_staged ~quick =
-  (* Sharded-simulator scaling: the same audited workload at 1, 2 and 4
-     shards.  Every column is a deterministic counter (commits, events,
-     synchronization barriers, channelled messages, per-shard event
-     balance) — never wall-clock — so the table is byte-identical at any
-     --jobs and any --shards; per-shard wall-clocks live in BENCH.json.
-     The row-by-row "identical" verdict is the tentpole claim: metrics,
-     audit findings and event counts at S shards equal the single-heap
-     run's exactly.  The 1M-commit demonstration runs the same
-     configuration scaled up (EXPERIMENTS.md E15). *)
-  let n = n_for quick 2000 in
-  let spec =
-    { base_spec with
-      arrival_rate = 0.2;
-      protocol_mix =
-        [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
-          (Ccdb_model.Protocol.Pa, 1.) ] }
-  in
-  let point shards () =
-    let setup = { base_setup with shards } in
-    let r = D.run ~setup ~n_txns:n ~audit:true D.Unified spec in
-    let audit = Option.get r.D.audit in
-    ( shards,
-      r.D.summary,
-      Ccdb_analysis.Report.is_clean audit,
-      Ccdb_analysis.Report.events_scanned audit,
-      r.D.sync )
-  in
-  let assemble rows =
-    let table =
-      T.create
-        ~columns:
-          [ ("shards", T.Right); ("committed", T.Right); ("S", T.Right);
-            ("events", T.Right); ("audited", T.Right); ("barriers", T.Right);
-            ("channelled", T.Right); ("shard balance", T.Left);
-            ("identical", T.Left) ]
-    in
-    let reference =
-      match rows with
-      | (_, s, clean, scanned, _) :: _ -> (s, clean, scanned)
-      | [] -> invalid_arg "E15: no rows"
-    in
-    List.iter
-      (fun (shards, summary, clean, scanned, (sync : Ccdb_sim.Engine.sync_stats)) ->
-        let fired = Array.fold_left ( + ) 0 sync.fired_by_shard in
-        let balance =
-          String.concat "/"
-            (Array.to_list (Array.map string_of_int sync.fired_by_shard))
-        in
-        let identical = (summary, clean, scanned) = reference in
-        T.add_row table
-          [ string_of_int shards; string_of_int summary.Metrics.committed;
-            f summary.Metrics.mean_system_time; string_of_int fired;
-            string_of_int scanned; string_of_int sync.barriers;
-            string_of_int sync.cross_shard; balance;
-            (if identical then "yes" else "NO") ])
-      rows;
-    let verdict =
-      let all_identical =
-        List.for_all
-          (fun (_, s, c, sc, _) -> (s, c, sc) = reference)
-          rows
-      in
-      let _, _, _, _, (last : Ccdb_sim.Engine.sync_stats) =
-        List.hd (List.rev rows)
-      in
-      Printf.sprintf
-        "measured: metrics and audit %s across shard counts — %d cross-shard \
-         messages settled through %d conservative barriers at %d shards \
-         without disturbing a single commit, timestamp or finding"
-        (if all_identical then "byte-identical" else "DIVERGED")
-        last.cross_shard last.barriers last.shards
-    in
-    { id = "E15";
-      title = "Sharded simulator: committed-transaction results vs shard count";
-      claim =
-        "partitioning sites across shards with conservative lookahead \
-         windows and a deterministic (time, seq) cross-shard merge \
-         reproduces the single-heap simulation byte-for-byte at any shard \
-         count, with the streaming audit online throughout";
-      table;
-      notes =
-        [ verdict;
-          "all columns are deterministic counters (never wall-clock), so \
-           the table is byte-identical at any --jobs and --shards; \
-           per-shard suite wall-clocks are recorded in BENCH.json";
-          "the >= 1M-commit demonstration with the streaming audit online: \
-           see EXPERIMENTS.md E15 for the ccdb_cli command and measured \
-           numbers" ] }
-  in
-  Staged { points = List.map point [ 1; 2; 4 ]; assemble }
-
-let e15_shard_scaling ?(quick = false) () = run_one (e15_staged ~quick)
-
 (* ---------------------------------------------------------------- E16 -- *)
 
 let e16_staged ~quick =
@@ -1806,7 +1710,7 @@ let staged ?(quick = false) () =
     e5_staged ~quick; e6_staged ~quick; e7_staged ~quick; e8_staged ~quick;
     e9_staged ~quick; e10_staged ~quick; e11_staged ~quick;
     e12_staged ~quick; e13_staged ~quick; e14_staged ~quick;
-    e15_staged ~quick; e16_staged ~quick;
+    e16_staged ~quick;
     x1_staged ~quick; x2_staged ~quick; x3_staged ~quick;
     x4_staged ~quick; x5_staged ~quick; x6_staged ~quick; x7_staged ~quick ]
 

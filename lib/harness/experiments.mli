@@ -67,14 +67,6 @@ val e14_phase_change : ?quick:bool -> unit -> outcome
     with the mid-run protocol switch read off the insights windows
     (DESIGN.md section 13, OBSERVABILITY.md). *)
 
-val e15_shard_scaling : ?quick:bool -> unit -> outcome
-(** Sharded simulator: the same audited workload at 1, 2 and 4 shards with
-    metrics, audit findings and event counts compared row by row — the
-    byte-identity claim of the conservative-window deterministic merge
-    (DESIGN.md section 14).  Deterministic counters only; per-shard suite
-    wall-clocks live in BENCH.json and the million-commit demonstration in
-    EXPERIMENTS.md E15. *)
-
 val e16_nonblocking_commit : ?quick:bool -> unit -> outcome
 (** Presumed-abort 2PC vs Paxos Commit at acceptor-set sizes f = 0, 1, 2
     under a message-loss plan and a role-targeted coordinator fail-stop:
@@ -125,7 +117,7 @@ type staged
 (** One experiment, decomposed but not yet run. *)
 
 val staged : ?quick:bool -> unit -> staged list
-(** Every experiment in order (E1-E16 then X1-X7), decomposed. *)
+(** Every experiment in order (E1-E14, E16, then X1-X7), decomposed. *)
 
 val points_count : staged -> int
 (** Number of independent points the experiment fans out. *)
@@ -140,7 +132,7 @@ val run_one : staged -> outcome
 (** Runs the points serially, in order, and assembles. *)
 
 val all : ?quick:bool -> ?runner:((unit -> unit) list -> unit) -> unit -> outcome list
-(** Every experiment in order (E1-E16 then X1-X7).  [runner] receives the
+(** Every experiment in order (E1-E14, E16, then X1-X7).  [runner] receives the
     flattened point tasks of all experiments and must run each exactly once
     (default: serially, in order); outcomes are assembled in experiment
     order afterwards regardless of how the runner scheduled the tasks. *)

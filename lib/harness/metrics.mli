@@ -41,7 +41,7 @@ val summarize : ?verify:bool -> Ccdb_protocols.Runtime.t -> summary
     post-hoc store checks — [serializable] and [replica_consistent] are
     then vacuously [true]; the whole-history conflict check is quadratic-ish
     in run length, so million-transaction runs rely on the streaming audit
-    instead (EXPERIMENTS.md E15). *)
+    instead (EXPERIMENTS.md E13). *)
 
 val system_time_stats : Ccdb_protocols.Runtime.t -> Ccdb_util.Stats.t
 (** Per-transaction system times (executed - submitted), for custom

@@ -458,8 +458,7 @@ and arm_takeover t ~acceptor ~txn ~round ~timer ~attempt =
       ~attempt
   in
   ignore
-    (Ccdb_sim.Engine.schedule ~site:acceptor (Runtime.engine t.rt) ~after
-       (fun () ->
+    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after (fun () ->
          match Hashtbl.find_opt t.acceptors (acceptor, txn) with
          | Some a when a.a_timer = timer && a.a_round = round -> (
            match a.a_outcome with
@@ -490,7 +489,7 @@ and on_inquire t ~txn ~round ~from ~acceptor =
 
 and arm_inquiry t ~site ~txn ~timer =
   ignore
-    (Ccdb_sim.Engine.schedule ~site (Runtime.engine t.rt)
+    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
        ~after:t.config.inquiry_timeout (fun () ->
          match Hashtbl.find_opt t.parts (site, txn) with
          | Some e when e.p_timer = timer ->

@@ -368,8 +368,8 @@ let on_wal_replay t f = t.replay_handlers <- f :: t.replay_handlers
    instead of hammering the recovering site in lockstep.  Jitter comes from
    a per-[site] stream (the caller passes the transaction's home site):
    sites draw independently, so the sequence each site sees is a function
-   of its own restarts only, never of how restarts interleave across sites
-   — the property the shards-1-vs-4 identity test pins. *)
+   of its own restarts only, never of how restarts interleave across
+   sites.  The faulted experiment tables are pinned to these streams. *)
 let restart_backoff t ~site ~base ~attempt =
   match t.restart_rngs with
   | None -> base
@@ -382,7 +382,7 @@ let restart_backoff t ~site ~base ~attempt =
       let capped = Float.min t.restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
-let create ?(seed = 42) ?(shards = 1) ?faults ?retry ?(stall_timeout = 1500.)
+let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
     ?(restart_cap = 800.) ?replay_cost ?(commit = Two_pc) ~net_config ~catalog
     () =
   if net_config.Ccdb_sim.Net.sites <> Ccdb_storage.Catalog.sites catalog then
@@ -391,7 +391,6 @@ let create ?(seed = 42) ?(shards = 1) ?faults ?retry ?(stall_timeout = 1500.)
     invalid_arg "Runtime.create: stall_timeout must be positive";
   if restart_cap <= 0. then
     invalid_arg "Runtime.create: restart_cap must be positive";
-  if shards < 1 then invalid_arg "Runtime.create: shards must be >= 1";
   (match commit with
    | Two_pc -> ()
    | Paxos { f } ->
@@ -399,18 +398,8 @@ let create ?(seed = 42) ?(shards = 1) ?faults ?retry ?(stall_timeout = 1500.)
      if (2 * f) + 1 > net_config.Ccdb_sim.Net.sites then
        invalid_arg
          "Runtime.create: Paxos needs 2f+1 acceptor sites (not enough sites)");
-  (* Never more shards than sites; the engine's lookahead is the minimum
-     cross-site latency (every cross-site send pays at least [base_delay]). *)
-  let shards = min shards net_config.Ccdb_sim.Net.sites in
-  if shards > 1 && not (net_config.Ccdb_sim.Net.base_delay > 0.) then
-    invalid_arg
-      "Runtime.create: a sharded simulation needs a positive base network \
-       delay (the conservative lookahead)";
   let rng = Ccdb_util.Rng.create ~seed in
-  let engine =
-    Ccdb_sim.Engine.create ~shards
-      ~lookahead:net_config.Ccdb_sim.Net.base_delay ()
-  in
+  let engine = Ccdb_sim.Engine.create () in
   let net_rng = Ccdb_util.Rng.split rng in
   let net = Ccdb_sim.Net.create engine net_rng net_config in
   let t =

@@ -226,7 +226,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?shards:int ->
   ?faults:Ccdb_sim.Fault_plan.t ->
   ?retry:Ccdb_sim.Net.retry ->
   ?stall_timeout:float ->
@@ -237,12 +236,7 @@ val create :
   catalog:Ccdb_storage.Catalog.t ->
   unit ->
   t
-(** Builds engine + network + store.  [seed] defaults to 42.  [shards]
-    (default 1, clamped to the site count) partitions the discrete-event
-    engine into that many site shards with conservative lookahead
-    [net_config.base_delay] — results are byte-identical for any shard
-    count ({!Ccdb_sim.Engine}, DESIGN.md §14); requires a positive
-    [base_delay] when [shards > 1].  When [faults]
+(** Builds engine + network + store.  [seed] defaults to 42.  When [faults]
     is given it is installed on the network ({!Ccdb_sim.Net.install_faults},
     with [retry] if supplied), {!event.Site_crashed} / {!event.Site_recovered}
     events are emitted at each crash boundary, and the stall watchdog is
@@ -362,6 +356,5 @@ val restart_backoff : t -> site:int -> base:float -> attempt:int -> float
     factor in [\[0.5, 1.0)] so synchronized crash-abort restart storms
     spread out.  The jitter is drawn from a per-[site] stream, so the draws
     a site sees depend only on its own restart history — never on how
-    events interleave across sites or shards (the shard-count-identity
-    requirement, DESIGN.md §14).
+    events interleave across sites.
     @raise Invalid_argument on an out-of-range [site] under faults. *)

@@ -141,13 +141,17 @@ let role_crashes t = t.role_crashes
 let wipe t = t.wipe
 
 (* Pin each role crash to a concrete site and fold it into the ordinary
-   crash schedule; [make] re-validates, so a role window that lands on a
-   site with an overlapping concrete window is rejected with its message. *)
+   crash schedule.  Which site a role lands on is known only once the
+   workload is drawn, so the caller cannot keep role windows clear of the
+   others: windows of one site that overlap after resolution merge into
+   their union, the site staying down from the first crash to the last
+   recovery.  Plans without such an overlap resolve to exactly the windows
+   given. *)
 let resolve t ~coordinator ~acceptor =
   match t.role_crashes with
   | [] -> t
   | rcs ->
-    let extra =
+    let resolved =
       List.map
         (fun rc ->
           let site =
@@ -158,8 +162,24 @@ let resolve t ~coordinator ~acceptor =
           { site; at = rc.r_at; recover_at = rc.r_recover_at })
         rcs
     in
+    let by_site_then_time a b =
+      match Int.compare a.site b.site with
+      | 0 -> Float.compare a.at b.at
+      | c -> c
+    in
+    let merged =
+      List.fold_left
+        (fun acc c ->
+          match acc with
+          | prev :: rest when prev.site = c.site && c.at < prev.recover_at ->
+            { prev with recover_at = Float.max prev.recover_at c.recover_at }
+            :: rest
+          | _ -> c :: acc)
+        []
+        (List.sort by_site_then_time (t.crashes @ resolved))
+    in
     make ~seed:t.seed ~default_link:t.default_link ~links:t.links
-      ~crashes:(t.crashes @ extra) ~wipe:t.wipe ()
+      ~crashes:merged ~wipe:t.wipe ()
 
 let link_for t ~src ~dst =
   match List.assoc_opt (src, dst) t.links with

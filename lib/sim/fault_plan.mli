@@ -121,9 +121,13 @@ val resolve : t -> coordinator:int -> acceptor:(int -> int) -> t
     site — [Coordinator] to [coordinator], [Acceptor k] to [acceptor k] —
     and folds them into the ordinary crash schedule, leaving
     [role_crashes] empty.  A plan with no role crashes is returned
-    unchanged.
-    @raise Invalid_argument if a resolved window overlaps an existing
-    window of the same site (the {!make} validation re-runs). *)
+    unchanged.  Which site a role lands on depends on the workload, so a
+    resolved window that overlaps another window of the same site — an
+    explicit one, or another role's that resolved there too — is merged
+    with it into their union: the site is down from the earlier crash to
+    the later recovery.
+    @raise Invalid_argument if [coordinator] or an [acceptor k] is a
+    negative site (the {!make} validation re-runs). *)
 
 val wipe : t -> bool
 (** Whether crashes are fail-stop: at each crash instant the site's volatile

@@ -205,7 +205,7 @@ and physical_copy t fr link msg =
   else begin
     let delay = faulty_delay t fr link ~src:msg.m_src ~dst:msg.m_dst in
     ignore
-      (Engine.schedule ~site:msg.m_dst t.engine ~after:delay (fun () ->
+      (Engine.schedule t.engine ~after:delay (fun () ->
            arrive t fr msg))
   end
 
@@ -218,7 +218,7 @@ and arm_retry t fr msg =
   in
   msg.m_timer <-
     Some
-      (Engine.schedule ~site:msg.m_src t.engine ~after:rto (fun () ->
+      (Engine.schedule t.engine ~after:rto (fun () ->
            msg.m_timer <- None;
            if not msg.m_acked then
              if msg.m_attempts > fr.retry.max_retries then expire fr msg
@@ -260,7 +260,7 @@ and send_ack t fr msg =
   else begin
     let delay = faulty_delay t fr back ~src:msg.m_dst ~dst:msg.m_src in
     ignore
-      (Engine.schedule ~site:msg.m_src t.engine ~after:delay (fun () ->
+      (Engine.schedule t.engine ~after:delay (fun () ->
            if not fr.crashed.(msg.m_src) && not msg.m_acked then begin
              msg.m_acked <- true;
              match msg.m_timer with
@@ -304,7 +304,7 @@ let send t ~src ~dst ~kind deliver =
     in
     let at = if naive > front then naive else front +. 1e-9 in
     Hashtbl.replace t.channel_front (src, dst) at;
-    ignore (Engine.schedule_at ~site:dst t.engine ~at deliver)
+    ignore (Engine.schedule_at t.engine ~at deliver)
 
 (* --- fault-plan installation -------------------------------------------- *)
 
@@ -336,16 +336,13 @@ let install_faults t ?(retry = default_retry) plan =
   t.faults <- Some fr;
   List.iter
     (fun (c : Fault_plan.crash) ->
-      (* Crash and recovery windows land on the crashing site's own shard. *)
       ignore
-        (Engine.schedule_at ~site:c.Fault_plan.site t.engine
-           ~at:c.Fault_plan.at (fun () ->
+        (Engine.schedule_at t.engine ~at:c.Fault_plan.at (fun () ->
              fr.crashed.(c.Fault_plan.site) <- true;
              fr.stats.s_crashes <- fr.stats.s_crashes + 1;
              List.iter (fun f -> f c.Fault_plan.site) fr.crash_listeners));
       ignore
-        (Engine.schedule_at ~site:c.Fault_plan.site t.engine
-           ~at:c.Fault_plan.recover_at (fun () ->
+        (Engine.schedule_at t.engine ~at:c.Fault_plan.recover_at (fun () ->
              fr.crashed.(c.Fault_plan.site) <- false;
              fr.stats.s_recoveries <- fr.stats.s_recoveries + 1;
              List.iter (fun f -> f c.Fault_plan.site) fr.recover_listeners)))

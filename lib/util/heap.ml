@@ -31,14 +31,13 @@ let create ~cmp = { cmp; values = [||]; slots = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Ensure capacity for at least [t.size + extra] elements; [seed] fills the
-   fresh cells of a previously empty heap (any live value works — unused
-   positions are overwritten before being read). *)
-let reserve t extra seed =
-  let need = t.size + extra in
+(* Ensure capacity for one more element; [seed] fills the fresh cells of a
+   previously empty heap (any live value works — unused positions are
+   overwritten before being read). *)
+let reserve t seed =
   let cap = Array.length t.values in
-  if need > cap then begin
-    let cap' = max 16 (max need (2 * cap)) in
+  if t.size = cap then begin
+    let cap' = max 16 (2 * cap) in
     let values = Array.make cap' seed in
     let slots = Array.make cap' { index = -1 } in
     Array.blit t.values 0 values 0 t.size;
@@ -95,30 +94,11 @@ let sift_down t i v s =
   s.index <- !i
 
 let push t value =
-  reserve t 1 value;
+  reserve t value;
   let s = { index = t.size } in
   t.size <- t.size + 1;
   sift_up t (t.size - 1) value s;
   s
-
-let push_list t values =
-  match values with
-  | [] -> ()
-  | first :: _ ->
-    let n = List.length values in
-    reserve t n first;
-    (* Append, then restore the heap property bottom-up over the whole
-       array: O(size + n), cheaper than n * O(log size) pushes for bulk
-       loads (and exactly a Floyd heapify when the heap was empty). *)
-    List.iter
-      (fun v ->
-        t.values.(t.size) <- v;
-        t.slots.(t.size) <- { index = t.size };
-        t.size <- t.size + 1)
-      values;
-    for i = ((t.size - 2) / 2) downto 0 do
-      sift_down t i t.values.(i) t.slots.(i)
-    done
 
 let peek t = if t.size = 0 then None else Some t.values.(0)
 

@@ -19,12 +19,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> handle
 (** [push t x] inserts [x] and returns a handle usable with {!remove}. *)
 
-val push_list : 'a t -> 'a list -> unit
-(** [push_list t xs] inserts every element of [xs] in one pass: append then
-    bottom-up heapify, O(length t + |xs|) total — cheaper than |xs|
-    individual pushes for bulk loads.  No handles are returned; push
-    elements individually when they may need {!remove}. *)
-
 val peek : 'a t -> 'a option
 (** Smallest element, if any, without removing it. *)
 

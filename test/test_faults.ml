@@ -126,6 +126,51 @@ let test_plan_role_crashes () =
   | Ok _ -> Alcotest.fail "accepted overlapping coordinator windows"
   | Error _ -> ()
 
+(* Which site a role lands on is known only once the workload is drawn, so
+   [resolve] merges a resolved window with any overlapping window of its
+   site into their union instead of raising. *)
+let test_plan_resolve_merges_overlaps () =
+  let windows p =
+    List.map (fun (c : FP.crash) -> (c.site, c.at, c.recover_at)) (FP.crashes p)
+  in
+  let expect msg expected p ~coordinator =
+    check
+      Alcotest.(list (triple int (float 0.) (float 0.)))
+      msg expected
+      (windows (FP.resolve p ~coordinator ~acceptor:(fun k -> k)))
+  in
+  (* explicit + coordinator: the coordinator lands on site 2, inside its
+     explicit window; site 1's window is untouched *)
+  let p =
+    plan_of_string
+      "crash=2@100+200,crash=coordinator@150+100,crash=1@50+20,wipe=true,\
+       seed=3"
+  in
+  expect "contained coordinator window absorbed"
+    [ (1, 50., 70.); (2, 100., 300.) ]
+    p ~coordinator:2;
+  expect "coordinator elsewhere stays separate"
+    [ (1, 50., 70.); (2, 100., 300.); (3, 150., 250.) ]
+    p ~coordinator:3;
+  expect "window sticking out extends the union" [ (2, 100., 350.) ]
+    (plan_of_string "crash=2@100+200,crash=coordinator@250+100")
+    ~coordinator:2;
+  (* coordinator and acceptor:1 both resolve onto site 1 *)
+  let roles = plan_of_string "crash=coordinator@400+300,crash=acceptor:1@600+300" in
+  expect "coordinator and acceptor on one site" [ (1, 400., 900.) ] roles
+    ~coordinator:1;
+  expect "coordinator and acceptor on two sites"
+    [ (0, 400., 700.); (1, 600., 900.) ]
+    roles ~coordinator:0;
+  (* windows that only touch do not overlap, so they stay apart *)
+  expect "touching windows kept" [ (2, 100., 200.); (2, 200., 250.) ]
+    (plan_of_string "crash=2@100+100,crash=coordinator@200+50")
+    ~coordinator:2;
+  (* explicit windows given to [make] must still not overlap *)
+  match FP.of_string "crash=2@100+200,crash=2@150+100" with
+  | Ok _ -> Alcotest.fail "accepted overlapping explicit windows"
+  | Error _ -> ()
+
 (* Randomized round-trip pin: [of_string (to_string p)] reproduces [p]
    exactly, component by component.  Generated floats are multiples of
    0.01 (probabilities) or 0.5 (times), which [to_string]'s %.12g prints
@@ -385,6 +430,8 @@ let suites =
         Alcotest.test_case "error positions" `Quick test_plan_error_positions;
         Alcotest.test_case "role-targeted crashes" `Quick
           test_plan_role_crashes;
+        Alcotest.test_case "resolve merges overlapping windows" `Quick
+          test_plan_resolve_merges_overlaps;
         test_plan_roundtrip_random ] );
     ( "faults.transport",
       [ Alcotest.test_case "in-order exactly-once" `Quick

@@ -14,5 +14,4 @@ let () =
     @ Test_faults.suites
     @ Test_recovery.suites
     @ Test_parallel.suites
-    @ Test_insights.suites
-    @ Test_shard.suites)
+    @ Test_insights.suites)

@@ -76,7 +76,7 @@ let test_experiments_jobs_identical () =
 
 let test_staged_counts () =
   let staged = Ccdb_harness.Experiments.staged ~quick:true () in
-  check Alcotest.int "23 experiments" 23 (List.length staged);
+  check Alcotest.int "22 experiments" 22 (List.length staged);
   List.iter
     (fun s ->
       check Alcotest.bool "every experiment has points" true
@@ -558,7 +558,7 @@ let test_bench_json_shape () =
   | Error e -> Alcotest.failf "BENCH.json does not parse: %s" e
   | Ok doc ->
     let str key = Option.bind (Json.member key doc) Json.to_str in
-    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/5")
+    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/6")
       (str "schema");
     let cores = Option.bind (Json.member "cores" doc) Json.to_float in
     check Alcotest.bool "cores >= 1" true
@@ -605,14 +605,12 @@ let test_bench_json_shape () =
          (has "conflict_graph.check-incremental");
        check Alcotest.bool "analysis.stream-feed present" true
          (has "analysis.stream-feed");
-       check Alcotest.bool "engine.sharded-sim present" true
-         (has "engine.sharded-sim");
-       (* the ccdb-bench/5 commit-protocol pair: both atomic-commitment
-          engines measured on the same durable workload *)
-       check Alcotest.bool "commit.2pc-round present" true
-         (has "commit.2pc-round");
-       check Alcotest.bool "commit.paxos-round present" true
-         (has "commit.paxos-round"));
+       (* the commit-protocol pair: each atomic-commitment engine timed
+          over a whole 16-transaction durable run *)
+       check Alcotest.bool "commit.2pc-sim-16txn present" true
+         (has "commit.2pc-sim-16txn");
+       check Alcotest.bool "commit.paxos-sim-16txn present" true
+         (has "commit.paxos-sim-16txn"));
     (match Json.member "experiments" doc with
      | None -> Alcotest.fail "experiments missing"
      | Some exp ->
@@ -629,33 +627,7 @@ let test_bench_json_shape () =
          (Some true)
          (Option.bind (Json.member "identical_tables" exp) (function
            | Json.Bool b -> Some b
-           | _ -> None));
-       (* the ccdb-bench/4 sharded sweep: wall-clocks for 1/2/4 shards,
-          every pass byte-identical to the serial tables *)
-       match Option.bind (Json.member "sharded" exp) Json.to_list with
-       | None -> Alcotest.fail "sharded sweep missing"
-       | Some passes ->
-         let shard_counts =
-           List.filter_map
-             (fun p -> Option.bind (Json.member "shards" p) Json.to_float)
-             passes
-         in
-         check (Alcotest.list (Alcotest.float 0.)) "sharded at 1/2/4"
-           [ 1.; 2.; 4. ] shard_counts;
-         List.iter
-           (fun p ->
-             check Alcotest.bool "sharded wall clock recorded" true
-               (match
-                  Option.bind (Json.member "wall_clock_s" p) Json.to_float
-                with
-                | Some s -> s > 0.
-                | None -> false);
-             check (Alcotest.option Alcotest.bool)
-               "sharded tables identical" (Some true)
-               (Option.bind (Json.member "identical_tables" p) (function
-                 | Json.Bool b -> Some b
-                 | _ -> None)))
-           passes)
+           | _ -> None)))
 
 let suites =
   [ ( "pool",

@@ -103,6 +103,172 @@ let test_engine_step () =
   check Alcotest.bool "step" true (Ccdb_sim.Engine.step e);
   check Alcotest.bool "drained" false (Ccdb_sim.Engine.step e)
 
+(* --- Engine fuzzer ------------------------------------------------------- *)
+
+(* The executable spec of the engine: a sorted list of pending events,
+   fired head first.  A new event goes after every queued event due at or
+   before its time, which is (time, seq) order since seq only grows. *)
+module Reference = struct
+  type event = { at : float; action : unit -> unit; mutable queued : bool }
+
+  type t = {
+    mutable clock : float;
+    mutable queue : event list;
+    mutable fired : int;
+  }
+
+  type handle = event
+
+  let create () = { clock = 0.; queue = []; fired = 0 }
+  let now t = t.clock
+
+  let schedule_at t ~at action =
+    let ev = { at; action; queued = true } in
+    let rec insert = function
+      | e :: rest when e.at <= at -> e :: insert rest
+      | rest -> ev :: rest
+    in
+    t.queue <- insert t.queue;
+    ev
+
+  let schedule t ~after action = schedule_at t ~at:(t.clock +. after) action
+
+  let cancel t ev =
+    ev.queued
+    && begin
+      ev.queued <- false;
+      t.queue <- List.filter (fun e -> e != ev) t.queue;
+      true
+    end
+
+  let rec run ?until ?(max_events = max_int) t =
+    match t.queue with
+    | ev :: rest when max_events > 0 -> (
+      match until with
+      | Some horizon when ev.at > horizon -> t.clock <- max t.clock horizon
+      | _ ->
+        t.queue <- rest;
+        ev.queued <- false;
+        t.clock <- ev.at;
+        t.fired <- t.fired + 1;
+        ev.action ();
+        run ?until ~max_events:(max_events - 1) t)
+    | _ -> ()
+
+  let pending t = List.length t.queue
+  let processed t = t.fired
+end
+
+module type ENGINE = sig
+  type t
+  type handle
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> after:float -> (unit -> unit) -> handle
+  val schedule_at : t -> at:float -> (unit -> unit) -> handle
+  val cancel : t -> handle -> bool
+  val run : ?until:float -> ?max_events:int -> t -> unit
+  val pending : t -> int
+  val processed : t -> int
+end
+
+(* How a script's run is driven: in one call, split at [until] horizons,
+   or in slices of [max_events]. *)
+type drive = One_shot | Split of float list | Sliced of int
+
+(* One random script: seed events that recursively schedule children with
+   [schedule] (integer delays included, so same-instant ties are common),
+   [schedule_at], and events cancelled before they fire.  Returns the
+   firing log (time, id), the fired count and the final clock. *)
+module Script (E : ENGINE) = struct
+  let run ~seed drive =
+    let eng = E.create () in
+    let rng = Ccdb_util.Rng.create ~seed in
+    let log = ref [] in
+    let fired_handles = ref [] in
+    let next_id = ref 0 in
+    let budget = ref 120 in
+    let fresh () =
+      let id = !next_id in
+      incr next_id;
+      id
+    in
+    let rec node id () =
+      log := (E.now eng, id) :: !log;
+      if !budget > 0 then
+        for _ = 1 to Ccdb_util.Rng.int rng 3 do
+          if !budget > 0 then begin
+            decr budget;
+            let child = node (fresh ()) in
+            match Ccdb_util.Rng.int rng 4 with
+            | 0 ->
+              ignore
+                (E.schedule eng ~after:(Ccdb_util.Rng.float rng 30.) child)
+            | 1 ->
+              let after = float_of_int (Ccdb_util.Rng.int rng 4) in
+              fired_handles := E.schedule eng ~after child :: !fired_handles
+            | 2 ->
+              ignore
+                (E.schedule_at eng
+                   ~at:(E.now eng +. Ccdb_util.Rng.float rng 20.)
+                   child)
+            | _ ->
+              let h =
+                E.schedule eng ~after:(Ccdb_util.Rng.float rng 20.) (fun () ->
+                    Alcotest.fail "cancelled event fired")
+              in
+              check Alcotest.bool "cancel accepted" true (E.cancel eng h);
+              check Alcotest.bool "second cancel refused" false
+                (E.cancel eng h);
+              ignore
+                (E.schedule eng ~after:(Ccdb_util.Rng.float rng 10.) child)
+          end
+        done
+    in
+    for _ = 1 to 4 do
+      ignore
+        (E.schedule_at eng
+           ~at:(float_of_int (Ccdb_util.Rng.int rng 50))
+           (node (fresh ())))
+    done;
+    (match drive with
+     | One_shot -> E.run eng
+     | Split horizons ->
+       List.iter (fun until -> E.run ~until eng) horizons;
+       E.run eng
+     | Sliced n ->
+       while E.pending eng > 0 do
+         E.run ~max_events:n eng
+       done);
+    check Alcotest.int "drained" 0 (E.pending eng);
+    List.iter
+      (fun h ->
+        check Alcotest.bool "fired event not cancellable" false
+          (E.cancel eng h))
+      !fired_handles;
+    (List.rev !log, E.processed eng, E.now eng)
+end
+
+module Real = Script (Ccdb_sim.Engine)
+module Spec = Script (Reference)
+
+let test_engine_fuzz () =
+  for seed = 1 to 1000 do
+    let expected = Spec.run ~seed One_shot in
+    let horizons = [ float_of_int (seed mod 37); float_of_int (seed mod 91) ] in
+    List.iter
+      (fun (what, drive) ->
+        if Real.run ~seed drive <> expected then
+          Alcotest.failf "script %d diverged from the reference (%s)" seed
+            what)
+      [ ("one shot", One_shot);
+        ("split at ~until", Split horizons);
+        ("sliced by ~max_events", Sliced (1 + (seed mod 7))) ];
+    if Spec.run ~seed (Split horizons) <> expected then
+      Alcotest.failf "script %d: the reference split run diverged" seed
+  done
+
 (* --- Net ---------------------------------------------------------------- *)
 
 let make_net ?(sites = 3) ?(jitter = 0.) () =
@@ -173,7 +339,9 @@ let suites =
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
         Alcotest.test_case "schedule in past" `Quick test_engine_past_schedule_at;
         Alcotest.test_case "nan times" `Quick test_engine_nan_times;
-        Alcotest.test_case "step" `Quick test_engine_step ] );
+        Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "1000-script fuzz vs sorted-list reference" `Quick
+          test_engine_fuzz ] );
     ( "sim.net",
       [ Alcotest.test_case "remote delay" `Quick test_net_delivery_delay;
         Alcotest.test_case "local delay" `Quick test_net_local_delay;

@@ -186,31 +186,6 @@ let test_heap_to_sorted_list () =
     (Ccdb_util.Heap.to_sorted_list h);
   check Alcotest.int "non destructive" 3 (Ccdb_util.Heap.length h)
 
-let prop_heap_push_list =
-  (* bulk heapify agrees with one-at-a-time pushes, interleaved with
-     existing contents *)
-  qtest "push_list = iterated push" QCheck.(pair (list int) (list int))
-    (fun (first, bulk) ->
-      let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-      List.iter (fun x -> ignore (Ccdb_util.Heap.push h x)) first;
-      Ccdb_util.Heap.push_list h bulk;
-      let n = Ccdb_util.Heap.length h in
-      n = List.length first + List.length bulk
-      && List.init n (fun _ -> Option.get (Ccdb_util.Heap.pop h))
-         = List.sort Int.compare (first @ bulk))
-
-let prop_heap_push_list_handles_survive =
-  (* handles taken out before a bulk push still remove their elements *)
-  qtest "push_list keeps earlier handles valid" QCheck.(list small_int)
-    (fun bulk ->
-      let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-      let hd = Ccdb_util.Heap.push h 500 in
-      Ccdb_util.Heap.push_list h bulk;
-      Ccdb_util.Heap.remove h hd
-      && List.init (Ccdb_util.Heap.length h) (fun _ ->
-             Option.get (Ccdb_util.Heap.pop h))
-         = List.sort Int.compare bulk)
-
 (* --- Stats -------------------------------------------------------------- *)
 
 let test_stats_moments () =
@@ -313,9 +288,7 @@ let suites =
         Alcotest.test_case "clear" `Quick test_heap_clear;
         Alcotest.test_case "sorted view" `Quick test_heap_to_sorted_list;
         prop_heap_sorts;
-        prop_heap_remove_subset;
-        prop_heap_push_list;
-        prop_heap_push_list_handles_survive ] );
+        prop_heap_remove_subset ] );
     ( "util.stats",
       [ Alcotest.test_case "moments" `Quick test_stats_moments;
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
