@@ -391,18 +391,21 @@ let bench_stream_feed =
           ignore (Ccdb_analysis.Stream.feed !st events.(!i));
           incr i))
 
-let bench_heap =
-  Bechamel.Test.make ~name:"heap.push100+drain"
+let bench_engine =
+  (* 100 events at random times on a fresh engine, run until the queue is
+     empty: the event heap's push, sift and pop *)
+  Bechamel.Test.make ~name:"engine.push100+run"
     (Bechamel.Staged.stage
        (let rng = Ccdb_util.Rng.create ~seed:9 in
         fun () ->
-          let h = Ccdb_util.Heap.create ~cmp:Int.compare in
+          let e = Ccdb_sim.Engine.create () in
           for _ = 1 to 100 do
-            ignore (Ccdb_util.Heap.push h (Ccdb_util.Rng.int rng 10_000))
+            ignore
+              (Ccdb_sim.Engine.schedule e
+                 ~after:(float_of_int (Ccdb_util.Rng.int rng 10_000))
+                 ignore)
           done;
-          while Ccdb_util.Heap.pop h <> None do
-            ()
-          done))
+          Ccdb_sim.Engine.run e))
 
 let bench_end_to_end =
   (* a whole small simulation: 40 mixed transactions through the unified
@@ -554,7 +557,7 @@ let run_micro () =
         bench_wal_append; bench_wal_replay; bench_stl_eval;
         bench_conflict_check; bench_deadlock_scan; bench_incremental_edge;
         bench_stream_feed;
-        bench_heap; bench_end_to_end; bench_2pc_run; bench_paxos_run ]
+        bench_engine; bench_end_to_end; bench_2pc_run; bench_paxos_run ]
   in
   let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
   (* discarded warmup pass: every staged closure runs until code, caches
@@ -643,7 +646,7 @@ let write_json path ~exp ~micro =
   in
   let doc =
     Obj
-      [ ("schema", Str "ccdb-bench/6");
+      [ ("schema", Str "ccdb-bench/7");
         ("quick", Bool quick);
         (* Parallel.cores: the parallelism actually available, so a
            speedup <= 1 here reads as "cores-limited", not "overhead" *)

@@ -38,22 +38,19 @@ let () =
   let phases = List.rev !schedule in
 
   (* ids must be globally unique across the phase generators *)
-  let next_id = ref 0 in
-  List.iter
-    (fun (_, _, _, arrivals) ->
-      List.iter
-        (fun (at, txn) ->
-          incr next_id;
-          let txn =
-            Ccdb_model.Txn.make ~id:!next_id ~site:txn.Ccdb_model.Txn.site
-              ~read_set:txn.read_set ~write_set:txn.write_set
-              ~compute_time:txn.compute_time ~protocol:txn.protocol
-          in
-          ignore
-            (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:at (fun () ->
-                 Core.Dynamic_cc.submit system txn)))
-        arrivals)
-    phases;
+  let arrivals =
+    List.concat_map (fun (_, _, _, arrivals) -> arrivals) phases
+  in
+  Ccdb_sim.Engine.schedule_all (Rt.engine rt)
+    (List.mapi
+       (fun i (at, txn) ->
+         let txn =
+           Ccdb_model.Txn.make ~id:(i + 1) ~site:txn.Ccdb_model.Txn.site
+             ~read_set:txn.read_set ~write_set:txn.write_set
+             ~compute_time:txn.compute_time ~protocol:txn.protocol
+         in
+         (at, fun () -> Core.Dynamic_cc.submit system txn))
+       arrivals);
   Rt.quiesce ~max_events:50_000_000 rt;
 
   (* report per phase: mean S and the protocol mix the selector chose *)

@@ -480,6 +480,10 @@ and begin_attempt t st =
   List.iter
     (fun (item, site, op) ->
       send t ~src:txn.site ~dst:site ~kind:"u-req" (fun () ->
+          (* the channel delivers an earlier attempt's u-abort before this
+             u-req unless the transport gave up on it; an entry of this
+             transaction still queued here means it did, so withdraw it *)
+          on_abort_msg t (item, site) txn.id;
           let q = queue t (item, site) in
           let verdict =
             Q.request q ~txn:txn.id ~site:txn.site ~protocol:txn.protocol ~ts

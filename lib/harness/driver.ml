@@ -253,12 +253,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
       Some st
   in
   let system = build_system ~setup ~spec mode rt in
-  List.iter
-    (fun (at, txn) ->
-      ignore
-        (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:at (fun () ->
-             system.submit txn)))
-    arrivals;
+  Ccdb_sim.Engine.schedule_all (Rt.engine rt)
+    (List.map (fun (at, txn) -> (at, fun () -> system.submit txn)) arrivals);
   (* The budget is an anti-livelock backstop, not a limit: scale it with the
      workload so million-transaction runs (EXPERIMENTS.md E13) fit. *)
   let budget = max 50_000_000 (400 * List.length arrivals) in

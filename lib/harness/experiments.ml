@@ -837,12 +837,11 @@ let x4_staged ~quick =
       Ccdb_workload.Generator.create (spec lam) ~sites:base_setup.sites
         ~items:12 wl_rng
     in
-    List.iter
-      (fun (at, txn) ->
-        ignore
-          (Ccdb_sim.Engine.schedule (Ccdb_protocols.Runtime.engine rt)
-             ~after:at (fun () -> Ccdb_protocols.Mvto_system.submit sys txn)))
-      (Ccdb_workload.Generator.generate generator ~n ~start:0.);
+    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
+      (List.map
+         (fun (at, txn) ->
+           (at, fun () -> Ccdb_protocols.Mvto_system.submit sys txn))
+         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
     Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
     if not (Ccdb_protocols.Mvto_system.verify sys) then
       failwith "X4: MVTO invariant violated";
@@ -912,12 +911,11 @@ let x5_staged ~quick =
       Ccdb_workload.Generator.create (spec lam) ~sites:base_setup.sites
         ~items:16 wl_rng
     in
-    List.iter
-      (fun (at, txn) ->
-        ignore
-          (Ccdb_sim.Engine.schedule (Ccdb_protocols.Runtime.engine rt)
-             ~after:at (fun () -> Ccdb_protocols.Cto_system.submit sys txn)))
-      (Ccdb_workload.Generator.generate generator ~n ~start:0.);
+    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
+      (List.map
+         (fun (at, txn) ->
+           (at, fun () -> Ccdb_protocols.Cto_system.submit sys txn))
+         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
     Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
     Metrics.summarize rt
   in
@@ -988,12 +986,10 @@ let x6_staged ~quick =
       Ccdb_workload.Generator.create spec ~sites:base_setup.sites ~items:10
         wl_rng
     in
-    List.iter
-      (fun (at, txn) ->
-        ignore
-          (Ccdb_sim.Engine.schedule (Ccdb_protocols.Runtime.engine rt)
-             ~after:at (fun () -> Core.Dynamic_cc.submit sys txn)))
-      (Ccdb_workload.Generator.generate generator ~n ~start:0.);
+    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
+      (List.map
+         (fun (at, txn) -> (at, fun () -> Core.Dynamic_cc.submit sys txn))
+         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
     Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
     Metrics.summarize rt
   in
@@ -1059,12 +1055,10 @@ let x7_staged ~quick =
       Ccdb_workload.Generator.create spec ~sites:base_setup.sites
         ~items:base_setup.items wl_rng
     in
-    List.iter
-      (fun (at, txn) ->
-        ignore
-          (Ccdb_sim.Engine.schedule (Ccdb_protocols.Runtime.engine rt)
-             ~after:at (fun () -> Core.Dynamic_cc.submit sys txn)))
-      (Ccdb_workload.Generator.generate generator ~n ~start:0.);
+    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
+      (List.map
+         (fun (at, txn) -> (at, fun () -> Core.Dynamic_cc.submit sys txn))
+         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
     Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
     let decisions = Core.Dynamic_cc.decisions sys in
     let share p =

@@ -267,26 +267,29 @@ let find_cycle t =
 
 let has_cycle t = Option.is_some (find_cycle t)
 
+module Frontier = Set.Make (Int)
+
 let topological_order t =
   let n = Array.length t.ids in
   let indeg = Array.make n 0 in
   Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1) t.succ;
   (* smallest-id-first frontier for a deterministic order *)
-  let frontier = Ccdb_util.Heap.create ~cmp:Int.compare in
+  let frontier = ref Frontier.empty in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then ignore (Ccdb_util.Heap.push frontier v)
+    if indeg.(v) = 0 then frontier := Frontier.add v !frontier
   done;
   let order = ref [] and count = ref 0 in
   let rec drain () =
-    match Ccdb_util.Heap.pop frontier with
+    match Frontier.min_elt_opt !frontier with
     | None -> ()
     | Some v ->
+      frontier := Frontier.remove v !frontier;
       order := t.ids.(v) :: !order;
       incr count;
       for k = t.off.(v) to t.off.(v + 1) - 1 do
         let w = t.succ.(k) in
         indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then ignore (Ccdb_util.Heap.push frontier w)
+        if indeg.(w) = 0 then frontier := Frontier.add w !frontier
       done;
       drain ()
   in

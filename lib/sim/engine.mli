@@ -4,8 +4,8 @@
     ordered by (time, seq): events scheduled for the same instant fire in
     schedule order (FIFO tie-break on a sequence number allocated at
     schedule time), which makes every run fully deterministic given the
-    same sequence of [schedule] calls.  See DESIGN.md §14 for why the
-    engine is one heap. *)
+    same sequence of [schedule] calls.  See DESIGN.md §14 for the heap and
+    for why the engine is one heap. *)
 
 type t
 (** A mutable event queue with a clock; one per simulation. *)
@@ -30,6 +30,16 @@ val schedule_at : t -> at:time -> (unit -> unit) -> handle
 (** Absolute-time variant; [at] must be [>= now t] (a NaN [at] raises
     [Invalid_argument] too). *)
 
+val schedule_all : t -> (time * (unit -> unit)) list -> unit
+(** [schedule_all t batch] schedules every [(at, f)] of [batch] at absolute
+    time [at], firing exactly as [List.iter] over {!schedule_at} would: the
+    members take one consecutive block of sequence numbers in list order.
+    A batch sorted by time enters the queue one member at a time, each
+    pushing its successor as it fires, so a long arrival list does not
+    deepen the queue; members cannot be cancelled.  Raises
+    [Invalid_argument] and schedules nothing if any [at] is before
+    [now t] or NaN. *)
+
 val cancel : t -> handle -> bool
 (** [cancel t h] prevents the event from firing; returns [false] if it
     already fired or was cancelled. *)
@@ -43,7 +53,7 @@ val step : t -> bool
 (** Fires the single next event; [false] if the queue was empty. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events, counting batch members not fired yet. *)
 
 val processed : t -> int
 (** Number of events fired so far. *)

@@ -49,12 +49,24 @@ type fstats = {
   mutable s_recoveries : int;
 }
 
+(* Per-(src, dst) tables, keyed by the int [src * sites + dst]: an int key
+   hashes and compares inline, where a tuple key would go through the
+   polymorphic hash and compare.  They are only looked up, never iterated,
+   so their order is never observed. *)
+module Channel_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k
+end)
+
 (* one logical message of the reliable transport; every physical copy
    (first transmission, retransmissions, duplicates) shares this record *)
 type fmessage = {
   m_src : int;
   m_dst : int;
   m_seq : int;
+  m_channel : fchannel;
   m_deliver : unit -> unit;
   mutable m_attempts : int;       (* physical transmissions so far *)
   mutable m_acked : bool;
@@ -63,7 +75,7 @@ type fmessage = {
 }
 
 (* per-(src, dst) transport channel *)
-type fchannel = {
+and fchannel = {
   mutable next_seq : int;      (* sender side: next sequence number *)
   mutable deliver_next : int;  (* receiver side: next seq to release in order *)
   ready : (int, fmessage) Hashtbl.t; (* received, waiting for in-order release *)
@@ -74,7 +86,7 @@ type faults = {
   plan : Fault_plan.t;
   retry : retry;
   frng : Ccdb_util.Rng.t;
-  channels : (int * int, fchannel) Hashtbl.t;
+  channels : fchannel Channel_tbl.t;
   crashed : bool array;
   stats : fstats;
   mutable crash_listeners : (int -> unit) list;   (* registration order *)
@@ -90,14 +102,16 @@ type t = {
   mutable slowdowns : slowdown list;
   (* Earliest admissible delivery time per ordered (src, dst) pair, to keep
      per-channel delivery FIFO even with jitter. *)
-  channel_front : (int * int, float) Hashtbl.t;
+  channel_front : front Channel_tbl.t;
   mutable faults : faults option;
 }
+
+and front = { mutable front : float }
 
 let create engine rng config =
   if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
   { engine; rng; config; counts = Hashtbl.create 16; total = 0;
-    slowdowns = []; channel_front = Hashtbl.create 64; faults = None }
+    slowdowns = []; channel_front = Channel_tbl.create 64; faults = None }
 
 let sites t = t.config.sites
 
@@ -133,15 +147,16 @@ let slowdown_factor t =
    the channel can advance past it (the only case where a message is truly
    lost — systems recover via crash hooks and the runtime's stall watchdog). *)
 
-let fchannel fr key =
-  match Hashtbl.find_opt fr.channels key with
-  | Some ch -> ch
-  | None ->
+let fchannel t fr ~src ~dst =
+  let key = (src * t.config.sites) + dst in
+  match Channel_tbl.find fr.channels key with
+  | ch -> ch
+  | exception Not_found ->
     let ch =
       { next_seq = 0; deliver_next = 0; ready = Hashtbl.create 8;
         dead = Hashtbl.create 4 }
     in
-    Hashtbl.add fr.channels key ch;
+    Channel_tbl.add fr.channels key ch;
     ch
 
 (* transit delay of one physical copy, jitter and extra delay drawn from the
@@ -226,7 +241,7 @@ and arm_retry t fr msg =
 
 and expire fr msg =
   fr.stats.s_expired <- fr.stats.s_expired + 1;
-  let ch = fchannel fr (msg.m_src, msg.m_dst) in
+  let ch = msg.m_channel in
   if msg.m_seq >= ch.deliver_next && not (Hashtbl.mem ch.ready msg.m_seq)
   then begin
     Hashtbl.replace ch.dead msg.m_seq ();
@@ -242,7 +257,7 @@ and arrive t fr msg =
     send_ack t fr msg;
     if not msg.m_received then begin
       msg.m_received <- true;
-      let ch = fchannel fr (msg.m_src, msg.m_dst) in
+      let ch = msg.m_channel in
       if msg.m_seq >= ch.deliver_next then begin
         Hashtbl.replace ch.ready msg.m_seq msg;
         release_ready ch
@@ -272,12 +287,13 @@ and send_ack t fr msg =
   end
 
 let send_faulted t fr ~src ~dst deliver =
-  let ch = fchannel fr (src, dst) in
+  let ch = fchannel t fr ~src ~dst in
   let seq = ch.next_seq in
   ch.next_seq <- seq + 1;
   let msg =
-    { m_src = src; m_dst = dst; m_seq = seq; m_deliver = deliver;
-      m_attempts = 0; m_acked = false; m_received = false; m_timer = None }
+    { m_src = src; m_dst = dst; m_seq = seq; m_channel = ch;
+      m_deliver = deliver; m_attempts = 0; m_acked = false;
+      m_received = false; m_timer = None }
   in
   transmit t fr msg
 
@@ -297,13 +313,17 @@ let send t ~src ~dst ~kind deliver =
       *. slowdown_factor t ~src ~dst
     in
     let naive = Engine.now t.engine +. delay in
-    let front =
-      match Hashtbl.find_opt t.channel_front (src, dst) with
-      | Some f -> f
-      | None -> 0.
+    let key = (src * n) + dst in
+    let f =
+      match Channel_tbl.find t.channel_front key with
+      | f -> f
+      | exception Not_found ->
+        let f = { front = 0. } in
+        Channel_tbl.add t.channel_front key f;
+        f
     in
-    let at = if naive > front then naive else front +. 1e-9 in
-    Hashtbl.replace t.channel_front (src, dst) at;
+    let at = if naive > f.front then naive else f.front +. 1e-9 in
+    f.front <- at;
     ignore (Engine.schedule_at t.engine ~at deliver)
 
 (* --- fault-plan installation -------------------------------------------- *)
@@ -325,7 +345,7 @@ let install_faults t ?(retry = default_retry) plan =
   let fr =
     { plan; retry;
       frng = Ccdb_util.Rng.create ~seed:(Fault_plan.seed plan);
-      channels = Hashtbl.create 64;
+      channels = Channel_tbl.create 64;
       crashed = Array.make t.config.sites false;
       stats =
         { s_transmissions = 0; s_dropped = 0; s_duplicated = 0;

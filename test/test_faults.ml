@@ -332,6 +332,15 @@ let spec =
         (Ccdb_model.Protocol.T_o, 1.);
         (Ccdb_model.Protocol.Pa, 1.) ] }
 
+(* the workload [ccdb_cli faults] runs by default *)
+let spec_cli =
+  { G.default with
+    arrival_rate = 0.08;
+    protocol_mix =
+      [ (Ccdb_model.Protocol.Two_pl, 1.);
+        (Ccdb_model.Protocol.T_o, 1.);
+        (Ccdb_model.Protocol.Pa, 1.) ] }
+
 (* the acceptance plan: 10% loss everywhere, two mid-run site crashes *)
 let acceptance_plan =
   plan_of_string "drop=0.1,crash=1@400+300,crash=2@1200+300,seed=11"
@@ -412,6 +421,29 @@ let test_crashes_cause_site_aborts_for_2pl () =
   check Alcotest.bool "crash-triggered aborts recorded" true
     (r.summary.site_aborts > 0)
 
+(* Under 80% loss a restarted transaction's u-abort can run out of
+   transport retries, so its channel skips it and the next attempt's u-req
+   finds the old entry still queued.  That used to raise
+   [Semi_lock_queue.request: duplicate request]; the queue manager now
+   withdraws the stale entry first.  The plan and sizes are those of
+   [ccdb_cli faults --txns 5 --plan drop=0.8,seed=1], which crashed in
+   [unified] and [full-lock]. *)
+let test_lost_abort_before_next_attempt () =
+  let setup = { D.default_setup with items = 24 } in
+  List.iter
+    (fun mode ->
+      let name = D.mode_name mode in
+      let r =
+        D.run ~setup ~n_txns:5 ~audit:true ~audit_path:D.Differential
+          ~faults:(plan_of_string "drop=0.8,seed=1") mode spec_cli
+      in
+      check Alcotest.int (name ^ " all commit") 5 r.summary.committed;
+      check Alcotest.int (name ^ " zero analyzer errors") 0
+        (List.length (Ccdb_analysis.Report.errors (Option.get r.audit)));
+      check Alcotest.bool (name ^ " some message expired") true
+        ((Option.get r.summary.transport).Net.expired > 0))
+    [ D.Unified; D.Unified_full_lock; D.Dynamic ]
+
 let test_fault_free_numbers_do_not_drift () =
   (* the no-plan send path must be byte-identical to the pre-fault code:
      pin a fault-free run's headline numbers *)
@@ -446,5 +478,7 @@ let suites =
           test_faulted_run_is_deterministic;
         Alcotest.test_case "2PL crash aborts" `Quick
           test_crashes_cause_site_aborts_for_2pl;
+        Alcotest.test_case "lost abort before the next attempt" `Slow
+          test_lost_abort_before_next_attempt;
         Alcotest.test_case "fault-free path unchanged" `Quick
           test_fault_free_numbers_do_not_drift ] ) ]

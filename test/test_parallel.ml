@@ -558,7 +558,7 @@ let test_bench_json_shape () =
   | Error e -> Alcotest.failf "BENCH.json does not parse: %s" e
   | Ok doc ->
     let str key = Option.bind (Json.member key doc) Json.to_str in
-    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/6")
+    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/7")
       (str "schema");
     let cores = Option.bind (Json.member "cores" doc) Json.to_float in
     check Alcotest.bool "cores >= 1" true
@@ -605,6 +605,8 @@ let test_bench_json_shape () =
          (has "conflict_graph.check-incremental");
        check Alcotest.bool "analysis.stream-feed present" true
          (has "analysis.stream-feed");
+       check Alcotest.bool "engine.push100+run present" true
+         (has "engine.push100+run");
        (* the commit-protocol pair: each atomic-commitment engine timed
           over a whole 16-transaction durable run *)
        check Alcotest.bool "commit.2pc-sim-16txn present" true

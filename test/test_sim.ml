@@ -103,6 +103,85 @@ let test_engine_step () =
   check Alcotest.bool "step" true (Ccdb_sim.Engine.step e);
   check Alcotest.bool "drained" false (Ccdb_sim.Engine.step e)
 
+(* A sorted batch takes one block of sequence numbers at the call, so its
+   members keep their place among ties scheduled before and after it, and
+   the members not yet in the heap still count as pending. *)
+let test_engine_schedule_all () =
+  let e = Ccdb_sim.Engine.create () in
+  let trace = ref [] in
+  let record tag () = trace := tag :: !trace in
+  ignore (Ccdb_sim.Engine.schedule_at e ~at:2. (record "x"));
+  Ccdb_sim.Engine.schedule_all e
+    [ (1., record "a"); (2., record "b"); (2., record "c") ];
+  ignore (Ccdb_sim.Engine.schedule_at e ~at:2. (record "y"));
+  check Alcotest.int "pending" 5 (Ccdb_sim.Engine.pending e);
+  Ccdb_sim.Engine.run ~max_events:1 e;
+  check Alcotest.int "pending after one" 4 (Ccdb_sim.Engine.pending e);
+  Ccdb_sim.Engine.run e;
+  check (Alcotest.list Alcotest.string) "order" [ "a"; "x"; "b"; "c"; "y" ]
+    (List.rev !trace)
+
+let test_engine_schedule_all_rejects () =
+  let e = Ccdb_sim.Engine.create () in
+  ignore (Ccdb_sim.Engine.schedule e ~after:5. ignore);
+  Ccdb_sim.Engine.run e;
+  let fired = ref false in
+  let f () = fired := true in
+  List.iter
+    (fun (what, batch) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Engine.schedule_all: time in the past") (fun () ->
+          Ccdb_sim.Engine.schedule_all e batch))
+    [ ("past", [ (6., f); (7., f); (1., f) ]);
+      ("nan", [ (6., f); (nan, f); (7., f) ]);
+      ("unsorted past", [ (7., f); (6., f); (4., f) ]) ];
+  check Alcotest.int "nothing queued" 0 (Ccdb_sim.Engine.pending e);
+  Ccdb_sim.Engine.run e;
+  check Alcotest.bool "nothing fired" false !fired
+
+(* Neither the heap nor a handle the caller keeps may hold a fired or
+   cancelled event's closure while other events are still queued.  Each
+   [probe] closure is reachable only through the engine, its handle (kept
+   here, as a caller keeps a retransmission timer) and a weak pointer.
+   Half of 32 events fire and a quarter are cancelled, in a scrambled heap
+   layout. *)
+let[@inline never] probe e weak slot =
+  let hits = ref 0 in
+  let action () = incr hits in
+  Weak.set weak slot (Some action);
+  Ccdb_sim.Engine.schedule_at e ~at:(float_of_int (slot + 1)) action
+
+let test_engine_releases_closures () =
+  let e = Ccdb_sim.Engine.create () in
+  let n = 32 in
+  let weak = Weak.create n in
+  let slot_of i = i * 7 mod n in
+  let handles = Array.init n (fun i -> probe e weak (slot_of i)) in
+  Ccdb_sim.Engine.run ~max_events:(n / 2) e;
+  let cancelled slot = slot >= n / 2 && slot mod 2 = 0 in
+  let queued slot = slot >= n / 2 && not (cancelled slot) in
+  Array.iteri
+    (fun i h ->
+      if cancelled (slot_of i) then
+        check Alcotest.bool "cancel" true (Ccdb_sim.Engine.cancel e h))
+    handles;
+  check Alcotest.int "others still queued" (n / 4) (Ccdb_sim.Engine.pending e);
+  Gc.full_major ();
+  for slot = 0 to n - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "closure %d reachable iff queued" slot)
+      (queued slot) (Weak.check weak slot)
+  done;
+  (* the engine and the handles outlive the collection *)
+  Array.iteri
+    (fun i h ->
+      if not (queued (slot_of i)) then
+        check Alcotest.bool "spent handle refused" false
+          (Ccdb_sim.Engine.cancel e h))
+    handles;
+  Ccdb_sim.Engine.run e;
+  check Alcotest.int "the rest fire" (n - (n / 4)) (Ccdb_sim.Engine.processed e)
+
 (* --- Engine fuzzer ------------------------------------------------------- *)
 
 (* The executable spec of the engine: a sorted list of pending events,
@@ -132,6 +211,9 @@ module Reference = struct
     ev
 
   let schedule t ~after action = schedule_at t ~at:(t.clock +. after) action
+
+  let schedule_all t batch =
+    List.iter (fun (at, action) -> ignore (schedule_at t ~at action)) batch
 
   let cancel t ev =
     ev.queued
@@ -167,6 +249,7 @@ module type ENGINE = sig
   val now : t -> float
   val schedule : t -> after:float -> (unit -> unit) -> handle
   val schedule_at : t -> at:float -> (unit -> unit) -> handle
+  val schedule_all : t -> (float * (unit -> unit)) list -> unit
   val cancel : t -> handle -> bool
   val run : ?until:float -> ?max_events:int -> t -> unit
   val pending : t -> int
@@ -179,8 +262,12 @@ type drive = One_shot | Split of float list | Sliced of int
 
 (* One random script: seed events that recursively schedule children with
    [schedule] (integer delays included, so same-instant ties are common),
-   [schedule_at], and events cancelled before they fire.  Returns the
-   firing log (time, id), the fired count and the final clock. *)
+   [schedule_at], and events cancelled before they fire.  The seeds are
+   scheduled one by one around a random batch, and one event schedules a
+   second batch as it fires.  A batch is empty, sorted by time with
+   equal-time runs, or in random order.  Returns the firing log (time, id,
+   pending), the fired count, the final clock and, under [Sliced], the
+   pending count after each slice. *)
 module Script (E : ENGINE) = struct
   let run ~seed drive =
     let eng = E.create () in
@@ -189,13 +276,29 @@ module Script (E : ENGINE) = struct
     let fired_handles = ref [] in
     let next_id = ref 0 in
     let budget = ref 120 in
+    let inner_batch = ref true in
     let fresh () =
       let id = !next_id in
       incr next_id;
       id
     in
-    let rec node id () =
-      log := (E.now eng, id) :: !log;
+    let rec batch ~from =
+      let times n =
+        List.init n (fun _ -> from +. float_of_int (Ccdb_util.Rng.int rng 8))
+      in
+      let times =
+        match Ccdb_util.Rng.int rng 3 with
+        | 0 -> []
+        | 1 -> List.sort Float.compare (times (1 + Ccdb_util.Rng.int rng 6))
+        | _ -> times (1 + Ccdb_util.Rng.int rng 6)
+      in
+      List.map (fun at -> (at, node (fresh ()))) times
+    and node id () =
+      log := (E.now eng, id, E.pending eng) :: !log;
+      if !inner_batch && !budget < 60 then begin
+        inner_batch := false;
+        E.schedule_all eng (batch ~from:(E.now eng))
+      end;
       if !budget > 0 then
         for _ = 1 to Ccdb_util.Rng.int rng 3 do
           if !budget > 0 then begin
@@ -226,20 +329,32 @@ module Script (E : ENGINE) = struct
           end
         done
     in
-    for _ = 1 to 4 do
+    let seed_one () =
       ignore
         (E.schedule_at eng
            ~at:(float_of_int (Ccdb_util.Rng.int rng 50))
            (node (fresh ())))
-    done;
+    in
+    seed_one ();
+    seed_one ();
+    E.schedule_all eng (batch ~from:(float_of_int (Ccdb_util.Rng.int rng 30)));
+    seed_one ();
+    seed_one ();
+    let slices = ref [] in
     (match drive with
      | One_shot -> E.run eng
      | Split horizons ->
        List.iter (fun until -> E.run ~until eng) horizons;
        E.run eng
      | Sliced n ->
-       while E.pending eng > 0 do
-         E.run ~max_events:n eng
+       (* stops when a slice fires nothing, so a miscounted [pending]
+          fails the drain check below instead of spinning *)
+       let progress = ref true in
+       while !progress && E.pending eng > 0 do
+         let before = E.processed eng in
+         E.run ~max_events:n eng;
+         slices := E.pending eng :: !slices;
+         progress := E.processed eng > before
        done);
     check Alcotest.int "drained" 0 (E.pending eng);
     List.iter
@@ -247,7 +362,7 @@ module Script (E : ENGINE) = struct
         check Alcotest.bool "fired event not cancellable" false
           (E.cancel eng h))
       !fired_handles;
-    (List.rev !log, E.processed eng, E.now eng)
+    (List.rev !log, E.processed eng, E.now eng, List.rev !slices)
 end
 
 module Real = Script (Ccdb_sim.Engine)
@@ -255,18 +370,20 @@ module Spec = Script (Reference)
 
 let test_engine_fuzz () =
   for seed = 1 to 1000 do
-    let expected = Spec.run ~seed One_shot in
+    let log, fired, clock, _ = Spec.run ~seed One_shot in
     let horizons = [ float_of_int (seed mod 37); float_of_int (seed mod 91) ] in
     List.iter
       (fun (what, drive) ->
-        if Real.run ~seed drive <> expected then
+        let spec = Spec.run ~seed drive in
+        if Real.run ~seed drive <> spec then
           Alcotest.failf "script %d diverged from the reference (%s)" seed
-            what)
+            what;
+        let log', fired', clock', _ = spec in
+        if log' <> log || fired' <> fired || clock' <> clock then
+          Alcotest.failf "script %d: the reference %s run diverged" seed what)
       [ ("one shot", One_shot);
         ("split at ~until", Split horizons);
-        ("sliced by ~max_events", Sliced (1 + (seed mod 7))) ];
-    if Spec.run ~seed (Split horizons) <> expected then
-      Alcotest.failf "script %d: the reference split run diverged" seed
+        ("sliced by ~max_events", Sliced (1 + (seed mod 7))) ]
   done
 
 (* --- Net ---------------------------------------------------------------- *)
@@ -340,6 +457,11 @@ let suites =
         Alcotest.test_case "schedule in past" `Quick test_engine_past_schedule_at;
         Alcotest.test_case "nan times" `Quick test_engine_nan_times;
         Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "schedule_all order" `Quick test_engine_schedule_all;
+        Alcotest.test_case "schedule_all rejects" `Quick
+          test_engine_schedule_all_rejects;
+        Alcotest.test_case "fired and cancelled closures released" `Quick
+          test_engine_releases_closures;
         Alcotest.test_case "1000-script fuzz vs sorted-list reference" `Quick
           test_engine_fuzz ] );
     ( "sim.net",

@@ -1,4 +1,4 @@
-(* Tests for Ccdb_util: Rng, Heap, Stats, Table. *)
+(* Tests for Ccdb_util: Rng, Stats, Table. *)
 
 let check = Alcotest.check
 
@@ -116,76 +116,6 @@ let prop_sample_distinct =
       && List.length (List.sort_uniq compare xs) = n
       && List.for_all (fun x -> x >= 0 && x < universe) xs)
 
-(* --- Heap --------------------------------------------------------------- *)
-
-let test_heap_basic () =
-  let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-  List.iter (fun x -> ignore (Ccdb_util.Heap.push h x)) [ 5; 1; 4; 2; 3 ];
-  check Alcotest.int "len" 5 (Ccdb_util.Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek" (Some 1) (Ccdb_util.Heap.peek h);
-  let order = List.init 5 (fun _ -> Option.get (Ccdb_util.Heap.pop h)) in
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 2; 3; 4; 5 ] order;
-  check (Alcotest.option Alcotest.int) "empty" None (Ccdb_util.Heap.pop h)
-
-let test_heap_remove () =
-  let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-  let _h1 = Ccdb_util.Heap.push h 1 in
-  let h2 = Ccdb_util.Heap.push h 2 in
-  let _h3 = Ccdb_util.Heap.push h 3 in
-  check Alcotest.bool "removed" true (Ccdb_util.Heap.remove h h2);
-  check Alcotest.bool "gone" false (Ccdb_util.Heap.remove h h2);
-  check Alcotest.bool "mem gone" false (Ccdb_util.Heap.mem h h2);
-  let order =
-    List.init (Ccdb_util.Heap.length h) (fun _ -> Option.get (Ccdb_util.Heap.pop h))
-  in
-  check (Alcotest.list Alcotest.int) "rest" [ 1; 3 ] order
-
-let test_heap_handle_invalidated_by_pop () =
-  let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-  let h1 = Ccdb_util.Heap.push h 1 in
-  ignore (Ccdb_util.Heap.push h 2);
-  ignore (Ccdb_util.Heap.pop h);
-  check Alcotest.bool "stale handle" false (Ccdb_util.Heap.remove h h1);
-  check Alcotest.int "len" 1 (Ccdb_util.Heap.length h)
-
-let test_heap_clear () =
-  let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-  let handles = List.map (fun x -> Ccdb_util.Heap.push h x) [ 3; 1; 2 ] in
-  Ccdb_util.Heap.clear h;
-  check Alcotest.bool "empty" true (Ccdb_util.Heap.is_empty h);
-  List.iter
-    (fun hd -> check Alcotest.bool "stale" false (Ccdb_util.Heap.remove h hd))
-    handles
-
-let prop_heap_sorts =
-  qtest "heap pops sorted" QCheck.(list int) (fun xs ->
-      let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-      List.iter (fun x -> ignore (Ccdb_util.Heap.push h x)) xs;
-      let out = List.init (List.length xs) (fun _ -> Option.get (Ccdb_util.Heap.pop h)) in
-      out = List.sort Int.compare xs)
-
-let prop_heap_remove_subset =
-  qtest "heap remove leaves the others sorted"
-    QCheck.(pair (list small_int) (list bool))
-    (fun (xs, removes) ->
-      let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-      let handles = List.map (fun x -> (x, Ccdb_util.Heap.push h x)) xs in
-      let kept = ref [] in
-      List.iteri
-        (fun i (x, hd) ->
-          let remove = match List.nth_opt removes i with Some b -> b | None -> false in
-          if remove then ignore (Ccdb_util.Heap.remove h hd) else kept := x :: !kept)
-        handles;
-      let out = List.init (Ccdb_util.Heap.length h) (fun _ -> Option.get (Ccdb_util.Heap.pop h)) in
-      out = List.sort Int.compare !kept)
-
-let test_heap_to_sorted_list () =
-  let h = Ccdb_util.Heap.create ~cmp:Int.compare in
-  List.iter (fun x -> ignore (Ccdb_util.Heap.push h x)) [ 9; 7; 8 ];
-  check (Alcotest.list Alcotest.int) "sorted view" [ 7; 8; 9 ]
-    (Ccdb_util.Heap.to_sorted_list h);
-  check Alcotest.int "non destructive" 3 (Ccdb_util.Heap.length h)
-
 (* --- Stats -------------------------------------------------------------- *)
 
 let test_stats_moments () =
@@ -281,14 +211,6 @@ let suites =
         Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
         Alcotest.test_case "sample_distinct" `Quick test_rng_sample_distinct;
         prop_sample_distinct ] );
-    ( "util.heap",
-      [ Alcotest.test_case "basic order" `Quick test_heap_basic;
-        Alcotest.test_case "remove" `Quick test_heap_remove;
-        Alcotest.test_case "stale handle" `Quick test_heap_handle_invalidated_by_pop;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "sorted view" `Quick test_heap_to_sorted_list;
-        prop_heap_sorts;
-        prop_heap_remove_subset ] );
     ( "util.stats",
       [ Alcotest.test_case "moments" `Quick test_stats_moments;
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
