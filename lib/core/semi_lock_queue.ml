@@ -41,7 +41,7 @@ type grant = { entry : entry; schedule : Ccdb_model.Lock.schedule }
 type t = {
   semi_locks : bool;
   mutable entries : entry list; (* sorted by unified precedence *)
-  index : (int, entry) Hashtbl.t;
+  index : entry Ccdb_util.Int_tbl.t;
   mutable max_ts_seen : int;    (* biggest timestamp ever in this queue *)
   mutable arrival_counter : int;
   mutable grant_counter : int;
@@ -58,7 +58,8 @@ type t = {
 }
 
 let create ?(semi_locks = true) () =
-  { semi_locks; entries = []; index = Hashtbl.create 16; max_ts_seen = 0;
+  { semi_locks; entries = []; index = Ccdb_util.Int_tbl.create 16;
+    max_ts_seen = 0;
     arrival_counter = 0; grant_counter = 0; r_released = -1; w_released = -1;
     n_rl = 0; n_wl = 0; n_srl = 0; n_swl = 0;
     granted_r = -1; granted_w = -1;
@@ -88,8 +89,8 @@ let count_held t delta mode =
 let recompute_granted t op =
   List.fold_left
     (fun acc e ->
-      if e.lock <> None && Ccdb_model.Op.equal e.op op then
-        max acc e.prec.Ccdb_model.Precedence.ts
+      if Option.is_some e.lock && Ccdb_model.Op.equal e.op op then
+        Int.max acc e.prec.Ccdb_model.Precedence.ts
       else acc)
     (-1) t.entries
 
@@ -98,22 +99,22 @@ let r_ts t =
     t.granted_r <- recompute_granted t Ccdb_model.Op.Read;
     t.granted_r_dirty <- false
   end;
-  max t.r_released t.granted_r
+  Int.max t.r_released t.granted_r
 
 let w_ts t =
   if t.granted_w_dirty then begin
     t.granted_w <- recompute_granted t Ccdb_model.Op.Write;
     t.granted_w_dirty <- false
   end;
-  max t.w_released t.granted_w
+  Int.max t.w_released t.granted_w
 
 let note_granted t (e : entry) =
   let ts = e.prec.Ccdb_model.Precedence.ts in
   match e.op with
   | Ccdb_model.Op.Read ->
-    if not t.granted_r_dirty then t.granted_r <- max t.granted_r ts
+    if not t.granted_r_dirty then t.granted_r <- Int.max t.granted_r ts
   | Ccdb_model.Op.Write ->
-    if not t.granted_w_dirty then t.granted_w <- max t.granted_w ts
+    if not t.granted_w_dirty then t.granted_w <- Int.max t.granted_w ts
 
 let note_ungranted t (e : entry) =
   (* a granted entry left without its timestamp being folded into the
@@ -123,7 +124,7 @@ let note_ungranted t (e : entry) =
   | Ccdb_model.Op.Write -> t.granted_w_dirty <- true
 
 let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
-  if Hashtbl.mem t.index txn then
+  if Ccdb_util.Int_tbl.mem t.index txn then
     invalid_arg "Semi_lock_queue.request: duplicate request";
   let fresh prec blocked =
     { txn; site; protocol; op; interval; epoch; prec; blocked; lock = None;
@@ -131,7 +132,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
       implemented = false }
   in
   let admit e =
-    Hashtbl.add t.index txn e;
+    Ccdb_util.Int_tbl.add t.index txn e;
     insert_sorted t e
   in
   match protocol, ts with
@@ -148,10 +149,10 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
     let floor =
       match op with
       | Ccdb_model.Op.Read -> w_ts t
-      | Ccdb_model.Op.Write -> max (w_ts t) (r_ts t)
+      | Ccdb_model.Op.Write -> Int.max (w_ts t) (r_ts t)
     in
     let admit_ts ts blocked =
-      t.max_ts_seen <- max t.max_ts_seen ts;
+      t.max_ts_seen <- Int.max t.max_ts_seen ts;
       let prec = Ccdb_model.Precedence.timestamped ~ts ~site ~txn in
       admit (fresh prec blocked)
     in
@@ -175,16 +176,16 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
     invalid_arg "Semi_lock_queue.request: timestamped protocol needs a ts"
 
 let update_ts t ~txn ~ts =
-  match Hashtbl.find_opt t.index txn with
+  match Ccdb_util.Int_tbl.find_opt t.index txn with
   | None -> `Absent
   | Some e ->
-    let revoked = e.lock <> None in
+    let revoked = Option.is_some e.lock in
     (match e.lock with
      | Some mode ->
        count_held t (-1) mode;
        note_ungranted t e
      | None -> ());
-    t.max_ts_seen <- max t.max_ts_seen ts;
+    t.max_ts_seen <- Int.max t.max_ts_seen ts;
     t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
     e.prec <-
       Ccdb_model.Precedence.timestamped ~ts ~site:e.site ~txn:e.txn;
@@ -249,7 +250,7 @@ let grant_ready t ~now =
   let rec scan = function
     | [] -> ()
     | e :: rest ->
-      if e.lock <> None then scan rest
+      if Option.is_some e.lock then scan rest
       else if e.blocked then ()
       else begin
         match grant_check t e with
@@ -271,7 +272,7 @@ let grant_ready t ~now =
   List.rev !newly
 
 let transform t ~txn =
-  match Hashtbl.find_opt t.index txn with
+  match Ccdb_util.Int_tbl.find_opt t.index txn with
   | None -> None
   | Some e ->
     (match e.lock with
@@ -287,7 +288,7 @@ let transform t ~txn =
 let promotions t =
   List.filter
     (fun e ->
-      e.lock <> None
+      Option.is_some e.lock
       && Ccdb_model.Lock.schedule_equal e.schedule Ccdb_model.Lock.Pre_scheduled
       && not
            (List.exists
@@ -301,10 +302,10 @@ let promotions t =
     t.entries
 
 let remove t ~txn ~advance_hwm =
-  match Hashtbl.find_opt t.index txn with
+  match Ccdb_util.Int_tbl.find_opt t.index txn with
   | None -> None
   | Some e ->
-    Hashtbl.remove t.index txn;
+    Ccdb_util.Int_tbl.remove t.index txn;
     t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
     (match e.lock with
      | Some mode ->
@@ -317,8 +318,8 @@ let remove t ~txn ~advance_hwm =
     if advance_hwm then begin
       let ts = e.prec.Ccdb_model.Precedence.ts in
       match e.op with
-      | Ccdb_model.Op.Read -> t.r_released <- max t.r_released ts
-      | Ccdb_model.Op.Write -> t.w_released <- max t.w_released ts
+      | Ccdb_model.Op.Read -> t.r_released <- Int.max t.r_released ts
+      | Ccdb_model.Op.Write -> t.w_released <- Int.max t.w_released ts
     end;
     let promoted = promotions t in
     List.iter
@@ -340,12 +341,12 @@ let wipe_volatile t =
   let dropped, kept =
     List.partition
       (fun e ->
-        e.lock = None
+        Option.is_none e.lock
         && not (Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.Pa))
       t.entries
   in
   t.entries <- kept;
-  List.iter (fun e -> Hashtbl.remove t.index e.txn) dropped;
+  List.iter (fun e -> Ccdb_util.Int_tbl.remove t.index e.txn) dropped;
   dropped
 
 let waits_for t =
@@ -355,14 +356,14 @@ let waits_for t =
     | e :: rest ->
       (* blocked PA entries wait on their own issuer, not on other
          transactions, so they contribute no outgoing edges *)
-      if e.lock = None && not e.blocked then
+      if Option.is_none e.lock && not e.blocked then
         List.iter
           (fun e' ->
             if e'.txn <> e.txn then begin
               let conflicting =
                 Ccdb_model.Op.conflicts e'.op e.op
               in
-              let frontier = e'.lock = None in
+              let frontier = Option.is_none e'.lock in
               if conflicting || frontier then edges := (e.txn, e'.txn) :: !edges
             end)
           earlier;
@@ -376,7 +377,7 @@ let waits_for t =
   List.iter
     (fun e ->
       if
-        e.lock <> None
+        Option.is_some e.lock
         && Ccdb_model.Lock.schedule_equal e.schedule
              Ccdb_model.Lock.Pre_scheduled
       then

@@ -1,5 +1,8 @@
 module Rt = Ccdb_protocols.Runtime
 module Q = Semi_lock_queue
+module Copies = Ccdb_storage.Copy_table
+module Int_tbl = Ccdb_util.Int_tbl
+module Int_list = Ccdb_util.Int_list
 
 type config = {
   semi_locks : bool;
@@ -15,10 +18,14 @@ let default_config =
 
 type payload_fn = (int -> int) -> (int * int) list
 
-type slot =
+type slot_state =
   | Waiting
   | Granted of { value : int; mutable normal : bool }
   | Backed of int
+
+(* one per copy the current attempt negotiates; a new attempt builds fresh
+   slots *)
+type slot = { item : int; site : int; mutable state : slot_state }
 
 type phase = Negotiating | Restarting | Computing | Draining | Done
 
@@ -32,7 +39,7 @@ type txn_state = {
   mutable restarts : int;
   mutable backed_off : bool;
   mutable phase : phase;
-  mutable slots : ((int * int) * slot) list;
+  mutable slots : slot list;
   mutable reads : (int * int) list;
   mutable write_values : (int * int) list; (* fixed at compute end *)
   mutable executed : float; (* end of the compute phase; under 2PC the
@@ -46,8 +53,8 @@ type detector =
 type t = {
   rt : Rt.t;
   config : config;
-  queues : (int * int, Q.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
+  queues : Q.t Copies.t;
+  states : txn_state Int_tbl.t;
   reselect : (Ccdb_model.Txn.t -> Ccdb_model.Protocol.t) option;
   mutable active : int;
   mutable draining : int;
@@ -92,27 +99,28 @@ let copies_of rt (txn : Ccdb_model.Txn.t) =
   in
   reads @ writes
 
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = Q.create ~semi_locks:t.config.semi_locks () in
-    Hashtbl.add t.queues copy q;
-    q
+let rec find_slot ~item ~site = function
+  | [] -> None
+  | s :: rest ->
+    if s.item = item && s.site = site then Some s
+    else find_slot ~item ~site rest
 
-let set_slot st copy slot =
-  st.slots <-
-    List.map (fun (c, s) -> if c = copy then (c, slot) else (c, s)) st.slots
+let all_normal st =
+  List.for_all
+    (fun s -> match s.state with Granted g -> g.normal | _ -> false)
+    st.slots
 
 let all_edges t =
-  Hashtbl.fold (fun _ q acc -> List.rev_append (Q.waits_for q) acc) t.queues []
+  Copies.fold
+    (fun ~item:_ ~site:_ q acc -> List.rev_append (Q.waits_for q) acc)
+    t.queues []
 
 let send t ~src ~dst ~kind f = Ccdb_sim.Net.send (Rt.net t.rt) ~src ~dst ~kind f
 
 (* --- queue-side actions -------------------------------------------------- *)
 
-let rec pump t ((item, site) as copy) =
-  let q = queue t copy in
+let rec pump t ~item ~site =
+  let q = Copies.get t.queues ~item ~site in
   let grants = Q.grant_ready q ~now:(Rt.now t.rt) in
   let store = Rt.store t.rt in
   List.iter
@@ -134,10 +142,10 @@ let rec pump t ((item, site) as copy) =
       let epoch = e.epoch in
       let txn_id = e.txn in
       send t ~src:site ~dst:e.site ~kind:"u-grant" (fun () ->
-          on_grant t txn_id ~epoch ~ts copy value schedule))
+          on_grant t txn_id ~epoch ~ts ~item ~site value schedule))
     grants
 
-and notify_promotions t ((item, qm_site) as copy) promoted =
+and notify_promotions t ~item ~site:qm_site promoted =
   List.iter
     (fun (p : Q.entry) ->
       let txn_id = p.txn and epoch = p.epoch in
@@ -146,11 +154,11 @@ and notify_promotions t ((item, qm_site) as copy) promoted =
            { txn = txn_id; item; site = qm_site; at = Rt.now t.rt });
       (* the queue manager tells the issuer its grant here became normal *)
       send t ~src:qm_site ~dst:p.site ~kind:"u-normal" (fun () ->
-          on_normal t txn_id ~epoch copy))
+          on_normal t txn_id ~epoch ~item ~site:qm_site))
     promoted
 
-and on_release_msg t ((item, site) as copy) txn_id value_opt =
-  match Q.release (queue t copy) ~txn:txn_id with
+and on_release_msg t ~item ~site txn_id value_opt =
+  match Q.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
   | None -> ()
   | Some (e, promoted) ->
     let store = Rt.store t.rt in
@@ -177,11 +185,11 @@ and on_release_msg t ((item, site) as copy) txn_id value_opt =
          { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
            granted_at = e.granted_at; at; aborted = false;
            ts = Some e.prec.Ccdb_model.Precedence.ts });
-    notify_promotions t copy promoted;
-    pump t copy
+    notify_promotions t ~item ~site promoted;
+    pump t ~item ~site
 
-and on_transform_msg t ((item, site) as copy) txn_id value_opt =
-  match Q.transform (queue t copy) ~txn:txn_id with
+and on_transform_msg t ~item ~site txn_id value_opt =
+  match Q.transform (Copies.get t.queues ~item ~site) ~txn:txn_id with
   | None -> ()
   | Some e ->
     (match e.lock with
@@ -197,17 +205,18 @@ and on_transform_msg t ((item, site) as copy) txn_id value_opt =
          ~value ~at:(Rt.now t.rt);
        e.implemented <- true
      | _, _ -> ());
-    pump t copy
+    pump t ~item ~site
 
-and on_abort_msg t ((item, site) as copy) txn_id =
-  match Q.abort (queue t copy) ~txn:txn_id with
+and on_abort_msg t ~item ~site txn_id =
+  match Q.abort (Copies.get t.queues ~item ~site) ~txn:txn_id with
   | None -> ()
   | Some (e, promoted) ->
     (* withdraw an aborted T/O attempt's grant-time read from the log *)
     (if Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.T_o
-        && Ccdb_model.Op.equal e.op Ccdb_model.Op.Read && e.lock <> None then
+        && Ccdb_model.Op.equal e.op Ccdb_model.Op.Read
+        && Option.is_some e.lock then
        Ccdb_storage.Store.discard_reads (Rt.store t.rt) ~item ~site ~txn:txn_id);
-    (if e.lock <> None then
+    (if Option.is_some e.lock then
        Rt.emit t.rt
          (Rt.Lock_released
             { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
@@ -217,56 +226,55 @@ and on_abort_msg t ((item, site) as copy) txn_id =
        Rt.emit t.rt
          (Rt.Request_withdrawn
             { txn = txn_id; item; site; at = Rt.now t.rt }));
-    notify_promotions t copy promoted;
-    pump t copy
+    notify_promotions t ~item ~site promoted;
+    pump t ~item ~site
 
 (* --- issuer-side state machine ------------------------------------------- *)
 
-and on_grant t txn_id ~epoch ~ts copy value schedule =
-  match Hashtbl.find_opt t.states txn_id with
+and on_grant t txn_id ~epoch ~ts ~item ~site value schedule =
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> true | Some expect -> expect = ts in
     if st.epoch = epoch && ts_ok && st.phase = Negotiating then begin
-      (match List.assoc_opt copy st.slots with
-       | Some Waiting ->
-         notify_progress t txn_id;
-         set_slot st copy
-           (Granted
-              { value;
-                normal =
-                  Ccdb_model.Lock.schedule_equal schedule Ccdb_model.Lock.Normal });
-         check_progress t st
-       | Some (Granted _ | Backed _) | None -> ())
+      match find_slot ~item ~site st.slots with
+      | Some ({ state = Waiting; _ } as slot) ->
+        notify_progress t txn_id;
+        let normal =
+          Ccdb_model.Lock.schedule_equal schedule Ccdb_model.Lock.Normal
+        in
+        slot.state <- Granted { value; normal };
+        check_progress t st
+      | Some { state = Granted _ | Backed _; _ } | None -> ()
     end
 
-and on_normal t txn_id ~epoch copy =
-  match Hashtbl.find_opt t.states txn_id with
+and on_normal t txn_id ~epoch ~item ~site =
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.epoch = epoch then begin
-      (match List.assoc_opt copy st.slots with
-       | Some (Granted g) -> g.normal <- true
-       | Some (Waiting | Backed _) | None -> ());
+      (match find_slot ~item ~site st.slots with
+       | Some { state = Granted g; _ } -> g.normal <- true
+       | Some { state = Waiting | Backed _; _ } | None -> ());
       if st.phase = Draining then maybe_release t st
     end
 
-and on_backoff t txn_id ~epoch ~ts ~op copy ts' =
-  match Hashtbl.find_opt t.states txn_id with
+and on_backoff t txn_id ~epoch ~ts ~op ~item ~site ts' =
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> false | Some expect -> expect = ts in
     if st.epoch = epoch && ts_ok && st.phase = Negotiating then begin
       Rt.emit t.rt (Rt.Pa_backoff { txn = txn_id; op; at = Rt.now t.rt });
-      (match List.assoc_opt copy st.slots with
-       | Some Waiting ->
-         set_slot st copy (Backed ts');
-         check_progress t st
-       | Some (Granted _ | Backed _) | None -> ())
+      match find_slot ~item ~site st.slots with
+      | Some ({ state = Waiting; _ } as slot) ->
+        slot.state <- Backed ts';
+        check_progress t st
+      | Some { state = Granted _ | Backed _; _ } | None -> ()
     end
 
 and on_reject t txn_id ~epoch ~ts rejected_copy op =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> false | Some expect -> expect = ts in
@@ -275,11 +283,16 @@ and on_reject t txn_id ~epoch ~ts rejected_copy op =
         ~reason:(Rt.To_rejected op)
 
 and check_progress t st =
-  let undecided = List.exists (fun (_, s) -> s = Waiting) st.slots in
+  let undecided =
+    List.exists
+      (fun s ->
+        match s.state with Waiting -> true | Granted _ | Backed _ -> false)
+      st.slots
+  in
   if not undecided then begin
     let backs =
       List.filter_map
-        (fun (_, s) -> match s with Backed ts' -> Some ts' | _ -> None)
+        (fun s -> match s.state with Backed ts' -> Some ts' | _ -> None)
         st.slots
     in
     match backs with
@@ -290,31 +303,34 @@ and check_progress t st =
       assert (not st.backed_off);
       st.backed_off <- true;
       let ts0 = match st.ts with Some ts -> ts | None -> assert false in
-      let ts' = List.fold_left max ts0 backs in
+      let ts' = List.fold_left Int.max ts0 backs in
       st.ts <- Some ts';
-      st.slots <- List.map (fun (c, _) -> (c, Waiting)) st.slots;
+      List.iter (fun s -> s.state <- Waiting) st.slots;
       st.reads <- [];
       List.iter
-        (fun ((item, site), _) ->
+        (fun { item; site; _ } ->
           send t ~src:st.txn.site ~dst:site ~kind:"u-update" (fun () ->
-              (match Q.update_ts (queue t (item, site)) ~txn:st.txn.id ~ts:ts' with
+              (match
+                 Q.update_ts (Copies.get t.queues ~item ~site) ~txn:st.txn.id
+                   ~ts:ts'
+               with
                | (`Moved | `Revoked | `Absent) as r ->
                  if r <> `Absent then
                    Rt.emit t.rt
                      (Rt.Ts_updated
                         { txn = st.txn.id; item; site; ts = ts';
                           revoked = (r = `Revoked); at = Rt.now t.rt }));
-              pump t (item, site)))
+              pump t ~item ~site))
         st.slots
   end
 
 and start_compute t st =
   notify_unblocked t st.txn.id;
   List.iter
-    (fun ((item, _site), s) ->
-      match s with
+    (fun { item; state; _ } ->
+      match state with
       | Granted { value; _ } ->
-        if not (List.mem_assoc item st.reads) then
+        if not (Int_list.mem_assoc item st.reads) then
           st.reads <- (item, value) :: st.reads
       | Waiting | Backed _ -> assert false)
     st.slots;
@@ -326,7 +342,7 @@ and start_compute t st =
 and finish t st =
   let txn = st.txn in
   let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
+    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
   in
   st.write_values <-
     (match st.payload with
@@ -334,12 +350,7 @@ and finish t st =
      | None -> List.map (fun item -> (item, txn.id)) txn.write_set);
   st.executed <- Rt.now t.rt;
   let commit () = commit_txn t st in
-  let all_normal =
-    List.for_all
-      (fun (_, s) -> match s with Granted g -> g.normal | _ -> false)
-      st.slots
-  in
-  if all_normal then begin
+  if all_normal st then begin
     match t.committer with
     | Some c ->
       (* durable: past the lock point, releases wait for the presumed-abort
@@ -353,7 +364,7 @@ and finish t st =
             { Ccdb_storage.Wal.item; op; value = value_for item; attempt = 0;
               granted_at = 0. }
           in
-          match List.assoc_opt site !by_site with
+          match Int_list.assoc_opt site !by_site with
           | Some r -> r := action :: !r
           | None -> by_site := (site, ref [ action ]) :: !by_site)
         (copies_of t.rt txn);
@@ -375,10 +386,10 @@ and finish t st =
     t.draining <- t.draining + 1;
     let value_for = value_for_fn st in
     List.iter
-      (fun ((item, site), _) ->
+      (fun { item; site; _ } ->
         let value_opt = value_for item in
         send t ~src:txn.site ~dst:site ~kind:"u-transform" (fun () ->
-            on_transform_msg t (item, site) txn.id value_opt))
+            on_transform_msg t ~item ~site txn.id value_opt))
       st.slots;
     maybe_release t st
   end
@@ -397,9 +408,9 @@ and commit_txn t st =
 and value_for_fn st =
   let txn = st.txn in
   fun item ->
-    if List.mem item txn.write_set then
+    if Int_list.mem item txn.write_set then
       Some
-        (match List.assoc_opt item st.write_values with
+        (match Int_list.assoc_opt item st.write_values with
          | Some v -> v
          | None -> txn.id)
     else None
@@ -409,20 +420,15 @@ and send_releases t st =
   st.phase <- Done;
   let value_for = value_for_fn st in
   List.iter
-    (fun ((item, site), _) ->
+    (fun { item; site; _ } ->
       let value_opt = value_for item in
       send t ~src:txn.site ~dst:site ~kind:"u-release" (fun () ->
-          on_release_msg t (item, site) txn.id value_opt))
+          on_release_msg t ~item ~site txn.id value_opt))
     st.slots;
-  Hashtbl.remove t.states txn.id
+  Int_tbl.remove t.states txn.id
 
 and maybe_release t st =
-  let all_normal =
-    List.for_all
-      (fun (_, s) -> match s with Granted g -> g.normal | _ -> false)
-      st.slots
-  in
-  if all_normal then begin
+  if all_normal st then begin
     t.draining <- t.draining - 1;
     send_releases t st
   end
@@ -438,9 +444,11 @@ and restart t st ~except ~reason =
   (match st.ts with Some _ -> st.ts <- Some (-1) | None -> ());
   List.iter
     (fun (item, site, _) ->
-      if Some (item, site) <> except then
+      match except with
+      | Some (i, s) when i = item && s = site -> ()
+      | Some _ | None ->
         send t ~src:txn.site ~dst:site ~kind:"u-abort" (fun () ->
-            on_abort_msg t (item, site) txn.id))
+            on_abort_msg t ~item ~site txn.id))
     (copies_of t.rt txn);
   st.slots <- [];
   st.reads <- [];
@@ -472,7 +480,8 @@ and begin_attempt t st =
   st.backed_off <- false;
   notify_blocked t txn.id;
   let copies = copies_of t.rt txn in
-  st.slots <- List.map (fun (item, site, _) -> ((item, site), Waiting)) copies;
+  st.slots <-
+    List.map (fun (item, site, _) -> { item; site; state = Waiting }) copies;
   st.reads <- [];
   let epoch = st.epoch in
   let ts = st.ts in
@@ -483,8 +492,8 @@ and begin_attempt t st =
           (* the channel delivers an earlier attempt's u-abort before this
              u-req unless the transport gave up on it; an entry of this
              transaction still queued here means it did, so withdraw it *)
-          on_abort_msg t (item, site) txn.id;
-          let q = queue t (item, site) in
+          on_abort_msg t ~item ~site txn.id;
+          let q = Copies.get t.queues ~item ~site in
           let verdict =
             Q.request q ~txn:txn.id ~site:txn.site ~protocol:txn.protocol ~ts
               ~interval ~epoch ~op
@@ -508,14 +517,14 @@ and begin_attempt t st =
            | Q.Backoff ts' ->
              let ts = match ts with Some v -> v | None -> assert false in
              send t ~src:site ~dst:txn.site ~kind:"u-backoff" (fun () ->
-                 on_backoff t txn.id ~epoch ~ts ~op (item, site) ts'));
-          pump t (item, site)))
+                 on_backoff t txn.id ~epoch ~ts ~op ~item ~site ts'));
+          pump t ~item ~site))
     copies
 
 (* --- construction --------------------------------------------------------- *)
 
 let abort_victim t victim =
-  match Hashtbl.find_opt t.states victim with
+  match Int_tbl.find_opt t.states victim with
   | None -> ()
   | Some st ->
     if
@@ -525,7 +534,7 @@ let abort_victim t victim =
 
 let choose_victim t cycle =
   let restarting id =
-    match Hashtbl.find_opt t.states id with
+    match Int_tbl.find_opt t.states id with
     | Some st -> st.phase = Restarting
     | None -> false
   in
@@ -536,7 +545,7 @@ let choose_victim t cycle =
     if List.exists restarting cycle then None
     else begin
       let two_pl_waiting id =
-        match Hashtbl.find_opt t.states id with
+        match Int_tbl.find_opt t.states id with
         | Some st ->
           st.phase = Negotiating
           && Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl
@@ -545,7 +554,7 @@ let choose_victim t cycle =
       match List.filter two_pl_waiting cycle with
       | [] -> None (* Corollary 2: a real deadlock always offers a 2PL victim;
                       anything else is a transient snapshot, re-checked later *)
-      | candidates -> Some (List.fold_left max min_int candidates)
+      | candidates -> Some (List.fold_left Int.max min_int candidates)
     end
   in
   Rt.emit t.rt (Rt.Deadlock_detected { cycle; victim; at = Rt.now t.rt });
@@ -564,66 +573,64 @@ let crash_restartable st =
 
 let on_site_crash t site =
   let victims =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun id st acc ->
         if
           crash_restartable st
           && (st.txn.Ccdb_model.Txn.site = site
-              || List.exists (fun ((_, s), _) -> s = site) st.slots)
+              || List.exists (fun (s : slot) -> s.site = site) st.slots)
         then id :: acc
         else acc)
       t.states []
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   List.iter
     (fun id ->
-      match Hashtbl.find_opt t.states id with
+      match Int_tbl.find_opt t.states id with
       | Some st -> restart t st ~except:None ~reason:Rt.Site_failure
       | None -> ())
     victims
 
 let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | Some st when crash_restartable st ->
     restart t st ~except:None ~reason:Rt.Site_failure
   | Some _ | None -> ()
 
 (* wait-for targets of [txn] across the queues hosted at [site] *)
 let local_waits_on t ~site ~txn =
-  Hashtbl.fold
-    (fun (_, s) q acc ->
-      if s <> site then acc
-      else
-        List.fold_left
-          (fun acc (waiter, holder) -> if waiter = txn then holder :: acc else acc)
-          acc (Q.waits_for q))
-    t.queues []
-  |> List.sort_uniq Int.compare
+  let holders = ref [] in
+  Copies.iter_site t.queues site (fun _ q ->
+      List.iter
+        (fun (waiter, holder) ->
+          if waiter = txn then holders := holder :: !holders)
+        (Q.waits_for q));
+  List.sort_uniq Int.compare !holders
 
-(* Fail-stop wipe of the unified queues hosted at [site]: ungranted 2PL and
-   T/O entries are volatile and vanish; granted entries and every PA entry
-   survive (WAL-backed grants; acknowledged PA negotiations — Corollary 1). *)
+(* Fail-stop wipe of the unified queues hosted at [site], in ascending item
+   order: ungranted 2PL and T/O entries are volatile and vanish; granted
+   entries and every PA entry survive (WAL-backed grants; acknowledged PA
+   negotiations — Corollary 1). *)
 let on_site_wipe t site =
   let dropped = ref 0 and preserved = ref 0 in
-  Hashtbl.iter
-    (fun (item, s) q ->
-      if s = site then begin
-        List.iter
-          (fun (e : Q.entry) ->
-            incr dropped;
-            Rt.emit t.rt
-              (Rt.Request_dropped
-                 { txn = e.txn; item; site; at = Rt.now t.rt }))
-          (Q.wipe_volatile q);
-        preserved := !preserved + List.length (Q.entries q)
-      end)
-    t.queues;
+  Copies.iter_site t.queues site (fun item q ->
+      List.iter
+        (fun (e : Q.entry) ->
+          incr dropped;
+          Rt.emit t.rt
+            (Rt.Request_dropped { txn = e.txn; item; site; at = Rt.now t.rt }))
+        (Q.wipe_volatile q);
+      preserved := !preserved + List.length (Q.entries q));
   (!dropped, !preserved)
 
 let create ?(config = default_config) ?reselect rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      reselect; active = 0; draining = 0; detector = None; committer = None }
+    { rt; config;
+      queues =
+        Copies.create (Rt.catalog rt) (fun () ->
+            Q.create ~semi_locks:config.semi_locks ());
+      states = Int_tbl.create 64; reselect; active = 0; draining = 0;
+      detector = None; committer = None }
   in
   let detector =
     match config.detection with
@@ -634,7 +641,7 @@ let create ?(config = default_config) ?reselect rt =
            ~edges:(fun () -> all_edges t)
            ~choose_victim:(fun cycle -> choose_victim t cycle)
            ~victim_site:(fun txn_id ->
-             match Hashtbl.find_opt t.states txn_id with
+             match Int_tbl.find_opt t.states txn_id with
              | Some st when st.phase = Negotiating -> Some st.txn.site
              | Some _ | None -> None)
            ~abort:(fun victim -> abort_victim t victim))
@@ -647,21 +654,21 @@ let create ?(config = default_config) ?reselect rt =
                  (* draining transactions are committed but still wait for
                     their pre-scheduled grants to become normal; probes must
                     pass through them *)
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st -> st.phase = Negotiating || st.phase = Draining
                  | None -> false);
              home_site =
                (fun txn_id ->
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st -> Some st.txn.site
                  | None -> None);
              pending_sites =
                (fun txn_id ->
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st ->
                    List.filter_map
-                     (fun ((_, site), slot) ->
-                       match slot with
+                     (fun { site; state; _ } ->
+                       match state with
                        | Waiting -> Some site
                        | Granted { normal = false; _ } ->
                          (* a pre-scheduled grant is a wait hosted at the
@@ -676,7 +683,7 @@ let create ?(config = default_config) ?reselect rt =
                (fun txn_id ->
                  (* only 2PL transactions can be deadlock victims
                     (Corollary 2), so only they probe *)
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st ->
                    Ccdb_model.Protocol.equal st.txn.protocol
                      Ccdb_model.Protocol.Two_pl
@@ -701,27 +708,27 @@ let create ?(config = default_config) ?reselect rt =
                (fun ~txn ~site actions ->
                  List.iter
                    (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release_msg t (a.item, site) txn a.value)
+                     on_release_msg t ~item:a.item ~site txn a.value)
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Hashtbl.find_opt t.states txn with
+                 match Int_tbl.find_opt t.states txn with
                  | Some st ->
                    commit_txn t st;
-                   Hashtbl.remove t.states txn
+                   Int_tbl.remove t.states txn
                  | None -> ()) })
   end;
   t
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
+  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
     invalid_arg "Unified_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Rt.now t.rt; ts = None; epoch = 0;
       restarts = 0; backed_off = false; phase = Negotiating; slots = [];
       reads = []; write_values = []; executed = 0. }
   in
-  Hashtbl.add t.states txn.id st;
+  Int_tbl.add t.states txn.id st;
   t.active <- t.active + 1;
   Rt.track t.rt txn.id;
   (match t.detector with
@@ -740,7 +747,7 @@ let detector_cycles t =
 
 let debug_dump t =
   let buf = Buffer.create 1024 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun id st ->
       let phase =
         match st.phase with
@@ -750,10 +757,9 @@ let debug_dump t =
         | Draining -> "draining"
         | Done -> "done"
       in
-      let slot_str (copy, slot) =
-        let item, site = copy in
+      let slot_str { item; site; state } =
         let state =
-          match slot with
+          match state with
           | Waiting -> "?"
           | Granted { normal = true; _ } -> "G"
           | Granted { normal = false; _ } -> "g"
@@ -769,8 +775,8 @@ let debug_dump t =
            st.epoch
            (String.concat " " (List.map slot_str st.slots))))
     t.states;
-  Hashtbl.iter
-    (fun (item, site) q ->
+  Copies.fold
+    (fun ~item ~site q () ->
       match Q.entries q with
       | [] -> ()
       | entries ->
@@ -790,7 +796,7 @@ let debug_dump t =
                   | Ccdb_model.Lock.Pre_scheduled -> " presched"
                   | Ccdb_model.Lock.Normal -> "")))
           entries)
-    t.queues;
+    t.queues ();
   Buffer.contents buf
 
 let unimplemented_requests t =
@@ -804,8 +810,8 @@ let unimplemented_requests t =
     | Some _, (Ccdb_model.Protocol.Two_pl | Ccdb_model.Protocol.Pa), _ ->
       true (* implemented at release, and released entries are removed *)
   in
-  Hashtbl.fold
-    (fun _ q acc ->
+  Copies.fold
+    (fun ~item:_ ~site:_ q acc ->
       List.fold_left
         (fun acc (e : Q.entry) ->
           if unimplemented e then (e.prec, e.protocol) :: acc else acc)

@@ -821,8 +821,9 @@ let x4_staged ~quick =
     (D.run ~setup ~n_txns:n (D.Pure Ccdb_model.Protocol.T_o) (spec lam)).summary
   in
   let run_mvto lam =
-    (* MVTO is not a Driver mode (its verification differs); drive it
-       directly on the same substrate and workload *)
+    (* driven by hand on the same substrate and workload as the Basic T/O
+       row; [Driver.Mvto] exists, but moving this run onto it must keep
+       the table byte-identical *)
     let catalog =
       Ccdb_storage.Catalog.create ~items:12 ~sites:base_setup.sites
         ~replication:base_setup.replication

@@ -6,6 +6,17 @@ type entry = {
   mutable granted : bool;
 }
 
+(* The index is keyed by [(txn, attempt)] and only looked up, never
+   iterated, so its hash need not be the generic one. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((txn, attempt) : t) (txn', attempt') =
+    txn = txn' && attempt = attempt'
+
+  let hash ((txn, attempt) : t) = (txn * 65599) + attempt
+end)
+
 (* FCFS queue as a front list (oldest first) plus a reversed back list, so
    [request] is O(1) instead of the old [queue @ [entry]] append; the two
    halves are normalised into [front] before any in-order traversal.  The
@@ -15,17 +26,18 @@ type t = {
   mutable front : entry list; (* FCFS order, oldest first *)
   mutable back : entry list;  (* newest first *)
   mutable next_arrival : int;
-  index : (int * int, entry) Hashtbl.t;
+  index : entry Key_tbl.t;
 }
 
 let create () =
-  { front = []; back = []; next_arrival = 0; index = Hashtbl.create 16 }
+  { front = []; back = []; next_arrival = 0; index = Key_tbl.create 16 }
 
 let normalize t =
-  if t.back <> [] then begin
-    t.front <- t.front @ List.rev t.back;
-    t.back <- []
-  end;
+  (match t.back with
+   | [] -> ()
+   | back ->
+     t.front <- t.front @ List.rev back;
+     t.back <- []);
   t.front
 
 let request t ~txn ~attempt ~op =
@@ -35,8 +47,8 @@ let request t ~txn ~attempt ~op =
   (* a transaction may queue several requests here (e.g. read and write of
      the same copy); the index keeps the oldest, which is the one a release
      must remove first *)
-  if not (Hashtbl.mem t.index (txn, attempt)) then
-    Hashtbl.add t.index (txn, attempt) entry;
+  if not (Key_tbl.mem t.index (txn, attempt)) then
+    Key_tbl.add t.index (txn, attempt) entry;
   entry
 
 (* One pass, oldest first: an entry is grantable when no earlier entry of
@@ -73,10 +85,10 @@ let grant_ready t =
   List.rev !newly
 
 let release t ~txn ~attempt =
-  match Hashtbl.find_opt t.index (txn, attempt) with
+  match Key_tbl.find_opt t.index (txn, attempt) with
   | None -> None
   | Some entry ->
-    Hashtbl.remove t.index (txn, attempt);
+    Key_tbl.remove t.index (txn, attempt);
     (* the index held the oldest same-key entry, so any other one sits
        later in FCFS order: filtering the normalised queue front-to-back
        meets the replacement (the new oldest) first *)
@@ -87,7 +99,7 @@ let release t ~txn ~attempt =
           if e == entry then false
           else begin
             if (not !replaced) && e.txn = txn && e.attempt = attempt then begin
-              Hashtbl.add t.index (txn, attempt) e;
+              Key_tbl.add t.index (txn, attempt) e;
               replaced := true
             end;
             true
@@ -100,11 +112,11 @@ let wipe_waiting t =
   let kept, dropped = List.partition (fun e -> e.granted) queue in
   t.front <- kept;
   (* rebuild the index over the survivors: oldest same-key entry wins *)
-  Hashtbl.reset t.index;
+  Key_tbl.reset t.index;
   List.iter
     (fun e ->
-      if not (Hashtbl.mem t.index (e.txn, e.attempt)) then
-        Hashtbl.add t.index (e.txn, e.attempt) e)
+      if not (Key_tbl.mem t.index (e.txn, e.attempt)) then
+        Key_tbl.add t.index (e.txn, e.attempt) e)
     kept;
   dropped
 

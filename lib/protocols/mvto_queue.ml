@@ -36,7 +36,7 @@ let governing t ~ts =
 let try_read t ~ts =
   let v = governing t ~ts in
   if v.v_committed then begin
-    v.v_max_read_ts <- max v.v_max_read_ts ts;
+    v.v_max_read_ts <- Int.max v.v_max_read_ts ts;
     match v.v_value with Some value -> Some value | None -> assert false
   end
   else None

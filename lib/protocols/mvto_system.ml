@@ -1,3 +1,7 @@
+module Copies = Ccdb_storage.Copy_table
+module Int_tbl = Ccdb_util.Int_tbl
+module Int_list = Ccdb_util.Int_list
+
 type config = { restart_delay : float }
 
 let default_config = { restart_delay = 50. }
@@ -22,12 +26,12 @@ type read_record = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, Mvto_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
+  queues : Mvto_queue.t Copies.t;
+  states : txn_state Int_tbl.t;
   mutable active : int;
   mutable committed_reads : read_record list;
   (* reads observed per attempt, promoted to committed_reads at commit *)
-  pending_reads : (int, read_record list) Hashtbl.t;
+  pending_reads : read_record list Int_tbl.t;
 }
 
 let read_copies rt (txn : Ccdb_model.Txn.t) =
@@ -46,17 +50,11 @@ let write_copies rt (txn : Ccdb_model.Txn.t) =
         (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
     txn.write_set
 
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = Mvto_queue.create () in
-    Hashtbl.add t.queues copy q;
-    q
-
 let record_read t ~txn_id record =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.pending_reads txn_id) in
-  Hashtbl.replace t.pending_reads txn_id (record :: cur)
+  let cur =
+    Option.value ~default:[] (Int_tbl.find_opt t.pending_reads txn_id)
+  in
+  Int_tbl.replace t.pending_reads txn_id (record :: cur)
 
 let emit_op t ~txn_id ~op ~item ~site =
   Runtime.emit t.rt
@@ -67,7 +65,7 @@ let emit_op t ~txn_id ~op ~item ~site =
 
 (* deliver a read value home (skipped for a superseded attempt) *)
 let rec send_value t ((item, site) as copy) ~reader ~ts ~value =
-  match Hashtbl.find_opt t.states reader with
+  match Int_tbl.find_opt t.states reader with
   | Some st when st.ts = ts ->
     emit_op t ~txn_id:reader ~op:Ccdb_model.Op.Read ~item ~site;
     record_read t ~txn_id:reader
@@ -76,17 +74,18 @@ let rec send_value t ((item, site) as copy) ~reader ~ts ~value =
       ~kind:"mv-val" (fun () -> on_read_value t reader ~ts copy)
   | Some _ | None -> ()
 
-and drain t copy =
+and drain t ((item, site) as copy) =
   List.iter
     (fun (reader, ts, value) -> send_value t copy ~reader ~ts ~value)
-    (Mvto_queue.drain_reads (queue t copy))
+    (Mvto_queue.drain_reads (Copies.get t.queues ~item ~site))
 
 and on_read_value t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Reading && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+    if st.ts = ts && st.phase = Reading && Int_list.mem_pair copy st.awaiting
+    then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then start_compute t st
     end
 
@@ -105,10 +104,13 @@ and send_prewrites t st =
     st.awaiting <- copies;
     let ts = st.ts in
     List.iter
-      (fun ((_item, site) as copy) ->
+      (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-prewrite" (fun () ->
-            match Mvto_queue.prewrite (queue t copy) ~txn:txn.id ~ts with
+            match
+              Mvto_queue.prewrite (Copies.get t.queues ~item ~site) ~txn:txn.id
+                ~ts
+            with
             | Mvto_queue.W_rejected ->
               Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:txn.site
                 ~kind:"mv-reject" (fun () -> on_reject t txn.id ~ts copy)
@@ -119,12 +121,12 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
+    if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
     then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then commit t st
     end
 
@@ -138,7 +140,7 @@ and commit t st =
     (fun ((item, site) as copy) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"mv-commit" (fun () ->
-          let q = queue t copy in
+          let q = Copies.get t.queues ~item ~site in
           Mvto_queue.commit_write q ~txn:txn.id ~value:txn.id;
           emit_op t ~txn_id:txn.id ~op:Ccdb_model.Op.Write ~item ~site;
           (* keep the physical store at the newest committed version *)
@@ -153,30 +155,31 @@ and commit t st =
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Done && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+    if st.ts = ts && st.phase = Done && Int_list.mem_pair copy st.awaiting
+    then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then finalize t st
     end
 
 and finalize t st =
   let txn = st.txn in
   (* the attempt's reads are now part of the committed execution *)
-  (match Hashtbl.find_opt t.pending_reads txn.id with
+  (match Int_tbl.find_opt t.pending_reads txn.id with
    | Some reads -> t.committed_reads <- reads @ t.committed_reads
    | None -> ());
-  Hashtbl.remove t.pending_reads txn.id;
+  Int_tbl.remove t.pending_reads txn.id;
   Runtime.emit t.rt
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
          restarts = st.restarts });
-  Hashtbl.remove t.states txn.id;
+  Int_tbl.remove t.states txn.id;
   t.active <- t.active - 1
 
 and on_reject t txn_id ~ts rejected_copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting then
@@ -191,13 +194,15 @@ and restart t st ~except ~reason =
     (Runtime.Txn_restarted { txn; reason; at = Runtime.now t.rt });
   st.restarts <- st.restarts + 1;
   st.ts <- -1;
-  Hashtbl.remove t.pending_reads txn.id;
+  Int_tbl.remove t.pending_reads txn.id;
   List.iter
-    (fun ((_item, site) as copy) ->
-      if except <> Some copy then
+    (fun ((item, site) as copy) ->
+      match except with
+      | Some (i, s) when i = item && s = site -> ()
+      | Some _ | None ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-abort" (fun () ->
-            Mvto_queue.abort (queue t copy) ~txn:txn.id;
+            Mvto_queue.abort (Copies.get t.queues ~item ~site) ~txn:txn.id;
             drain t copy))
     (read_copies t.rt txn @ write_copies t.rt txn);
   st.phase <- Reading;
@@ -219,10 +224,12 @@ and begin_attempt t st =
   else begin
     let ts = st.ts in
     List.iter
-      (fun ((_item, site) as copy) ->
+      (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-read" (fun () ->
-            match Mvto_queue.read (queue t copy) ~txn:txn.id ~ts with
+            match
+              Mvto_queue.read (Copies.get t.queues ~item ~site) ~txn:txn.id ~ts
+            with
             | Mvto_queue.Value value -> send_value t copy ~reader:txn.id ~ts ~value
             | Mvto_queue.Wait -> ()))
       copies
@@ -233,7 +240,7 @@ and begin_attempt t st =
    ([ts = -1]) to their pending restart, push committed writes forward. *)
 let on_site_crash t site =
   let victims =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun id st acc ->
         if
           st.ts <> -1
@@ -243,17 +250,17 @@ let on_site_crash t site =
         then id :: acc
         else acc)
       t.states []
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   List.iter
     (fun id ->
-      match Hashtbl.find_opt t.states id with
+      match Int_tbl.find_opt t.states id with
       | Some st -> restart t st ~except:None ~reason:Runtime.Site_failure
       | None -> ())
     victims
 
 let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
     ->
     restart t st ~except:None ~reason:Runtime.Site_failure
@@ -266,24 +273,18 @@ let on_site_wipe t site =
   (* MVTO emits no request events (reads are never rejected), so the
      dropped parked reads are only counted, not per-request announced:
      the replay audits key drop markers to [Lock_requested] events. *)
-  let dropped = ref 0 in
-  Hashtbl.iter
-    (fun (_, s) q ->
-      if s = site then
-        dropped := !dropped + List.length (Mvto_queue.wipe_parked q))
-    t.queues;
-  let preserved =
-    Hashtbl.fold
-      (fun (_, s) q n ->
-        if s = site then n + List.length (Mvto_queue.versions q) - 1 else n)
-      t.queues 0
-  in
-  (!dropped, preserved)
+  let dropped = ref 0 and preserved = ref 0 in
+  Copies.iter_site t.queues site (fun _ q ->
+      dropped := !dropped + List.length (Mvto_queue.wipe_parked q);
+      preserved := !preserved + List.length (Mvto_queue.versions q) - 1);
+  (!dropped, !preserved)
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0; committed_reads = []; pending_reads = Hashtbl.create 32 }
+    { rt; config;
+      queues = Copies.create (Runtime.catalog rt) Mvto_queue.create;
+      states = Int_tbl.create 64; active = 0; committed_reads = [];
+      pending_reads = Int_tbl.create 32 }
   in
   Runtime.on_site_crash rt (fun site -> on_site_crash t site);
   Runtime.on_stall rt (fun txn -> on_stall t txn);
@@ -292,13 +293,13 @@ let create ?(config = default_config) rt =
   t
 
 let submit t txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
+  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
     invalid_arg "Mvto_system.submit: duplicate transaction id";
   let st =
     { txn; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
       phase = Reading; awaiting = [] }
   in
-  Hashtbl.add t.states txn.id st;
+  Int_tbl.add t.states txn.id st;
   t.active <- t.active + 1;
   Runtime.track t.rt txn.id;
   begin_attempt t st
@@ -311,7 +312,8 @@ let verify t =
   let reads_ok =
     List.for_all
       (fun r ->
-        let q = queue t r.r_copy in
+        let item, site = r.r_copy in
+        let q = Copies.get t.queues ~item ~site in
         let governing =
           List.fold_left
             (fun acc (ts, value, committed) ->
@@ -325,8 +327,8 @@ let verify t =
   in
   (* the physical store holds each copy's newest committed version *)
   let store_ok =
-    Hashtbl.fold
-      (fun (item, site) q acc ->
+    Copies.fold
+      (fun ~item ~site q acc ->
         acc
         && snd (Mvto_queue.latest_committed q)
            = Ccdb_storage.Store.read (Runtime.store t.rt) ~item ~site)

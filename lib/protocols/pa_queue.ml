@@ -28,11 +28,12 @@ let sort t = t.entries <- List.stable_sort compare_entries t.entries
 let granted_max t op =
   List.fold_left
     (fun acc e ->
-      if e.granted && Ccdb_model.Op.equal e.op op then max acc e.ts else acc)
+      if e.granted && Ccdb_model.Op.equal e.op op then Int.max acc e.ts
+      else acc)
     (-1) t.entries
 
-let r_ts t = max t.r_released (granted_max t Ccdb_model.Op.Read)
-let w_ts t = max t.w_released (granted_max t Ccdb_model.Op.Write)
+let r_ts t = Int.max t.r_released (granted_max t Ccdb_model.Op.Read)
+let w_ts t = Int.max t.w_released (granted_max t Ccdb_model.Op.Write)
 
 let request t ~txn ~site ~ts ~interval ~op =
   if List.exists (fun e -> e.txn = txn) t.entries then
@@ -40,7 +41,7 @@ let request t ~txn ~site ~ts ~interval ~op =
   let floor =
     match op with
     | Ccdb_model.Op.Read -> w_ts t
-    | Ccdb_model.Op.Write -> max (w_ts t) (r_ts t)
+    | Ccdb_model.Op.Write -> Int.max (w_ts t) (r_ts t)
   in
   let entry =
     { txn; site; interval; op; ts; blocked = false; granted = false;
@@ -105,8 +106,8 @@ let release t ~txn =
   | Some e ->
     t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
     (match e.op with
-     | Ccdb_model.Op.Read -> t.r_released <- max t.r_released e.ts
-     | Ccdb_model.Op.Write -> t.w_released <- max t.w_released e.ts);
+     | Ccdb_model.Op.Read -> t.r_released <- Int.max t.r_released e.ts
+     | Ccdb_model.Op.Write -> t.w_released <- Int.max t.w_released e.ts);
     Some e
 
 let entries t = t.entries

@@ -1,10 +1,17 @@
+module Copies = Ccdb_storage.Copy_table
+module Int_tbl = Ccdb_util.Int_tbl
+module Int_list = Ccdb_util.Int_list
+
 type config = { backoff_interval : int }
 
 let default_config = { backoff_interval = 8 }
 
 type payload_fn = (int -> int) -> (int * int) list
 
-type slot = Waiting | Granted of int | Backed of int
+type slot_state = Waiting | Granted of int | Backed of int
+
+(* one per copy the transaction negotiates *)
+type slot = { item : int; site : int; mutable state : slot_state }
 
 type phase = Negotiating | Computing | Done
 
@@ -15,7 +22,7 @@ type txn_state = {
   mutable ts : int;            (* current timestamp (TS, then TS') *)
   mutable backed_off : bool;   (* already in phase 2 *)
   mutable phase : phase;
-  mutable slots : ((int * int) * slot) list;
+  slots : slot list;
   mutable reads : (int * int) list;
   mutable executed : float;
 }
@@ -23,8 +30,8 @@ type txn_state = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, Pa_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
+  queues : Pa_queue.t Copies.t;
+  states : txn_state Int_tbl.t;
   mutable active : int;
   mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
 }
@@ -48,21 +55,15 @@ let copies_of rt (txn : Ccdb_model.Txn.t) =
   in
   reads @ writes
 
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = Pa_queue.create () in
-    Hashtbl.add t.queues copy q;
-    q
-
-let set_slot st copy slot =
-  st.slots <- List.map (fun (c, s) -> if c = copy then (c, slot) else (c, s)) st.slots
+let set_slot st ~item ~site state =
+  List.iter
+    (fun s -> if s.item = item && s.site = site then s.state <- state)
+    st.slots
 
 (* --- grant pump -------------------------------------------------------- *)
 
-let rec pump t ((item, site) as copy) =
-  let q = queue t copy in
+let rec pump t ~item ~site =
+  let q = Copies.get t.queues ~item ~site in
   let newly = Pa_queue.grant_ready q ~now:(Runtime.now t.rt) in
   let store = Runtime.store t.rt in
   List.iter
@@ -81,35 +82,40 @@ let rec pump t ((item, site) as copy) =
       let value = Ccdb_storage.Store.read store ~item ~site in
       let ts = e.ts in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:e.site
-        ~kind:"pa-grant" (fun () -> on_grant t e.txn ~ts copy value))
+        ~kind:"pa-grant" (fun () -> on_grant t e.txn ~ts ~item ~site value))
     newly
 
-and on_grant t txn_id ~ts copy value =
-  match Hashtbl.find_opt t.states txn_id with
+and on_grant t txn_id ~ts ~item ~site value =
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
-      set_slot st copy (Granted value);
+      set_slot st ~item ~site (Granted value);
       check_negotiation t st
     end
 
-and on_backoff t txn_id ~ts ~op copy ts' =
-  match Hashtbl.find_opt t.states txn_id with
+and on_backoff t txn_id ~ts ~op ~item ~site ts' =
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
       Runtime.emit t.rt
         (Runtime.Pa_backoff { txn = txn_id; op; at = Runtime.now t.rt });
-      set_slot st copy (Backed ts');
+      set_slot st ~item ~site (Backed ts');
       check_negotiation t st
     end
 
 and check_negotiation t st =
-  let undecided = List.exists (fun (_, s) -> s = Waiting) st.slots in
+  let undecided =
+    List.exists
+      (fun s ->
+        match s.state with Waiting -> true | Granted _ | Backed _ -> false)
+      st.slots
+  in
   if not undecided then begin
     let backs =
       List.filter_map
-        (fun (_, s) -> match s with Backed ts' -> Some ts' | _ -> None)
+        (fun s -> match s.state with Backed ts' -> Some ts' | _ -> None)
         st.slots
     in
     match backs with
@@ -119,22 +125,25 @@ and check_negotiation t st =
          every queue; everything re-enters Waiting *)
       assert (not st.backed_off);
       st.backed_off <- true;
-      let ts' = List.fold_left max st.ts backs in
+      let ts' = List.fold_left Int.max st.ts backs in
       st.ts <- ts';
-      st.slots <- List.map (fun (c, _) -> (c, Waiting)) st.slots;
+      List.iter (fun s -> s.state <- Waiting) st.slots;
       st.reads <- [];
       List.iter
-        (fun ((item, site), _) ->
+        (fun { item; site; _ } ->
           Ccdb_sim.Net.send (Runtime.net t.rt) ~src:st.txn.site ~dst:site
             ~kind:"pa-update" (fun () ->
-              (match Pa_queue.update_ts (queue t (item, site)) ~txn:st.txn.id ~ts:ts' with
+              (match
+                 Pa_queue.update_ts (Copies.get t.queues ~item ~site)
+                   ~txn:st.txn.id ~ts:ts'
+               with
                | (`Moved | `Revoked | `Absent) as r ->
                  if r <> `Absent then
                    Runtime.emit t.rt
                      (Runtime.Ts_updated
                         { txn = st.txn.id; item; site; ts = ts';
                           revoked = (r = `Revoked); at = Runtime.now t.rt }));
-              pump t (item, site)))
+              pump t ~item ~site))
         st.slots
   end
 
@@ -143,11 +152,13 @@ and start_compute t st =
   let copies = copies_of t.rt st.txn in
   List.iter
     (fun (item, site, _) ->
-      match List.assoc_opt (item, site) st.slots with
-      | Some (Granted v) ->
-        if not (List.mem_assoc item st.reads) then
+      match
+        List.find_opt (fun s -> s.item = item && s.site = site) st.slots
+      with
+      | Some { state = Granted v; _ } ->
+        if not (Int_list.mem_assoc item st.reads) then
           st.reads <- (item, v) :: st.reads
-      | Some (Waiting | Backed _) | None -> assert false)
+      | Some { state = Waiting | Backed _; _ } | None -> assert false)
     copies;
   st.phase <- Computing;
   ignore
@@ -157,7 +168,7 @@ and start_compute t st =
 and finish t st =
   let txn = st.txn in
   let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
+    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
   in
   let writes =
     match st.payload with
@@ -165,7 +176,7 @@ and finish t st =
     | None -> List.map (fun item -> (item, txn.id)) txn.write_set
   in
   let value_for item =
-    match List.assoc_opt item writes with Some v -> v | None -> txn.id
+    match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
   in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
@@ -183,7 +194,7 @@ and finish t st =
         let action =
           { Ccdb_storage.Wal.item; op; value; attempt = 0; granted_at = 0. }
         in
-        match List.assoc_opt site !by_site with
+        match Int_list.assoc_opt site !by_site with
         | Some r -> r := action :: !r
         | None -> by_site := (site, ref [ action ]) :: !by_site)
       (copies_of t.rt txn);
@@ -202,7 +213,7 @@ and finish t st =
         in
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"pa-release" (fun () ->
-            on_release t (item, site) txn.id op wvalue))
+            on_release t ~item ~site txn.id op wvalue))
       (copies_of t.rt txn);
     commit_txn t st
 
@@ -211,11 +222,11 @@ and commit_txn t st =
     (Runtime.Txn_committed
        { txn = st.txn; submitted_at = st.submitted_at;
          executed_at = st.executed; restarts = 0 });
-  Hashtbl.remove t.states st.txn.id;
+  Int_tbl.remove t.states st.txn.id;
   t.active <- t.active - 1
 
-and on_release t ((item, site) as copy) txn_id op wvalue =
-  match Pa_queue.release (queue t copy) ~txn:txn_id with
+and on_release t ~item ~site txn_id op wvalue =
+  match Pa_queue.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
   | None -> ()
   | Some entry ->
     let store = Runtime.store t.rt in
@@ -232,22 +243,25 @@ and on_release t ((item, site) as copy) txn_id op wvalue =
          { txn = txn_id; protocol = Ccdb_model.Protocol.Pa; op; item; site;
            granted_at = entry.granted_at; at; aborted = false;
            ts = Some entry.ts });
-    pump t copy
+    pump t ~item ~site
 
 (* --- submission --------------------------------------------------------- *)
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
+  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
     invalid_arg "Pa_system.submit: duplicate transaction id";
   let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
   let copies = copies_of t.rt txn in
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; ts; backed_off = false;
       phase = Negotiating;
-      slots = List.map (fun (item, site, _) -> ((item, site), Waiting)) copies;
+      slots =
+        List.map
+          (fun (item, site, _) -> { item; site; state = Waiting })
+          copies;
       reads = []; executed = 0. }
   in
-  Hashtbl.add t.states txn.id st;
+  Int_tbl.add t.states txn.id st;
   t.active <- t.active + 1;
   Runtime.track t.rt txn.id;
   let interval = t.config.backoff_interval in
@@ -255,7 +269,7 @@ let submit t ?payload txn =
     (fun (item, site, op) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"pa-req" (fun () ->
-          let q = queue t (item, site) in
+          let q = Copies.get t.queues ~item ~site in
           let verdict =
             Pa_queue.request q ~txn:txn.id ~site:txn.site ~ts ~interval ~op
           in
@@ -273,27 +287,24 @@ let submit t ?payload txn =
            | Pa_queue.Backoff ts' ->
              Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:txn.site
                ~kind:"pa-backoff" (fun () ->
-                 on_backoff t txn.id ~ts ~op (item, site) ts'));
-          pump t (item, site)))
+                 on_backoff t txn.id ~ts ~op ~item ~site ts'));
+          pump t ~item ~site))
     copies
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0; committer = None }
+    { rt; config; queues = Copies.create (Runtime.catalog rt) Pa_queue.create;
+      states = Int_tbl.create 64; active = 0; committer = None }
   in
   if Runtime.durable rt then begin
     (* Fail-stop wipe: every PA entry survives — admissions and back-offs
        were acknowledged during negotiation (Corollary 1 forbids dropping
        them into a restart) — so the wipe only reports preserved counts. *)
     Runtime.on_site_wipe rt (fun site ->
-        let preserved =
-          Hashtbl.fold
-            (fun (_, s) q n ->
-              if s = site then n + List.length (Pa_queue.entries q) else n)
-            t.queues 0
-        in
-        (0, preserved));
+        let preserved = ref 0 in
+        Copies.iter_site t.queues site (fun _ q ->
+            preserved := !preserved + List.length (Pa_queue.entries q));
+        (0, !preserved));
     t.committer <-
       Some
         (Commit.create rt
@@ -301,11 +312,11 @@ let create ?(config = default_config) rt =
                (fun ~txn ~site actions ->
                  List.iter
                    (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release t (a.item, site) txn a.op a.value)
+                     on_release t ~item:a.item ~site txn a.op a.value)
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Hashtbl.find_opt t.states txn with
+                 match Int_tbl.find_opt t.states txn with
                  | Some st -> commit_txn t st
                  | None -> ()) })
   end;

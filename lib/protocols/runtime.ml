@@ -217,7 +217,7 @@ type t = {
   mutable listeners : (event -> unit) list;
   (* --- stall watchdog (active only under an installed fault plan) ------- *)
   stall_timeout : float;
-  last_activity : (int, float) Hashtbl.t; (* tracked in-flight txns *)
+  last_activity : float Ccdb_util.Int_tbl.t; (* tracked in-flight txns *)
   mutable stall_handlers : (int -> unit) list; (* newest first *)
   mutable watchdog_on : bool;
   (* --- durability (active only when the fault plan says wipe=true) ------ *)
@@ -251,10 +251,12 @@ let subscribe t f = t.listeners <- f :: t.listeners
 
 (* Refresh a tracked transaction's activity stamp.  Only transactions the
    owning system registered with [track] are refreshed — the table must
-   never resurrect an entry after Txn_committed removed it. *)
+   never resurrect an entry after Txn_committed removed it.  Fault-free
+   runs track nothing, so the empty table is skipped without a probe. *)
 let touch t txn =
-  if Hashtbl.mem t.last_activity txn then
-    Hashtbl.replace t.last_activity txn (now t)
+  if Ccdb_util.Int_tbl.length t.last_activity > 0
+     && Ccdb_util.Int_tbl.mem t.last_activity txn
+  then Ccdb_util.Int_tbl.replace t.last_activity txn (now t)
 
 (* Lock-point events double as redo/undo records: under a durable plan every
    grant, release, admission and PA revocation is forced to the site's WAL at
@@ -284,7 +286,7 @@ let emit t event =
   (match event with
    | Txn_committed { txn; submitted_at; executed_at; restarts } ->
      t.counters.committed <- t.counters.committed + 1;
-     Hashtbl.remove t.last_activity txn.Ccdb_model.Txn.id;
+     Ccdb_util.Int_tbl.remove t.last_activity txn.Ccdb_model.Txn.id;
      t.completions <-
        { txn; submitted_at; executed_at; restarts } :: t.completions
    | Txn_restarted { txn; reason; _ } ->
@@ -320,20 +322,20 @@ let emit t event =
    with the retry budget).  The loop stops itself as soon as the tracking
    table empties, so it never keeps [quiesce] alive. *)
 let rec watchdog_sweep t () =
-  if Hashtbl.length t.last_activity = 0 then t.watchdog_on <- false
+  if Ccdb_util.Int_tbl.length t.last_activity = 0 then t.watchdog_on <- false
   else begin
     let at = now t in
     let stalled =
-      Hashtbl.fold
+      Ccdb_util.Int_tbl.fold
         (fun txn last acc ->
           if at -. last >= t.stall_timeout then txn :: acc else acc)
         t.last_activity []
-      |> List.sort compare
+      |> List.sort Int.compare
     in
     List.iter
       (fun txn ->
-        if Hashtbl.mem t.last_activity txn then begin
-          Hashtbl.replace t.last_activity txn at;
+        if Ccdb_util.Int_tbl.mem t.last_activity txn then begin
+          Ccdb_util.Int_tbl.replace t.last_activity txn at;
           List.iter (fun f -> f txn) (List.rev t.stall_handlers)
         end)
       stalled;
@@ -344,7 +346,7 @@ let rec watchdog_sweep t () =
 
 let track t txn =
   if faults_enabled t then begin
-    Hashtbl.replace t.last_activity txn (now t);
+    Ccdb_util.Int_tbl.replace t.last_activity txn (now t);
     if not t.watchdog_on then begin
       t.watchdog_on <- true;
       ignore
@@ -378,7 +380,7 @@ let restart_backoff t ~site ~base ~attempt =
       invalid_arg "Runtime.restart_backoff: site out of range";
     if base <= 0. then base
     else
-      let doubled = base *. (2. ** float_of_int (min attempt 16)) in
+      let doubled = base *. (2. ** float_of_int (Int.min attempt 16)) in
       let capped = Float.min t.restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
@@ -416,7 +418,7 @@ let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
       completions = [];
       listeners = [];
       stall_timeout;
-      last_activity = Hashtbl.create 64;
+      last_activity = Ccdb_util.Int_tbl.create 64;
       stall_handlers = [];
       watchdog_on = false;
       durable =

@@ -17,18 +17,22 @@ type entry = {
 (* The [(txn, op)] index mirrors the pending list: the duplicate-request
    guard, [commit_write] and [abort] become hash probes instead of scans of
    every pending entry.  At most one entry per key exists (the guard
-   enforces it), so plain add/remove keeps the two in sync. *)
+   enforces it), so plain add/remove keeps the two in sync.  [key] packs
+   [(txn, op)] into one int. *)
 type t = {
   thomas_write_rule : bool;
   mutable entries : entry list; (* pending only, sorted by timestamp *)
-  index : (int * Ccdb_model.Op.kind, entry) Hashtbl.t;
+  index : entry Ccdb_util.Int_tbl.t;
   mutable r_ts : int;
   mutable w_ts : int;
 }
 
 let create ?(thomas_write_rule = false) () =
-  { thomas_write_rule; entries = []; index = Hashtbl.create 16; r_ts = -1;
-    w_ts = -1 }
+  { thomas_write_rule; entries = []; index = Ccdb_util.Int_tbl.create 16;
+    r_ts = -1; w_ts = -1 }
+
+let key txn (op : Ccdb_model.Op.kind) =
+  (2 * txn) + match op with Ccdb_model.Op.Read -> 0 | Ccdb_model.Op.Write -> 1
 
 let r_ts t = t.r_ts
 let w_ts t = t.w_ts
@@ -41,7 +45,7 @@ let insert_sorted entries e =
   go entries
 
 let request t ~txn ~ts ~op =
-  if Hashtbl.mem t.index (txn, op) then
+  if Ccdb_util.Int_tbl.mem t.index (key txn op) then
     invalid_arg "To_queue.request: duplicate request";
   let verdict =
     match op with
@@ -56,18 +60,18 @@ let request t ~txn ~ts ~op =
   else begin
     let e = { e_txn = txn; e_ts = ts; e_op = op; e_value = None } in
     t.entries <- insert_sorted t.entries e;
-    Hashtbl.add t.index (txn, op) e;
+    Ccdb_util.Int_tbl.add t.index (key txn op) e;
     Accepted
   end
 
 let commit_write t ~txn ~value =
-  match Hashtbl.find_opt t.index (txn, Ccdb_model.Op.Write) with
+  match Ccdb_util.Int_tbl.find_opt t.index (key txn Ccdb_model.Op.Write) with
   | Some e -> e.e_value <- Some value
   | None -> ()
 
 let abort t ~txn =
-  Hashtbl.remove t.index (txn, Ccdb_model.Op.Read);
-  Hashtbl.remove t.index (txn, Ccdb_model.Op.Write);
+  Ccdb_util.Int_tbl.remove t.index (key txn Ccdb_model.Op.Read);
+  Ccdb_util.Int_tbl.remove t.index (key txn Ccdb_model.Op.Write);
   t.entries <- List.filter (fun e -> e.e_txn <> txn) t.entries
 
 let wipe_reads t =
@@ -77,7 +81,9 @@ let wipe_reads t =
       t.entries
   in
   t.entries <- kept;
-  List.iter (fun e -> Hashtbl.remove t.index (e.e_txn, e.e_op)) dropped;
+  List.iter
+    (fun e -> Ccdb_util.Int_tbl.remove t.index (key e.e_txn e.e_op))
+    dropped;
   List.map (fun e -> e.e_txn) dropped
 
 let perform_ready t =
@@ -91,13 +97,13 @@ let perform_ready t =
       let performable =
         match e.e_op with
         | Ccdb_model.Op.Read -> not kept_write
-        | Ccdb_model.Op.Write -> (not kept_any) && e.e_value <> None
+        | Ccdb_model.Op.Write -> (not kept_any) && Option.is_some e.e_value
       in
       if performable then begin
         (match e.e_op with
-         | Ccdb_model.Op.Read -> t.r_ts <- max t.r_ts e.e_ts
-         | Ccdb_model.Op.Write -> t.w_ts <- max t.w_ts e.e_ts);
-        Hashtbl.remove t.index (e.e_txn, e.e_op);
+         | Ccdb_model.Op.Read -> t.r_ts <- Int.max t.r_ts e.e_ts
+         | Ccdb_model.Op.Write -> t.w_ts <- Int.max t.w_ts e.e_ts);
+        Ccdb_util.Int_tbl.remove t.index (key e.e_txn e.e_op);
         performed :=
           { txn = e.e_txn; ts = e.e_ts; op = e.e_op; value = e.e_value }
           :: !performed;

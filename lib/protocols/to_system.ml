@@ -1,3 +1,7 @@
+module Copies = Ccdb_storage.Copy_table
+module Int_tbl = Ccdb_util.Int_tbl
+module Int_list = Ccdb_util.Int_list
+
 type config = { restart_delay : float; thomas_write_rule : bool }
 
 let default_config = { restart_delay = 50.; thomas_write_rule = false }
@@ -22,8 +26,8 @@ type txn_state = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, To_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
+  queues : To_queue.t Copies.t;
+  states : txn_state Int_tbl.t;
   mutable active : int;
 }
 
@@ -43,18 +47,10 @@ let write_copies rt (txn : Ccdb_model.Txn.t) =
         (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
     txn.write_set
 
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = To_queue.create ~thomas_write_rule:t.config.thomas_write_rule () in
-    Hashtbl.add t.queues copy q;
-    q
-
 (* Implement everything the queue made performable: log the reads and send
    their values home, apply the committed writes. *)
 let rec drain t ((item, site) as copy) =
-  let q = queue t copy in
+  let q = Copies.get t.queues ~item ~site in
   let performed = To_queue.perform_ready q in
   let store = Runtime.store t.rt in
   List.iter
@@ -75,7 +71,7 @@ let rec drain t ((item, site) as copy) =
                aborted = false; ts = Some p.ts });
         (* the write phase of the issuing transaction completes only when
            its writes have been applied: acknowledge *)
-        (match Hashtbl.find_opt t.states p.txn with
+        (match Int_tbl.find_opt t.states p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -85,7 +81,7 @@ let rec drain t ((item, site) as copy) =
       | Ccdb_model.Op.Read, _ ->
         Ccdb_storage.Store.log_read store ~item ~site ~txn:p.txn ~at;
         let value = Ccdb_storage.Store.read store ~item ~site in
-        (match Hashtbl.find_opt t.states p.txn with
+        (match Int_tbl.find_opt t.states p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -94,13 +90,14 @@ let rec drain t ((item, site) as copy) =
     performed
 
 and on_read_value t txn_id ~ts copy value =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Reading && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+    if st.ts = ts && st.phase = Reading && Int_list.mem_pair copy st.awaiting
+    then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       let item = fst copy in
-      if not (List.mem_assoc item st.reads) then
+      if not (Int_list.mem_assoc item st.reads) then
         st.reads <- (item, value) :: st.reads;
       if st.awaiting = [] then start_compute t st
     end
@@ -114,7 +111,7 @@ and start_compute t st =
 and send_prewrites t st =
   let txn = st.txn in
   let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
+    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
   in
   st.write_values <-
     (match st.payload with
@@ -130,7 +127,7 @@ and send_prewrites t st =
       (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-prewrite" (fun () ->
-            let q = queue t copy in
+            let q = Copies.get t.queues ~item ~site in
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Write
             in
@@ -162,23 +159,23 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ignored t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
+    if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
     then begin
       st.ignored <- copy :: st.ignored;
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then commit t st
     end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
+    if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
     then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then commit t st
     end
 
@@ -186,13 +183,13 @@ and commit t st =
   let txn = st.txn in
   st.phase <- Done;
   let value_for item =
-    match List.assoc_opt item st.write_values with
+    match Int_list.assoc_opt item st.write_values with
     | Some v -> v
     | None -> txn.id
   in
   let copies =
     List.filter
-      (fun copy -> not (List.mem copy st.ignored))
+      (fun copy -> not (Int_list.mem_pair copy st.ignored))
       (write_copies t.rt txn)
   in
   st.awaiting <- copies;
@@ -201,17 +198,19 @@ and commit t st =
       let value = value_for item in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"to-commit" (fun () ->
-          To_queue.commit_write (queue t copy) ~txn:txn.id ~value;
+          To_queue.commit_write (Copies.get t.queues ~item ~site) ~txn:txn.id
+            ~value;
           drain t copy))
     copies;
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
-    if st.ts = ts && st.phase = Done && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+    if st.ts = ts && st.phase = Done && Int_list.mem_pair copy st.awaiting
+    then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then finalize t st
     end
 
@@ -222,11 +221,11 @@ and finalize t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
          restarts = st.restarts });
-  Hashtbl.remove t.states txn.id;
+  Int_tbl.remove t.states txn.id;
   t.active <- t.active - 1
 
 and on_reject t txn_id ~ts rejected_copy op =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && (st.phase = Reading || st.phase = Prewriting) then
@@ -251,10 +250,12 @@ and restart t st ~except ~reason =
   in
   List.iter
     (fun ((item, site) as copy) ->
-      if except <> Some copy then
+      match except with
+      | Some (i, s) when i = item && s = site -> ()
+      | Some _ | None ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-abort" (fun () ->
-            To_queue.abort (queue t copy) ~txn:txn.id;
+            To_queue.abort (Copies.get t.queues ~item ~site) ~txn:txn.id;
             Runtime.emit t.rt
               (Runtime.Request_withdrawn
                  { txn = txn.id; item; site; at = Runtime.now t.rt });
@@ -290,7 +291,7 @@ and begin_attempt t st =
       (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-read" (fun () ->
-            let q = queue t copy in
+            let q = Copies.get t.queues ~item ~site in
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Read
             in
@@ -323,7 +324,7 @@ and begin_attempt t st =
    write. *)
 let crash_restart t ~pred ~reason =
   let victims =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun id st acc ->
         if
           st.ts <> -1
@@ -332,11 +333,11 @@ let crash_restart t ~pred ~reason =
         then id :: acc
         else acc)
       t.states []
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   List.iter
     (fun id ->
-      match Hashtbl.find_opt t.states id with
+      match Int_tbl.find_opt t.states id with
       | Some st -> restart t st ~except:None ~reason
       | None -> ())
     victims
@@ -347,36 +348,36 @@ let on_site_crash t site =
       || List.exists (fun (_, s) -> s = site) st.awaiting)
 
 let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
     ->
     restart t st ~except:None ~reason:Runtime.Site_failure
   | Some _ | None -> ()
 
-(* Fail-stop wipe: pending reads are volatile (no value ever left the
-   site); accepted write prewrites were acknowledged and survive, along
-   with the timestamp floors — dropping one would turn its transaction's
-   later commit into a silent no-op. *)
+(* Fail-stop wipe, in ascending item order: pending reads are volatile (no
+   value ever left the site); accepted write prewrites were acknowledged
+   and survive, along with the timestamp floors — dropping one would turn
+   its transaction's later commit into a silent no-op. *)
 let on_site_wipe t site =
   let dropped = ref 0 and preserved = ref 0 in
-  Hashtbl.iter
-    (fun (item, s) q ->
-      if s = site then begin
-        List.iter
-          (fun txn ->
-            incr dropped;
-            Runtime.emit t.rt
-              (Runtime.Request_dropped { txn; item; site; at = Runtime.now t.rt }))
-          (To_queue.wipe_reads q);
-        preserved := !preserved + To_queue.pending q
-      end)
-    t.queues;
+  Copies.iter_site t.queues site (fun item q ->
+      List.iter
+        (fun txn ->
+          incr dropped;
+          Runtime.emit t.rt
+            (Runtime.Request_dropped
+               { txn; item; site; at = Runtime.now t.rt }))
+        (To_queue.wipe_reads q);
+      preserved := !preserved + To_queue.pending q);
   (!dropped, !preserved)
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0 }
+    { rt; config;
+      queues =
+        Copies.create (Runtime.catalog rt) (fun () ->
+            To_queue.create ~thomas_write_rule:config.thomas_write_rule ());
+      states = Int_tbl.create 64; active = 0 }
   in
   Runtime.on_site_crash rt (fun site -> on_site_crash t site);
   Runtime.on_stall rt (fun txn -> on_stall t txn);
@@ -385,14 +386,14 @@ let create ?(config = default_config) rt =
   t
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
+  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
     invalid_arg "To_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
       phase = Reading; awaiting = []; reads = []; write_values = [];
       ignored = [] }
   in
-  Hashtbl.add t.states txn.id st;
+  Int_tbl.add t.states txn.id st;
   t.active <- t.active + 1;
   Runtime.track t.rt txn.id;
   begin_attempt t st

@@ -1,3 +1,7 @@
+module Copies = Ccdb_storage.Copy_table
+module Int_tbl = Ccdb_util.Int_tbl
+module Int_list = Ccdb_util.Int_list
+
 type prevention = No_prevention | Wait_die | Wound_wait
 
 type config = {
@@ -33,8 +37,8 @@ type detector = Central of Deadlock.t | Probing of Edge_chasing.t
 type t = {
   rt : Runtime.t;
   config : config;
-  tables : (int * int, Lock_table.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
+  tables : Lock_table.t Copies.t;
+  states : txn_state Int_tbl.t;
   mutable active : int;
   mutable detector : detector option;
   mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
@@ -76,17 +80,10 @@ let copies_of rt (txn : Ccdb_model.Txn.t) =
   in
   reads @ writes
 
-let table t copy =
-  match Hashtbl.find_opt t.tables copy with
-  | Some table -> table
-  | None ->
-    let table = Lock_table.create () in
-    Hashtbl.add t.tables copy table;
-    table
-
 let all_edges t =
-  Hashtbl.fold
-    (fun _ table acc -> List.rev_append (Lock_table.waits_for table) acc)
+  Copies.fold
+    (fun ~item:_ ~site:_ table acc ->
+      List.rev_append (Lock_table.waits_for table) acc)
     t.tables []
 
 (* Commit point: the transaction is durably decided.  Without 2PC this is
@@ -97,7 +94,7 @@ let commit_txn t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = st.executed;
          restarts = st.restarts });
-  Hashtbl.remove t.states txn.id;
+  Int_tbl.remove t.states txn.id;
   t.active <- t.active - 1;
   if t.active = 0 then
     match t.detector with
@@ -118,7 +115,7 @@ let participants_of st value_for =
       let action =
         { Ccdb_storage.Wal.item; op; value; attempt = st.attempt; granted_at }
       in
-      match List.assoc_opt site !by_site with
+      match Int_list.assoc_opt site !by_site with
       | Some r -> r := action :: !r
       | None -> by_site := (site, ref [ action ]) :: !by_site)
     st.granted;
@@ -128,13 +125,13 @@ let participants_of st value_for =
 (* --- grant pump ------------------------------------------------------- *)
 
 let rec pump t ((item, site) as copy) =
-  let tbl = table t copy in
+  let tbl = Copies.get t.tables ~item ~site in
   let newly = Lock_table.grant_ready tbl in
   List.iter (send_grant t copy item site) newly
 
 and send_grant t copy item site (entry : Lock_table.entry) =
   let store = Runtime.store t.rt in
-  match Hashtbl.find_opt t.states entry.txn with
+  match Int_tbl.find_opt t.states entry.txn with
   | None -> () (* transaction already gone; release will never come, but an
                   abort for this attempt is in flight and will clean up *)
   | Some st ->
@@ -156,16 +153,16 @@ and send_grant t copy item site (entry : Lock_table.entry) =
         on_grant t entry.txn attempt copy entry.op value)
 
 and on_grant t txn_id attempt copy op value =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | None -> ()
   | Some st ->
     if st.attempt = attempt && st.phase = Waiting
-       && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+       && Int_list.mem_pair copy st.awaiting then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       notify_progress t txn_id;
       st.granted <- (copy, op, Runtime.now t.rt) :: st.granted;
       let item = fst copy in
-      if not (List.mem_assoc item st.reads) then
+      if not (Int_list.mem_assoc item st.reads) then
         st.reads <- (item, value) :: st.reads;
       if st.awaiting = [] then begin
         st.phase <- Computing;
@@ -179,7 +176,7 @@ and on_grant t txn_id attempt copy op value =
 and finish t st =
   let txn = st.txn in
   let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
+    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
   in
   let writes =
     match st.payload with
@@ -187,7 +184,7 @@ and finish t st =
     | None -> List.map (fun item -> (item, txn.id)) txn.write_set
   in
   let value_for item =
-    match List.assoc_opt item writes with Some v -> v | None -> txn.id
+    match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
   in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
@@ -214,7 +211,7 @@ and finish t st =
     commit_txn t st
 
 and on_release t ((item, site) as copy) txn_id attempt op wvalue granted_at =
-  let tbl = table t copy in
+  let tbl = Copies.get t.tables ~item ~site in
   match Lock_table.release tbl ~txn:txn_id ~attempt with
   | None -> ()
   | Some _entry ->
@@ -234,6 +231,11 @@ and on_release t ((item, site) as copy) txn_id attempt op wvalue granted_at =
     pump t copy
 
 (* --- submission and restart ------------------------------------------ *)
+
+let rec granted_at_of ~(item : int) ~(site : int) = function
+  | [] -> None
+  | ((i, s), _, at) :: rest ->
+    if i = item && s = site then Some at else granted_at_of ~item ~site rest
 
 (* Conflicting entries of other transactions already queued or granted at
    this table: the transactions a new request would wait behind. *)
@@ -256,7 +258,7 @@ let rec send_requests t st =
       let attempt = st.attempt in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"lock-req" (fun () ->
-          let tbl = table t (item, site) in
+          let tbl = Copies.get t.tables ~item ~site in
           let proceed () =
             ignore (Lock_table.request tbl ~txn:txn.id ~attempt ~op);
             Runtime.emit t.rt
@@ -287,7 +289,7 @@ let rec send_requests t st =
             List.iter
               (fun (e : Lock_table.entry) ->
                 if e.txn > txn.id then
-                  match Hashtbl.find_opt t.states e.txn with
+                  match Int_tbl.find_opt t.states e.txn with
                   | Some victim_st ->
                     Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site
                       ~dst:victim_st.txn.site ~kind:"wound" (fun () ->
@@ -298,7 +300,7 @@ let rec send_requests t st =
     copies
 
 and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
-  match Hashtbl.find_opt t.states victim with
+  match Int_tbl.find_opt t.states victim with
   | None -> ()
   | Some st ->
     if st.phase = Waiting then begin
@@ -306,9 +308,7 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
       notify_unblocked t victim;
       let txn = st.txn in
       let old_attempt = st.attempt in
-      let granted_times =
-        List.map (fun (copy, op, at) -> (copy, (op, at))) st.granted
-      in
+      let granted = st.granted in
       Runtime.emit t.rt
         (Runtime.Txn_restarted { txn; reason; at = Runtime.now t.rt });
       (* withdraw every request, granted or not *)
@@ -316,14 +316,14 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
         (fun (item, site, op) ->
           Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
             ~kind:"lock-abort" (fun () ->
-              let tbl = table t (item, site) in
+              let tbl = Copies.get t.tables ~item ~site in
               match Lock_table.release tbl ~txn:txn.id ~attempt:old_attempt with
               | None -> ()
               | Some entry ->
                 (if entry.granted then begin
                    let granted_at =
-                     match List.assoc_opt (item, site) granted_times with
-                     | Some (_, at) -> at
+                     match granted_at_of ~item ~site granted with
+                     | Some at -> at
                      | None -> Runtime.now t.rt
                    in
                    Runtime.emit t.rt
@@ -366,12 +366,12 @@ let depends_on_site st site =
 
 let on_site_crash t site =
   let victims =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun id st acc ->
         if st.phase = Waiting && depends_on_site st site then id :: acc
         else acc)
       t.states []
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   List.iter (abort_victim ~reason:Runtime.Site_failure t) victims
 
@@ -379,47 +379,43 @@ let on_site_crash t site =
    stall timeout lost traffic the transport gave up on (retry budget
    exhausted).  Restarting re-issues every request. *)
 let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
+  match Int_tbl.find_opt t.states txn_id with
   | Some st when st.phase = Waiting ->
     abort_victim ~reason:Runtime.Site_failure t txn_id
   | Some _ | None -> ()
 
 (* wait-for targets of [txn] across the lock tables hosted at [site] *)
 let local_waits_on t ~site ~txn =
-  Hashtbl.fold
-    (fun (_, s) table acc ->
-      if s <> site then acc
-      else
-        List.fold_left
-          (fun acc (waiter, holder) -> if waiter = txn then holder :: acc else acc)
-          acc (Lock_table.waits_for table))
-    t.tables []
-  |> List.sort_uniq Int.compare
+  let holders = ref [] in
+  Copies.iter_site t.tables site (fun _ table ->
+      List.iter
+        (fun (waiter, holder) ->
+          if waiter = txn then holders := holder :: !holders)
+        (Lock_table.waits_for table));
+  List.sort_uniq Int.compare !holders
 
-(* Fail-stop wipe of the lock tables hosted at [site]: waiting requests are
-   volatile and vanish; granted locks are WAL-backed and survive in place. *)
+(* Fail-stop wipe of the lock tables hosted at [site], in ascending item
+   order: waiting requests are volatile and vanish; granted locks are
+   WAL-backed and survive in place. *)
 let on_site_wipe t site =
   let dropped = ref 0 and preserved = ref 0 in
-  Hashtbl.iter
-    (fun (item, s) tbl ->
-      if s = site then begin
-        let gone = Lock_table.wipe_waiting tbl in
-        List.iter
-          (fun (e : Lock_table.entry) ->
-            incr dropped;
-            Runtime.emit t.rt
-              (Runtime.Request_dropped
-                 { txn = e.txn; item; site; at = Runtime.now t.rt }))
-          gone;
-        preserved := !preserved + List.length (Lock_table.entries tbl)
-      end)
-    t.tables;
+  Copies.iter_site t.tables site (fun item tbl ->
+      List.iter
+        (fun (e : Lock_table.entry) ->
+          incr dropped;
+          Runtime.emit t.rt
+            (Runtime.Request_dropped
+               { txn = e.txn; item; site; at = Runtime.now t.rt }))
+        (Lock_table.wipe_waiting tbl);
+      preserved := !preserved + List.length (Lock_table.entries tbl));
   (!dropped, !preserved)
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; tables = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0; detector = None; committer = None }
+    { rt; config;
+      tables = Copies.create (Runtime.catalog rt) Lock_table.create;
+      states = Int_tbl.create 64; active = 0; detector = None;
+      committer = None }
   in
   let detector =
     match config.detection with
@@ -430,7 +426,7 @@ let create ?(config = default_config) rt =
            ~edges:(fun () -> all_edges t)
            ~choose_victim:(fun cycle ->
              let restarting id =
-               match Hashtbl.find_opt t.states id with
+               match Int_tbl.find_opt t.states id with
                | Some st -> st.phase = Restarting
                | None -> false
              in
@@ -444,7 +440,7 @@ let create ?(config = default_config) rt =
                   { cycle; victim; at = Runtime.now t.rt });
              victim)
            ~victim_site:(fun txn_id ->
-             match Hashtbl.find_opt t.states txn_id with
+             match Int_tbl.find_opt t.states txn_id with
              | Some st when st.phase = Waiting -> Some st.txn.site
              | Some _ | None -> None)
            ~abort:(fun victim -> abort_victim t victim))
@@ -454,17 +450,17 @@ let create ?(config = default_config) rt =
            { Edge_chasing.probe_delay }
            { Edge_chasing.is_waiting =
                (fun txn_id ->
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st -> st.phase = Waiting && st.awaiting <> []
                  | None -> false);
              home_site =
                (fun txn_id ->
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st -> Some st.txn.site
                  | None -> None);
              pending_sites =
                (fun txn_id ->
-                 match Hashtbl.find_opt t.states txn_id with
+                 match Int_tbl.find_opt t.states txn_id with
                  | Some st ->
                    List.sort_uniq Int.compare (List.map snd st.awaiting)
                  | None -> []);
@@ -495,20 +491,20 @@ let create ?(config = default_config) rt =
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Hashtbl.find_opt t.states txn with
+                 match Int_tbl.find_opt t.states txn with
                  | Some st -> commit_txn t st
                  | None -> ()) })
   end;
   t
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
+  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
     invalid_arg "Two_pl_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; attempt = 0; restarts = 0;
       phase = Waiting; awaiting = []; granted = []; reads = []; executed = 0. }
   in
-  Hashtbl.add t.states txn.id st;
+  Int_tbl.add t.states txn.id st;
   t.active <- t.active + 1;
   Runtime.track t.rt txn.id;
   (match t.detector with

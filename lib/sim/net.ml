@@ -49,15 +49,34 @@ type fstats = {
   mutable s_recoveries : int;
 }
 
-(* Per-(src, dst) tables, keyed by the int [src * sites + dst]: an int key
-   hashes and compares inline, where a tuple key would go through the
-   polymorphic hash and compare.  They are only looked up, never iterated,
-   so their order is never observed. *)
-module Channel_tbl = Hashtbl.Make (struct
+(* Int-keyed tables that are only looked up, never iterated, so their
+   order is never observed and the key can be its own hash: the
+   per-(src, dst) channel tables, keyed by [src * sites + dst], and each
+   channel's [ready] and [dead] sets, keyed by sequence number.  An int key
+   hashes and compares inline, where a tuple or generic key would go
+   through the polymorphic hash and compare. *)
+module Lookup_tbl = Hashtbl.Make (struct
   type t = int
 
   let equal (a : int) b = a = b
   let hash (k : int) = k
+end)
+
+(* Per-kind message counters; [messages_by_kind] sorts, so their order is
+   never observed either.  Kinds are short literals: their length and last
+   two bytes spread them well enough, and [equal] settles collisions. *)
+module Kind_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash (k : string) =
+    let n = String.length k in
+    if n < 2 then n
+    else
+      (n * 961)
+      + (Char.code (String.unsafe_get k (n - 1)) * 31)
+      + Char.code (String.unsafe_get k (n - 2))
 end)
 
 (* one logical message of the reliable transport; every physical copy
@@ -78,15 +97,15 @@ type fmessage = {
 and fchannel = {
   mutable next_seq : int;      (* sender side: next sequence number *)
   mutable deliver_next : int;  (* receiver side: next seq to release in order *)
-  ready : (int, fmessage) Hashtbl.t; (* received, waiting for in-order release *)
-  dead : (int, unit) Hashtbl.t;      (* sender exhausted its retry budget *)
+  ready : fmessage Lookup_tbl.t; (* received, waiting for in-order release *)
+  dead : unit Lookup_tbl.t;      (* sender exhausted its retry budget *)
 }
 
 type faults = {
   plan : Fault_plan.t;
   retry : retry;
   frng : Ccdb_util.Rng.t;
-  channels : fchannel Channel_tbl.t;
+  channels : fchannel Lookup_tbl.t;
   crashed : bool array;
   stats : fstats;
   mutable crash_listeners : (int -> unit) list;   (* registration order *)
@@ -97,12 +116,12 @@ type t = {
   engine : Engine.t;
   rng : Ccdb_util.Rng.t;
   config : config;
-  counts : (string, int ref) Hashtbl.t;
+  counts : int ref Kind_tbl.t;
   mutable total : int;
   mutable slowdowns : slowdown list;
   (* Earliest admissible delivery time per ordered (src, dst) pair, to keep
      per-channel delivery FIFO even with jitter. *)
-  channel_front : front Channel_tbl.t;
+  channel_front : front Lookup_tbl.t;
   mutable faults : faults option;
 }
 
@@ -110,20 +129,22 @@ and front = { mutable front : float }
 
 let create engine rng config =
   if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
-  { engine; rng; config; counts = Hashtbl.create 16; total = 0;
-    slowdowns = []; channel_front = Channel_tbl.create 64; faults = None }
+  { engine; rng; config; counts = Kind_tbl.create 16; total = 0;
+    slowdowns = []; channel_front = Lookup_tbl.create 64; faults = None }
 
 let sites t = t.config.sites
 
 let count t kind =
   t.total <- t.total + 1;
-  match Hashtbl.find_opt t.counts kind with
+  match Kind_tbl.find_opt t.counts kind with
   | Some r -> incr r
-  | None -> Hashtbl.add t.counts kind (ref 1)
+  | None -> Kind_tbl.add t.counts kind (ref 1)
 
-let slowdown_factor t =
-  let now = Engine.now t.engine in
-  fun ~src ~dst ->
+let slowdown_factor t ~src ~dst =
+  match t.slowdowns with
+  | [] -> 1.
+  | slowdowns ->
+    let now = Engine.now t.engine in
     List.fold_left
       (fun acc s ->
         let applies_window = now >= s.from_time && now < s.until_time in
@@ -131,7 +152,7 @@ let slowdown_factor t =
           match s.site with None -> true | Some w -> w = src || w = dst
         in
         if applies_window && applies_site then acc *. s.factor else acc)
-      1. t.slowdowns
+      1. slowdowns
 
 (* --- reliable transport over faulty links ------------------------------- *)
 
@@ -149,14 +170,14 @@ let slowdown_factor t =
 
 let fchannel t fr ~src ~dst =
   let key = (src * t.config.sites) + dst in
-  match Channel_tbl.find fr.channels key with
+  match Lookup_tbl.find fr.channels key with
   | ch -> ch
   | exception Not_found ->
     let ch =
-      { next_seq = 0; deliver_next = 0; ready = Hashtbl.create 8;
-        dead = Hashtbl.create 4 }
+      { next_seq = 0; deliver_next = 0; ready = Lookup_tbl.create 8;
+        dead = Lookup_tbl.create 4 }
     in
-    Channel_tbl.add fr.channels key ch;
+    Lookup_tbl.add fr.channels key ch;
     ch
 
 (* transit delay of one physical copy, jitter and extra delay drawn from the
@@ -176,16 +197,16 @@ let faulty_delay t fr (link : Fault_plan.link) ~src ~dst =
 
 let release_ready ch =
   let rec go () =
-    match Hashtbl.find_opt ch.ready ch.deliver_next with
+    match Lookup_tbl.find_opt ch.ready ch.deliver_next with
     | Some m ->
-      Hashtbl.remove ch.ready ch.deliver_next;
-      Hashtbl.remove ch.dead ch.deliver_next;
+      Lookup_tbl.remove ch.ready ch.deliver_next;
+      Lookup_tbl.remove ch.dead ch.deliver_next;
       ch.deliver_next <- ch.deliver_next + 1;
       m.m_deliver ();
       go ()
     | None ->
-      if Hashtbl.mem ch.dead ch.deliver_next then begin
-        Hashtbl.remove ch.dead ch.deliver_next;
+      if Lookup_tbl.mem ch.dead ch.deliver_next then begin
+        Lookup_tbl.remove ch.dead ch.deliver_next;
         ch.deliver_next <- ch.deliver_next + 1;
         go ()
       end
@@ -242,9 +263,9 @@ and arm_retry t fr msg =
 and expire fr msg =
   fr.stats.s_expired <- fr.stats.s_expired + 1;
   let ch = msg.m_channel in
-  if msg.m_seq >= ch.deliver_next && not (Hashtbl.mem ch.ready msg.m_seq)
+  if msg.m_seq >= ch.deliver_next && not (Lookup_tbl.mem ch.ready msg.m_seq)
   then begin
-    Hashtbl.replace ch.dead msg.m_seq ();
+    Lookup_tbl.replace ch.dead msg.m_seq ();
     release_ready ch
   end
 
@@ -259,7 +280,7 @@ and arrive t fr msg =
       msg.m_received <- true;
       let ch = msg.m_channel in
       if msg.m_seq >= ch.deliver_next then begin
-        Hashtbl.replace ch.ready msg.m_seq msg;
+        Lookup_tbl.replace ch.ready msg.m_seq msg;
         release_ready ch
       end
     end
@@ -315,11 +336,11 @@ let send t ~src ~dst ~kind deliver =
     let naive = Engine.now t.engine +. delay in
     let key = (src * n) + dst in
     let f =
-      match Channel_tbl.find t.channel_front key with
+      match Lookup_tbl.find t.channel_front key with
       | f -> f
       | exception Not_found ->
         let f = { front = 0. } in
-        Channel_tbl.add t.channel_front key f;
+        Lookup_tbl.add t.channel_front key f;
         f
     in
     let at = if naive > f.front then naive else f.front +. 1e-9 in
@@ -345,7 +366,7 @@ let install_faults t ?(retry = default_retry) plan =
   let fr =
     { plan; retry;
       frng = Ccdb_util.Rng.create ~seed:(Fault_plan.seed plan);
-      channels = Channel_tbl.create 64;
+      channels = Lookup_tbl.create 64;
       crashed = Array.make t.config.sites false;
       stats =
         { s_transmissions = 0; s_dropped = 0; s_duplicated = 0;
@@ -404,11 +425,11 @@ let on_recover t f =
 let messages_sent t = t.total
 
 let messages_by_kind t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Kind_tbl.fold (fun k r acc -> (k, !r) :: acc) t.counts []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset_counters t =
-  Hashtbl.reset t.counts;
+  Kind_tbl.reset t.counts;
   t.total <- 0
 
 let add_slowdown t site ~from_time ~until_time ~factor =

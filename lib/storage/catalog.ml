@@ -25,11 +25,34 @@ let copies t item =
   if item < 0 || item >= t.items then invalid_arg "Catalog.copies: bad item";
   t.placement.(item)
 
-let has_copy t ~item ~site = List.mem site (copies t item)
+let copy_count t = t.items * t.replication
+
+(* The [k]-th copy of [item] (k < replication) sits at site
+   [(item + k) mod sites], so a site holds a copy exactly when
+   [(site - item) mod sites < replication], and [item * replication + k]
+   numbers the copies densely.  -1 marks a non-copy. *)
+let copy_index t ~item ~site =
+  if item < 0 || item >= t.items || site < 0 || site >= t.sites then -1
+  else begin
+    let k = (site - item) mod t.sites in
+    let k = if k < 0 then k + t.sites else k in
+    if k < t.replication then (item * t.replication) + k else -1
+  end
+
+let copy_id t ~item ~site =
+  let id = copy_index t ~item ~site in
+  if id < 0 then invalid_arg "Catalog.copy_id: no such physical copy";
+  id
+
+let copy_site t id = ((id / t.replication) + (id mod t.replication)) mod t.sites
+
+let has_copy t ~item ~site =
+  if item < 0 || item >= t.items then invalid_arg "Catalog.copies: bad item";
+  copy_index t ~item ~site >= 0
 
 let read_site t ~preferred item =
   let sites = copies t item in
-  if List.mem preferred sites then preferred
+  if copy_index t ~item ~site:preferred >= 0 then preferred
   else
     (* first copy at or after [preferred], cyclically *)
     match List.find_opt (fun s -> s > preferred) sites with

@@ -21,6 +21,22 @@ val copies : t -> int -> int list
     @raise Invalid_argument on an out-of-range item. *)
 
 val has_copy : t -> item:int -> site:int -> bool
+(** O(1).  @raise Invalid_argument on an out-of-range item. *)
+
+val copy_count : t -> int
+(** Number of physical copies, [items * replication]. *)
+
+val copy_id : t -> item:int -> site:int -> int
+(** Dense id of a physical copy in [\[0, copy_count t)]: the [k]-th copy
+    of [item], at site [(item + k) mod sites], is [item * replication + k].
+    O(1), no allocation.  Ids ascend with the item, so iterating ids in
+    order visits items in order.
+    @raise Invalid_argument unless [site] holds a copy of [item] (an
+    out-of-range item or site is not a copy). *)
+
+val copy_site : t -> int -> int
+(** [copy_site t (copy_id t ~item ~site) = site]; the item is
+    [id / replication t]. *)
 
 val read_site : t -> preferred:int -> int -> int
 (** [read_site t ~preferred item] is the site a read of [item] issued at

@@ -9,34 +9,47 @@ type cell = {
   mutable log : log_entry list;               (* newest first *)
 }
 
+(* Cells are created on a copy's first write or logged read; a copy never
+   touched reads as the initial version, so a huge catalog costs nothing
+   until its copies are used. *)
 type t = {
   catalog : Catalog.t;
-  cells : (copy, cell) Hashtbl.t;
+  cells : cell Copy_table.t;
   mutable append_obs : (copy -> log_entry -> unit) list;   (* newest first *)
   mutable discard_obs : (copy -> txn:int -> removed:int -> unit) list;
 }
 
+let initial_history = [ (-1, 0, 0.) ]
+
 let create catalog =
-  let cells = Hashtbl.create 256 in
-  List.iter
-    (fun copy ->
-      Hashtbl.add cells copy
-        { value = 0; writer = -1; history = [ (-1, 0, 0.) ]; log = [] })
-    (Catalog.all_copies catalog);
-  { catalog; cells; append_obs = []; discard_obs = [] }
+  { catalog;
+    cells =
+      Copy_table.create catalog (fun () ->
+          { value = 0; writer = -1; history = initial_history; log = [] });
+    append_obs = []; discard_obs = [] }
 
 let on_append t f = t.append_obs <- f :: t.append_obs
 let on_discard t f = t.discard_obs <- f :: t.discard_obs
 
 let catalog t = t.catalog
 
-let cell t ~item ~site =
-  match Hashtbl.find_opt t.cells (item, site) with
-  | Some c -> c
-  | None -> invalid_arg "Store: no such physical copy"
+let no_copy () = invalid_arg "Store: no such physical copy"
 
-let read t ~item ~site = (cell t ~item ~site).value
-let writer_of t ~item ~site = (cell t ~item ~site).writer
+let cell t ~item ~site =
+  match Copy_table.get t.cells ~item ~site with
+  | c -> c
+  | exception Invalid_argument _ -> no_copy ()
+
+let find_cell t ~item ~site =
+  match Copy_table.find t.cells ~item ~site with
+  | c -> c
+  | exception Invalid_argument _ -> no_copy ()
+
+let read t ~item ~site =
+  match find_cell t ~item ~site with Some c -> c.value | None -> 0
+
+let writer_of t ~item ~site =
+  match find_cell t ~item ~site with Some c -> c.writer | None -> -1
 
 let notify_append t copy entry =
   List.iter (fun f -> f copy entry) t.append_obs
@@ -57,20 +70,32 @@ let log_read t ~item ~site ~txn ~at =
   notify_append t (item, site) entry
 
 let discard_reads t ~item ~site ~txn =
-  let c = cell t ~item ~site in
-  let before = List.length c.log in
-  c.log <-
-    List.filter
-      (fun e -> not (e.txn = txn && e.kind = Ccdb_model.Op.Read))
-      c.log;
-  let removed = before - List.length c.log in
-  if removed > 0 then
-    List.iter (fun f -> f (item, site) ~txn ~removed) t.discard_obs
+  match find_cell t ~item ~site with
+  | None -> ()
+  | Some c ->
+    let before = List.length c.log in
+    c.log <-
+      List.filter
+        (fun e ->
+          not
+            (e.txn = txn
+             && match e.kind with
+                | Ccdb_model.Op.Read -> true
+                | Ccdb_model.Op.Write -> false))
+        c.log;
+    let removed = before - List.length c.log in
+    if removed > 0 then
+      List.iter (fun f -> f (item, site) ~txn ~removed) t.discard_obs
 
-let log t ~item ~site = List.rev (cell t ~item ~site).log
+let log t ~item ~site =
+  match find_cell t ~item ~site with Some c -> List.rev c.log | None -> []
 
 let logs t =
   Catalog.all_copies t.catalog
   |> List.map (fun (item, site) -> ((item, site), log t ~item ~site))
 
-let versions t ~item ~site = List.rev (cell t ~item ~site).history
+let versions t ~item ~site =
+  List.rev
+    (match find_cell t ~item ~site with
+     | Some c -> c.history
+     | None -> initial_history)

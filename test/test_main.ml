@@ -14,4 +14,5 @@ let () =
     @ Test_faults.suites
     @ Test_recovery.suites
     @ Test_parallel.suites
-    @ Test_insights.suites)
+    @ Test_insights.suites
+    @ Test_golden.suites)

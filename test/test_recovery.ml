@@ -322,6 +322,54 @@ let test_e16_runs () =
      in
      contains 0)
 
+(* --- wipe drops in item order -------------------------------------------- *)
+
+(* A fail-stop wipe announces the requests it drops in ascending item
+   order.  On this contended workload the crash of site 2 drops requests
+   on several items in each system whose wipe drops requests. *)
+let test_wipe_drop_order () =
+  let plan =
+    plan_of_string
+      "drop=0.05,crash=1@300+300,crash=2@900+200,wipe=true,seed=11"
+  in
+  let spec = { spec with arrival_rate = 0.12; size_max = 4 } in
+  let setup = { D.default_setup with items = 16 } in
+  List.iter
+    (fun mode ->
+      let name = D.mode_name mode in
+      let trace = ref None in
+      ignore
+        (D.run ~setup ~n_txns:60 ~faults:plan
+           ~observer:(fun rt -> trace := Some (Ccdb_harness.Trace.attach rt))
+           mode spec);
+      (* each wipe emits its drops, then its Site_wiped *)
+      let wipes, _ =
+        List.fold_left
+          (fun (wipes, current) (e : Rt.event) ->
+            match e with
+            | Rt.Request_dropped { item; _ } -> (wipes, item :: current)
+            | Rt.Site_wiped _ -> (List.rev current :: wipes, [])
+            | _ -> (wipes, current))
+          ([], [])
+          (Ccdb_harness.Trace.events (Option.get !trace))
+      in
+      check Alcotest.bool
+        (name ^ " one wipe drops requests on several items")
+        true
+        (List.exists
+           (fun items -> List.length (List.sort_uniq Int.compare items) > 1)
+           wipes);
+      List.iter
+        (fun items ->
+          check
+            (Alcotest.list Alcotest.int)
+            (name ^ " drops in ascending item order")
+            (List.stable_sort Int.compare items)
+            items)
+        wipes)
+    [ D.Pure Ccdb_model.Protocol.Two_pl; D.Pure Ccdb_model.Protocol.T_o;
+      D.Unified ]
+
 let suites =
   [ ( "recovery.systems",
       [ Alcotest.test_case "fail-stop acceptance, all systems" `Slow
@@ -331,7 +379,9 @@ let suites =
         Alcotest.test_case "duplicated decisions, all systems" `Slow
           test_duplicate_decision_delivery;
         Alcotest.test_case "duplicated paxos messages" `Slow
-          test_duplicate_paxos_delivery ] );
+          test_duplicate_paxos_delivery;
+        Alcotest.test_case "wipe drops in item order" `Quick
+          test_wipe_drop_order ] );
     ( "recovery.gating",
       [ Alcotest.test_case "inert without wipe" `Quick
           test_durability_inert_without_wipe;
