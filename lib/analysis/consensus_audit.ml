@@ -19,51 +19,54 @@
    such events and yields no consensus findings. *)
 
 module Rt = Ccdb_protocols.Runtime
+module Lookup = Ccdb_util.Lookup_tbl
 
+(* Only [in_doubt] is iterated, and [finish] sorts what it collects. *)
 type state = {
-  consensus_txns : (int, unit) Hashtbl.t;
+  consensus_txns : unit Lookup.Int.t;
   (* (txn, round) -> (first commit site, first abort site) *)
-  outcomes : (int * int, int option * int option) Hashtbl.t;
-  split_reported : (int * int, unit) Hashtbl.t;
+  outcomes : (int option * int option) Lookup.Pair.t;
+  split_reported : unit Lookup.Pair.t;
   (* (site, txn, round) -> highest ballot promised (incl. accept-implied) *)
-  promised : (int * int * int, int) Hashtbl.t;
+  promised : int Lookup.Triple.t;
   (* prepared, not yet decided: (txn, site) -> prepare event index *)
-  in_doubt : (int * int, int) Hashtbl.t;
-  crashed : (int, unit) Hashtbl.t;
+  in_doubt : int Lookup.Pair.t;
+  crashed : unit Lookup.Int.t;
   mutable findings : Finding.t list; (* newest first, drained by [feed] *)
   mutable idx : int;
 }
 
 let create () =
-  { consensus_txns = Hashtbl.create 16; outcomes = Hashtbl.create 64;
-    split_reported = Hashtbl.create 8; promised = Hashtbl.create 64;
-    in_doubt = Hashtbl.create 64; crashed = Hashtbl.create 8;
+  { consensus_txns = Lookup.Int.create 16; outcomes = Lookup.Pair.create 64;
+    split_reported = Lookup.Pair.create 8; promised = Lookup.Triple.create 64;
+    in_doubt = Lookup.Pair.create 64; crashed = Lookup.Int.create 8;
     findings = []; idx = 0 }
 
 let add st f = st.findings <- f :: st.findings
-let is_consensus st txn = Hashtbl.mem st.consensus_txns txn
+let is_consensus st txn = Lookup.Int.mem st.consensus_txns txn
 
 let feed st event =
   let i = st.idx in
   st.idx <- st.idx + 1;
   (match event with
-   | Rt.Site_crashed { site; _ } -> Hashtbl.replace st.crashed site ()
-   | Rt.Site_recovered { site; _ } -> Hashtbl.remove st.crashed site
-   | Rt.Prepared { txn; site; _ } -> Hashtbl.replace st.in_doubt (txn, site) i
+   | Rt.Site_crashed { site; _ } -> Lookup.Int.replace st.crashed site ()
+   | Rt.Site_recovered { site; _ } -> Lookup.Int.remove st.crashed site
+   | Rt.Prepared { txn; site; _ } ->
+     Lookup.Pair.replace st.in_doubt (txn, site) i
    | Rt.Decision_logged { txn; site; round; commit; _ } ->
-     Hashtbl.remove st.in_doubt (txn, site);
+     Lookup.Pair.remove st.in_doubt (txn, site);
      let c, a =
        Option.value ~default:(None, None)
-         (Hashtbl.find_opt st.outcomes (txn, round))
+         (Lookup.Pair.find_opt st.outcomes (txn, round))
      in
-     let c = if commit && c = None then Some site else c
-     and a = if (not commit) && a = None then Some site else a in
-     Hashtbl.replace st.outcomes (txn, round) (c, a);
+     let c = if commit && Option.is_none c then Some site else c
+     and a = if (not commit) && Option.is_none a then Some site else a in
+     Lookup.Pair.replace st.outcomes (txn, round) (c, a);
      (match (c, a) with
-      | Some cs, Some as_ when is_consensus st txn
-                               && not (Hashtbl.mem st.split_reported (txn, round))
-        ->
-        Hashtbl.replace st.split_reported (txn, round) ();
+      | Some cs, Some as_
+        when is_consensus st txn
+             && not (Lookup.Pair.mem st.split_reported (txn, round)) ->
+        Lookup.Pair.replace st.split_reported (txn, round) ();
         add st
           (Finding.make ~event_index:i ~txns:[ txn ]
              ~check:"consensus.split-decision"
@@ -73,14 +76,18 @@ let feed st event =
                 round txn cs as_))
       | _ -> ())
    | Rt.Acceptor_promised { txn; site; round; ballot; _ } ->
-     Hashtbl.replace st.consensus_txns txn ();
+     Lookup.Int.replace st.consensus_txns txn ();
      let key = (site, txn, round) in
-     let prev = Option.value ~default:0 (Hashtbl.find_opt st.promised key) in
-     if ballot > prev then Hashtbl.replace st.promised key ballot
+     let prev =
+       Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
+     in
+     if ballot > prev then Lookup.Triple.replace st.promised key ballot
    | Rt.Acceptor_accepted { txn; site; round; instance; ballot; _ } ->
-     Hashtbl.replace st.consensus_txns txn ();
+     Lookup.Int.replace st.consensus_txns txn ();
      let key = (site, txn, round) in
-     let prev = Option.value ~default:0 (Hashtbl.find_opt st.promised key) in
+     let prev =
+       Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
+     in
      if ballot < prev then
        add st
          (Finding.make ~event_index:i ~txns:[ txn ]
@@ -89,7 +96,7 @@ let feed st event =
                "acceptor site %d accepted ballot %d for t%d round %d \
                 instance %d below its promise %d"
                site ballot txn round instance prev))
-     else Hashtbl.replace st.promised key ballot
+     else Lookup.Triple.replace st.promised key ballot
    | Rt.Lock_requested _ | Rt.Lock_granted _ | Rt.Lock_promoted _
    | Rt.Lock_transformed _ | Rt.Lock_released _ | Rt.Request_withdrawn _
    | Rt.Ts_updated _ | Rt.Deadlock_detected _ | Rt.Txn_committed _
@@ -102,9 +109,9 @@ let feed st event =
 
 let finish st =
   let stuck =
-    Hashtbl.fold
+    Lookup.Pair.fold
       (fun (txn, site) idx acc ->
-        if is_consensus st txn && not (Hashtbl.mem st.crashed site) then
+        if is_consensus st txn && not (Lookup.Int.mem st.crashed site) then
           (txn, site, idx) :: acc
         else acc)
       st.in_doubt []

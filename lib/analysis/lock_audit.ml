@@ -21,6 +21,8 @@
      grants were, by definition, never promoted). *)
 
 module Rt = Ccdb_protocols.Runtime
+module Pair_tbl = Ccdb_util.Pair_tbl
+module Lookup = Ccdb_util.Lookup_tbl
 
 type held = {
   h_txn : int;
@@ -31,33 +33,47 @@ type held = {
 }
 
 type state = {
-  held : (int * int, held list ref) Hashtbl.t;
-  performed : (int * Ccdb_model.Op.kind * (int * int), unit) Hashtbl.t;
-      (* lockless grants, so their releases are not "unmatched" *)
-  committed : (int, unit) Hashtbl.t;
-  dropped : (int * (int * int), unit) Hashtbl.t;
-      (* requests lost in a site wipe, cleared by a fresh request *)
+  held : held list ref Pair_tbl.t;
+      (* by (item, site); [finish] reports leaked locks in its order *)
+  performed : unit Lookup.Triple.t;
+      (* lockless grants by ([op_key], item, site), so their releases are
+         not "unmatched" *)
+  committed : unit Lookup.Int.t;
+  dropped : unit Lookup.Triple.t;
+      (* requests lost in a site wipe by (txn, item, site), cleared by a
+         fresh request *)
   mutable findings : Finding.t list; (* newest first, drained by [feed] *)
   mutable idx : int;                 (* events fed so far *)
 }
 
 let create () =
-  { held = Hashtbl.create 64; performed = Hashtbl.create 64;
-    committed = Hashtbl.create 64; dropped = Hashtbl.create 16;
+  { held = Pair_tbl.create 64; performed = Lookup.Triple.create 64;
+    committed = Lookup.Int.create 64; dropped = Lookup.Triple.create 16;
     findings = []; idx = 0 }
+
+(* One int per (txn, op), as [To_queue] keys its index. *)
+let op_key txn (op : Ccdb_model.Op.kind) =
+  (2 * txn) + match op with Ccdb_model.Op.Read -> 0 | Ccdb_model.Op.Write -> 1
+
+let rec remove_held h = function
+  | [] -> []
+  | h' :: rest -> if h' == h then rest else h' :: remove_held h rest
 
 let add_finding st f = st.findings <- f :: st.findings
 
 let copy_held st copy =
-  match Hashtbl.find_opt st.held copy with
+  match Pair_tbl.find_opt st.held copy with
   | Some r -> r
   | None ->
     let r = ref [] in
-    Hashtbl.add st.held copy r;
+    Pair_tbl.add st.held copy r;
     r
 
 let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
-  (if Hashtbl.mem st.dropped (txn, (item, site)) then
+  (if
+     Lookup.Triple.length st.dropped > 0
+     && Lookup.Triple.mem st.dropped (txn, item, site)
+   then
      add_finding st
        (Finding.make ~event_index:i ~txns:[ txn ] ~copy:(item, site)
           ~check:"lock.resurrected"
@@ -66,12 +82,12 @@ let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
               re-request in between)"
              txn site)));
   match mode with
-  | None -> Hashtbl.replace st.performed (txn, op, (item, site)) ()
+  | None -> Lookup.Triple.replace st.performed (op_key txn op, item, site) ()
   | Some m ->
     let copy = (item, site) in
     (if
        Ccdb_model.Protocol.equal protocol Ccdb_model.Protocol.Two_pl
-       && Hashtbl.mem st.committed txn
+       && Lookup.Int.mem st.committed txn
      then
        add_finding st
          (Finding.make ~event_index:i ~txns:[ txn ] ~copy
@@ -162,7 +178,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
        !cell
    with
    | Some h ->
-     cell := List.filter (fun h' -> h' != h) !cell;
+     cell := remove_held h !cell;
      if
        (not aborted)
        && Ccdb_model.Lock.schedule_equal h.h_schedule
@@ -173,8 +189,9 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
             ~check:"lock.release-pre-scheduled"
             "lock released while still pre-scheduled (never promoted)")
    | None ->
-     if Hashtbl.mem st.performed (txn, op, copy) then
-       Hashtbl.remove st.performed (txn, op, copy)
+     let key = (op_key txn op, item, site) in
+     if Lookup.Triple.mem st.performed key then
+       Lookup.Triple.remove st.performed key
      else
        add_finding st
          (Finding.make ~severity:Finding.Warning ~event_index:i ~txns:[ txn ]
@@ -183,7 +200,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
   if
     Ccdb_model.Protocol.equal protocol Ccdb_model.Protocol.Two_pl
     && (not aborted)
-    && not (Hashtbl.mem st.committed txn)
+    && not (Lookup.Int.mem st.committed txn)
   then
     add_finding st
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
@@ -215,11 +232,12 @@ let feed st event =
      on_release st i ~txn ~protocol ~op ~item ~site ~aborted
    | Rt.Ts_updated { txn; item; site; revoked; _ } ->
      on_ts_updated st ~txn ~item ~site ~revoked
-   | Rt.Txn_committed { txn; _ } -> Hashtbl.replace st.committed txn.id ()
+   | Rt.Txn_committed { txn; _ } -> Lookup.Int.replace st.committed txn.id ()
    | Rt.Lock_requested { txn; item; site; _ } ->
-     Hashtbl.remove st.dropped (txn, (item, site))
+     if Lookup.Triple.length st.dropped > 0 then
+       Lookup.Triple.remove st.dropped (txn, item, site)
    | Rt.Request_dropped { txn; item; site; _ } ->
-     Hashtbl.replace st.dropped (txn, (item, site)) ()
+     Lookup.Triple.replace st.dropped (txn, item, site) ()
    | Rt.Request_withdrawn _ | Rt.Deadlock_detected _
    | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Site_crashed _
    | Rt.Site_recovered _ | Rt.Site_wiped _ | Rt.Wal_replayed _
@@ -229,7 +247,7 @@ let feed st event =
   drain st
 
 let finish_checks st n_events =
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun copy cell ->
       List.iter
         (fun h ->

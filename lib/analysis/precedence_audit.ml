@@ -29,6 +29,7 @@
    versions. *)
 
 module Rt = Ccdb_protocols.Runtime
+module Lookup = Ccdb_util.Lookup_tbl
 
 type pentry = {
   p_txn : int;
@@ -72,46 +73,46 @@ type cstate = {
 }
 
 type state = {
-  copies : (int * int, cstate) Hashtbl.t;
-  tentative_at : (int, (int * int) list) Hashtbl.t;
+  copies : cstate Lookup.Pair.t; (* by (item, site) *)
+  tentative_at : (int * int) list Lookup.Int.t;
       (* txn -> copies where it has tentative reads *)
   mutable findings : Finding.t list; (* newest first, drained by [feed] *)
   mutable idx : int;                 (* events fed so far *)
 }
 
 let create () =
-  { copies = Hashtbl.create 64; tentative_at = Hashtbl.create 64;
+  { copies = Lookup.Pair.create 64; tentative_at = Lookup.Int.create 64;
     findings = []; idx = 0 }
 
 let add_finding st f = st.findings <- f :: st.findings
 
 let cstate st copy =
-  match Hashtbl.find_opt st.copies copy with
+  match Lookup.Pair.find_opt st.copies copy with
   | Some c -> c
   | None ->
     let c =
       { entries = []; max_ts_seen = 0; arrival_counter = 0; hwm_r = -1;
         hwm_w = -1; impl_any = -1; impl_w = -1; tentative = [] }
     in
-    Hashtbl.add st.copies copy c;
+    Lookup.Pair.add st.copies copy c;
     c
 
 let granted_max c op =
   List.fold_left
     (fun acc e ->
-      if e.p_granted && Ccdb_model.Op.equal e.p_op op then max acc e.p_ts
+      if e.p_granted && Ccdb_model.Op.equal e.p_op op then Int.max acc e.p_ts
       else acc)
     (-1) c.entries
 
 let floor_for c op =
-  let r () = max c.hwm_r (granted_max c Ccdb_model.Op.Read) in
-  let w () = max c.hwm_w (granted_max c Ccdb_model.Op.Write) in
+  let r () = Int.max c.hwm_r (granted_max c Ccdb_model.Op.Read) in
+  let w () = Int.max c.hwm_w (granted_max c Ccdb_model.Op.Write) in
   match op with
   | Ccdb_model.Op.Read -> w ()
-  | Ccdb_model.Op.Write -> max (w ()) (r ())
+  | Ccdb_model.Op.Write -> Int.max (w ()) (r ())
 
 let implemented_max c =
-  List.fold_left (fun acc (_, ts) -> max acc ts) c.impl_any c.tentative
+  List.fold_left (fun acc (_, ts) -> Int.max acc ts) c.impl_any c.tentative
 
 (* E1: implementation order per copy.  A [tentative] read is one
    implemented at grant, which its transaction's restart may withdraw. *)
@@ -137,14 +138,14 @@ let implement ?(tentative = false) st c i ~copy e =
   if tentative then begin
     c.tentative <- (e.p_txn, e.p_ts) :: c.tentative;
     let copies =
-      Option.value ~default:[] (Hashtbl.find_opt st.tentative_at e.p_txn)
+      Option.value ~default:[] (Lookup.Int.find_opt st.tentative_at e.p_txn)
     in
-    if not (List.mem copy copies) then
-      Hashtbl.replace st.tentative_at e.p_txn (copy :: copies)
+    if not (Ccdb_util.Int_list.mem_pair copy copies) then
+      Lookup.Int.replace st.tentative_at e.p_txn (copy :: copies)
   end
-  else c.impl_any <- max c.impl_any e.p_ts;
+  else c.impl_any <- Int.max c.impl_any e.p_ts;
   (match e.p_op with
-   | Ccdb_model.Op.Write -> c.impl_w <- max c.impl_w e.p_ts
+   | Ccdb_model.Op.Write -> c.impl_w <- Int.max c.impl_w e.p_ts
    | Ccdb_model.Op.Read -> ());
   e.p_implemented <- true
 
@@ -158,7 +159,7 @@ let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
         a
       end
       else begin
-        c.max_ts_seen <- max c.max_ts_seen ts;
+        c.max_ts_seen <- Int.max c.max_ts_seen ts;
         -1
       end
     in
@@ -218,7 +219,6 @@ let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
 
 (* E2: may [e] be granted now, given the replayed queue? *)
 let check_grant_order st c i ~copy ~mode e =
-  let earlier = List.filter (fun e' -> compare_prec e' e < 0) c.entries in
   match mode with
   | Some _ ->
     (* lock-holding queues walk the queue in precedence order and stop at
@@ -226,7 +226,7 @@ let check_grant_order st c i ~copy ~mode e =
        its grant *)
     List.iter
       (fun e' ->
-        if not e'.p_granted then
+        if compare_prec e' e < 0 && not e'.p_granted then
           add_finding st
             (Finding.make ~event_index:i ~txns:[ e.p_txn; e'.p_txn ] ~copy
                ~check:"prec.grant-order"
@@ -235,7 +235,7 @@ let check_grant_order st c i ~copy ~mode e =
                    %d) is still %s"
                   e.p_txn e.p_ts e'.p_txn e'.p_ts
                   (if e'.p_blocked then "blocked" else "waiting"))))
-      earlier
+      c.entries
   | None ->
     (* perform-style queues (basic/conservative T/O) may leapfrog
        non-conflicting reads but never a conflicting pending entry *)
@@ -247,7 +247,7 @@ let check_grant_order st c i ~copy ~mode e =
           | Ccdb_model.Op.Read ->
             Ccdb_model.Op.equal e'.p_op Ccdb_model.Op.Write
         in
-        if conflicting then
+        if conflicting && compare_prec e' e < 0 then
           add_finding st
             (Finding.make ~event_index:i ~txns:[ e.p_txn; e'.p_txn ] ~copy
                ~check:"prec.perform-order"
@@ -258,14 +258,19 @@ let check_grant_order st c i ~copy ~mode e =
                   e.p_ts
                   (Ccdb_model.Op.to_string e'.p_op)
                   e'.p_txn e'.p_ts)))
-      earlier
+      c.entries
 
-let remove_entry c e = c.entries <- List.filter (fun e' -> e' != e) c.entries
+let remove_entry c e =
+  let rec drop = function
+    | [] -> []
+    | e' :: rest -> if e' == e then rest else e' :: drop rest
+  in
+  c.entries <- drop c.entries
 
 let advance_hwm c op ts =
   match op with
-  | Ccdb_model.Op.Read -> c.hwm_r <- max c.hwm_r ts
-  | Ccdb_model.Op.Write -> c.hwm_w <- max c.hwm_w ts
+  | Ccdb_model.Op.Read -> c.hwm_r <- Int.max c.hwm_r ts
+  | Ccdb_model.Op.Write -> c.hwm_w <- Int.max c.hwm_w ts
 
 let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
   let c = cstate st copy in
@@ -284,7 +289,7 @@ let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
           p_ts = ts; p_arrival = -1; p_two_pl = false; p_granted = false;
           p_blocked = false; p_implemented = false }
       in
-      c.max_ts_seen <- max c.max_ts_seen ts;
+      c.max_ts_seen <- Int.max c.max_ts_seen ts;
       c.entries <- e :: c.entries;
       e
   in
@@ -362,21 +367,21 @@ let on_reads_discarded st ~txn ~copy =
 
 (* Past its commit point a transaction's reads are final. *)
 let on_committed st ~txn =
-  match Hashtbl.find_opt st.tentative_at txn with
+  match Lookup.Int.find_opt st.tentative_at txn with
   | None -> ()
   | Some copies ->
-    Hashtbl.remove st.tentative_at txn;
+    Lookup.Int.remove st.tentative_at txn;
     List.iter
       (fun copy ->
         let c = cstate st copy in
         let mine, others = List.partition (fun (t, _) -> t = txn) c.tentative in
         c.tentative <- others;
-        List.iter (fun (_, ts) -> c.impl_any <- max c.impl_any ts) mine)
+        List.iter (fun (_, ts) -> c.impl_any <- Int.max c.impl_any ts) mine)
       copies
 
 let on_ts_updated st ~txn ~ts ~copy =
   let c = cstate st copy in
-  c.max_ts_seen <- max c.max_ts_seen ts;
+  c.max_ts_seen <- Int.max c.max_ts_seen ts;
   match List.find_opt (fun e -> e.p_txn = txn) c.entries with
   | None -> ()
   | Some e ->

@@ -36,21 +36,25 @@
 
 module Rt = Ccdb_protocols.Runtime
 module Inc = Ccdb_serial.Incremental
+module Int_tbl = Ccdb_util.Int_tbl
+module Lookup = Ccdb_util.Lookup_tbl
 
 type copy_state = {
   mutable last_writer : int option;
-  readers_since : (int, int) Hashtbl.t; (* txn -> reads since last write *)
+  readers_since : int Int_tbl.t;
+      (* txn -> reads since last write; a write draws its edges in this
+         table's order, so it keeps the generic hash's order *)
 }
 
 type ser = {
   graph : Inc.t;
-  copies : (int * int, copy_state) Hashtbl.t;
-  read_edges : (int * (int * int), (int * int) list ref) Hashtbl.t;
-      (* (txn, copy) -> graph edge instances attributed to txn's reads
-         there: the in-edge recorded at each read and the out-edges to
-         later writes; removed together on Reads_discarded *)
-  impl_count : (int, int) Hashtbl.t;
-  expected : (int, int) Hashtbl.t; (* set at commit, from the catalog *)
+  copies : copy_state Lookup.Pair.t; (* by (item, site) *)
+  read_edges : (int * int) list ref Lookup.Triple.t;
+      (* (txn, item, site) -> graph edge instances attributed to txn's
+         reads there: the in-edge recorded at each read and the out-edges
+         to later writes; removed together on Reads_discarded *)
+  impl_count : int Lookup.Int.t;
+  expected : int Lookup.Int.t; (* set at commit, from the catalog *)
   catalog : Ccdb_storage.Catalog.t option;
 }
 
@@ -72,46 +76,46 @@ let create ?(theorem2 = true) ?catalog () =
     ser =
       (if theorem2 then
          Some
-           { graph = Inc.create (); copies = Hashtbl.create 128;
-             read_edges = Hashtbl.create 128; impl_count = Hashtbl.create 128;
-             expected = Hashtbl.create 128; catalog }
+           { graph = Inc.create (); copies = Lookup.Pair.create 128;
+             read_edges = Lookup.Triple.create 128;
+             impl_count = Lookup.Int.create 128;
+             expected = Lookup.Int.create 128; catalog }
        else None);
     events_fed = 0;
     all = [] }
 
 let copy_state s c =
-  match Hashtbl.find_opt s.copies c with
+  match Lookup.Pair.find_opt s.copies c with
   | Some cs -> cs
   | None ->
-    let cs = { last_writer = None; readers_since = Hashtbl.create 4 } in
-    Hashtbl.add s.copies c cs;
+    let cs = { last_writer = None; readers_since = Int_tbl.create 4 } in
+    Lookup.Pair.add s.copies c cs;
     cs
 
-let record_read_edge s txn c e =
-  match Hashtbl.find_opt s.read_edges (txn, c) with
+let record_read_edge s txn ~item ~site e =
+  match Lookup.Triple.find_opt s.read_edges (txn, item, site) with
   | Some r -> r := e :: !r
-  | None -> Hashtbl.add s.read_edges (txn, c) (ref [ e ])
+  | None -> Lookup.Triple.add s.read_edges (txn, item, site) (ref [ e ])
 
 let bump_impl s txn delta =
   let v =
-    match Hashtbl.find_opt s.impl_count txn with Some v -> v | None -> 0
+    match Lookup.Int.find_opt s.impl_count txn with Some v -> v | None -> 0
   in
-  Hashtbl.replace s.impl_count txn (v + delta)
+  Lookup.Int.replace s.impl_count txn (v + delta)
 
 let maybe_retire s txn =
-  match Hashtbl.find_opt s.expected txn with
+  match Lookup.Int.find_opt s.expected txn with
   | None -> () (* not committed yet, or GC off (no catalog) *)
   | Some expected ->
     let implemented =
-      match Hashtbl.find_opt s.impl_count txn with Some v -> v | None -> 0
+      match Lookup.Int.find_opt s.impl_count txn with Some v -> v | None -> 0
     in
     if implemented >= expected then Inc.retire s.graph txn
 
 let ser_feed s (event : Rt.event) =
   match event with
   | Rt.Op_implemented { txn; op; item; site; _ } ->
-    let c = (item, site) in
-    let cs = copy_state s c in
+    let cs = copy_state s (item, site) in
     (match op with
      | Ccdb_model.Op.Read ->
        (match cs.last_writer with
@@ -121,14 +125,14 @@ let ser_feed s (event : Rt.event) =
                ~prov:
                  { Inc.item; site; from_op = Ccdb_model.Op.Write;
                    to_op = Ccdb_model.Op.Read });
-          record_read_edge s txn c (lw, txn)
+          record_read_edge s txn ~item ~site (lw, txn)
         | Some _ | None -> ());
        let reads =
-         match Hashtbl.find_opt cs.readers_since txn with
+         match Int_tbl.find_opt cs.readers_since txn with
          | Some n -> n
          | None -> 0
        in
-       Hashtbl.replace cs.readers_since txn (reads + 1)
+       Int_tbl.replace cs.readers_since txn (reads + 1)
      | Ccdb_model.Op.Write ->
        (match cs.last_writer with
         | Some lw when lw <> txn ->
@@ -138,7 +142,7 @@ let ser_feed s (event : Rt.event) =
                  { Inc.item; site; from_op = Ccdb_model.Op.Write;
                    to_op = Ccdb_model.Op.Write })
         | Some _ | None -> ());
-       Hashtbl.iter
+       Int_tbl.iter
          (fun u count ->
            if u <> txn then
              for _ = 1 to count do
@@ -147,22 +151,21 @@ let ser_feed s (event : Rt.event) =
                     ~prov:
                       { Inc.item; site; from_op = Ccdb_model.Op.Read;
                         to_op = Ccdb_model.Op.Write });
-               record_read_edge s u c (u, txn)
+               record_read_edge s u ~item ~site (u, txn)
              done)
          cs.readers_since;
-       Hashtbl.reset cs.readers_since;
+       Int_tbl.reset cs.readers_since;
        cs.last_writer <- Some txn);
     bump_impl s txn 1;
     maybe_retire s txn
   | Rt.Reads_discarded { txn; item; site; removed; _ } ->
-    let c = (item, site) in
-    (match Hashtbl.find_opt s.read_edges (txn, c) with
+    (match Lookup.Triple.find_opt s.read_edges (txn, item, site) with
      | Some r ->
        List.iter (fun (src, dst) -> Inc.remove_edge s.graph ~src ~dst) !r;
-       Hashtbl.remove s.read_edges (txn, c)
+       Lookup.Triple.remove s.read_edges (txn, item, site)
      | None -> ());
-    (match Hashtbl.find_opt s.copies c with
-     | Some cs -> Hashtbl.remove cs.readers_since txn
+    (match Lookup.Pair.find_opt s.copies (item, site) with
+     | Some cs -> Int_tbl.remove cs.readers_since txn
      | None -> ());
     bump_impl s txn (-removed);
     maybe_retire s txn
@@ -176,7 +179,7 @@ let ser_feed s (event : Rt.event) =
             acc + List.length (Ccdb_storage.Catalog.copies catalog item))
           (List.length txn.read_set) txn.write_set
       in
-      Hashtbl.replace s.expected txn.id expected;
+      Lookup.Int.replace s.expected txn.id expected;
       maybe_retire s txn.id)
   | _ -> ()
 

@@ -19,37 +19,42 @@
      decision is commit at one site and abort at another. *)
 
 module Rt = Ccdb_protocols.Runtime
+module Int_tbl = Ccdb_util.Int_tbl
+module Pair_tbl = Ccdb_util.Pair_tbl
+module Lookup = Ccdb_util.Lookup_tbl
 
 let protocol_name = Ccdb_model.Protocol.to_string
 
+(* [committed_txns] and [last_decision] are iterated by [finish], in the
+   order its findings come out, so they keep the generic hash's order. *)
 type state = {
   (* latest known protocol per transaction (re-selection may change it
      between attempts) *)
-  protocol_of : (int, Ccdb_model.Protocol.t) Hashtbl.t;
+  protocol_of : Ccdb_model.Protocol.t Lookup.Int.t;
   (* durability bookkeeping *)
-  committed_txns : (int, Ccdb_model.Txn.t) Hashtbl.t;
-  twr_dropped : (int * int * int, unit) Hashtbl.t;
+  committed_txns : Ccdb_model.Txn.t Int_tbl.t;
+  twr_dropped : unit Lookup.Triple.t; (* (txn, item, site) *)
   (* terminal 2PC decision per (txn, site): commits are final, an abort may
      be superseded by a later round's commit *)
-  last_decision : (int * int, bool) Hashtbl.t;
+  last_decision : bool Pair_tbl.t;
   mutable findings : Finding.t list; (* newest first, drained by [feed] *)
   mutable idx : int;
 }
 
 let create () =
-  { protocol_of = Hashtbl.create 64; committed_txns = Hashtbl.create 64;
-    twr_dropped = Hashtbl.create 16; last_decision = Hashtbl.create 64;
+  { protocol_of = Lookup.Int.create 64; committed_txns = Int_tbl.create 64;
+    twr_dropped = Lookup.Triple.create 16; last_decision = Pair_tbl.create 64;
     findings = []; idx = 0 }
 
 let add st f = st.findings <- f :: st.findings
 
 let is_pa st txn =
-  match Hashtbl.find_opt st.protocol_of txn with
+  match Lookup.Int.find_opt st.protocol_of txn with
   | Some p -> Ccdb_model.Protocol.equal p Ccdb_model.Protocol.Pa
   | None -> false
 
 let is_two_pl st txn =
-  match Hashtbl.find_opt st.protocol_of txn with
+  match Lookup.Int.find_opt st.protocol_of txn with
   | Some p -> Ccdb_model.Protocol.equal p Ccdb_model.Protocol.Two_pl
   | None -> false
 
@@ -58,14 +63,15 @@ let feed st event =
   st.idx <- st.idx + 1;
   (match event with
    | Rt.Lock_requested { txn; protocol; item; site; outcome; _ } ->
-     Hashtbl.replace st.protocol_of txn protocol;
+     Lookup.Int.replace st.protocol_of txn protocol;
      (match outcome with
-      | Rt.Req_ignored -> Hashtbl.replace st.twr_dropped (txn, item, site) ()
+      | Rt.Req_ignored ->
+        Lookup.Triple.replace st.twr_dropped (txn, item, site) ()
       | Rt.Req_admitted | Rt.Req_rejected | Rt.Req_backoff _ -> ())
    | Rt.Lock_granted { txn; protocol; _ } ->
-     Hashtbl.replace st.protocol_of txn protocol
+     Lookup.Int.replace st.protocol_of txn protocol
    | Rt.Txn_restarted { txn; reason; _ } ->
-     Hashtbl.replace st.protocol_of txn.id txn.protocol;
+     Lookup.Int.replace st.protocol_of txn.id txn.protocol;
      if Ccdb_model.Protocol.equal txn.protocol Ccdb_model.Protocol.Pa then
        add st
          (Finding.make ~event_index:i ~txns:[ txn.id ]
@@ -80,11 +86,13 @@ let feed st event =
                 | Rt.Prevention_kill -> "prevention kill"
                 | Rt.Site_failure -> "site failure")))
    | Rt.Txn_committed { txn; _ } ->
-     Hashtbl.replace st.protocol_of txn.id txn.protocol;
-     Hashtbl.replace st.committed_txns txn.id txn
-   | Rt.Decision_logged { txn; site; commit; _ } ->
-     if not (Hashtbl.find_opt st.last_decision (txn, site) = Some true) then
-       Hashtbl.replace st.last_decision (txn, site) commit
+     Lookup.Int.replace st.protocol_of txn.id txn.protocol;
+     Int_tbl.replace st.committed_txns txn.id txn
+   | Rt.Decision_logged { txn; site; commit; _ } -> (
+     match Pair_tbl.find_opt st.last_decision (txn, site) with
+     | Some true -> ()
+     | Some false | None ->
+       Pair_tbl.replace st.last_decision (txn, site) commit)
    | Rt.Deadlock_detected { cycle; victim; _ } -> (
      match victim with
      | None ->
@@ -100,7 +108,7 @@ let feed st event =
               ~check:"thm.victim-not-2pl"
               (Printf.sprintf
                  "deadlock victim t%d is %s, not 2PL (Corollary 2)" v
-                 (match Hashtbl.find_opt st.protocol_of v with
+                 (match Lookup.Int.find_opt st.protocol_of v with
                   | Some p -> protocol_name p
                   | None -> "unknown")));
        if List.length cycle > 1 && not (List.exists (is_two_pl st) cycle)
@@ -142,20 +150,41 @@ let feed st event =
   st.findings <- [];
   out
 
+let sorted_writers store ~item ~site =
+  let writers =
+    List.fold_left
+      (fun acc (e : Ccdb_storage.Store.log_entry) ->
+        match e.kind with
+        | Ccdb_model.Op.Write -> e.txn :: acc
+        | Ccdb_model.Op.Read -> acc)
+      [] (Ccdb_storage.Store.log store ~item ~site)
+    |> Array.of_list
+  in
+  Array.sort Int.compare writers;
+  writers
+
+let mem_sorted (a : int array) x =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let v = a.(mid) in
+    v = x || if v < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
 let finish ?store ?serializability st =
   (* 2PC atomicity: a transaction's terminal decisions must agree.  Commits
      are sticky per (txn, site); an abort only counts as terminal when no
      later round committed the transaction at that site. *)
-  let decisions_of : (int, (int * bool) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Hashtbl.iter
+  let decisions_of : (int * bool) list ref Int_tbl.t = Int_tbl.create 64 in
+  Pair_tbl.iter
     (fun (txn, site) commit ->
-      match Hashtbl.find_opt decisions_of txn with
+      match Int_tbl.find_opt decisions_of txn with
       | Some r -> r := (site, commit) :: !r
-      | None -> Hashtbl.add decisions_of txn (ref [ (site, commit) ]))
+      | None -> Int_tbl.add decisions_of txn (ref [ (site, commit) ]))
     st.last_decision;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun txn r ->
       let committed_at =
         List.filter_map (fun (s, c) -> if c then Some s else None) !r
@@ -171,10 +200,12 @@ let finish ?store ?serializability st =
                 txn
                 (if List.length committed_at > 1 then "s" else "")
                 (String.concat ","
-                   (List.map string_of_int (List.sort compare committed_at)))
+                   (List.map string_of_int
+                      (List.sort Int.compare committed_at)))
                 (if List.length aborted_at > 1 then "s" else "")
                 (String.concat ","
-                   (List.map string_of_int (List.sort compare aborted_at))))))
+                   (List.map string_of_int
+                      (List.sort Int.compare aborted_at))))))
     decisions_of;
   (match store with
    | None -> ()
@@ -206,30 +237,40 @@ let finish ?store ?serializability st =
             "replicas of at least one item diverge (contradicts \
              read-one/write-all under Theorem 2)");
      (* durability: write-all means every committed write reaches the
-        implementation log of every catalog copy, crashes or not *)
+        implementation log of every catalog copy, crashes or not.  Each
+        copy's log is read once, on first need, into its sorted writer ids
+        (by copy id); a committed write is then a binary search. *)
      let catalog = Ccdb_storage.Store.catalog store in
-     Hashtbl.iter
+     let writers = Array.make (Ccdb_storage.Catalog.copy_count catalog) None in
+     let implemented ~item ~site txn =
+       let id = Ccdb_storage.Catalog.copy_id catalog ~item ~site in
+       let ws =
+         match writers.(id) with
+         | Some ws -> ws
+         | None ->
+           let ws = sorted_writers store ~item ~site in
+           writers.(id) <- Some ws;
+           ws
+       in
+       mem_sorted ws txn
+     in
+     Int_tbl.iter
        (fun id (txn : Ccdb_model.Txn.t) ->
          List.iter
            (fun item ->
              List.iter
                (fun site ->
-                 if not (Hashtbl.mem st.twr_dropped (id, item, site)) then
-                   let implemented =
-                     List.exists
-                       (fun (e : Ccdb_storage.Store.log_entry) ->
-                         e.txn = id
-                         && Ccdb_model.Op.equal e.kind Ccdb_model.Op.Write)
-                       (Ccdb_storage.Store.log store ~item ~site)
-                   in
-                   if not implemented then
-                     add st
-                       (Finding.make ~txns:[ id ] ~copy:(item, site)
-                          ~check:"thm.durability-lost"
-                          (Printf.sprintf
-                             "committed write of t%d on item %d is missing \
-                              from site %d's implementation log"
-                             id item site)))
+                 if
+                   (not (Lookup.Triple.mem st.twr_dropped (id, item, site)))
+                   && not (implemented ~item ~site id)
+                 then
+                   add st
+                     (Finding.make ~txns:[ id ] ~copy:(item, site)
+                        ~check:"thm.durability-lost"
+                        (Printf.sprintf
+                           "committed write of t%d on item %d is missing \
+                            from site %d's implementation log"
+                           id item site)))
                (Ccdb_storage.Catalog.copies catalog item))
            txn.write_set)
        st.committed_txns);

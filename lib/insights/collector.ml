@@ -1,4 +1,5 @@
 module Rt = Ccdb_protocols.Runtime
+module Lookup = Ccdb_util.Lookup_tbl
 
 let schema_version = "ccdb-insights/1"
 
@@ -39,6 +40,8 @@ type class_acc = {
 }
 
 type cont_acc = {
+  a_protocol : Ccdb_model.Protocol.t;
+  a_item : int;
   mutable a_waits : int;
   mutable a_wait_time : float;
   mutable a_rejections : int;
@@ -52,85 +55,100 @@ type win_acc = {
   mutable w_grants_read' : int;
   mutable w_grants_write' : int;
   mutable w_latency_sum' : float;
-  w_protocols : (Ccdb_model.Protocol.t, int ref) Hashtbl.t;
+  w_protocols : int array; (* commits by [Protocol.rank] *)
 }
 
+module Class_tbl = Hashtbl.Make (struct
+  type t = Fingerprint.t
+
+  let equal (a : t) b = Fingerprint.compare a b = 0
+
+  let hash (f : t) =
+    (((f.reads * 65599) + f.writes) * 4) + Ccdb_model.Protocol.rank f.protocol
+end)
+
+(* No table here is read in its own order: fingerprints and contention are
+   sorted, windows are looked up by index. *)
 type t = {
   rt : Rt.t;
   width : float;
   started_at : float;
-  classes : (Fingerprint.t, class_acc) Hashtbl.t;
-  cont : (Ccdb_model.Protocol.t * int, cont_acc) Hashtbl.t;
-  wins : (int, win_acc) Hashtbl.t;
+  classes : class_acc Class_tbl.t;
+  cont : cont_acc Lookup.Pair.t; (* by (protocol rank, item) *)
+  wins : win_acc Lookup.Int.t;
   mutable last_win : int;
   (* (txn, item, site) -> request time, for queue-wait measurement *)
-  pending : (int * int * int, float) Hashtbl.t;
+  pending : float Lookup.Triple.t;
 }
 
 let win t at =
-  let idx = max 0 (int_of_float ((at -. t.started_at) /. t.width)) in
-  t.last_win <- max t.last_win idx;
-  match Hashtbl.find_opt t.wins idx with
+  let idx = Int.max 0 (int_of_float ((at -. t.started_at) /. t.width)) in
+  t.last_win <- Int.max t.last_win idx;
+  match Lookup.Int.find_opt t.wins idx with
   | Some w -> w
   | None ->
     let w =
       { w_committed' = 0; w_restarts' = 0; w_conflicts' = 0;
         w_grants_read' = 0; w_grants_write' = 0; w_latency_sum' = 0.;
-        w_protocols = Hashtbl.create 4 }
+        w_protocols = Array.make (List.length Ccdb_model.Protocol.all) 0 }
     in
-    Hashtbl.add t.wins idx w;
+    Lookup.Int.add t.wins idx w;
     w
 
 let class_acc t fp =
-  match Hashtbl.find_opt t.classes fp with
+  match Class_tbl.find_opt t.classes fp with
   | Some a -> a
   | None ->
     let a = { a_committed = 0; a_restarts = 0; a_latency = Histogram.create () } in
-    Hashtbl.add t.classes fp a;
+    Class_tbl.add t.classes fp a;
     a
 
-let cont_acc t key =
-  match Hashtbl.find_opt t.cont key with
+let cont_acc t protocol item =
+  let key = (Ccdb_model.Protocol.rank protocol, item) in
+  match Lookup.Pair.find_opt t.cont key with
   | Some a -> a
   | None ->
-    let a = { a_waits = 0; a_wait_time = 0.; a_rejections = 0; a_backoffs = 0 } in
-    Hashtbl.add t.cont key a;
+    let a =
+      { a_protocol = protocol; a_item = item; a_waits = 0; a_wait_time = 0.;
+        a_rejections = 0; a_backoffs = 0 }
+    in
+    Lookup.Pair.add t.cont key a;
     a
 
 let on_event t = function
   | Rt.Lock_requested { txn; protocol; item; site; outcome; at; _ } -> (
     match outcome with
     | Rt.Req_rejected ->
-      (cont_acc t (protocol, item)).a_rejections <-
-        (cont_acc t (protocol, item)).a_rejections + 1;
+      let c = cont_acc t protocol item in
+      c.a_rejections <- c.a_rejections + 1;
       let w = win t at in
       w.w_conflicts' <- w.w_conflicts' + 1
     | Rt.Req_backoff _ ->
-      (cont_acc t (protocol, item)).a_backoffs <-
-        (cont_acc t (protocol, item)).a_backoffs + 1;
+      let c = cont_acc t protocol item in
+      c.a_backoffs <- c.a_backoffs + 1;
       let w = win t at in
       w.w_conflicts' <- w.w_conflicts' + 1;
-      Hashtbl.replace t.pending (txn, item, site) at
-    | Rt.Req_admitted -> Hashtbl.replace t.pending (txn, item, site) at
+      Lookup.Triple.replace t.pending (txn, item, site) at
+    | Rt.Req_admitted -> Lookup.Triple.replace t.pending (txn, item, site) at
     | Rt.Req_ignored -> ())
   | Rt.Lock_granted { txn; protocol; op; item; site; at; _ } ->
     let w = win t at in
     (match op with
      | Ccdb_model.Op.Read -> w.w_grants_read' <- w.w_grants_read' + 1
      | Ccdb_model.Op.Write -> w.w_grants_write' <- w.w_grants_write' + 1);
-    (match Hashtbl.find_opt t.pending (txn, item, site) with
+    (match Lookup.Triple.find_opt t.pending (txn, item, site) with
      | None -> ()
      | Some requested_at ->
-       Hashtbl.remove t.pending (txn, item, site);
+       Lookup.Triple.remove t.pending (txn, item, site);
        let wait = at -. requested_at in
        if wait > 0. then begin
-         let c = cont_acc t (protocol, item) in
+         let c = cont_acc t protocol item in
          c.a_waits <- c.a_waits + 1;
          c.a_wait_time <- c.a_wait_time +. wait
        end)
   | Rt.Request_withdrawn { txn; item; site; _ }
   | Rt.Request_dropped { txn; item; site; _ } ->
-    Hashtbl.remove t.pending (txn, item, site)
+    Lookup.Triple.remove t.pending (txn, item, site)
   | Rt.Txn_committed { txn; submitted_at; executed_at; _ } ->
     let latency = executed_at -. submitted_at in
     let a = class_acc t (Fingerprint.of_txn txn) in
@@ -139,9 +157,8 @@ let on_event t = function
     let w = win t executed_at in
     w.w_committed' <- w.w_committed' + 1;
     w.w_latency_sum' <- w.w_latency_sum' +. latency;
-    (match Hashtbl.find_opt w.w_protocols txn.protocol with
-     | Some r -> incr r
-     | None -> Hashtbl.add w.w_protocols txn.protocol (ref 1))
+    let p = Ccdb_model.Protocol.rank txn.protocol in
+    w.w_protocols.(p) <- w.w_protocols.(p) + 1
   | Rt.Txn_restarted { txn; at; _ } ->
     let a = class_acc t (Fingerprint.of_txn txn) in
     a.a_restarts <- a.a_restarts + 1;
@@ -160,14 +177,15 @@ let attach ?(window = 200.) rt =
   if window <= 0. then invalid_arg "Collector.attach: window <= 0";
   let t =
     { rt; width = window; started_at = Rt.now rt;
-      classes = Hashtbl.create 16; cont = Hashtbl.create 64;
-      wins = Hashtbl.create 16; last_win = 0; pending = Hashtbl.create 64 }
+      classes = Class_tbl.create 16; cont = Lookup.Pair.create 64;
+      wins = Lookup.Int.create 16; last_win = 0;
+      pending = Lookup.Triple.create 64 }
   in
   Rt.subscribe rt (on_event t);
   t
 
 let fingerprints t =
-  Hashtbl.fold
+  Class_tbl.fold
     (fun fingerprint a acc ->
       { fingerprint; committed = a.a_committed; restarts = a.a_restarts;
         latency = a.a_latency }
@@ -176,12 +194,13 @@ let fingerprints t =
   |> List.sort (fun a b -> Fingerprint.compare a.fingerprint b.fingerprint)
 
 let contention t =
-  Hashtbl.fold
-    (fun (c_protocol, c_item) a acc ->
+  Lookup.Pair.fold
+    (fun _ a acc ->
       if a.a_waits = 0 && a.a_rejections = 0 && a.a_backoffs = 0 then acc
       else
-        { c_protocol; c_item; waits = a.a_waits; wait_time = a.a_wait_time;
-          rejections = a.a_rejections; backoffs = a.a_backoffs }
+        { c_protocol = a.a_protocol; c_item = a.a_item; waits = a.a_waits;
+          wait_time = a.a_wait_time; rejections = a.a_rejections;
+          backoffs = a.a_backoffs }
         :: acc)
     t.cont []
   |> List.sort (fun a b ->
@@ -201,7 +220,7 @@ let windows t =
   List.init (t.last_win + 1) (fun index ->
       let w_start = t.started_at +. (float_of_int index *. t.width) in
       let w_end = w_start +. t.width in
-      match Hashtbl.find_opt t.wins index with
+      match Lookup.Int.find_opt t.wins index with
       | None ->
         { index; w_start; w_end; w_committed = 0; w_restarts = 0;
           w_conflicts = 0; w_grants_read = 0; w_grants_write = 0;
@@ -215,11 +234,7 @@ let windows t =
           w_latency_sum = w.w_latency_sum';
           w_by_protocol =
             List.map
-              (fun p ->
-                ( p,
-                  match Hashtbl.find_opt w.w_protocols p with
-                  | Some r -> !r
-                  | None -> 0 ))
+              (fun p -> (p, w.w_protocols.(Ccdb_model.Protocol.rank p)))
               Ccdb_model.Protocol.all })
 
 let to_json t =

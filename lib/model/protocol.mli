@@ -12,6 +12,10 @@ type t =
 val all : t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val rank : t -> int
+(** Position in [all]: [0], [1], [2]; [compare] orders by it. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val of_string : string -> t option

@@ -8,14 +8,7 @@ type entry = {
 
 (* The index is keyed by [(txn, attempt)] and only looked up, never
    iterated, so its hash need not be the generic one. *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((txn, attempt) : t) (txn', attempt') =
-    txn = txn' && attempt = attempt'
-
-  let hash ((txn, attempt) : t) = (txn * 65599) + attempt
-end)
+module Lookup = Ccdb_util.Lookup_tbl
 
 (* FCFS queue as a front list (oldest first) plus a reversed back list, so
    [request] is O(1) instead of the old [queue @ [entry]] append; the two
@@ -26,11 +19,11 @@ type t = {
   mutable front : entry list; (* FCFS order, oldest first *)
   mutable back : entry list;  (* newest first *)
   mutable next_arrival : int;
-  index : entry Key_tbl.t;
+  index : entry Lookup.Pair.t;
 }
 
 let create () =
-  { front = []; back = []; next_arrival = 0; index = Key_tbl.create 16 }
+  { front = []; back = []; next_arrival = 0; index = Lookup.Pair.create 16 }
 
 let normalize t =
   (match t.back with
@@ -47,8 +40,8 @@ let request t ~txn ~attempt ~op =
   (* a transaction may queue several requests here (e.g. read and write of
      the same copy); the index keeps the oldest, which is the one a release
      must remove first *)
-  if not (Key_tbl.mem t.index (txn, attempt)) then
-    Key_tbl.add t.index (txn, attempt) entry;
+  if not (Lookup.Pair.mem t.index (txn, attempt)) then
+    Lookup.Pair.add t.index (txn, attempt) entry;
   entry
 
 (* One pass, oldest first: an entry is grantable when no earlier entry of
@@ -85,10 +78,10 @@ let grant_ready t =
   List.rev !newly
 
 let release t ~txn ~attempt =
-  match Key_tbl.find_opt t.index (txn, attempt) with
+  match Lookup.Pair.find_opt t.index (txn, attempt) with
   | None -> None
   | Some entry ->
-    Key_tbl.remove t.index (txn, attempt);
+    Lookup.Pair.remove t.index (txn, attempt);
     (* the index held the oldest same-key entry, so any other one sits
        later in FCFS order: filtering the normalised queue front-to-back
        meets the replacement (the new oldest) first *)
@@ -99,7 +92,7 @@ let release t ~txn ~attempt =
           if e == entry then false
           else begin
             if (not !replaced) && e.txn = txn && e.attempt = attempt then begin
-              Key_tbl.add t.index (txn, attempt) e;
+              Lookup.Pair.add t.index (txn, attempt) e;
               replaced := true
             end;
             true
@@ -112,11 +105,11 @@ let wipe_waiting t =
   let kept, dropped = List.partition (fun e -> e.granted) queue in
   t.front <- kept;
   (* rebuild the index over the survivors: oldest same-key entry wins *)
-  Key_tbl.reset t.index;
+  Lookup.Pair.reset t.index;
   List.iter
     (fun e ->
-      if not (Key_tbl.mem t.index (e.txn, e.attempt)) then
-        Key_tbl.add t.index (e.txn, e.attempt) e)
+      if not (Lookup.Pair.mem t.index (e.txn, e.attempt)) then
+        Lookup.Pair.add t.index (e.txn, e.attempt) e)
     kept;
   dropped
 

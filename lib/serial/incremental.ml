@@ -35,6 +35,10 @@
    insertions, removals, collections) — a deterministic cost measure the
    experiment harness can table without timing anything. *)
 
+module Int_tbl = Ccdb_util.Int_tbl
+module Pair_tbl = Ccdb_util.Pair_tbl
+module Lookup = Ccdb_util.Lookup_tbl
+
 type provenance = {
   item : int;
   site : int;
@@ -46,38 +50,42 @@ type edge = { src : int; dst : int; prov : provenance }
 
 type eref = { mutable e_count : int; e_prov : provenance }
 
+(* The DFS and the collections walk [n_succ], [n_pred] and [deferred] in
+   table order, on which the work counts and witnesses may depend: those
+   tables keep the generic hash's order.  [nodes], [coll] and the DFS
+   [visited] sets are only looked up. *)
 type node = {
   n_id : int;
   mutable n_ord : int;
-  n_succ : (int, eref) Hashtbl.t;
-  n_pred : (int, int ref) Hashtbl.t; (* src -> instance count, mirrors succ *)
-  mutable n_phantom : int;           (* distinct parked in-edges *)
+  n_succ : eref Int_tbl.t;
+  n_pred : int ref Int_tbl.t; (* src -> instance count, mirrors succ *)
+  mutable n_phantom : int;    (* distinct parked in-edges *)
   mutable n_retired : bool;
 }
 
 type t = {
-  nodes : (int, node) Hashtbl.t;
-  coll : (int, unit) Hashtbl.t;
-  deferred : (int * int, int ref * provenance) Hashtbl.t;
+  nodes : node Lookup.Int.t;
+  coll : unit Lookup.Int.t;
+  deferred : (int ref * provenance) Pair_tbl.t;
   mutable next_ord : int;
   mutable n_edges : int; (* distinct live edges *)
   mutable work : int;
 }
 
 let create () =
-  { nodes = Hashtbl.create 256; coll = Hashtbl.create 64;
-    deferred = Hashtbl.create 8; next_ord = 0; n_edges = 0; work = 0 }
+  { nodes = Lookup.Int.create 256; coll = Lookup.Int.create 64;
+    deferred = Pair_tbl.create 8; next_ord = 0; n_edges = 0; work = 0 }
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
+  match Lookup.Int.find_opt t.nodes id with
   | Some n -> n
   | None ->
     let n =
-      { n_id = id; n_ord = t.next_ord; n_succ = Hashtbl.create 4;
-        n_pred = Hashtbl.create 4; n_phantom = 0; n_retired = false }
+      { n_id = id; n_ord = t.next_ord; n_succ = Int_tbl.create 4;
+        n_pred = Int_tbl.create 4; n_phantom = 0; n_retired = false }
     in
     t.next_ord <- t.next_ord + 1;
-    Hashtbl.add t.nodes id n;
+    Lookup.Int.add t.nodes id n;
     n
 
 exception Cycle_found of int list
@@ -87,17 +95,17 @@ exception Cycle_found of int list
    [Cycle_found] when [src_id] is reachable, returns the visited nodes
    otherwise. *)
 let forward t start ~bound ~src_id =
-  let visited = Hashtbl.create 16 in
+  let visited = Lookup.Int.create 16 in
   let reached = ref [] in
   let rec go n rev_path =
-    Hashtbl.replace visited n.n_id ();
+    Lookup.Int.replace visited n.n_id ();
     reached := n :: !reached;
-    Hashtbl.iter
+    Int_tbl.iter
       (fun d _ ->
         t.work <- t.work + 1;
         if d = src_id then raise (Cycle_found (List.rev rev_path))
-        else if not (Hashtbl.mem visited d) then
-          match Hashtbl.find_opt t.nodes d with
+        else if not (Lookup.Int.mem visited d) then
+          match Lookup.Int.find_opt t.nodes d with
           | Some nd when nd.n_ord <= bound -> go nd (d :: rev_path)
           | Some _ | None -> ())
       n.n_succ
@@ -107,16 +115,16 @@ let forward t start ~bound ~src_id =
 
 (* Backward DFS from [start] over nodes with [ord >= lb]. *)
 let backward t start ~lb =
-  let visited = Hashtbl.create 16 in
+  let visited = Lookup.Int.create 16 in
   let reached = ref [] in
   let rec go n =
-    Hashtbl.replace visited n.n_id ();
+    Lookup.Int.replace visited n.n_id ();
     reached := n :: !reached;
-    Hashtbl.iter
+    Int_tbl.iter
       (fun p _ ->
         t.work <- t.work + 1;
-        if not (Hashtbl.mem visited p) then
-          match Hashtbl.find_opt t.nodes p with
+        if not (Lookup.Int.mem visited p) then
+          match Lookup.Int.find_opt t.nodes p with
           | Some np when np.n_ord >= lb -> go np
           | Some _ | None -> ())
       n.n_pred
@@ -137,9 +145,9 @@ let reorder t rb rf =
     affected slots
 
 let prov_between t a b =
-  match Hashtbl.find_opt t.nodes a with
+  match Lookup.Int.find_opt t.nodes a with
   | Some na -> (
-    match Hashtbl.find_opt na.n_succ b with
+    match Int_tbl.find_opt na.n_succ b with
     | Some er -> er.e_prov
     | None -> invalid_arg "Incremental: witness edge vanished")
   | None -> invalid_arg "Incremental: witness node vanished"
@@ -156,8 +164,8 @@ let mk_witness t ~src ~dst ~prov path =
   { src; dst; prov } :: links path
 
 let insert_live t ns nd prov =
-  Hashtbl.replace ns.n_succ nd.n_id { e_count = 1; e_prov = prov };
-  Hashtbl.replace nd.n_pred ns.n_id (ref 1);
+  Int_tbl.replace ns.n_succ nd.n_id { e_count = 1; e_prov = prov };
+  Int_tbl.replace nd.n_pred ns.n_id (ref 1);
   t.n_edges <- t.n_edges + 1
 
 (* Attempt a live insertion; [Some witness] when it would close a cycle
@@ -165,11 +173,11 @@ let insert_live t ns nd prov =
 let try_insert t ~src ~dst ~prov =
   let ns = node t src in
   let nd = node t dst in
-  match Hashtbl.find_opt ns.n_succ dst with
+  match Int_tbl.find_opt ns.n_succ dst with
   | Some er ->
     t.work <- t.work + 1;
     er.e_count <- er.e_count + 1;
-    (match Hashtbl.find_opt nd.n_pred src with
+    (match Int_tbl.find_opt nd.n_pred src with
      | Some r -> incr r
      | None -> invalid_arg "Incremental: succ/pred tables diverged");
     None
@@ -191,9 +199,10 @@ let try_insert t ~src ~dst ~prov =
 
 let add_edge t ~src ~dst ~prov =
   t.work <- t.work + 1;
-  if src = dst || Hashtbl.mem t.coll src || Hashtbl.mem t.coll dst then None
+  if src = dst || Lookup.Int.mem t.coll src || Lookup.Int.mem t.coll dst then
+    None
   else
-    match Hashtbl.find_opt t.deferred (src, dst) with
+    match Pair_tbl.find_opt t.deferred (src, dst) with
     | Some (c, _) ->
       (* already parked as cycle-closing: park the extra instance too *)
       incr c;
@@ -202,7 +211,7 @@ let add_edge t ~src ~dst ~prov =
       match try_insert t ~src ~dst ~prov with
       | None -> None
       | Some w ->
-        Hashtbl.replace t.deferred (src, dst) (ref 1, prov);
+        Pair_tbl.replace t.deferred (src, dst) (ref 1, prov);
         let nd = node t dst in
         nd.n_phantom <- nd.n_phantom + 1;
         Some w)
@@ -212,34 +221,34 @@ let add_edge t ~src ~dst ~prov =
 let rec collect_if_ready t n =
   if
     n.n_retired && n.n_phantom = 0
-    && Hashtbl.length n.n_pred = 0
-    && Hashtbl.mem t.nodes n.n_id
+    && Int_tbl.length n.n_pred = 0
+    && Lookup.Int.mem t.nodes n.n_id
   then begin
-    Hashtbl.remove t.nodes n.n_id;
-    Hashtbl.replace t.coll n.n_id ();
+    Lookup.Int.remove t.nodes n.n_id;
+    Lookup.Int.replace t.coll n.n_id ();
     t.work <- t.work + 1;
-    let succs = Hashtbl.fold (fun d _ acc -> d :: acc) n.n_succ [] in
+    let succs = Int_tbl.fold (fun d _ acc -> d :: acc) n.n_succ [] in
     List.iter
       (fun d ->
         t.work <- t.work + 1;
         t.n_edges <- t.n_edges - 1;
-        match Hashtbl.find_opt t.nodes d with
+        match Lookup.Int.find_opt t.nodes d with
         | Some nd ->
-          Hashtbl.remove nd.n_pred n.n_id;
+          Int_tbl.remove nd.n_pred n.n_id;
           collect_if_ready t nd
         | None -> ())
       succs;
     (* parked out-edges of a collected node can never close a cycle *)
     let parked =
-      Hashtbl.fold
+      Pair_tbl.fold
         (fun (s, d) _ acc -> if s = n.n_id then (s, d) :: acc else acc)
         t.deferred []
     in
     List.iter
       (fun (s, d) ->
         t.work <- t.work + 1;
-        Hashtbl.remove t.deferred (s, d);
-        match Hashtbl.find_opt t.nodes d with
+        Pair_tbl.remove t.deferred (s, d);
+        match Lookup.Int.find_opt t.nodes d with
         | Some nd ->
           nd.n_phantom <- nd.n_phantom - 1;
           collect_if_ready t nd
@@ -248,12 +257,12 @@ let rec collect_if_ready t n =
   end
 
 let remove_deferred t ~src ~dst =
-  match Hashtbl.find_opt t.deferred (src, dst) with
+  match Pair_tbl.find_opt t.deferred (src, dst) with
   | Some (c, _) ->
     if !c > 1 then decr c
     else begin
-      Hashtbl.remove t.deferred (src, dst);
-      match Hashtbl.find_opt t.nodes dst with
+      Pair_tbl.remove t.deferred (src, dst);
+      match Lookup.Int.find_opt t.nodes dst with
       | Some nd ->
         nd.n_phantom <- nd.n_phantom - 1;
         collect_if_ready t nd
@@ -263,44 +272,47 @@ let remove_deferred t ~src ~dst =
 
 let remove_edge t ~src ~dst =
   t.work <- t.work + 1;
-  match Hashtbl.find_opt t.nodes src with
+  match Lookup.Int.find_opt t.nodes src with
   | None -> remove_deferred t ~src ~dst
   | Some ns -> (
-    match Hashtbl.find_opt ns.n_succ dst with
+    match Int_tbl.find_opt ns.n_succ dst with
     | None -> remove_deferred t ~src ~dst
     | Some er ->
       let nd = node t dst in
       if er.e_count > 1 then begin
         er.e_count <- er.e_count - 1;
-        match Hashtbl.find_opt nd.n_pred src with
+        match Int_tbl.find_opt nd.n_pred src with
         | Some r -> decr r
         | None -> invalid_arg "Incremental: succ/pred tables diverged"
       end
       else begin
-        Hashtbl.remove ns.n_succ dst;
-        Hashtbl.remove nd.n_pred src;
+        Int_tbl.remove ns.n_succ dst;
+        Int_tbl.remove nd.n_pred src;
         t.n_edges <- t.n_edges - 1;
         collect_if_ready t nd
       end)
 
 let retire t id =
   t.work <- t.work + 1;
-  if not (Hashtbl.mem t.coll id) then begin
+  if not (Lookup.Int.mem t.coll id) then begin
     let n = node t id in
     n.n_retired <- true;
     collect_if_ready t n
   end
 
 let check_deferred t =
-  let parked = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.deferred [] in
+  let parked = Pair_tbl.fold (fun k v acc -> (k, v) :: acc) t.deferred [] in
   let parked =
-    List.sort (fun ((a, b), _) ((c, d), _) -> compare (a, b) (c, d)) parked
+    List.sort
+      (fun ((a, b), _) ((c, d), _) ->
+        match Int.compare a c with 0 -> Int.compare b d | o -> o)
+      parked
   in
-  Hashtbl.reset t.deferred;
+  Pair_tbl.reset t.deferred;
   let rec go = function
     | [] -> None
     | ((src, dst), (_, prov)) :: rest -> (
-      (match Hashtbl.find_opt t.nodes dst with
+      (match Lookup.Int.find_opt t.nodes dst with
        | Some nd -> nd.n_phantom <- nd.n_phantom - 1
        | None -> ());
       match try_insert t ~src ~dst ~prov with
@@ -309,8 +321,8 @@ let check_deferred t =
   in
   go parked
 
-let live_nodes t = Hashtbl.length t.nodes
+let live_nodes t = Lookup.Int.length t.nodes
 let live_edges t = t.n_edges
-let collected t = Hashtbl.length t.coll
-let deferred_edges t = Hashtbl.length t.deferred
+let collected t = Lookup.Int.length t.coll
+let deferred_edges t = Pair_tbl.length t.deferred
 let work t = t.work

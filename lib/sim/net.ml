@@ -52,15 +52,8 @@ type fstats = {
 (* Int-keyed tables that are only looked up, never iterated, so their
    order is never observed and the key can be its own hash: the
    per-(src, dst) channel tables, keyed by [src * sites + dst], and each
-   channel's [ready] and [dead] sets, keyed by sequence number.  An int key
-   hashes and compares inline, where a tuple or generic key would go
-   through the polymorphic hash and compare. *)
-module Lookup_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (k : int) = k
-end)
+   channel's [ready] and [dead] sets, keyed by sequence number. *)
+module Lookup = Ccdb_util.Lookup_tbl
 
 (* Per-kind message counters; [messages_by_kind] sorts, so their order is
    never observed either.  Kinds are short literals: their length and last
@@ -97,15 +90,15 @@ type fmessage = {
 and fchannel = {
   mutable next_seq : int;      (* sender side: next sequence number *)
   mutable deliver_next : int;  (* receiver side: next seq to release in order *)
-  ready : fmessage Lookup_tbl.t; (* received, waiting for in-order release *)
-  dead : unit Lookup_tbl.t;      (* sender exhausted its retry budget *)
+  ready : fmessage Lookup.Int.t; (* received, waiting for in-order release *)
+  dead : unit Lookup.Int.t;      (* sender exhausted its retry budget *)
 }
 
 type faults = {
   plan : Fault_plan.t;
   retry : retry;
   frng : Ccdb_util.Rng.t;
-  channels : fchannel Lookup_tbl.t;
+  channels : fchannel Lookup.Int.t;
   crashed : bool array;
   stats : fstats;
   mutable crash_listeners : (int -> unit) list;   (* registration order *)
@@ -121,7 +114,7 @@ type t = {
   mutable slowdowns : slowdown list;
   (* Earliest admissible delivery time per ordered (src, dst) pair, to keep
      per-channel delivery FIFO even with jitter. *)
-  channel_front : front Lookup_tbl.t;
+  channel_front : front Lookup.Int.t;
   mutable faults : faults option;
 }
 
@@ -130,7 +123,7 @@ and front = { mutable front : float }
 let create engine rng config =
   if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
   { engine; rng; config; counts = Kind_tbl.create 16; total = 0;
-    slowdowns = []; channel_front = Lookup_tbl.create 64; faults = None }
+    slowdowns = []; channel_front = Lookup.Int.create 64; faults = None }
 
 let sites t = t.config.sites
 
@@ -170,14 +163,14 @@ let slowdown_factor t ~src ~dst =
 
 let fchannel t fr ~src ~dst =
   let key = (src * t.config.sites) + dst in
-  match Lookup_tbl.find fr.channels key with
+  match Lookup.Int.find fr.channels key with
   | ch -> ch
   | exception Not_found ->
     let ch =
-      { next_seq = 0; deliver_next = 0; ready = Lookup_tbl.create 8;
-        dead = Lookup_tbl.create 4 }
+      { next_seq = 0; deliver_next = 0; ready = Lookup.Int.create 8;
+        dead = Lookup.Int.create 4 }
     in
-    Lookup_tbl.add fr.channels key ch;
+    Lookup.Int.add fr.channels key ch;
     ch
 
 (* transit delay of one physical copy, jitter and extra delay drawn from the
@@ -197,16 +190,16 @@ let faulty_delay t fr (link : Fault_plan.link) ~src ~dst =
 
 let release_ready ch =
   let rec go () =
-    match Lookup_tbl.find_opt ch.ready ch.deliver_next with
+    match Lookup.Int.find_opt ch.ready ch.deliver_next with
     | Some m ->
-      Lookup_tbl.remove ch.ready ch.deliver_next;
-      Lookup_tbl.remove ch.dead ch.deliver_next;
+      Lookup.Int.remove ch.ready ch.deliver_next;
+      Lookup.Int.remove ch.dead ch.deliver_next;
       ch.deliver_next <- ch.deliver_next + 1;
       m.m_deliver ();
       go ()
     | None ->
-      if Lookup_tbl.mem ch.dead ch.deliver_next then begin
-        Lookup_tbl.remove ch.dead ch.deliver_next;
+      if Lookup.Int.mem ch.dead ch.deliver_next then begin
+        Lookup.Int.remove ch.dead ch.deliver_next;
         ch.deliver_next <- ch.deliver_next + 1;
         go ()
       end
@@ -263,9 +256,9 @@ and arm_retry t fr msg =
 and expire fr msg =
   fr.stats.s_expired <- fr.stats.s_expired + 1;
   let ch = msg.m_channel in
-  if msg.m_seq >= ch.deliver_next && not (Lookup_tbl.mem ch.ready msg.m_seq)
+  if msg.m_seq >= ch.deliver_next && not (Lookup.Int.mem ch.ready msg.m_seq)
   then begin
-    Lookup_tbl.replace ch.dead msg.m_seq ();
+    Lookup.Int.replace ch.dead msg.m_seq ();
     release_ready ch
   end
 
@@ -280,7 +273,7 @@ and arrive t fr msg =
       msg.m_received <- true;
       let ch = msg.m_channel in
       if msg.m_seq >= ch.deliver_next then begin
-        Lookup_tbl.replace ch.ready msg.m_seq msg;
+        Lookup.Int.replace ch.ready msg.m_seq msg;
         release_ready ch
       end
     end
@@ -336,11 +329,11 @@ let send t ~src ~dst ~kind deliver =
     let naive = Engine.now t.engine +. delay in
     let key = (src * n) + dst in
     let f =
-      match Lookup_tbl.find t.channel_front key with
+      match Lookup.Int.find t.channel_front key with
       | f -> f
       | exception Not_found ->
         let f = { front = 0. } in
-        Lookup_tbl.add t.channel_front key f;
+        Lookup.Int.add t.channel_front key f;
         f
     in
     let at = if naive > f.front then naive else f.front +. 1e-9 in
@@ -366,7 +359,7 @@ let install_faults t ?(retry = default_retry) plan =
   let fr =
     { plan; retry;
       frng = Ccdb_util.Rng.create ~seed:(Fault_plan.seed plan);
-      channels = Lookup_tbl.create 64;
+      channels = Lookup.Int.create 64;
       crashed = Array.make t.config.sites false;
       stats =
         { s_transmissions = 0; s_dropped = 0; s_duplicated = 0;
