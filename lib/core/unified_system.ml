@@ -1,7 +1,7 @@
 module Rt = Ccdb_protocols.Runtime
+module L = Ccdb_protocols.Lifecycle
 module Q = Semi_lock_queue
 module Copies = Ccdb_storage.Copy_table
-module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
 
 type config = {
@@ -15,8 +15,6 @@ let default_config =
   { semi_locks = true; restart_delay = 50.;
     detection = Ccdb_protocols.Deadlock.default_detection;
     backoff_interval = 8 }
-
-type payload_fn = (int -> int) -> (int * int) list
 
 type slot_state =
   | Waiting
@@ -32,7 +30,7 @@ type phase = Negotiating | Restarting | Computing | Draining | Done
 type txn_state = {
   mutable txn : Ccdb_model.Txn.t;
       (** protocol may change across attempts under re-selection *)
-  payload : payload_fn option;
+  payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int option; (* None for 2PL *)
   mutable epoch : int;
@@ -46,58 +44,18 @@ type txn_state = {
                                commit point fires later *)
 }
 
-type detector =
-  | Central of Ccdb_protocols.Deadlock.t
-  | Probing of Ccdb_protocols.Edge_chasing.t
-
 type t = {
   rt : Rt.t;
   config : config;
   queues : Q.t Copies.t;
-  states : txn_state Int_tbl.t;
+  live : txn_state L.live;
   reselect : (Ccdb_model.Txn.t -> Ccdb_model.Protocol.t) option;
-  mutable active : int;
   mutable draining : int;
-  mutable detector : detector option;
   mutable committer : Ccdb_protocols.Commit.t option;
       (* 2PC driver, durable runtimes only *)
 }
 
-let notify_blocked t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Ccdb_protocols.Edge_chasing.txn_blocked ec txn_id
-  | Some (Central _) | None -> ()
-
-let notify_unblocked t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Ccdb_protocols.Edge_chasing.txn_unblocked ec txn_id
-  | Some (Central _) | None -> ()
-
-let notify_progress t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Ccdb_protocols.Edge_chasing.txn_progress ec txn_id
-  | Some (Central _) | None -> ()
-
 let config t = t.config
-
-let copies_of rt (txn : Ccdb_model.Txn.t) =
-  let catalog = Rt.catalog rt in
-  let reads =
-    List.map
-      (fun item ->
-        (item, Ccdb_storage.Catalog.read_site catalog ~preferred:txn.site item,
-         Ccdb_model.Op.Read))
-      txn.read_set
-  in
-  let writes =
-    List.concat_map
-      (fun item ->
-        List.map
-          (fun site -> (item, site, Ccdb_model.Op.Write))
-          (Ccdb_storage.Catalog.copies catalog item))
-      txn.write_set
-  in
-  reads @ writes
 
 let rec find_slot ~item ~site = function
   | [] -> None
@@ -109,11 +67,6 @@ let all_normal st =
   List.for_all
     (fun s -> match s.state with Granted g -> g.normal | _ -> false)
     st.slots
-
-let all_edges t =
-  Copies.fold
-    (fun ~item:_ ~site:_ q acc -> List.rev_append (Q.waits_for q) acc)
-    t.queues []
 
 let send t ~src ~dst ~kind f = Ccdb_sim.Net.send (Rt.net t.rt) ~src ~dst ~kind f
 
@@ -232,14 +185,14 @@ and on_abort_msg t ~item ~site txn_id =
 (* --- issuer-side state machine ------------------------------------------- *)
 
 and on_grant t txn_id ~epoch ~ts ~item ~site value schedule =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> true | Some expect -> expect = ts in
     if st.epoch = epoch && ts_ok && st.phase = Negotiating then begin
       match find_slot ~item ~site st.slots with
       | Some ({ state = Waiting; _ } as slot) ->
-        notify_progress t txn_id;
+        L.progress t.live txn_id;
         let normal =
           Ccdb_model.Lock.schedule_equal schedule Ccdb_model.Lock.Normal
         in
@@ -249,7 +202,7 @@ and on_grant t txn_id ~epoch ~ts ~item ~site value schedule =
     end
 
 and on_normal t txn_id ~epoch ~item ~site =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.epoch = epoch then begin
@@ -260,7 +213,7 @@ and on_normal t txn_id ~epoch ~item ~site =
     end
 
 and on_backoff t txn_id ~epoch ~ts ~op ~item ~site ts' =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> false | Some expect -> expect = ts in
@@ -274,7 +227,7 @@ and on_backoff t txn_id ~epoch ~ts ~op ~item ~site ts' =
     end
 
 and on_reject t txn_id ~epoch ~ts rejected_copy op =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     let ts_ok = match st.ts with None -> false | Some expect -> expect = ts in
@@ -325,7 +278,7 @@ and check_progress t st =
   end
 
 and start_compute t st =
-  notify_unblocked t st.txn.id;
+  L.unblocked t.live st.txn.id;
   List.iter
     (fun { item; state; _ } ->
       match state with
@@ -341,13 +294,7 @@ and start_compute t st =
 
 and finish t st =
   let txn = st.txn in
-  let read_value item =
-    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  st.write_values <-
-    (match st.payload with
-     | Some f -> f read_value
-     | None -> List.map (fun item -> (item, txn.id)) txn.write_set);
+  st.write_values <- L.writes st.payload ~reads:st.reads txn;
   st.executed <- Rt.now t.rt;
   let commit () = commit_txn t st in
   if all_normal st then begin
@@ -357,22 +304,13 @@ and finish t st =
          2PC decision at each participant *)
       st.phase <- Done;
       let value_for = value_for_fn st in
-      let by_site = ref [] in
-      List.iter
-        (fun (item, site, op) ->
-          let action =
-            { Ccdb_storage.Wal.item; op; value = value_for item; attempt = 0;
-              granted_at = 0. }
-          in
-          match Int_list.assoc_opt site !by_site with
-          | Some r -> r := action :: !r
-          | None -> by_site := (site, ref [ action ]) :: !by_site)
-        (copies_of t.rt txn);
-      let participants =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
-        |> List.map (fun (site, r) -> (site, List.rev !r))
-      in
-      Ccdb_protocols.Commit.commit c ~txn:txn.id ~home:txn.site ~participants
+      Ccdb_protocols.Commit.commit c ~txn:txn.id ~home:txn.site
+        ~participants:
+          (Ccdb_protocols.Commit.participants (L.copies t.rt txn)
+             ~site:(fun (_, site, _) -> site)
+             ~action:(fun (item, _, op) ->
+               { Ccdb_storage.Wal.item; op; value = value_for item;
+                 attempt = 0; granted_at = 0. }))
     | None ->
       commit ();
       send_releases t st
@@ -399,20 +337,13 @@ and commit_txn t st =
     (Rt.Txn_committed
        { txn = st.txn; submitted_at = st.submitted_at;
          executed_at = st.executed; restarts = st.restarts });
-  t.active <- t.active - 1;
-  if t.active = 0 then
-    match t.detector with
-    | Some (Central d) -> Ccdb_protocols.Deadlock.stop d
-    | Some (Probing _) | None -> ()
+  L.retire t.live
 
 and value_for_fn st =
   let txn = st.txn in
   fun item ->
     if Int_list.mem item txn.write_set then
-      Some
-        (match Int_list.assoc_opt item st.write_values with
-         | Some v -> v
-         | None -> txn.id)
+      Some (L.value_for st.write_values txn item)
     else None
 
 and send_releases t st =
@@ -425,7 +356,7 @@ and send_releases t st =
       send t ~src:txn.site ~dst:site ~kind:"u-release" (fun () ->
           on_release_msg t ~item ~site txn.id value_opt))
     st.slots;
-  Int_tbl.remove t.states txn.id
+  L.remove t.live txn.id
 
 and maybe_release t st =
   if all_normal st then begin
@@ -436,7 +367,7 @@ and maybe_release t st =
 and restart t st ~except ~reason =
   let txn = st.txn in
   st.phase <- Restarting;
-  notify_unblocked t txn.id;
+  L.unblocked t.live txn.id;
   Rt.emit t.rt (Rt.Txn_restarted { txn; reason; at = Rt.now t.rt });
   st.restarts <- st.restarts + 1;
   st.epoch <- st.epoch + 1;
@@ -449,15 +380,11 @@ and restart t st ~except ~reason =
       | Some _ | None ->
         send t ~src:txn.site ~dst:site ~kind:"u-abort" (fun () ->
             on_abort_msg t ~item ~site txn.id))
-    (copies_of t.rt txn);
+    (L.copies t.rt txn);
   st.slots <- [];
   st.reads <- [];
-  ignore
-    (Ccdb_sim.Engine.schedule (Rt.engine t.rt)
-       ~after:
-         (Rt.restart_backoff t.rt ~site:txn.site
-            ~base:t.config.restart_delay ~attempt:st.restarts)
-       (fun () -> begin_attempt t st))
+  L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
+    ~attempt:st.restarts (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   (* future-work item (4) of the paper: a restarted transaction may switch
@@ -478,8 +405,8 @@ and begin_attempt t st =
      st.ts <- Some (Ccdb_model.Timestamp.Source.next (Rt.ts_source t.rt)));
   st.phase <- Negotiating;
   st.backed_off <- false;
-  notify_blocked t txn.id;
-  let copies = copies_of t.rt txn in
+  L.blocked t.live txn.id;
+  let copies = L.copies t.rt txn in
   st.slots <-
     List.map (fun (item, site, _) -> { item; site; state = Waiting }) copies;
   st.reads <- [];
@@ -523,105 +450,31 @@ and begin_attempt t st =
 
 (* --- construction --------------------------------------------------------- *)
 
+let two_pl_negotiating st =
+  st.phase = Negotiating
+  && Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl
+
 let abort_victim t victim =
-  match Int_tbl.find_opt t.states victim with
-  | None -> ()
-  | Some st ->
-    if
-      st.phase = Negotiating
-      && Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl
-    then restart t st ~except:None ~reason:Rt.Deadlock_victim
+  match L.find t.live victim with
+  | Some st when two_pl_negotiating st ->
+    restart t st ~except:None ~reason:Rt.Deadlock_victim
+  | Some _ | None -> ()
 
-let choose_victim t cycle =
-  let restarting id =
-    match Int_tbl.find_opt t.states id with
-    | Some st -> st.phase = Restarting
-    | None -> false
-  in
-  (* a member already aborted for this cycle will break it on its own;
-     aborting a second member is pure churn (and with repeated collisions
-     can alternate forever) *)
-  let victim =
-    if List.exists restarting cycle then None
-    else begin
-      let two_pl_waiting id =
-        match Int_tbl.find_opt t.states id with
-        | Some st ->
-          st.phase = Negotiating
-          && Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl
-        | None -> false
-      in
-      match List.filter two_pl_waiting cycle with
-      | [] -> None (* Corollary 2: a real deadlock always offers a 2PL victim;
-                      anything else is a transient snapshot, re-checked later *)
-      | candidates -> Some (List.fold_left Int.max min_int candidates)
-    end
-  in
-  Rt.emit t.rt (Rt.Deadlock_detected { cycle; victim; at = Rt.now t.rt });
-  victim
-
-(* Crash cleanup: restart negotiating 2PL and T/O transactions that depend
-   on the dead site (home site crashed, or a slot hosted there), so no
-   semi-lock or queue entry outlives its issuer's progress.  PA
-   transactions are exempt — Corollary 1 makes PA restart-free, and the
-   analyzer's [thm.pa-restarted] check would rightly flag an abort; their
-   negotiation pushes forward through transport retries instead.  Anything
-   past Negotiating (Computing / Draining) likewise pushes forward. *)
+(* Crash and stall cleanup: restart negotiating 2PL and T/O transactions
+   that depend on the dead site (home site crashed, or a slot hosted there)
+   or stalled, so no semi-lock or queue entry outlives its issuer's
+   progress.  PA transactions are exempt — Corollary 1 makes PA
+   restart-free, and the analyzer's [thm.pa-restarted] check would rightly
+   flag an abort; their negotiation pushes forward through transport
+   retries instead.  Anything past Negotiating (Computing / Draining)
+   likewise pushes forward. *)
 let crash_restartable st =
   st.phase = Negotiating
   && not (Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Pa)
 
-let on_site_crash t site =
-  let victims =
-    Int_tbl.fold
-      (fun id st acc ->
-        if
-          crash_restartable st
-          && (st.txn.Ccdb_model.Txn.site = site
-              || List.exists (fun (s : slot) -> s.site = site) st.slots)
-        then id :: acc
-        else acc)
-      t.states []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun id ->
-      match Int_tbl.find_opt t.states id with
-      | Some st -> restart t st ~except:None ~reason:Rt.Site_failure
-      | None -> ())
-    victims
-
-let on_stall t txn_id =
-  match Int_tbl.find_opt t.states txn_id with
-  | Some st when crash_restartable st ->
-    restart t st ~except:None ~reason:Rt.Site_failure
-  | Some _ | None -> ()
-
-(* wait-for targets of [txn] across the queues hosted at [site] *)
-let local_waits_on t ~site ~txn =
-  let holders = ref [] in
-  Copies.iter_site t.queues site (fun _ q ->
-      List.iter
-        (fun (waiter, holder) ->
-          if waiter = txn then holders := holder :: !holders)
-        (Q.waits_for q));
-  List.sort_uniq Int.compare !holders
-
-(* Fail-stop wipe of the unified queues hosted at [site], in ascending item
-   order: ungranted 2PL and T/O entries are volatile and vanish; granted
-   entries and every PA entry survive (WAL-backed grants; acknowledged PA
-   negotiations — Corollary 1). *)
-let on_site_wipe t site =
-  let dropped = ref 0 and preserved = ref 0 in
-  Copies.iter_site t.queues site (fun item q ->
-      List.iter
-        (fun (e : Q.entry) ->
-          incr dropped;
-          Rt.emit t.rt
-            (Rt.Request_dropped { txn = e.txn; item; site; at = Rt.now t.rt }))
-        (Q.wipe_volatile q);
-      preserved := !preserved + List.length (Q.entries q));
-  (!dropped, !preserved)
+let depends_on_site st site =
+  st.txn.Ccdb_model.Txn.site = site
+  || List.exists (fun (s : slot) -> s.site = site) st.slots
 
 let create ?(config = default_config) ?reselect rt =
   let t =
@@ -629,78 +482,54 @@ let create ?(config = default_config) ?reselect rt =
       queues =
         Copies.create (Rt.catalog rt) (fun () ->
             Q.create ~semi_locks:config.semi_locks ());
-      states = Int_tbl.create 64; reselect; active = 0; draining = 0;
-      detector = None; committer = None }
+      live = L.live rt; reselect; draining = 0; committer = None }
   in
-  let detector =
-    match config.detection with
-    | Ccdb_protocols.Deadlock.Centralized { interval; detector_site } ->
-      Central
-        (Ccdb_protocols.Deadlock.create_centralized ~engine:(Rt.engine rt)
-           ~net:(Rt.net rt) ~interval ~detector_site
-           ~edges:(fun () -> all_edges t)
-           ~choose_victim:(fun cycle -> choose_victim t cycle)
-           ~victim_site:(fun txn_id ->
-             match Int_tbl.find_opt t.states txn_id with
-             | Some st when st.phase = Negotiating -> Some st.txn.site
-             | Some _ | None -> None)
-           ~abort:(fun victim -> abort_victim t victim))
-    | Ccdb_protocols.Deadlock.Edge_chasing { probe_delay } ->
-      Probing
-        (Ccdb_protocols.Edge_chasing.create (Rt.engine rt) (Rt.net rt)
-           { Ccdb_protocols.Edge_chasing.probe_delay }
-           { Ccdb_protocols.Edge_chasing.is_waiting =
-               (fun txn_id ->
-                 (* draining transactions are committed but still wait for
-                    their pre-scheduled grants to become normal; probes must
-                    pass through them *)
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st -> st.phase = Negotiating || st.phase = Draining
-                 | None -> false);
-             home_site =
-               (fun txn_id ->
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st -> Some st.txn.site
-                 | None -> None);
-             pending_sites =
-               (fun txn_id ->
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st ->
-                   List.filter_map
-                     (fun { site; state; _ } ->
-                       match state with
-                       | Waiting -> Some site
-                       | Granted { normal = false; _ } ->
-                         (* a pre-scheduled grant is a wait hosted at the
-                            queue's site *)
-                         Some site
-                       | Granted { normal = true; _ } | Backed _ -> None)
-                     st.slots
-                   |> List.sort_uniq Int.compare
-                 | None -> []);
-             local_waits_on = (fun ~site ~txn -> local_waits_on t ~site ~txn);
-             may_initiate =
-               (fun txn_id ->
-                 (* only 2PL transactions can be deadlock victims
-                    (Corollary 2), so only they probe *)
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st ->
-                   Ccdb_model.Protocol.equal st.txn.protocol
-                     Ccdb_model.Protocol.Two_pl
-                 | None -> false);
-             on_deadlock =
-               (fun initiator ->
-                 Rt.emit t.rt
-                   (Rt.Deadlock_detected
-                      { cycle = [ initiator ]; victim = Some initiator;
-                        at = Rt.now t.rt });
-                 abort_victim t initiator) })
-  in
-  t.detector <- Some detector;
-  Rt.on_site_crash rt (fun site -> on_site_crash t site);
-  Rt.on_stall rt (fun txn -> on_stall t txn);
+  L.detect_deadlocks t.live config.detection t.queues ~waits_for:Q.waits_for
+    { L.home = (fun st -> st.txn.site);
+      abortable = (fun st -> st.phase = Negotiating);
+      restarting = (fun st -> st.phase = Restarting);
+      (* Corollary 2: a real deadlock always offers a negotiating 2PL
+         victim; a cycle without one is a transient snapshot, re-checked
+         at the next scan *)
+      eligible =
+        (fun id ->
+          match L.find t.live id with
+          | Some st -> two_pl_negotiating st
+          | None -> false);
+      (* draining transactions are committed but still wait for their
+         pre-scheduled grants to become normal; probes must pass through
+         them *)
+      waiting = (fun st -> st.phase = Negotiating || st.phase = Draining);
+      pending_sites =
+        (fun st ->
+          List.filter_map
+            (fun { site; state; _ } ->
+              match state with
+              | Waiting -> Some site
+              | Granted { normal = false; _ } ->
+                (* a pre-scheduled grant is a wait hosted at the queue's
+                   site *)
+                Some site
+              | Granted { normal = true; _ } | Backed _ -> None)
+            st.slots
+          |> List.sort_uniq Int.compare);
+      (* only 2PL transactions can be deadlock victims (Corollary 2), so
+         only they probe *)
+      may_initiate =
+        (fun st ->
+          Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl);
+      abort = (fun victim -> abort_victim t victim) };
+  L.restart_on_failures t.live ~restartable:crash_restartable
+    ~depends_on:depends_on_site
+    (restart t ~except:None ~reason:Rt.Site_failure);
   if Rt.durable rt then begin
-    Rt.on_site_wipe rt (fun site -> on_site_wipe t site);
+    (* Fail-stop wipe: ungranted 2PL and T/O entries are volatile and
+       vanish; granted entries and every PA entry survive (WAL-backed
+       grants; acknowledged PA negotiations — Corollary 1). *)
+    L.on_site_wipe rt t.queues
+      ~dropped:(fun q ->
+        List.map (fun (e : Q.entry) -> e.txn) (Q.wipe_volatile q))
+      ~preserved:(fun q -> List.length (Q.entries q));
     t.committer <-
       Some
         (Ccdb_protocols.Commit.create rt
@@ -712,42 +541,32 @@ let create ?(config = default_config) ?reselect rt =
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Int_tbl.find_opt t.states txn with
+                 match L.find t.live txn with
                  | Some st ->
                    commit_txn t st;
-                   Int_tbl.remove t.states txn
+                   L.remove t.live txn
                  | None -> ()) })
   end;
   t
 
 let submit t ?payload txn =
-  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Unified_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Rt.now t.rt; ts = None; epoch = 0;
       restarts = 0; backed_off = false; phase = Negotiating; slots = [];
       reads = []; write_values = []; executed = 0. }
   in
-  Int_tbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Rt.track t.rt txn.id;
-  (match t.detector with
-   | Some (Central d) -> Ccdb_protocols.Deadlock.start d
-   | Some (Probing _) | None -> ());
+  L.admit t.live ~duplicate:"Unified_system.submit: duplicate transaction id"
+    txn.Ccdb_model.Txn.id st;
+  L.start_detector t.live;
   begin_attempt t st
 
-let active t = t.active
+let active t = L.active t.live
 let draining t = t.draining
-
-let detector_cycles t =
-  match t.detector with
-  | Some (Central d) -> Ccdb_protocols.Deadlock.cycles_found d
-  | Some (Probing ec) -> Ccdb_protocols.Edge_chasing.deadlocks_found ec
-  | None -> 0
+let detector_cycles t = L.detector_cycles t.live
 
 let debug_dump t =
   let buf = Buffer.create 1024 in
-  Int_tbl.iter
+  L.iter
     (fun id st ->
       let phase =
         match st.phase with
@@ -774,7 +593,7 @@ let debug_dump t =
            (match st.ts with Some ts -> string_of_int ts | None -> "-")
            st.epoch
            (String.concat " " (List.map slot_str st.slots))))
-    t.states;
+    t.live;
   Copies.fold
     (fun ~item ~site q () ->
       match Q.entries q with

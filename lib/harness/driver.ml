@@ -15,6 +15,7 @@ type setup = {
   prevention : Ccdb_protocols.Two_pl_system.prevention;
   adaptive : adaptive;
   reselect : bool;
+  criterion : Ccdb_stl.Selector.criterion;
   commit : Rt.commit_protocol;
 }
 
@@ -25,7 +26,8 @@ let default_setup =
     detection = Ccdb_protocols.Deadlock.default_detection;
     thomas_write_rule = false;
     prevention = Ccdb_protocols.Two_pl_system.No_prevention;
-    adaptive = Cumulative; reselect = false; commit = Rt.Two_pc }
+    adaptive = Cumulative; reselect = false;
+    criterion = Ccdb_stl.Selector.Min_stl; commit = Rt.Two_pc }
 
 type mode =
   | Pure of Ccdb_model.Protocol.t
@@ -54,10 +56,13 @@ type result = {
   audit : Ccdb_analysis.Report.t option;
 }
 
-(* A uniform submit interface over the five system shapes. *)
+(* A uniform interface over the six systems: [decisions] is the protocol
+   mix the run reports, and [verify], when present, is the system's own
+   invariant, which replaces the single-version store checks. *)
 type system = {
   submit : Ccdb_model.Txn.t -> unit;
   decisions : unit -> (Ccdb_model.Protocol.t * int) list;
+  verify : (unit -> bool) option;
 }
 
 let force_protocol protocol (txn : Ccdb_model.Txn.t) =
@@ -66,90 +71,66 @@ let force_protocol protocol (txn : Ccdb_model.Txn.t) =
     Ccdb_model.Txn.make ~id:txn.id ~site:txn.site ~read_set:txn.read_set
       ~write_set:txn.write_set ~compute_time:txn.compute_time ~protocol
 
+(* The one forcing-and-recording step: every transaction runs under
+   [forced] when given, under its workload protocol otherwise, and the
+   mix counts the protocol it actually runs. *)
+let runs ?forced ?verify submit =
+  let tally = Hashtbl.create 4 in
+  { submit =
+      (fun txn ->
+        let txn =
+          match forced with Some p -> force_protocol p txn | None -> txn
+        in
+        let cur =
+          Option.value ~default:0 (Hashtbl.find_opt tally txn.protocol)
+        in
+        Hashtbl.replace tally txn.protocol (cur + 1);
+        submit txn);
+    decisions =
+      (fun () ->
+        Hashtbl.fold (fun p n acc -> (p, n) :: acc) tally []
+        |> List.sort (fun (a, _) (b, _) -> Ccdb_model.Protocol.compare a b));
+    verify }
+
+(* Each mode's system.  Only [Dynamic] routes for itself and reports its
+   selector's decisions. *)
 let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
     rt =
   let restart_delay = setup.restart_delay in
-  let tally = Hashtbl.create 4 in
-  let record (txn : Ccdb_model.Txn.t) =
-    let cur =
-      Option.value ~default:0 (Hashtbl.find_opt tally txn.protocol)
-    in
-    Hashtbl.replace tally txn.protocol (cur + 1)
+  let unified ?(semi_locks = true) () =
+    { Core.Unified_system.default_config with semi_locks; restart_delay;
+      detection = setup.detection }
   in
-  let decisions_of_tally () =
-    Hashtbl.fold (fun p n acc -> (p, n) :: acc) tally []
-    |> List.sort (fun (a, _) (b, _) -> Ccdb_model.Protocol.compare a b)
+  let on_unified config =
+    let sys = Core.Unified_system.create ~config rt in
+    fun txn -> Core.Unified_system.submit sys txn
   in
   match mode with
   | Pure Ccdb_model.Protocol.Two_pl ->
-    let config =
-      { Ccdb_protocols.Two_pl_system.restart_delay;
-        detection = setup.detection;
-        prevention = setup.prevention }
+    let sys =
+      Ccdb_protocols.Two_pl_system.create rt
+        ~config:
+          { Ccdb_protocols.Two_pl_system.restart_delay;
+            detection = setup.detection; prevention = setup.prevention }
     in
-    let sys = Ccdb_protocols.Two_pl_system.create ~config rt in
-    { submit =
-        (fun txn ->
-          record txn;
-          Ccdb_protocols.Two_pl_system.submit sys
-            (force_protocol Ccdb_model.Protocol.Two_pl txn));
-      decisions = decisions_of_tally }
+    runs ~forced:Ccdb_model.Protocol.Two_pl (fun txn ->
+        Ccdb_protocols.Two_pl_system.submit sys txn)
   | Pure Ccdb_model.Protocol.T_o ->
     let sys =
-      Ccdb_protocols.To_system.create
+      Ccdb_protocols.To_system.create rt
         ~config:
           { Ccdb_protocols.To_system.restart_delay;
             thomas_write_rule = setup.thomas_write_rule }
-        rt
     in
-    { submit =
-        (fun txn ->
-          record txn;
-          Ccdb_protocols.To_system.submit sys
-            (force_protocol Ccdb_model.Protocol.T_o txn));
-      decisions = decisions_of_tally }
+    runs ~forced:Ccdb_model.Protocol.T_o (fun txn ->
+        Ccdb_protocols.To_system.submit sys txn)
   | Pure Ccdb_model.Protocol.Pa ->
     let sys = Ccdb_protocols.Pa_system.create rt in
-    { submit =
-        (fun txn ->
-          record txn;
-          Ccdb_protocols.Pa_system.submit sys
-            (force_protocol Ccdb_model.Protocol.Pa txn));
-      decisions = decisions_of_tally }
-  | Unified ->
-    let config =
-      { Core.Unified_system.default_config with restart_delay;
-        detection = setup.detection }
-    in
-    let sys = Core.Unified_system.create ~config rt in
-    { submit =
-        (fun txn ->
-          record txn;
-          Core.Unified_system.submit sys txn);
-      decisions = decisions_of_tally }
-  | Unified_forced protocol ->
-    let config =
-      { Core.Unified_system.default_config with restart_delay;
-        detection = setup.detection }
-    in
-    let sys = Core.Unified_system.create ~config rt in
-    { submit =
-        (fun txn ->
-          let txn = force_protocol protocol txn in
-          record txn;
-          Core.Unified_system.submit sys txn);
-      decisions = decisions_of_tally }
-  | Unified_full_lock ->
-    let config =
-      { Core.Unified_system.default_config with semi_locks = false;
-        restart_delay; detection = setup.detection }
-    in
-    let sys = Core.Unified_system.create ~config rt in
-    { submit =
-        (fun txn ->
-          record txn;
-          Core.Unified_system.submit sys txn);
-      decisions = decisions_of_tally }
+    runs ~forced:Ccdb_model.Protocol.Pa (fun txn ->
+        Ccdb_protocols.Pa_system.submit sys txn)
+  | Unified -> runs (on_unified (unified ()))
+  | Unified_forced protocol -> runs ~forced:protocol (on_unified (unified ()))
+  | Unified_full_lock -> runs (on_unified (unified ~semi_locks:false ()))
   | Dynamic ->
     let adaptive =
       match setup.adaptive with
@@ -165,33 +146,25 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
     in
     let config =
       { Core.Dynamic_cc.default_config with
-        unified =
-          { Core.Unified_system.default_config with restart_delay;
-            detection = setup.detection };
-        adaptive; reselect_on_restart = setup.reselect }
+        unified = unified (); adaptive; reselect_on_restart = setup.reselect;
+        criterion = setup.criterion }
     in
     let sys = Core.Dynamic_cc.create ~config rt in
     { submit = (fun txn -> Core.Dynamic_cc.submit sys txn);
-      decisions = (fun () -> Core.Dynamic_cc.decisions sys) }
+      decisions = (fun () -> Core.Dynamic_cc.decisions sys);
+      verify = None }
   | Mvto ->
     let sys =
       Ccdb_protocols.Mvto_system.create
         ~config:{ Ccdb_protocols.Mvto_system.restart_delay } rt
     in
-    { submit =
-        (fun txn ->
-          record txn;
-          Ccdb_protocols.Mvto_system.submit sys
-            (force_protocol Ccdb_model.Protocol.T_o txn));
-      decisions = decisions_of_tally }
+    runs ~forced:Ccdb_model.Protocol.T_o
+      ~verify:(fun () -> Ccdb_protocols.Mvto_system.verify sys)
+      (fun txn -> Ccdb_protocols.Mvto_system.submit sys txn)
   | Conservative ->
     let sys = Ccdb_protocols.Cto_system.create rt in
-    { submit =
-        (fun txn ->
-          record txn;
-          Ccdb_protocols.Cto_system.submit sys
-            (force_protocol Ccdb_model.Protocol.T_o txn));
-      decisions = decisions_of_tally }
+    runs ~forced:Ccdb_model.Protocol.T_o (fun txn ->
+        Ccdb_protocols.Cto_system.submit sys txn)
 
 (* shared run body: [arrivals_of] turns the workload RNG into the arrival
    list; [spec] is the (first-phase) spec, needed for [Configured]. *)
@@ -236,8 +209,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
   in
   (match observer with Some f -> f rt | None -> ());
   (* MVTO keeps the physical store as a per-copy newest-version cache, not
-     a write-all log, so the single-version store checks do not apply (its
-     executions are verified by [Mvto_system.verify]). *)
+     a write-all log, so the single-version store checks do not apply (the
+     summary reports [Mvto_system.verify] in their place). *)
   let theorem2 = match mode with Mvto -> false | _ -> true in
   let trace =
     match audit, audit_path with
@@ -288,8 +261,15 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
                    Ccdb_analysis.Finding.make ~check:"audit.divergence" msg)
                  divergences))
   in
-  { summary = Metrics.summarize ~verify:verify_store rt; runtime = rt;
-    decisions = system.decisions (); audit }
+  let summary =
+    match system.verify with
+    | Some invariant when verify_store ->
+      let ok = invariant () in
+      { (Metrics.summarize ~verify:false rt) with
+        serializable = ok; replica_consistent = ok }
+    | Some _ | None -> Metrics.summarize ~verify:verify_store rt
+  in
+  { summary; runtime = rt; decisions = system.decisions (); audit }
 
 let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
     ?(audit_path = Streaming) ?faults ?retry ?replay_cost ?verify_store mode

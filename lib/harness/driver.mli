@@ -37,6 +37,11 @@ type setup = {
       (** re-run the selector when a [Dynamic] transaction restarts
           ({!Core.Dynamic_cc.config.reselect_on_restart}, the paper's
           future-work item 4, measured by X6); inert in every other mode *)
+  criterion : Ccdb_stl.Selector.criterion;
+      (** what the [Dynamic] mode's selector minimises
+          ({!Core.Dynamic_cc.config.criterion}): the paper's [Min_stl], or
+          the transaction's own response time (X7); inert in every other
+          mode *)
   commit : Ccdb_protocols.Runtime.commit_protocol;
       (** atomic-commitment engine for durable runs: presumed-abort 2PC
           (the default) or Paxos Commit over [2f+1] acceptors; inert
@@ -50,7 +55,8 @@ type setup = {
 val default_setup : setup
 (** 4 sites, 32 items, replication 2, default network, seed 42,
     restart_delay 50., restart_cap 800., centralized detection, Thomas
-    Write Rule off, cumulative adaptivity, reselection off, 2PC commit. *)
+    Write Rule off, cumulative adaptivity, reselection off, min-STL
+    selection, 2PC commit. *)
 
 (** Which concurrency-control system executes the workload. *)
 type mode =
@@ -68,10 +74,12 @@ type mode =
   | Dynamic
       (** the full dynamic system: per-transaction min-STL selection *)
   | Mvto
-      (** the multiversion T/O baseline; its executions are verified by
-          {!Ccdb_protocols.Mvto_system.verify} (a multiversion invariant),
-          so the summary's [serializable] flag is vacuously true (MVTO
-          writes no single-version implementation log) *)
+      (** the multiversion T/O baseline.  MVTO writes no single-version
+          implementation log, so the single-version store checks do not
+          apply: with [verify_store] the summary's [serializable] and
+          [replica_consistent] flags both report
+          {!Ccdb_protocols.Mvto_system.verify}, the multiversion invariant,
+          instead *)
   | Conservative
       (** the conservative T/O baseline (tick-driven, restart-free) *)
 
@@ -122,7 +130,8 @@ val run :
     serializable under the injected faults.  [replay_cost] is the simulated
     time charged per WAL record at recovery (fail-stop plans only; see
     {!Ccdb_sim.Recovery}).  [verify_store] (default [true]) controls the
-    post-hoc store checks of {!Metrics.summarize} — switch it off for
+    post-hoc store checks of {!Metrics.summarize}, or MVTO's own invariant
+    in the [Mvto] mode — switch it off for
     million-transaction runs where the streaming audit replaces them
     (EXPERIMENTS.md E13).
     @raise Failure if the run livelocks (event budget exhausted). *)

@@ -816,39 +816,17 @@ let x4_staged ~quick =
     { base_spec with
       arrival_rate = lam; read_fraction = 0.8; size_min = 1; size_max = 3 }
   in
-  let run_basic lam =
-    let setup = { base_setup with items = 12 } in
-    (D.run ~setup ~n_txns:n (D.Pure Ccdb_model.Protocol.T_o) (spec lam)).summary
-  in
+  let setup = { base_setup with items = 12 } in
+  let run mode lam = (D.run ~setup ~n_txns:n mode (spec lam)).summary in
   let run_mvto lam =
-    (* driven by hand on the same substrate and workload as the Basic T/O
-       row; [Driver.Mvto] exists, but moving this run onto it must keep
-       the table byte-identical *)
-    let catalog =
-      Ccdb_storage.Catalog.create ~items:12 ~sites:base_setup.sites
-        ~replication:base_setup.replication
-    in
-    let rt =
-      Ccdb_protocols.Runtime.create ~seed:base_setup.seed
-        ~net_config:base_setup.net ~catalog ()
-    in
-    let sys = Ccdb_protocols.Mvto_system.create rt in
-    let wl_rng = Ccdb_util.Rng.create ~seed:(base_setup.seed + 7919) in
-    let generator =
-      Ccdb_workload.Generator.create (spec lam) ~sites:base_setup.sites
-        ~items:12 wl_rng
-    in
-    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
-      (List.map
-         (fun (at, txn) ->
-           (at, fun () -> Ccdb_protocols.Mvto_system.submit sys txn))
-         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
-    Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
-    if not (Ccdb_protocols.Mvto_system.verify sys) then
-      failwith "X4: MVTO invariant violated";
-    Metrics.summarize rt
+    (* the Mvto mode's summary reports MVTO's own invariant *)
+    let summary = run D.Mvto lam in
+    if not summary.serializable then failwith "X4: MVTO invariant violated";
+    summary
   in
-  let point lam () = (lam, run_basic lam, run_mvto lam) in
+  let point lam () =
+    (lam, run (D.Pure Ccdb_model.Protocol.T_o) lam, run_mvto lam)
+  in
   let assemble rows =
     let table =
       T.create
@@ -892,35 +870,13 @@ let x4_multiversion ?(quick = false) () = run_one (x4_staged ~quick)
 
 let x5_staged ~quick =
   let n = n_for quick 300 in
-  let spec lam = { base_spec with arrival_rate = lam } in
-  let run_basic lam =
-    let setup = { base_setup with items = 16 } in
-    (D.run ~setup ~n_txns:n (D.Pure Ccdb_model.Protocol.T_o) (spec lam)).summary
+  let setup = { base_setup with items = 16 } in
+  let run mode lam =
+    (D.run ~setup ~n_txns:n mode { base_spec with arrival_rate = lam }).summary
   in
-  let run_cto lam =
-    let catalog =
-      Ccdb_storage.Catalog.create ~items:16 ~sites:base_setup.sites
-        ~replication:base_setup.replication
-    in
-    let rt =
-      Ccdb_protocols.Runtime.create ~seed:base_setup.seed
-        ~net_config:base_setup.net ~catalog ()
-    in
-    let sys = Ccdb_protocols.Cto_system.create rt in
-    let wl_rng = Ccdb_util.Rng.create ~seed:(base_setup.seed + 7919) in
-    let generator =
-      Ccdb_workload.Generator.create (spec lam) ~sites:base_setup.sites
-        ~items:16 wl_rng
-    in
-    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
-      (List.map
-         (fun (at, txn) ->
-           (at, fun () -> Ccdb_protocols.Cto_system.submit sys txn))
-         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
-    Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
-    Metrics.summarize rt
+  let point lam () =
+    (lam, run (D.Pure Ccdb_model.Protocol.T_o) lam, run D.Conservative lam)
   in
-  let point lam () = (lam, run_basic lam, run_cto lam) in
   let assemble rows =
     let table =
       T.create
@@ -970,29 +926,8 @@ let x6_staged ~quick =
       { base_spec with
         arrival_rate = lam; size_min = 2; size_max = 3; read_fraction = 0.3 }
     in
-    let catalog =
-      Ccdb_storage.Catalog.create ~items:10 ~sites:base_setup.sites
-        ~replication:1
-    in
-    let rt =
-      Ccdb_protocols.Runtime.create ~seed:base_setup.seed
-        ~net_config:base_setup.net ~catalog ()
-    in
-    let config =
-      { Core.Dynamic_cc.default_config with reselect_on_restart = reselect }
-    in
-    let sys = Core.Dynamic_cc.create ~config rt in
-    let wl_rng = Ccdb_util.Rng.create ~seed:(base_setup.seed + 7919) in
-    let generator =
-      Ccdb_workload.Generator.create spec ~sites:base_setup.sites ~items:10
-        wl_rng
-    in
-    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
-      (List.map
-         (fun (at, txn) -> (at, fun () -> Core.Dynamic_cc.submit sys txn))
-         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
-    Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
-    Metrics.summarize rt
+    let setup = { base_setup with items = 10; replication = 1; reselect } in
+    (D.run ~setup ~n_txns:n D.Dynamic spec).summary
   in
   let point lam () =
     (lam, run_dynamic ~reselect:false lam, run_dynamic ~reselect:true lam)
@@ -1040,28 +975,11 @@ let x6_reselection ?(quick = false) () = run_one (x6_staged ~quick)
 let x7_staged ~quick =
   let n = n_for quick 400 in
   let run_dynamic ~criterion lam =
-    let spec = { base_spec with arrival_rate = lam } in
-    let catalog =
-      Ccdb_storage.Catalog.create ~items:base_setup.items
-        ~sites:base_setup.sites ~replication:base_setup.replication
+    let r =
+      D.run ~setup:{ base_setup with criterion } ~n_txns:n D.Dynamic
+        { base_spec with arrival_rate = lam }
     in
-    let rt =
-      Ccdb_protocols.Runtime.create ~seed:base_setup.seed
-        ~net_config:base_setup.net ~catalog ()
-    in
-    let config = { Core.Dynamic_cc.default_config with criterion } in
-    let sys = Core.Dynamic_cc.create ~config rt in
-    let wl_rng = Ccdb_util.Rng.create ~seed:(base_setup.seed + 7919) in
-    let generator =
-      Ccdb_workload.Generator.create spec ~sites:base_setup.sites
-        ~items:base_setup.items wl_rng
-    in
-    Ccdb_sim.Engine.schedule_all (Ccdb_protocols.Runtime.engine rt)
-      (List.map
-         (fun (at, txn) -> (at, fun () -> Core.Dynamic_cc.submit sys txn))
-         (Ccdb_workload.Generator.generate generator ~n ~start:0.));
-    Ccdb_protocols.Runtime.quiesce ~max_events:50_000_000 rt;
-    let decisions = Core.Dynamic_cc.decisions sys in
+    let decisions = r.decisions in
     let share p =
       let total = List.fold_left (fun acc (_, c) -> acc + c) 0 decisions in
       if total = 0 then 0.
@@ -1070,7 +988,7 @@ let x7_staged ~quick =
           (Option.value ~default:0 (List.assoc_opt p decisions))
         /. float_of_int total
     in
-    (Metrics.summarize rt, share Ccdb_model.Protocol.Two_pl)
+    (r.summary, share Ccdb_model.Protocol.Two_pl)
   in
   let point lam () =
     ( lam,

@@ -35,6 +35,18 @@ let create ?config rt hooks =
       (Consensus.create ?config ~f rt
          { Consensus.apply = hooks.apply; commit_point = hooks.commit_point })
 
+let participants ~site ~action copies =
+  let by_site = ref [] in
+  List.iter
+    (fun copy ->
+      let a = action copy in
+      match Ccdb_util.Int_list.assoc_opt (site copy) !by_site with
+      | Some r -> r := a :: !r
+      | None -> by_site := (site copy, ref [ a ]) :: !by_site)
+    copies;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
+  |> List.map (fun (s, r) -> (s, List.rev !r))
+
 let commit t ~txn ~home ~participants =
   match t with
   | Two_pc c -> Two_pc.commit c ~txn ~home ~participants

@@ -50,6 +50,15 @@ val create : ?config:config -> Runtime.t -> hooks -> t
     @raise Invalid_argument if the runtime is not durable, a timeout is
     not positive, or (Paxos) the network has fewer than [2f+1] sites. *)
 
+val participants :
+  site:('a -> int) ->
+  action:('a -> Ccdb_storage.Wal.action) ->
+  'a list ->
+  (int * Ccdb_storage.Wal.action list) list
+(** Groups a transaction's copies into the [participants] of {!commit}:
+    one entry per site, sites ascending, each site's actions in list
+    order.  The caller builds each copy's action. *)
+
 val commit :
   t ->
   txn:int ->

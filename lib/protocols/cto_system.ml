@@ -1,14 +1,14 @@
+module L = Lifecycle
+
 type config = { tick_interval : float }
 
 let default_config = { tick_interval = 25. }
-
-type payload_fn = (int -> int) -> (int * int) list
 
 type phase = Reading | Computing | Committing
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : L.payload_fn option;
   submitted_at : float;
   ts : int;
   mutable phase : phase;
@@ -36,27 +36,10 @@ type t = {
   (* in-flight timestamps per site, sorted ascending *)
   in_flight : int list array;
   buffers : (int * int, entry list ref) Hashtbl.t; (* sorted by ts *)
-  states : (int, txn_state) Hashtbl.t;
-  mutable active : int;
+  live : txn_state L.live;
   mutable ticks_sent : int;
   mutable ticking : bool;
 }
-
-let read_copies rt (txn : Ccdb_model.Txn.t) =
-  List.map
-    (fun item ->
-      (item,
-       Ccdb_storage.Catalog.read_site (Runtime.catalog rt) ~preferred:txn.site
-         item))
-    txn.read_set
-
-let write_copies rt (txn : Ccdb_model.Txn.t) =
-  List.concat_map
-    (fun item ->
-      List.map
-        (fun site -> (item, site))
-        (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
-    txn.write_set
 
 let buffer t copy =
   match Hashtbl.find_opt t.buffers copy with
@@ -111,7 +94,7 @@ and execute t copy ~item ~site e =
          { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o;
            op = Ccdb_model.Op.Write; item; site; granted_at = at; at;
            aborted = false; ts = Some e.e_ts });
-    (match Hashtbl.find_opt t.states e.e_txn with
+    (match L.find t.live e.e_txn with
      | None -> ()
      | Some st ->
        Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -120,14 +103,14 @@ and execute t copy ~item ~site e =
   | Ccdb_model.Op.Read, _ ->
     Ccdb_storage.Store.log_read store ~item ~site ~txn:e.e_txn ~at;
     let value = Ccdb_storage.Store.read store ~item ~site in
-    (match Hashtbl.find_opt t.states e.e_txn with
+    (match L.find t.live e.e_txn with
      | None -> ()
      | Some st ->
        Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
          ~kind:"cto-val" (fun () -> on_read_value t e.e_txn copy value))
 
 and on_read_value t txn_id copy value =
-  match Hashtbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.phase = Reading && List.mem copy st.awaiting then begin
@@ -146,19 +129,10 @@ and start_compute t st =
 
 and send_writes t st =
   let txn = st.txn in
-  let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  let writes =
-    match st.payload with
-    | Some f -> f read_value
-    | None -> List.map (fun item -> (item, txn.id)) txn.write_set
-  in
-  let value_for item =
-    match List.assoc_opt item writes with Some v -> v | None -> txn.id
-  in
+  let writes = L.writes st.payload ~reads:st.reads txn in
+  let value_for item = L.value_for writes txn item in
   st.phase <- Committing;
-  let copies = write_copies t.rt txn in
+  let copies = L.write_copies t.rt txn in
   st.awaiting <- copies;
   List.iter
     (fun ((item, site) as copy) ->
@@ -178,7 +152,7 @@ and send_writes t st =
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.phase = Committing && List.mem copy st.awaiting then begin
@@ -192,8 +166,8 @@ and finalize t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
          restarts = 0 });
-  Hashtbl.remove t.states txn.id;
-  t.active <- t.active - 1
+  L.remove t.live txn.id;
+  L.retire t.live
 
 (* --- advertisements ----------------------------------------------------- *)
 
@@ -225,7 +199,7 @@ and retire t site ts =
   broadcast t site
 
 let rec tick_loop t =
-  if t.active > 0 then begin
+  if L.active t.live > 0 then begin
     for site = 0 to t.sites - 1 do
       broadcast t site
     done;
@@ -241,23 +215,20 @@ let create ?(config = default_config) rt =
     hw = Array.make_matrix sites sites (-1);
     advertised = Array.make sites (-1);
     in_flight = Array.make sites [];
-    buffers = Hashtbl.create 64; states = Hashtbl.create 64; active = 0;
-    ticks_sent = 0; ticking = false }
+    buffers = Hashtbl.create 64; live = L.live rt; ticks_sent = 0;
+    ticking = false }
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Cto_system.submit: duplicate transaction id";
   let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; ts; phase = Reading;
       awaiting = []; reads = [] }
   in
-  Hashtbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
+  L.admit t.live ~duplicate:"Cto_system.submit: duplicate transaction id"
+    txn.Ccdb_model.Txn.id st;
   t.in_flight.(txn.site) <-
     List.sort Int.compare (ts :: t.in_flight.(txn.site));
-  let copies = read_copies t.rt txn in
+  let copies = L.read_copies t.rt txn in
   st.awaiting <- copies;
   List.iter
     (fun ((_item, site) as copy) ->
@@ -276,5 +247,5 @@ let submit t ?payload txn =
     tick_loop t
   end
 
-let active t = t.active
+let active t = L.active t.live
 let ticks_sent t = t.ticks_sent

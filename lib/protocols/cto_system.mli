@@ -30,16 +30,14 @@ type config = {
 val default_config : config
 (** tick_interval 25. *)
 
-type payload_fn = (int -> int) -> (int * int) list
-(** Same convention as {!To_system.payload_fn} (and the same blind-write
-    caveat for items in both access sets). *)
-
 type t
 
 val create : ?config:config -> Runtime.t -> t
 
-val submit : t -> ?payload:payload_fn -> Ccdb_model.Txn.t -> unit
-(** @raise Invalid_argument on a duplicate live transaction id. *)
+val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
+(** The payload has {!To_system}'s blind-write caveat for items in both
+    access sets.
+    @raise Invalid_argument on a duplicate live transaction id. *)
 
 val active : t -> int
 

@@ -1,6 +1,7 @@
 module Copies = Ccdb_storage.Copy_table
 module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
+module L = Lifecycle
 
 type config = { restart_delay : float }
 
@@ -27,28 +28,11 @@ type t = {
   rt : Runtime.t;
   config : config;
   queues : Mvto_queue.t Copies.t;
-  states : txn_state Int_tbl.t;
-  mutable active : int;
+  live : txn_state L.live;
   mutable committed_reads : read_record list;
   (* reads observed per attempt, promoted to committed_reads at commit *)
   pending_reads : read_record list Int_tbl.t;
 }
-
-let read_copies rt (txn : Ccdb_model.Txn.t) =
-  List.map
-    (fun item ->
-      (item,
-       Ccdb_storage.Catalog.read_site (Runtime.catalog rt) ~preferred:txn.site
-         item))
-    txn.read_set
-
-let write_copies rt (txn : Ccdb_model.Txn.t) =
-  List.concat_map
-    (fun item ->
-      List.map
-        (fun site -> (item, site))
-        (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
-    txn.write_set
 
 let record_read t ~txn_id record =
   let cur =
@@ -65,7 +49,7 @@ let emit_op t ~txn_id ~op ~item ~site =
 
 (* deliver a read value home (skipped for a superseded attempt) *)
 let rec send_value t ((item, site) as copy) ~reader ~ts ~value =
-  match Int_tbl.find_opt t.states reader with
+  match L.find t.live reader with
   | Some st when st.ts = ts ->
     emit_op t ~txn_id:reader ~op:Ccdb_model.Op.Read ~item ~site;
     record_read t ~txn_id:reader
@@ -80,7 +64,7 @@ and drain t ((item, site) as copy) =
     (Mvto_queue.drain_reads (Copies.get t.queues ~item ~site))
 
 and on_read_value t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Reading && Int_list.mem_pair copy st.awaiting
@@ -100,7 +84,7 @@ and send_prewrites t st =
   if txn.write_set = [] then commit t st
   else begin
     st.phase <- Prewriting;
-    let copies = write_copies t.rt txn in
+    let copies = L.write_copies t.rt txn in
     st.awaiting <- copies;
     let ts = st.ts in
     List.iter
@@ -121,7 +105,7 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
@@ -134,7 +118,7 @@ and commit t st =
   let txn = st.txn in
   st.phase <- Done;
   let ts = st.ts in
-  let copies = write_copies t.rt txn in
+  let copies = L.write_copies t.rt txn in
   st.awaiting <- copies;
   List.iter
     (fun ((item, site) as copy) ->
@@ -155,7 +139,7 @@ and commit t st =
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Done && Int_list.mem_pair copy st.awaiting
@@ -175,11 +159,11 @@ and finalize t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
          restarts = st.restarts });
-  Int_tbl.remove t.states txn.id;
-  t.active <- t.active - 1
+  L.remove t.live txn.id;
+  L.retire t.live
 
 and on_reject t txn_id ~ts rejected_copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting then
@@ -204,21 +188,17 @@ and restart t st ~except ~reason =
           ~kind:"mv-abort" (fun () ->
             Mvto_queue.abort (Copies.get t.queues ~item ~site) ~txn:txn.id;
             drain t copy))
-    (read_copies t.rt txn @ write_copies t.rt txn);
+    (L.read_copies t.rt txn @ L.write_copies t.rt txn);
   st.phase <- Reading;
   st.awaiting <- [];
-  ignore
-    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-       ~after:
-         (Runtime.restart_backoff t.rt ~site:txn.site
-            ~base:t.config.restart_delay ~attempt:st.restarts) (fun () ->
-           begin_attempt t st))
+  L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
+    ~attempt:st.restarts (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   let txn = st.txn in
   st.ts <- Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt);
   st.phase <- Reading;
-  let copies = read_copies t.rt txn in
+  let copies = L.read_copies t.rt txn in
   st.awaiting <- copies;
   if copies = [] then start_compute t st
   else begin
@@ -235,36 +215,16 @@ and begin_attempt t st =
       copies
   end
 
-(* Crash cleanup mirrors {!To_system}: restart reading / prewriting
-   transactions that depend on the dead site, leave invalidated attempts
-   ([ts = -1]) to their pending restart, push committed writes forward. *)
-let on_site_crash t site =
-  let victims =
-    Int_tbl.fold
-      (fun id st acc ->
-        if
-          st.ts <> -1
-          && (st.phase = Reading || st.phase = Prewriting)
-          && (st.txn.Ccdb_model.Txn.site = site
-              || List.exists (fun (_, s) -> s = site) st.awaiting)
-        then id :: acc
-        else acc)
-      t.states []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun id ->
-      match Int_tbl.find_opt t.states id with
-      | Some st -> restart t st ~except:None ~reason:Runtime.Site_failure
-      | None -> ())
-    victims
+(* Crash and stall cleanup mirror {!To_system}: restart reading /
+   prewriting transactions that depend on the dead site or stalled, leave
+   invalidated attempts ([ts = -1]) to their pending restart, push
+   committed writes forward. *)
+let restartable st =
+  st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
 
-let on_stall t txn_id =
-  match Int_tbl.find_opt t.states txn_id with
-  | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
-    ->
-    restart t st ~except:None ~reason:Runtime.Site_failure
-  | Some _ | None -> ()
+let depends_on_site st site =
+  st.txn.Ccdb_model.Txn.site = site
+  || List.exists (fun (_, s) -> s = site) st.awaiting
 
 (* Fail-stop wipe: parked reads are volatile (the issuer never got an
    answer) and vanish; the version chain — committed history, uncommitted
@@ -283,28 +243,25 @@ let create ?(config = default_config) rt =
   let t =
     { rt; config;
       queues = Copies.create (Runtime.catalog rt) Mvto_queue.create;
-      states = Int_tbl.create 64; active = 0; committed_reads = [];
+      live = L.live rt; committed_reads = [];
       pending_reads = Int_tbl.create 32 }
   in
-  Runtime.on_site_crash rt (fun site -> on_site_crash t site);
-  Runtime.on_stall rt (fun txn -> on_stall t txn);
+  L.restart_on_failures t.live ~restartable ~depends_on:depends_on_site
+    (restart t ~except:None ~reason:Runtime.Site_failure);
   if Runtime.durable rt then
     Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);
   t
 
 let submit t txn =
-  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Mvto_system.submit: duplicate transaction id";
   let st =
     { txn; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
       phase = Reading; awaiting = [] }
   in
-  Int_tbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
+  L.admit t.live ~duplicate:"Mvto_system.submit: duplicate transaction id"
+    txn.Ccdb_model.Txn.id st;
   begin_attempt t st
 
-let active t = t.active
+let active t = L.active t.live
 
 let verify t =
   (* every committed read observed the committed version with the largest

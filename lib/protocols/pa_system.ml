@@ -1,12 +1,10 @@
 module Copies = Ccdb_storage.Copy_table
-module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
+module L = Lifecycle
 
 type config = { backoff_interval : int }
 
 let default_config = { backoff_interval = 8 }
-
-type payload_fn = (int -> int) -> (int * int) list
 
 type slot_state = Waiting | Granted of int | Backed of int
 
@@ -17,7 +15,7 @@ type phase = Negotiating | Computing | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int;            (* current timestamp (TS, then TS') *)
   mutable backed_off : bool;   (* already in phase 2 *)
@@ -31,29 +29,9 @@ type t = {
   rt : Runtime.t;
   config : config;
   queues : Pa_queue.t Copies.t;
-  states : txn_state Int_tbl.t;
-  mutable active : int;
+  live : txn_state L.live;
   mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
 }
-
-let copies_of rt (txn : Ccdb_model.Txn.t) =
-  let catalog = Runtime.catalog rt in
-  let reads =
-    List.map
-      (fun item ->
-        (item, Ccdb_storage.Catalog.read_site catalog ~preferred:txn.site item,
-         Ccdb_model.Op.Read))
-      txn.read_set
-  in
-  let writes =
-    List.concat_map
-      (fun item ->
-        List.map
-          (fun site -> (item, site, Ccdb_model.Op.Write))
-          (Ccdb_storage.Catalog.copies catalog item))
-      txn.write_set
-  in
-  reads @ writes
 
 let set_slot st ~item ~site state =
   List.iter
@@ -86,7 +64,7 @@ let rec pump t ~item ~site =
     newly
 
 and on_grant t txn_id ~ts ~item ~site value =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
@@ -95,7 +73,7 @@ and on_grant t txn_id ~ts ~item ~site value =
     end
 
 and on_backoff t txn_id ~ts ~op ~item ~site ts' =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
@@ -149,7 +127,7 @@ and check_negotiation t st =
 
 and start_compute t st =
   (* harvest the read values from the grant slots *)
-  let copies = copies_of t.rt st.txn in
+  let copies = L.copies t.rt st.txn in
   List.iter
     (fun (item, site, _) ->
       match
@@ -167,42 +145,25 @@ and start_compute t st =
 
 and finish t st =
   let txn = st.txn in
-  let read_value item =
-    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  let writes =
-    match st.payload with
-    | Some f -> f read_value
-    | None -> List.map (fun item -> (item, txn.id)) txn.write_set
-  in
-  let value_for item =
-    match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
-  in
+  let writes = L.writes st.payload ~reads:st.reads txn in
+  let value_for item = L.value_for writes txn item in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
   match t.committer with
   | Some c ->
     (* durable: releases wait for the presumed-abort 2PC decision *)
-    let by_site = ref [] in
-    List.iter
-      (fun (item, site, op) ->
-        let value =
-          match op with
-          | Ccdb_model.Op.Write -> Some (value_for item)
-          | Ccdb_model.Op.Read -> None
-        in
-        let action =
-          { Ccdb_storage.Wal.item; op; value; attempt = 0; granted_at = 0. }
-        in
-        match Int_list.assoc_opt site !by_site with
-        | Some r -> r := action :: !r
-        | None -> by_site := (site, ref [ action ]) :: !by_site)
-      (copies_of t.rt txn);
-    let participants =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
-      |> List.map (fun (site, r) -> (site, List.rev !r))
-    in
-    Commit.commit c ~txn:txn.id ~home:txn.site ~participants
+    Commit.commit c ~txn:txn.id ~home:txn.site
+      ~participants:
+        (Commit.participants (L.copies t.rt txn)
+           ~site:(fun (_, site, _) -> site)
+           ~action:(fun (item, _, op) ->
+             let value =
+               match op with
+               | Ccdb_model.Op.Write -> Some (value_for item)
+               | Ccdb_model.Op.Read -> None
+             in
+             { Ccdb_storage.Wal.item; op; value; attempt = 0;
+               granted_at = 0. }))
   | None ->
     List.iter
       (fun (item, site, op) ->
@@ -214,7 +175,7 @@ and finish t st =
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"pa-release" (fun () ->
             on_release t ~item ~site txn.id op wvalue))
-      (copies_of t.rt txn);
+      (L.copies t.rt txn);
     commit_txn t st
 
 and commit_txn t st =
@@ -222,8 +183,8 @@ and commit_txn t st =
     (Runtime.Txn_committed
        { txn = st.txn; submitted_at = st.submitted_at;
          executed_at = st.executed; restarts = 0 });
-  Int_tbl.remove t.states st.txn.id;
-  t.active <- t.active - 1
+  L.remove t.live st.txn.id;
+  L.retire t.live
 
 and on_release t ~item ~site txn_id op wvalue =
   match Pa_queue.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
@@ -248,10 +209,8 @@ and on_release t ~item ~site txn_id op wvalue =
 (* --- submission --------------------------------------------------------- *)
 
 let submit t ?payload txn =
-  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Pa_system.submit: duplicate transaction id";
   let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
-  let copies = copies_of t.rt txn in
+  let copies = L.copies t.rt txn in
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; ts; backed_off = false;
       phase = Negotiating;
@@ -261,9 +220,8 @@ let submit t ?payload txn =
           copies;
       reads = []; executed = 0. }
   in
-  Int_tbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
+  L.admit t.live ~duplicate:"Pa_system.submit: duplicate transaction id"
+    txn.id st;
   let interval = t.config.backoff_interval in
   List.iter
     (fun (item, site, op) ->
@@ -294,17 +252,15 @@ let submit t ?payload txn =
 let create ?(config = default_config) rt =
   let t =
     { rt; config; queues = Copies.create (Runtime.catalog rt) Pa_queue.create;
-      states = Int_tbl.create 64; active = 0; committer = None }
+      live = L.live rt; committer = None }
   in
   if Runtime.durable rt then begin
     (* Fail-stop wipe: every PA entry survives — admissions and back-offs
        were acknowledged during negotiation (Corollary 1 forbids dropping
        them into a restart) — so the wipe only reports preserved counts. *)
-    Runtime.on_site_wipe rt (fun site ->
-        let preserved = ref 0 in
-        Copies.iter_site t.queues site (fun _ q ->
-            preserved := !preserved + List.length (Pa_queue.entries q));
-        (0, !preserved));
+    L.on_site_wipe rt t.queues
+      ~dropped:(fun _ -> [])
+      ~preserved:(fun q -> List.length (Pa_queue.entries q));
     t.committer <-
       Some
         (Commit.create rt
@@ -316,10 +272,10 @@ let create ?(config = default_config) rt =
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Int_tbl.find_opt t.states txn with
+                 match L.find t.live txn with
                  | Some st -> commit_txn t st
                  | None -> ()) })
   end;
   t
 
-let active t = t.active
+let active t = L.active t.live

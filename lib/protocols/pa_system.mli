@@ -18,13 +18,11 @@ type config = {
 val default_config : config
 (** backoff_interval 8. *)
 
-type payload_fn = (int -> int) -> (int * int) list
-
 type t
 
 val create : ?config:config -> Runtime.t -> t
 
-val submit : t -> ?payload:payload_fn -> Ccdb_model.Txn.t -> unit
+val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)
 
 val active : t -> int

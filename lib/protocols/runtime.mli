@@ -1,9 +1,10 @@
 (** Shared execution context for every concurrency-control system.
 
     A runtime bundles the simulation engine, the network, storage, the
-    timestamp source and an event stream.  All four systems (pure 2PL, pure
-    T/O, pure PA, and the unified engine in [core]) run against this same
-    substrate, so their timing and message counts are directly comparable. *)
+    timestamp source and an event stream.  All six systems (pure 2PL, pure
+    T/O, pure PA, MVTO, conservative T/O, and the unified engine in [core])
+    run against this same substrate, so their timing and message counts are
+    directly comparable. *)
 
 (** Which atomic-commitment protocol the durable paths run — selected at
     {!create} and read back by the [Commit] dispatcher.  Inert unless the

@@ -1,18 +1,16 @@
 module Copies = Ccdb_storage.Copy_table
-module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
+module L = Lifecycle
 
 type config = { restart_delay : float; thomas_write_rule : bool }
 
 let default_config = { restart_delay = 50.; thomas_write_rule = false }
 
-type payload_fn = (int -> int) -> (int * int) list
-
 type phase = Reading | Computing | Prewriting | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int;
   mutable restarts : int;
@@ -27,25 +25,8 @@ type t = {
   rt : Runtime.t;
   config : config;
   queues : To_queue.t Copies.t;
-  states : txn_state Int_tbl.t;
-  mutable active : int;
+  live : txn_state L.live;
 }
-
-let read_copies rt (txn : Ccdb_model.Txn.t) =
-  List.map
-    (fun item ->
-      (item,
-       Ccdb_storage.Catalog.read_site (Runtime.catalog rt) ~preferred:txn.site
-         item))
-    txn.read_set
-
-let write_copies rt (txn : Ccdb_model.Txn.t) =
-  List.concat_map
-    (fun item ->
-      List.map
-        (fun site -> (item, site))
-        (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
-    txn.write_set
 
 (* Implement everything the queue made performable: log the reads and send
    their values home, apply the committed writes. *)
@@ -71,7 +52,7 @@ let rec drain t ((item, site) as copy) =
                aborted = false; ts = Some p.ts });
         (* the write phase of the issuing transaction completes only when
            its writes have been applied: acknowledge *)
-        (match Int_tbl.find_opt t.states p.txn with
+        (match L.find t.live p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -81,7 +62,7 @@ let rec drain t ((item, site) as copy) =
       | Ccdb_model.Op.Read, _ ->
         Ccdb_storage.Store.log_read store ~item ~site ~txn:p.txn ~at;
         let value = Ccdb_storage.Store.read store ~item ~site in
-        (match Int_tbl.find_opt t.states p.txn with
+        (match L.find t.live p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -90,7 +71,7 @@ let rec drain t ((item, site) as copy) =
     performed
 
 and on_read_value t txn_id ~ts copy value =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Reading && Int_list.mem_pair copy st.awaiting
@@ -110,17 +91,11 @@ and start_compute t st =
 
 and send_prewrites t st =
   let txn = st.txn in
-  let read_value item =
-    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  st.write_values <-
-    (match st.payload with
-     | Some f -> f read_value
-     | None -> List.map (fun item -> (item, txn.id)) txn.write_set);
+  st.write_values <- L.writes st.payload ~reads:st.reads txn;
   if txn.write_set = [] then commit t st
   else begin
     st.phase <- Prewriting;
-    let copies = write_copies t.rt txn in
+    let copies = L.write_copies t.rt txn in
     st.awaiting <- copies;
     let ts = st.ts in
     List.iter
@@ -159,7 +134,7 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ignored t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
@@ -170,7 +145,7 @@ and on_prewrite_ignored t txn_id ~ts copy =
     end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && Int_list.mem_pair copy st.awaiting
@@ -182,15 +157,11 @@ and on_prewrite_ack t txn_id ~ts copy =
 and commit t st =
   let txn = st.txn in
   st.phase <- Done;
-  let value_for item =
-    match Int_list.assoc_opt item st.write_values with
-    | Some v -> v
-    | None -> txn.id
-  in
+  let value_for item = L.value_for st.write_values txn item in
   let copies =
     List.filter
       (fun copy -> not (Int_list.mem_pair copy st.ignored))
-      (write_copies t.rt txn)
+      (L.write_copies t.rt txn)
   in
   st.awaiting <- copies;
   List.iter
@@ -205,7 +176,7 @@ and commit t st =
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Done && Int_list.mem_pair copy st.awaiting
@@ -221,11 +192,11 @@ and finalize t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
          restarts = st.restarts });
-  Int_tbl.remove t.states txn.id;
-  t.active <- t.active - 1
+  L.remove t.live txn.id;
+  L.retire t.live
 
 and on_reject t txn_id ~ts rejected_copy op =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && (st.phase = Reading || st.phase = Prewriting) then
@@ -245,8 +216,8 @@ and restart t st ~except ~reason =
   (* withdraw the reads (performed ones leave the committed projection of
      the log) and, when prewriting, the buffered prewrites *)
   let touched =
-    read_copies t.rt txn
-    @ (if st.phase = Prewriting then write_copies t.rt txn else [])
+    L.read_copies t.rt txn
+    @ (if st.phase = Prewriting then L.write_copies t.rt txn else [])
   in
   List.iter
     (fun ((item, site) as copy) ->
@@ -268,12 +239,8 @@ and restart t st ~except ~reason =
   st.reads <- [];
   st.write_values <- [];
   st.ignored <- [];
-  ignore
-    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-       ~after:
-         (Runtime.restart_backoff t.rt ~site:txn.site
-            ~base:t.config.restart_delay ~attempt:st.restarts) (fun () ->
-           begin_attempt t st))
+  L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
+    ~attempt:st.restarts (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   let txn = st.txn in
@@ -282,7 +249,7 @@ and begin_attempt t st =
   st.reads <- [];
   st.write_values <- [];
   st.ignored <- [];
-  let copies = read_copies t.rt txn in
+  let copies = L.read_copies t.rt txn in
   st.awaiting <- copies;
   if copies = [] then start_compute t st
   else begin
@@ -316,60 +283,18 @@ and begin_attempt t st =
       copies
   end
 
-(* Crash cleanup: restart transactions still reading or prewriting whose
-   home site crashed or that await a reply from the dead site.  Attempts
-   already invalidated ([ts = -1]) are waiting out their restart delay and
-   are left alone.  Committed-phase writes push forward: the transport
-   retries them across the outage, so Basic T/O never loses an accepted
-   write. *)
-let crash_restart t ~pred ~reason =
-  let victims =
-    Int_tbl.fold
-      (fun id st acc ->
-        if
-          st.ts <> -1
-          && (st.phase = Reading || st.phase = Prewriting)
-          && pred st
-        then id :: acc
-        else acc)
-      t.states []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun id ->
-      match Int_tbl.find_opt t.states id with
-      | Some st -> restart t st ~except:None ~reason
-      | None -> ())
-    victims
+(* Crash and stall cleanup: restart transactions still reading or
+   prewriting whose home site crashed or that await a reply from the dead
+   site, or that stalled.  Attempts already invalidated ([ts = -1]) are
+   waiting out their restart delay and are left alone.  Committed-phase
+   writes push forward: the transport retries them across the outage, so
+   Basic T/O never loses an accepted write. *)
+let restartable st =
+  st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
 
-let on_site_crash t site =
-  crash_restart t ~reason:Runtime.Site_failure ~pred:(fun st ->
-      st.txn.Ccdb_model.Txn.site = site
-      || List.exists (fun (_, s) -> s = site) st.awaiting)
-
-let on_stall t txn_id =
-  match Int_tbl.find_opt t.states txn_id with
-  | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
-    ->
-    restart t st ~except:None ~reason:Runtime.Site_failure
-  | Some _ | None -> ()
-
-(* Fail-stop wipe, in ascending item order: pending reads are volatile (no
-   value ever left the site); accepted write prewrites were acknowledged
-   and survive, along with the timestamp floors — dropping one would turn
-   its transaction's later commit into a silent no-op. *)
-let on_site_wipe t site =
-  let dropped = ref 0 and preserved = ref 0 in
-  Copies.iter_site t.queues site (fun item q ->
-      List.iter
-        (fun txn ->
-          incr dropped;
-          Runtime.emit t.rt
-            (Runtime.Request_dropped
-               { txn; item; site; at = Runtime.now t.rt }))
-        (To_queue.wipe_reads q);
-      preserved := !preserved + To_queue.pending q);
-  (!dropped, !preserved)
+let depends_on_site st site =
+  st.txn.Ccdb_model.Txn.site = site
+  || List.exists (fun (_, s) -> s = site) st.awaiting
 
 let create ?(config = default_config) rt =
   let t =
@@ -377,25 +302,27 @@ let create ?(config = default_config) rt =
       queues =
         Copies.create (Runtime.catalog rt) (fun () ->
             To_queue.create ~thomas_write_rule:config.thomas_write_rule ());
-      states = Int_tbl.create 64; active = 0 }
+      live = L.live rt }
   in
-  Runtime.on_site_crash rt (fun site -> on_site_crash t site);
-  Runtime.on_stall rt (fun txn -> on_stall t txn);
+  L.restart_on_failures t.live ~restartable ~depends_on:depends_on_site
+    (restart t ~except:None ~reason:Runtime.Site_failure);
   if Runtime.durable rt then
-    Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);
+    (* Fail-stop wipe: pending reads are volatile (no value ever left the
+       site); accepted write prewrites were acknowledged and survive, along
+       with the timestamp floors — dropping one would turn its
+       transaction's later commit into a silent no-op. *)
+    L.on_site_wipe rt t.queues ~dropped:To_queue.wipe_reads
+      ~preserved:To_queue.pending;
   t
 
 let submit t ?payload txn =
-  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "To_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
       phase = Reading; awaiting = []; reads = []; write_values = [];
       ignored = [] }
   in
-  Int_tbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
+  L.admit t.live ~duplicate:"To_system.submit: duplicate transaction id"
+    txn.id st;
   begin_attempt t st
 
-let active t = t.active
+let active t = L.active t.live

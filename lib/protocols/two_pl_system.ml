@@ -1,6 +1,6 @@
 module Copies = Ccdb_storage.Copy_table
-module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
+module L = Lifecycle
 
 type prevention = No_prevention | Wait_die | Wound_wait
 
@@ -14,13 +14,11 @@ let default_config =
   { restart_delay = 50.; detection = Deadlock.default_detection;
     prevention = No_prevention }
 
-type payload_fn = (int -> int) -> (int * int) list
-
 type phase = Waiting | Restarting | Computing | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : L.payload_fn option;
   submitted_at : float;
   mutable attempt : int;
   mutable restarts : int;
@@ -32,59 +30,13 @@ type txn_state = {
                                commit point fires later *)
 }
 
-type detector = Central of Deadlock.t | Probing of Edge_chasing.t
-
 type t = {
   rt : Runtime.t;
   config : config;
   tables : Lock_table.t Copies.t;
-  states : txn_state Int_tbl.t;
-  mutable active : int;
-  mutable detector : detector option;
+  live : txn_state L.live;
   mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
 }
-
-let notify_blocked t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Edge_chasing.txn_blocked ec txn_id
-  | Some (Central _) | None -> ()
-
-let notify_unblocked t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Edge_chasing.txn_unblocked ec txn_id
-  | Some (Central _) | None -> ()
-
-let notify_progress t txn_id =
-  match t.detector with
-  | Some (Probing ec) -> Edge_chasing.txn_progress ec txn_id
-  | Some (Central _) | None -> ()
-
-(* The physical copies a transaction touches: one read site per read item,
-   every copy for each written item. *)
-let copies_of rt (txn : Ccdb_model.Txn.t) =
-  let catalog = Runtime.catalog rt in
-  let reads =
-    List.map
-      (fun item ->
-        (item, Ccdb_storage.Catalog.read_site catalog ~preferred:txn.site item,
-         Ccdb_model.Op.Read))
-      txn.read_set
-  in
-  let writes =
-    List.concat_map
-      (fun item ->
-        List.map
-          (fun site -> (item, site, Ccdb_model.Op.Write))
-          (Ccdb_storage.Catalog.copies catalog item))
-      txn.write_set
-  in
-  reads @ writes
-
-let all_edges t =
-  Copies.fold
-    (fun ~item:_ ~site:_ table acc ->
-      List.rev_append (Lock_table.waits_for table) acc)
-    t.tables []
 
 (* Commit point: the transaction is durably decided.  Without 2PC this is
    the end of the compute phase; with it, the coordinator's commit record. *)
@@ -94,33 +46,21 @@ let commit_txn t st =
     (Runtime.Txn_committed
        { txn; submitted_at = st.submitted_at; executed_at = st.executed;
          restarts = st.restarts });
-  Int_tbl.remove t.states txn.id;
-  t.active <- t.active - 1;
-  if t.active = 0 then
-    match t.detector with
-    | Some (Central d) -> Deadlock.stop d
-    | Some (Probing _) | None -> ()
+  L.remove t.live txn.id;
+  L.retire t.live
 
 (* The per-site 2PC payload: every granted copy, grouped by site, with the
    value its release must implement. *)
 let participants_of st value_for =
-  let by_site = ref [] in
-  List.iter
-    (fun ((item, site), op, granted_at) ->
+  Commit.participants st.granted
+    ~site:(fun ((_, site), _, _) -> site)
+    ~action:(fun ((item, _), op, granted_at) ->
       let value =
         match op with
         | Ccdb_model.Op.Write -> Some (value_for item)
         | Ccdb_model.Op.Read -> None
       in
-      let action =
-        { Ccdb_storage.Wal.item; op; value; attempt = st.attempt; granted_at }
-      in
-      match Int_list.assoc_opt site !by_site with
-      | Some r -> r := action :: !r
-      | None -> by_site := (site, ref [ action ]) :: !by_site)
-    st.granted;
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
-  |> List.map (fun (site, r) -> (site, List.rev !r))
+      { Ccdb_storage.Wal.item; op; value; attempt = st.attempt; granted_at })
 
 (* --- grant pump ------------------------------------------------------- *)
 
@@ -131,7 +71,7 @@ let rec pump t ((item, site) as copy) =
 
 and send_grant t copy item site (entry : Lock_table.entry) =
   let store = Runtime.store t.rt in
-  match Int_tbl.find_opt t.states entry.txn with
+  match L.find t.live entry.txn with
   | None -> () (* transaction already gone; release will never come, but an
                   abort for this attempt is in flight and will clean up *)
   | Some st ->
@@ -153,20 +93,20 @@ and send_grant t copy item site (entry : Lock_table.entry) =
         on_grant t entry.txn attempt copy entry.op value)
 
 and on_grant t txn_id attempt copy op value =
-  match Int_tbl.find_opt t.states txn_id with
+  match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.attempt = attempt && st.phase = Waiting
        && Int_list.mem_pair copy st.awaiting then begin
       st.awaiting <- Int_list.remove_pair copy st.awaiting;
-      notify_progress t txn_id;
+      L.progress t.live txn_id;
       st.granted <- (copy, op, Runtime.now t.rt) :: st.granted;
       let item = fst copy in
       if not (Int_list.mem_assoc item st.reads) then
         st.reads <- (item, value) :: st.reads;
       if st.awaiting = [] then begin
         st.phase <- Computing;
-        notify_unblocked t txn_id;
+        L.unblocked t.live txn_id;
         ignore
           (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
              ~after:st.txn.compute_time (fun () -> finish t st))
@@ -175,17 +115,8 @@ and on_grant t txn_id attempt copy op value =
 
 and finish t st =
   let txn = st.txn in
-  let read_value item =
-    match Int_list.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  let writes =
-    match st.payload with
-    | Some f -> f read_value
-    | None -> List.map (fun item -> (item, txn.id)) txn.write_set
-  in
-  let value_for item =
-    match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
-  in
+  let writes = L.writes st.payload ~reads:st.reads txn in
+  let value_for item = L.value_for writes txn item in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
   match t.committer with
@@ -247,12 +178,12 @@ let blockers tbl ~txn ~op =
 
 let rec send_requests t st =
   let txn = st.txn in
-  let copies = copies_of t.rt txn in
+  let copies = L.copies t.rt txn in
   st.awaiting <- List.map (fun (item, site, _) -> (item, site)) copies;
   st.granted <- [];
   st.reads <- [];
   st.phase <- Waiting;
-  notify_blocked t txn.id;
+  L.blocked t.live txn.id;
   List.iter
     (fun (item, site, op) ->
       let attempt = st.attempt in
@@ -289,7 +220,7 @@ let rec send_requests t st =
             List.iter
               (fun (e : Lock_table.entry) ->
                 if e.txn > txn.id then
-                  match Int_tbl.find_opt t.states e.txn with
+                  match L.find t.live e.txn with
                   | Some victim_st ->
                     Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site
                       ~dst:victim_st.txn.site ~kind:"wound" (fun () ->
@@ -300,12 +231,12 @@ let rec send_requests t st =
     copies
 
 and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
-  match Int_tbl.find_opt t.states victim with
+  match L.find t.live victim with
   | None -> ()
   | Some st ->
     if st.phase = Waiting then begin
       st.phase <- Restarting;
-      notify_unblocked t victim;
+      L.unblocked t.live victim;
       let txn = st.txn in
       let old_attempt = st.attempt in
       let granted = st.granted in
@@ -337,148 +268,61 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
                      (Runtime.Request_withdrawn
                         { txn = txn.id; item; site; at = Runtime.now t.rt }));
                 pump t (item, site)))
-        (copies_of t.rt txn);
+        (L.copies t.rt txn);
       st.attempt <- st.attempt + 1;
       st.restarts <- st.restarts + 1;
       st.awaiting <- [];
       st.granted <- [];
-      ignore
-        (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-           ~after:
-             (Runtime.restart_backoff t.rt ~site:txn.site
-                ~base:t.config.restart_delay ~attempt:st.restarts) (fun () ->
-               send_requests t st))
+      L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
+        ~attempt:st.restarts (fun () -> send_requests t st)
     end
 
-(* Crash cleanup: abort every transaction still in its read (Waiting) phase
-   that depends on the dead site — its home site crashed, or it awaits or
-   holds a lock on a copy there.  Only Waiting transactions are touched:
-   anything past lock-point pushes forward through transport retries (and,
-   when durable, through 2PC termination), so no implemented write is ever
-   lost.  [abort_victim] withdraws all its requests, so no lock leaks on
-   the dead site: under fail-pause the withdrawal reaches the live table
-   after recovery; under fail-stop the wipe already dropped the waiting
-   entry and the late withdrawal finds nothing. *)
+(* Crash and stall cleanup: restart every transaction still in its read
+   (Waiting) phase that depends on the dead site — its home site crashed,
+   or it awaits or holds a lock on a copy there — or that produced no event
+   for a full stall timeout (the transport gave up on its traffic).  Only
+   Waiting transactions are touched: anything past lock-point pushes
+   forward through transport retries (and, when durable, through 2PC
+   termination), so no implemented write is ever lost.  [abort_victim]
+   withdraws all its requests, so no lock leaks on the dead site: under
+   fail-pause the withdrawal reaches the live table after recovery; under
+   fail-stop the wipe already dropped the waiting entry and the late
+   withdrawal finds nothing. *)
 let depends_on_site st site =
   st.txn.Ccdb_model.Txn.site = site
   || List.exists (fun (_, s) -> s = site) st.awaiting
   || List.exists (fun ((_, s), _, _) -> s = site) st.granted
 
-let on_site_crash t site =
-  let victims =
-    Int_tbl.fold
-      (fun id st acc ->
-        if st.phase = Waiting && depends_on_site st site then id :: acc
-        else acc)
-      t.states []
-    |> List.sort Int.compare
-  in
-  List.iter (abort_victim ~reason:Runtime.Site_failure t) victims
-
-(* Stall fallback: a Waiting transaction that produced no event for a full
-   stall timeout lost traffic the transport gave up on (retry budget
-   exhausted).  Restarting re-issues every request. *)
-let on_stall t txn_id =
-  match Int_tbl.find_opt t.states txn_id with
-  | Some st when st.phase = Waiting ->
-    abort_victim ~reason:Runtime.Site_failure t txn_id
-  | Some _ | None -> ()
-
-(* wait-for targets of [txn] across the lock tables hosted at [site] *)
-let local_waits_on t ~site ~txn =
-  let holders = ref [] in
-  Copies.iter_site t.tables site (fun _ table ->
-      List.iter
-        (fun (waiter, holder) ->
-          if waiter = txn then holders := holder :: !holders)
-        (Lock_table.waits_for table));
-  List.sort_uniq Int.compare !holders
-
-(* Fail-stop wipe of the lock tables hosted at [site], in ascending item
-   order: waiting requests are volatile and vanish; granted locks are
-   WAL-backed and survive in place. *)
-let on_site_wipe t site =
-  let dropped = ref 0 and preserved = ref 0 in
-  Copies.iter_site t.tables site (fun item tbl ->
-      List.iter
-        (fun (e : Lock_table.entry) ->
-          incr dropped;
-          Runtime.emit t.rt
-            (Runtime.Request_dropped
-               { txn = e.txn; item; site; at = Runtime.now t.rt }))
-        (Lock_table.wipe_waiting tbl);
-      preserved := !preserved + List.length (Lock_table.entries tbl));
-  (!dropped, !preserved)
-
 let create ?(config = default_config) rt =
   let t =
     { rt; config;
       tables = Copies.create (Runtime.catalog rt) Lock_table.create;
-      states = Int_tbl.create 64; active = 0; detector = None;
-      committer = None }
+      live = L.live rt; committer = None }
   in
-  let detector =
-    match config.detection with
-    | Deadlock.Centralized { interval; detector_site } ->
-      Central
-        (Deadlock.create_centralized ~engine:(Runtime.engine rt)
-           ~net:(Runtime.net rt) ~interval ~detector_site
-           ~edges:(fun () -> all_edges t)
-           ~choose_victim:(fun cycle ->
-             let restarting id =
-               match Int_tbl.find_opt t.states id with
-               | Some st -> st.phase = Restarting
-               | None -> false
-             in
-             (* the cycle is already being broken by an earlier victim *)
-             let victim =
-               if List.exists restarting cycle then None
-               else Deadlock.youngest cycle
-             in
-             Runtime.emit t.rt
-               (Runtime.Deadlock_detected
-                  { cycle; victim; at = Runtime.now t.rt });
-             victim)
-           ~victim_site:(fun txn_id ->
-             match Int_tbl.find_opt t.states txn_id with
-             | Some st when st.phase = Waiting -> Some st.txn.site
-             | Some _ | None -> None)
-           ~abort:(fun victim -> abort_victim t victim))
-    | Deadlock.Edge_chasing { probe_delay } ->
-      Probing
-        (Edge_chasing.create (Runtime.engine rt) (Runtime.net rt)
-           { Edge_chasing.probe_delay }
-           { Edge_chasing.is_waiting =
-               (fun txn_id ->
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st -> st.phase = Waiting && st.awaiting <> []
-                 | None -> false);
-             home_site =
-               (fun txn_id ->
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st -> Some st.txn.site
-                 | None -> None);
-             pending_sites =
-               (fun txn_id ->
-                 match Int_tbl.find_opt t.states txn_id with
-                 | Some st ->
-                   List.sort_uniq Int.compare (List.map snd st.awaiting)
-                 | None -> []);
-             local_waits_on = (fun ~site ~txn -> local_waits_on t ~site ~txn);
-             may_initiate = (fun _ -> true);
-             on_deadlock =
-               (fun initiator ->
-                 Runtime.emit t.rt
-                   (Runtime.Deadlock_detected
-                      { cycle = [ initiator ]; victim = Some initiator;
-                        at = Runtime.now t.rt });
-                 abort_victim t initiator) })
-  in
-  t.detector <- Some detector;
-  Runtime.on_site_crash rt (fun site -> on_site_crash t site);
-  Runtime.on_stall rt (fun txn -> on_stall t txn);
+  L.detect_deadlocks t.live config.detection t.tables
+    ~waits_for:Lock_table.waits_for
+    { L.home = (fun st -> st.txn.site);
+      abortable = (fun st -> st.phase = Waiting);
+      restarting = (fun st -> st.phase = Restarting);
+      eligible = (fun _ -> true);
+      waiting = (fun st -> st.phase = Waiting && st.awaiting <> []);
+      pending_sites =
+        (fun st -> List.sort_uniq Int.compare (List.map snd st.awaiting));
+      may_initiate = (fun _ -> true);
+      abort = (fun victim -> abort_victim t victim) };
+  L.restart_on_failures t.live
+    ~restartable:(fun st -> st.phase = Waiting)
+    ~depends_on:depends_on_site
+    (fun st -> abort_victim ~reason:Runtime.Site_failure t st.txn.id);
   if Runtime.durable rt then begin
-    Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);
+    (* Fail-stop wipe: waiting requests are volatile and vanish; granted
+       locks are WAL-backed and survive in place. *)
+    L.on_site_wipe rt t.tables
+      ~dropped:(fun tbl ->
+        List.map
+          (fun (e : Lock_table.entry) -> e.txn)
+          (Lock_table.wipe_waiting tbl))
+      ~preserved:(fun tbl -> List.length (Lock_table.entries tbl));
     t.committer <-
       Some
         (Commit.create rt
@@ -491,32 +335,21 @@ let create ?(config = default_config) rt =
                    actions);
              commit_point =
                (fun ~txn ->
-                 match Int_tbl.find_opt t.states txn with
+                 match L.find t.live txn with
                  | Some st -> commit_txn t st
                  | None -> ()) })
   end;
   t
 
 let submit t ?payload txn =
-  if Int_tbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Two_pl_system.submit: duplicate transaction id";
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; attempt = 0; restarts = 0;
       phase = Waiting; awaiting = []; granted = []; reads = []; executed = 0. }
   in
-  Int_tbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
-  (match t.detector with
-   | Some (Central d) when t.config.prevention = No_prevention ->
-     Deadlock.start d
-   | Some (Central _ | Probing _) | None -> ());
+  L.admit t.live ~duplicate:"Two_pl_system.submit: duplicate transaction id"
+    txn.id st;
+  if t.config.prevention = No_prevention then L.start_detector t.live;
   send_requests t st
 
-let active t = t.active
-
-let detector_cycles t =
-  match t.detector with
-  | Some (Central d) -> Deadlock.cycles_found d
-  | Some (Probing ec) -> Edge_chasing.deadlocks_found ec
-  | None -> 0
+let active t = L.active t.live
+let detector_cycles t = L.detector_cycles t.live

@@ -30,16 +30,11 @@ val default_config : config
 (** restart_delay 50., centralized detection every 100. at site 0,
     no prevention. *)
 
-type payload_fn = (int -> int) -> (int * int) list
-(** A transaction body: given a function returning the value read for each
-    item in its access sets, produces the [(item, value)] pairs to write.
-    When omitted, every written item receives the transaction id. *)
-
 type t
 
 val create : ?config:config -> Runtime.t -> t
 
-val submit : t -> ?payload:payload_fn -> Ccdb_model.Txn.t -> unit
+val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** Submits at the current simulation time.  The transaction's protocol
     field is ignored (everything runs 2PL here).
     @raise Invalid_argument on a duplicate live transaction id. *)

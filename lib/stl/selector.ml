@@ -4,19 +4,9 @@ type verdict = {
 }
 
 let footprint catalog ~site ~read_set ~write_set =
-  let read_copies =
-    List.map
-      (fun item ->
-        (item, Ccdb_storage.Catalog.read_site catalog ~preferred:site item))
-      read_set
-  in
-  let write_copies =
-    List.concat_map
-      (fun item ->
-        List.map (fun s -> (item, s)) (Ccdb_storage.Catalog.copies catalog item))
-      write_set
-  in
-  { Txn_cost.read_copies; write_copies }
+  { Txn_cost.read_copies =
+      Ccdb_storage.Catalog.read_copies catalog ~site read_set;
+    write_copies = Ccdb_storage.Catalog.write_copies catalog write_set }
 
 type criterion = Min_stl | Min_response_time
 

@@ -59,6 +59,28 @@ let read_site t ~preferred item =
     | Some s -> s
     | None -> List.hd sites
 
+let read_copies t ~site read_set =
+  List.map (fun item -> (item, read_site t ~preferred:site item)) read_set
+
+let write_copies t write_set =
+  List.concat_map
+    (fun item -> List.map (fun s -> (item, s)) (copies t item))
+    write_set
+
+let footprint t ~site ~read_set ~write_set =
+  let reads =
+    List.map
+      (fun item -> (item, read_site t ~preferred:site item, Ccdb_model.Op.Read))
+      read_set
+  in
+  let writes =
+    List.concat_map
+      (fun item ->
+        List.map (fun s -> (item, s, Ccdb_model.Op.Write)) (copies t item))
+      write_set
+  in
+  reads @ writes
+
 let all_copies t =
   List.concat
     (List.init t.items (fun item ->

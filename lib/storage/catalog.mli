@@ -44,5 +44,22 @@ val read_site : t -> preferred:int -> int -> int
     otherwise the copy whose site id follows [preferred] cyclically (a cheap
     deterministic stand-in for "nearest copy"). *)
 
+val read_copies : t -> site:int -> int list -> (int * int) list
+(** Read-one: the [(item, read_site)] copy each item of a read set issued
+    at [site] reads, in read-set order. *)
+
+val write_copies : t -> int list -> (int * int) list
+(** Write-all: every [(item, site)] copy of each item of a write set, in
+    write-set order, each item's copies by ascending site. *)
+
+val footprint :
+  t ->
+  site:int ->
+  read_set:int list ->
+  write_set:int list ->
+  (int * int * Ccdb_model.Op.kind) list
+(** Every physical request of a transaction issued at [site]:
+    {!read_copies} tagged [Read], then {!write_copies} tagged [Write]. *)
+
 val all_copies : t -> (int * int) list
 (** Every physical copy as an [(item, site)] pair, lexicographically. *)

@@ -110,6 +110,20 @@ let test_fail_stop () =
       mode_case ~label:"paxos " ~faults ~setup:paxos D.Unified
         "90d7a4295ff86e253e4df99b09a42525" ]
 
+(* The 22 experiment tables at quick scale, rendered as
+   [ccdb_cli experiments --quick] prints them: no other test pins table
+   content (test_parallel only compares serial against parallel output). *)
+let test_quick_tables () =
+  let printed =
+    Ccdb_harness.Experiments.all ~quick:true ()
+    |> List.map (fun o -> Ccdb_harness.Experiments.render o ^ "\n\n")
+    |> String.concat ""
+  in
+  check_all
+    [ ( "experiments --quick",
+        (fun () -> Digest.to_hex (Digest.string printed)),
+        "036825fda0d45939cee8dc8088e55f0b" ) ]
+
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "fault-free digests, all modes" `Quick
@@ -117,4 +131,6 @@ let suites =
         Alcotest.test_case "fail-pause digests, every family" `Quick
           test_fail_pause;
         Alcotest.test_case "fail-stop digests, 2pc and paxos" `Quick
-          test_fail_stop ] ) ]
+          test_fail_stop;
+        Alcotest.test_case "quick experiment tables" `Slow test_quick_tables
+      ] ) ]

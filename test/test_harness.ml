@@ -56,6 +56,25 @@ let test_forced_mode_routes_everything_one_way () =
        (Ccdb_model.Protocol.equal p Ccdb_model.Protocol.Pa)
    | _ -> Alcotest.fail "expected a single protocol bucket")
 
+(* A mode that forces one protocol reports it as the whole mix: the
+   protocol each transaction ran, not the one the workload assigned. *)
+let test_pure_modes_report_the_forced_protocol () =
+  List.iter
+    (fun (mode, forced) ->
+      let name = D.mode_name mode in
+      match (run_mode mode).decisions with
+      | [ (p, n) ] ->
+        check Alcotest.string (name ^ " protocol")
+          (Ccdb_model.Protocol.to_string forced)
+          (Ccdb_model.Protocol.to_string p);
+        check Alcotest.int (name ^ " transactions") 80 n
+      | _ -> Alcotest.failf "%s: expected a single protocol bucket" name)
+    [ (D.Pure Ccdb_model.Protocol.Two_pl, Ccdb_model.Protocol.Two_pl);
+      (D.Pure Ccdb_model.Protocol.T_o, Ccdb_model.Protocol.T_o);
+      (D.Pure Ccdb_model.Protocol.Pa, Ccdb_model.Protocol.Pa);
+      (D.Mvto, Ccdb_model.Protocol.T_o);
+      (D.Conservative, Ccdb_model.Protocol.T_o) ]
+
 let test_dynamic_routes_everything () =
   let r = run_mode D.Dynamic in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.decisions in
@@ -110,6 +129,8 @@ let suites =
       [ Alcotest.test_case "all modes run" `Slow test_all_modes_complete_and_serialize;
         Alcotest.test_case "unified mix" `Quick test_unified_runs_the_assigned_mix;
         Alcotest.test_case "forced mode" `Quick test_forced_mode_routes_everything_one_way;
+        Alcotest.test_case "pure modes' mix" `Quick
+          test_pure_modes_report_the_forced_protocol;
         Alcotest.test_case "dynamic routes" `Quick test_dynamic_routes_everything;
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
         Alcotest.test_case "per-protocol split" `Quick test_per_protocol_split;

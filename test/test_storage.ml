@@ -64,6 +64,41 @@ let prop_catalog_all_copies =
            (fun (item, site) -> Ccdb_storage.Catalog.has_copy c ~item ~site)
            all)
 
+(* The catalog's footprint against the read-one / write-all definition
+   the systems used to spell out inline: the same (item, site, op) list in
+   the same order, and the read and write copies are its two halves. *)
+let prop_footprint =
+  qtest "catalog: footprint is read-one / write-all, in order"
+    QCheck.(
+      pair
+        (triple (int_range 1 20) (int_range 1 6) (int_range 1 6))
+        (triple small_nat (small_list small_nat) (small_list small_nat)))
+    (fun ((items, sites, repl), (home, reads, writes)) ->
+      let module C = Ccdb_storage.Catalog in
+      let module Op = Ccdb_model.Op in
+      let repl = min repl sites in
+      let c = C.create ~items ~sites ~replication:repl in
+      let site = home mod sites in
+      let read_set = List.map (fun i -> i mod items) reads in
+      let write_set = List.map (fun i -> i mod items) writes in
+      let reference =
+        List.map
+          (fun item -> (item, C.read_site c ~preferred:site item, Op.Read))
+          read_set
+        @ List.concat_map
+            (fun item ->
+              List.map (fun s -> (item, s, Op.Write)) (C.copies c item))
+            write_set
+      in
+      let half op =
+        List.filter_map
+          (fun (i, s, o) -> if Op.equal o op then Some (i, s) else None)
+          reference
+      in
+      C.footprint c ~site ~read_set ~write_set = reference
+      && C.read_copies c ~site read_set = half Op.Read
+      && C.write_copies c write_set = half Op.Write)
+
 let is_copy c ~item ~site =
   List.exists
     (fun (i, s) -> i = item && s = site)
@@ -257,7 +292,8 @@ let suites =
         Alcotest.test_case "read_site remote" `Quick test_catalog_read_site_remote;
         Alcotest.test_case "invalid" `Quick test_catalog_invalid;
         prop_catalog_all_copies;
-        prop_copy_ids ] );
+        prop_copy_ids;
+        prop_footprint ] );
     ( "storage.copy_table",
       [ Alcotest.test_case "lazy, raises on a non-copy" `Quick
           test_copy_table_lazy;
