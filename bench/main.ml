@@ -310,23 +310,48 @@ let bench_conflict_check =
     (Bechamel.Staged.stage (fun () ->
          ignore (Ccdb_serial.Check.conflict_serializable logs)))
 
+(* A fixed 2048-edge wait-for snapshot (repeats included, as replicated
+   copies report the same wait twice).  Waiters only wait on older
+   transactions, so it is acyclic and a cycle search walks the whole
+   graph.  Real scans find a cycle about as often as not (a third to a
+   half of them on the perfbench workloads), which the cyclic twin below
+   models. *)
+let deadlock_snapshot =
+  let rng = Ccdb_util.Rng.create ~seed:5 in
+  List.init 2048 (fun _ ->
+      let waiter = 2 + Ccdb_util.Rng.int rng 400 in
+      (waiter, 1 + Ccdb_util.Rng.int rng (waiter - 1)))
+
 let bench_deadlock_scan =
-  (* the graph step of one centralized deadlock-detector scan: build the
-     wait-for graph from a fixed 2048-edge snapshot (repeats included, as
-     replicated copies report the same wait twice) and search it for a
-     cycle.  Waiters only wait on older transactions, so the snapshot is
-     acyclic: the common no-deadlock scan, which walks the whole graph. *)
-  let edges =
-    let rng = Ccdb_util.Rng.create ~seed:5 in
-    List.init 2048 (fun _ ->
-        let waiter = 2 + Ccdb_util.Rng.int rng 400 in
-        (waiter, 1 + Ccdb_util.Rng.int rng (waiter - 1)))
-  in
+  (* the graph step of one centralized deadlock-detector scan, from the
+     edge list: build the wait-for graph and search it for a cycle *)
   Bechamel.Test.make ~name:"deadlock.scan"
     (Bechamel.Staged.stage (fun () ->
          ignore
            (Ccdb_serial.Conflict_graph.find_cycle
-              (Ccdb_serial.Conflict_graph.of_edges ~nodes:[] ~edges))))
+              (Ccdb_serial.Conflict_graph.of_edges ~nodes:[]
+                 ~edges:deadlock_snapshot))))
+
+(* The detector's own path: the snapshot streamed into one reused
+   [Builder], then the cycle search. *)
+let deadlock_scan_reuse name edges =
+  let module B = Ccdb_serial.Conflict_graph.Builder in
+  let b = B.create () in
+  Bechamel.Test.make ~name
+    (Bechamel.Staged.stage (fun () ->
+         B.clear b;
+         List.iter (fun (x, y) -> B.add b x y) edges;
+         ignore (Ccdb_serial.Conflict_graph.find_cycle (B.graph b))))
+
+let bench_deadlock_scan_reuse =
+  deadlock_scan_reuse "deadlock.scan-reuse" deadlock_snapshot
+
+(* the same with one more edge, reversing the snapshot's first, which
+   closes a 2-cycle *)
+let bench_deadlock_scan_reuse_cyclic =
+  let waiter, holder = List.hd deadlock_snapshot in
+  deadlock_scan_reuse "deadlock.scan-reuse-cyclic"
+    ((holder, waiter) :: deadlock_snapshot)
 
 let bench_incremental_edge =
   (* one edge insertion + Pearce-Kelly acyclicity re-check on a live
@@ -555,7 +580,8 @@ let run_micro () =
     Bechamel.Test.make_grouped ~name:"ccdb"
       [ bench_precedence_compare; bench_semi_lock_cycle; bench_lock_table_cycle;
         bench_wal_append; bench_wal_replay; bench_stl_eval;
-        bench_conflict_check; bench_deadlock_scan; bench_incremental_edge;
+        bench_conflict_check; bench_deadlock_scan; bench_deadlock_scan_reuse;
+        bench_deadlock_scan_reuse_cyclic; bench_incremental_edge;
         bench_stream_feed;
         bench_engine; bench_end_to_end; bench_2pc_run; bench_paxos_run ]
   in

@@ -349,49 +349,48 @@ let wipe_volatile t =
   List.iter (fun e -> Ccdb_util.Int_tbl.remove t.index e.txn) dropped;
   dropped
 
-let waits_for t =
-  let edges = ref [] in
-  let rec scan earlier = function
-    | [] -> ()
-    | e :: rest ->
-      (* blocked PA entries wait on their own issuer, not on other
-         transactions, so they contribute no outgoing edges *)
-      if Option.is_none e.lock && not e.blocked then
-        List.iter
-          (fun e' ->
-            if e'.txn <> e.txn then begin
-              let conflicting =
-                Ccdb_model.Op.conflicts e'.op e.op
-              in
-              let frontier = Option.is_none e'.lock in
-              if conflicting || frontier then edges := (e.txn, e'.txn) :: !edges
-            end)
-          earlier;
-      scan (e :: earlier) rest
-  in
-  scan [] t.entries;
-  (* a held pre-scheduled lock is itself a wait: its owner cannot release
-     (and a draining T/O transaction cannot finish) until every conflicting
-     lock granted earlier is released.  Without these edges a deadlock
-     running through a draining transaction is invisible to detection. *)
-  List.iter
-    (fun e ->
-      if
-        Option.is_some e.lock
-        && Ccdb_model.Lock.schedule_equal e.schedule
-             Ccdb_model.Lock.Pre_scheduled
-      then
-        List.iter
-          (fun e' ->
-            match e'.lock, e.lock with
-            | Some m', Some m
-              when e'.txn <> e.txn && e'.grant_seq >= 0
-                   && e'.grant_seq < e.grant_seq
-                   && Ccdb_model.Lock.conflicts m' m ->
-              edges := (e.txn, e'.txn) :: !edges
-            | _, _ -> ())
-          t.entries)
-    t.entries;
-  !edges
+(* [f e.txn e'.txn] for each entry [e'] of another transaction before [e]
+   in precedence order that conflicts with it or still waits itself (the
+   frontier) *)
+let rec waits_on f (e : entry) = function
+  | e' :: rest when e' != e ->
+    if
+      e'.txn <> e.txn
+      && (Ccdb_model.Op.conflicts e'.op e.op || Option.is_none e'.lock)
+    then f e.txn e'.txn;
+    waits_on f e rest
+  | _ -> ()
+
+(* [f e.txn e'.txn] for each lock of another transaction granted before
+   [e]'s pre-scheduled lock [m] that conflicts with it *)
+let rec pre_scheduled_on f (e : entry) m = function
+  | [] -> ()
+  | e' :: rest ->
+    (match e'.lock with
+     | Some m'
+       when e'.txn <> e.txn && e'.grant_seq >= 0 && e'.grant_seq < e.grant_seq
+            && Ccdb_model.Lock.conflicts m' m ->
+       f e.txn e'.txn
+     | Some _ | None -> ());
+    pre_scheduled_on f e m rest
+
+(* Blocked PA entries wait on their own issuer, not on other transactions,
+   so they contribute no outgoing edges.  A held pre-scheduled lock is
+   itself a wait: its owner cannot release (and a draining T/O transaction
+   cannot finish) until every conflicting lock granted earlier is released.
+   Without these edges a deadlock running through a draining transaction is
+   invisible to detection. *)
+let rec waiters f entries = function
+  | [] -> ()
+  | e :: rest ->
+    (match e.lock with
+     | None -> if not e.blocked then waits_on f e entries
+     | Some m ->
+       if
+         Ccdb_model.Lock.schedule_equal e.schedule Ccdb_model.Lock.Pre_scheduled
+       then pre_scheduled_on f e m entries);
+    waiters f entries rest
+
+let iter_waits_for t f = waiters f t.entries t.entries
 
 let entries t = t.entries

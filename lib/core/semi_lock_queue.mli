@@ -120,15 +120,15 @@ val wipe_volatile : t -> entry list
     restart-freedom.  High-water marks and held-lock counters are
     untouched. *)
 
-val waits_for : t -> (int * int) list
-(** Wait-for edges for the deadlock detector: each ungranted entry waits on
-    the transactions of earlier-precedence entries that are present and
-    either conflict with it or are themselves ungranted (the HD frontier);
-    additionally, the owner of a held {e pre-scheduled} lock waits on the
-    holders of the conflicting earlier grants — a draining T/O transaction
-    cannot release until those clear, and a deadlock cycle can run through
-    it.  Each [(waiter, holder)] pair appears once, in no particular
-    order. *)
+val iter_waits_for : t -> (int -> int -> unit) -> unit
+(** [iter_waits_for t f] calls [f waiter holder] for each wait-for edge of
+    the deadlock detector.  Each ungranted entry waits on the transactions
+    of earlier-precedence entries that are present and either conflict
+    with it or are themselves ungranted (the HD frontier); additionally,
+    the owner of a held {e pre-scheduled} lock waits on the holders of the
+    conflicting earlier grants — a draining T/O transaction cannot release
+    until those clear, and a deadlock cycle can run through it.  Each
+    [(waiter, holder)] pair comes once, in no particular order. *)
 
 val entries : t -> entry list
 (** Pending entries in precedence order (tests / diagnostics). *)

@@ -484,7 +484,7 @@ let create ?(config = default_config) ?reselect rt =
             Q.create ~semi_locks:config.semi_locks ());
       live = L.live rt; reselect; draining = 0; committer = None }
   in
-  L.detect_deadlocks t.live config.detection t.queues ~waits_for:Q.waits_for
+  L.detect_deadlocks t.live config.detection t.queues ~waits_for:Q.iter_waits_for
     { L.home = (fun st -> st.txn.site);
       abortable = (fun st -> st.phase = Negotiating);
       restarting = (fun st -> st.phase = Restarting);

@@ -8,14 +8,15 @@ type victim_choice = int list -> int option
 
 let youngest = function
   | [] -> None
-  | cycle -> Some (List.fold_left max min_int cycle)
+  | cycle -> Some (List.fold_left Int.max min_int cycle)
 
 type t = {
   engine : Ccdb_sim.Engine.t;
   net : Ccdb_sim.Net.t;
   interval : float;
   detector_site : int;
-  edges : unit -> (int * int) list;
+  edges : (int -> int -> unit) -> unit;
+  graph : Ccdb_serial.Conflict_graph.Builder.t;  (* reused by every scan *)
   choose_victim : victim_choice;
   victim_site : int -> int option;
   abort : int -> unit;
@@ -29,8 +30,10 @@ let create_centralized ~engine ~net ~interval ~detector_site ~edges
     ~choose_victim ~victim_site ~abort =
   (* negated so that a NaN interval is refused too *)
   if not (interval > 0.) then invalid_arg "Deadlock: interval must be positive";
-  { engine; net; interval; detector_site; edges; choose_victim; victim_site;
-    abort; running = false; pending = None; scans = 0; cycles_found = 0 }
+  { engine; net; interval; detector_site; edges;
+    graph = Ccdb_serial.Conflict_graph.Builder.create (); choose_victim;
+    victim_site; abort; running = false; pending = None; scans = 0;
+    cycles_found = 0 }
 
 (* One victim per scan: abort it, then let the next scan deal with any
    remaining cycles (matching the conservative behaviour of periodic
@@ -44,10 +47,10 @@ let scan t =
       Ccdb_sim.Net.send t.net ~src:site ~dst:t.detector_site ~kind:"wfg-report"
         (fun () -> ())
   done;
-  let graph =
-    Ccdb_serial.Conflict_graph.of_edges ~nodes:[] ~edges:(t.edges ())
-  in
-  match Ccdb_serial.Conflict_graph.find_cycle graph with
+  let module B = Ccdb_serial.Conflict_graph.Builder in
+  B.clear t.graph;
+  t.edges (B.add t.graph);
+  match Ccdb_serial.Conflict_graph.find_cycle (B.graph t.graph) with
   | None -> ()
   | Some cycle ->
     t.cycles_found <- t.cycles_found + 1;

@@ -37,12 +37,14 @@ val create_centralized :
   net:Ccdb_sim.Net.t ->
   interval:float ->
   detector_site:int ->
-  edges:(unit -> (int * int) list) ->
+  edges:((int -> int -> unit) -> unit) ->
   choose_victim:victim_choice ->
   victim_site:(int -> int option) ->
   abort:(int -> unit) ->
   t
-(** [edges] snapshots the current wait-for graph; [victim_site] maps a
+(** [edges add] snapshots the current wait-for graph, calling [add waiter
+    holder] for each edge; repeats are allowed.  Each scan streams it into
+    one graph builder the detector reuses.  [victim_site] maps a
     transaction to its issuing site ([None] if it no longer exists);
     [abort v] is invoked at the victim's site after the abort message
     arrives.  The snapshot may be stale by then — the owning system must

@@ -11,22 +11,26 @@ type callbacks = {
   on_deadlock : int -> unit;
 }
 
+(* Every table is keyed by transaction id or by an (initiator, round, txn)
+   triple and only looked up, never iterated. *)
+module Lookup = Ccdb_util.Lookup_tbl
+
 type t = {
   engine : Ccdb_sim.Engine.t;
   net : Ccdb_sim.Net.t;
   config : config;
   cb : callbacks;
   (* one armed timer per blocked transaction *)
-  timers : (int, unit) Hashtbl.t;
+  timers : unit Lookup.Int.t;
   (* next round id to allocate, per initiator *)
-  next_round : (int, int) Hashtbl.t;
+  next_round : int Lookup.Int.t;
   (* smallest round id still considered valid, per initiator; bumped when
      the initiator makes progress, which retires every outstanding round *)
-  valid_from : (int, int) Hashtbl.t;
+  valid_from : int Lookup.Int.t;
   (* (initiator, round, txn) triples already forwarded *)
-  seen : (int * int * int, unit) Hashtbl.t;
+  seen : unit Lookup.Triple.t;
   (* rounds whose probe came home without intervening progress *)
-  confirmations : (int, int) Hashtbl.t;
+  confirmations : int Lookup.Int.t;
   mutable rounds_started : int;
   mutable deadlocks_found : int;
 }
@@ -34,16 +38,16 @@ type t = {
 let create engine net config cb =
   if not (config.probe_delay > 0.) then
     invalid_arg "Edge_chasing.create: probe_delay must be positive";
-  { engine; net; config; cb; timers = Hashtbl.create 32;
-    next_round = Hashtbl.create 32; valid_from = Hashtbl.create 32;
-    seen = Hashtbl.create 256; confirmations = Hashtbl.create 32;
+  { engine; net; config; cb; timers = Lookup.Int.create 32;
+    next_round = Lookup.Int.create 32; valid_from = Lookup.Int.create 32;
+    seen = Lookup.Triple.create 256; confirmations = Lookup.Int.create 32;
     rounds_started = 0; deadlocks_found = 0 }
 
-let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
+let get tbl key = Option.value ~default:0 (Lookup.Int.find_opt tbl key)
 
 let fresh_round t initiator =
   let r = get t.next_round initiator + 1 in
-  Hashtbl.replace t.next_round initiator r;
+  Lookup.Int.replace t.next_round initiator r;
   t.rounds_started <- t.rounds_started + 1;
   r
 
@@ -51,8 +55,8 @@ let round_valid t initiator round = round >= get t.valid_from initiator
 
 (* retire every outstanding round and pending suspicion *)
 let invalidate t initiator =
-  Hashtbl.replace t.valid_from initiator (get t.next_round initiator + 1);
-  Hashtbl.remove t.confirmations initiator
+  Lookup.Int.replace t.valid_from initiator (get t.next_round initiator + 1);
+  Lookup.Int.remove t.confirmations initiator
 
 (* Ask each queue-manager site for [txn]'s local wait-for targets and probe
    their home sites.  [from_site] pays for the query hop. *)
@@ -75,9 +79,9 @@ let rec fan_out t ~initiator ~round ~txn ~from_site =
 and on_probe t ~initiator ~round ~txn =
   if round_valid t initiator round then begin
     if txn = initiator then begin
-      if Hashtbl.mem t.seen (initiator, round, initiator) then ()
+      if Lookup.Triple.mem t.seen (initiator, round, initiator) then ()
       else begin
-      Hashtbl.replace t.seen (initiator, round, initiator) ();
+      Lookup.Triple.replace t.seen (initiator, round, initiator) ();
       (* The probe came home.  Edges are sampled at different instants along
          the path, so with incremental lock grants this can be a phantom: a
          chain that never existed all at once.  Require a second round to
@@ -85,7 +89,7 @@ and on_probe t ~initiator ~round ~txn =
          suspicion) before declaring a deadlock.  A genuine cycle keeps
          confirming, because none of its members can move. *)
       let confirmed = 1 + get t.confirmations initiator in
-      Hashtbl.replace t.confirmations initiator confirmed;
+      Lookup.Int.replace t.confirmations initiator confirmed;
       (* this particular round is spent *)
       if confirmed >= 2 then begin
         t.deadlocks_found <- t.deadlocks_found + 1;
@@ -103,8 +107,8 @@ and on_probe t ~initiator ~round ~txn =
       end
     end
     else if t.cb.is_waiting txn
-            && not (Hashtbl.mem t.seen (initiator, round, txn)) then begin
-      Hashtbl.replace t.seen (initiator, round, txn) ();
+            && not (Lookup.Triple.mem t.seen (initiator, round, txn)) then begin
+      Lookup.Triple.replace t.seen (initiator, round, txn) ();
       match t.cb.home_site txn with
       | None -> ()
       | Some home -> fan_out t ~initiator ~round ~txn ~from_site:home
@@ -112,7 +116,7 @@ and on_probe t ~initiator ~round ~txn =
   end
 
 let rec tick t txn =
-  if Hashtbl.mem t.timers txn then begin
+  if Lookup.Int.mem t.timers txn then begin
     if t.cb.is_waiting txn && t.cb.may_initiate txn then begin
       (* a new round per period; outstanding rounds stay valid — a slow
          cycle's probe may take longer than one period to come home *)
@@ -122,7 +126,7 @@ let rec tick t txn =
        | None -> ());
       arm t txn
     end
-    else Hashtbl.remove t.timers txn
+    else Lookup.Int.remove t.timers txn
   end
 
 and arm t txn =
@@ -131,13 +135,13 @@ and arm t txn =
          tick t txn))
 
 let txn_blocked t txn =
-  if t.cb.may_initiate txn && not (Hashtbl.mem t.timers txn) then begin
-    Hashtbl.replace t.timers txn ();
+  if t.cb.may_initiate txn && not (Lookup.Int.mem t.timers txn) then begin
+    Lookup.Int.replace t.timers txn ();
     arm t txn
   end
 
 let txn_unblocked t txn =
-  Hashtbl.remove t.timers txn;
+  Lookup.Int.remove t.timers txn;
   invalidate t txn
 
 let txn_progress t txn =

@@ -116,13 +116,14 @@ let detect_deadlocks live detection tables ~waits_for p =
   live.detector <-
     (match detection with
      | Deadlock.Centralized { interval; detector_site } ->
-       (* built once, so that a scan allocates no closure *)
-       let collect ~item:_ ~site:_ q acc = List.rev_append (waits_for q) acc in
        let restarting = holds p.restarting in
        Central
          (Deadlock.create_centralized ~engine:(Runtime.engine rt)
             ~net:(Runtime.net rt) ~interval ~detector_site
-            ~edges:(fun () -> Copies.fold collect tables [])
+            ~edges:(fun add ->
+              Copies.fold
+                (fun ~item:_ ~site:_ q () -> waits_for q add)
+                tables ())
             ~choose_victim:(fun cycle ->
               (* a member already aborted for this cycle will break it on
                  its own; aborting a second member is pure churn (and with
@@ -157,10 +158,8 @@ let detect_deadlocks live detection tables ~waits_for p =
                 (fun ~site ~txn ->
                   let holders = ref [] in
                   Copies.iter_site tables site (fun _ q ->
-                      List.iter
-                        (fun (waiter, holder) ->
-                          if waiter = txn then holders := holder :: !holders)
-                        (waits_for q));
+                      waits_for q (fun waiter holder ->
+                          if waiter = txn then holders := holder :: !holders));
                   List.sort_uniq Int.compare !holders);
               may_initiate = holds p.may_initiate;
               on_deadlock =

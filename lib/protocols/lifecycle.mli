@@ -129,7 +129,7 @@ val detect_deadlocks :
   'st live ->
   Deadlock.detection ->
   'q Ccdb_storage.Copy_table.t ->
-  waits_for:('q -> (int * int) list) ->
+  waits_for:('q -> (int -> int -> unit) -> unit) ->
   'st deadlock_policy ->
   unit
 (** Installs the detector over the system's per-copy queues: the

@@ -115,22 +115,24 @@ let wipe_waiting t =
 
 let entries t = normalize t
 
-let waits_for t =
+(* [f e.txn e'.txn] for each entry [e'] of another transaction before [e]
+   in FCFS order that conflicts with it *)
+let rec waits_on f (e : entry) = function
+  | e' :: rest when e' != e ->
+    if e'.txn <> e.txn && Ccdb_model.Op.conflicts e'.op e.op then
+      f e.txn e'.txn;
+    waits_on f e rest
+  | _ -> ()
+
+let rec waiters f queue = function
+  | [] -> ()
+  | e :: rest ->
+    if not e.granted then waits_on f e queue;
+    waiters f queue rest
+
+let iter_waits_for t f =
   let queue = normalize t in
-  let edges = ref [] in
-  let rec scan earlier = function
-    | [] -> ()
-    | e :: rest ->
-      if not e.granted then
-        List.iter
-          (fun e' ->
-            if e'.txn <> e.txn && Ccdb_model.Op.conflicts e'.op e.op then
-              edges := (e.txn, e'.txn) :: !edges)
-          earlier;
-      scan (e :: earlier) rest
-  in
-  scan [] queue;
-  !edges
+  waiters f queue queue
 
 let holders t =
   List.filter_map

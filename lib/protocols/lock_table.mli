@@ -37,9 +37,10 @@ val wipe_waiting : t -> entry list
 val entries : t -> entry list
 (** Current queue, FCFS order. *)
 
-val waits_for : t -> (int * int) list
-(** Wait-for edges contributed by this queue: [(waiter, holder)] for every
-    ungranted request and each earlier conflicting request's transaction,
+val iter_waits_for : t -> (int -> int -> unit) -> unit
+(** [iter_waits_for t f] calls [f waiter holder] for each wait-for edge
+    this queue contributes: from every ungranted request's transaction to
+    each earlier conflicting request's, once per such pair of requests,
     in no particular order. *)
 
 val holders : t -> (int * Ccdb_model.Op.kind) list

@@ -300,7 +300,7 @@ let create ?(config = default_config) rt =
       live = L.live rt; committer = None }
   in
   L.detect_deadlocks t.live config.detection t.tables
-    ~waits_for:Lock_table.waits_for
+    ~waits_for:Lock_table.iter_waits_for
     { L.home = (fun st -> st.txn.site);
       abortable = (fun st -> st.phase = Waiting);
       restarting = (fun st -> st.phase = Restarting);

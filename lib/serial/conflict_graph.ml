@@ -67,58 +67,68 @@ let sort_uniq (a : int array) len =
   end
 
 (* Dense numbering of arbitrary int ids: a growable linear-probing table
-   from id to number, kept at most half full.  Once every id is in,
-   [freeze] renumbers them in ascending id order and returns the sorted
-   ids, so that dense order is id order. *)
+   from id to number, kept at most half full, numbering ids in the order
+   they are first seen.  [clear] empties it without reallocating.  Once
+   every id is in, [freeze] renumbers them in ascending id order and
+   returns the sorted ids, so that dense order is id order. *)
 module Numbering = struct
   type t = {
     mutable keys : int array;
     mutable nums : int array;  (* -1 marks an empty slot *)
+    mutable ids : int array;   (* [ids.(k)] is the id first numbered [k] *)
     mutable count : int;
   }
 
-  let create () = { keys = Array.make 64 0; nums = Array.make 64 (-1); count = 0 }
+  let create () = { keys = [||]; nums = [||]; ids = [||]; count = 0 }
 
-  let slot t (x : int) =
-    let mask = Array.length t.keys - 1 in
+  (* the slot holding [x], or the empty slot where it belongs *)
+  let probe keys nums (x : int) =
+    let mask = Array.length keys - 1 in
     let h = x * 0x2545F4914F6CDD1D in
     let s = ref ((h lxor (h lsr 29)) land mask) in
-    while t.nums.(!s) >= 0 && t.keys.(!s) <> x do
+    while nums.(!s) >= 0 && keys.(!s) <> x do
       s := (!s + 1) land mask
     done;
     !s
 
-  let rec add t x =
-    let s = slot t x in
-    if t.nums.(s) < 0 then
-      if 2 * (t.count + 1) > Array.length t.keys then begin
-        grow t;
-        add t x
-      end
-      else begin
-        t.keys.(s) <- x;
-        t.nums.(s) <- t.count;
-        t.count <- t.count + 1
-      end
+  let slot t x = probe t.keys t.nums x
 
-  and grow t =
+  let grow t =
+    let cap = Int.max 64 (2 * Array.length t.keys) in
+    t.keys <- Array.make cap 0;
+    t.nums <- Array.make cap (-1);
+    let ids = Array.make (cap / 2) 0 in
+    Array.blit t.ids 0 ids 0 t.count;
+    t.ids <- ids;
+    for k = 0 to t.count - 1 do
+      let s = slot t ids.(k) in
+      t.keys.(s) <- ids.(k);
+      t.nums.(s) <- k
+    done
+
+  (* [x]'s number, giving it the next one if it is new: one probe *)
+  let add t x =
+    if 2 * (t.count + 1) > Array.length t.keys then grow t;
     let keys = t.keys and nums = t.nums in
-    t.keys <- Array.make (2 * Array.length keys) 0;
-    t.nums <- Array.make (2 * Array.length keys) (-1);
-    Array.iteri
-      (fun s n ->
-        if n >= 0 then begin
-          let s' = slot t keys.(s) in
-          t.keys.(s') <- keys.(s);
-          t.nums.(s') <- n
-        end)
-      nums
+    let s = probe keys nums x in
+    if nums.(s) >= 0 then nums.(s)
+    else begin
+      let k = t.count in
+      keys.(s) <- x;
+      nums.(s) <- k;
+      t.ids.(k) <- x;
+      t.count <- k + 1;
+      k
+    end
 
   let find t x = t.nums.(slot t x)
 
+  let clear t =
+    Array.fill t.nums 0 (Array.length t.nums) (-1);
+    t.count <- 0
+
   let freeze t =
-    let ids = Array.make t.count 0 in
-    Array.iteri (fun s n -> if n >= 0 then ids.(n) <- t.keys.(s)) t.nums;
+    let ids = Array.sub t.ids 0 t.count in
     sort_ints ids 0 t.count;
     Array.iteri (fun r x -> t.nums.(slot t x) <- r) ids;
     ids
@@ -142,32 +152,109 @@ let build ids keys m =
   done;
   { ids; off; succ }
 
+(* [a] with its first [len] elements kept, at [cap] elements *)
+let extend a len cap =
+  let a' = Array.make cap 0 in
+  Array.blit a 0 a' 0 len;
+  a'
+
+module Builder = struct
+  type graph = t
+
+  type t = {
+    num : Numbering.t;
+    mutable src : int array;  (* edge [k] runs [src.(k) -> dst.(k)], *)
+    mutable dst : int array;  (* in first-seen numbers *)
+    mutable m : int;
+    mutable rank : int array; (* [graph]'s scratch: number -> dense index *)
+    mutable row : int array;  (* [graph]'s scratch: successors by source *)
+  }
+
+  let create () =
+    { num = Numbering.create (); src = [||]; dst = [||]; m = 0; rank = [||];
+      row = [||] }
+
+  let clear b =
+    Numbering.clear b.num;
+    b.m <- 0
+
+  let add_node b x = ignore (Numbering.add b.num x)
+
+  let add b x y =
+    let i = Numbering.add b.num x in
+    let j = Numbering.add b.num y in
+    if i <> j then begin
+      if b.m = Array.length b.src then begin
+        let cap = Int.max 64 (2 * b.m) in
+        b.src <- extend b.src b.m cap;
+        b.dst <- extend b.dst b.m cap
+      end;
+      b.src.(b.m) <- i;
+      b.dst.(b.m) <- j;
+      b.m <- b.m + 1
+    end
+
+  (* Ranks the ids, then counting-sorts the edges by source rank: [off.(s)]
+     counts row [s], becomes the row's end by a prefix sum, and falls back
+     to its start as the row's edges are placed.  Rows are short, so each
+     is sorted in place and deduplicated while the rows are packed
+     leftwards. *)
+  let graph b : graph =
+    let num = b.num and m = b.m in
+    let n = num.count in
+    let ids = Array.sub num.ids 0 n in
+    sort_ints ids 0 n;
+    if Array.length b.rank < n then
+      b.rank <- Array.make (Array.length num.ids) 0;
+    for r = 0 to n - 1 do
+      b.rank.(Numbering.find num ids.(r)) <- r
+    done;
+    let off = Array.make (n + 1) 0 in
+    for k = 0 to m - 1 do
+      let s = b.rank.(b.src.(k)) in
+      off.(s) <- off.(s) + 1
+    done;
+    for i = 1 to n - 1 do
+      off.(i) <- off.(i) + off.(i - 1)
+    done;
+    off.(n) <- m;
+    if Array.length b.row < m then
+      b.row <- Array.make (Array.length b.src) 0;
+    let row = b.row in
+    for k = 0 to m - 1 do
+      let s = b.rank.(b.src.(k)) in
+      off.(s) <- off.(s) - 1;
+      row.(off.(s)) <- b.rank.(b.dst.(k))
+    done;
+    let w = ref 0 in
+    for i = 0 to n - 1 do
+      let lo = off.(i) and hi = off.(i + 1) in
+      off.(i) <- !w;
+      sort_ints row lo hi;
+      for k = lo to hi - 1 do
+        if k = lo || row.(k) <> row.(!w - 1) then begin
+          row.(!w) <- row.(k);
+          incr w
+        end
+      done
+    done;
+    off.(n) <- !w;
+    { ids; off; succ = Array.sub row 0 !w }
+end
+
 let of_edges ~nodes ~edges =
-  let num = Numbering.create () in
-  List.iter (Numbering.add num) nodes;
-  List.iter
-    (fun (a, b) ->
-      Numbering.add num a;
-      Numbering.add num b)
-    edges;
-  let ids = Numbering.freeze num in
-  let n = Array.length ids in
-  let keys = Array.make (List.length edges) 0 and m = ref 0 in
-  List.iter
-    (fun (a, b) ->
-      if a <> b then begin
-        keys.(!m) <- (Numbering.find num a * n) + Numbering.find num b;
-        incr m
-      end)
-    edges;
-  build ids keys !m
+  let b = Builder.create () in
+  List.iter (Builder.add_node b) nodes;
+  List.iter (fun (x, y) -> Builder.add b x y) edges;
+  Builder.graph b
 
 let of_logs logs =
   let num = Numbering.create () in
   List.iter
     (fun (_copy, entries) ->
       List.iter
-        (fun (e : Ccdb_storage.Store.log_entry) -> Numbering.add num e.txn)
+        (fun (e : Ccdb_storage.Store.log_entry) ->
+          ignore (Numbering.add num e.txn))
         entries)
     logs;
   let ids = Numbering.freeze num in

@@ -11,7 +11,34 @@ type t
 val of_logs : (Ccdb_storage.Store.copy * Ccdb_storage.Store.log_entry list) list -> t
 
 val of_edges : nodes:int list -> edges:(int * int) list -> t
-(** Build directly (used by tests and by the deadlock-detector tests). *)
+(** Build directly from isolated nodes and edges over any int ids; a
+    self-edge adds its node only.  A thin wrapper over {!Builder}. *)
+
+(** One reusable path from an edge stream to a graph, for a caller that
+    rebuilds a graph periodically (the centralized deadlock detector).
+    It keeps its id numbering and its edge buffers across {!clear}, so a
+    rebuild allocates only the graph it returns. *)
+module Builder : sig
+  type graph := t
+  type t
+
+  val create : unit -> t
+  (** An empty builder.  Its buffers are allocated on first use. *)
+
+  val clear : t -> unit
+  (** Forgets every node and edge, keeping the buffers. *)
+
+  val add_node : t -> int -> unit
+  (** Adds a node, isolated unless an edge also names it. *)
+
+  val add : t -> int -> int -> unit
+  (** [add b src dst] adds the edge [src -> dst] and both its nodes;
+      repeats are allowed.  A self-edge adds its node only. *)
+
+  val graph : t -> graph
+  (** The graph over every node and edge added since the last {!clear}:
+      the one {!of_edges} builds from them.  The builder is unchanged. *)
+end
 
 val nodes : t -> int list
 (** Sorted transaction ids appearing in any log. *)

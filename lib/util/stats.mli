@@ -27,6 +27,11 @@ val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], nearest-rank on the sorted
     sample.  @raise Invalid_argument when empty or [p] out of range. *)
 
+val sort_floats : float array -> unit
+(** Sorts in place into exactly the array [Array.sort compare] gives, bit
+    for bit (nan first, ties placed alike), without boxing the floats it
+    compares.  {!percentile} sorts with it. *)
+
 val merge : t -> t -> t
 (** Combine two accumulators into a fresh one. *)
 

@@ -152,6 +152,12 @@ let test_q_hwm_includes_granted () =
   ignore (Q.abort q ~txn:1);
   check Alcotest.int "r_ts back" (-1) (Q.r_ts q)
 
+(* The [(waiter, holder)] edges the queue streams, as a list. *)
+let q_edges q =
+  let edges = ref [] in
+  Q.iter_waits_for q (fun waiter holder -> edges := (waiter, holder) :: !edges);
+  !edges
+
 let test_q_waits_for_edges () =
   let q = Q.create () in
   ignore (req q ~txn:1 ~protocol:two_pl ~ts:None ~op:write);
@@ -159,7 +165,7 @@ let test_q_waits_for_edges () =
   ignore (req q ~txn:2 ~protocol:two_pl ~ts:None ~op:write);
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "edge" [ (2, 1) ] (Q.waits_for q)
+    "edge" [ (2, 1) ] (q_edges q)
 
 (* --- Unified system ------------------------------------------------------- *)
 
@@ -608,9 +614,118 @@ let prop_q_random_ops =
       done;
       !ok)
 
+(* The list the queue returned before it streamed its edges, kept as the
+   reference for [iter_waits_for]. *)
+let q_waits_for_reference q =
+  let entries = Q.entries q in
+  let edges = ref [] in
+  let rec scan earlier = function
+    | [] -> ()
+    | (e : Q.entry) :: rest ->
+      if Option.is_none e.lock && not e.blocked then
+        List.iter
+          (fun (e' : Q.entry) ->
+            if e'.txn <> e.txn then begin
+              let conflicting = Ccdb_model.Op.conflicts e'.op e.op in
+              let frontier = Option.is_none e'.lock in
+              if conflicting || frontier then edges := (e.txn, e'.txn) :: !edges
+            end)
+          earlier;
+      scan (e :: earlier) rest
+  in
+  scan [] entries;
+  List.iter
+    (fun (e : Q.entry) ->
+      if
+        Option.is_some e.lock
+        && Ccdb_model.Lock.schedule_equal e.schedule
+             Ccdb_model.Lock.Pre_scheduled
+      then
+        List.iter
+          (fun (e' : Q.entry) ->
+            match e'.lock, e.lock with
+            | Some m', Some m
+              when e'.txn <> e.txn && e'.grant_seq >= 0
+                   && e'.grant_seq < e.grant_seq
+                   && Ccdb_model.Lock.conflicts m' m ->
+              edges := (e.txn, e'.txn) :: !edges
+            | _, _ -> ())
+          entries)
+    entries;
+  !edges
+
+(* Random request / grant / update_ts / transform / release / abort /
+   wipe sequences, with and without semi-locks: after every step the
+   streamed edges are the reference's, as a multiset.  Transformed locks
+   and T/O grants under them make pre-scheduled waits. *)
+let prop_q_streams_reference_edges =
+  qtest ~count:300 "semi-lock queue: iter_waits_for streams the list reference"
+    QCheck.(pair (int_range 0 100_000) (int_range 5 80))
+    (fun (seed, steps) ->
+      let rng = Ccdb_util.Rng.create ~seed in
+      let q = Q.create ~semi_locks:(Ccdb_util.Rng.int rng 4 > 0) () in
+      let next_txn = ref 0 and ts_source = ref 0 in
+      let pick pred =
+        match List.filter pred (Q.entries q) with
+        | [] -> None
+        | l -> Some (List.nth l (Ccdb_util.Rng.int rng (List.length l))).Q.txn
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (match Ccdb_util.Rng.int rng 10 with
+         | 0 | 1 | 2 ->
+           incr next_txn;
+           let protocol =
+             match Ccdb_util.Rng.int rng 3 with
+             | 0 -> two_pl
+             | 1 -> t_o
+             | _ -> pa
+           in
+           let ts =
+             if Ccdb_model.Protocol.equal protocol two_pl then None
+             else begin
+               incr ts_source;
+               (* sometimes stale, so that PA backs off and T/O is refused *)
+               Some (max 1 (!ts_source - Ccdb_util.Rng.int rng 4))
+             end
+           in
+           let op = if Ccdb_util.Rng.bool rng then read else write in
+           ignore
+             (Q.request q ~txn:!next_txn ~site:(Ccdb_util.Rng.int rng 3)
+                ~protocol ~ts ~interval:3 ~epoch:0 ~op)
+         | 3 | 4 -> ignore (Q.grant_ready q ~now:1.)
+         | 5 ->
+           (match
+              pick (fun e -> Ccdb_model.Protocol.equal e.Q.protocol pa)
+            with
+            | Some txn ->
+              ts_source := !ts_source + 5;
+              ignore (Q.update_ts q ~txn ~ts:!ts_source)
+            | None -> ())
+         | 6 ->
+           (match pick (fun e -> Option.is_some e.Q.lock) with
+            | Some txn -> ignore (Q.transform q ~txn)
+            | None -> ())
+         | 7 -> (
+           match pick (fun e -> Option.is_some e.Q.lock) with
+           | Some txn -> ignore (Q.release q ~txn)
+           | None -> ())
+         | 8 -> (
+           match pick (fun _ -> true) with
+           | Some txn -> ignore (Q.abort q ~txn)
+           | None -> ())
+         | _ -> if Ccdb_util.Rng.int rng 3 = 0 then ignore (Q.wipe_volatile q));
+        if
+          List.sort compare (q_edges q)
+          <> List.sort compare (q_waits_for_reference q)
+        then ok := false
+      done;
+      !ok)
+
 let suites =
   suites
-  @ [ ("core.semi_lock_queue.random", [ prop_q_random_ops ]) ]
+  @ [ ( "core.semi_lock_queue.random",
+        [ prop_q_random_ops; prop_q_streams_reference_edges ] ) ]
 
 (* --- protocol re-selection on restart (future-work item 4) ------------------- *)
 
@@ -718,7 +833,7 @@ let test_q_waits_for_prescheduled_edge () =
   ignore (grant_txns q);
   (* txn 2 holds a pre-scheduled WL under txn 1's SRL *)
   check Alcotest.bool "pre-scheduled wait edge" true
-    (List.mem (2, 1) (Q.waits_for q))
+    (List.mem (2, 1) (q_edges q))
 
 let suites =
   suites

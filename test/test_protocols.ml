@@ -57,18 +57,74 @@ let test_lock_table_stale_release () =
   check Alcotest.bool "matching release" true
     (Lt.release t ~txn:1 ~attempt:1 <> None)
 
+(* The [(waiter, holder)] edges a queue streams, as a list. *)
+let streamed_edges iter_waits_for q =
+  let edges = ref [] in
+  iter_waits_for q (fun waiter holder -> edges := (waiter, holder) :: !edges);
+  !edges
+
 let test_lock_table_waits_for () =
   let t = Lt.create () in
   ignore (Lt.request t ~txn:1 ~attempt:0 ~op:Ccdb_model.Op.Write);
   ignore (Lt.request t ~txn:2 ~attempt:0 ~op:Ccdb_model.Op.Read);
   ignore (Lt.request t ~txn:3 ~attempt:0 ~op:Ccdb_model.Op.Write);
   ignore (Lt.grant_ready t);
-  let edges = Lt.waits_for t in
+  let edges = streamed_edges Lt.iter_waits_for t in
   check Alcotest.bool "2 waits 1" true (List.mem (2, 1) edges);
   check Alcotest.bool "3 waits 1" true (List.mem (3, 1) edges);
   check Alcotest.bool "3 waits 2" true (List.mem (3, 2) edges);
   check Alcotest.bool "1 waits none" true
     (not (List.exists (fun (a, _) -> a = 1) edges))
+
+(* The list the lock table returned before it streamed its edges, kept
+   as the reference for [iter_waits_for]: an edge from each ungranted
+   request to every earlier conflicting request of another transaction. *)
+let lock_table_waits_for_reference t =
+  let edges = ref [] in
+  let rec scan earlier = function
+    | [] -> ()
+    | (e : Lt.entry) :: rest ->
+      if not e.granted then
+        List.iter
+          (fun (e' : Lt.entry) ->
+            if e'.txn <> e.txn && Ccdb_model.Op.conflicts e'.op e.op then
+              edges := (e.txn, e'.txn) :: !edges)
+          earlier;
+      scan (e :: earlier) rest
+  in
+  scan [] (Lt.entries t);
+  !edges
+
+(* Random request / grant / release / wipe sequences over a small
+   transaction pool, so that one transaction often queues a read and a
+   write, and stale releases miss: after every step the streamed edges
+   are the reference's, as a multiset. *)
+let prop_lock_table_streams_reference_edges =
+  qtest ~count:300 "lock table: iter_waits_for streams the list reference"
+    QCheck.(pair (int_range 0 100_000) (int_range 5 60))
+    (fun (seed, steps) ->
+      let rng = Ccdb_util.Rng.create ~seed in
+      let t = Lt.create () in
+      let txn () = 1 + Ccdb_util.Rng.int rng 6 in
+      let attempt () = Ccdb_util.Rng.int rng 2 in
+      let ok = ref true in
+      for _ = 1 to steps do
+        (match Ccdb_util.Rng.int rng 9 with
+         | 0 | 1 | 2 | 3 ->
+           let op =
+             if Ccdb_util.Rng.bool rng then Ccdb_model.Op.Read
+             else Ccdb_model.Op.Write
+           in
+           ignore (Lt.request t ~txn:(txn ()) ~attempt:(attempt ()) ~op)
+         | 4 | 5 -> ignore (Lt.grant_ready t)
+         | 6 | 7 -> ignore (Lt.release t ~txn:(txn ()) ~attempt:(attempt ()))
+         | _ -> ignore (Lt.wipe_waiting t));
+        if
+          List.sort compare (streamed_edges Lt.iter_waits_for t)
+          <> List.sort compare (lock_table_waits_for_reference t)
+        then ok := false
+      done;
+      !ok)
 
 let test_lock_table_holders () =
   let t = Lt.create () in
@@ -270,6 +326,7 @@ let suites =
           test_lock_table_reader_blocked_behind_writer;
         Alcotest.test_case "stale release" `Quick test_lock_table_stale_release;
         Alcotest.test_case "waits_for" `Quick test_lock_table_waits_for;
+        prop_lock_table_streams_reference_edges;
         Alcotest.test_case "holders" `Quick test_lock_table_holders ] );
     ( "protocols.probes",
       [ Alcotest.test_case "initiate" `Quick test_probes_initiate;
@@ -1065,7 +1122,7 @@ let test_centralized_detector_unit () =
   let d =
     Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net ~interval:10.
       ~detector_site:0
-      ~edges:(fun () -> !edges)
+      ~edges:(fun add -> List.iter (fun (a, b) -> add a b) !edges)
       ~choose_victim:Ccdb_protocols.Deadlock.youngest
       ~victim_site:(fun _ -> Some 1)
       ~abort:(fun v ->
@@ -1085,6 +1142,57 @@ let test_centralized_detector_unit () =
   check Alcotest.bool "cycles seen" true
     (Ccdb_protocols.Deadlock.cycles_found d >= 1)
 
+(* One detector reuses its graph builder across scans of a graph that
+   changes between them: a 2-cycle, then an acyclic graph over the same
+   and a new id, then a larger cycle over new ids.  Each scan must find
+   the witness and victim a fresh detector finds on that scan's graph
+   alone, so nothing of an earlier scan may leak into a later one. *)
+let test_centralized_detector_reuse () =
+  let graphs =
+    [ [ (1, 2); (2, 1) ];
+      [ (3, 1); (3, 2); (2, 1); (3, 1) ];
+      [ (40, 7); (7, 55); (55, 40); (61, 7); (2, 1) ] ]
+  in
+  (* the (scan, cycle, victim) of every detection in [scans] scans, the
+     [k]-th scan seeing [graph k] *)
+  let detections graph scans =
+    let e = Ccdb_sim.Engine.create () in
+    let rng = Ccdb_util.Rng.create ~seed:1 in
+    let net = Ccdb_sim.Net.create e rng (Ccdb_sim.Net.default_config ~sites:2) in
+    let scan = ref 0 and found = ref [] in
+    let d =
+      Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net ~interval:10.
+        ~detector_site:0
+        ~edges:(fun add ->
+          incr scan;
+          List.iter (fun (a, b) -> add a b) (graph !scan))
+        ~choose_victim:(fun cycle ->
+          let victim = Ccdb_protocols.Deadlock.youngest cycle in
+          found := (!scan, cycle, victim) :: !found;
+          victim)
+        ~victim_site:(fun _ -> Some 1) ~abort:ignore
+    in
+    Ccdb_protocols.Deadlock.start d;
+    Ccdb_sim.Engine.run ~until:((10. *. float_of_int scans) +. 5.) e;
+    Ccdb_protocols.Deadlock.stop d;
+    check Alcotest.int "scans" scans (Ccdb_protocols.Deadlock.scans d);
+    List.rev !found
+  in
+  let fresh =
+    List.concat
+      (List.mapi
+         (fun k g ->
+           List.map (fun (_, cycle, v) -> (k + 1, cycle, v))
+             (detections (fun _ -> g) 1))
+         graphs)
+  in
+  let detection = Alcotest.(triple int (list int) (option int)) in
+  check (Alcotest.list detection) "fresh detectors"
+    [ (1, [ 1; 2 ], Some 2); (3, [ 7; 55; 40 ], Some 55) ]
+    fresh;
+  check (Alcotest.list detection) "one reused detector" fresh
+    (detections (fun k -> List.nth graphs (k - 1)) 3)
+
 (* Both detectors refuse a non-positive or NaN period up front.  NaN
    compares false with everything, so a [<= 0.] guard would let it
    through. *)
@@ -1100,7 +1208,7 @@ let test_detector_period_guards () =
           ignore
             (Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net
                ~interval ~detector_site:0
-               ~edges:(fun () -> [])
+               ~edges:(fun _ -> ())
                ~choose_victim:Ccdb_protocols.Deadlock.youngest
                ~victim_site:(fun _ -> None) ~abort:ignore)))
     [ 0.; -1.; nan ];
@@ -1158,6 +1266,8 @@ let suites =
         [ Alcotest.test_case "counters + subscribe" `Quick test_runtime_counters_and_subscribe;
           Alcotest.test_case "site mismatch" `Quick test_runtime_site_mismatch;
           Alcotest.test_case "centralized detector unit" `Quick test_centralized_detector_unit;
+          Alcotest.test_case "centralized detector reuse" `Quick
+            test_centralized_detector_reuse;
           Alcotest.test_case "detector period guards" `Quick
             test_detector_period_guards ] );
       ( "protocols.stress",

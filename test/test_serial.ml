@@ -282,6 +282,21 @@ let prop_of_edges_matches_reference =
         (Ccdb_serial.Conflict_graph.of_edges ~nodes ~edges)
         (Reference.of_edges ~nodes ~edges))
 
+(* One builder serves every case, as the deadlock detector's serves every
+   scan: [clear] must leave no node, number or edge of an earlier case
+   behind, and [graph] must leave the builder as it was. *)
+let prop_builder_reused_matches_reference =
+  let module B = Ccdb_serial.Conflict_graph.Builder in
+  let b = B.create () in
+  qtest ~count:1500 "one reused Builder agrees with the set-based reference"
+    (QCheck.make ~print:print_graph_input graph_input_gen)
+    (fun (nodes, edges) ->
+      B.clear b;
+      List.iter (B.add_node b) nodes;
+      List.iter (fun (x, y) -> B.add b x y) edges;
+      let r = Reference.of_edges ~nodes ~edges in
+      agrees_with_reference (B.graph b) r && agrees_with_reference (B.graph b) r)
+
 let prop_of_logs_matches_reference =
   qtest ~count:1000 "of_logs agrees with the set-based reference"
     (QCheck.make ~print:print_graph_logs graph_log_gen)
@@ -554,6 +569,7 @@ let suites =
         Alcotest.test_case "long log matches reference" `Quick
           test_graph_long_log_matches_reference;
         prop_of_edges_matches_reference;
+        prop_builder_reused_matches_reference;
         prop_of_logs_matches_reference ] );
     ( "serial.check",
       [ Alcotest.test_case "serializable verdicts" `Quick test_check_serializable;

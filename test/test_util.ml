@@ -158,6 +158,28 @@ let prop_stats_mean_matches_fold =
       let mean = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       abs_float (Ccdb_util.Stats.mean s -. mean) < 1e-6)
 
+(* Duplicates, signed zeros, infinities and nans of either sign: the
+   float sort must leave exactly the array the polymorphic one leaves,
+   bit for bit, so that ties between -0. and 0. or between nans land in
+   the same places. *)
+let prop_sort_floats_matches_array_sort =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (6, map float_of_int (int_range (-3) 3));
+          (2, oneofl [ nan; -.nan; infinity; neg_infinity; 0.; -0. ]);
+          (2, float) ])
+  in
+  qtest ~count:1000 "sort_floats is Array.sort compare, bit for bit"
+    (QCheck.make
+       ~print:QCheck.Print.(array float)
+       QCheck.Gen.(array_size (int_range 0 200) sample))
+    (fun a ->
+      let expected = Array.copy a and got = Array.copy a in
+      Array.sort compare expected;
+      Ccdb_util.Stats.sort_floats got;
+      Array.map Int64.bits_of_float got = Array.map Int64.bits_of_float expected)
+
 let test_ci95 () =
   let mean, hw = Ccdb_util.Stats.Ci.mean_ci95 [| 10.; 10.; 10. |] in
   check (Alcotest.float 1e-9) "mean" 10. mean;
@@ -217,7 +239,8 @@ let suites =
         Alcotest.test_case "empty" `Quick test_stats_empty;
         Alcotest.test_case "merge" `Quick test_stats_merge;
         Alcotest.test_case "ci95" `Quick test_ci95;
-        prop_stats_mean_matches_fold ] );
+        prop_stats_mean_matches_fold;
+        prop_sort_floats_matches_array_sort ] );
     ( "util.table",
       [ Alcotest.test_case "render" `Quick test_table_render;
         Alcotest.test_case "csv" `Quick test_table_csv;
