@@ -2,7 +2,10 @@
 
    [seq] is allocated from one counter at schedule time, so events due at
    the same instant fire in schedule order and a run is a function of its
-   schedule calls alone.
+   schedule calls alone.  [reserve] allocates keys without queueing
+   anything, and [schedule_reserved] queues an event under a key reserved
+   earlier; [schedule_all] and the network's retransmission timers use the
+   pair.
 
    The heap is three parallel arrays indexed by heap position: the due
    times (an unboxed [float array]), the sequence numbers and the handles.
@@ -132,6 +135,19 @@ let schedule t ~after action =
   if not (after >= 0.) then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~at:(t.clock +. after) action
 
+let reserve t n =
+  if n < 0 then invalid_arg "Engine.reserve: negative count";
+  let seq = t.seq in
+  t.seq <- seq + n;
+  seq
+
+let schedule_reserved t ~at ~seq action =
+  if not (at >= t.clock) then
+    invalid_arg "Engine.schedule_reserved: time in the past";
+  if seq < 0 || seq >= t.seq then
+    invalid_arg "Engine.schedule_reserved: key not reserved";
+  push t at seq action
+
 (* Push the head of a time-sorted batch under [seq]; as it fires it pushes
    its successor under [seq + 1], before its own action runs.  Reserved
    keys rise along the batch, so the successor is never due before the
@@ -139,10 +155,10 @@ let schedule t ~after action =
    had been pushed up front. *)
 let rec feed t seq = function
   | [] -> ()
-  | [ (at, action) ] -> ignore (push t at seq action)
+  | [ (at, action) ] -> ignore (schedule_reserved t ~at ~seq action)
   | (at, action) :: rest ->
     ignore
-      (push t at seq (fun () ->
+      (schedule_reserved t ~at ~seq (fun () ->
            t.deferred <- t.deferred - 1;
            feed t (seq + 1) rest;
            action ()))
@@ -156,14 +172,16 @@ let schedule_all t batch =
       scan at (sorted && at >= prev) (n + 1) rest
   in
   let sorted, n = scan t.clock true 0 batch in
-  let seq = t.seq in
-  t.seq <- seq + n;
+  let seq = reserve t n in
   if sorted then begin
     t.deferred <- t.deferred + Int.max 0 (n - 1);
     feed t seq batch
   end
   else
-    List.iteri (fun i (at, action) -> ignore (push t at (seq + i) action)) batch
+    List.iteri
+      (fun i (at, action) ->
+        ignore (schedule_reserved t ~at ~seq:(seq + i) action))
+      batch
 
 let cancel t h =
   let i = h.index in

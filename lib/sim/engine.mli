@@ -30,6 +30,23 @@ val schedule_at : t -> at:time -> (unit -> unit) -> handle
 (** Absolute-time variant; [at] must be [>= now t] (a NaN [at] raises
     [Invalid_argument] too). *)
 
+val reserve : t -> int -> int
+(** [reserve t n] allocates the next [n] sequence numbers, the tie-break
+    keys the next [n] calls to {!schedule_at} would draw, and returns the
+    first; nothing is queued.  [n] may be 0.  An event later pushed with
+    {!schedule_reserved} under one of them fires exactly where an event
+    scheduled at the reservation, for the same time, would have fired,
+    provided it is pushed before anything due after it fires: in
+    practice, strictly before its time.  A reserved key that is never
+    pushed costs nothing.  @raise Invalid_argument if [n < 0]. *)
+
+val schedule_reserved :
+  t -> at:time -> seq:int -> (unit -> unit) -> handle
+(** [schedule_reserved t ~at ~seq f] queues [f] at absolute time [at]
+    under the sequence number [seq], which must come from {!reserve} and
+    must be pushed at most once.  Raises [Invalid_argument] if [at] is
+    before [now t] or NaN, or if [seq] was never reserved. *)
+
 val schedule_all : t -> (time * (unit -> unit)) list -> unit
 (** [schedule_all t batch] schedules every [(at, f)] of [batch] at absolute
     time [at], firing exactly as [List.iter] over {!schedule_at} would: the

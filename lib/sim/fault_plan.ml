@@ -35,6 +35,9 @@ let check_link l =
     invalid_arg
       (Printf.sprintf "Fault_plan: negative delay mean %g" l.delay_mean)
 
+let by_site_then_time a b =
+  match Int.compare a.site b.site with 0 -> Float.compare a.at b.at | c -> c
+
 let check_crashes crashes =
   List.iter
     (fun c ->
@@ -44,26 +47,16 @@ let check_crashes crashes =
         invalid_arg "Fault_plan: empty or inverted crash window")
     crashes;
   (* per-site windows must not overlap: a site is either up or down *)
-  let by_site = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_site c.site) in
-      Hashtbl.replace by_site c.site (c :: cur))
-    crashes;
-  Hashtbl.iter
-    (fun site windows ->
-      let sorted = List.sort (fun a b -> compare a.at b.at) windows in
-      let rec go = function
-        | a :: (b :: _ as rest) ->
-          if b.at < a.recover_at then
-            invalid_arg
-              (Printf.sprintf
-                 "Fault_plan: overlapping crash windows for site %d" site);
-          go rest
-        | [ _ ] | [] -> ()
-      in
-      go sorted)
-    by_site
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      if a.site = b.site && b.at < a.recover_at then
+        invalid_arg
+          (Printf.sprintf "Fault_plan: overlapping crash windows for site %d"
+             a.site);
+      go rest
+    | [ _ ] | [] -> ()
+  in
+  go (List.sort by_site_then_time crashes)
 
 let role_compare a b =
   match (a, b) with
@@ -162,11 +155,6 @@ let resolve t ~coordinator ~acceptor =
           { site; at = rc.r_at; recover_at = rc.r_recover_at })
         rcs
     in
-    let by_site_then_time a b =
-      match Int.compare a.site b.site with
-      | 0 -> Float.compare a.at b.at
-      | c -> c
-    in
     let merged =
       List.fold_left
         (fun acc c ->
@@ -181,14 +169,23 @@ let resolve t ~coordinator ~acceptor =
     make ~seed:t.seed ~default_link:t.default_link ~links:t.links
       ~crashes:merged ~wipe:t.wipe ()
 
-let link_for t ~src ~dst =
-  match List.assoc_opt (src, dst) t.links with
-  | Some l -> l
-  | None -> t.default_link
+(* [link_for] and [is_crashed] run on every transmission and ack of the
+   reliable transport: plain loops over the plan's short lists, comparing
+   ints and floats, with no tuple or closure allocated. *)
+let rec find_link ~(src : int) ~(dst : int) default = function
+  | [] -> default
+  | ((s, d), l) :: rest ->
+    if s = src && d = dst then l else find_link ~src ~dst default rest
 
-let is_crashed t ~site ~at =
-  List.exists (fun c -> c.site = site && at >= c.at && at < c.recover_at)
-    t.crashes
+let link_for t ~src ~dst = find_link ~src ~dst t.default_link t.links
+
+let rec in_window ~site ~at = function
+  | [] -> false
+  | c :: rest ->
+    (c.site = site && at >= c.at && at < c.recover_at)
+    || in_window ~site ~at rest
+
+let is_crashed t ~site ~at = in_window ~site ~at t.crashes
 
 let max_site t =
   let m =

@@ -138,7 +138,9 @@ val link_for : t -> src:int -> dst:int -> link
 (** The fault distribution of the directed link [src -> dst]. *)
 
 val is_crashed : t -> site:int -> at:float -> bool
-(** Whether [site] is inside one of its crash windows at time [at]. *)
+(** Whether [site] is inside one of its crash windows at time [at].
+    Windows are half-open, as {!Net} applies them: the site is down at
+    its crash instant and up again at its recovery instant. *)
 
 val max_site : t -> int
 (** The largest site index the plan mentions ([-1] if it mentions none);

@@ -81,9 +81,13 @@ type fmessage = {
   m_channel : fchannel;
   m_deliver : unit -> unit;
   mutable m_attempts : int;       (* physical transmissions so far *)
-  mutable m_acked : bool;
   mutable m_received : bool;      (* a copy reached the destination *)
-  mutable m_timer : Engine.handle option; (* pending retransmission timer *)
+  (* The retransmission timer of the latest transmission, due at [m_due]:
+     reserved (its engine key [m_key], not in the heap yet), pushed
+     ([m_timer]), or neither once the message is acked or expired. *)
+  mutable m_due : float;
+  mutable m_key : int;            (* -1 unless reserved *)
+  mutable m_timer : Engine.handle option;
 }
 
 (* per-(src, dst) transport channel *)
@@ -159,7 +163,19 @@ let slowdown_factor t ~src ~dst =
    network.  The sender retransmits on a capped exponential-backoff timer
    until acked; after [max_retries] the sequence number is declared dead so
    the channel can advance past it (the only case where a message is truly
-   lost — systems recover via crash hooks and the runtime's stall watchdog). *)
+   lost — systems recover via crash hooks and the runtime's stall watchdog).
+
+   Only what changes state becomes an event (DESIGN.md §9.2).  Crash
+   windows are fixed by the plan, and an ack's loss coin and delay are
+   drawn when its copy arrives, so the arrival already knows what the ack
+   will do: nothing if it is lost, lands on a crashed sender or finds the
+   message settled; cancel the timer if it lands before the timer is due.
+   The arrival does that at once, and only an ack landing at or after the
+   due time, which the timer beats, is scheduled.  A timer draws its key
+   at transmission but enters the heap only if no copy of that
+   transmission arrives before it is due; otherwise the first arrival
+   pushes it if its ack cannot settle it.  Either way it is pushed
+   strictly before it is due, so every event that fires keeps its place. *)
 
 let fchannel t fr ~src ~dst =
   let key = (src * t.config.sites) + dst in
@@ -206,52 +222,85 @@ let release_ready ch =
   in
   go ()
 
+let armed msg = msg.m_key >= 0 || Option.is_some msg.m_timer
+
+(* the message is acknowledged: its timer is cancelled or never pushed *)
+let settle t msg =
+  msg.m_key <- -1;
+  match msg.m_timer with
+  | Some h ->
+    ignore (Engine.cancel t.engine h);
+    msg.m_timer <- None
+  | None -> ()
+
 let rec transmit t fr msg =
   msg.m_attempts <- msg.m_attempts + 1;
   fr.stats.s_transmissions <- fr.stats.s_transmissions + 1;
   if msg.m_attempts > 1 then
     fr.stats.s_retransmitted <- fr.stats.s_retransmitted + 1;
+  (* the timer's due time, which each copy's arrival is compared with *)
+  let k = msg.m_attempts - 1 in
+  msg.m_due <-
+    Engine.now t.engine
+    +. Float.min
+         (fr.retry.rto *. (fr.retry.rto_backoff ** float_of_int k))
+         fr.retry.rto_cap;
   let link = Fault_plan.link_for fr.plan ~src:msg.m_src ~dst:msg.m_dst in
-  (if fr.crashed.(msg.m_src) then
-     (* a crashed sender transmits nothing; the timer keeps the message
-        alive until recovery *)
-     fr.stats.s_suppressed <- fr.stats.s_suppressed + 1
-   else begin
-     physical_copy t fr link msg;
-     if link.Fault_plan.duplicate > 0.
-        && Ccdb_util.Rng.float fr.frng 1.0 < link.Fault_plan.duplicate
-     then begin
-       fr.stats.s_duplicated <- fr.stats.s_duplicated + 1;
-       physical_copy t fr link msg
-     end
-   end);
-  arm_retry t fr msg
+  let early =
+    if fr.crashed.(msg.m_src) then begin
+      (* a crashed sender transmits nothing; the timer keeps the message
+         alive until recovery *)
+      fr.stats.s_suppressed <- fr.stats.s_suppressed + 1;
+      false
+    end
+    else begin
+      let early = physical_copy t fr link msg in
+      if link.Fault_plan.duplicate > 0.
+         && Ccdb_util.Rng.float fr.frng 1.0 < link.Fault_plan.duplicate
+      then begin
+        fr.stats.s_duplicated <- fr.stats.s_duplicated + 1;
+        let second = physical_copy t fr link msg in
+        early || second
+      end
+      else early
+    end
+  in
+  (* the timer's key comes after its copies' keys, where scheduling it
+     would draw it; the timer enters the heap now only if no copy arrives
+     before it is due *)
+  msg.m_key <- Engine.reserve t.engine 1;
+  if not early then push_timer t fr msg
 
+(* Puts one copy on the wire; whether it arrives before the timer is due
+   ([false] if the link loses it). *)
 and physical_copy t fr link msg =
   if link.Fault_plan.drop > 0.
      && Ccdb_util.Rng.float fr.frng 1.0 < link.Fault_plan.drop
-  then fr.stats.s_dropped <- fr.stats.s_dropped + 1
+  then begin
+    fr.stats.s_dropped <- fr.stats.s_dropped + 1;
+    false
+  end
   else begin
-    let delay = faulty_delay t fr link ~src:msg.m_src ~dst:msg.m_dst in
-    ignore
-      (Engine.schedule t.engine ~after:delay (fun () ->
-           arrive t fr msg))
+    let at =
+      Engine.now t.engine
+      +. faulty_delay t fr link ~src:msg.m_src ~dst:msg.m_dst
+    in
+    ignore (Engine.schedule_at t.engine ~at (fun () -> arrive t fr msg));
+    at < msg.m_due
   end
 
-and arm_retry t fr msg =
-  let k = msg.m_attempts - 1 in
-  let rto =
-    Float.min
-      (fr.retry.rto *. (fr.retry.rto_backoff ** float_of_int k))
-      fr.retry.rto_cap
-  in
-  msg.m_timer <-
-    Some
-      (Engine.schedule t.engine ~after:rto (fun () ->
-           msg.m_timer <- None;
-           if not msg.m_acked then
+(* pushes a reserved timer under its key; nothing once pushed or settled *)
+and push_timer t fr msg =
+  let seq = msg.m_key in
+  if seq >= 0 then begin
+    msg.m_key <- -1;
+    msg.m_timer <-
+      Some
+        (Engine.schedule_reserved t.engine ~at:msg.m_due ~seq (fun () ->
+             msg.m_timer <- None;
              if msg.m_attempts > fr.retry.max_retries then expire fr msg
              else transmit t fr msg))
+  end
 
 and expire fr msg =
   fr.stats.s_expired <- fr.stats.s_expired + 1;
@@ -263,10 +312,12 @@ and expire fr msg =
   end
 
 and arrive t fr msg =
-  if fr.crashed.(msg.m_dst) then
+  if fr.crashed.(msg.m_dst) then begin
     (* fail-pause: a dead site neither processes nor acknowledges; the
        sender's timer will retransmit after recovery *)
-    fr.stats.s_suppressed <- fr.stats.s_suppressed + 1
+    fr.stats.s_suppressed <- fr.stats.s_suppressed + 1;
+    push_timer t fr msg
+  end
   else begin
     send_ack t fr msg;
     if not msg.m_received then begin
@@ -279,25 +330,31 @@ and arrive t fr msg =
     end
   end
 
+(* The ack travels the reverse link and is subject to its loss rate; a lost
+   ack just means one more retransmission.  Its effect is known here: see
+   the fault semantics above. *)
 and send_ack t fr msg =
-  (* the ack travels the reverse link and is subject to its loss rate; a
-     lost ack just means one more retransmission *)
   let back = Fault_plan.link_for fr.plan ~src:msg.m_dst ~dst:msg.m_src in
   if back.Fault_plan.drop > 0.
      && Ccdb_util.Rng.float fr.frng 1.0 < back.Fault_plan.drop
-  then fr.stats.s_acks_lost <- fr.stats.s_acks_lost + 1
+  then begin
+    fr.stats.s_acks_lost <- fr.stats.s_acks_lost + 1;
+    push_timer t fr msg
+  end
   else begin
-    let delay = faulty_delay t fr back ~src:msg.m_dst ~dst:msg.m_src in
-    ignore
-      (Engine.schedule t.engine ~after:delay (fun () ->
-           if not fr.crashed.(msg.m_src) && not msg.m_acked then begin
-             msg.m_acked <- true;
-             match msg.m_timer with
-             | Some h ->
-               ignore (Engine.cancel t.engine h);
-               msg.m_timer <- None
-             | None -> ()
-           end))
+    let lands =
+      Engine.now t.engine
+      +. faulty_delay t fr back ~src:msg.m_dst ~dst:msg.m_src
+    in
+    if armed msg then
+      if Fault_plan.is_crashed fr.plan ~site:msg.m_src ~at:lands then
+        push_timer t fr msg
+      else if lands < msg.m_due then settle t msg
+      else begin
+        (* the timer's older key wins a tie: it fires first *)
+        push_timer t fr msg;
+        ignore (Engine.schedule_at t.engine ~at:lands (fun () -> settle t msg))
+      end
   end
 
 let send_faulted t fr ~src ~dst deliver =
@@ -306,8 +363,8 @@ let send_faulted t fr ~src ~dst deliver =
   ch.next_seq <- seq + 1;
   let msg =
     { m_src = src; m_dst = dst; m_seq = seq; m_channel = ch;
-      m_deliver = deliver; m_attempts = 0; m_acked = false;
-      m_received = false; m_timer = None }
+      m_deliver = deliver; m_attempts = 0; m_received = false;
+      m_due = 0.; m_key = -1; m_timer = None }
   in
   transmit t fr msg
 
@@ -420,10 +477,6 @@ let messages_sent t = t.total
 let messages_by_kind t =
   Kind_tbl.fold (fun k r acc -> (k, !r) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_counters t =
-  Kind_tbl.reset t.counts;
-  t.total <- 0
 
 let add_slowdown t site ~from_time ~until_time ~factor =
   if from_time < 0. || until_time <= from_time then

@@ -15,7 +15,15 @@
     deduplicates and releases messages in sequence order.  Protocol code
     keeps the exactly-once FIFO abstraction; faults surface only as extra
     latency, extra (transport-level) traffic, and site-crash windows during
-    which a site is unreachable.  DESIGN.md §9 documents the full model. *)
+    which a site is unreachable.  Acks and timers become engine events only
+    when they can change state: an ack that will land before the armed
+    timer is due, on a live sender, cancels the timer when its copy
+    arrives, and a timer enters the heap only once no such ack can settle
+    it.  A copy the network delivers thus costs one event, and every run
+    fires the same events, in the same order, as a transport that
+    schedules each ack and timer, less the acks that would only have
+    cancelled a timer or done nothing.  DESIGN.md §9 documents the full
+    model. *)
 
 type t
 (** A network instance, bound to one {!Engine.t}. *)
@@ -53,9 +61,6 @@ val messages_sent : t -> int
 
 val messages_by_kind : t -> (string * int) list
 (** Per-kind counts of logical messages, sorted by kind name. *)
-
-val reset_counters : t -> unit
-(** Zeroes the message counters (used to exclude warm-up from metrics). *)
 
 (** {2 Fault injection}
 

@@ -320,6 +320,143 @@ let test_install_guards () =
   check Alcotest.bool "no plan" true (Net.fault_plan net = None);
   check Alcotest.bool "no stats" true (Net.fault_stats net = None)
 
+(* --- the ack rule and deferred timers, at their boundaries -------------- *)
+
+(* With jitter 0 every time is exact: a copy or an ack takes 10 units and
+   the first timer is due 60 after its transmission.  A copy that arrives
+   before its timer is due leaves the timer out of the heap; its arrival
+   settles the timer at once if the ack will land before the due time on
+   a live sender, and otherwise pushes it.  Each case sends one message
+   0 -> 1 at time 0 and checks the heap right after the send, the delivery
+   times, the transport counters, the engine's event count and that the
+   heap drains.  The exact event and retransmission counts show that no
+   timer fires after its message was acked.  A transport that schedules
+   every ack and timer gives the same deliveries and counters in every
+   case, in 5, 8, 8, 4, 4, 3, 3, 8 and 12 events. *)
+let exact_transport ?(retry = Net.default_retry) plan =
+  let engine = Engine.create () in
+  let rng = Ccdb_util.Rng.create ~seed:99 in
+  let config = { (Net.default_config ~sites:3) with Net.jitter = 0. } in
+  let net = Net.create engine rng config in
+  Net.install_faults net ~retry plan;
+  (engine, net)
+
+let stats ?(transmissions = 1) ?(dropped = 0) ?(duplicated = 0)
+    ?(retransmitted = 0) ?(expired = 0) ?(suppressed = 0) ?(acks_lost = 0)
+    ?(crashes = 0) ?(recoveries = 0) () =
+  { Net.transmissions; dropped; duplicated; retransmitted; expired;
+    suppressed; acks_lost; crashes; recoveries }
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (s : Net.fault_stats) ->
+      Format.fprintf ppf
+        "tx %d, dropped %d, dup %d, retx %d, expired %d, suppressed %d, \
+         acks lost %d, crashes %d, recoveries %d"
+        s.transmissions s.dropped s.duplicated s.retransmitted s.expired
+        s.suppressed s.acks_lost s.crashes s.recoveries)
+    ( = )
+
+let boundary ?retry ?(setup = fun _ _ -> ()) plan ~queued ~delivered
+    ~expect ~events =
+  let engine, net = exact_transport ?retry plan in
+  setup engine net;
+  let times = ref [] in
+  Net.send net ~src:0 ~dst:1 ~kind:"m" (fun () ->
+      times := Engine.now engine :: !times);
+  check Alcotest.int "queued after the send" queued (Engine.pending engine);
+  Engine.run engine;
+  check (Alcotest.list (Alcotest.float 0.)) "delivery times" delivered
+    (List.rev !times);
+  check stats_t "transport counters" expect (Option.get (Net.fault_stats net));
+  check Alcotest.int "engine events" events (Engine.processed engine);
+  check Alcotest.int "heap drained" 0 (Engine.pending engine)
+
+(* The ack lands at 20, exactly when the timer is due (rto 20).  The
+   timer's key is older, so it fires first and retransmits; the ack then
+   settles the new timer, and the second copy's ack finds nothing to do. *)
+let test_ack_at_due_time () =
+  boundary ~retry:{ Net.default_retry with rto = 20. } FP.none ~queued:1
+    ~delivered:[ 10. ]
+    ~expect:(stats ~transmissions:2 ~retransmitted:1 ())
+    ~events:4
+
+(* The ack lands at 20.  With the sender down over [20, 120) or
+   [15, 115), it lands at the crash instant or inside the window and is
+   lost there, so the timer retransmits, first while the sender is down
+   and then after its recovery.  With the sender down over [5, 20), it
+   lands exactly at the recovery instant, reaches a live sender and
+   settles the timer. *)
+let test_ack_at_sender_crash () =
+  let lost_on_crashed_sender plan =
+    boundary (plan_of_string plan) ~queued:3 ~delivered:[ 10. ]
+      ~expect:
+        (stats ~transmissions:3 ~retransmitted:2 ~suppressed:1 ~crashes:1
+           ~recoveries:1 ())
+      ~events:6
+  in
+  lost_on_crashed_sender "crash=0@20+100";
+  lost_on_crashed_sender "crash=0@15+100";
+  boundary (plan_of_string "crash=0@5+15") ~queued:3 ~delivered:[ 10. ]
+    ~expect:(stats ~crashes:1 ~recoveries:1 ())
+    ~events:3
+
+(* The only copy's ack is lost, so its arrival pushes the timer; the
+   retransmission at 60 arrives at 70 and its ack settles the next
+   timer. *)
+let test_lost_ack_pushes_timer () =
+  boundary (plan_of_string "link=1>0/drop=0.5,seed=7") ~queued:1
+    ~delivered:[ 10. ]
+    ~expect:(stats ~transmissions:2 ~retransmitted:1 ~acks_lost:1 ())
+    ~events:3
+
+(* Both copies arrive at 10; the first one's ack is lost, which pushes the
+   timer, and the second one's ack cancels it. *)
+let test_duplicate_first_ack_lost () =
+  boundary (plan_of_string "dup=1,link=1>0/drop=0.5,seed=6") ~queued:2
+    ~delivered:[ 10. ]
+    ~expect:(stats ~duplicated:1 ~acks_lost:1 ())
+    ~events:2
+
+(* The link loses the first copy, so its timer enters the heap at once;
+   the retransmission at 60 arrives at 70 and its ack settles the next
+   timer. *)
+let test_dropped_copy_timer_pushed () =
+  boundary (plan_of_string "link=0>1/drop=0.5,seed=3") ~queued:1
+    ~delivered:[ 70. ]
+    ~expect:(stats ~transmissions:2 ~dropped:1 ~retransmitted:1 ())
+    ~events:2
+
+(* The destination is down [5, 105): the copies arriving at 10 and 70 are
+   suppressed, each pushing its timer, and the one sent at 180 gets
+   through. *)
+let test_copy_to_crashed_destination () =
+  boundary (plan_of_string "crash=1@5+100") ~queued:3 ~delivered:[ 190. ]
+    ~expect:
+      (stats ~transmissions:3 ~retransmitted:2 ~suppressed:2 ~crashes:1
+         ~recoveries:1 ())
+    ~events:7
+
+(* Copies sent before 500 are slowed a hundredfold, so none of the three
+   transmissions arrives before the retry budget of two runs out at 420.
+   The channel skips the dead message, a second one sent at 500 is
+   delivered at 510, and the late copies' acks, landing on an expired
+   message, do nothing. *)
+let test_expired_message () =
+  let second = ref [] in
+  boundary
+    ~retry:{ Net.default_retry with max_retries = 2 }
+    ~setup:(fun engine net ->
+      Net.inject_slowdown net ~from_time:0. ~until_time:500. ~factor:100.;
+      ignore
+        (Engine.schedule_at engine ~at:500. (fun () ->
+             Net.send net ~src:0 ~dst:1 ~kind:"m" (fun () ->
+                 second := Engine.now engine :: !second))))
+    FP.none ~queued:3 ~delivered:[]
+    ~expect:(stats ~transmissions:4 ~retransmitted:2 ~expired:1 ())
+    ~events:8;
+  check (Alcotest.list (Alcotest.float 0.)) "second message" [ 510. ] !second
+
 (* --- full faulted runs, audited ---------------------------------------- *)
 
 let spec =
@@ -465,7 +602,20 @@ let suites =
           test_transport_in_order_exactly_once;
         Alcotest.test_case "rides out a crash" `Quick
           test_transport_rides_out_crash;
-        Alcotest.test_case "install guards" `Quick test_install_guards ] );
+        Alcotest.test_case "install guards" `Quick test_install_guards;
+        Alcotest.test_case "ack lands at the due time" `Quick
+          test_ack_at_due_time;
+        Alcotest.test_case "ack at the sender's crash and recovery" `Quick
+          test_ack_at_sender_crash;
+        Alcotest.test_case "lost ack pushes its timer" `Quick
+          test_lost_ack_pushes_timer;
+        Alcotest.test_case "duplicate whose first ack is lost" `Quick
+          test_duplicate_first_ack_lost;
+        Alcotest.test_case "dropped copy pushes its timer" `Quick
+          test_dropped_copy_timer_pushed;
+        Alcotest.test_case "copy to a crashed destination" `Quick
+          test_copy_to_crashed_destination;
+        Alcotest.test_case "expired message" `Quick test_expired_message ] );
     ( "faults.systems",
       [ Alcotest.test_case "acceptance plan, all systems" `Slow
           test_every_system_survives_the_acceptance_plan;

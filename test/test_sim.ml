@@ -139,6 +139,45 @@ let test_engine_schedule_all_rejects () =
   Ccdb_sim.Engine.run e;
   check Alcotest.bool "nothing fired" false !fired
 
+(* A key reserved now and pushed later fires where an event scheduled at
+   the reservation would have: before a tie scheduled in between.  A key
+   never pushed costs nothing, and a push is refused for a past or NaN
+   time and for a key never reserved. *)
+let test_engine_schedule_reserved () =
+  let e = Ccdb_sim.Engine.create () in
+  let trace = ref [] in
+  let record tag () = trace := tag :: !trace in
+  let seq = Ccdb_sim.Engine.reserve e 1 in
+  ignore (Ccdb_sim.Engine.schedule_at e ~at:5. (record "younger tie"));
+  ignore
+    (Ccdb_sim.Engine.schedule_at e ~at:2. (fun () ->
+         ignore
+           (Ccdb_sim.Engine.schedule_reserved e ~at:5. ~seq (record "reserved"))));
+  let unused = Ccdb_sim.Engine.reserve e 1 in
+  check Alcotest.int "reserving none draws nothing" (unused + 1)
+    (Ccdb_sim.Engine.reserve e 0);
+  check Alcotest.int "pending" 2 (Ccdb_sim.Engine.pending e);
+  Ccdb_sim.Engine.run e;
+  check (Alcotest.list Alcotest.string) "order" [ "reserved"; "younger tie" ]
+    (List.rev !trace);
+  check Alcotest.int "processed" 3 (Ccdb_sim.Engine.processed e);
+  let refused what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let past = "Engine.schedule_reserved: time in the past" in
+  let unreserved = "Engine.schedule_reserved: key not reserved" in
+  refused "past" past (fun () ->
+      Ccdb_sim.Engine.schedule_reserved e ~at:4. ~seq:unused ignore);
+  refused "nan" past (fun () ->
+      Ccdb_sim.Engine.schedule_reserved e ~at:nan ~seq:unused ignore);
+  refused "never reserved" unreserved (fun () ->
+      Ccdb_sim.Engine.schedule_reserved e ~at:9. ~seq:(unused + 1) ignore);
+  refused "negative key" unreserved (fun () ->
+      Ccdb_sim.Engine.schedule_reserved e ~at:9. ~seq:(-1) ignore);
+  refused "negative count" "Engine.reserve: negative count" (fun () ->
+      Ccdb_sim.Engine.reserve e (-1));
+  check Alcotest.int "nothing queued" 0 (Ccdb_sim.Engine.pending e)
+
 (* Neither the heap nor a handle the caller keeps may hold a fired or
    cancelled event's closure while other events are still queued.  Each
    [probe] closure is reachable only through the engine, its handle (kept
@@ -185,30 +224,46 @@ let test_engine_releases_closures () =
 (* --- Engine fuzzer ------------------------------------------------------- *)
 
 (* The executable spec of the engine: a sorted list of pending events,
-   fired head first.  A new event goes after every queued event due at or
-   before its time, which is (time, seq) order since seq only grows. *)
+   fired head first.  Keys come from one counter, drawn at schedule time
+   or reserved for a later push, and a new event goes after every queued
+   event whose (time, key) is smaller. *)
 module Reference = struct
-  type event = { at : float; action : unit -> unit; mutable queued : bool }
+  type event = {
+    at : float;
+    seq : int;
+    action : unit -> unit;
+    mutable queued : bool;
+  }
 
   type t = {
     mutable clock : float;
     mutable queue : event list;
     mutable fired : int;
+    mutable next : int;
   }
 
   type handle = event
 
-  let create () = { clock = 0.; queue = []; fired = 0 }
+  let create () = { clock = 0.; queue = []; fired = 0; next = 0 }
   let now t = t.clock
 
-  let schedule_at t ~at action =
-    let ev = { at; action; queued = true } in
+  let reserve t n =
+    let seq = t.next in
+    t.next <- seq + n;
+    seq
+
+  let schedule_reserved t ~at ~seq action =
+    let ev = { at; seq; action; queued = true } in
     let rec insert = function
-      | e :: rest when e.at <= at -> e :: insert rest
+      | e :: rest when e.at < at || (e.at = at && e.seq < seq) ->
+        e :: insert rest
       | rest -> ev :: rest
     in
     t.queue <- insert t.queue;
     ev
+
+  let schedule_at t ~at action =
+    schedule_reserved t ~at ~seq:(reserve t 1) action
 
   let schedule t ~after action = schedule_at t ~at:(t.clock +. after) action
 
@@ -250,6 +305,8 @@ module type ENGINE = sig
   val schedule : t -> after:float -> (unit -> unit) -> handle
   val schedule_at : t -> at:float -> (unit -> unit) -> handle
   val schedule_all : t -> (float * (unit -> unit)) list -> unit
+  val reserve : t -> int -> int
+  val schedule_reserved : t -> at:float -> seq:int -> (unit -> unit) -> handle
   val cancel : t -> handle -> bool
   val run : ?until:float -> ?max_events:int -> t -> unit
   val pending : t -> int
@@ -262,12 +319,13 @@ type drive = One_shot | Split of float list | Sliced of int
 
 (* One random script: seed events that recursively schedule children with
    [schedule] (integer delays included, so same-instant ties are common),
-   [schedule_at], and events cancelled before they fire.  The seeds are
-   scheduled one by one around a random batch, and one event schedules a
-   second batch as it fires.  A batch is empty, sorted by time with
-   equal-time runs, or in random order.  Returns the firing log (time, id,
-   pending), the fired count, the final clock and, under [Sliced], the
-   pending count after each slice. *)
+   [schedule_at], keys reserved now and pushed later (by an event due
+   before the child, at once, or never), and events cancelled before they
+   fire.  The seeds are scheduled one by one around a random batch, and
+   one event schedules a second batch as it fires.  A batch is empty,
+   sorted by time with equal-time runs, or in random order.  Returns the
+   firing log (time, id, pending), the fired count, the final clock and,
+   under [Sliced], the pending count after each slice. *)
 module Script (E : ENGINE) = struct
   let run ~seed drive =
     let eng = E.create () in
@@ -304,7 +362,7 @@ module Script (E : ENGINE) = struct
           if !budget > 0 then begin
             decr budget;
             let child = node (fresh ()) in
-            match Ccdb_util.Rng.int rng 4 with
+            match Ccdb_util.Rng.int rng 5 with
             | 0 ->
               ignore
                 (E.schedule eng ~after:(Ccdb_util.Rng.float rng 30.) child)
@@ -316,6 +374,19 @@ module Script (E : ENGINE) = struct
                 (E.schedule_at eng
                    ~at:(E.now eng +. Ccdb_util.Rng.float rng 20.)
                    child)
+            | 3 -> (
+              let now = E.now eng in
+              let at = now +. float_of_int (Ccdb_util.Rng.int rng 6) in
+              let seq = E.reserve eng 1 in
+              let push () = ignore (E.schedule_reserved eng ~at ~seq child) in
+              match Ccdb_util.Rng.int rng 3 with
+              | 0 -> push ()
+              | 1 when at > now ->
+                ignore
+                  (E.schedule_at eng
+                     ~at:(now +. Ccdb_util.Rng.float rng (at -. now))
+                     push)
+              | _ -> ())
             | _ ->
               let h =
                 E.schedule eng ~after:(Ccdb_util.Rng.float rng 20.) (fun () ->
@@ -423,9 +494,7 @@ let test_net_counts () =
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "by kind"
     [ ("a", 2); ("b", 1) ]
-    (Ccdb_sim.Net.messages_by_kind net);
-  Ccdb_sim.Net.reset_counters net;
-  check Alcotest.int "reset" 0 (Ccdb_sim.Net.messages_sent net)
+    (Ccdb_sim.Net.messages_by_kind net)
 
 let test_net_fifo_per_channel () =
   (* with jitter, later sends could overtake earlier ones; the channel must
@@ -458,6 +527,8 @@ let suites =
         Alcotest.test_case "nan times" `Quick test_engine_nan_times;
         Alcotest.test_case "step" `Quick test_engine_step;
         Alcotest.test_case "schedule_all order" `Quick test_engine_schedule_all;
+        Alcotest.test_case "reserved keys" `Quick
+          test_engine_schedule_reserved;
         Alcotest.test_case "schedule_all rejects" `Quick
           test_engine_schedule_all_rejects;
         Alcotest.test_case "fired and cancelled closures released" `Quick
