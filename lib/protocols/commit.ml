@@ -1,39 +1,712 @@
-(* Atomic-commitment dispatcher.
+(* Atomic commitment: presumed-abort 2PC and Paxos Commit behind one
+   client and one participant (commit.mli states the contract).  The
+   shared code calls the decider only at begin, vote, re-vote on a
+   duplicate prepare, inquire, all-acked, the client's retry and the
+   decider's own wipe/replay.
 
-   Systems talk to [Commit]; the runtime's [commit_protocol] selects the
-   engine behind it — presumed-abort 2PC ([Two_pc]) or Paxos Commit
-   ([Consensus]).  The config and hooks records are [Two_pc]'s, re-exported
-   so existing `{ Commit.apply = ...; commit_point = ... }` call sites are
-   untouched by the dispatch layer. *)
+   Paxos details the interface leaves out: ballot b > 0 belongs to site
+   b mod sites, so a takeover acceptor picks the next ballot above its
+   highest promise in its own residue class and two candidates never
+   collide; the takeover clock re-arms with the runtime's capped seeded
+   per-site backoff until a decision is known; acceptors learn decisions
+   but deliberately do not log them — a replayed acceptor re-arms,
+   re-runs the protocol and converges on the same outcome, which every
+   receiver absorbs idempotently. *)
 
-type config = Two_pc.config = {
-  inquiry_timeout : float;
-  client_retry : float;
-}
+(* How long a prepared participant waits before (re-)asking for the
+   outcome; the Paxos takeover clock's base is twice this. *)
+let inquiry_timeout = 250.
 
-let default_config = Two_pc.default_config
+(* How long the client terminal waits for a decision before re-driving. *)
+let client_retry = 1200.
 
-type hooks = Two_pc.hooks = {
+type hooks = {
   apply : txn:int -> site:int -> Ccdb_storage.Wal.action list -> unit;
   commit_point : txn:int -> unit;
 }
 
-type t = Two_pc of Two_pc.t | Paxos of Consensus.t
+(* The terminal that issued the transaction: outside the failure domain,
+   so this record survives every crash and drives retry rounds. *)
+type client = {
+  home : int;
+  participants : (int * Ccdb_storage.Wal.action list) list;
+  mutable round : int;
+  mutable decided : bool;
+}
 
-let create ?config rt hooks =
-  match Runtime.commit_protocol rt with
-  | Runtime.Two_pc -> Two_pc (Two_pc.create ?config rt hooks)
-  | Runtime.Paxos { f } ->
-    let config =
-      Option.map
-        (fun (c : config) ->
-          { Consensus.inquiry_timeout = c.inquiry_timeout;
-            client_retry = c.client_retry })
-        config
+(* Ack collection at the home site once the outcome is commit.  Under 2PC
+   it mirrors a [Coord_commit] record without its [Coord_end] (rebuilt on
+   replay); under Paxos it is volatile, since the acceptors' logs are the
+   durable decision. *)
+type ack_entry = {
+  k_round : int;
+  k_participants : int list;
+  mutable k_acked : int list;
+}
+
+(* Prepared participant awaiting the round's outcome.  Always voted (the
+   entry is created in the same atomic event as the Vote record), so a
+   wipe rebuilds it from the WAL's in-doubt list. *)
+type part_entry = {
+  p_round : int;
+  p_home : int;
+  p_actions : Ccdb_storage.Wal.action list;
+  p_timer : int; (* invalidates stale recurring inquiry timers *)
+}
+
+(* 2PC coordinator collecting votes for one round (volatile, at home). *)
+type coord_entry = {
+  c_round : int;
+  c_participants : int list;
+  mutable c_votes : int list;
+}
+
+(* One acceptor's state for the highest round it has seen of one
+   transaction.  [a_promised]/[a_accepted] mirror the WAL; the rest is
+   volatile and rebuilt pessimistically on replay. *)
+type acc_entry = {
+  mutable a_round : int;
+  mutable a_promised : int;                 (* highest promised ballot *)
+  a_accepted : (int, int * bool) Hashtbl.t; (* instance -> (ballot, value) *)
+  mutable a_home : int option;
+  mutable a_psites : int list option;       (* instance order *)
+  mutable a_outcome : bool option;          (* known decision, volatile *)
+  mutable a_timer : int;                    (* live takeover clock *)
+  mutable a_attempts : int;                 (* takeover backoff attempts *)
+}
+
+(* A leader driving one ballot of one round (volatile).  Ballot 0 lives at
+   the home site with phase 1 pre-skipped; takeover ballots live at the
+   acceptor that seized leadership. *)
+type lead_entry = {
+  l_round : int;
+  l_ballot : int;
+  mutable l_phase2 : bool;
+  (* phase 1: acceptor -> its accepted (instance, ballot, value) list *)
+  mutable l_promises : (int * (int * int * bool) list) list;
+  mutable l_home : int option;
+  mutable l_psites : int list option;
+  mutable l_values : (int * bool) list;    (* proposed value per instance *)
+  mutable l_accepts : (int * int list) list; (* instance -> 2b senders *)
+}
+
+type paxos = {
+  f : int;                                      (* tolerated acceptor crashes *)
+  acceptors : (int * int, acc_entry) Hashtbl.t; (* (site, txn) *)
+  leaders : (int * int, lead_entry) Hashtbl.t;  (* (site, txn) *)
+}
+
+type decider =
+  | Two_pc of (int, coord_entry) Hashtbl.t (* txn, at the home site *)
+  | Paxos of paxos
+
+type t = {
+  rt : Runtime.t;
+  hooks : hooks;
+  decider : decider;
+  clients : (int, client) Hashtbl.t;         (* txn -> terminal state *)
+  acks : (int, ack_entry) Hashtbl.t;         (* txn, at the home site *)
+  parts : (int * int, part_entry) Hashtbl.t; (* (site, txn) *)
+  decided : (int * int, int) Hashtbl.t;      (* (site, txn) -> commit round *)
+  mutable timer_seq : int;
+}
+
+let now t = Runtime.now t.rt
+let wal t = Runtime.wal t.rt
+
+let send t ~src ~dst ~kind f =
+  Ccdb_sim.Net.send (Runtime.net t.rt) ~src ~dst ~kind f
+
+let home_of t txn = (Hashtbl.find t.clients txn).home
+
+let nsites t = Ccdb_sim.Net.sites (Runtime.net t.rt)
+let quorum px = px.f + 1
+let acceptor_sites px = List.init ((2 * px.f) + 1) Fun.id
+
+(* ballot 0 is the fast path led by the home site; ballot b > 0 belongs to
+   acceptor site b mod sites *)
+let leader_of_ballot t ~home ballot =
+  if ballot = 0 then home else ballot mod nsites t
+
+let log_decision t ~txn ~round ~site ~commit =
+  let at = now t in
+  Ccdb_storage.Wal.append (wal t) ~site ~at
+    (Ccdb_storage.Wal.Decision { txn; round; commit });
+  Runtime.emit t.rt (Runtime.Decision_logged { txn; site; round; commit; at })
+
+let fire_commit_point t (c : client) ~txn =
+  if not c.decided then begin
+    c.decided <- true;
+    t.hooks.commit_point ~txn
+  end
+
+let fresh_acceptor round =
+  { a_round = round; a_promised = 0; a_accepted = Hashtbl.create 4;
+    a_home = None; a_psites = None; a_outcome = None; a_timer = 0;
+    a_attempts = 0 }
+
+(* A higher round exists only because this one was decided (abort), so the
+   old promise/accept state is dead weight.  Home and participant set are
+   per-transaction and survive. *)
+let reset_acceptor a round =
+  a.a_round <- round;
+  a.a_promised <- 0;
+  Hashtbl.reset a.a_accepted;
+  a.a_outcome <- None;
+  a.a_attempts <- 0
+
+(* --- the home site's ack table and the participants --------------------- *)
+
+let on_ack t ~txn ~round ~site =
+  match Hashtbl.find_opt t.acks txn with
+  | Some k when k.k_round = round ->
+    if not (List.mem site k.k_acked) then k.k_acked <- site :: k.k_acked;
+    if List.for_all (fun s -> List.mem s k.k_acked) k.k_participants then begin
+      (match t.decider with
+       | Two_pc _ ->
+         Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
+           (Ccdb_storage.Wal.Coord_end { txn; round })
+       | Paxos _ -> ());
+      Hashtbl.remove t.acks txn
+    end
+  | Some _ | None -> ()
+
+let ack t ~txn ~round ~site =
+  send t ~src:site ~dst:(home_of t txn)
+    ~kind:(match t.decider with Two_pc _ -> "2pc-ack" | Paxos _ -> "px-ack")
+    (fun () -> on_ack t ~txn ~round ~site)
+
+(* Participant learns the round's outcome.  Exactly-once application: a
+   decided participant only re-acknowledges; an unknown round is ignored
+   (its prepare was superseded or its state presumed-aborted).  An aborted
+   round keeps the locks — the transaction is past execution and will be
+   retried by the client. *)
+let on_decision t ~txn ~round ~site ~commit =
+  let key = (site, txn) in
+  if Hashtbl.mem t.decided key then begin
+    if commit then ack t ~txn ~round ~site
+  end
+  else
+    match Hashtbl.find_opt t.parts key with
+    | Some e when e.p_round = round ->
+      if commit then begin
+        log_decision t ~txn ~round ~site ~commit:true;
+        t.hooks.apply ~txn ~site e.p_actions;
+        Ccdb_storage.Wal.append (wal t) ~site ~at:(now t)
+          (Ccdb_storage.Wal.Applied { txn; round });
+        Hashtbl.replace t.decided key round;
+        Hashtbl.remove t.parts key;
+        ack t ~txn ~round ~site
+      end
+      else begin
+        log_decision t ~txn ~round ~site ~commit:false;
+        Hashtbl.remove t.parts key
+      end
+    | Some _ | None -> ()
+
+(* --- 2PC: the coordinator decides --------------------------------------- *)
+
+let resend_commit t txn k =
+  let home = home_of t txn in
+  List.iter
+    (fun site ->
+      send t ~src:home ~dst:site ~kind:"2pc-commit" (fun () ->
+          on_decision t ~txn ~round:k.k_round ~site ~commit:true))
+    k.k_participants
+
+let presume_abort t ~txn ~round ~site =
+  send t ~src:(home_of t txn) ~dst:site ~kind:"2pc-abort" (fun () ->
+      on_decision t ~txn ~round ~site ~commit:false)
+
+let on_vote t coords ~txn ~round ~site =
+  match Hashtbl.find_opt coords txn with
+  | Some e when e.c_round = round ->
+    if not (List.mem site e.c_votes) then e.c_votes <- site :: e.c_votes;
+    if List.for_all (fun s -> List.mem s e.c_votes) e.c_participants then begin
+      (* commit point: force the coordinator record, then tell the world *)
+      Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
+        (Ccdb_storage.Wal.Coord_commit
+           { txn; round; participants = e.c_participants });
+      let k =
+        { k_round = round; k_participants = e.c_participants; k_acked = [] }
+      in
+      Hashtbl.replace t.acks txn k;
+      Hashtbl.remove coords txn;
+      fire_commit_point t (Hashtbl.find t.clients txn) ~txn;
+      resend_commit t txn k
+    end
+  | Some _ | None -> (
+    (* no live round matches the vote *)
+    match Hashtbl.find_opt t.acks txn with
+    | Some k -> resend_commit t txn k
+    | None -> presume_abort t ~txn ~round ~site)
+
+let on_inquire_coord t coords ~txn ~round ~site =
+  match Hashtbl.find_opt t.acks txn with
+  | Some k -> resend_commit t txn k
+  | None -> (
+    match Hashtbl.find_opt coords txn with
+    | Some e when e.c_round = round -> () (* still collecting votes *)
+    | Some _ | None ->
+      (* presumed abort: the coordinator remembers nothing about this
+         round, so it cannot have committed it *)
+      presume_abort t ~txn ~round ~site)
+
+(* --- Paxos: a quorum of acceptors decides -------------------------------- *)
+
+(* The home terminal learns the outcome: fire the commit point once, or
+   advance the retry round past a learned abort. *)
+let on_client_decision t ~txn ~round ~commit =
+  match Hashtbl.find_opt t.clients txn with
+  | None -> ()
+  | Some c ->
+    if commit then begin
+      fire_commit_point t c ~txn;
+      if not (Hashtbl.mem t.acks txn) then
+        Hashtbl.replace t.acks txn
+          { k_round = round; k_participants = List.map fst c.participants;
+            k_acked = [] }
+    end
+    else if (not c.decided) && c.round = round then c.round <- c.round + 1
+
+(* An acceptor that learns the decision stops its takeover clock.  The
+   decision is deliberately not logged: see the module comment. *)
+let on_acc_decision px ~txn ~round ~site ~commit =
+  match Hashtbl.find_opt px.acceptors (site, txn) with
+  | Some a when a.a_round = round ->
+    if a.a_outcome = None then a.a_outcome <- Some commit
+  | Some _ | None -> ()
+
+(* The learned outcome IS the commit point (a quorum of acceptors holds it
+   durably), so the client-side transition runs synchronously at decision
+   time — exactly where 2PC fires its hook when the last vote lands.
+   Participants applying on their (later) decision messages therefore
+   always release locks after the commit event, whatever the message
+   delays and losses en route. *)
+let distribute t px ~src ~txn ~round ~commit ~psites =
+  on_client_decision t ~txn ~round ~commit;
+  List.iter
+    (fun site ->
+      send t ~src ~dst:site ~kind:"px-decision" (fun () ->
+          on_decision t ~txn ~round ~site ~commit))
+    psites;
+  List.iter
+    (fun a ->
+      send t ~src ~dst:a ~kind:"px-decision" (fun () ->
+          on_acc_decision px ~txn ~round ~site:a ~commit))
+    (acceptor_sites px)
+
+let try_decide t px ~leader ~txn (l : lead_entry) =
+  match (l.l_psites, l.l_home) with
+  | Some psites, Some _ ->
+    let n = List.length psites in
+    let q = quorum px in
+    let instance_done i =
+      match List.assoc_opt i l.l_accepts with
+      | Some acks -> List.length acks >= q
+      | None -> false
     in
-    Paxos
-      (Consensus.create ?config ~f rt
-         { Consensus.apply = hooks.apply; commit_point = hooks.commit_point })
+    let rec all_done i = i >= n || (instance_done i && all_done (i + 1)) in
+    if all_done 0 then begin
+      let commit = List.for_all snd l.l_values in
+      Hashtbl.remove px.leaders (leader, txn);
+      distribute t px ~src:leader ~txn ~round:l.l_round ~commit ~psites
+    end
+  | _ -> ()
+
+(* Phase 2b, counted by the ballot's leader.  One proposer per (ballot,
+   instance) means every 2b of a ballot carries the proposed value, so
+   counting distinct acceptors is enough. *)
+let on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader =
+  match Hashtbl.find_opt px.leaders (leader, txn) with
+  | Some l when l.l_round = round && l.l_ballot = ballot && l.l_phase2 ->
+    let cur = Option.value ~default:[] (List.assoc_opt instance l.l_accepts) in
+    if not (List.mem acceptor cur) then begin
+      l.l_accepts <-
+        (instance, acceptor :: cur) :: List.remove_assoc instance l.l_accepts;
+      try_decide t px ~leader ~txn l
+    end
+  | Some _ | None -> ()
+
+let send_2b t px ~acceptor ~txn ~round ~instance ~ballot ~home =
+  let leader = leader_of_ballot t ~home ballot in
+  send t ~src:acceptor ~dst:leader ~kind:"px-2b" (fun () ->
+      on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader)
+
+(* Phase 2a at an acceptor: accept iff the ballot meets our promise, force
+   the accept record, answer the ballot's leader.  A stale ballot re-sends
+   the accept we hold — without logging and without regressing. *)
+let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
+    ~acceptor =
+  let key = (acceptor, txn) in
+  let entry =
+    match Hashtbl.find_opt px.acceptors key with
+    | Some a when a.a_round = round -> Some a
+    | Some a when a.a_round < round ->
+      reset_acceptor a round;
+      Some a
+    | Some _ ->
+      (* the round was superseded, which only happens after it aborted:
+         unblock the instance's participant directly *)
+      (match List.nth_opt psites instance with
+      | Some p ->
+        send t ~src:acceptor ~dst:p ~kind:"px-decision" (fun () ->
+            on_decision t ~txn ~round ~site:p ~commit:false)
+      | None -> ());
+      None
+    | None ->
+      let a = fresh_acceptor round in
+      Hashtbl.add px.acceptors key a;
+      Some a
+  in
+  match entry with
+  | None -> ()
+  | Some a ->
+    if a.a_home = None then a.a_home <- Some home;
+    if a.a_psites = None then a.a_psites <- Some psites;
+    if ballot < a.a_promised then (
+      match Hashtbl.find_opt a.a_accepted instance with
+      | Some (b, _) ->
+        send_2b t px ~acceptor ~txn ~round ~instance ~ballot:b ~home
+      | None -> ())
+    else begin
+      let first_accept = Hashtbl.length a.a_accepted = 0 in
+      let duplicate =
+        match Hashtbl.find_opt a.a_accepted instance with
+        | Some (b, v) -> b = ballot && v = value
+        | None -> false
+      in
+      if not duplicate then begin
+        Hashtbl.replace a.a_accepted instance (ballot, value);
+        (* accepting a ballot implies promising it *)
+        if ballot > a.a_promised then a.a_promised <- ballot;
+        let at = now t in
+        Ccdb_storage.Wal.append (wal t) ~site:acceptor ~at
+          (Ccdb_storage.Wal.Acceptor_accept
+             { txn; round; instance; ballot; prepared = value; home; psites });
+        Runtime.emit t.rt
+          (Runtime.Acceptor_accepted
+             { txn; site = acceptor; round; instance; ballot; prepared = value;
+               at })
+      end;
+      send_2b t px ~acceptor ~txn ~round ~instance ~ballot ~home;
+      if first_accept && a.a_outcome = None then begin
+        t.timer_seq <- t.timer_seq + 1;
+        a.a_timer <- t.timer_seq;
+        arm_takeover t px ~acceptor ~txn ~round ~timer:a.a_timer
+          ~attempt:a.a_attempts
+      end
+    end
+
+(* Phase 1a: promise iff the ballot beats everything seen, force the
+   promise record, report our accepts so the new leader proposes safely. *)
+and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
+  match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+  | Some a when a.a_round > round ->
+    (* superseded rounds aborted; let the stale leader stand down *)
+    send t ~src:acceptor ~dst:leader ~kind:"px-decision" (fun () ->
+        on_acc_decision px ~txn ~round ~site:leader ~commit:false)
+  | entry ->
+    let a =
+      match entry with
+      | Some a when a.a_round = round -> a
+      | Some a ->
+        reset_acceptor a round;
+        a
+      | None ->
+        let a = fresh_acceptor round in
+        Hashtbl.add px.acceptors (acceptor, txn) a;
+        a
+    in
+    if ballot > a.a_promised then begin
+      a.a_promised <- ballot;
+      let at = now t in
+      Ccdb_storage.Wal.append (wal t) ~site:acceptor ~at
+        (Ccdb_storage.Wal.Acceptor_promise { txn; round; ballot });
+      Runtime.emit t.rt
+        (Runtime.Acceptor_promised { txn; site = acceptor; round; ballot; at })
+    end;
+    if ballot >= a.a_promised then begin
+      let accepted =
+        List.sort compare
+          (Hashtbl.fold
+             (fun i (b, v) acc -> (i, b, v) :: acc)
+             a.a_accepted [])
+      in
+      let home = a.a_home and psites = a.a_psites in
+      send t ~src:acceptor ~dst:leader ~kind:"px-1b" (fun () ->
+          on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites
+            ~leader)
+    end
+
+and on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites ~leader
+    =
+  match Hashtbl.find_opt px.leaders (leader, txn) with
+  | Some l when l.l_round = round && l.l_ballot = ballot && not l.l_phase2 ->
+    if l.l_home = None then l.l_home <- home;
+    if l.l_psites = None then l.l_psites <- psites;
+    if not (List.mem_assoc acceptor l.l_promises) then
+      l.l_promises <- (acceptor, accepted) :: l.l_promises;
+    if List.length l.l_promises >= quorum px then
+      start_phase2 t px ~leader ~txn l
+  | Some _ | None -> ()
+
+(* Phase 1 is complete: propose, per instance, the highest-ballot value any
+   quorum member accepted — or Aborted for instances nobody started.  If no
+   quorum member knew the participant set (every acceptor replayed from a
+   wipe before learning it), stand down; the takeover clock retries and the
+   client's round-level retry re-teaches the set. *)
+and start_phase2 t px ~leader ~txn (l : lead_entry) =
+  match (l.l_psites, l.l_home) with
+  | Some psites, Some home ->
+    l.l_phase2 <- true;
+    let value_for i =
+      List.fold_left
+        (fun best (_, accepted) ->
+          List.fold_left
+            (fun best (j, b, v) ->
+              if j <> i then best
+              else
+                match best with
+                | Some (b', _) when b' >= b -> best
+                | _ -> Some (b, v))
+            best accepted)
+        None l.l_promises
+    in
+    l.l_values <-
+      List.init (List.length psites) (fun i ->
+          (i, match value_for i with Some (_, v) -> v | None -> false));
+    List.iter
+      (fun (i, v) ->
+        List.iter
+          (fun a ->
+            send t ~src:leader ~dst:a ~kind:"px-2a" (fun () ->
+                on_2a t px ~txn ~round:l.l_round ~instance:i
+                  ~ballot:l.l_ballot ~value:v ~home ~psites ~acceptor:a))
+          (acceptor_sites px))
+      l.l_values
+  | _ -> ()
+
+and start_takeover t px ~acceptor ~txn (a : acc_entry) =
+  let n = nsites t in
+  let ballot = (((a.a_promised / n) + 1) * n) + acceptor in
+  let supersedes =
+    match Hashtbl.find_opt px.leaders (acceptor, txn) with
+    | Some l ->
+      l.l_round < a.a_round || (l.l_round = a.a_round && l.l_ballot < ballot)
+    | None -> true
+  in
+  if supersedes then begin
+    Hashtbl.replace px.leaders (acceptor, txn)
+      { l_round = a.a_round; l_ballot = ballot; l_phase2 = false;
+        l_promises = []; l_home = a.a_home; l_psites = a.a_psites;
+        l_values = []; l_accepts = [] };
+    List.iter
+      (fun dst ->
+        send t ~src:acceptor ~dst ~kind:"px-1a" (fun () ->
+            on_1a t px ~txn ~round:a.a_round ~ballot ~leader:acceptor
+              ~acceptor:dst))
+      (acceptor_sites px)
+  end
+
+(* The takeover clock: armed at an acceptor's first accept, re-armed with
+   the runtime's capped seeded per-site backoff until the outcome is
+   known.  Twice the inquiry timeout, so prepared participants get to ask
+   before anyone seizes leadership. *)
+and arm_takeover t px ~acceptor ~txn ~round ~timer ~attempt =
+  let after =
+    Runtime.restart_backoff t.rt ~site:acceptor ~base:(2. *. inquiry_timeout)
+      ~attempt
+  in
+  ignore
+    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after (fun () ->
+         match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+         | Some a when a.a_timer = timer && a.a_round = round -> (
+           match a.a_outcome with
+           | Some _ -> ()
+           | None ->
+             start_takeover t px ~acceptor ~txn a;
+             a.a_attempts <- a.a_attempts + 1;
+             arm_takeover t px ~acceptor ~txn ~round ~timer
+               ~attempt:a.a_attempts)
+         | Some _ | None -> ()))
+
+(* Outcome inquiry from a prepared participant.  An acceptor that does not
+   know the outcome stays silent — unlike a 2PC coordinator it must not
+   presume abort, because the round may have committed without it.  A
+   superseded round, though, is known-aborted. *)
+let on_inquire_acc t px ~txn ~round ~from ~acceptor =
+  match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+  | Some a when a.a_round = round -> (
+    match a.a_outcome with
+    | Some commit ->
+      send t ~src:acceptor ~dst:from ~kind:"px-decision" (fun () ->
+          on_decision t ~txn ~round ~site:from ~commit)
+    | None -> ())
+  | Some a when a.a_round > round ->
+    send t ~src:acceptor ~dst:from ~kind:"px-decision" (fun () ->
+        on_decision t ~txn ~round ~site:from ~commit:false)
+  | Some _ | None -> ()
+
+(* --- the participant's vote and inquiry, and the decider's begin -------- *)
+
+(* A participant's yes vote: to the 2PC coordinator, or as a ballot-0
+   phase-2a to every acceptor (the Paxos Commit fast path). *)
+let vote t ~txn ~round ~instance ~home ~psites ~site =
+  match t.decider with
+  | Two_pc coords ->
+    send t ~src:site ~dst:home ~kind:"2pc-vote" (fun () ->
+        on_vote t coords ~txn ~round ~site)
+  | Paxos px ->
+    List.iter
+      (fun a ->
+        send t ~src:site ~dst:a ~kind:"px-2a" (fun () ->
+            on_2a t px ~txn ~round ~instance ~ballot:0 ~value:true ~home
+              ~psites ~acceptor:a))
+      (acceptor_sites px)
+
+(* A prepared participant asks for the outcome: the 2PC coordinator, or
+   every acceptor. *)
+let inquire t ~site ~txn e =
+  match t.decider with
+  | Two_pc coords ->
+    send t ~src:site ~dst:e.p_home ~kind:"2pc-inquire" (fun () ->
+        on_inquire_coord t coords ~txn ~round:e.p_round ~site)
+  | Paxos px ->
+    List.iter
+      (fun a ->
+        send t ~src:site ~dst:a ~kind:"px-inquire" (fun () ->
+            on_inquire_acc t px ~txn ~round:e.p_round ~from:site ~acceptor:a))
+      (acceptor_sites px)
+
+(* Coordinator-crash termination: a prepared participant periodically asks
+   for the outcome until it learns one.  The timer re-arms only while its
+   entry is still the live one, so quiescence is reached once every
+   transaction decides. *)
+let rec arm_inquiry t ~site ~txn ~timer =
+  ignore
+    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:inquiry_timeout
+       (fun () ->
+         match Hashtbl.find_opt t.parts (site, txn) with
+         | Some e when e.p_timer = timer ->
+           inquire t ~site ~txn e;
+           arm_inquiry t ~site ~txn ~timer
+         | Some _ | None -> ()))
+
+(* Prepare at a participant: force the round's Prewrite records and the
+   Vote, then vote.  A duplicate prepare re-votes: 2PC for the round the
+   participant holds, Paxos only for the round asked about (an older round
+   is known-aborted).  A newer round supersedes the previous one, which is
+   dead: its abort keeps the WAL replayable; the locks are untouched. *)
+let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
+  let key = (site, txn) in
+  if Hashtbl.mem t.decided key then ack t ~txn ~round ~site
+  else
+    match Hashtbl.find_opt t.parts key with
+    | Some e when e.p_round >= round -> (
+      match t.decider with
+      | Two_pc _ ->
+        vote t ~txn ~round:e.p_round ~instance ~home ~psites ~site
+      | Paxos _ ->
+        if e.p_round = round then
+          vote t ~txn ~round ~instance ~home ~psites ~site)
+    | prev ->
+      (match prev with
+       | Some e -> log_decision t ~txn ~round:e.p_round ~site ~commit:false
+       | None -> ());
+      let at = now t in
+      List.iter
+        (fun action ->
+          Ccdb_storage.Wal.append (wal t) ~site ~at
+            (Ccdb_storage.Wal.Prewrite { txn; round; action }))
+        actions;
+      Ccdb_storage.Wal.append (wal t) ~site ~at
+        (Ccdb_storage.Wal.Vote { txn; round; coordinator = home });
+      t.timer_seq <- t.timer_seq + 1;
+      let timer = t.timer_seq in
+      Hashtbl.replace t.parts key
+        { p_round = round; p_home = home; p_actions = actions;
+          p_timer = timer };
+      Runtime.emit t.rt (Runtime.Prepared { txn; site; round; at });
+      vote t ~txn ~round ~instance ~home ~psites ~site;
+      arm_inquiry t ~site ~txn ~timer
+
+(* The home site starts a round: a 2PC coordinator, or Paxos's ballot-0
+   leader with phase 1 pre-skipped. *)
+let on_begin t ~txn ~round =
+  match Hashtbl.find_opt t.clients txn with
+  | None -> ()
+  | Some c -> (
+    let prepare ~kind psites =
+      List.iteri
+        (fun instance (site, actions) ->
+          send t ~src:c.home ~dst:site ~kind (fun () ->
+              on_prepare t ~txn ~round ~instance ~home:c.home ~psites ~site
+                actions))
+        c.participants
+    in
+    match t.decider with
+    | Two_pc coords -> (
+      match Hashtbl.find_opt t.acks txn with
+      | Some k -> resend_commit t txn k (* already decided: re-drive acks *)
+      | None -> (
+        match Hashtbl.find_opt coords txn with
+        | Some e when e.c_round >= round -> () (* stale or duplicate begin *)
+        | Some _ | None ->
+          let sites = List.map fst c.participants in
+          Hashtbl.replace coords txn
+            { c_round = round; c_participants = sites; c_votes = [] };
+          prepare ~kind:"2pc-prepare" sites))
+    | Paxos px ->
+      if c.decided || round < c.round then ()
+      else begin
+        let psites = List.map fst c.participants in
+        (match Hashtbl.find_opt px.leaders (c.home, txn) with
+         | Some l when l.l_round >= round ->
+           () (* the live round re-begun, or a takeover at our own site *)
+         | Some _ | None ->
+           Hashtbl.replace px.leaders (c.home, txn)
+             { l_round = round; l_ballot = 0; l_phase2 = true;
+               l_promises = []; l_home = Some c.home; l_psites = Some psites;
+               l_values = List.mapi (fun i _ -> (i, true)) psites;
+               l_accepts = [] });
+        prepare ~kind:"px-prepare" psites
+      end)
+
+(* --- client ------------------------------------------------------------ *)
+
+let begin_round t txn =
+  match Hashtbl.find_opt t.clients txn with
+  | Some c when not c.decided ->
+    let round = c.round in
+    let kind =
+      match t.decider with Two_pc _ -> "2pc-begin" | Paxos _ -> "px-begin"
+    in
+    send t ~src:c.home ~dst:c.home ~kind (fun () -> on_begin t ~txn ~round)
+  | Some _ | None -> ()
+
+(* 2PC retries with a fresh round: the old one may have been presumed
+   aborted.  Paxos re-drives the current round, which only advanced if an
+   abort was learned since the last tick; resent prepares are idempotent. *)
+let rec arm_client_retry t txn =
+  ignore
+    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:client_retry
+       (fun () ->
+         match Hashtbl.find_opt t.clients txn with
+         | Some c when not c.decided ->
+           (match t.decider with
+            | Two_pc _ -> c.round <- c.round + 1
+            | Paxos _ -> ());
+           begin_round t txn;
+           arm_client_retry t txn
+         | Some _ | None -> ()))
+
+let commit t ~txn ~home ~participants =
+  if Hashtbl.mem t.clients txn then
+    invalid_arg "Commit.commit: duplicate transaction";
+  Hashtbl.add t.clients txn { home; participants; round = 0; decided = false };
+  begin_round t txn;
+  arm_client_retry t txn
 
 let participants ~site ~action copies =
   let by_site = ref [] in
@@ -47,11 +720,131 @@ let participants ~site ~action copies =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
   |> List.map (fun (s, r) -> (s, List.rev !r))
 
-let commit t ~txn ~home ~participants =
-  match t with
-  | Two_pc c -> Two_pc.commit c ~txn ~home ~participants
-  | Paxos c -> Consensus.commit c ~txn ~home ~participants
+(* --- crash / recovery --------------------------------------------------- *)
 
-let in_flight = function
-  | Two_pc c -> Two_pc.in_flight c
-  | Paxos c -> Consensus.in_flight c
+(* Fail-stop wipe of one site's commit state.  Participant entries mirror
+   the WAL and count as preserved.  2PC loses its collecting coordinators
+   (their rounds will be presumed aborted) and keeps its ack table, a
+   mirror of the Coord_commit records; Paxos loses its leaders and ack
+   table (another leader, or a client retry, re-drives the round) and
+   keeps its acceptor state, a mirror of the promise and accept records. *)
+let wipe t site =
+  let drop tbl pred =
+    let keys =
+      Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) tbl []
+    in
+    List.iter (Hashtbl.remove tbl) keys;
+    List.length keys
+  in
+  let at_home txn = home_of t txn = site and here (s, _) = s = site in
+  let acks = drop t.acks at_home in
+  let parts = drop t.parts here in
+  ignore (drop t.decided here);
+  match t.decider with
+  | Two_pc coords -> (drop coords at_home, acks + parts)
+  | Paxos px ->
+    let leaders = drop px.leaders here in
+    (acks + leaders, parts + drop px.acceptors here)
+
+(* Replayed acceptor state re-arms its takeover clock: the outcome is
+   unknown after a wipe, and if the round was in fact already decided the
+   re-run converges on the same outcome, absorbed idempotently everywhere.
+   Only each transaction's highest replayed round matters: lower rounds
+   are known-aborted. *)
+let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
+  let best : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let note txn round =
+    match Hashtbl.find_opt best txn with
+    | Some r when r >= round -> ()
+    | Some _ | None -> Hashtbl.replace best txn round
+  in
+  List.iter (fun ((txn, round), _) -> note txn round) r.promised;
+  List.iter (fun ((txn, round, _), _) -> note txn round) r.accepted;
+  Hashtbl.iter
+    (fun txn round ->
+      let a = fresh_acceptor round in
+      List.iter
+        (fun ((txn', round'), b) ->
+          if txn' = txn && round' = round && b > a.a_promised then
+            a.a_promised <- b)
+        r.promised;
+      List.iter
+        (fun ((txn', round', instance), (b, v)) ->
+          if txn' = txn && round' = round then begin
+            Hashtbl.replace a.a_accepted instance (b, v);
+            (* an accept implies the matching promise even if the promise
+               record itself predates this acceptor's knowledge *)
+            if b > a.a_promised then a.a_promised <- b
+          end)
+        r.accepted;
+      (* the accept records carry the round's home and participant set, so
+         this acceptor can lead a takeover on its own — essential when the
+         client already learned the outcome and will never re-prepare *)
+      (match List.assoc_opt (txn, round) r.acc_meta with
+      | Some (home, psites) ->
+        a.a_home <- Some home;
+        a.a_psites <- Some psites
+      | None -> ());
+      Hashtbl.replace px.acceptors (site, txn) a;
+      if Hashtbl.length a.a_accepted > 0 then begin
+        t.timer_seq <- t.timer_seq + 1;
+        a.a_timer <- t.timer_seq;
+        arm_takeover t px ~acceptor:site ~txn ~round ~timer:a.a_timer
+          ~attempt:0
+      end)
+    best
+
+(* Recovery: rebuild the WAL mirrors and immediately re-drive anything
+   unfinished — in-doubt participants inquire and re-arm their inquiry
+   clocks, 2PC resends unacknowledged commit decisions (duplicates
+   re-acknowledge harmlessly), Paxos acceptors re-arm their takeover
+   clocks. *)
+let replay t site (r : Ccdb_storage.Wal.replay) =
+  List.iter
+    (fun (txn, round, commit) ->
+      if commit then Hashtbl.replace t.decided (site, txn) round)
+    r.decided;
+  List.iter
+    (fun (txn, round, home, actions) ->
+      t.timer_seq <- t.timer_seq + 1;
+      let timer = t.timer_seq in
+      let e =
+        { p_round = round; p_home = home; p_actions = actions;
+          p_timer = timer }
+      in
+      Hashtbl.replace t.parts (site, txn) e;
+      inquire t ~site ~txn e;
+      arm_inquiry t ~site ~txn ~timer)
+    r.in_doubt;
+  match t.decider with
+  | Two_pc _ ->
+    List.iter
+      (fun (txn, round, participants) ->
+        let k =
+          { k_round = round; k_participants = participants; k_acked = [] }
+        in
+        Hashtbl.replace t.acks txn k;
+        resend_commit t txn k)
+      r.coord_pending
+  | Paxos px -> replay_acceptors t px site r
+
+let create rt hooks =
+  if not (Runtime.durable rt) then
+    invalid_arg "Commit.create: runtime is not durable";
+  let decider =
+    match Runtime.commit_protocol rt with
+    | Runtime.Two_pc -> Two_pc (Hashtbl.create 64)
+    | Runtime.Paxos { f } ->
+      Paxos { f; acceptors = Hashtbl.create 64; leaders = Hashtbl.create 64 }
+  in
+  let t =
+    { rt; hooks; decider;
+      clients = Hashtbl.create 64;
+      acks = Hashtbl.create 64;
+      parts = Hashtbl.create 64;
+      decided = Hashtbl.create 64;
+      timer_seq = 0 }
+  in
+  Runtime.on_site_wipe rt (fun site -> wipe t site);
+  Runtime.on_wal_replay rt (fun site r -> replay t site r);
+  t

@@ -1,54 +1,66 @@
-(** Atomic-commitment dispatcher.
+(** Atomic commitment for the durable paths.
 
-    The durable systems (pure 2PL, pure PA, and the unified engine) route
-    a transaction's post-execution implementation through this module; the
-    runtime's {!Runtime.commit_protocol} selects which engine actually
-    runs the round:
+    Used only on a {e durable} runtime (fault plan with [wipe=true]): the
+    lock-based systems (pure 2PL, pure PA, and the unified engine) route
+    the post-execution implementation of a transaction through this
+    module instead of sending bare release messages, so that a site crash
+    can never implement a transaction at one copy and lose it at another
+    (the analyzer's [thm.partial-commit]).
 
-    - {!Runtime.commit_protocol.Two_pc} — presumed-abort two-phase commit
-      ({!Two_pc}), the default.  Blocks (then presumes abort) if the
-      coordinator fail-stops inside the decision window.
-    - {!Runtime.commit_protocol.Paxos} — Paxos Commit ({!Consensus}): each
-      participant vote is a Paxos instance over [2f+1] replicated
-      acceptors, so the round decides as long as [f+1] acceptors are up —
-      a coordinator crash no longer blocks it.
+    Presumed-abort 2PC and Paxos Commit differ only in who decides (Gray &
+    Lamport), so one client, one participant and one recovery serve both;
+    {!Runtime.commit_protocol} picks the decider:
 
-    Both engines share the client/round retry discipline, the participant
-    [Prewrite]/[Vote]/[Decision]/[Applied] WAL records, the exactly-once
-    application contract, and the invariant that an aborted round keeps
-    its locks (PA stays restart-free).  [config] and [hooks] are
-    {!Two_pc}'s records, re-exported. *)
+    - The {e client} — the terminal that issued the transaction, outside
+      the failure domain — hands {!commit} the per-site action lists and
+      re-drives the round if no decision arrives.
+    - Each {e participant} force-logs the round's {!Ccdb_storage.Wal}
+      [Prewrite] records and a [Vote] before voting yes, then re-inquires
+      on a timer until it learns the outcome.  On commit it force-logs the
+      [Decision], applies its actions exactly once ({!hooks.apply}), logs
+      [Applied] and acknowledges to the home site; duplicate decisions
+      re-acknowledge without re-applying.
+    - {!Runtime.commit_protocol.Two_pc}: the {e coordinator} at the home
+      site (volatile) collects the votes, force-logs [Coord_commit] — the
+      commit point — and distributes the outcome; once every participant
+      acknowledged it logs [Coord_end] and forgets.  A coordinator that
+      remembers nothing about a round presumes abort, and the client
+      retries with a fresh round.  A coordinator fail-stop inside the
+      decision window blocks the round, then presumes it aborted.
+    - {!Runtime.commit_protocol.Paxos}: each participant's vote is one
+      single-decree Paxos instance over the [2f+1] acceptors at sites
+      [0..2f], so the round decides as long as [f+1] acceptors are up.
+      Participants send their yes vote as a ballot-0 phase-2a straight to
+      the acceptors, which force-log promises and accepts
+      ([Acceptor_promise]/[Acceptor_accept]) and take over leadership on a
+      timer if the outcome stays unknown.  The quorum accept is the commit
+      point; the client re-drives the same round, which advances only
+      after a learned abort.  See DESIGN.md §15.
 
-type config = Two_pc.config = {
-  inquiry_timeout : float;
-      (** how long a prepared participant waits before (re-)asking for the
-          outcome — the 2PC coordinator, or the Paxos acceptor set *)
-  client_retry : float;
-      (** how long the client waits for a decision before re-driving the
-          protocol (2PC: a fresh round; Paxos: the same round, whose
-          number only advances after a learned abort) *)
-}
+    An aborted round keeps the participants' locks: post-execution the
+    transaction never aborts, only the round is retried, so PA
+    transactions stay restart-free (Corollary 1).  Crash wipes erase the
+    volatile state; recovery rebuilds in-doubt participants, decided
+    rounds and the decider's logged state from the WAL
+    ({!Runtime.on_wal_replay}) and re-inquires immediately. *)
 
-val default_config : config
-(** inquiry 250, client retry 1200 simulated time units. *)
-
-type hooks = Two_pc.hooks = {
+type hooks = {
   apply : txn:int -> site:int -> Ccdb_storage.Wal.action list -> unit;
-      (** implement the committed actions at one participant site; called
-          exactly once per (txn, site) *)
+      (** implement the committed actions at one participant site (release
+          locks, write the store, emit events); called exactly once per
+          (txn, site) *)
   commit_point : txn:int -> unit;
       (** the transaction's global outcome is commit; called exactly once
-          per txn *)
+          per txn — systems emit {!Runtime.event.Txn_committed} and drop
+          their state here *)
 }
 
-type t = Two_pc of Two_pc.t | Paxos of Consensus.t
-(** The engine selected at {!create} time. *)
+type t
 
-val create : ?config:config -> Runtime.t -> hooks -> t
-(** Builds the engine named by [Runtime.commit_protocol rt] and registers
-    it with the runtime's wipe/replay hooks.
-    @raise Invalid_argument if the runtime is not durable, a timeout is
-    not positive, or (Paxos) the network has fewer than [2f+1] sites. *)
+val create : Runtime.t -> hooks -> t
+(** Builds the decider named by [Runtime.commit_protocol rt] and registers
+    the wipe and WAL-replay handlers on the runtime.
+    @raise Invalid_argument if the runtime is not {!Runtime.durable}. *)
 
 val participants :
   site:('a -> int) ->
@@ -65,10 +77,7 @@ val commit :
   home:int ->
   participants:(int * Ccdb_storage.Wal.action list) list ->
   unit
-(** Start the commit protocol for [txn] across [participants] (site,
-    deferred actions) with the client terminal at [home].
+(** Starts round 0 for a fully executed transaction across
+    [participants] (site, deferred actions; under Paxos, instance [i] is
+    the [i]-th element) with the client terminal at [home].
     @raise Invalid_argument on a duplicate [txn]. *)
-
-val in_flight : t -> int
-(** Number of transactions handed to {!commit} whose outcome is not yet
-    commit — the runtime's quiescence check for the durable path. *)

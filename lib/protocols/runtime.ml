@@ -225,7 +225,8 @@ type t = {
   wal : Ccdb_storage.Wal.t;
   mutable recovery : Ccdb_sim.Recovery.t option;
   mutable wipe_handlers : (int -> int * int) list;  (* newest first *)
-  mutable replay_handlers : (int -> unit) list;     (* newest first *)
+  mutable replay_handlers : (int -> Ccdb_storage.Wal.replay -> unit) list;
+      (* newest first *)
   (* --- restart backoff (jittered only under an installed fault plan) ---- *)
   restart_cap : float;
   restart_rngs : Ccdb_util.Rng.t array option; (* one stream per site *)
@@ -491,7 +492,7 @@ let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
                          reacquired = r.Ccdb_storage.Wal.live_grants;
                          in_doubt = List.length r.Ccdb_storage.Wal.in_doubt;
                          at = now t });
-                  List.iter (fun f -> f site) (List.rev t.replay_handlers))
+                  List.iter (fun f -> f site r) (List.rev t.replay_handlers))
               ()));
   t
 

@@ -7,8 +7,8 @@
     directly comparable. *)
 
 (** Which atomic-commitment protocol the durable paths run — selected at
-    {!create} and read back by the [Commit] dispatcher.  Inert unless the
-    runtime is {!durable}. *)
+    {!create} and read back by [Commit], which builds its decider from it.
+    Inert unless the runtime is {!durable}. *)
 type commit_protocol =
   | Two_pc  (** presumed-abort two-phase commit (the historical default) *)
   | Paxos of { f : int }
@@ -251,7 +251,7 @@ val create :
     are emitted, crashes wipe the volatile queue state registered with
     {!on_site_wipe}, and each recovery replays the site's log
     ({!Ccdb_sim.Recovery}, with per-record cost [replay_cost]) before the
-    {!on_wal_replay} handlers rebuild 2PC state.  [restart_cap] (default
+    {!on_wal_replay} handlers rebuild commit state.  [restart_cap] (default
     800.) bounds the exponential restart backoff of {!restart_backoff}.
     [commit] (default {!commit_protocol.Two_pc}) selects the atomic-
     commitment protocol the durable paths build ({!commit_protocol}).
@@ -326,7 +326,7 @@ val durable : t -> bool
 
 val commit_protocol : t -> commit_protocol
 (** The atomic-commitment protocol selected at {!create} (meaningful only
-    when {!durable}; the [Commit] dispatcher reads it). *)
+    when {!durable}; [Commit] reads it). *)
 
 val wal : t -> Ccdb_storage.Wal.t
 (** The per-site write-ahead log (always present; only written when
@@ -343,10 +343,12 @@ val on_site_wipe : t -> (int -> int * int) -> unit
     one {!event.Site_wiped}.  Handlers emit {!event.Request_dropped} for each
     erased entry themselves. *)
 
-val on_wal_replay : t -> (int -> unit) -> unit
-(** Registers a handler called with the site id after recovery has replayed
-    the site's WAL (and emitted {!event.Wal_replayed}); the 2PC layer uses
-    this to rebuild in-doubt participant state and pending decisions. *)
+val on_wal_replay : t -> (int -> Ccdb_storage.Wal.replay -> unit) -> unit
+(** Registers a handler called with the site id and the site's
+    {!Ccdb_storage.Wal.replay} after recovery has replayed the site's WAL
+    (and emitted {!event.Wal_replayed}); the commit layer uses this to
+    rebuild in-doubt participants, decided rounds and its decider's
+    state. *)
 
 val restart_backoff : t -> site:int -> base:float -> attempt:int -> float
 (** Resubmission delay for the [attempt]-th restart of a transaction

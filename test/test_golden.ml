@@ -33,8 +33,32 @@ let spec =
 
 let setup = { D.default_setup with items = 16 }
 
-(* the trace-and-traffic digest and the engine's event count of one run *)
-let digest ?faults ?(setup = setup) mode =
+(* Every site's WAL in full: each record as [Wal.pp_record] prints it, at
+   its exact instant, with the [Prewrite] fields [pp_record] leaves out.
+   The trace cannot see the coordinator's [Coord_commit]/[Coord_end]
+   records or the order of a participant's [Prewrite] records. *)
+let wal_digest rt =
+  let module W = Ccdb_storage.Wal in
+  let wal = Rt.wal rt in
+  List.init (W.sites wal) (fun site ->
+      W.records wal ~site
+      |> List.map (fun { W.at; record } ->
+             let action =
+               match record with
+               | W.Prewrite { action = a; _ } ->
+                 Printf.sprintf " value=%s attempt=%d granted_at=%h"
+                   (match a.value with
+                    | Some v -> string_of_int v
+                    | None -> "-")
+                   a.attempt a.granted_at
+               | _ -> ""
+             in
+             Format.asprintf "%d %h %a%s" site at W.pp_record record action))
+  |> List.concat |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* the trace-and-traffic digest, the engine's event count and the WAL
+   digest of one run *)
+let digests ?faults ?(setup = setup) mode =
   let trace = ref None in
   let r =
     D.run ~setup ~n_txns:60 ?faults
@@ -48,7 +72,12 @@ let digest ?faults ?(setup = setup) mode =
   in
   ( String.concat "\n" [ Ccdb_harness.Trace.render (Option.get !trace); kinds ]
     |> Digest.string |> Digest.to_hex,
-    Ccdb_sim.Engine.processed (Rt.engine r.runtime) )
+    Ccdb_sim.Engine.processed (Rt.engine r.runtime),
+    wal_digest r.runtime )
+
+let digest ?faults ?setup mode =
+  let hex, events, _ = digests ?faults ?setup mode in
+  (hex, events)
 
 (* Every mismatch is reported, not just the first. *)
 let check_all cases =
@@ -117,6 +146,56 @@ let test_fail_stop () =
       mode_case ~label:"paxos " ~faults ~setup:paxos D.Unified
         "b5d27ecb52e0954035678f78e558e216" 5031 ]
 
+(* The WAL of the modes that commit through [Commit], on [stop_plan], under
+   2PC and under Paxos Commit over one, three and five acceptors (five
+   sites for f=2).  Every row pins the WAL digest; the rows no other case
+   pins also pin the trace digest and event count. *)
+let test_fail_stop_wal () =
+  let paxos f =
+    { setup with sites = Int.max 4 ((2 * f) + 1); commit = Rt.Paxos { f } }
+  in
+  let rows =
+    [ ("2pc", setup, D.Pure P.Two_pl, "4f2f8b09e53761350e3aa9e9da2f7f8b",
+       None);
+      ("2pc", setup, D.Pure P.Pa, "7181d7c25ef372e7549b1c378d362cc7",
+       None);
+      ("2pc", setup, D.Unified, "bcc1e57b71ed6eeb3572995cef59f030",
+       None);
+      ("paxos:0", paxos 0, D.Pure P.Two_pl, "2ad0eb02919cbbb0414d7e3a24d76846",
+       Some ("3878a9061663aa0f7db1f9b34f64f4c0", 4445));
+      ("paxos:0", paxos 0, D.Pure P.Pa, "127f85d4a271841c75f181e635533f9e",
+       Some ("c8a51cb2bb00ecfadff3a5417c7081a8", 2349));
+      ("paxos:0", paxos 0, D.Unified, "0822e9ce2465c63cc55aae53a1af9068",
+       Some ("cd3219a9f10d8960e72d555fb97c3cbf", 3864));
+      ("paxos:1", paxos 1, D.Pure P.Two_pl, "60e89ee504b888b9ceb265f0fb6cdc91",
+       None);
+      ("paxos:1", paxos 1, D.Pure P.Pa, "0998322dc85fa31c1df2e2238c16fa38",
+       Some ("46644bd66c64d98f532d4f92bf47a440", 3842));
+      ("paxos:1", paxos 1, D.Unified, "a3a80aa48942b4b39770d366a4c942b7",
+       None);
+      ("paxos:2", paxos 2, D.Pure P.Two_pl, "c9d12ce5946966588b914786f483215a",
+       Some ("1e380c5d9ce7012e9a9353a87d1df84a", 7401));
+      ("paxos:2", paxos 2, D.Pure P.Pa, "bed6fe8db6cd8c9f8d2d0f7a364908ec",
+       Some ("a4f0fed96549820033b0386d07297e29", 5235));
+      ("paxos:2", paxos 2, D.Unified, "7042d1d178ed83dd0aa08b8385e303e3",
+       Some ("f283b940f082d681b4599457ebf869ad", 6262)) ]
+  in
+  let bad =
+    List.concat_map
+      (fun (engine, setup, mode, wal, trace) ->
+        let name = engine ^ " " ^ D.mode_name mode in
+        let hex, events, got_wal = digests ~faults:stop_plan ~setup mode in
+        (if String.equal got_wal wal then []
+         else [ Printf.sprintf "%s: WAL got %s, pinned %s" name got_wal wal ])
+        @
+        match trace with
+        | Some (h, n) when not (String.equal h hex && n = events) ->
+          [ Printf.sprintf "%s: got %s %d, pinned %s %d" name hex events h n ]
+        | Some _ | None -> [])
+      rows
+  in
+  if bad <> [] then Alcotest.fail (String.concat "\n" bad)
+
 (* Plans with what the two above lack: extra delay, per-link overrides and
    role-targeted crashes, resolved against the workload.  The fail-pause
    plan crashes the coordinator; the fail-stop one crashes it and then
@@ -170,6 +249,8 @@ let suites =
           test_fail_pause;
         Alcotest.test_case "fail-stop digests, 2pc and paxos" `Quick
           test_fail_stop;
+        Alcotest.test_case "WAL digests, fail-stop, every commit engine"
+          `Quick test_fail_stop_wal;
         Alcotest.test_case "delay, link and role-crash digests" `Quick
           test_delay_link_role;
         Alcotest.test_case "quick experiment tables" `Slow test_quick_tables

@@ -103,24 +103,41 @@ let test_every_system_survives_fail_stop () =
    of 2.0 x (records in its WAL) time units; by then the site has logged
    far more than 3 records under this workload, so the second crash at
    t=405 lands inside the window.  Replay is idempotent, so the run must
-   end exactly as clean as a single-crash one. *)
+   end exactly as clean as a single-crash one.  Every mode runs it under
+   2PC; the modes that commit through [Commit] run it under Paxos Commit
+   too, over one, three and five acceptors (five sites for f=2). *)
 let double_crash_plan =
   plan_of_string "crash=1@300+100,crash=1@405+200,wipe=true,seed=5"
 
 let test_crash_during_recovery () =
+  let paxos f =
+    { D.default_setup with
+      sites = Int.max 4 ((2 * f) + 1); commit = Rt.Paxos { f } }
+  in
+  let commit_modes =
+    [ D.Pure Ccdb_model.Protocol.Two_pl; D.Pure Ccdb_model.Protocol.Pa;
+      D.Unified; D.Dynamic ]
+  in
   List.iter
-    (fun mode ->
-      let name = D.mode_name mode in
-      let r =
-        D.run ~n_txns:150 ~audit:true ~faults:double_crash_plan
-          ~replay_cost:2.0 mode spec
-      in
-      check Alcotest.int (name ^ " all txns commit") 150 r.summary.committed;
-      assert_durably_clean name (Option.get r.audit);
-      let rec_ = recovery_of name r.summary in
-      check Alcotest.int (name ^ " second crash interrupted the replay") 1
-        rec_.Ccdb_harness.Metrics.interrupted)
-    all_modes
+    (fun (label, setup, modes) ->
+      List.iter
+        (fun mode ->
+          let name = label ^ D.mode_name mode in
+          let r =
+            D.run ~setup ~n_txns:150 ~audit:true ~faults:double_crash_plan
+              ~replay_cost:2.0 mode spec
+          in
+          check Alcotest.int (name ^ " all txns commit") 150
+            r.summary.committed;
+          assert_durably_clean name (Option.get r.audit);
+          let rec_ = recovery_of name r.summary in
+          check Alcotest.int (name ^ " second crash interrupted the replay") 1
+            rec_.Ccdb_harness.Metrics.interrupted)
+        modes)
+    [ ("", D.default_setup, all_modes);
+      ("paxos:0 ", paxos 0, commit_modes);
+      ("paxos:1 ", paxos 1, commit_modes);
+      ("paxos:2 ", paxos 2, commit_modes) ]
 
 (* --- duplicated 2PC decision messages ----------------------------------- *)
 
