@@ -573,9 +573,67 @@ let analyze_raw (b : Bechamel.Benchmark.t) =
   let r2 = if ss_tot = 0. then 1. else 1. -. (ss_res /. ss_tot) in
   (ns, r2, List.length kept, List.length rejected)
 
+(* The host's speed drifts by up to half over seconds on a shared machine,
+   so the micros are recorded next to the time of a fixed kernel that
+   calls nothing in the program: a miniature event loop of timed closures
+   in a balanced-tree queue, per-item lists in a hashtable and short-lived
+   allocation, the simulator's kind of work.  It is the kernel perfbench
+   scales by ([calibrate] in perfbench/ccdb_perf.ml, nominally 6 ms), so
+   the two read on one scale: a BENCH.json whose micros and kernel both
+   read slow was taken in a slow phase, not after a slower change. *)
+module Agenda = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+let calibration_kernel () =
+  let x = ref 12345 in
+  let next () =
+    x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+    !x
+  in
+  let holders = Hashtbl.create 64 in
+  let queue = ref Agenda.empty and seq = ref 0 in
+  let rec step id at n =
+    if n > 0 then begin
+      incr seq;
+      queue :=
+        Agenda.add
+          (at +. float_of_int (next () land 15), !seq)
+          (fun now ->
+            let item = next () land 255 in
+            let held =
+              Option.value ~default:[] (Hashtbl.find_opt holders item)
+            in
+            Hashtbl.replace holders item
+              (id :: List.filteri (fun i _ -> i < 3) held);
+            step id now (n - 1))
+          !queue
+    end
+  in
+  for id = 1 to 1_000 do
+    step id (float_of_int id) 6
+  done;
+  while not (Agenda.is_empty !queue) do
+    let ((now, _) as key), fire = Agenda.min_binding !queue in
+    queue := Agenda.remove key !queue;
+    fire now
+  done
+
+(* median of nine timings, in ms *)
+let calibration_ms () =
+  let times =
+    Array.init 9 (fun _ -> snd (timed calibration_kernel) *. 1e3)
+  in
+  Array.sort compare times;
+  times.(4)
+
 let run_micro () =
   print_endline
     "=== Micro-benchmarks (warmed, outlier-trimmed, intercept-aware OLS) ===";
+  let calibration = calibration_ms () in
+  Printf.printf "(calibration kernel: %.3f ms)\n" calibration;
   let tests =
     Bechamel.Test.make_grouped ~name:"ccdb"
       [ bench_precedence_compare; bench_semi_lock_cycle; bench_lock_table_cycle;
@@ -632,26 +690,27 @@ let run_micro () =
           (if r.m_r2 < confidence_line then "LOW CONFIDENCE" else "") ])
     rows;
   print_string (Ccdb_util.Table.render table);
-  rows
+  (calibration, rows)
 
 (* ------------------------------------------------------------------ json *)
 
 let write_json path ~exp ~micro =
   let open Ccdb_util.Json in
-  let micro_j =
+  let calibration_j, micro_j =
     match micro with
-    | None -> Null
-    | Some rows ->
-      List
-        (List.map
-           (fun r ->
-             Obj
-               [ ("name", Str r.m_name); ("ns_per_op", Num r.m_ns);
-                 ("r_square", Num r.m_r2);
-                 ("samples_kept", Num (float_of_int r.m_kept));
-                 ("outliers_trimmed", Num (float_of_int r.m_dropped));
-                 ("low_confidence", Bool (r.m_r2 < confidence_line)) ])
-           rows)
+    | None -> (Null, Null)
+    | Some (calibration, rows) ->
+      ( Num calibration,
+        List
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("name", Str r.m_name); ("ns_per_op", Num r.m_ns);
+                   ("r_square", Num r.m_r2);
+                   ("samples_kept", Num (float_of_int r.m_kept));
+                   ("outliers_trimmed", Num (float_of_int r.m_dropped));
+                   ("low_confidence", Bool (r.m_r2 < confidence_line)) ])
+             rows) )
   in
   let exp_j =
     match exp with
@@ -672,12 +731,15 @@ let write_json path ~exp ~micro =
   in
   let doc =
     Obj
-      [ ("schema", Str "ccdb-bench/7");
+      [ ("schema", Str "ccdb-bench/8");
         ("quick", Bool quick);
         (* Parallel.cores: the parallelism actually available, so a
            speedup <= 1 here reads as "cores-limited", not "overhead" *)
         ("cores", Num (float_of_int (Ccdb_harness.Parallel.cores ())));
         ("jobs", Num (float_of_int jobs));
+        (* the calibration kernel's median time, taken right before the
+           micros *)
+        ("calibration_ms", calibration_j);
         ("micro", micro_j);
         ("experiments", exp_j) ]
   in

@@ -216,6 +216,19 @@ let check_plan ~sites plan =
   if top >= sites then
     usage_error "--plan names site %d, but --sites is %d" top sites
 
+(* Each simulating subcommand's action takes a final [()], so that it
+   runs under this handler: a simulation that exhausts its event budget
+   (a livelock) ends the command with one line on stderr and exit status
+   1, not an uncaught exception. *)
+let reported action =
+  Cmdliner.Term.(
+    const (fun go ->
+        try go ()
+        with Ccdb_protocols.Runtime.Event_budget_exhausted _ as e ->
+          prerr_endline ("ccdb_cli: " ^ Printexc.to_string e);
+          Stdlib.exit 1)
+    $ action)
+
 (* ------------------------------------------------------------------ run *)
 
 let run_cmd =
@@ -330,7 +343,7 @@ let run_cmd =
                 E13).")
   in
   let run mode lambda txns sites items repl size_min size_max qr seed mix
-      detection prevention twr audit no_store_check commit =
+      detection prevention twr audit no_store_check commit () =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -389,11 +402,12 @@ let run_cmd =
     if (not s.serializable) || audit_failed then exit 1
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
-    Term.(
-      const run $ mode $ lambda $ txns $ sites_term $ items_term
-      $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
-      $ mix $ detection $ prevention $ twr $ audit $ no_store_check
-      $ commit_term)
+    (reported
+       Term.(
+         const run $ mode $ lambda $ txns $ sites_term $ items_term
+         $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
+         $ mix $ detection $ prevention $ twr $ audit $ no_store_check
+         $ commit_term))
 
 (* -------------------------------------------------------------- analyze *)
 
@@ -417,7 +431,7 @@ let analyze_cmd =
          & info [ "quiet" ] ~doc:"Print only the summary line, not findings.")
   in
   let run mode lambda txns sites items repl qr seed mix quiet audit_path
-      commit =
+      commit () =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -452,10 +466,11 @@ let analyze_cmd =
           replays the full trace instead, and $(b,--differential) runs \
           both and fails on disagreement.  Exits 1 on any error-severity \
           finding.")
-    Term.(
-      const run $ mode $ lambda $ txns $ sites_term $ items_term
-      $ replication_term $ read_fraction_term $ seed $ mix $ quiet
-      $ audit_path_term $ commit_term)
+    (reported
+       Term.(
+         const run $ mode $ lambda $ txns $ sites_term $ items_term
+         $ replication_term $ read_fraction_term $ seed $ mix $ quiet
+         $ audit_path_term $ commit_term))
 
 (* ---------------------------------------------------------- experiments *)
 
@@ -482,7 +497,7 @@ let experiments_cmd =
                 byte-identical for every job count; 1 takes the plain \
                 serial path.")
   in
-  let run quick only csv_dir jobs =
+  let run quick only csv_dir jobs () =
     let wanted o =
       only = [] || List.exists (fun id -> String.uppercase_ascii id = o.Ccdb_harness.Experiments.id) only
     in
@@ -508,7 +523,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper-reproduction tables (E1-E14, E16, X1-X7).")
-    Term.(const run $ quick $ only $ csv_dir $ jobs)
+    (reported Term.(const run $ quick $ only $ csv_dir $ jobs))
 
 (* --------------------------------------------------------------- faults *)
 
@@ -561,7 +576,7 @@ let faults_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix rto max_retries no_audit
-      audit_path commit =
+      audit_path commit () =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -629,9 +644,11 @@ let faults_cmd =
           counters, and audit the traced run against the paper's \
           invariants.  Exits 1 if any transaction fails to commit or the \
           audit finds an error.")
-    Term.(
-      const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
-      $ mix $ rto $ max_retries $ no_audit $ audit_path_term $ commit_term)
+    (reported
+       Term.(
+         const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
+         $ seed $ mix $ rto $ max_retries $ no_audit $ audit_path_term
+         $ commit_term))
 
 (* -------------------------------------------------------------- recover *)
 
@@ -680,7 +697,7 @@ let recover_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix no_audit audit_path
-      commit =
+      commit () =
     let plan =
       (* fail-stop is the point of this command *)
       Ccdb_sim.Fault_plan.make ~seed:(Ccdb_sim.Fault_plan.seed plan)
@@ -756,9 +773,10 @@ let recover_cmd =
           durability invariants (no lost committed write, no partial \
           commit, no resurrected lock).  Exits 1 if any transaction fails \
           to commit or the audit finds an error.")
-    Term.(
-      const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term $ seed
-      $ mix $ no_audit $ audit_path_term $ commit_term)
+    (reported
+       Term.(
+         const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
+         $ seed $ mix $ no_audit $ audit_path_term $ commit_term))
 
 (* ---------------------------------------------------------------- sweep *)
 
@@ -781,7 +799,7 @@ let sweep_cmd =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
   in
-  let run lambdas modes txns items csv =
+  let run lambdas modes txns items csv () =
     check_setup
       { Ccdb_harness.Driver.default_setup with items }
       Ccdb_workload.Generator.default;
@@ -828,7 +846,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep arrival rates across systems; print/CSV.")
-    Term.(const run $ lambdas $ modes $ txns $ items_term $ csv)
+    (reported Term.(const run $ lambdas $ modes $ txns $ items_term $ csv))
 
 (* ------------------------------------------------------------- insights *)
 
@@ -973,7 +991,7 @@ let insights_cmd =
              ~doc:"Rows per section in the human-readable tables.")
   in
   let run mode adaptive reselect lambda txns sites items repl qr seed window
-      phases json_path check top =
+      phases json_path check top () =
     let base =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda; read_fraction = qr }
@@ -1119,10 +1137,11 @@ let insights_cmd =
           $(b,--json) emits the versioned ccdb-insights/1 document \
           (OBSERVABILITY.md documents every field); $(b,--check) validates \
           it against the schema and exits 1 on a violation.")
-    Term.(
-      const run $ mode $ adaptive $ reselect $ lambda $ txns $ sites_term
-      $ items_term $ replication_term $ read_fraction_term $ seed $ window
-      $ phases $ json_path $ check $ top)
+    (reported
+       Term.(
+         const run $ mode $ adaptive $ reselect $ lambda $ txns $ sites_term
+         $ items_term $ replication_term $ read_fraction_term $ seed $ window
+         $ phases $ json_path $ check $ top))
 
 (* ------------------------------------------------------------------ stl *)
 

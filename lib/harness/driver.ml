@@ -222,7 +222,7 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
     | false, _ | true, Batch -> None
     | true, (Streaming | Differential) ->
       let st = Ccdb_analysis.Stream.create ~theorem2 ~catalog () in
-      Rt.subscribe rt (fun e -> ignore (Ccdb_analysis.Stream.feed st e));
+      Rt.observe rt (fun e -> ignore (Ccdb_analysis.Stream.feed st e));
       Some st
   in
   let system = build_system ~setup ~spec mode rt in

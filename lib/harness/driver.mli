@@ -134,7 +134,8 @@ val run :
     in the [Mvto] mode — switch it off for
     million-transaction runs where the streaming audit replaces them
     (EXPERIMENTS.md E13).
-    @raise Failure if the run livelocks (event budget exhausted). *)
+    @raise Ccdb_protocols.Runtime.Event_budget_exhausted if the run
+    livelocks. *)
 
 val run_phases :
   ?setup:setup ->

@@ -7,7 +7,7 @@ type t = {
 
 let attach rt =
   let t = { events = []; n_events = 0 } in
-  Rt.subscribe rt (fun e ->
+  Rt.observe rt (fun e ->
       t.events <- e :: t.events;
       t.n_events <- t.n_events + 1);
   t

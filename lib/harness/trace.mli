@@ -5,7 +5,10 @@
 type t
 
 val attach : Ccdb_protocols.Runtime.t -> t
-(** Subscribes immediately; events from then on are recorded. *)
+(** Registers an observer ({!Ccdb_protocols.Runtime.observe})
+    immediately; events from then on are recorded.  Read the trace only
+    between runs: during {!Ccdb_protocols.Runtime.run} or [quiesce] it
+    may be filling on another domain. *)
 
 val events : t -> Ccdb_protocols.Runtime.event list
 (** Recorded events, oldest first. *)

@@ -181,7 +181,7 @@ let attach ?(window = 200.) rt =
       wins = Lookup.Int.create 16; last_win = 0;
       pending = Lookup.Triple.create 64 }
   in
-  Rt.subscribe rt (on_event t);
+  Rt.observe rt (on_event t);
   t
 
 let fingerprints t =

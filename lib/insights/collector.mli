@@ -3,7 +3,7 @@
     runtime's self-describing event stream.
 
     Attach one to a fresh runtime (the {!Ccdb_harness.Driver.run}
-    [observer] hook, or {!Ccdb_protocols.Runtime.subscribe} directly) and
+    [observer] hook, or on a runtime of your own) and
     it aggregates as the simulation runs — no instrumentation point inside
     any protocol, no trace retained.  Everything it knows comes from the
     events every system already emits: [Lock_requested] outcomes and
@@ -24,7 +24,8 @@ val schema_version : string
 (** ["ccdb-insights/1"] — bumped whenever the document shape changes. *)
 
 val attach : ?window:float -> Ccdb_protocols.Runtime.t -> t
-(** Subscribes to the runtime's event stream immediately.  [window]
+(** Observes the runtime's event stream ({!Ccdb_protocols.Runtime.observe})
+    from now on; read the collector only between runs.  [window]
     (default 200. simulated time units) is the width of the time-series
     buckets; events land in window [i] when their timestamp falls in
     [\[i*window, (i+1)*window)] measured from attach time.

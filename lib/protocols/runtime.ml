@@ -215,6 +215,9 @@ type t = {
   counters : counters;
   mutable completions : completion list; (* newest first *)
   mutable listeners : (event -> unit) list;
+  mutable observers : (event -> unit) list; (* newest first *)
+  mutable pipe : event Ccdb_util.Pipeline.t option;
+      (* set while a [run]/[quiesce] call feeds the observers on a worker *)
   (* --- stall watchdog (active only under an installed fault plan) ------- *)
   stall_timeout : float;
   last_activity : float Ccdb_util.Int_tbl.t; (* tracked in-flight txns *)
@@ -249,6 +252,29 @@ let wal t = t.wal
 let recovery_stats t = Option.map Ccdb_sim.Recovery.stats t.recovery
 
 let subscribe t f = t.listeners <- f :: t.listeners
+
+(* A free slot of the observer ring. *)
+let vacant = Site_recovered { site = -1; at = 0. }
+
+(* A ring whose worker calls [observers].  The list is fixed for the
+   worker's life, so the worker reads nothing of the runtime record,
+   whose fields the simulation keeps writing. *)
+let pipeline observers =
+  (* 1024 slots published every 256 events: a quarter of the ring is in
+     flight while the worker drains the rest, and the simulation touches
+     the shared counters once per 256 events *)
+  Ccdb_util.Pipeline.create ~capacity:1024 ~batch:256 ~dummy:vacant
+    (fun e -> List.iter (fun f -> f e) observers)
+
+let observe t f =
+  t.observers <- f :: t.observers;
+  match t.pipe with
+  | None -> ()
+  | Some p ->
+    (* registered mid-run: the worker finishes the events emitted so far,
+       and the rest of the run feeds a new one that calls [f] too *)
+    Ccdb_util.Pipeline.finish p;
+    t.pipe <- Some (pipeline t.observers)
 
 (* Refresh a tracked transaction's activity stamp.  Only transactions the
    owning system registered with [track] are refreshed — the table must
@@ -315,7 +341,13 @@ let emit t event =
    | Deadlock_detected _ | Site_crashed _ | Site_recovered _
    | Request_dropped _ | Wal_replayed _
    | Op_implemented _ | Reads_discarded _ -> ());
-  List.iter (fun f -> f event) t.listeners
+  List.iter (fun f -> f event) t.listeners;
+  match t.observers with
+  | [] -> ()
+  | observers -> (
+    match t.pipe with
+    | Some p -> Ccdb_util.Pipeline.push p event
+    | None -> List.iter (fun f -> f event) observers)
 
 (* The watchdog sweeps tracked transactions every [stall_timeout / 2] and
    hands every transaction idle for at least [stall_timeout] to the stall
@@ -418,6 +450,8 @@ let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
           wiped_entries = 0 };
       completions = [];
       listeners = [];
+      observers = [];
+      pipe = None;
       stall_timeout;
       last_activity = Ccdb_util.Int_tbl.create 64;
       stall_handlers = [];
@@ -500,9 +534,47 @@ let counters t = t.counters
 
 let completions t = List.rev t.completions
 
-let run ?until t = Ccdb_sim.Engine.run ?until t.engine
+exception Event_budget_exhausted of { fired : int; pending : int; clock : float }
+
+let () =
+  Printexc.register_printer (function
+    | Event_budget_exhausted { fired; pending; clock } ->
+      Some
+        (Printf.sprintf
+           "event budget exhausted after %d events at simulated time %.1f, \
+            %d still pending (possible livelock)"
+           fired clock pending)
+    | _ -> None)
+
+(* Drives the engine, feeding the observers on a worker domain when there
+   are any and a core is spare, and joins the worker before returning or
+   raising.  An observer's exception wins over the run's: in event order
+   it came first. *)
+let drive ?until ?max_events t =
+  if t.observers == [] || not (Ccdb_util.Pool.reserve_domain ()) then
+    Ccdb_sim.Engine.run ?until ?max_events t.engine
+  else begin
+    t.pipe <- Some (pipeline t.observers);
+    let stop () =
+      let p = t.pipe in
+      t.pipe <- None;
+      Fun.protect ~finally:Ccdb_util.Pool.release_domain (fun () ->
+          Option.iter Ccdb_util.Pipeline.finish p)
+    in
+    match Ccdb_sim.Engine.run ?until ?max_events t.engine with
+    | () -> stop ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      stop ();
+      Printexc.raise_with_backtrace e bt
+  end
+
+let run ?until t = drive ?until t
 
 let quiesce ?(max_events = 10_000_000) t =
-  Ccdb_sim.Engine.run ~max_events t.engine;
-  if Ccdb_sim.Engine.pending t.engine > 0 then
-    failwith "Runtime.quiesce: event budget exhausted (possible livelock)"
+  drive ~max_events t;
+  let pending = Ccdb_sim.Engine.pending t.engine in
+  if pending > 0 then
+    raise
+      (Event_budget_exhausted
+         { fired = Ccdb_sim.Engine.processed t.engine; pending; clock = now t })

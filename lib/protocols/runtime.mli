@@ -270,11 +270,31 @@ val ts_source : t -> Ccdb_model.Timestamp.Source.t
 val now : t -> float
 
 val subscribe : t -> (event -> unit) -> unit
-(** Registers an event listener (called synchronously on [emit]). *)
+(** Registers an event listener, called synchronously on [emit]: for
+    listeners whose state the run itself reads back (the STL estimator)
+    and for probes that must see each event as it happens. *)
+
+val observe : t -> (event -> unit) -> unit
+(** Registers an observer: it gets every event emitted from now on, in
+    emission order, but not necessarily on the emitting domain.  While
+    {!run} or {!quiesce} drives the engine, observers run on one worker
+    domain, fed through a bounded single-producer/single-consumer ring
+    ({!Ccdb_util.Pipeline}); the worker starts at the first event, and
+    by the time the call returns or raises every event has been observed
+    and the worker joined.  Observers run inline, exactly like
+    {!subscribe}d listeners, for events emitted outside those calls, on a
+    single-core host, inside a {!Ccdb_util.Pool} task, and whenever
+    another domain would exceed [Domain.recommended_domain_count ()]
+    ({!Ccdb_util.Pool.reserve_domain}).
+
+    So an observer may read only the event and its own state until the
+    run returns, must not emit, and must not be read by the simulation.
+    An exception it raises surfaces from the {!run} or {!quiesce} call
+    after the worker is joined, in preference to one the run raised. *)
 
 val emit : t -> event -> unit
 (** Systems publish their events here; counters and the completion list are
-    updated automatically. *)
+    updated automatically, listeners are called, then observers are fed. *)
 
 val counters : t -> counters
 
@@ -282,11 +302,21 @@ val completions : t -> completion list
 (** Committed transactions, oldest first. *)
 
 val run : ?until:float -> t -> unit
-(** Drives the engine (see {!Ccdb_sim.Engine.run}). *)
+(** Drives the engine (see {!Ccdb_sim.Engine.run}); observers have seen
+    every event when it returns (see {!observe}). *)
+
+exception Event_budget_exhausted of {
+  fired : int;    (** engine events fired so far *)
+  pending : int;  (** engine events still queued *)
+  clock : float;  (** the simulated time reached *)
+}
+(** Raised by {!quiesce} when [max_events] fire and events remain. *)
 
 val quiesce : ?max_events:int -> t -> unit
 (** Runs until no events remain ([max_events] guards against livelock;
-    default 10_000_000).  @raise Failure if the budget is exhausted. *)
+    default 10_000_000), and joins the observer worker as {!run} does.
+    @raise Event_budget_exhausted if the budget is exhausted, after the
+    observers have seen every event emitted. *)
 
 (** {2 Fault handling}
 

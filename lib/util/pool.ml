@@ -9,6 +9,24 @@ type t = {
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
+(* Domain accounting shared by every pool and every [reserve_domain]
+   caller: the domains spawned and not yet joined, not counting the one
+   that runs the program. *)
+let cores = Domain.recommended_domain_count ()
+let others = Atomic.make 0
+
+let in_task_key = Domain.DLS.new_key (fun () -> false)
+let in_task () = Domain.DLS.get in_task_key
+
+let reserve_domain () =
+  let rec claim () =
+    let n = Atomic.get others in
+    n + 2 <= cores && (Atomic.compare_and_set others n (n + 1) || claim ())
+  in
+  (not (in_task ())) && claim ()
+
+let release_domain () = Atomic.decr others
+
 (* Pop the next task, blocking until one arrives or the pool closes. *)
 let rec next_task t =
   Mutex.lock t.lock;
@@ -43,6 +61,7 @@ let create ~jobs =
     { jobs; queue = Queue.create (); lock = Mutex.create ();
       nonempty = Condition.create (); closed = false; workers = [] }
   in
+  ignore (Atomic.fetch_and_add others (jobs - 1));
   t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
@@ -75,9 +94,12 @@ let map t f xs =
       { remaining = n; b_lock = Mutex.create (); done_ = Condition.create () }
     in
     let task i () =
+      let outer = in_task () in
+      Domain.DLS.set in_task_key true;
       (match f items.(i) with
        | v -> results.(i) <- Some v
        | exception e -> failures.(i) <- Some e);
+      Domain.DLS.set in_task_key outer;
       settle batch
     in
     Mutex.lock t.lock;
@@ -114,6 +136,7 @@ let shutdown t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock;
   List.iter Domain.join t.workers;
+  ignore (Atomic.fetch_and_add others (- List.length t.workers));
   t.workers <- []
 
 let with_pool ~jobs f =

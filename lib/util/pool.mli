@@ -16,6 +16,21 @@ type t
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1. *)
 
+val in_task : unit -> bool
+(** Whether the calling domain is running a task of some pool's {!map}
+    (on a worker, or inline on the submitting domain). *)
+
+val reserve_domain : unit -> bool
+(** Claims one extra domain for the caller's own use, outside any pool:
+    [true] when the caller is not inside a pool task ({!in_task}) and the
+    process, counting the domains every live pool has spawned and every
+    unreleased reservation, then runs no more domains than
+    [Domain.recommended_domain_count ()].  A [true] must be paired with
+    one {!release_domain} once the claimed domain is joined. *)
+
+val release_domain : unit -> unit
+(** Returns a domain claimed with {!reserve_domain}. *)
+
 val create : jobs:int -> t
 (** Spawns [jobs - 1] worker domains.  @raise Invalid_argument when
     [jobs < 1]. *)

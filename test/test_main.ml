@@ -13,6 +13,7 @@ let () =
     @ Test_analysis.suites
     @ Test_faults.suites
     @ Test_recovery.suites
+    @ Test_pipeline.suites
     @ Test_parallel.suites
     @ Test_insights.suites
     @ Test_golden.suites)

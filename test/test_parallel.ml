@@ -558,11 +558,17 @@ let test_bench_json_shape () =
   | Error e -> Alcotest.failf "BENCH.json does not parse: %s" e
   | Ok doc ->
     let str key = Option.bind (Json.member key doc) Json.to_str in
-    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/7")
+    check (Alcotest.option Alcotest.string) "schema" (Some "ccdb-bench/8")
       (str "schema");
     let cores = Option.bind (Json.member "cores" doc) Json.to_float in
     check Alcotest.bool "cores >= 1" true
       (match cores with Some c -> c >= 1. | None -> false);
+    (* the ccdb-bench/8 calibration kernel, timed next to the micros *)
+    let calibration =
+      Option.bind (Json.member "calibration_ms" doc) Json.to_float
+    in
+    check Alcotest.bool "calibration_ms positive" true
+      (match calibration with Some ms -> ms > 0. | None -> false);
     (match Option.bind (Json.member "micro" doc) Json.to_list with
      | None -> Alcotest.fail "micro missing"
      | Some rows ->
