@@ -565,18 +565,13 @@ let faults_cmd =
     Arg.(value & opt positive_float Ccdb_sim.Net.default_retry.Ccdb_sim.Net.rto
          & info [ "rto" ] ~doc:"Initial retransmission timeout.")
   in
-  let max_retries =
-    Arg.(value
-         & opt count Ccdb_sim.Net.default_retry.Ccdb_sim.Net.max_retries
-         & info [ "max-retries" ] ~doc:"Retransmissions before giving up.")
-  in
   let no_audit =
     Arg.(value & flag
          & info [ "no-audit" ]
              ~doc:"Skip the static invariant audit of the traced run.")
   in
-  let run plan mode lambda txns sites items seed mix rto max_retries no_audit
-      audit_path commit () =
+  let run plan mode lambda txns sites items seed mix rto no_audit audit_path
+      commit () =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -589,7 +584,7 @@ let faults_cmd =
     in
     check_setup setup spec;
     check_plan ~sites plan;
-    let retry = { Ccdb_sim.Net.default_retry with rto; max_retries } in
+    let retry = { Ccdb_sim.Net.default_retry with rto } in
     if rto > retry.rto_cap then
       usage_error "--rto %g exceeds the retransmission cap %g" rto
         retry.rto_cap;
@@ -612,10 +607,9 @@ let faults_cmd =
      | Some st ->
        Format.printf
          "transport:       %d transmissions, %d dropped, %d duplicated, %d \
-          retransmitted, %d expired@."
+          retransmitted@."
          st.Ccdb_sim.Net.transmissions st.Ccdb_sim.Net.dropped
-         st.Ccdb_sim.Net.duplicated st.Ccdb_sim.Net.retransmitted
-         st.Ccdb_sim.Net.expired;
+         st.Ccdb_sim.Net.duplicated st.Ccdb_sim.Net.retransmitted;
        Format.printf
          "                 %d deliveries suppressed by crashes, %d acks \
           lost, %d crashes, %d recoveries@."
@@ -647,7 +641,7 @@ let faults_cmd =
     (reported
        Term.(
          const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
-         $ seed $ mix $ rto $ max_retries $ no_audit $ audit_path_term
+         $ seed $ mix $ rto $ no_audit $ audit_path_term
          $ commit_term))
 
 (* -------------------------------------------------------------- recover *)

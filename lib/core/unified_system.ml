@@ -416,10 +416,6 @@ and begin_attempt t st =
   List.iter
     (fun (item, site, op) ->
       send t ~src:txn.site ~dst:site ~kind:"u-req" (fun () ->
-          (* the channel delivers an earlier attempt's u-abort before this
-             u-req unless the transport gave up on it; an entry of this
-             transaction still queued here means it did, so withdraw it *)
-          on_abort_msg t ~item ~site txn.id;
           let q = Copies.get t.queues ~item ~site in
           let verdict =
             Q.request q ~txn:txn.id ~site:txn.site ~protocol:txn.protocol ~ts
@@ -460,10 +456,11 @@ let abort_victim t victim =
     restart t st ~except:None ~reason:Rt.Deadlock_victim
   | Some _ | None -> ()
 
-(* Crash and stall cleanup: restart negotiating 2PL and T/O transactions
-   that depend on the dead site (home site crashed, or a slot hosted there)
-   or stalled, so no semi-lock or queue entry outlives its issuer's
-   progress.  PA transactions are exempt — Corollary 1 makes PA
+(* Crash cleanup: restart negotiating 2PL and T/O transactions that
+   depend on the dead site (home site crashed, or a slot hosted there), so
+   no semi-lock or queue entry outlives its issuer's progress.  A slow
+   negotiation is left alone: the transport delivers every message,
+   however late.  PA transactions are exempt — Corollary 1 makes PA
    restart-free, and the analyzer's [thm.pa-restarted] check would rightly
    flag an abort; their negotiation pushes forward through transport
    retries instead.  Anything past Negotiating (Computing / Draining)
@@ -519,7 +516,7 @@ let create ?(config = default_config) ?reselect rt =
         (fun st ->
           Ccdb_model.Protocol.equal st.txn.protocol Ccdb_model.Protocol.Two_pl);
       abort = (fun victim -> abort_victim t victim) };
-  L.restart_on_failures t.live ~restartable:crash_restartable
+  L.restart_on_crash t.live ~restartable:crash_restartable
     ~depends_on:depends_on_site
     (restart t ~except:None ~reason:Rt.Site_failure);
   if Rt.durable rt then begin

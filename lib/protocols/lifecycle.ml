@@ -18,8 +18,7 @@ let live rt = { rt; states = Int_tbl.create 64; active = 0; detector = Off }
 let admit live ~duplicate id st =
   if Int_tbl.mem live.states id then invalid_arg duplicate;
   Int_tbl.add live.states id st;
-  live.active <- live.active + 1;
-  Runtime.track live.rt id
+  live.active <- live.active + 1
 
 let find live id = Int_tbl.find_opt live.states id
 let remove live id = Int_tbl.remove live.states id
@@ -65,7 +64,7 @@ let schedule_restart rt ~site ~base ~attempt k =
     (Ccdb_sim.Engine.schedule (Runtime.engine rt)
        ~after:(Runtime.restart_backoff rt ~site ~base ~attempt) k)
 
-let restart_on_failures live ~restartable ~depends_on restart =
+let restart_on_crash live ~restartable ~depends_on restart =
   Runtime.on_site_crash live.rt (fun site ->
       Int_tbl.fold
         (fun id st acc ->
@@ -73,11 +72,7 @@ let restart_on_failures live ~restartable ~depends_on restart =
         live.states []
       |> List.sort Int.compare
       |> List.iter (fun id ->
-             match find live id with Some st -> restart st | None -> ()));
-  Runtime.on_stall live.rt (fun id ->
-      match find live id with
-      | Some st when restartable st -> restart st
-      | Some _ | None -> ())
+             match find live id with Some st -> restart st | None -> ()))
 
 let on_site_wipe rt tables ~dropped ~preserved =
   Runtime.on_site_wipe rt (fun site ->

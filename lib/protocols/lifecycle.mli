@@ -8,7 +8,7 @@
     differs is the queue discipline at each copy and the issuer's state
     machine, and those stay in each system.  The plumbing around them is
     written once here: the live-transaction registry, the footprint and
-    payload helpers, the restart timer, the crash, stall and wipe handlers,
+    payload helpers, the restart timer, the crash and wipe handlers,
     and the deadlock-detector glue of the 2PL-capable systems.
 
     None of it branches on which system calls it: each system passes in
@@ -30,8 +30,7 @@ val live : Runtime.t -> 'st live
 
 val admit : 'st live -> duplicate:string -> int -> 'st -> unit
 (** [admit live ~duplicate id st] registers a submitted transaction: it
-    becomes findable and active, and the runtime's stall watchdog tracks
-    it ({!Runtime.track}).
+    becomes findable and active.
     @raise Invalid_argument [duplicate] if [id] is live. *)
 
 val find : 'st live -> int -> 'st option
@@ -79,16 +78,18 @@ val schedule_restart :
 (** Runs the next attempt of a transaction homed at [site] after
     {!Runtime.restart_backoff}. *)
 
-val restart_on_failures :
+val restart_on_crash :
   'st live ->
   restartable:('st -> bool) ->
   depends_on:('st -> int -> bool) ->
   ('st -> unit) ->
   unit
-(** Registers the crash and stall handlers.  When a site crashes, every
-    restartable transaction that depends on it restarts, in ascending id
-    order; a stalled transaction restarts if it is restartable.  What a
-    system may restart, and what it depends on, is its own business. *)
+(** Registers the crash handler.  When a site crashes, every restartable
+    transaction that depends on it restarts, in ascending id order.  What a
+    system may restart, and what it depends on, is its own business.  No
+    other fault restarts a transaction: the transport delivers every
+    message, however late, so a silent transaction is waiting, not
+    lost. *)
 
 val on_site_wipe :
   Runtime.t ->

@@ -215,10 +215,9 @@ and begin_attempt t st =
       copies
   end
 
-(* Crash and stall cleanup mirror {!To_system}: restart reading /
-   prewriting transactions that depend on the dead site or stalled, leave
-   invalidated attempts ([ts = -1]) to their pending restart, push
-   committed writes forward. *)
+(* Crash cleanup mirrors {!To_system}: restart reading / prewriting
+   transactions that depend on the dead site, leave invalidated attempts
+   ([ts = -1]) to their pending restart, push committed writes forward. *)
 let restartable st =
   st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
 
@@ -246,7 +245,7 @@ let create ?(config = default_config) rt =
       live = L.live rt; committed_reads = [];
       pending_reads = Int_tbl.create 32 }
   in
-  L.restart_on_failures t.live ~restartable ~depends_on:depends_on_site
+  L.restart_on_crash t.live ~restartable ~depends_on:depends_on_site
     (restart t ~except:None ~reason:Runtime.Site_failure);
   if Runtime.durable rt then
     Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);

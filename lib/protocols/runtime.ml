@@ -218,11 +218,6 @@ type t = {
   mutable observers : (event -> unit) list; (* newest first *)
   mutable pipe : event Ccdb_util.Pipeline.t option;
       (* set while a [run]/[quiesce] call feeds the observers on a worker *)
-  (* --- stall watchdog (active only under an installed fault plan) ------- *)
-  stall_timeout : float;
-  last_activity : float Ccdb_util.Int_tbl.t; (* tracked in-flight txns *)
-  mutable stall_handlers : (int -> unit) list; (* newest first *)
-  mutable watchdog_on : bool;
   (* --- durability (active only when the fault plan says wipe=true) ------ *)
   durable : bool;
   wal : Ccdb_storage.Wal.t;
@@ -245,7 +240,6 @@ let store t = t.store
 let ts_source t = t.ts_source
 let now t = Ccdb_sim.Engine.now t.engine
 
-let faults_enabled t = Option.is_some (Ccdb_sim.Net.fault_plan t.net)
 let durable t = t.durable
 let commit_protocol t = t.commit_protocol
 let wal t = t.wal
@@ -276,15 +270,6 @@ let observe t f =
     Ccdb_util.Pipeline.finish p;
     t.pipe <- Some (pipeline t.observers)
 
-(* Refresh a tracked transaction's activity stamp.  Only transactions the
-   owning system registered with [track] are refreshed — the table must
-   never resurrect an entry after Txn_committed removed it.  Fault-free
-   runs track nothing, so the empty table is skipped without a probe. *)
-let touch t txn =
-  if Ccdb_util.Int_tbl.length t.last_activity > 0
-     && Ccdb_util.Int_tbl.mem t.last_activity txn
-  then Ccdb_util.Int_tbl.replace t.last_activity txn (now t)
-
 (* Lock-point events double as redo/undo records: under a durable plan every
    grant, release, admission and PA revocation is forced to the site's WAL at
    the instant it is emitted — before any acknowledgement leaves the site
@@ -313,12 +298,10 @@ let emit t event =
   (match event with
    | Txn_committed { txn; submitted_at; executed_at; restarts } ->
      t.counters.committed <- t.counters.committed + 1;
-     Ccdb_util.Int_tbl.remove t.last_activity txn.Ccdb_model.Txn.id;
      t.completions <-
        { txn; submitted_at; executed_at; restarts } :: t.completions
-   | Txn_restarted { txn; reason; _ } ->
+   | Txn_restarted { reason; _ } ->
      t.counters.restarts <- t.counters.restarts + 1;
-     touch t txn.Ccdb_model.Txn.id;
      (match reason with
       | To_rejected _ -> t.counters.rejections <- t.counters.rejections + 1
       | Deadlock_victim ->
@@ -327,20 +310,15 @@ let emit t event =
         t.counters.prevention_aborts <- t.counters.prevention_aborts + 1
       | Site_failure ->
         t.counters.site_aborts <- t.counters.site_aborts + 1)
-   | Pa_backoff { txn; _ } ->
-     t.counters.backoffs <- t.counters.backoffs + 1;
-     touch t txn
-   | Lock_requested { txn; _ } | Lock_granted { txn; _ }
-   | Lock_promoted { txn; _ } | Lock_transformed { txn; _ }
-   | Lock_released { txn; _ } | Request_withdrawn { txn; _ }
-   | Ts_updated { txn; _ } | Prepared { txn; _ }
-   | Decision_logged { txn; _ } | Acceptor_promised { txn; _ }
-   | Acceptor_accepted { txn; _ } -> touch t txn
+   | Pa_backoff _ -> t.counters.backoffs <- t.counters.backoffs + 1
    | Site_wiped { dropped; _ } ->
      t.counters.wiped_entries <- t.counters.wiped_entries + dropped
+   | Lock_requested _ | Lock_granted _ | Lock_promoted _ | Lock_transformed _
+   | Lock_released _ | Request_withdrawn _ | Ts_updated _
    | Deadlock_detected _ | Site_crashed _ | Site_recovered _
-   | Request_dropped _ | Wal_replayed _
-   | Op_implemented _ | Reads_discarded _ -> ());
+   | Request_dropped _ | Wal_replayed _ | Prepared _ | Decision_logged _
+   | Acceptor_promised _ | Acceptor_accepted _ | Op_implemented _
+   | Reads_discarded _ -> ());
   List.iter (fun f -> f event) t.listeners;
   match t.observers with
   | [] -> ()
@@ -348,47 +326,6 @@ let emit t event =
     match t.pipe with
     | Some p -> Ccdb_util.Pipeline.push p event
     | None -> List.iter (fun f -> f event) observers)
-
-(* The watchdog sweeps tracked transactions every [stall_timeout / 2] and
-   hands every transaction idle for at least [stall_timeout] to the stall
-   handlers (systems use this to re-drive transactions whose messages died
-   with the retry budget).  The loop stops itself as soon as the tracking
-   table empties, so it never keeps [quiesce] alive. *)
-let rec watchdog_sweep t () =
-  if Ccdb_util.Int_tbl.length t.last_activity = 0 then t.watchdog_on <- false
-  else begin
-    let at = now t in
-    let stalled =
-      Ccdb_util.Int_tbl.fold
-        (fun txn last acc ->
-          if at -. last >= t.stall_timeout then txn :: acc else acc)
-        t.last_activity []
-      |> List.sort Int.compare
-    in
-    List.iter
-      (fun txn ->
-        if Ccdb_util.Int_tbl.mem t.last_activity txn then begin
-          Ccdb_util.Int_tbl.replace t.last_activity txn at;
-          List.iter (fun f -> f txn) (List.rev t.stall_handlers)
-        end)
-      stalled;
-    ignore
-      (Ccdb_sim.Engine.schedule t.engine ~after:(t.stall_timeout /. 2.)
-         (watchdog_sweep t))
-  end
-
-let track t txn =
-  if faults_enabled t then begin
-    Ccdb_util.Int_tbl.replace t.last_activity txn (now t);
-    if not t.watchdog_on then begin
-      t.watchdog_on <- true;
-      ignore
-        (Ccdb_sim.Engine.schedule t.engine ~after:(t.stall_timeout /. 2.)
-           (watchdog_sweep t))
-    end
-  end
-
-let on_stall t f = t.stall_handlers <- f :: t.stall_handlers
 
 let on_site_crash t f = Ccdb_sim.Net.on_crash t.net f
 let on_site_recover t f = Ccdb_sim.Net.on_recover t.net f
@@ -417,13 +354,10 @@ let restart_backoff t ~site ~base ~attempt =
       let capped = Float.min t.restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
-let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
-    ?(restart_cap = 800.) ?replay_cost ?(commit = Two_pc) ~net_config ~catalog
-    () =
+let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
+    ?(commit = Two_pc) ~net_config ~catalog () =
   if net_config.Ccdb_sim.Net.sites <> Ccdb_storage.Catalog.sites catalog then
     invalid_arg "Runtime.create: catalog/network site count mismatch";
-  if stall_timeout <= 0. then
-    invalid_arg "Runtime.create: stall_timeout must be positive";
   if restart_cap <= 0. then
     invalid_arg "Runtime.create: restart_cap must be positive";
   (match commit with
@@ -452,10 +386,6 @@ let create ?(seed = 42) ?faults ?retry ?(stall_timeout = 1500.)
       listeners = [];
       observers = [];
       pipe = None;
-      stall_timeout;
-      last_activity = Ccdb_util.Int_tbl.create 64;
-      stall_handlers = [];
-      watchdog_on = false;
       durable =
         (match faults with
          | Some plan -> Ccdb_sim.Fault_plan.wipe plan

@@ -25,8 +25,11 @@ type restart_reason =
       (** killed by a deadlock-prevention policy (wait-die's self-abort or
           wound-wait's wound) *)
   | Site_failure
-      (** aborted because a site it depends on crashed (fault injection);
-          only issued in pre-commit phases, so no write is ever lost *)
+      (** aborted because a site it depends on crashed (fault injection):
+          only the systems' {!on_site_crash} handlers issue it, since the
+          transport delivers every message and a silent transaction is
+          merely waiting.  Only issued in pre-commit phases, so no write is
+          ever lost. *)
 
 (** Verdict a queue manager returned for a freshly arrived request. *)
 type request_outcome =
@@ -229,7 +232,6 @@ val create :
   ?seed:int ->
   ?faults:Ccdb_sim.Fault_plan.t ->
   ?retry:Ccdb_sim.Net.retry ->
-  ?stall_timeout:float ->
   ?restart_cap:float ->
   ?replay_cost:float ->
   ?commit:commit_protocol ->
@@ -239,12 +241,9 @@ val create :
   t
 (** Builds engine + network + store.  [seed] defaults to 42.  When [faults]
     is given it is installed on the network ({!Ccdb_sim.Net.install_faults},
-    with [retry] if supplied), {!event.Site_crashed} / {!event.Site_recovered}
-    events are emitted at each crash boundary, and the stall watchdog is
-    armed: transactions registered with {!track} that stay idle for
-    [stall_timeout] (default 1500.) simulated time units are handed to the
-    {!on_stall} handlers.  Without [faults] the watchdog is inert and the
-    network is the fault-free one.
+    with [retry] if supplied) and {!event.Site_crashed} /
+    {!event.Site_recovered} events are emitted at each crash boundary.
+    Without [faults] the network is the fault-free one.
 
     If the plan additionally says [wipe=true] the runtime is {e durable}:
     lock-point events are forced to the per-site {!Ccdb_storage.Wal} as they
@@ -256,9 +255,9 @@ val create :
     [commit] (default {!commit_protocol.Two_pc}) selects the atomic-
     commitment protocol the durable paths build ({!commit_protocol}).
     @raise Invalid_argument if the catalog's site count differs from the
-    network's, if [stall_timeout <= 0.] or [restart_cap <= 0.], if a Paxos
-    [commit] has [f < 0] or needs more acceptor sites than exist, or if the
-    plan is rejected by {!Ccdb_sim.Net.install_faults}. *)
+    network's, if [restart_cap <= 0.], if a Paxos [commit] has [f < 0] or
+    needs more acceptor sites than exist, or if the plan is rejected by
+    {!Ccdb_sim.Net.install_faults}. *)
 
 val engine : t -> Ccdb_sim.Engine.t
 val net : t -> Ccdb_sim.Net.t
@@ -321,21 +320,6 @@ val quiesce : ?max_events:int -> t -> unit
 (** {2 Fault handling}
 
     These are no-ops unless the runtime was created with [~faults]. *)
-
-val faults_enabled : t -> bool
-(** Whether a fault plan is installed on this runtime's network. *)
-
-val track : t -> int -> unit
-(** [track t txn] registers an in-flight transaction with the stall
-    watchdog (systems call this at submission).  Every emitted event that
-    names the transaction refreshes its activity stamp; {!event.Txn_committed}
-    unregisters it.  No-op without faults. *)
-
-val on_stall : t -> (int -> unit) -> unit
-(** Registers a handler called with a tracked transaction id after it has
-    produced no events for [stall_timeout]; the watchdog refreshes the
-    stamp before calling, so a handler that cannot make progress is re-run
-    only after another full timeout. *)
 
 val on_site_crash : t -> (int -> unit) -> unit
 (** Registers a handler called with the site id at each crash instant —

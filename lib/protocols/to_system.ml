@@ -283,9 +283,9 @@ and begin_attempt t st =
       copies
   end
 
-(* Crash and stall cleanup: restart transactions still reading or
-   prewriting whose home site crashed or that await a reply from the dead
-   site, or that stalled.  Attempts already invalidated ([ts = -1]) are
+(* Crash cleanup: restart transactions still reading or prewriting whose
+   home site crashed or that await a reply from the dead site.  Attempts
+   already invalidated ([ts = -1]) are
    waiting out their restart delay and are left alone.  Committed-phase
    writes push forward: the transport retries them across the outage, so
    Basic T/O never loses an accepted write. *)
@@ -304,7 +304,7 @@ let create ?(config = default_config) rt =
             To_queue.create ~thomas_write_rule:config.thomas_write_rule ());
       live = L.live rt }
   in
-  L.restart_on_failures t.live ~restartable ~depends_on:depends_on_site
+  L.restart_on_crash t.live ~restartable ~depends_on:depends_on_site
     (restart t ~except:None ~reason:Runtime.Site_failure);
   if Runtime.durable rt then
     (* Fail-stop wipe: pending reads are volatile (no value ever left the

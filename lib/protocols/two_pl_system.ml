@@ -277,13 +277,14 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
         ~attempt:st.restarts (fun () -> send_requests t st)
     end
 
-(* Crash and stall cleanup: restart every transaction still in its read
-   (Waiting) phase that depends on the dead site — its home site crashed,
-   or it awaits or holds a lock on a copy there — or that produced no event
-   for a full stall timeout (the transport gave up on its traffic).  Only
-   Waiting transactions are touched: anything past lock-point pushes
-   forward through transport retries (and, when durable, through 2PC
-   termination), so no implemented write is ever lost.  [abort_victim]
+(* Crash cleanup: restart every transaction still in its read (Waiting)
+   phase that depends on the dead site — its home site crashed, or it
+   awaits or holds a lock on a copy there.  A transaction that is merely
+   slow is left alone: the transport delivers every message, however
+   late.  Only Waiting transactions are touched: anything past lock-point
+   pushes forward through transport retries (and, when durable, through
+   the commit protocol's termination), so no implemented write is ever
+   lost.  [abort_victim]
    withdraws all its requests, so no lock leaks on the dead site: under
    fail-pause the withdrawal reaches the live table after recovery; under
    fail-stop the wipe already dropped the waiting entry and the late
@@ -310,7 +311,7 @@ let create ?(config = default_config) rt =
         (fun st -> List.sort_uniq Int.compare (List.map snd st.awaiting));
       may_initiate = (fun _ -> true);
       abort = (fun victim -> abort_victim t victim) };
-  L.restart_on_failures t.live
+  L.restart_on_crash t.live
     ~restartable:(fun st -> st.phase = Waiting)
     ~depends_on:depends_on_site
     (fun st -> abort_victim ~reason:Runtime.Site_failure t st.txn.id);

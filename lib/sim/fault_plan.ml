@@ -28,7 +28,13 @@ let check_prob what p =
     invalid_arg (Printf.sprintf "Fault_plan: %s=%g outside [0, 1]" what p)
 
 let check_link l =
-  check_prob "drop" l.drop;
+  (* the transport retransmits until a copy gets through, so a link that
+     loses every transmission would retransmit forever *)
+  if not (l.drop >= 0. && l.drop < 1.) then
+    invalid_arg
+      (Printf.sprintf
+         "Fault_plan: drop=%g outside [0, 1) (a link must deliver sometimes)"
+         l.drop);
   check_prob "dup" l.duplicate;
   check_prob "delay probability" l.delay_prob;
   if l.delay_mean < 0. then

@@ -24,7 +24,7 @@
     link=0>2/drop=0.5,crash=3@900+250,wipe=true
     v}
 
-    - [drop=F] — default per-transmission loss probability
+    - [drop=F] — default per-transmission loss probability, in [\[0, 1)]
     - [dup=F] — default duplication probability
     - [delay=PxM] — with probability [P], add [exponential(M)] extra delay
     - [crash=S@T+D] — site [S] crashes at time [T], recovers at [T + D]
@@ -38,7 +38,10 @@
     - [seed=N] — seed of the plan's private fault RNG *)
 
 type link = {
-  drop : float;        (** probability a transmission is lost, in [0, 1] *)
+  drop : float;
+      (** probability a transmission is lost, in [\[0, 1)]: the transport
+          retransmits until a copy gets through, so every link must
+          deliver with positive probability *)
   duplicate : float;   (** probability a second copy is delivered, in [0, 1] *)
   delay_prob : float;  (** probability of extra delay, in [0, 1] *)
   delay_mean : float;  (** mean of the exponential extra delay, [>= 0] *)
@@ -94,10 +97,11 @@ val make :
     overrides of [default_link] (default: no overrides).  [seed] defaults
     to 0, [default_link] to {!reliable_link}, [crashes] and [role_crashes]
     to [[]], [wipe] to [false] (fail-pause).
-    @raise Invalid_argument if a probability is outside [0, 1], a delay
-    mean is negative, a crash window is empty or starts before time 0,
-    two crash windows of the same site (or same role) overlap, an acceptor
-    index is negative, or a link appears twice. *)
+    @raise Invalid_argument if a [drop] is outside [\[0, 1)], another
+    probability is outside [0, 1], a delay mean is negative, a crash
+    window is empty or starts before time 0, two crash windows of the
+    same site (or same role) overlap, an acceptor index is negative, or a
+    link appears twice. *)
 
 val seed : t -> int
 (** The plan's fault-RNG seed. *)

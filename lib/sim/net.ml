@@ -19,17 +19,15 @@ type retry = {
   rto : float;
   rto_backoff : float;
   rto_cap : float;
-  max_retries : int;
 }
 
-let default_retry = { rto = 60.; rto_backoff = 2.; rto_cap = 480.; max_retries = 40 }
+let default_retry = { rto = 60.; rto_backoff = 2.; rto_cap = 480. }
 
 type fault_stats = {
   transmissions : int;
   dropped : int;
   duplicated : int;
   retransmitted : int;
-  expired : int;
   suppressed : int;
   acks_lost : int;
   crashes : int;
@@ -42,7 +40,6 @@ type fstats = {
   mutable s_dropped : int;
   mutable s_duplicated : int;
   mutable s_retransmitted : int;
-  mutable s_expired : int;
   mutable s_suppressed : int;
   mutable s_acks_lost : int;
   mutable s_crashes : int;
@@ -52,7 +49,7 @@ type fstats = {
 (* Int-keyed tables that are only looked up, never iterated, so their
    order is never observed and the key can be its own hash: the
    per-(src, dst) channel tables, keyed by [src * sites + dst], and each
-   channel's [ready] and [dead] sets, keyed by sequence number. *)
+   channel's [ready] set, keyed by sequence number. *)
 module Lookup = Ccdb_util.Lookup_tbl
 
 (* Per-kind message counters; [messages_by_kind] sorts, so their order is
@@ -84,7 +81,7 @@ type fmessage = {
   mutable m_received : bool;      (* a copy reached the destination *)
   (* The retransmission timer of the latest transmission, due at [m_due]:
      reserved (its engine key [m_key], not in the heap yet), pushed
-     ([m_timer]), or neither once the message is acked or expired. *)
+     ([m_timer]), or neither once the message is acked. *)
   mutable m_due : float;
   mutable m_key : int;            (* -1 unless reserved *)
   mutable m_timer : Engine.handle option;
@@ -95,7 +92,6 @@ and fchannel = {
   mutable next_seq : int;      (* sender side: next sequence number *)
   mutable deliver_next : int;  (* receiver side: next seq to release in order *)
   ready : fmessage Lookup.Int.t; (* received, waiting for in-order release *)
-  dead : unit Lookup.Int.t;      (* sender exhausted its retry budget *)
 }
 
 type faults = {
@@ -161,9 +157,9 @@ let slowdown_factor t ~src ~dst =
    releases messages to the application strictly in sequence order, so
    protocol code sees the same FIFO-channel abstraction as the fault-free
    network.  The sender retransmits on a capped exponential-backoff timer
-   until acked; after [max_retries] the sequence number is declared dead so
-   the channel can advance past it (the only case where a message is truly
-   lost — systems recover via crash hooks and the runtime's stall watchdog).
+   until acked, however long that takes: no message is ever abandoned, so
+   a channel never has a gap to skip (DESIGN.md §9.2 says why every message
+   arrives).
 
    Only what changes state becomes an event (DESIGN.md §9.2).  Crash
    windows are fixed by the plan, and an ack's loss coin and delay are
@@ -182,10 +178,7 @@ let fchannel t fr ~src ~dst =
   match Lookup.Int.find fr.channels key with
   | ch -> ch
   | exception Not_found ->
-    let ch =
-      { next_seq = 0; deliver_next = 0; ready = Lookup.Int.create 8;
-        dead = Lookup.Int.create 4 }
-    in
+    let ch = { next_seq = 0; deliver_next = 0; ready = Lookup.Int.create 8 } in
     Lookup.Int.add fr.channels key ch;
     ch
 
@@ -204,23 +197,14 @@ let faulty_delay t fr (link : Fault_plan.link) ~src ~dst =
   in
   (base *. slowdown_factor t ~src ~dst) +. extra
 
-let release_ready ch =
-  let rec go () =
-    match Lookup.Int.find_opt ch.ready ch.deliver_next with
-    | Some m ->
-      Lookup.Int.remove ch.ready ch.deliver_next;
-      Lookup.Int.remove ch.dead ch.deliver_next;
-      ch.deliver_next <- ch.deliver_next + 1;
-      m.m_deliver ();
-      go ()
-    | None ->
-      if Lookup.Int.mem ch.dead ch.deliver_next then begin
-        Lookup.Int.remove ch.dead ch.deliver_next;
-        ch.deliver_next <- ch.deliver_next + 1;
-        go ()
-      end
-  in
-  go ()
+let rec release_ready ch =
+  match Lookup.Int.find_opt ch.ready ch.deliver_next with
+  | Some m ->
+    Lookup.Int.remove ch.ready ch.deliver_next;
+    ch.deliver_next <- ch.deliver_next + 1;
+    m.m_deliver ();
+    release_ready ch
+  | None -> ()
 
 let armed msg = msg.m_key >= 0 || Option.is_some msg.m_timer
 
@@ -298,17 +282,7 @@ and push_timer t fr msg =
       Some
         (Engine.schedule_reserved t.engine ~at:msg.m_due ~seq (fun () ->
              msg.m_timer <- None;
-             if msg.m_attempts > fr.retry.max_retries then expire fr msg
-             else transmit t fr msg))
-  end
-
-and expire fr msg =
-  fr.stats.s_expired <- fr.stats.s_expired + 1;
-  let ch = msg.m_channel in
-  if msg.m_seq >= ch.deliver_next && not (Lookup.Int.mem ch.ready msg.m_seq)
-  then begin
-    Lookup.Int.replace ch.dead msg.m_seq ();
-    release_ready ch
+             transmit t fr msg))
   end
 
 and arrive t fr msg =
@@ -321,12 +295,11 @@ and arrive t fr msg =
   else begin
     send_ack t fr msg;
     if not msg.m_received then begin
+      (* the channel releases only received messages, so this one is at
+         or past its front *)
       msg.m_received <- true;
-      let ch = msg.m_channel in
-      if msg.m_seq >= ch.deliver_next then begin
-        Lookup.Int.replace ch.ready msg.m_seq msg;
-        release_ready ch
-      end
+      Lookup.Int.replace msg.m_channel.ready msg.m_seq msg;
+      release_ready msg.m_channel
     end
   end
 
@@ -411,7 +384,6 @@ let install_faults t ?(retry = default_retry) plan =
       "Net.install_faults: plan has unresolved role-targeted crashes (use \
        Fault_plan.resolve first)";
   if retry.rto <= 0. || retry.rto_backoff < 1. || retry.rto_cap < retry.rto
-     || retry.max_retries < 0
   then invalid_arg "Net.install_faults: bad retry configuration";
   let fr =
     { plan; retry;
@@ -420,7 +392,7 @@ let install_faults t ?(retry = default_retry) plan =
       crashed = Array.make t.config.sites false;
       stats =
         { s_transmissions = 0; s_dropped = 0; s_duplicated = 0;
-          s_retransmitted = 0; s_expired = 0; s_suppressed = 0;
+          s_retransmitted = 0; s_suppressed = 0;
           s_acks_lost = 0; s_crashes = 0; s_recoveries = 0 };
       crash_listeners = []; recover_listeners = [] }
   in
@@ -448,7 +420,6 @@ let fault_stats t =
         dropped = fr.stats.s_dropped;
         duplicated = fr.stats.s_duplicated;
         retransmitted = fr.stats.s_retransmitted;
-        expired = fr.stats.s_expired;
         suppressed = fr.stats.s_suppressed;
         acks_lost = fr.stats.s_acks_lost;
         crashes = fr.stats.s_crashes;

@@ -11,11 +11,14 @@
     With a {!Fault_plan} installed (see {!install_faults}), the same [send]
     interface runs over a reliable transport layered on lossy links: each
     message gets a per-channel sequence number, is retransmitted on a capped
-    exponential-backoff timer until acknowledged, and the receiver
-    deduplicates and releases messages in sequence order.  Protocol code
-    keeps the exactly-once FIFO abstraction; faults surface only as extra
-    latency, extra (transport-level) traffic, and site-crash windows during
-    which a site is unreachable.  Acks and timers become engine events only
+    exponential-backoff timer until acknowledged, however long that takes,
+    and the receiver deduplicates and releases messages in sequence order.
+    No message is ever abandoned: every link delivers with positive
+    probability ({!Fault_plan.link} has [drop < 1]) and every crash window
+    ends, so each message arrives.  Protocol code keeps the exactly-once
+    FIFO abstraction; faults surface only as extra latency, extra
+    (transport-level) traffic, and site-crash windows during which a site
+    is unreachable.  Acks and timers become engine events only
     when they can change state: an ack that will land before the armed
     timer is due, on a live sender, cancels the timer when its copy
     arrives, and a timer enters the heap only once no such ack can settle
@@ -50,9 +53,9 @@ val send : t -> src:int -> dst:int -> kind:string -> (unit -> unit) -> unit
 (** [send t ~src ~dst ~kind deliver] schedules [deliver] after the simulated
     transit delay and counts one message of [kind].  With a fault plan
     installed, the message travels the reliable transport instead: [deliver]
-    runs exactly once, in per-channel FIFO order, unless the retry budget is
-    exhausted (see {!retry}), in which case it is dropped and the channel
-    skips over it.  @raise Invalid_argument on an out-of-range site. *)
+    runs exactly once, in per-channel FIFO order, after however many
+    retransmissions it takes (see {!retry}).
+    @raise Invalid_argument on an out-of-range site. *)
 
 val messages_sent : t -> int
 (** Total logical messages sent so far ({!send} calls; transport-level
@@ -80,17 +83,13 @@ type retry = {
   rto : float;         (** initial retransmission timeout *)
   rto_backoff : float; (** multiplicative backoff per retry, [>= 1] *)
   rto_cap : float;     (** upper bound on the timeout, [>= rto] *)
-  max_retries : int;   (** retransmissions before the message is abandoned *)
 }
-(** Retransmission policy of the reliable transport.  The [k]-th
+(** Retransmission schedule of the reliable transport.  The [k]-th
     retransmission fires [min (rto * rto_backoff^k) rto_cap] after the
-    [k]-th transmission; after [max_retries] retransmissions the sequence
-    number is declared dead so the channel can advance past it. *)
+    [k]-th transmission; retransmissions go on until an ack arrives. *)
 
 val default_retry : retry
-(** rto 60, backoff 2.0, cap 480, 40 retries — generous enough that under
-    10% loss a message is effectively never abandoned, and outages shorter
-    than ~18k time units are always ridden out. *)
+(** rto 60, backoff 2.0, cap 480. *)
 
 val install_faults : t -> ?retry:retry -> Fault_plan.t -> unit
 (** Installs a fault plan.  Must be called before any traffic is sent.
@@ -107,7 +106,6 @@ type fault_stats = {
   dropped : int;        (** copies lost to link loss *)
   duplicated : int;     (** extra copies created by link duplication *)
   retransmitted : int;  (** timer-driven retransmissions *)
-  expired : int;        (** messages abandoned after [max_retries] *)
   suppressed : int;     (** transmissions/deliveries blocked by a crash *)
   acks_lost : int;      (** acknowledgements lost on the reverse link *)
   crashes : int;        (** crash windows entered so far *)

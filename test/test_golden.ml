@@ -120,13 +120,13 @@ let pause_plan = plan_of_string "drop=0.1,dup=0.05,crash=1@300+300,seed=7"
 let test_fail_pause () =
   let faults = pause_plan in
   check_all
-    [ mode_case ~faults (D.Pure P.Two_pl) "8ff101009b3e069bf3432a7080b187f8" 2808;
-      mode_case ~faults (D.Pure P.T_o) "61793edd11fb6c21c1a010a8eac6d989" 2709;
-      mode_case ~faults (D.Pure P.Pa) "130ece9ca162b3305ba6fb655c40d4c4" 1432;
-      mode_case ~faults D.Unified "20cff97ba4ef1d426f3ee3ab613d2e5b" 2164;
-      mode_case ~faults D.Dynamic "3fcbae22a7adeb6a1516746073d8c095" 2890;
-      mode_case ~faults D.Mvto "f9bb6af36663596328dc9fffbb2c03b8" 2261;
-      mode_case ~faults D.Conservative "1f81af0cb3d9d60acacfe514c48b385b" 1347 ]
+    [ mode_case ~faults (D.Pure P.Two_pl) "548a038c956a59313f3327d2e78f85de" 2814;
+      mode_case ~faults (D.Pure P.T_o) "61793edd11fb6c21c1a010a8eac6d989" 2704;
+      mode_case ~faults (D.Pure P.Pa) "130ece9ca162b3305ba6fb655c40d4c4" 1427;
+      mode_case ~faults D.Unified "c30ee75370741d4bf90dec7742c205e2" 2136;
+      mode_case ~faults D.Dynamic "3fcbae22a7adeb6a1516746073d8c095" 2885;
+      mode_case ~faults D.Mvto "f9bb6af36663596328dc9fffbb2c03b8" 2257;
+      mode_case ~faults D.Conservative "1f81af0cb3d9d60acacfe514c48b385b" 1342 ]
 
 let stop_plan =
   plan_of_string "drop=0.05,crash=1@300+300,crash=2@900+200,wipe=true,seed=11"
@@ -135,16 +135,16 @@ let test_fail_stop () =
   let faults = stop_plan in
   let paxos = { setup with commit = Rt.Paxos { f = 1 } } in
   check_all
-    [ mode_case ~faults (D.Pure P.Two_pl) "6d9d0259700de158be0cafd1d643e7b1" 4024;
-      mode_case ~faults (D.Pure P.T_o) "224bb5dcb8aa2e0a50554cc76ab53ef7" 2389;
-      mode_case ~faults (D.Pure P.Pa) "67781bb0fa921848fc3f7e5cff0b4c0f" 2030;
-      mode_case ~faults D.Unified "58654948681704b9c91f92e6d8ce9157" 3156;
-      mode_case ~faults D.Mvto "bf406f3050acf3b8688216fe9c099ee6" 2377;
-      mode_case ~faults D.Conservative "b6acbdeac48cd8c657a1ac7a60ae2115" 1193;
+    [ mode_case ~faults (D.Pure P.Two_pl) "6d9d0259700de158be0cafd1d643e7b1" 4018;
+      mode_case ~faults (D.Pure P.T_o) "224bb5dcb8aa2e0a50554cc76ab53ef7" 2386;
+      mode_case ~faults (D.Pure P.Pa) "67781bb0fa921848fc3f7e5cff0b4c0f" 2026;
+      mode_case ~faults D.Unified "58654948681704b9c91f92e6d8ce9157" 3150;
+      mode_case ~faults D.Mvto "bf406f3050acf3b8688216fe9c099ee6" 2373;
+      mode_case ~faults D.Conservative "b6acbdeac48cd8c657a1ac7a60ae2115" 1189;
       mode_case ~label:"paxos " ~faults ~setup:paxos (D.Pure P.Two_pl)
-        "dc3cfb427aa1c57a1930c7c438cff788" 6488;
+        "5c17be93f0e237979746dcdeadced195" 6323;
       mode_case ~label:"paxos " ~faults ~setup:paxos D.Unified
-        "b5d27ecb52e0954035678f78e558e216" 5031 ]
+        "79b9260818d58a741a50966e0d62121d" 4971 ]
 
 (* The WAL of the modes that commit through [Commit], on [stop_plan], under
    2PC and under Paxos Commit over one, three and five acceptors (five
@@ -161,24 +161,24 @@ let test_fail_stop_wal () =
        None);
       ("2pc", setup, D.Unified, "bcc1e57b71ed6eeb3572995cef59f030",
        None);
-      ("paxos:0", paxos 0, D.Pure P.Two_pl, "2ad0eb02919cbbb0414d7e3a24d76846",
-       Some ("3878a9061663aa0f7db1f9b34f64f4c0", 4445));
+      ("paxos:0", paxos 0, D.Pure P.Two_pl, "c9a74df40a13cc55110206a324f466f4",
+       Some ("ece8bf7886dbc55ce9757c1e52eb1072", 4399));
       ("paxos:0", paxos 0, D.Pure P.Pa, "127f85d4a271841c75f181e635533f9e",
-       Some ("c8a51cb2bb00ecfadff3a5417c7081a8", 2349));
-      ("paxos:0", paxos 0, D.Unified, "0822e9ce2465c63cc55aae53a1af9068",
-       Some ("cd3219a9f10d8960e72d555fb97c3cbf", 3864));
-      ("paxos:1", paxos 1, D.Pure P.Two_pl, "60e89ee504b888b9ceb265f0fb6cdc91",
+       Some ("c8a51cb2bb00ecfadff3a5417c7081a8", 2343));
+      ("paxos:0", paxos 0, D.Unified, "aa7b159fd10f29d35a7d429e51b03125",
+       Some ("fe007985686082bd2cbf3b9fe228647a", 3694));
+      ("paxos:1", paxos 1, D.Pure P.Two_pl, "ce5cb3ac48c5369092f8c5ad74fb5a79",
        None);
       ("paxos:1", paxos 1, D.Pure P.Pa, "0998322dc85fa31c1df2e2238c16fa38",
-       Some ("46644bd66c64d98f532d4f92bf47a440", 3842));
-      ("paxos:1", paxos 1, D.Unified, "a3a80aa48942b4b39770d366a4c942b7",
+       Some ("46644bd66c64d98f532d4f92bf47a440", 3836));
+      ("paxos:1", paxos 1, D.Unified, "01ac3213d7c6b866cd7967120966d728",
        None);
       ("paxos:2", paxos 2, D.Pure P.Two_pl, "c9d12ce5946966588b914786f483215a",
-       Some ("1e380c5d9ce7012e9a9353a87d1df84a", 7401));
+       Some ("1e380c5d9ce7012e9a9353a87d1df84a", 7394));
       ("paxos:2", paxos 2, D.Pure P.Pa, "bed6fe8db6cd8c9f8d2d0f7a364908ec",
-       Some ("a4f0fed96549820033b0386d07297e29", 5235));
-      ("paxos:2", paxos 2, D.Unified, "7042d1d178ed83dd0aa08b8385e303e3",
-       Some ("f283b940f082d681b4599457ebf869ad", 6262)) ]
+       Some ("a4f0fed96549820033b0386d07297e29", 5230));
+      ("paxos:2", paxos 2, D.Unified, "10ee3bdc2bef5e672752794a3ead64bb",
+       Some ("dccca31114412f1f074f10724ed9929a", 6202)) ]
   in
   let bad =
     List.concat_map
@@ -216,17 +216,17 @@ let test_delay_link_role () =
   let pause = role_pause_plan and stop = role_stop_plan in
   check_all
     [ mode_case ~label:"pause " ~faults:pause (D.Pure P.Two_pl)
-        "deed48841dc9ccd033627e7f6260ca7c" 2280;
+        "1c8492a7aac03e1a1375006ad6ac5c84" 2220;
       mode_case ~label:"pause " ~faults:pause D.Unified
-        "286b5ea37b06d64508ea538c16378ef0" 1865;
+        "286b5ea37b06d64508ea538c16378ef0" 1861;
       mode_case ~label:"stop " ~faults:stop (D.Pure P.Two_pl)
-        "e8f14ccdb9b91bb920af37d57603f297" 5302;
+        "3a679e9c2eee6ca8b7d622e29c124a63" 5251;
       mode_case ~label:"stop " ~faults:stop D.Unified
-        "2a2ba5cb8549e0220c12e5bb3dc6ad0d" 3961;
+        "5ce0c00195a583537f994f4b7e37b57a" 3874;
       mode_case ~label:"stop paxos " ~faults:stop ~setup:paxos
-        (D.Pure P.Two_pl) "f04de2f60e290db8a4d3402eabd32440" 8310;
+        (D.Pure P.Two_pl) "a935eb35090613a794be121d92818f94" 9252;
       mode_case ~label:"stop paxos " ~faults:stop ~setup:paxos D.Unified
-        "3fa34262a167e9ca76e489f059802b78" 6552 ]
+        "da42abb69237c0e3c6666b2eca661821" 6566 ]
 
 (* The 22 experiment tables at quick scale, rendered as
    [ccdb_cli experiments --quick] prints them: no other test pins table
@@ -238,7 +238,7 @@ let test_quick_tables () =
     |> String.concat ""
   in
   Alcotest.(check string)
-    "experiments --quick" "036825fda0d45939cee8dc8088e55f0b"
+    "experiments --quick" "5ee1b837b85e21c87110a9a09fec9a11"
     (Digest.to_hex (Digest.string printed))
 
 let suites =
