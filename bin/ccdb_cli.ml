@@ -561,16 +561,12 @@ let faults_cmd =
          & info [ "mix" ]
              ~doc:"Protocol mix for the unified mode (even weights).")
   in
-  let rto =
-    Arg.(value & opt positive_float Ccdb_sim.Net.default_retry.Ccdb_sim.Net.rto
-         & info [ "rto" ] ~doc:"Initial retransmission timeout.")
-  in
   let no_audit =
     Arg.(value & flag
          & info [ "no-audit" ]
              ~doc:"Skip the static invariant audit of the traced run.")
   in
-  let run plan mode lambda txns sites items seed mix rto no_audit audit_path
+  let run plan mode lambda txns sites items seed mix no_audit audit_path
       commit () =
     let spec =
       { Ccdb_workload.Generator.default with
@@ -584,13 +580,9 @@ let faults_cmd =
     in
     check_setup setup spec;
     check_plan ~sites plan;
-    let retry = { Ccdb_sim.Net.default_retry with rto } in
-    if rto > retry.rto_cap then
-      usage_error "--rto %g exceeds the retransmission cap %g" rto
-        retry.rto_cap;
     let r =
       Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(not no_audit)
-        ~audit_path ~faults:plan ~retry mode spec
+        ~audit_path ~faults:plan mode spec
     in
     let s = r.summary in
     Format.printf "mode:            %s@." (Ccdb_harness.Driver.mode_name mode);
@@ -641,7 +633,7 @@ let faults_cmd =
     (reported
        Term.(
          const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
-         $ seed $ mix $ rto $ no_audit $ audit_path_term
+         $ seed $ mix $ no_audit $ audit_path_term
          $ commit_term))
 
 (* -------------------------------------------------------------- recover *)
@@ -1054,9 +1046,9 @@ let insights_cmd =
                p99=%.1f@."
               (Ccdb_insights.Fingerprint.to_string cs.fingerprint)
               cs.committed cs.restarts
-              (Ccdb_insights.Histogram.percentile cs.latency 50.)
-              (Ccdb_insights.Histogram.percentile cs.latency 90.)
-              (Ccdb_insights.Histogram.percentile cs.latency 99.))
+              (Ccdb_util.Histogram.percentile cs.latency 50.)
+              (Ccdb_util.Histogram.percentile cs.latency 90.)
+              (Ccdb_util.Histogram.percentile cs.latency 99.))
         by_commits;
       let cont = Ccdb_insights.Collector.contention c in
       if cont <> [] then begin

@@ -51,38 +51,31 @@ let () =
          in
          (at, fun () -> Core.Dynamic_cc.submit system txn))
        arrivals);
+  (* per phase, by submission time: the sum of S and the commits of each
+     protocol, folded in as transactions commit *)
+  let sums = Array.make (List.length phases) 0. in
+  let mix = Array.make_matrix (List.length phases) 3 0 in
+  Rt.subscribe rt (function
+    | Rt.Txn_committed { txn; submitted_at; executed_at; _ } ->
+      List.iteri
+        (fun i (_, t0, t1, _) ->
+          if submitted_at >= t0 && submitted_at < t1 then begin
+            sums.(i) <- sums.(i) +. executed_at -. submitted_at;
+            let p = Ccdb_model.Protocol.rank txn.protocol in
+            mix.(i).(p) <- mix.(i).(p) + 1
+          end)
+        phases
+    | _ -> ());
   Rt.quiesce ~max_events:50_000_000 rt;
 
   (* report per phase: mean S and the protocol mix the selector chose *)
-  let completions = Rt.completions rt in
   Format.printf "%-12s %8s  %s@." "phase" "mean S" "protocol mix chosen";
-  List.iter
-    (fun (name, t0, t1, _) ->
-      let in_phase =
-        List.filter
-          (fun (c : Rt.completion) -> c.submitted_at >= t0 && c.submitted_at < t1)
-          completions
-      in
-      let mean =
-        match in_phase with
-        | [] -> Float.nan
-        | _ ->
-          List.fold_left
-            (fun acc (c : Rt.completion) -> acc +. c.executed_at -. c.submitted_at)
-            0. in_phase
-          /. float_of_int (List.length in_phase)
-      in
-      let count p =
-        List.length
-          (List.filter
-             (fun (c : Rt.completion) ->
-               Ccdb_model.Protocol.equal c.txn.protocol p)
-             in_phase)
-      in
+  List.iteri
+    (fun i (name, _, _, _) ->
+      let n = Array.fold_left ( + ) 0 mix.(i) in
+      let mean = if n = 0 then Float.nan else sums.(i) /. float_of_int n in
       Format.printf "%-12s %8.1f  2PL:%d T/O:%d PA:%d@." name mean
-        (count Ccdb_model.Protocol.Two_pl)
-        (count Ccdb_model.Protocol.T_o)
-        (count Ccdb_model.Protocol.Pa))
+        mix.(i).(0) mix.(i).(1) mix.(i).(2))
     phases;
   Format.printf "all %d committed, serializable: %b@."
     (Rt.counters rt).committed

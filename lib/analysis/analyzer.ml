@@ -9,8 +9,6 @@ let analyze ?store (events : Rt.event array) =
   in
   Report.make ~events_scanned:(Array.length events) findings
 
-let analyze_events ?store events = analyze ?store (Array.of_list events)
-
 let analyze_stream ?store ?catalog ?(theorem2 = true) (events : Rt.event array)
     =
   let st = Stream.create ~theorem2 ?catalog () in

@@ -14,12 +14,6 @@ val analyze :
   Ccdb_protocols.Runtime.event array ->
   Report.t
 
-val analyze_events :
-  ?store:Ccdb_storage.Store.t ->
-  Ccdb_protocols.Runtime.event list ->
-  Report.t
-(** Convenience wrapper over {!analyze} for [Trace.events]-style lists. *)
-
 val analyze_stream :
   ?store:Ccdb_storage.Store.t ->
   ?catalog:Ccdb_storage.Catalog.t ->

@@ -27,7 +27,6 @@ type t = {
   system : Unified_system.t;
   estimator : Ccdb_stl.Estimator.t;
   selector : Ccdb_stl.Selector.t;
-  mutable last_verdict : Ccdb_stl.Selector.verdict option;
 }
 
 let create ?(config = default_config) rt =
@@ -65,14 +64,13 @@ let create ?(config = default_config) rt =
     else None
   in
   let system = Unified_system.create ~config:config.unified ?reselect rt in
-  { rt; system; estimator; selector; last_verdict = None }
+  { rt; system; estimator; selector }
 
 let submit t ?payload txn =
   let verdict =
     Ccdb_stl.Selector.choose t.selector ~now:(Ccdb_protocols.Runtime.now t.rt)
       txn
   in
-  t.last_verdict <- Some verdict;
   let routed =
     Ccdb_model.Txn.make ~id:txn.Ccdb_model.Txn.id ~site:txn.site
       ~read_set:txn.read_set ~write_set:txn.write_set
@@ -80,7 +78,6 @@ let submit t ?payload txn =
   in
   Unified_system.submit t.system ?payload routed
 
-let last_verdict t = t.last_verdict
 let decisions t = Ccdb_stl.Selector.decisions t.selector
 let unified t = t.system
 let estimator t = t.estimator

@@ -51,9 +51,6 @@ val submit :
 (** The transaction's own [protocol] field is ignored; the selector decides.
     @raise Invalid_argument on a duplicate live transaction id. *)
 
-val last_verdict : t -> Ccdb_stl.Selector.verdict option
-(** Selection of the most recent submission (diagnostics). *)
-
 val decisions : t -> (Ccdb_model.Protocol.t * int) list
 (** Transactions routed to each protocol so far. *)
 

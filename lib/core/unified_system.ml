@@ -561,60 +561,6 @@ let active t = L.active t.live
 let draining t = t.draining
 let detector_cycles t = L.detector_cycles t.live
 
-let debug_dump t =
-  let buf = Buffer.create 1024 in
-  L.iter
-    (fun id st ->
-      let phase =
-        match st.phase with
-        | Negotiating -> "negotiating"
-        | Restarting -> "restarting"
-        | Computing -> "computing"
-        | Draining -> "draining"
-        | Done -> "done"
-      in
-      let slot_str { item; site; state } =
-        let state =
-          match state with
-          | Waiting -> "?"
-          | Granted { normal = true; _ } -> "G"
-          | Granted { normal = false; _ } -> "g"
-          | Backed ts -> Printf.sprintf "B%d" ts
-        in
-        Printf.sprintf "%d@%d:%s" item site state
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "t%d [%s] %s ts=%s epoch=%d slots={%s}\n" id
-           (Ccdb_model.Protocol.to_string st.txn.protocol)
-           phase
-           (match st.ts with Some ts -> string_of_int ts | None -> "-")
-           st.epoch
-           (String.concat " " (List.map slot_str st.slots))))
-    t.live;
-  Copies.fold
-    (fun ~item ~site q () ->
-      match Q.entries q with
-      | [] -> ()
-      | entries ->
-        Buffer.add_string buf (Printf.sprintf "queue %d@%d:\n" item site);
-        List.iter
-          (fun (e : Q.entry) ->
-            Buffer.add_string buf
-              (Printf.sprintf "  t%d [%s] %s prec=%d%s%s%s\n" e.txn
-                 (Ccdb_model.Protocol.to_string e.protocol)
-                 (Ccdb_model.Op.to_string e.op)
-                 e.prec.Ccdb_model.Precedence.ts
-                 (match e.lock with
-                  | Some m -> " lock=" ^ Ccdb_model.Lock.to_string m
-                  | None -> "")
-                 (if e.blocked then " BLOCKED" else "")
-                 (match e.schedule with
-                  | Ccdb_model.Lock.Pre_scheduled -> " presched"
-                  | Ccdb_model.Lock.Normal -> "")))
-          entries)
-    t.queues ();
-  Buffer.contents buf
-
 let unimplemented_requests t =
   let unimplemented (e : Q.entry) =
     match e.lock, e.protocol, e.op with

@@ -63,10 +63,6 @@ val detector_cycles : t -> int
 
 val config : t -> config
 
-val debug_dump : t -> string
-(** Human-readable snapshot of every live transaction and every non-empty
-    queue (diagnostics; also what the livelock guard prints on failure). *)
-
 val unimplemented_requests :
   t -> (Ccdb_model.Precedence.t * Ccdb_model.Protocol.t) list
 (** Every request not yet {e implemented} in the paper's section 4.3 sense,

@@ -9,7 +9,6 @@ type setup = {
   net : Ccdb_sim.Net.config;
   seed : int;
   restart_delay : float;
-  restart_cap : float;
   detection : Ccdb_protocols.Deadlock.detection;
   thomas_write_rule : bool;
   prevention : Ccdb_protocols.Two_pl_system.prevention;
@@ -22,7 +21,7 @@ type setup = {
 let default_setup =
   { sites = 4; items = 32; replication = 2;
     net = Ccdb_sim.Net.default_config ~sites:4; seed = 42;
-    restart_delay = 50.; restart_cap = 800.;
+    restart_delay = 50.;
     detection = Ccdb_protocols.Deadlock.default_detection;
     thomas_write_rule = false;
     prevention = Ccdb_protocols.Two_pl_system.No_prevention;
@@ -168,8 +167,8 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
 
 (* shared run body: [arrivals_of] turns the workload RNG into the arrival
    list; [spec] is the (first-phase) spec, needed for [Configured]. *)
-let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
-    ?replay_cost ?(verify_store = true) mode ~spec ~arrivals_of () =
+let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
+    ?(verify_store = true) mode ~spec ~arrivals_of () =
   let net = { setup.net with Ccdb_sim.Net.sites = setup.sites } in
   let catalog =
     Ccdb_storage.Catalog.create ~items:setup.items ~sites:setup.sites
@@ -203,9 +202,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
       faults
   in
   let rt =
-    Rt.create ~seed:setup.seed ?faults ?retry ?replay_cost
-      ~restart_cap:setup.restart_cap ~commit:setup.commit ~net_config:net
-      ~catalog ()
+    Rt.create ~seed:setup.seed ?faults ?replay_cost ~commit:setup.commit
+      ~net_config:net ~catalog ()
   in
   (match observer with Some f -> f rt | None -> ());
   (* MVTO keeps the physical store as a per-copy newest-version cache, not
@@ -272,9 +270,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?retry
   { summary; runtime = rt; decisions = system.decisions (); audit }
 
 let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?retry ?replay_cost ?verify_store mode
-    spec =
-  execute ~setup ?observer ~audit ~audit_path ?faults ?retry ?replay_cost
+    ?(audit_path = Streaming) ?faults ?replay_cost ?verify_store mode spec =
+  execute ~setup ?observer ~audit ~audit_path ?faults ?replay_cost
     ?verify_store mode ~spec
     ~arrivals_of:(fun rng ->
       let generator =
@@ -285,23 +282,13 @@ let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
     ()
 
 let run_phases ?(setup = default_setup) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?retry ?replay_cost ?verify_store mode
-    phases =
+    ?(audit_path = Streaming) ?faults ?replay_cost ?verify_store mode phases =
   match phases with
   | [] -> invalid_arg "Driver.run_phases: no phases"
   | (first_spec, _) :: _ ->
-    execute ~setup ?observer ~audit ~audit_path ?faults ?retry ?replay_cost
+    execute ~setup ?observer ~audit ~audit_path ?faults ?replay_cost
       ?verify_store mode ~spec:first_spec
       ~arrivals_of:(fun rng ->
         Ccdb_workload.Generator.phased phases ~sites:setup.sites
           ~items:setup.items rng)
       ()
-
-let run_replicated ?(setup = default_setup) ?(n_txns = 200) ?(replications = 3)
-    ?faults mode spec metric =
-  let values =
-    Array.init replications (fun i ->
-        let setup = { setup with seed = setup.seed + (1000 * i) } in
-        metric (run ~setup ~n_txns ?faults mode spec).summary)
-  in
-  Ccdb_util.Stats.Ci.mean_ci95 values

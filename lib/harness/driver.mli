@@ -22,9 +22,6 @@ type setup = {
   restart_delay : float;
       (** resubmission delay after a T/O rejection or a deadlock abort,
           applied to every system built by {!run} *)
-  restart_cap : float;
-      (** cap on the exponential restart backoff under faults
-          ({!Ccdb_protocols.Runtime.restart_backoff}); inert fault-free *)
   detection : Ccdb_protocols.Deadlock.detection;
       (** deadlock-detection mechanism for the 2PL-capable systems *)
   thomas_write_rule : bool;
@@ -54,9 +51,9 @@ type setup = {
 
 val default_setup : setup
 (** 4 sites, 32 items, replication 2, default network, seed 42,
-    restart_delay 50., restart_cap 800., centralized detection, Thomas
-    Write Rule off, cumulative adaptivity, reselection off, min-STL
-    selection, 2PC commit. *)
+    restart_delay 50., centralized detection, Thomas Write Rule off,
+    cumulative adaptivity, reselection off, min-STL selection, 2PC
+    commit. *)
 
 (** Which concurrency-control system executes the workload. *)
 type mode =
@@ -113,7 +110,6 @@ val run :
   ?audit:bool ->
   ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?retry:Ccdb_sim.Net.retry ->
   ?replay_cost:float ->
   ?verify_store:bool ->
   mode ->
@@ -125,13 +121,13 @@ val run :
     estimators or probes).  With [~audit:true] the full event stream is
     traced and replayed through {!Ccdb_analysis.Analyzer} after the run.
     [faults] installs a fault plan (message loss, duplication, extra delay,
-    site crashes — see {!Ccdb_sim.Fault_plan}) with retransmission policy
-    [retry]; combine with [~audit:true] to certify that the run stayed
-    serializable under the injected faults.  [replay_cost] is the simulated
-    time charged per WAL record at recovery (fail-stop plans only; see
-    {!Ccdb_sim.Recovery}).  [verify_store] (default [true]) controls the
-    post-hoc store checks of {!Metrics.summarize}, or MVTO's own invariant
-    in the [Mvto] mode — switch it off for
+    site crashes — see {!Ccdb_sim.Fault_plan}) under the default
+    retransmission policy; combine with [~audit:true] to certify that the
+    run stayed serializable under the injected faults.  [replay_cost] is
+    the simulated time charged per WAL record at recovery (fail-stop plans
+    only; see {!Ccdb_sim.Recovery}).  [verify_store] (default [true])
+    controls the post-hoc store checks of {!Metrics.summarize}, or MVTO's
+    own invariant in the [Mvto] mode — switch it off for
     million-transaction runs where the streaming audit replaces them
     (EXPERIMENTS.md E13).
     @raise Ccdb_protocols.Runtime.Event_budget_exhausted if the run
@@ -143,7 +139,6 @@ val run_phases :
   ?audit:bool ->
   ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?retry:Ccdb_sim.Net.retry ->
   ?replay_cost:float ->
   ?verify_store:bool ->
   mode ->
@@ -157,17 +152,3 @@ val run_phases :
     change, which is exactly what experiment E14 measures against the
     measured-λ source.
     @raise Invalid_argument on an empty phase list. *)
-
-val run_replicated :
-  ?setup:setup ->
-  ?n_txns:int ->
-  ?replications:int ->
-  ?faults:Ccdb_sim.Fault_plan.t ->
-  mode ->
-  Ccdb_workload.Generator.spec ->
-  (Metrics.summary -> float) ->
-  float * float
-(** [(mean, ci95_halfwidth)] of a metric over several seeds
-    (default 3 replications, seeds [setup.seed + 1000*i]); each replication
-    reuses the same fault plan, so the same crash schedule hits different
-    workloads. *)

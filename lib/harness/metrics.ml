@@ -29,48 +29,25 @@ type summary = {
   recovery : recovery option;
 }
 
-let system_time_stats rt =
-  let stats = Ccdb_util.Stats.create () in
-  List.iter
-    (fun (c : Rt.completion) ->
-      Ccdb_util.Stats.add stats (c.executed_at -. c.submitted_at))
-    (Rt.completions rt);
-  stats
-
 let per_protocol_system_time rt =
-  let table = Hashtbl.create 4 in
-  List.iter
-    (fun (c : Rt.completion) ->
-      let stats =
-        match Hashtbl.find_opt table c.txn.protocol with
-        | Some s -> s
-        | None ->
-          let s = Ccdb_util.Stats.create () in
-          Hashtbl.add table c.txn.protocol s;
-          s
-      in
-      Ccdb_util.Stats.add stats (c.executed_at -. c.submitted_at))
-    (Rt.completions rt);
-  Hashtbl.fold (fun p s acc -> (p, s) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Ccdb_model.Protocol.compare a b)
+  List.filter_map
+    (fun p ->
+      let stats = Rt.protocol_system_time rt p in
+      if Ccdb_util.Stats.count stats = 0 then None else Some (p, stats))
+    Ccdb_model.Protocol.all
 
 let summarize ?(verify = true) rt =
   let counters = Rt.counters rt in
-  let completions = Rt.completions rt in
   let committed = counters.committed in
-  let stats = system_time_stats rt in
-  let duration =
-    List.fold_left
-      (fun acc (c : Rt.completion) -> Float.max acc c.executed_at)
-      0. completions
-  in
+  let duration = Rt.last_executed rt in
   let per_txn n = if committed = 0 then Float.nan else float_of_int n /. float_of_int committed in
   { committed;
     duration;
     mean_system_time =
-      (if committed = 0 then Float.nan else Ccdb_util.Stats.mean stats);
+      (if committed = 0 then Float.nan
+       else Ccdb_util.Stats.mean (Rt.system_time rt));
     p95_system_time =
-      (if committed = 0 then Float.nan else Ccdb_util.Stats.percentile stats 95.);
+      Ccdb_util.Histogram.percentile (Rt.system_time_histogram rt) 95.;
     throughput =
       (if duration <= 0. then Float.nan else float_of_int committed /. duration);
     restarts_per_txn = per_txn counters.restarts;
@@ -101,40 +78,3 @@ let summarize ?(verify = true) rt =
              interrupted = s.interrupted;
              records_replayed = s.records_replayed;
              replay_time = s.replay_time }) }
-
-type window = {
-  w_start : float;
-  w_end : float;
-  w_committed : int;
-  w_mean_system_time : float;
-  w_throughput : float;
-}
-
-let timeline ~bucket rt =
-  if bucket <= 0. then invalid_arg "Metrics.timeline: bucket <= 0";
-  let completions = Rt.completions rt in
-  match completions with
-  | [] -> []
-  | _ ->
-    let horizon =
-      List.fold_left
-        (fun acc (c : Rt.completion) -> Float.max acc c.submitted_at)
-        0. completions
-    in
-    let n_windows = 1 + int_of_float (horizon /. bucket) in
-    let sums = Array.make n_windows 0. in
-    let counts = Array.make n_windows 0 in
-    List.iter
-      (fun (c : Rt.completion) ->
-        let idx = int_of_float (c.submitted_at /. bucket) in
-        sums.(idx) <- sums.(idx) +. (c.executed_at -. c.submitted_at);
-        counts.(idx) <- counts.(idx) + 1)
-      completions;
-    List.init n_windows (fun i ->
-        { w_start = float_of_int i *. bucket;
-          w_end = float_of_int (i + 1) *. bucket;
-          w_committed = counts.(i);
-          w_mean_system_time =
-            (if counts.(i) = 0 then Float.nan
-             else sums.(i) /. float_of_int counts.(i));
-          w_throughput = float_of_int counts.(i) /. bucket })

@@ -14,7 +14,7 @@ type summary = {
   committed : int;
   duration : float;          (** time of the last commit *)
   mean_system_time : float;  (** S, the paper's headline metric *)
-  p95_system_time : float;
+  p95_system_time : float;  (** within 1/16 above the exact value *)
   throughput : float;        (** commits per time unit *)
   restarts_per_txn : float;
   rejections : int;
@@ -35,31 +35,18 @@ type summary = {
 }
 
 val summarize : ?verify:bool -> Ccdb_protocols.Runtime.t -> summary
-(** Computes everything from the runtime's completions, counters, network
-    counters and store logs.  A runtime with no commits reports NaN for the
-    time-based metrics.  [~verify:false] (default [true]) skips the
-    post-hoc store checks — [serializable] and [replica_consistent] are
-    then vacuously [true]; the whole-history conflict check is quadratic-ish
-    in run length, so million-transaction runs rely on the streaming audit
-    instead (EXPERIMENTS.md E13). *)
-
-val system_time_stats : Ccdb_protocols.Runtime.t -> Ccdb_util.Stats.t
-(** Per-transaction system times (executed - submitted), for custom
-    aggregation. *)
+(** Computes everything from the runtime's counters and system-time
+    summary, network counters and store logs.  A runtime with no commits
+    reports NaN for the time-based metrics.  [p95_system_time] is the
+    upper edge of the {!Ccdb_util.Histogram} bucket holding the
+    nearest-rank sample, at most 1/16 above it.  [~verify:false] (default
+    [true]) skips the post-hoc store checks — [serializable] and
+    [replica_consistent] are then vacuously [true]; the whole-history
+    conflict check is quadratic-ish in run length, so million-transaction
+    runs rely on the streaming audit instead (EXPERIMENTS.md E13). *)
 
 val per_protocol_system_time :
   Ccdb_protocols.Runtime.t -> (Ccdb_model.Protocol.t * Ccdb_util.Stats.t) list
-(** System-time distribution split by the protocol transactions ran under. *)
-
-type window = {
-  w_start : float;
-  w_end : float;
-  w_committed : int;
-  w_mean_system_time : float;  (** NaN for an empty window *)
-  w_throughput : float;
-}
-
-val timeline : bucket:float -> Ccdb_protocols.Runtime.t -> window list
-(** Commits grouped into [bucket]-wide windows by submission time, oldest
-    first — how S evolves over a run (used by the dynamic-tuning example).
-    @raise Invalid_argument if [bucket <= 0.]. *)
+(** Mean system time of each protocol that committed a transaction, in
+    protocol order: the runtime's own accumulators
+    ({!Ccdb_protocols.Runtime.protocol_system_time}). *)

@@ -4,42 +4,13 @@ let default_jobs = Pool.default_jobs
 
 let cores () = Domain.recommended_domain_count ()
 
-(* Persistent pools, one per distinct job count: spawning a domain costs
-   milliseconds, so re-spawning the pool on every [map] call (the original
-   [with_pool] discipline) made the parallel harness lose at the suite
-   level.  Workers park on a condition variable between batches; [at_exit]
-   joins them. *)
-let pools : (int, Pool.t) Hashtbl.t = Hashtbl.create 4
-let pools_mu = Mutex.create ()
-
-let pool ~jobs =
-  Mutex.lock pools_mu;
-  let p =
-    match Hashtbl.find_opt pools jobs with
-    | Some p -> p
-    | None ->
-      let p = Pool.create ~jobs in
-      Hashtbl.add pools jobs p;
-      p
-  in
-  Mutex.unlock pools_mu;
-  p
-
-let () =
-  at_exit (fun () ->
-      Mutex.lock pools_mu;
-      let ps = Hashtbl.fold (fun _ p acc -> p :: acc) pools [] in
-      Hashtbl.reset pools;
-      Mutex.unlock pools_mu;
-      List.iter Pool.shutdown ps)
-
+(* The pool lives for one call: its workers are joined before the call
+   returns, so they hold no core that a later run could reserve for its
+   observers and take no part in a later run's collections. *)
 let experiments ?(quick = false) ~jobs () =
   if jobs <= 1 then Experiments.all ~quick ()
   else
-    let pool = pool ~jobs in
-    Experiments.all ~quick
-      ~runner:(fun tasks -> ignore (Pool.map pool (fun f -> f ()) tasks))
-      ()
-
-let map ~jobs f items =
-  if jobs <= 1 then List.map f items else Pool.map (pool ~jobs) f items
+    Pool.with_pool ~jobs (fun pool ->
+        Experiments.all ~quick
+          ~runner:(fun tasks -> ignore (Pool.map pool (fun f -> f ()) tasks))
+          ())

@@ -8,10 +8,8 @@
     rendered tables are byte-identical to the serial path for every job
     count.  [test/test_parallel.ml] pins this.
 
-    Worker domains are persistent: the first call at a given job count
-    spawns a pool that later calls reuse (workers park on a condition
-    variable between batches and are joined at exit), so repeated [map]
-    calls no longer pay a domain spawn per call. *)
+    Each call spawns its own pool and joins its workers before it returns,
+    so no domain outlives the call. *)
 
 val default_jobs : unit -> int
 (** [Ccdb_util.Pool.default_jobs]: [Domain.recommended_domain_count ()]. *)
@@ -26,7 +24,3 @@ val experiments : ?quick:bool -> jobs:int -> unit -> Experiments.outcome list
 (** The full suite (E1-E11, X1-X7), points fanned across [jobs] domains.
     [~jobs:1] takes the plain serial path ({!Experiments.all}) without
     spawning any domain. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over independent work items (e.g. seeded
-    [Driver.run] replicas).  [~jobs:1] is [List.map]. *)

@@ -1,5 +1,6 @@
 module Rt = Ccdb_protocols.Runtime
 module Lookup = Ccdb_util.Lookup_tbl
+module Histogram = Ccdb_util.Histogram
 
 let schema_version = "ccdb-insights/1"
 
@@ -153,7 +154,7 @@ let on_event t = function
     let latency = executed_at -. submitted_at in
     let a = class_acc t (Fingerprint.of_txn txn) in
     a.a_committed <- a.a_committed + 1;
-    Histogram.record a.a_latency latency;
+    Histogram.record_span a.a_latency ~from:submitted_at ~until:executed_at;
     let w = win t executed_at in
     w.w_committed' <- w.w_committed' + 1;
     w.w_latency_sum' <- w.w_latency_sum' +. latency;

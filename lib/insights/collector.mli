@@ -36,8 +36,9 @@ type class_stats = {
   committed : int;          (** commits of this shape under this protocol *)
   restarts : int;           (** restarts suffered by transactions of this
                                 fingerprint (every attempt counted) *)
-  latency : Histogram.t;    (** system time (commit - submission) of each
-                                committed transaction *)
+  latency : Ccdb_util.Histogram.t;
+      (** system time (commit - submission) of each committed
+          transaction *)
 }
 
 val fingerprints : t -> class_stats list

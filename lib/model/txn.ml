@@ -22,8 +22,6 @@ let make ~id ~site ~read_set ~write_set ~compute_time ~protocol =
     (read_set @ write_set);
   { id; site; read_set; write_set; compute_time; protocol }
 
-let effective_reads t = t.read_set
-
 let size t = List.length t.read_set + List.length t.write_set
 
 let accesses t =

@@ -28,10 +28,6 @@ val make :
     read set).  @raise Invalid_argument if both sets are empty, if
     [compute_time < 0.], or if any item id is negative. *)
 
-val effective_reads : t -> int list
-(** Items accessed through read requests ([read_set] minus [write_set] —
-    already removed by [make], so this is just [read_set]). *)
-
 val size : t -> int
 (** Number of logical requests ([st] in the paper). *)
 

@@ -31,7 +31,6 @@ type t = {
   seen : unit Lookup.Triple.t;
   (* rounds whose probe came home without intervening progress *)
   confirmations : int Lookup.Int.t;
-  mutable rounds_started : int;
   mutable deadlocks_found : int;
 }
 
@@ -41,14 +40,13 @@ let create engine net config cb =
   { engine; net; config; cb; timers = Lookup.Int.create 32;
     next_round = Lookup.Int.create 32; valid_from = Lookup.Int.create 32;
     seen = Lookup.Triple.create 256; confirmations = Lookup.Int.create 32;
-    rounds_started = 0; deadlocks_found = 0 }
+    deadlocks_found = 0 }
 
 let get tbl key = Option.value ~default:0 (Lookup.Int.find_opt tbl key)
 
 let fresh_round t initiator =
   let r = get t.next_round initiator + 1 in
   Lookup.Int.replace t.next_round initiator r;
-  t.rounds_started <- t.rounds_started + 1;
   r
 
 let round_valid t initiator round = round >= get t.valid_from initiator
@@ -148,5 +146,4 @@ let txn_progress t txn =
   (* a grant arrived: whatever chain a probe observed has moved *)
   invalidate t txn
 
-let rounds_started t = t.rounds_started
 let deadlocks_found t = t.deadlocks_found

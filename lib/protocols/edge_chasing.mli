@@ -69,5 +69,4 @@ val txn_progress : t -> int -> unit
     invalidate outstanding rounds and pending suspicion (phantom
     suppression). *)
 
-val rounds_started : t -> int
 val deadlocks_found : t -> int

@@ -187,13 +187,6 @@ type event =
       at : float;
     }
 
-type completion = {
-  txn : Ccdb_model.Txn.t;
-  submitted_at : float;
-  executed_at : float;
-  restarts : int;
-}
-
 type counters = {
   mutable committed : int;
   mutable restarts : int;
@@ -205,6 +198,18 @@ type counters = {
   mutable wiped_entries : int;
 }
 
+(* The summary of S, [executed_at - submitted_at] of each commit, that
+   [emit] folds the commits into.  Its floats sit in float-only records
+   (Stats.t and [latest]), which OCaml stores unboxed. *)
+type latest = { mutable executed_at : float }
+
+type system_time = {
+  all : Ccdb_util.Stats.t;
+  by_protocol : Ccdb_util.Stats.t array; (* by Protocol.rank *)
+  histogram : Ccdb_util.Histogram.t;
+  latest : latest;
+}
+
 type t = {
   engine : Ccdb_sim.Engine.t;
   net : Ccdb_sim.Net.t;
@@ -213,7 +218,7 @@ type t = {
   store : Ccdb_storage.Store.t;
   ts_source : Ccdb_model.Timestamp.Source.t;
   counters : counters;
-  mutable completions : completion list; (* newest first *)
+  system_time : system_time;
   mutable listeners : (event -> unit) list;
   mutable observers : (event -> unit) list; (* newest first *)
   mutable pipe : event Ccdb_util.Pipeline.t option;
@@ -226,7 +231,6 @@ type t = {
   mutable replay_handlers : (int -> Ccdb_storage.Wal.replay -> unit) list;
       (* newest first *)
   (* --- restart backoff (jittered only under an installed fault plan) ---- *)
-  restart_cap : float;
   restart_rngs : Ccdb_util.Rng.t array option; (* one stream per site *)
   (* --- atomic commitment (durable paths only) --------------------------- *)
   commit_protocol : commit_protocol;
@@ -296,10 +300,20 @@ let wal_log t event =
 let emit t event =
   if t.durable then wal_log t event;
   (match event with
-   | Txn_committed { txn; submitted_at; executed_at; restarts } ->
+   | Txn_committed { txn; submitted_at; executed_at; _ } ->
      t.counters.committed <- t.counters.committed + 1;
-     t.completions <-
-       { txn; submitted_at; executed_at; restarts } :: t.completions
+     (* the event's own boxed floats are passed on, and compared here,
+        so folding a commit allocates nothing *)
+     let st = t.system_time in
+     let rank = Ccdb_model.Protocol.rank txn.protocol in
+     Ccdb_util.Stats.add_span st.all ~from:submitted_at ~until:executed_at;
+     Ccdb_util.Stats.add_span st.by_protocol.(rank) ~from:submitted_at
+       ~until:executed_at;
+     Ccdb_util.Histogram.record_span st.histogram ~from:submitted_at
+       ~until:executed_at;
+     (* [Float.max] on times, which are never nan *)
+     if executed_at > st.latest.executed_at then
+       st.latest.executed_at <- executed_at
    | Txn_restarted { reason; _ } ->
      t.counters.restarts <- t.counters.restarts + 1;
      (match reason with
@@ -328,10 +342,12 @@ let emit t event =
     | None -> List.iter (fun f -> f event) observers)
 
 let on_site_crash t f = Ccdb_sim.Net.on_crash t.net f
-let on_site_recover t f = Ccdb_sim.Net.on_recover t.net f
 
 let on_site_wipe t f = t.wipe_handlers <- f :: t.wipe_handlers
 let on_wal_replay t f = t.replay_handlers <- f :: t.replay_handlers
+
+(* The cap on a restart's backoff under faults. *)
+let restart_cap = 800.
 
 (* Resubmission delay for the [attempt]-th restart of a transaction: plain
    [base] on a fault-free run (pinned by the byte-identity tests), capped
@@ -351,15 +367,13 @@ let restart_backoff t ~site ~base ~attempt =
     if base <= 0. then base
     else
       let doubled = base *. (2. ** float_of_int (Int.min attempt 16)) in
-      let capped = Float.min t.restart_cap doubled in
+      let capped = Float.min restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
-let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
-    ?(commit = Two_pc) ~net_config ~catalog () =
+let create ?(seed = 42) ?faults ?replay_cost ?(commit = Two_pc) ~net_config
+    ~catalog () =
   if net_config.Ccdb_sim.Net.sites <> Ccdb_storage.Catalog.sites catalog then
     invalid_arg "Runtime.create: catalog/network site count mismatch";
-  if restart_cap <= 0. then
-    invalid_arg "Runtime.create: restart_cap must be positive";
   (match commit with
    | Two_pc -> ()
    | Paxos { f } ->
@@ -382,7 +396,13 @@ let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
         { committed = 0; restarts = 0; rejections = 0; deadlock_aborts = 0;
           prevention_aborts = 0; backoffs = 0; site_aborts = 0;
           wiped_entries = 0 };
-      completions = [];
+      system_time =
+        { all = Ccdb_util.Stats.create ();
+          by_protocol =
+            Array.init (List.length Ccdb_model.Protocol.all) (fun _ ->
+                Ccdb_util.Stats.create ());
+          histogram = Ccdb_util.Histogram.create ();
+          latest = { executed_at = 0. } };
       listeners = [];
       observers = [];
       pipe = None;
@@ -395,7 +415,6 @@ let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
       recovery = None;
       wipe_handlers = [];
       replay_handlers = [];
-      restart_cap;
       restart_rngs =
         (* one independent jitter stream per site (home sites draw from
            their own stream; see [restart_backoff]) *)
@@ -420,7 +439,7 @@ let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
   (match faults with
    | None -> ()
    | Some plan ->
-     Ccdb_sim.Net.install_faults t.net ?retry plan;
+     Ccdb_sim.Net.install_faults t.net plan;
      (* registered first, so the trace records the crash before any
         crash-triggered abort the systems perform *)
      Ccdb_sim.Net.on_crash t.net (fun site ->
@@ -462,7 +481,13 @@ let create ?(seed = 42) ?faults ?retry ?(restart_cap = 800.) ?replay_cost
 
 let counters t = t.counters
 
-let completions t = List.rev t.completions
+let system_time t = t.system_time.all
+
+let protocol_system_time t p =
+  t.system_time.by_protocol.(Ccdb_model.Protocol.rank p)
+
+let system_time_histogram t = t.system_time.histogram
+let last_executed t = t.system_time.latest.executed_at
 
 exception Event_budget_exhausted of { fired : int; pending : int; clock : float }
 

@@ -204,13 +204,6 @@ type event =
           entries of [txn] from the copy's log (basic T/O restart after an
           elsewhere-rejection); only emitted when [removed > 0] *)
 
-type completion = {
-  txn : Ccdb_model.Txn.t;
-  submitted_at : float;
-  executed_at : float;
-  restarts : int;
-}
-
 (** Aggregate counters maintained from the event stream. *)
 type counters = {
   mutable committed : int;
@@ -231,8 +224,6 @@ type t
 val create :
   ?seed:int ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?retry:Ccdb_sim.Net.retry ->
-  ?restart_cap:float ->
   ?replay_cost:float ->
   ?commit:commit_protocol ->
   net_config:Ccdb_sim.Net.config ->
@@ -241,7 +232,7 @@ val create :
   t
 (** Builds engine + network + store.  [seed] defaults to 42.  When [faults]
     is given it is installed on the network ({!Ccdb_sim.Net.install_faults},
-    with [retry] if supplied) and {!event.Site_crashed} /
+    with the default retransmission policy) and {!event.Site_crashed} /
     {!event.Site_recovered} events are emitted at each crash boundary.
     Without [faults] the network is the fault-free one.
 
@@ -250,12 +241,11 @@ val create :
     are emitted, crashes wipe the volatile queue state registered with
     {!on_site_wipe}, and each recovery replays the site's log
     ({!Ccdb_sim.Recovery}, with per-record cost [replay_cost]) before the
-    {!on_wal_replay} handlers rebuild commit state.  [restart_cap] (default
-    800.) bounds the exponential restart backoff of {!restart_backoff}.
+    {!on_wal_replay} handlers rebuild commit state.
     [commit] (default {!commit_protocol.Two_pc}) selects the atomic-
     commitment protocol the durable paths build ({!commit_protocol}).
     @raise Invalid_argument if the catalog's site count differs from the
-    network's, if [restart_cap <= 0.], if a Paxos [commit] has [f < 0] or
+    network's, if a Paxos [commit] has [f < 0] or
     needs more acceptor sites than exist, or if the plan is rejected by
     {!Ccdb_sim.Net.install_faults}. *)
 
@@ -292,13 +282,31 @@ val observe : t -> (event -> unit) -> unit
     after the worker is joined, in preference to one the run raised. *)
 
 val emit : t -> event -> unit
-(** Systems publish their events here; counters and the completion list are
-    updated automatically, listeners are called, then observers are fed. *)
+(** Systems publish their events here; counters and the system-time
+    summary are updated automatically, listeners are called, then
+    observers are fed. *)
 
 val counters : t -> counters
 
-val completions : t -> completion list
-(** Committed transactions, oldest first. *)
+(** {2 System time}
+
+    The paper's yardstick S is [executed_at - submitted_at] of a committed
+    transaction.  {!emit} folds each {!event.Txn_committed} into a
+    fixed-size summary, in emission order, and keeps nothing per
+    transaction.  The accessors return the runtime's own accumulators:
+    read them, do not add to them. *)
+
+val system_time : t -> Ccdb_util.Stats.t
+(** Mean S over every commit. *)
+
+val protocol_system_time : t -> Ccdb_model.Protocol.t -> Ccdb_util.Stats.t
+(** Mean S over the commits of transactions that ran under one protocol. *)
+
+val system_time_histogram : t -> Ccdb_util.Histogram.t
+(** Every commit's S, bucketed for percentiles. *)
+
+val last_executed : t -> float
+(** The latest [executed_at] of any commit; [0.] before the first. *)
 
 val run : ?until:float -> t -> unit
 (** Drives the engine (see {!Ccdb_sim.Engine.run}); observers have seen
@@ -325,9 +333,6 @@ val on_site_crash : t -> (int -> unit) -> unit
 (** Registers a handler called with the site id at each crash instant —
     systems use this to abort transactions that depend on the dead site.
     Handlers run after the {!event.Site_crashed} event is emitted. *)
-
-val on_site_recover : t -> (int -> unit) -> unit
-(** Registers a handler called with the site id at each recovery instant. *)
 
 (** {2 Durability}
 
@@ -369,7 +374,7 @@ val restart_backoff : t -> site:int -> base:float -> attempt:int -> float
     (0-based counting as the systems do: the value of their restart counter
     at scheduling time); [site] is the transaction's home site.  Exactly
     [base] on a fault-free runtime; under faults, capped exponential
-    backoff [min restart_cap (base * 2^attempt)] scaled by a seeded jitter
+    backoff [min 800 (base * 2^attempt)] scaled by a seeded jitter
     factor in [\[0.5, 1.0)] so synchronized crash-abort restart storms
     spread out.  The jitter is drawn from a per-[site] stream, so the draws
     a site sees depend only on its own restart history — never on how

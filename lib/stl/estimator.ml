@@ -444,5 +444,3 @@ let snapshot t =
         u_aborted = u' Ccdb_model.Protocol.Pa;
         p_backoff_read = prob_get t "pa-read";
         p_backoff_write = prob_get t "pa-write" } }
-
-let observed_commits t = t.commits

@@ -71,7 +71,3 @@ val snapshot : t -> snapshot
     the sum of all per-copy rates (at least a small epsilon, so
     {!Stl_model.stl'} stays defined).  Under a [Windowed] source all of
     these come from the trailing window (see {!source}). *)
-
-val observed_commits : t -> int
-(** Commits seen since creation — the cumulative count even under a
-    [Windowed] source (used to decide whether any data exists at all). *)

@@ -1,27 +1,25 @@
 let sub_buckets = 16
 
 type t = {
-  counts : (int, int ref) Hashtbl.t; (* bucket index -> samples *)
+  mutable counts : int array; (* samples by bucket index, grown on demand *)
   mutable total : int;
 }
 
-let create () = { counts = Hashtbl.create 32; total = 0 }
+let create () = { counts = [||]; total = 0 }
 
 (* Bucket 0 is [0, 1); index 1 + 16*e + sub covers
    [2^e * (1 + sub/16), 2^e * (1 + (sub+1)/16)).  The layout is a pure
-   function of the value, so two histograms always agree on it. *)
-let index_of v =
+   function of the value, so two histograms always agree on it.  For
+   v >= 1 the top 16 bits of the double are its sign (0), its exponent e
+   biased by 1023, and the top four bits of its mantissa, which are sub;
+   reading them allocates nothing. *)
+let[@inline] index_of v =
   if v < 1. then 0
-  else begin
-    let m, e' = Float.frexp v in
-    (* v = (2m) * 2^(e'-1) with 2m in [1, 2) *)
-    let e = e' - 1 in
-    let sub =
-      min (sub_buckets - 1)
-        (int_of_float ((2. *. m -. 1.) *. float_of_int sub_buckets))
+  else
+    let top =
+      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 48)
     in
-    1 + (sub_buckets * e) + sub
-  end
+    1 + (sub_buckets * ((top lsr 4) - 1023)) + (top land (sub_buckets - 1))
 
 let bounds idx =
   if idx = 0 then (0., 1.)
@@ -33,32 +31,40 @@ let bounds idx =
     in
     (edge sub, edge (sub + 1))
 
-let record t v =
+(* the index of the largest finite double *)
+let max_index = index_of Float.max_float
+
+let grow t idx =
+  let counts = Array.make (Int.max (idx + 1) (2 * Array.length t.counts)) 0 in
+  Array.blit t.counts 0 counts 0 (Array.length t.counts);
+  t.counts <- counts
+
+let add t idx n =
+  if idx >= Array.length t.counts then grow t idx;
+  t.counts.(idx) <- t.counts.(idx) + n;
+  t.total <- t.total + n
+
+let[@inline] record t v =
   if not (Float.is_finite v) || v < 0. then
     invalid_arg "Histogram.record: negative or non-finite value";
-  let idx = index_of v in
-  (match Hashtbl.find_opt t.counts idx with
-   | Some r -> incr r
-   | None -> Hashtbl.add t.counts idx (ref 1));
-  t.total <- t.total + 1
+  add t (index_of v) 1
+
+let record_span t ~from ~until = record t (until -. from)
 
 let count t = t.total
 
+(* non-empty buckets, ascending: (index, count) *)
 let sorted_buckets t =
-  Hashtbl.fold (fun idx r acc -> (idx, !r) :: acc) t.counts []
-  |> List.filter (fun (_, n) -> n > 0)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let acc = ref [] in
+  for idx = Array.length t.counts - 1 downto 0 do
+    if t.counts.(idx) > 0 then acc := (idx, t.counts.(idx)) :: !acc
+  done;
+  !acc
 
 let merge a b =
   let m = create () in
-  let add (idx, n) =
-    (match Hashtbl.find_opt m.counts idx with
-     | Some r -> r := !r + n
-     | None -> Hashtbl.add m.counts idx (ref n));
-    m.total <- m.total + n
-  in
-  List.iter add (sorted_buckets a);
-  List.iter add (sorted_buckets b);
+  List.iter (fun (idx, n) -> add m idx n) (sorted_buckets a);
+  List.iter (fun (idx, n) -> add m idx n) (sorted_buckets b);
   m
 
 let percentile t p =
@@ -69,12 +75,12 @@ let percentile t p =
     let rank =
       max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int t.total)))
     in
-    let rec walk seen = function
-      | [] -> assert false (* cumulative count reaches total *)
-      | (idx, n) :: rest ->
-        if seen + n >= rank then snd (bounds idx) else walk (seen + n) rest
+    (* the cumulative count reaches [total] at the last non-empty bucket *)
+    let rec walk idx seen =
+      let seen = seen + t.counts.(idx) in
+      if seen >= rank then snd (bounds idx) else walk (idx + 1) seen
     in
-    walk 0 (sorted_buckets t)
+    walk 0 0
   end
 
 let buckets t =
@@ -87,7 +93,7 @@ let buckets t =
 let equal a b = sorted_buckets a = sorted_buckets b
 
 let to_json t =
-  let open Ccdb_util.Json in
+  let open Json in
   let percentiles =
     if t.total = 0 then []
     else
@@ -107,7 +113,7 @@ let to_json t =
                (buckets t)) ) ])
 
 let of_json j =
-  let open Ccdb_util.Json in
+  let open Json in
   match Option.bind (member "buckets" j) to_list with
   | None -> Error "histogram: missing buckets list"
   | Some bs ->
@@ -121,13 +127,13 @@ let of_json j =
         with
         | Some idx, Some n
           when Float.is_integer idx && Float.is_integer n && idx >= 0.
-               && n > 0. ->
-          let idx = int_of_float idx and n = int_of_float n in
-          (match Hashtbl.find_opt t.counts idx with
-           | Some r -> r := !r + n
-           | None -> Hashtbl.add t.counts idx (ref n));
-          t.total <- t.total + n;
+               && idx <= float_of_int max_index && n > 0. ->
+          add t (int_of_float idx) (int_of_float n);
           load rest
-        | _ -> Error "histogram: bucket entry needs integer bucket >= 0, n > 0")
+        | _ ->
+          Error
+            (Printf.sprintf
+               "histogram: bucket entry needs integer bucket in [0, %d], n > 0"
+               max_index))
     in
     load bs

@@ -23,8 +23,15 @@ val create : unit -> t
 (** An empty histogram. *)
 
 val record : t -> float -> unit
-(** Adds one sample.  @raise Invalid_argument on a negative or non-finite
-    value (latencies are non-negative by construction). *)
+(** Adds one sample, allocating only when the sample lands above every
+    bucket seen so far.  @raise Invalid_argument on a negative or
+    non-finite value (latencies are non-negative by construction). *)
+
+val record_span : t -> from:float -> until:float -> unit
+(** [record_span t ~from ~until] is [record t (until -. from)], but
+    allocates no box for the difference: a caller that passes floats it
+    already holds boxed, such as an event's fields, allocates nothing
+    (see {!Stats.add_span}). *)
 
 val count : t -> int
 (** Total samples recorded (merges included). *)
@@ -51,12 +58,12 @@ val buckets : t -> (int * float * float * int) list
 val equal : t -> t -> bool
 (** Same bucket counts everywhere. *)
 
-val to_json : t -> Ccdb_util.Json.t
+val to_json : t -> Json.t
 (** [{"count": n, "p50": …, "p90": …, "p99": …, "buckets": [{"bucket": i,
     "lo": …, "hi": …, "n": …}, …]}] with buckets ascending; the percentile
     fields are omitted when the histogram is empty (JSON has no NaN).
     Documented field-by-field in OBSERVABILITY.md. *)
 
-val of_json : Ccdb_util.Json.t -> (t, string) result
+val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json} (reads only ["buckets"]; the percentile fields
     are derived data).  [of_json (to_json t)] equals [t] under {!equal}. *)

@@ -115,15 +115,6 @@ let test_seed_changes_run () =
   check Alcotest.bool "different runs" true
     (a.summary.mean_system_time <> b.summary.mean_system_time)
 
-let test_run_replicated () =
-  let mean, hw =
-    D.run_replicated ~setup:small_setup ~n_txns:40 ~replications:3
-      (D.Pure Ccdb_model.Protocol.T_o) spec
-      (fun s -> s.mean_system_time)
-  in
-  check Alcotest.bool "mean positive" true (mean > 0.);
-  check Alcotest.bool "halfwidth finite" true (Float.is_finite hw)
-
 let suites =
   [ ( "harness.driver",
       [ Alcotest.test_case "all modes run" `Slow test_all_modes_complete_and_serialize;
@@ -135,8 +126,7 @@ let suites =
         Alcotest.test_case "metrics sanity" `Quick test_metrics_sanity;
         Alcotest.test_case "per-protocol split" `Quick test_per_protocol_split;
         Alcotest.test_case "deterministic" `Quick test_determinism_same_seed;
-        Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_run;
-        Alcotest.test_case "replications" `Quick test_run_replicated ] ) ]
+        Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_run ] ) ]
 
 (* --- experiments (quick mode smoke) ------------------------------------------- *)
 
@@ -179,28 +169,7 @@ let suites =
         [ Alcotest.test_case "quick smoke" `Slow test_experiment_smoke;
           Alcotest.test_case "trace" `Quick test_trace_records ] ) ]
 
-(* --- timeline ------------------------------------------------------------------ *)
-
-let test_timeline_buckets () =
-  let r = run_mode (D.Pure Ccdb_model.Protocol.Two_pl) in
-  let windows = Ccdb_harness.Metrics.timeline ~bucket:200. r.runtime in
-  check Alcotest.bool "has windows" true (windows <> []);
-  let total =
-    List.fold_left
-      (fun acc (w : Ccdb_harness.Metrics.window) -> acc + w.w_committed)
-      0 windows
-  in
-  check Alcotest.int "covers all commits" 80 total;
-  List.iter
-    (fun (w : Ccdb_harness.Metrics.window) ->
-      check (Alcotest.float 1e-9) "bucket width" 200. (w.w_end -. w.w_start);
-      if w.w_committed > 0 then
-        check Alcotest.bool "mean finite" true
-          (Float.is_finite w.w_mean_system_time))
-    windows;
-  Alcotest.check_raises "bad bucket"
-    (Invalid_argument "Metrics.timeline: bucket <= 0") (fun () ->
-      ignore (Ccdb_harness.Metrics.timeline ~bucket:0. r.runtime))
+(* --- workload traces ------------------------------------------------------------ *)
 
 let test_trace_replay () =
   let txn id at_site =
@@ -220,5 +189,147 @@ let test_trace_replay () =
 let suites =
   suites
   @ [ ( "harness.timeline",
-        [ Alcotest.test_case "buckets" `Quick test_timeline_buckets;
-          Alcotest.test_case "trace replay" `Quick test_trace_replay ] ) ]
+        [ Alcotest.test_case "trace replay" `Quick test_trace_replay ] ) ]
+
+(* --- the runtime's S summary against a reference -------------------------- *)
+
+module Rt = Ccdb_protocols.Runtime
+
+(* The mean by the update rule [Stats] applied when it kept every
+   sample, over the samples in the order given. *)
+let welford xs =
+  let n = ref 0 and mean = ref 0. in
+  List.iter
+    (fun x ->
+      incr n;
+      mean := !mean +. ((x -. !mean) /. float_of_int !n))
+    xs;
+  !mean
+
+(* A test-side subscriber keeps every commit's protocol, S and
+   [executed_at] in emission order; the summary computed online must
+   match what the kept list gives, the means and the duration bit for
+   bit, and p95 within one bucket width (1/16) above the exact
+   nearest-rank sample. *)
+let check_summary_against_reference ?faults ?(setup = small_setup) mode =
+  let name = D.mode_name mode in
+  let kept = ref [] in
+  let r =
+    D.run ~setup ~n_txns:80 ?faults
+      ~observer:(fun rt ->
+        Rt.subscribe rt (function
+          | Rt.Txn_committed { txn; submitted_at; executed_at; _ } ->
+            kept :=
+              (txn.Ccdb_model.Txn.protocol, executed_at -. submitted_at,
+               executed_at)
+              :: !kept
+          | _ -> ()))
+      mode spec
+  in
+  let kept = List.rev !kept in
+  let s = r.summary in
+  let bit_equal what expected got =
+    check Alcotest.int64 (name ^ " " ^ what) (Int64.bits_of_float expected)
+      (Int64.bits_of_float got)
+  in
+  let system_times = List.map (fun (_, x, _) -> x) kept in
+  check Alcotest.int (name ^ " committed") 80 s.committed;
+  check Alcotest.int (name ^ " kept") 80 (List.length kept);
+  bit_equal "mean S" (welford system_times) s.mean_system_time;
+  bit_equal "duration"
+    (List.fold_left (fun acc (_, _, at) -> Float.max acc at) 0. kept)
+    s.duration;
+  let split = Ccdb_harness.Metrics.per_protocol_system_time r.runtime in
+  List.iter
+    (fun p ->
+      let pname = name ^ " " ^ Ccdb_model.Protocol.to_string p in
+      let xs =
+        List.filter_map
+          (fun (q, x, _) -> if Ccdb_model.Protocol.equal p q then Some x else None)
+          kept
+      in
+      match xs, List.find_opt (fun (q, _) -> Ccdb_model.Protocol.equal p q) split with
+      | [], None -> ()
+      | [], Some _ -> Alcotest.failf "%s: no commits, yet a mean" pname
+      | _, None -> Alcotest.failf "%s: commits, yet no mean" pname
+      | xs, Some (_, stats) ->
+        check Alcotest.int (pname ^ " count") (List.length xs)
+          (Ccdb_util.Stats.count stats);
+        bit_equal (Ccdb_model.Protocol.to_string p ^ " mean S") (welford xs)
+          (Ccdb_util.Stats.mean stats))
+    Ccdb_model.Protocol.all;
+  let sorted = Array.of_list system_times in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let exact =
+    sorted.(max 0 (int_of_float (ceil (0.95 *. float_of_int n)) - 1))
+  in
+  let p95 = s.p95_system_time in
+  if not (exact <= p95 && p95 <= exact *. (1. +. (1. /. 16.))) then
+    Alcotest.failf "%s: p95 %g outside [%g, %g]" name p95 exact
+      (exact *. (1. +. (1. /. 16.)))
+
+let test_summary_matches_reference_fault_free () =
+  List.iter check_summary_against_reference
+    [ D.Pure Ccdb_model.Protocol.Two_pl;
+      D.Pure Ccdb_model.Protocol.T_o;
+      D.Pure Ccdb_model.Protocol.Pa;
+      D.Mvto;
+      D.Conservative;
+      D.Unified;
+      D.Unified_forced Ccdb_model.Protocol.Two_pl;
+      D.Unified_forced Ccdb_model.Protocol.T_o;
+      D.Unified_forced Ccdb_model.Protocol.Pa;
+      D.Unified_full_lock;
+      D.Dynamic ]
+
+let test_summary_matches_reference_paxos () =
+  let faults =
+    match
+      Ccdb_sim.Fault_plan.of_string
+        "drop=0.05,crash=coordinator@400+300,wipe=true,seed=11"
+    with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  check_summary_against_reference ~faults
+    ~setup:{ small_setup with commit = Rt.Paxos { f = 1 } }
+    D.Unified
+
+(* Folding a commit into the summary allocates nothing: emitting a commit
+   costs no more words than emitting an event the summary ignores. *)
+let test_commit_allocates_nothing () =
+  let catalog = Ccdb_storage.Catalog.create ~items:2 ~sites:2 ~replication:1 in
+  let rt =
+    Rt.create ~net_config:(Ccdb_sim.Net.default_config ~sites:2) ~catalog ()
+  in
+  let txn =
+    Ccdb_model.Txn.make ~id:1 ~site:0 ~read_set:[ 0 ] ~write_set:[]
+      ~compute_time:1. ~protocol:Ccdb_model.Protocol.Pa
+  in
+  let commit =
+    Rt.Txn_committed { txn; submitted_at = 2.; executed_at = 39.5; restarts = 0 }
+  and other = Rt.Request_withdrawn { txn = 1; item = 0; site = 0; at = 2. } in
+  let words_per e =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Rt.emit rt e
+    done;
+    (Gc.minor_words () -. before) /. 10_000.
+  in
+  (* the first commit sizes the histogram *)
+  Rt.emit rt commit;
+  let ignored = words_per other and committed = words_per commit in
+  if committed > ignored +. 0.01 then
+    Alcotest.failf "a commit allocates %.2f words, an ignored event %.2f"
+      committed ignored
+
+let suites =
+  suites
+  @ [ ( "harness.system_time",
+        [ Alcotest.test_case "11 modes match the reference" `Quick
+            test_summary_matches_reference_fault_free;
+          Alcotest.test_case "Paxos f=1 fail-stop matches the reference" `Quick
+            test_summary_matches_reference_paxos;
+          Alcotest.test_case "a commit allocates nothing" `Quick
+            test_commit_allocates_nothing ] ) ]

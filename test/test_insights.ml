@@ -7,7 +7,7 @@ let check = Alcotest.check
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-module H = Ccdb_insights.Histogram
+module H = Ccdb_util.Histogram
 module Collector = Ccdb_insights.Collector
 
 (* --- histogram: recorded samples, algebraic laws ------------------------ *)
@@ -89,6 +89,48 @@ let test_record_rejects_bad_values () =
       | () -> Alcotest.failf "record %f should have raised" v
       | exception Invalid_argument _ -> ())
     [ -1.; Float.nan; Float.infinity ]
+
+(* The layout as it was first written, with [Float.frexp]: the bucket a
+   sample lands in must not move, or committed documents would change. *)
+let reference_index v =
+  if v < 1. then 0
+  else
+    let m, e' = Float.frexp v in
+    let sub =
+      min (H.sub_buckets - 1)
+        (int_of_float ((2. *. m -. 1.) *. float_of_int H.sub_buckets))
+    in
+    1 + (H.sub_buckets * (e' - 1)) + sub
+
+let test_bucket_layout =
+  qcheck ~count:1000 "bucket index is the frexp layout"
+    QCheck.(
+      oneof
+        [ float_bound_exclusive 100_000.;
+          map Float.abs float;
+          map (fun e -> Float.ldexp 1. e) (int_range 0 1023);
+          map (fun e -> Float.pred (Float.ldexp 1. e)) (int_range 1 1024) ])
+    (fun v ->
+      let v = Float.abs v in
+      QCheck.assume (Float.is_finite v);
+      let h = H.create () in
+      H.record h v;
+      match H.buckets h with
+      | [ (idx, lo, hi, 1) ] -> idx = reference_index v && lo <= v && v < hi
+      | _ -> false)
+
+let test_of_json_rejects_unknown_buckets () =
+  let doc idx =
+    Ccdb_util.Json.(
+      Obj [ ("buckets", List [ Obj [ ("bucket", Num idx); ("n", Num 1.) ] ]) ])
+  in
+  let top = reference_index Float.max_float in
+  (match H.of_json (doc (float_of_int top)) with
+   | Ok h -> check Alcotest.int "largest float's bucket" 1 (H.count h)
+   | Error e -> Alcotest.failf "bucket %d refused: %s" top e);
+  match H.of_json (doc (float_of_int (top + 1))) with
+  | Ok _ -> Alcotest.failf "bucket %d past the largest float accepted" (top + 1)
+  | Error _ -> ()
 
 let test_histogram_json_roundtrip =
   qcheck "of_json (to_json h) = h" samples_gen (fun xs ->
@@ -268,7 +310,10 @@ let suites =
         test_histogram_json_roundtrip;
         Alcotest.test_case "empty percentile" `Quick test_percentile_empty;
         Alcotest.test_case "record rejects bad values" `Quick
-          test_record_rejects_bad_values ] );
+          test_record_rejects_bad_values;
+        test_bucket_layout;
+        Alcotest.test_case "of_json refuses buckets past the largest float"
+          `Quick test_of_json_rejects_unknown_buckets ] );
     ( "insights-document",
       [ Alcotest.test_case "live document validates" `Quick
           test_document_validates;

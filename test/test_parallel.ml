@@ -74,6 +74,16 @@ let test_experiments_jobs_identical () =
   check Alcotest.string "byte-identical rendered tables" (render_all serial)
     (render_all parallel)
 
+(* Each call's pool is joined before it returns: afterwards a run can
+   still reserve a domain for its observers. *)
+let test_experiments_release_their_domains () =
+  if Domain.recommended_domain_count () >= 2 then begin
+    ignore (Ccdb_harness.Parallel.experiments ~quick:true ~jobs:2 ());
+    let reserved = Pool.reserve_domain () in
+    if reserved then Pool.release_domain ();
+    check Alcotest.bool "a domain is free after the call" true reserved
+  end
+
 let test_staged_counts () =
   let staged = Ccdb_harness.Experiments.staged ~quick:true () in
   check Alcotest.int "22 experiments" 22 (List.length staged);
@@ -118,7 +128,9 @@ let audited_run seed =
 let test_parallel_audited_traces_identical () =
   let seeds = [ 3; 11; 42; 97 ] in
   let serial = List.map audited_run seeds in
-  let parallel = Ccdb_harness.Parallel.map ~jobs:4 audited_run seeds in
+  let parallel =
+    Pool.with_pool ~jobs:4 (fun pool -> Pool.map pool audited_run seeds)
+  in
   List.iter2
     (fun ((s1, _), a1, t1, c1) ((s2, _), a2, t2, c2) ->
       check Alcotest.int "seed order preserved" s1 s2;
@@ -648,6 +660,8 @@ let suites =
     ( "parallel-experiments",
       [ Alcotest.test_case "jobs 1 = jobs 4 (byte-identical)" `Slow
           test_experiments_jobs_identical;
+        Alcotest.test_case "no domain outlives the call" `Slow
+          test_experiments_release_their_domains;
         Alcotest.test_case "staged decomposition" `Quick test_staged_counts;
         Alcotest.test_case "unrun point detected" `Quick
           test_prepare_detects_unrun_points;

@@ -279,7 +279,7 @@ let test_restart_backoff () =
     [ 0; 1; 5; 40 ];
   (* faulted runtime: jittered doubling under the cap, per site *)
   let rt =
-    Rt.create ~faults:(plan_of_string "drop=0.1,seed=3") ~restart_cap:800.
+    Rt.create ~faults:(plan_of_string "drop=0.1,seed=3")
       ~net_config:(Net.default_config ~sites:2) ~catalog ()
   in
   for attempt = 0 to 20 do
@@ -305,7 +305,7 @@ let test_restart_backoff () =
     List.init 8 (fun attempt -> Rt.restart_backoff rt ~site ~base:50. ~attempt)
   in
   let fresh () =
-    Rt.create ~faults:(plan_of_string "drop=0.1,seed=3") ~restart_cap:800.
+    Rt.create ~faults:(plan_of_string "drop=0.1,seed=3")
       ~net_config:(Net.default_config ~sites:2) ~catalog ()
   in
   let rt_a = fresh () in
