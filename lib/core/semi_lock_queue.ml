@@ -18,6 +18,10 @@ type entry = {
 
 type grant = { entry : entry; schedule : Ccdb_model.Lock.schedule }
 
+(* The [index] is only looked up, never iterated, so the key is its own
+   hash. *)
+module Index = Ccdb_util.Lookup_tbl.Int
+
 (* The hot paths this queue sits on run once per request, grant and release
    of every simulated lock, so the representation carries three indexes on
    top of the precedence-sorted entry list:
@@ -41,7 +45,7 @@ type grant = { entry : entry; schedule : Ccdb_model.Lock.schedule }
 type t = {
   semi_locks : bool;
   mutable entries : entry list; (* sorted by unified precedence *)
-  index : entry Ccdb_util.Int_tbl.t;
+  index : entry Index.t;
   mutable max_ts_seen : int;    (* biggest timestamp ever in this queue *)
   mutable arrival_counter : int;
   mutable grant_counter : int;
@@ -58,7 +62,7 @@ type t = {
 }
 
 let create ?(semi_locks = true) () =
-  { semi_locks; entries = []; index = Ccdb_util.Int_tbl.create 16;
+  { semi_locks; entries = []; index = Index.create 16;
     max_ts_seen = 0;
     arrival_counter = 0; grant_counter = 0; r_released = -1; w_released = -1;
     n_rl = 0; n_wl = 0; n_srl = 0; n_swl = 0;
@@ -124,7 +128,7 @@ let note_ungranted t (e : entry) =
   | Ccdb_model.Op.Write -> t.granted_w_dirty <- true
 
 let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
-  if Ccdb_util.Int_tbl.mem t.index txn then
+  if Index.mem t.index txn then
     invalid_arg "Semi_lock_queue.request: duplicate request";
   let fresh prec blocked =
     { txn; site; protocol; op; interval; epoch; prec; blocked; lock = None;
@@ -132,7 +136,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
       implemented = false }
   in
   let admit e =
-    Ccdb_util.Int_tbl.add t.index txn e;
+    Index.add t.index txn e;
     insert_sorted t e
   in
   match protocol, ts with
@@ -176,7 +180,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
     invalid_arg "Semi_lock_queue.request: timestamped protocol needs a ts"
 
 let update_ts t ~txn ~ts =
-  match Ccdb_util.Int_tbl.find_opt t.index txn with
+  match Index.find_opt t.index txn with
   | None -> `Absent
   | Some e ->
     let revoked = Option.is_some e.lock in
@@ -272,7 +276,7 @@ let grant_ready t ~now =
   List.rev !newly
 
 let transform t ~txn =
-  match Ccdb_util.Int_tbl.find_opt t.index txn with
+  match Index.find_opt t.index txn with
   | None -> None
   | Some e ->
     (match e.lock with
@@ -302,10 +306,10 @@ let promotions t =
     t.entries
 
 let remove t ~txn ~advance_hwm =
-  match Ccdb_util.Int_tbl.find_opt t.index txn with
+  match Index.find_opt t.index txn with
   | None -> None
   | Some e ->
-    Ccdb_util.Int_tbl.remove t.index txn;
+    Index.remove t.index txn;
     t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
     (match e.lock with
      | Some mode ->
@@ -346,7 +350,7 @@ let wipe_volatile t =
       t.entries
   in
   t.entries <- kept;
-  List.iter (fun e -> Ccdb_util.Int_tbl.remove t.index e.txn) dropped;
+  List.iter (fun e -> Index.remove t.index e.txn) dropped;
   dropped
 
 (* [f e.txn e'.txn] for each entry [e'] of another transaction before [e]

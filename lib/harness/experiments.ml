@@ -131,8 +131,6 @@ let e1_staged ~quick =
   in
   Staged { points = List.map point (lambda_sweep quick); assemble }
 
-let e1_system_time_vs_lambda ?(quick = false) () = run_one (e1_staged ~quick)
-
 (* ---------------------------------------------------------------- E2 --- *)
 
 let e2_setup =
@@ -190,8 +188,6 @@ let e2_staged ~quick =
   in
   Staged { points = List.map point sizes; assemble }
 
-let e2_system_time_vs_size ?(quick = false) () = run_one (e2_staged ~quick)
-
 (* ---------------------------------------------------------------- E3 --- *)
 
 let e3_staged ~quick =
@@ -236,8 +232,6 @@ let e3_staged ~quick =
           "back-offs need fast grants, so they peak before the queues saturate" ] }
   in
   Staged { points = List.map point (lambda_sweep quick); assemble }
-
-let e3_overheads_vs_lambda ?(quick = false) () = run_one (e3_staged ~quick)
 
 (* ---------------------------------------------------------------- E4 --- *)
 
@@ -332,8 +326,6 @@ let e5_staged ~quick =
     { points = List.map point (if quick then [ 0.4 ] else [ 0.2; 0.4; 0.8 ]);
       assemble }
 
-let e5_heavy_small_txns ?(quick = false) () = run_one (e5_staged ~quick)
-
 (* ---------------------------------------------------------------- E6 --- *)
 
 let e6_modes =
@@ -396,8 +388,6 @@ let e6_staged ~quick =
            the paper itself lists better criteria as future work" ] }
   in
   Staged { points = List.map point (lambda_sweep quick); assemble }
-
-let e6_dynamic_vs_static ?(quick = false) () = run_one (e6_staged ~quick)
 
 (* ---------------------------------------------------------------- E7 --- *)
 
@@ -473,8 +463,6 @@ let e7_staged ~quick =
   in
   Staged { points = List.map point (lambda_sweep quick); assemble }
 
-let e7_stl_validation ?(quick = false) () = run_one (e7_staged ~quick)
-
 (* ---------------------------------------------------------------- E8 --- *)
 
 let e8_staged ~quick =
@@ -537,8 +525,6 @@ let e8_staged ~quick =
   Staged
     { points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3; 0.6 ]);
       assemble }
-
-let e8_semilock_ablation ?(quick = false) () = run_one (e8_staged ~quick)
 
 (* ---------------------------------------------------------------- E9 --- *)
 
@@ -698,8 +684,6 @@ let x1_staged ~quick =
   in
   Staged { points = List.map point mechanisms; assemble }
 
-let x1_detection_ablation ?(quick = false) () = run_one (x1_staged ~quick)
-
 (* ---------------------------------------------------------------- X2 --- *)
 
 let x2_staged ~quick =
@@ -805,8 +789,6 @@ let x3_staged ~quick =
            else "measured: the analytic model mispicked in some regime") ] }
   in
   Staged { points = List.map point (lambda_sweep quick); assemble }
-
-let x3_analytic_selection ?(quick = false) () = run_one (x3_staged ~quick)
 
 (* ---------------------------------------------------------------- X4 --- *)
 
@@ -915,8 +897,6 @@ let x5_staged ~quick =
     { points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
       assemble }
 
-let x5_conservative_to ?(quick = false) () = run_one (x5_staged ~quick)
-
 (* ---------------------------------------------------------------- X6 --- *)
 
 let x6_staged ~quick =
@@ -967,8 +947,6 @@ let x6_staged ~quick =
   Staged
     { points = List.map point (if quick then [ 0.06 ] else [ 0.03; 0.06; 0.12 ]);
       assemble }
-
-let x6_reselection ?(quick = false) () = run_one (x6_staged ~quick)
 
 (* ---------------------------------------------------------------- X7 --- *)
 
@@ -1031,8 +1009,6 @@ let x7_staged ~quick =
   Staged
     { points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
       assemble }
-
-let x7_selection_criteria ?(quick = false) () = run_one (x7_staged ~quick)
 
 (* ---------------------------------------------------------------- E11 -- *)
 
@@ -1103,8 +1079,6 @@ let e11_staged ~quick =
            static analyzer" ] }
   in
   Staged { points = List.map point rates; assemble }
-
-let e11_fault_sweep ?(quick = false) () = run_one (e11_staged ~quick)
 
 (* ---------------------------------------------------------------- E12 -- *)
 
@@ -1287,8 +1261,6 @@ let e13_staged ~quick =
   in
   Staged { points = List.map point counts; assemble }
 
-let e13_audit_cost ?(quick = false) () = run_one (e13_staged ~quick)
-
 (* ---------------------------------------------------------------- E14 --- *)
 
 (* Compress a per-window dominant-protocol series into "w0-9:pa w10-12:2pl"
@@ -1434,8 +1406,6 @@ let e14_staged ~quick =
              routing windows is the same code path as `ccdb_cli insights`" ] }
   in
   Staged { points = List.map point modes; assemble }
-
-let e14_phase_change ?(quick = false) () = run_one (e14_staged ~quick)
 
 (* ---------------------------------------------------------------- E16 -- *)
 

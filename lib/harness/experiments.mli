@@ -14,29 +14,8 @@ type outcome = {
   notes : string list;         (** measured verdict + caveats *)
 }
 
-val e1_system_time_vs_lambda : ?quick:bool -> unit -> outcome
-(** S vs arrival rate for the three pure protocols (section 5). *)
-
-val e2_system_time_vs_size : ?quick:bool -> unit -> outcome
-(** S vs transaction size st (section 5 / [10]). *)
-
-val e3_overheads_vs_lambda : ?quick:bool -> unit -> outcome
-(** Restarts, deadlocks, back-offs and messages per transaction vs load. *)
-
 val e4_single_item_writes : ?quick:bool -> unit -> outcome
 (** st = 1, write-only: 2PL cannot deadlock and beats T/O (section 1). *)
-
-val e5_heavy_small_txns : ?quick:bool -> unit -> outcome
-(** Heavy load, small st > 1: T/O beats 2PL (section 1). *)
-
-val e6_dynamic_vs_static : ?quick:bool -> unit -> outcome
-(** Min-STL dynamic selection vs every static choice across regimes. *)
-
-val e7_stl_validation : ?quick:bool -> unit -> outcome
-(** STL-predicted protocol ranking vs the measured ranking per regime. *)
-
-val e8_semilock_ablation : ?quick:bool -> unit -> outcome
-(** Semi-locks vs full locking for a 2PL+T/O mix (section 4.2). *)
 
 val e9_correctness_counters : ?quick:bool -> unit -> outcome
 (** Corollary 1 and Theorem 3 at scale: PA never restarts, 2PL-free mixes
@@ -45,27 +24,10 @@ val e9_correctness_counters : ?quick:bool -> unit -> outcome
 val e10_preservation : ?quick:bool -> unit -> outcome
 (** unified(all-X) vs pure X on identical workloads (section 4.2). *)
 
-val e11_fault_sweep : ?quick:bool -> unit -> outcome
-(** Message-loss sweep under a fixed two-crash schedule: throughput, S and
-    crash-triggered aborts vs loss rate (DESIGN.md section 9). *)
-
 val e12_crash_recovery : ?quick:bool -> unit -> outcome
 (** Fail-stop crash-frequency sweep: WAL append volume, wipe drops, replay
     counts and replay time vs number of crash windows (DESIGN.md
     section 11). *)
-
-val e13_audit_cost : ?quick:bool -> unit -> outcome
-(** Audit cost vs trace length: the batch Theorem-2 check's log-pair scans
-    grow with the trace while the streaming analyzer's incremental-graph
-    work stays flat per event (deterministic counters, never wall-clock;
-    DESIGN.md section 12). *)
-
-val e14_phase_change : ?quick:bool -> unit -> outcome
-(** Phase-change workload (read-heavy calm, then a hot-key zipfian write
-    storm): measured-lambda adaptivity ({!Driver.adaptive} [Measured]) vs
-    cumulative and design-time parameter sources and every static protocol,
-    with the mid-run protocol switch read off the insights windows
-    (DESIGN.md section 13, OBSERVABILITY.md). *)
 
 val e16_nonblocking_commit : ?quick:bool -> unit -> outcome
 (** Presumed-abort 2PC vs Paxos Commit at acceptor-set sizes f = 0, 1, 2
@@ -81,28 +43,11 @@ val e16_nonblocking_commit : ?quick:bool -> unit -> outcome
     and future-work items (2) "integration of other concurrency control
     algorithms" and the analytical estimation option of section 5.2. *)
 
-val x1_detection_ablation : ?quick:bool -> unit -> outcome
-(** Centralized WFG scans (two intervals) vs Chandy-Misra-Haas edge-chasing
-    (two probe delays) on a deadlock-prone 2PL workload. *)
-
 val x2_thomas_write_rule : ?quick:bool -> unit -> outcome
 (** Basic T/O vs T/O + Thomas Write Rule on a write-heavy workload. *)
 
-val x3_analytic_selection : ?quick:bool -> unit -> outcome
-(** Design-time protocol choice from the analytical model (no observation)
-    vs the per-regime best and worst static choices. *)
-
 val x4_multiversion : ?quick:bool -> unit -> outcome
 (** Multiversion T/O vs Basic T/O on a read-heavy workload. *)
-
-val x5_conservative_to : ?quick:bool -> unit -> outcome
-(** Conservative T/O (restart-free, tick-driven) vs Basic T/O. *)
-
-val x6_reselection : ?quick:bool -> unit -> outcome
-(** Future-work item (4): restarted transactions re-run the selector. *)
-
-val x7_selection_criteria : ?quick:bool -> unit -> outcome
-(** Section 5.1's argument, tested: min-STL vs min-own-response-time. *)
 
 (** {2 Staged execution}
 

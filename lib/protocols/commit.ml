@@ -13,6 +13,14 @@
    re-runs the protocol and converges on the same outcome, which every
    receiver absorbs idempotently. *)
 
+(* Tables keyed by txn or by (site, txn).  Their hash is the generic one,
+   so the folds whose order reaches the engine ([wipe]'s removals and
+   [replay_acceptors]' re-armed clocks) run in the generic order, and
+   keys compare inline. *)
+module Int_tbl = Ccdb_util.Int_tbl
+module Pair_tbl = Ccdb_util.Pair_tbl
+module Int_list = Ccdb_util.Int_list
+
 (* How long a prepared participant waits before (re-)asking for the
    outcome; the Paxos takeover clock's base is twice this. *)
 let inquiry_timeout = 250.
@@ -67,7 +75,7 @@ type coord_entry = {
 type acc_entry = {
   mutable a_round : int;
   mutable a_promised : int;                 (* highest promised ballot *)
-  a_accepted : (int, int * bool) Hashtbl.t; (* instance -> (ballot, value) *)
+  a_accepted : (int * bool) Int_tbl.t;      (* instance -> (ballot, value) *)
   mutable a_home : int option;
   mutable a_psites : int list option;       (* instance order *)
   mutable a_outcome : bool option;          (* known decision, volatile *)
@@ -91,23 +99,23 @@ type lead_entry = {
 }
 
 type paxos = {
-  f : int;                                      (* tolerated acceptor crashes *)
-  acceptors : (int * int, acc_entry) Hashtbl.t; (* (site, txn) *)
-  leaders : (int * int, lead_entry) Hashtbl.t;  (* (site, txn) *)
+  f : int;                           (* tolerated acceptor crashes *)
+  acceptors : acc_entry Pair_tbl.t;  (* (site, txn) *)
+  leaders : lead_entry Pair_tbl.t;   (* (site, txn) *)
 }
 
 type decider =
-  | Two_pc of (int, coord_entry) Hashtbl.t (* txn, at the home site *)
+  | Two_pc of coord_entry Int_tbl.t (* txn, at the home site *)
   | Paxos of paxos
 
 type t = {
   rt : Runtime.t;
   hooks : hooks;
   decider : decider;
-  clients : (int, client) Hashtbl.t;         (* txn -> terminal state *)
-  acks : (int, ack_entry) Hashtbl.t;         (* txn, at the home site *)
-  parts : (int * int, part_entry) Hashtbl.t; (* (site, txn) *)
-  decided : (int * int, int) Hashtbl.t;      (* (site, txn) -> commit round *)
+  clients : client Int_tbl.t;        (* txn -> terminal state *)
+  acks : ack_entry Int_tbl.t;        (* txn, at the home site *)
+  parts : part_entry Pair_tbl.t;     (* (site, txn) *)
+  decided : int Pair_tbl.t;          (* (site, txn) -> commit round *)
   mutable timer_seq : int;
 }
 
@@ -117,7 +125,7 @@ let wal t = Runtime.wal t.rt
 let send t ~src ~dst ~kind f =
   Ccdb_sim.Net.send (Runtime.net t.rt) ~src ~dst ~kind f
 
-let home_of t txn = (Hashtbl.find t.clients txn).home
+let home_of t txn = (Int_tbl.find t.clients txn).home
 
 let nsites t = Ccdb_sim.Net.sites (Runtime.net t.rt)
 let quorum px = px.f + 1
@@ -141,7 +149,7 @@ let fire_commit_point t (c : client) ~txn =
   end
 
 let fresh_acceptor round =
-  { a_round = round; a_promised = 0; a_accepted = Hashtbl.create 4;
+  { a_round = round; a_promised = 0; a_accepted = Int_tbl.create 4;
     a_home = None; a_psites = None; a_outcome = None; a_timer = 0;
     a_attempts = 0 }
 
@@ -151,23 +159,24 @@ let fresh_acceptor round =
 let reset_acceptor a round =
   a.a_round <- round;
   a.a_promised <- 0;
-  Hashtbl.reset a.a_accepted;
+  Int_tbl.reset a.a_accepted;
   a.a_outcome <- None;
   a.a_attempts <- 0
 
 (* --- the home site's ack table and the participants --------------------- *)
 
 let on_ack t ~txn ~round ~site =
-  match Hashtbl.find_opt t.acks txn with
+  match Int_tbl.find_opt t.acks txn with
   | Some k when k.k_round = round ->
-    if not (List.mem site k.k_acked) then k.k_acked <- site :: k.k_acked;
-    if List.for_all (fun s -> List.mem s k.k_acked) k.k_participants then begin
+    if not (Int_list.mem site k.k_acked) then k.k_acked <- site :: k.k_acked;
+    if List.for_all (fun s -> Int_list.mem s k.k_acked) k.k_participants
+    then begin
       (match t.decider with
        | Two_pc _ ->
          Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
            (Ccdb_storage.Wal.Coord_end { txn; round })
        | Paxos _ -> ());
-      Hashtbl.remove t.acks txn
+      Int_tbl.remove t.acks txn
     end
   | Some _ | None -> ()
 
@@ -183,24 +192,24 @@ let ack t ~txn ~round ~site =
    retried by the client. *)
 let on_decision t ~txn ~round ~site ~commit =
   let key = (site, txn) in
-  if Hashtbl.mem t.decided key then begin
+  if Pair_tbl.mem t.decided key then begin
     if commit then ack t ~txn ~round ~site
   end
   else
-    match Hashtbl.find_opt t.parts key with
+    match Pair_tbl.find_opt t.parts key with
     | Some e when e.p_round = round ->
       if commit then begin
         log_decision t ~txn ~round ~site ~commit:true;
         t.hooks.apply ~txn ~site e.p_actions;
         Ccdb_storage.Wal.append (wal t) ~site ~at:(now t)
           (Ccdb_storage.Wal.Applied { txn; round });
-        Hashtbl.replace t.decided key round;
-        Hashtbl.remove t.parts key;
+        Pair_tbl.replace t.decided key round;
+        Pair_tbl.remove t.parts key;
         ack t ~txn ~round ~site
       end
       else begin
         log_decision t ~txn ~round ~site ~commit:false;
-        Hashtbl.remove t.parts key
+        Pair_tbl.remove t.parts key
       end
     | Some _ | None -> ()
 
@@ -219,10 +228,11 @@ let presume_abort t ~txn ~round ~site =
       on_decision t ~txn ~round ~site ~commit:false)
 
 let on_vote t coords ~txn ~round ~site =
-  match Hashtbl.find_opt coords txn with
+  match Int_tbl.find_opt coords txn with
   | Some e when e.c_round = round ->
-    if not (List.mem site e.c_votes) then e.c_votes <- site :: e.c_votes;
-    if List.for_all (fun s -> List.mem s e.c_votes) e.c_participants then begin
+    if not (Int_list.mem site e.c_votes) then e.c_votes <- site :: e.c_votes;
+    if List.for_all (fun s -> Int_list.mem s e.c_votes) e.c_participants
+    then begin
       (* commit point: force the coordinator record, then tell the world *)
       Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
         (Ccdb_storage.Wal.Coord_commit
@@ -230,22 +240,22 @@ let on_vote t coords ~txn ~round ~site =
       let k =
         { k_round = round; k_participants = e.c_participants; k_acked = [] }
       in
-      Hashtbl.replace t.acks txn k;
-      Hashtbl.remove coords txn;
-      fire_commit_point t (Hashtbl.find t.clients txn) ~txn;
+      Int_tbl.replace t.acks txn k;
+      Int_tbl.remove coords txn;
+      fire_commit_point t (Int_tbl.find t.clients txn) ~txn;
       resend_commit t txn k
     end
   | Some _ | None -> (
     (* no live round matches the vote *)
-    match Hashtbl.find_opt t.acks txn with
+    match Int_tbl.find_opt t.acks txn with
     | Some k -> resend_commit t txn k
     | None -> presume_abort t ~txn ~round ~site)
 
 let on_inquire_coord t coords ~txn ~round ~site =
-  match Hashtbl.find_opt t.acks txn with
+  match Int_tbl.find_opt t.acks txn with
   | Some k -> resend_commit t txn k
   | None -> (
-    match Hashtbl.find_opt coords txn with
+    match Int_tbl.find_opt coords txn with
     | Some e when e.c_round = round -> () (* still collecting votes *)
     | Some _ | None ->
       (* presumed abort: the coordinator remembers nothing about this
@@ -257,13 +267,13 @@ let on_inquire_coord t coords ~txn ~round ~site =
 (* The home terminal learns the outcome: fire the commit point once, or
    advance the retry round past a learned abort. *)
 let on_client_decision t ~txn ~round ~commit =
-  match Hashtbl.find_opt t.clients txn with
+  match Int_tbl.find_opt t.clients txn with
   | None -> ()
   | Some c ->
     if commit then begin
       fire_commit_point t c ~txn;
-      if not (Hashtbl.mem t.acks txn) then
-        Hashtbl.replace t.acks txn
+      if not (Int_tbl.mem t.acks txn) then
+        Int_tbl.replace t.acks txn
           { k_round = round; k_participants = List.map fst c.participants;
             k_acked = [] }
     end
@@ -272,9 +282,9 @@ let on_client_decision t ~txn ~round ~commit =
 (* An acceptor that learns the decision stops its takeover clock.  The
    decision is deliberately not logged: see the module comment. *)
 let on_acc_decision px ~txn ~round ~site ~commit =
-  match Hashtbl.find_opt px.acceptors (site, txn) with
+  match Pair_tbl.find_opt px.acceptors (site, txn) with
   | Some a when a.a_round = round ->
-    if a.a_outcome = None then a.a_outcome <- Some commit
+    if Option.is_none a.a_outcome then a.a_outcome <- Some commit
   | Some _ | None -> ()
 
 (* The learned outcome IS the commit point (a quorum of acceptors holds it
@@ -302,14 +312,14 @@ let try_decide t px ~leader ~txn (l : lead_entry) =
     let n = List.length psites in
     let q = quorum px in
     let instance_done i =
-      match List.assoc_opt i l.l_accepts with
+      match Int_list.assoc_opt i l.l_accepts with
       | Some acks -> List.length acks >= q
       | None -> false
     in
     let rec all_done i = i >= n || (instance_done i && all_done (i + 1)) in
     if all_done 0 then begin
       let commit = List.for_all snd l.l_values in
-      Hashtbl.remove px.leaders (leader, txn);
+      Pair_tbl.remove px.leaders (leader, txn);
       distribute t px ~src:leader ~txn ~round:l.l_round ~commit ~psites
     end
   | _ -> ()
@@ -318,12 +328,15 @@ let try_decide t px ~leader ~txn (l : lead_entry) =
    instance) means every 2b of a ballot carries the proposed value, so
    counting distinct acceptors is enough. *)
 let on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader =
-  match Hashtbl.find_opt px.leaders (leader, txn) with
+  match Pair_tbl.find_opt px.leaders (leader, txn) with
   | Some l when l.l_round = round && l.l_ballot = ballot && l.l_phase2 ->
-    let cur = Option.value ~default:[] (List.assoc_opt instance l.l_accepts) in
-    if not (List.mem acceptor cur) then begin
+    let cur =
+      Option.value ~default:[] (Int_list.assoc_opt instance l.l_accepts)
+    in
+    if not (Int_list.mem acceptor cur) then begin
       l.l_accepts <-
-        (instance, acceptor :: cur) :: List.remove_assoc instance l.l_accepts;
+        (instance, acceptor :: cur)
+        :: Int_list.remove_assoc instance l.l_accepts;
       try_decide t px ~leader ~txn l
     end
   | Some _ | None -> ()
@@ -340,7 +353,7 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
     ~acceptor =
   let key = (acceptor, txn) in
   let entry =
-    match Hashtbl.find_opt px.acceptors key with
+    match Pair_tbl.find_opt px.acceptors key with
     | Some a when a.a_round = round -> Some a
     | Some a when a.a_round < round ->
       reset_acceptor a round;
@@ -356,28 +369,28 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
       None
     | None ->
       let a = fresh_acceptor round in
-      Hashtbl.add px.acceptors key a;
+      Pair_tbl.add px.acceptors key a;
       Some a
   in
   match entry with
   | None -> ()
   | Some a ->
-    if a.a_home = None then a.a_home <- Some home;
-    if a.a_psites = None then a.a_psites <- Some psites;
+    if Option.is_none a.a_home then a.a_home <- Some home;
+    if Option.is_none a.a_psites then a.a_psites <- Some psites;
     if ballot < a.a_promised then (
-      match Hashtbl.find_opt a.a_accepted instance with
+      match Int_tbl.find_opt a.a_accepted instance with
       | Some (b, _) ->
         send_2b t px ~acceptor ~txn ~round ~instance ~ballot:b ~home
       | None -> ())
     else begin
-      let first_accept = Hashtbl.length a.a_accepted = 0 in
+      let first_accept = Int_tbl.length a.a_accepted = 0 in
       let duplicate =
-        match Hashtbl.find_opt a.a_accepted instance with
+        match Int_tbl.find_opt a.a_accepted instance with
         | Some (b, v) -> b = ballot && v = value
         | None -> false
       in
       if not duplicate then begin
-        Hashtbl.replace a.a_accepted instance (ballot, value);
+        Int_tbl.replace a.a_accepted instance (ballot, value);
         (* accepting a ballot implies promising it *)
         if ballot > a.a_promised then a.a_promised <- ballot;
         let at = now t in
@@ -390,7 +403,7 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
                at })
       end;
       send_2b t px ~acceptor ~txn ~round ~instance ~ballot ~home;
-      if first_accept && a.a_outcome = None then begin
+      if first_accept && Option.is_none a.a_outcome then begin
         t.timer_seq <- t.timer_seq + 1;
         a.a_timer <- t.timer_seq;
         arm_takeover t px ~acceptor ~txn ~round ~timer:a.a_timer
@@ -401,7 +414,7 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
 (* Phase 1a: promise iff the ballot beats everything seen, force the
    promise record, report our accepts so the new leader proposes safely. *)
 and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
-  match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+  match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
   | Some a when a.a_round > round ->
     (* superseded rounds aborted; let the stale leader stand down *)
     send t ~src:acceptor ~dst:leader ~kind:"px-decision" (fun () ->
@@ -415,7 +428,7 @@ and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
         a
       | None ->
         let a = fresh_acceptor round in
-        Hashtbl.add px.acceptors (acceptor, txn) a;
+        Pair_tbl.add px.acceptors (acceptor, txn) a;
         a
     in
     if ballot > a.a_promised then begin
@@ -428,8 +441,10 @@ and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
     end;
     if ballot >= a.a_promised then begin
       let accepted =
-        List.sort compare
-          (Hashtbl.fold
+        (* one accept per instance, so the instance orders them *)
+        List.sort
+          (fun (i, _, _) (j, _, _) -> Int.compare i j)
+          (Int_tbl.fold
              (fun i (b, v) acc -> (i, b, v) :: acc)
              a.a_accepted [])
       in
@@ -441,11 +456,11 @@ and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
 
 and on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites ~leader
     =
-  match Hashtbl.find_opt px.leaders (leader, txn) with
+  match Pair_tbl.find_opt px.leaders (leader, txn) with
   | Some l when l.l_round = round && l.l_ballot = ballot && not l.l_phase2 ->
-    if l.l_home = None then l.l_home <- home;
-    if l.l_psites = None then l.l_psites <- psites;
-    if not (List.mem_assoc acceptor l.l_promises) then
+    if Option.is_none l.l_home then l.l_home <- home;
+    if Option.is_none l.l_psites then l.l_psites <- psites;
+    if not (Int_list.mem_assoc acceptor l.l_promises) then
       l.l_promises <- (acceptor, accepted) :: l.l_promises;
     if List.length l.l_promises >= quorum px then
       start_phase2 t px ~leader ~txn l
@@ -491,13 +506,13 @@ and start_takeover t px ~acceptor ~txn (a : acc_entry) =
   let n = nsites t in
   let ballot = (((a.a_promised / n) + 1) * n) + acceptor in
   let supersedes =
-    match Hashtbl.find_opt px.leaders (acceptor, txn) with
+    match Pair_tbl.find_opt px.leaders (acceptor, txn) with
     | Some l ->
       l.l_round < a.a_round || (l.l_round = a.a_round && l.l_ballot < ballot)
     | None -> true
   in
   if supersedes then begin
-    Hashtbl.replace px.leaders (acceptor, txn)
+    Pair_tbl.replace px.leaders (acceptor, txn)
       { l_round = a.a_round; l_ballot = ballot; l_phase2 = false;
         l_promises = []; l_home = a.a_home; l_psites = a.a_psites;
         l_values = []; l_accepts = [] };
@@ -520,7 +535,7 @@ and arm_takeover t px ~acceptor ~txn ~round ~timer ~attempt =
   in
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after (fun () ->
-         match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+         match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
          | Some a when a.a_timer = timer && a.a_round = round -> (
            match a.a_outcome with
            | Some _ -> ()
@@ -536,7 +551,7 @@ and arm_takeover t px ~acceptor ~txn ~round ~timer ~attempt =
    presume abort, because the round may have committed without it.  A
    superseded round, though, is known-aborted. *)
 let on_inquire_acc t px ~txn ~round ~from ~acceptor =
-  match Hashtbl.find_opt px.acceptors (acceptor, txn) with
+  match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
   | Some a when a.a_round = round -> (
     match a.a_outcome with
     | Some commit ->
@@ -587,7 +602,7 @@ let rec arm_inquiry t ~site ~txn ~timer =
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:inquiry_timeout
        (fun () ->
-         match Hashtbl.find_opt t.parts (site, txn) with
+         match Pair_tbl.find_opt t.parts (site, txn) with
          | Some e when e.p_timer = timer ->
            inquire t ~site ~txn e;
            arm_inquiry t ~site ~txn ~timer
@@ -600,9 +615,9 @@ let rec arm_inquiry t ~site ~txn ~timer =
    dead: its abort keeps the WAL replayable; the locks are untouched. *)
 let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
   let key = (site, txn) in
-  if Hashtbl.mem t.decided key then ack t ~txn ~round ~site
+  if Pair_tbl.mem t.decided key then ack t ~txn ~round ~site
   else
-    match Hashtbl.find_opt t.parts key with
+    match Pair_tbl.find_opt t.parts key with
     | Some e when e.p_round >= round -> (
       match t.decider with
       | Two_pc _ ->
@@ -624,7 +639,7 @@ let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
         (Ccdb_storage.Wal.Vote { txn; round; coordinator = home });
       t.timer_seq <- t.timer_seq + 1;
       let timer = t.timer_seq in
-      Hashtbl.replace t.parts key
+      Pair_tbl.replace t.parts key
         { p_round = round; p_home = home; p_actions = actions;
           p_timer = timer };
       Runtime.emit t.rt (Runtime.Prepared { txn; site; round; at });
@@ -634,7 +649,7 @@ let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
 (* The home site starts a round: a 2PC coordinator, or Paxos's ballot-0
    leader with phase 1 pre-skipped. *)
 let on_begin t ~txn ~round =
-  match Hashtbl.find_opt t.clients txn with
+  match Int_tbl.find_opt t.clients txn with
   | None -> ()
   | Some c -> (
     let prepare ~kind psites =
@@ -647,25 +662,25 @@ let on_begin t ~txn ~round =
     in
     match t.decider with
     | Two_pc coords -> (
-      match Hashtbl.find_opt t.acks txn with
+      match Int_tbl.find_opt t.acks txn with
       | Some k -> resend_commit t txn k (* already decided: re-drive acks *)
       | None -> (
-        match Hashtbl.find_opt coords txn with
+        match Int_tbl.find_opt coords txn with
         | Some e when e.c_round >= round -> () (* stale or duplicate begin *)
         | Some _ | None ->
           let sites = List.map fst c.participants in
-          Hashtbl.replace coords txn
+          Int_tbl.replace coords txn
             { c_round = round; c_participants = sites; c_votes = [] };
           prepare ~kind:"2pc-prepare" sites))
     | Paxos px ->
       if c.decided || round < c.round then ()
       else begin
         let psites = List.map fst c.participants in
-        (match Hashtbl.find_opt px.leaders (c.home, txn) with
+        (match Pair_tbl.find_opt px.leaders (c.home, txn) with
          | Some l when l.l_round >= round ->
            () (* the live round re-begun, or a takeover at our own site *)
          | Some _ | None ->
-           Hashtbl.replace px.leaders (c.home, txn)
+           Pair_tbl.replace px.leaders (c.home, txn)
              { l_round = round; l_ballot = 0; l_phase2 = true;
                l_promises = []; l_home = Some c.home; l_psites = Some psites;
                l_values = List.mapi (fun i _ -> (i, true)) psites;
@@ -676,7 +691,7 @@ let on_begin t ~txn ~round =
 (* --- client ------------------------------------------------------------ *)
 
 let begin_round t txn =
-  match Hashtbl.find_opt t.clients txn with
+  match Int_tbl.find_opt t.clients txn with
   | Some c when not c.decided ->
     let round = c.round in
     let kind =
@@ -692,7 +707,7 @@ let rec arm_client_retry t txn =
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:client_retry
        (fun () ->
-         match Hashtbl.find_opt t.clients txn with
+         match Int_tbl.find_opt t.clients txn with
          | Some c when not c.decided ->
            (match t.decider with
             | Two_pc _ -> c.round <- c.round + 1
@@ -702,9 +717,9 @@ let rec arm_client_retry t txn =
          | Some _ | None -> ()))
 
 let commit t ~txn ~home ~participants =
-  if Hashtbl.mem t.clients txn then
+  if Int_tbl.mem t.clients txn then
     invalid_arg "Commit.commit: duplicate transaction";
-  Hashtbl.add t.clients txn { home; participants; round = 0; decided = false };
+  Int_tbl.add t.clients txn { home; participants; round = 0; decided = false };
   begin_round t txn;
   arm_client_retry t txn
 
@@ -713,7 +728,7 @@ let participants ~site ~action copies =
   List.iter
     (fun copy ->
       let a = action copy in
-      match Ccdb_util.Int_list.assoc_opt (site copy) !by_site with
+      match Int_list.assoc_opt (site copy) !by_site with
       | Some r -> r := a :: !r
       | None -> by_site := (site copy, ref [ a ]) :: !by_site)
     copies;
@@ -729,22 +744,31 @@ let participants ~site ~action copies =
    table (another leader, or a client retry, re-drives the round) and
    keeps its acceptor state, a mirror of the promise and accept records. *)
 let wipe t site =
-  let drop tbl pred =
+  let at_home txn = home_of t txn = site in
+  let drop tbl =
     let keys =
-      Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) tbl []
+      Int_tbl.fold (fun k _ acc -> if at_home k then k :: acc else acc) tbl []
     in
-    List.iter (Hashtbl.remove tbl) keys;
+    List.iter (Int_tbl.remove tbl) keys;
     List.length keys
   in
-  let at_home txn = home_of t txn = site and here (s, _) = s = site in
-  let acks = drop t.acks at_home in
-  let parts = drop t.parts here in
-  ignore (drop t.decided here);
+  let drop_here tbl =
+    let keys =
+      Pair_tbl.fold
+        (fun ((s, _) as k) _ acc -> if s = site then k :: acc else acc)
+        tbl []
+    in
+    List.iter (Pair_tbl.remove tbl) keys;
+    List.length keys
+  in
+  let acks = drop t.acks in
+  let parts = drop_here t.parts in
+  ignore (drop_here t.decided);
   match t.decider with
-  | Two_pc coords -> (drop coords at_home, acks + parts)
+  | Two_pc coords -> (drop coords, acks + parts)
   | Paxos px ->
-    let leaders = drop px.leaders here in
-    (acks + leaders, parts + drop px.acceptors here)
+    let leaders = drop_here px.leaders in
+    (acks + leaders, parts + drop_here px.acceptors)
 
 (* Replayed acceptor state re-arms its takeover clock: the outcome is
    unknown after a wipe, and if the round was in fact already decided the
@@ -752,15 +776,15 @@ let wipe t site =
    Only each transaction's highest replayed round matters: lower rounds
    are known-aborted. *)
 let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
-  let best : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let best : int Int_tbl.t = Int_tbl.create 16 in
   let note txn round =
-    match Hashtbl.find_opt best txn with
+    match Int_tbl.find_opt best txn with
     | Some r when r >= round -> ()
-    | Some _ | None -> Hashtbl.replace best txn round
+    | Some _ | None -> Int_tbl.replace best txn round
   in
   List.iter (fun ((txn, round), _) -> note txn round) r.promised;
   List.iter (fun ((txn, round, _), _) -> note txn round) r.accepted;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun txn round ->
       let a = fresh_acceptor round in
       List.iter
@@ -771,7 +795,7 @@ let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
       List.iter
         (fun ((txn', round', instance), (b, v)) ->
           if txn' = txn && round' = round then begin
-            Hashtbl.replace a.a_accepted instance (b, v);
+            Int_tbl.replace a.a_accepted instance (b, v);
             (* an accept implies the matching promise even if the promise
                record itself predates this acceptor's knowledge *)
             if b > a.a_promised then a.a_promised <- b
@@ -780,13 +804,18 @@ let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
       (* the accept records carry the round's home and participant set, so
          this acceptor can lead a takeover on its own — essential when the
          client already learned the outcome and will never re-prepare *)
-      (match List.assoc_opt (txn, round) r.acc_meta with
-      | Some (home, psites) ->
-        a.a_home <- Some home;
-        a.a_psites <- Some psites
-      | None -> ());
-      Hashtbl.replace px.acceptors (site, txn) a;
-      if Hashtbl.length a.a_accepted > 0 then begin
+      let rec meta = function
+        | [] -> ()
+        | ((txn', round'), (home, psites)) :: rest ->
+          if txn' = txn && round' = round then begin
+            a.a_home <- Some home;
+            a.a_psites <- Some psites
+          end
+          else meta rest
+      in
+      meta r.acc_meta;
+      Pair_tbl.replace px.acceptors (site, txn) a;
+      if Int_tbl.length a.a_accepted > 0 then begin
         t.timer_seq <- t.timer_seq + 1;
         a.a_timer <- t.timer_seq;
         arm_takeover t px ~acceptor:site ~txn ~round ~timer:a.a_timer
@@ -802,7 +831,7 @@ let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
 let replay t site (r : Ccdb_storage.Wal.replay) =
   List.iter
     (fun (txn, round, commit) ->
-      if commit then Hashtbl.replace t.decided (site, txn) round)
+      if commit then Pair_tbl.replace t.decided (site, txn) round)
     r.decided;
   List.iter
     (fun (txn, round, home, actions) ->
@@ -812,7 +841,7 @@ let replay t site (r : Ccdb_storage.Wal.replay) =
         { p_round = round; p_home = home; p_actions = actions;
           p_timer = timer }
       in
-      Hashtbl.replace t.parts (site, txn) e;
+      Pair_tbl.replace t.parts (site, txn) e;
       inquire t ~site ~txn e;
       arm_inquiry t ~site ~txn ~timer)
     r.in_doubt;
@@ -823,7 +852,7 @@ let replay t site (r : Ccdb_storage.Wal.replay) =
         let k =
           { k_round = round; k_participants = participants; k_acked = [] }
         in
-        Hashtbl.replace t.acks txn k;
+        Int_tbl.replace t.acks txn k;
         resend_commit t txn k)
       r.coord_pending
   | Paxos px -> replay_acceptors t px site r
@@ -833,16 +862,16 @@ let create rt hooks =
     invalid_arg "Commit.create: runtime is not durable";
   let decider =
     match Runtime.commit_protocol rt with
-    | Runtime.Two_pc -> Two_pc (Hashtbl.create 64)
+    | Runtime.Two_pc -> Two_pc (Int_tbl.create 64)
     | Runtime.Paxos { f } ->
-      Paxos { f; acceptors = Hashtbl.create 64; leaders = Hashtbl.create 64 }
+      Paxos { f; acceptors = Pair_tbl.create 64; leaders = Pair_tbl.create 64 }
   in
   let t =
     { rt; hooks; decider;
-      clients = Hashtbl.create 64;
-      acks = Hashtbl.create 64;
-      parts = Hashtbl.create 64;
-      decided = Hashtbl.create 64;
+      clients = Int_tbl.create 64;
+      acks = Int_tbl.create 64;
+      parts = Pair_tbl.create 64;
+      decided = Pair_tbl.create 64;
       timer_seq = 0 }
   in
   Runtime.on_site_wipe rt (fun site -> wipe t site);

@@ -21,7 +21,7 @@ type t = {
   victim_site : int -> int option;
   abort : int -> unit;
   mutable running : bool;
-  mutable pending : Ccdb_sim.Engine.handle option;
+  mutable pending : Ccdb_sim.Engine.handle; (* -1 if no tick is queued *)
   mutable scans : int;
   mutable cycles_found : int;
 }
@@ -32,7 +32,7 @@ let create_centralized ~engine ~net ~interval ~detector_site ~edges
   if not (interval > 0.) then invalid_arg "Deadlock: interval must be positive";
   { engine; net; interval; detector_site; edges;
     graph = Ccdb_serial.Conflict_graph.Builder.create (); choose_victim;
-    victim_site; abort; running = false; pending = None; scans = 0;
+    victim_site; abort; running = false; pending = -1; scans = 0;
     cycles_found = 0 }
 
 (* One victim per scan: abort it, then let the next scan deal with any
@@ -64,12 +64,11 @@ let scan t =
             (fun () -> t.abort victim)))
 
 let rec tick t =
-  t.pending <- None;
+  t.pending <- -1;
   if t.running then begin
     scan t;
     t.pending <-
-      Some
-        (Ccdb_sim.Engine.schedule t.engine ~after:t.interval (fun () -> tick t))
+      Ccdb_sim.Engine.schedule t.engine ~after:t.interval (fun () -> tick t)
   end
 
 let start t =
@@ -78,20 +77,15 @@ let start t =
     (* exactly one tick chain: a stale pending tick would double the scan
        rate (and with stale wait-for snapshots, double-abort both members
        of a cycle — a victim-churn livelock found by randomized testing) *)
-    (match t.pending with
-     | Some h -> ignore (Ccdb_sim.Engine.cancel t.engine h)
-     | None -> ());
+    ignore (Ccdb_sim.Engine.cancel t.engine t.pending);
     t.pending <-
-      Some
-        (Ccdb_sim.Engine.schedule t.engine ~after:t.interval (fun () -> tick t))
+      Ccdb_sim.Engine.schedule t.engine ~after:t.interval (fun () -> tick t)
   end
 
 let stop t =
   t.running <- false;
-  (match t.pending with
-   | Some h -> ignore (Ccdb_sim.Engine.cancel t.engine h)
-   | None -> ());
-  t.pending <- None
+  ignore (Ccdb_sim.Engine.cancel t.engine t.pending);
+  t.pending <- -1
 
 let scans t = t.scans
 let cycles_found t = t.cycles_found

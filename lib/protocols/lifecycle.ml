@@ -1,6 +1,9 @@
 module Copies = Ccdb_storage.Copy_table
-module Int_tbl = Ccdb_util.Int_tbl
 module Int_list = Ccdb_util.Int_list
+
+(* Only ever looked up, except by the crash handler's fold, which sorts
+   what it collects; so the key is its own hash. *)
+module Live_tbl = Ccdb_util.Lookup_tbl.Int
 
 type payload_fn = (int -> int) -> (int * int) list
 
@@ -8,20 +11,20 @@ type detector = Off | Central of Deadlock.t | Probing of Edge_chasing.t
 
 type 'st live = {
   rt : Runtime.t;
-  states : 'st Int_tbl.t;
+  states : 'st Live_tbl.t;
   mutable active : int;
   mutable detector : detector;
 }
 
-let live rt = { rt; states = Int_tbl.create 64; active = 0; detector = Off }
+let live rt = { rt; states = Live_tbl.create 64; active = 0; detector = Off }
 
 let admit live ~duplicate id st =
-  if Int_tbl.mem live.states id then invalid_arg duplicate;
-  Int_tbl.add live.states id st;
+  if Live_tbl.mem live.states id then invalid_arg duplicate;
+  Live_tbl.add live.states id st;
   live.active <- live.active + 1
 
-let find live id = Int_tbl.find_opt live.states id
-let remove live id = Int_tbl.remove live.states id
+let find live id = Live_tbl.find_opt live.states id
+let remove live id = Live_tbl.remove live.states id
 
 let retire live =
   live.active <- live.active - 1;
@@ -31,7 +34,6 @@ let retire live =
     | Probing _ | Off -> ()
 
 let active live = live.active
-let iter f live = Int_tbl.iter f live.states
 
 (* --- footprint and payload ------------------------------------------------ *)
 
@@ -66,7 +68,7 @@ let schedule_restart rt ~site ~base ~attempt k =
 
 let restart_on_crash live ~restartable ~depends_on restart =
   Runtime.on_site_crash live.rt (fun site ->
-      Int_tbl.fold
+      Live_tbl.fold
         (fun id st acc ->
           if restartable st && depends_on st site then id :: acc else acc)
         live.states []

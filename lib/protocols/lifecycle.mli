@@ -44,9 +44,6 @@ val retire : 'st live -> unit
 
 val active : 'st live -> int
 
-val iter : (int -> 'st -> unit) -> 'st live -> unit
-(** In the table's iteration order (diagnostics). *)
-
 (** {2 The footprint and the payload} *)
 
 val copies :

@@ -251,6 +251,14 @@ let recovery_stats t = Option.map Ccdb_sim.Recovery.stats t.recovery
 
 let subscribe t f = t.listeners <- f :: t.listeners
 
+(* Calls each function in turn; unlike [List.iter (fun f -> f event)] it
+   builds no closure around the event. *)
+let rec fan_out event = function
+  | [] -> ()
+  | f :: rest ->
+    f event;
+    fan_out event rest
+
 (* A free slot of the observer ring. *)
 let vacant = Site_recovered { site = -1; at = 0. }
 
@@ -262,7 +270,7 @@ let pipeline observers =
      flight while the worker drains the rest, and the simulation touches
      the shared counters once per 256 events *)
   Ccdb_util.Pipeline.create ~capacity:1024 ~batch:256 ~dummy:vacant
-    (fun e -> List.iter (fun f -> f e) observers)
+    (fun e -> fan_out e observers)
 
 let observe t f =
   t.observers <- f :: t.observers;
@@ -333,13 +341,13 @@ let emit t event =
    | Request_dropped _ | Wal_replayed _ | Prepared _ | Decision_logged _
    | Acceptor_promised _ | Acceptor_accepted _ | Op_implemented _
    | Reads_discarded _ -> ());
-  List.iter (fun f -> f event) t.listeners;
+  fan_out event t.listeners;
   match t.observers with
   | [] -> ()
   | observers -> (
     match t.pipe with
     | Some p -> Ccdb_util.Pipeline.push p event
-    | None -> List.iter (fun f -> f event) observers)
+    | None -> fan_out event observers)
 
 let on_site_crash t f = Ccdb_sim.Net.on_crash t.net f
 

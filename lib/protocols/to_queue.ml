@@ -14,6 +14,10 @@ type entry = {
   mutable e_value : int option; (* committed value of a prewrite *)
 }
 
+(* The [index] is only looked up, never iterated, so the key is its own
+   hash. *)
+module Index = Ccdb_util.Lookup_tbl.Int
+
 (* The [(txn, op)] index mirrors the pending list: the duplicate-request
    guard, [commit_write] and [abort] become hash probes instead of scans of
    every pending entry.  At most one entry per key exists (the guard
@@ -22,13 +26,13 @@ type entry = {
 type t = {
   thomas_write_rule : bool;
   mutable entries : entry list; (* pending only, sorted by timestamp *)
-  index : entry Ccdb_util.Int_tbl.t;
+  index : entry Index.t;
   mutable r_ts : int;
   mutable w_ts : int;
 }
 
 let create ?(thomas_write_rule = false) () =
-  { thomas_write_rule; entries = []; index = Ccdb_util.Int_tbl.create 16;
+  { thomas_write_rule; entries = []; index = Index.create 16;
     r_ts = -1; w_ts = -1 }
 
 let key txn (op : Ccdb_model.Op.kind) =
@@ -45,7 +49,7 @@ let insert_sorted entries e =
   go entries
 
 let request t ~txn ~ts ~op =
-  if Ccdb_util.Int_tbl.mem t.index (key txn op) then
+  if Index.mem t.index (key txn op) then
     invalid_arg "To_queue.request: duplicate request";
   let verdict =
     match op with
@@ -60,18 +64,18 @@ let request t ~txn ~ts ~op =
   else begin
     let e = { e_txn = txn; e_ts = ts; e_op = op; e_value = None } in
     t.entries <- insert_sorted t.entries e;
-    Ccdb_util.Int_tbl.add t.index (key txn op) e;
+    Index.add t.index (key txn op) e;
     Accepted
   end
 
 let commit_write t ~txn ~value =
-  match Ccdb_util.Int_tbl.find_opt t.index (key txn Ccdb_model.Op.Write) with
+  match Index.find_opt t.index (key txn Ccdb_model.Op.Write) with
   | Some e -> e.e_value <- Some value
   | None -> ()
 
 let abort t ~txn =
-  Ccdb_util.Int_tbl.remove t.index (key txn Ccdb_model.Op.Read);
-  Ccdb_util.Int_tbl.remove t.index (key txn Ccdb_model.Op.Write);
+  Index.remove t.index (key txn Ccdb_model.Op.Read);
+  Index.remove t.index (key txn Ccdb_model.Op.Write);
   t.entries <- List.filter (fun e -> e.e_txn <> txn) t.entries
 
 let wipe_reads t =
@@ -82,7 +86,7 @@ let wipe_reads t =
   in
   t.entries <- kept;
   List.iter
-    (fun e -> Ccdb_util.Int_tbl.remove t.index (key e.e_txn e.e_op))
+    (fun e -> Index.remove t.index (key e.e_txn e.e_op))
     dropped;
   List.map (fun e -> e.e_txn) dropped
 
@@ -103,7 +107,7 @@ let perform_ready t =
         (match e.e_op with
          | Ccdb_model.Op.Read -> t.r_ts <- Int.max t.r_ts e.e_ts
          | Ccdb_model.Op.Write -> t.w_ts <- Int.max t.w_ts e.e_ts);
-        Ccdb_util.Int_tbl.remove t.index (key e.e_txn e.e_op);
+        Index.remove t.index (key e.e_txn e.e_op);
         performed :=
           { txn = e.e_txn; ts = e.e_ts; op = e.e_op; value = e.e_value }
           :: !performed;

@@ -8,24 +8,30 @@
    pair.
 
    The heap is three parallel arrays indexed by heap position: the due
-   times (an unboxed [float array]), the sequence numbers and the handles.
-   A handle holds its event's action and position, so moving an entry
-   stores one pointer.  Entries compare inline on (at, seq), so a push
-   allocates only its handle and a removal nothing.  Sifts carry the moving
-   entry in locals and shift the others into the hole.  An entry that
-   leaves has its handle's position reset to -1 and its action dropped, so
-   a handle the caller keeps holds no fired or cancelled closure, and the
-   slot it vacates is reset, so the heap holds no stale handle.  See
+   times (an unboxed [float array]), the sequence numbers and the slots.
+   A slot names an event's action in [actions], its heap position in [pos]
+   and its generation in [gens].  Heap positions at or past [size] hold
+   the free slots, so a push takes the slot just past the heap's end and a
+   removal leaves its slot there.  Sifts move only times, ints and
+   positions, so no sift level runs the write barrier; only a push (which
+   stores the action) and a removal (which drops it) write a pointer.
+   Entries compare inline on (at, seq), so neither a push nor a removal
+   allocates.  A handle is an int packing the slot with its generation at
+   the push; a removal bumps the generation, so a handle whose event fired
+   or was cancelled is refused even after its slot is reused.  See
    DESIGN.md §14. *)
 
 type time = float
 
-type handle = { mutable index : int; mutable action : unit -> unit }
+type handle = int
 
 type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable handles : handle array;
+  mutable slots : int array; (* by position; free slots from [size] on *)
+  mutable actions : (unit -> unit) array; (* by slot *)
+  mutable pos : int array; (* by slot: heap position, -1 if free *)
+  mutable gens : int array; (* by slot: bumped by each removal *)
   mutable size : int;
   mutable clock : time;
   mutable seq : int;
@@ -36,51 +42,58 @@ type t = {
 
 let nop () = ()
 
-(* fills vacant slots; never handed out, so never written *)
-let vacant = { index = -1; action = nop }
+(* a handle's low bits are its slot *)
+let slot_bits = 32
+let slot_mask = (1 lsl slot_bits) - 1
+let[@inline] handle t s = (t.gens.(s) lsl slot_bits) lor s
 
 let create () =
-  { times = [||]; seqs = [||]; handles = [||]; size = 0; clock = 0.; seq = 0;
-    fired = 0; deferred = 0 }
+  { times = [||]; seqs = [||]; slots = [||]; actions = [||]; pos = [||];
+    gens = [||]; size = 0; clock = 0.; seq = 0; fired = 0; deferred = 0 }
 
 let now t = t.clock
 
+(* Doubles every array; the new slots join the free ones past the heap. *)
 let grow t =
-  let cap = max 16 (2 * Array.length t.times) in
+  let old = Array.length t.times in
+  let cap = max 16 (2 * old) in
   let extend a fill =
     let a' = Array.make cap fill in
-    Array.blit a 0 a' 0 t.size;
+    Array.blit a 0 a' 0 old;
     a'
   in
   t.times <- extend t.times 0.;
   t.seqs <- extend t.seqs 0;
-  t.handles <- extend t.handles vacant
+  t.slots <- Array.init cap (fun i -> if i < old then t.slots.(i) else i);
+  t.actions <- extend t.actions nop;
+  t.pos <- extend t.pos (-1);
+  t.gens <- extend t.gens 0
 
-let[@inline] set t i at seq h =
+let[@inline] set t i at seq s =
   t.times.(i) <- at;
   t.seqs.(i) <- seq;
-  t.handles.(i) <- h;
-  h.index <- i
+  t.slots.(i) <- s;
+  t.pos.(s) <- i
 
 (* is the entry at [i] due strictly before (at, seq)? *)
 let[@inline] before t i at seq =
   let a = t.times.(i) in
   a < at || (a = at && t.seqs.(i) < seq)
 
-(* Fill the hole at [i] with the entry (at, seq, h), moving it toward the
+(* Fill the hole at [i] with the entry (at, seq, s), moving it toward the
    root past every parent due after it. *)
-let sift_up t i at seq h =
+let sift_up t i at seq s =
   let i = ref i in
   while !i > 0 && not (before t ((!i - 1) / 2) at seq) do
     let p = (!i - 1) / 2 in
-    set t !i t.times.(p) t.seqs.(p) t.handles.(p);
+    set t !i t.times.(p) t.seqs.(p) t.slots.(p);
     i := p
   done;
-  set t !i at seq h
+  set t !i at seq s
 
 (* The same toward the leaves, past every smaller child due before it.
    Inlined into [delete_at], so the carried time stays unboxed. *)
-let[@inline] sift_down t i at seq h =
+let[@inline] sift_down t i at seq s =
   let i = ref i in
   let continue = ref true in
   while !continue do
@@ -92,36 +105,38 @@ let[@inline] sift_down t i at seq h =
         if r < t.size && before t r t.times.(l) t.seqs.(l) then r else l
       in
       if before t c at seq then begin
-        set t !i t.times.(c) t.seqs.(c) t.handles.(c);
+        set t !i t.times.(c) t.seqs.(c) t.slots.(c);
         i := c
       end
       else continue := false
     end
   done;
-  set t !i at seq h
+  set t !i at seq s
 
 let push t at seq action =
   if t.size = Array.length t.times then grow t;
-  let h = { index = t.size; action } in
+  let s = t.slots.(t.size) in
+  t.actions.(s) <- action;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1) at seq h;
-  h
+  sift_up t (t.size - 1) at seq s;
+  handle t s
 
 (* Remove the entry at position [i] and return its action: the last entry
    fills the hole and sifts whichever way restores the order, and the
-   vacated last slot is reset. *)
+   freed slot goes to the position the heap no longer covers. *)
 let delete_at t i =
-  let gone = t.handles.(i) in
-  let action = gone.action in
-  gone.index <- -1;
-  gone.action <- nop;
+  let gone = t.slots.(i) in
+  let action = t.actions.(gone) in
+  t.actions.(gone) <- nop;
+  t.gens.(gone) <- t.gens.(gone) + 1;
+  t.pos.(gone) <- -1;
   let last = t.size - 1 in
-  let at = t.times.(last) and seq = t.seqs.(last) and h = t.handles.(last) in
-  t.handles.(last) <- vacant;
+  let at = t.times.(last) and seq = t.seqs.(last) and s = t.slots.(last) in
   t.size <- last;
   (if i < last then
-     if i > 0 && not (before t ((i - 1) / 2) at seq) then sift_up t i at seq h
-     else sift_down t i at seq h);
+     if i > 0 && not (before t ((i - 1) / 2) at seq) then sift_up t i at seq s
+     else sift_down t i at seq s);
+  t.slots.(last) <- gone;
   action
 
 let schedule_at t ~at action =
@@ -183,11 +198,14 @@ let schedule_all t batch =
         ignore (schedule_reserved t ~at ~seq:(seq + i) action))
       batch
 
+(* A live slot's generation is the one its handle was given; a removal
+   bumps it, so a spent handle no longer matches even once its slot is
+   live again.  A free slot has no position, so no int names it. *)
 let cancel t h =
-  let i = h.index in
-  i >= 0 && i < t.size && t.handles.(i) == h
+  let s = h land slot_mask in
+  s < Array.length t.gens && handle t s = h && t.pos.(s) >= 0
   &&
-  let (_ : unit -> unit) = delete_at t i in
+  let (_ : unit -> unit) = delete_at t t.pos.(s) in
   true
 
 let fire_next t =

@@ -13,8 +13,10 @@ type t
 type time = float
 (** Simulation time in abstract milliseconds. *)
 
-type handle
-(** Handle for cancelling a scheduled event. *)
+type handle = int
+(** Handle for cancelling a scheduled event: its slot in the engine and
+    that slot's generation, packed in one non-negative int.  Handles are
+    never negative, so [-1] can stand for "no event". *)
 
 val create : unit -> t
 (** A fresh engine: empty queue, clock at 0. *)
@@ -59,7 +61,8 @@ val schedule_all : t -> (time * (unit -> unit)) list -> unit
 
 val cancel : t -> handle -> bool
 (** [cancel t h] prevents the event from firing; returns [false] if it
-    already fired or was cancelled. *)
+    already fired or was cancelled, even once another event has taken its
+    slot (that event stays queued), and for any int no push returned. *)
 
 val run : ?until:time -> ?max_events:int -> t -> unit
 (** Processes events in (time, seq) order until the queue is empty,

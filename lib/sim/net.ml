@@ -84,7 +84,7 @@ type fmessage = {
      ([m_timer]), or neither once the message is acked. *)
   mutable m_due : float;
   mutable m_key : int;            (* -1 unless reserved *)
-  mutable m_timer : Engine.handle option;
+  mutable m_timer : Engine.handle; (* -1 unless pushed *)
 }
 
 (* per-(src, dst) transport channel *)
@@ -110,6 +110,8 @@ type t = {
   rng : Ccdb_util.Rng.t;
   config : config;
   counts : int ref Kind_tbl.t;
+  mutable last_kind : string; (* the kind [last_count] counts *)
+  mutable last_count : int ref;
   mutable total : int;
   mutable slowdowns : slowdown list;
   (* Earliest admissible delivery time per ordered (src, dst) pair, to keep
@@ -120,18 +122,36 @@ type t = {
 
 and front = { mutable front : float }
 
+(* a string no caller holds, so no kind is identical to it *)
+let no_kind = String.make 1 '?'
+
 let create engine rng config =
   if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
-  { engine; rng; config; counts = Kind_tbl.create 16; total = 0;
-    slowdowns = []; channel_front = Lookup.Int.create 64; faults = None }
+  { engine; rng; config; counts = Kind_tbl.create 16; last_kind = no_kind;
+    last_count = ref 0; total = 0; slowdowns = [];
+    channel_front = Lookup.Int.create 64; faults = None }
 
 let sites t = t.config.sites
 
+(* Kinds are literals at their call sites, and runs of sends share one
+   (a message to each copy, participant or acceptor), so the counter of
+   the last kind is kept and the kind compared with it by identity; only
+   a different kind is hashed. *)
 let count t kind =
   t.total <- t.total + 1;
-  match Kind_tbl.find_opt t.counts kind with
-  | Some r -> incr r
-  | None -> Kind_tbl.add t.counts kind (ref 1)
+  if kind != t.last_kind then begin
+    let r =
+      match Kind_tbl.find t.counts kind with
+      | r -> r
+      | exception Not_found ->
+        let r = ref 0 in
+        Kind_tbl.add t.counts kind r;
+        r
+    in
+    t.last_kind <- kind;
+    t.last_count <- r
+  end;
+  incr t.last_count
 
 let slowdown_factor t ~src ~dst =
   match t.slowdowns with
@@ -206,29 +226,29 @@ let rec release_ready ch =
     release_ready ch
   | None -> ()
 
-let armed msg = msg.m_key >= 0 || Option.is_some msg.m_timer
+let armed msg = msg.m_key >= 0 || msg.m_timer >= 0
 
 (* the message is acknowledged: its timer is cancelled or never pushed *)
 let settle t msg =
   msg.m_key <- -1;
-  match msg.m_timer with
-  | Some h ->
-    ignore (Engine.cancel t.engine h);
-    msg.m_timer <- None
-  | None -> ()
+  if msg.m_timer >= 0 then begin
+    ignore (Engine.cancel t.engine msg.m_timer);
+    msg.m_timer <- -1
+  end
 
 let rec transmit t fr msg =
   msg.m_attempts <- msg.m_attempts + 1;
   fr.stats.s_transmissions <- fr.stats.s_transmissions + 1;
   if msg.m_attempts > 1 then
     fr.stats.s_retransmitted <- fr.stats.s_retransmitted + 1;
-  (* the timer's due time, which each copy's arrival is compared with *)
+  (* the timer's due time, which each copy's arrival is compared with; the
+     first timeout is [rto *. rto_backoff ** 0.], which is [rto] *)
   let k = msg.m_attempts - 1 in
-  msg.m_due <-
-    Engine.now t.engine
-    +. Float.min
-         (fr.retry.rto *. (fr.retry.rto_backoff ** float_of_int k))
-         fr.retry.rto_cap;
+  let timeout =
+    if k = 0 then fr.retry.rto
+    else fr.retry.rto *. (fr.retry.rto_backoff ** float_of_int k)
+  in
+  msg.m_due <- Engine.now t.engine +. Float.min timeout fr.retry.rto_cap;
   let link = Fault_plan.link_for fr.plan ~src:msg.m_src ~dst:msg.m_dst in
   let early =
     if fr.crashed.(msg.m_src) then begin
@@ -279,10 +299,9 @@ and push_timer t fr msg =
   if seq >= 0 then begin
     msg.m_key <- -1;
     msg.m_timer <-
-      Some
-        (Engine.schedule_reserved t.engine ~at:msg.m_due ~seq (fun () ->
-             msg.m_timer <- None;
-             transmit t fr msg))
+      Engine.schedule_reserved t.engine ~at:msg.m_due ~seq (fun () ->
+          msg.m_timer <- -1;
+          transmit t fr msg)
   end
 
 and arrive t fr msg =
@@ -296,10 +315,16 @@ and arrive t fr msg =
     send_ack t fr msg;
     if not msg.m_received then begin
       (* the channel releases only received messages, so this one is at
-         or past its front *)
+         or past its front; at the front it is released at once, with
+         whatever it unblocks, and past it it waits in [ready] *)
       msg.m_received <- true;
-      Lookup.Int.replace msg.m_channel.ready msg.m_seq msg;
-      release_ready msg.m_channel
+      let ch = msg.m_channel in
+      if msg.m_seq = ch.deliver_next then begin
+        ch.deliver_next <- ch.deliver_next + 1;
+        msg.m_deliver ();
+        release_ready ch
+      end
+      else Lookup.Int.replace ch.ready msg.m_seq msg
     end
   end
 
@@ -337,7 +362,7 @@ let send_faulted t fr ~src ~dst deliver =
   let msg =
     { m_src = src; m_dst = dst; m_seq = seq; m_channel = ch;
       m_deliver = deliver; m_attempts = 0; m_received = false;
-      m_due = 0.; m_key = -1; m_timer = None }
+      m_due = 0.; m_key = -1; m_timer = -1 }
   in
   transmit t fr msg
 

@@ -10,6 +10,11 @@ let rec mem_assoc (x : int) = function
   | [] -> false
   | (k, _) :: rest -> k = x || mem_assoc x rest
 
+let rec remove_assoc (x : int) = function
+  | [] -> []
+  | ((k, _) as pair) :: rest ->
+    if k = x then rest else pair :: remove_assoc x rest
+
 let rec mem_pair ((a, b) as p : int * int) = function
   | [] -> false
   | (x, y) :: rest -> (x = a && y = b) || mem_pair p rest

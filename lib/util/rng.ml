@@ -1,38 +1,47 @@
-type t = { mutable state : int64 }
+(* The state is one int64 held unboxed in 8 bytes, so advancing it
+   allocates nothing; [next] and [mix] are inlined into each draw, which
+   keeps the intermediate values unboxed too. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create ~seed = of_state (Int64.of_int seed)
 
 (* SplitMix64 finalizer (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let bits64 t = next t
 
-let copy t = { state = t.state }
+let split t = of_state (next t)
+
+let copy t = Bytes.copy t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (bits64 t) mask) in
+  let v = Int64.to_int (Int64.logand (next t) mask) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits mapped to [0, 1), scaled. *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   let unit = Int64.to_float bits *. (1.0 /. 9007199254740992.0) in
   unit *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";

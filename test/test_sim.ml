@@ -47,8 +47,45 @@ let test_engine_cancel () =
   let h = Ccdb_sim.Engine.schedule e ~after:1. (fun () -> fired := true) in
   check Alcotest.bool "cancelled" true (Ccdb_sim.Engine.cancel e h);
   check Alcotest.bool "idempotent" false (Ccdb_sim.Engine.cancel e h);
+  (* the next event takes the cancelled event's slot; the old handle
+     still names the cancelled event, not this one *)
+  let reused = ref false in
+  ignore (Ccdb_sim.Engine.schedule e ~after:2. (fun () -> reused := true));
+  check Alcotest.bool "spent handle refused" false (Ccdb_sim.Engine.cancel e h);
+  check Alcotest.bool "never a handle" false (Ccdb_sim.Engine.cancel e (-1));
+  check Alcotest.bool "a free slot's int" false (Ccdb_sim.Engine.cancel e 5);
+  check Alcotest.int "slot's new event queued" 1 (Ccdb_sim.Engine.pending e);
   Ccdb_sim.Engine.run e;
-  check Alcotest.bool "not fired" false !fired
+  check Alcotest.bool "not fired" false !fired;
+  check Alcotest.bool "new event fired" true !reused
+
+(* A handle is an int and the heap moves only ints and unboxed times, so
+   scheduling a closure the caller already holds and firing it allocate
+   nothing but the clock's new box, 2 words. *)
+let test_engine_allocation () =
+  let e = Ccdb_sim.Engine.create () in
+  let hits = ref 0 in
+  let action () = incr hits in
+  (* grow the heap first *)
+  for _ = 1 to 64 do
+    ignore (Ccdb_sim.Engine.schedule e ~after:1. action)
+  done;
+  Ccdb_sim.Engine.run e;
+  let n = 10_000 in
+  (* boxed up front, as the times callers pass usually are *)
+  let times = Array.init n (fun i -> Some (float_of_int (i + 2))) in
+  let before = Gc.minor_words () in
+  Array.iter
+    (function
+      | Some at ->
+        ignore (Ccdb_sim.Engine.schedule_at e ~at action);
+        ignore (Ccdb_sim.Engine.step e)
+      | None -> ())
+    times;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check Alcotest.int "fired" (n + 64) !hits;
+  if words > 2.01 then
+    Alcotest.failf "schedule_at and firing allocated %.2f words" words
 
 let test_engine_until () =
   let e = Ccdb_sim.Engine.create () in
@@ -332,6 +369,7 @@ module Script (E : ENGINE) = struct
     let rng = Ccdb_util.Rng.create ~seed in
     let log = ref [] in
     let fired_handles = ref [] in
+    let spent = ref [] in (* fired or cancelled, newest first *)
     let next_id = ref 0 in
     let budget = ref 120 in
     let inner_batch = ref true in
@@ -353,6 +391,16 @@ module Script (E : ENGINE) = struct
       List.map (fun at -> (at, node (fresh ()))) times
     and node id () =
       log := (E.now eng, id, E.pending eng) :: !log;
+      (* a spent handle is refused, even once a queued event has taken
+         its slot, and leaves that event queued *)
+      (match !spent with
+       | h :: rest when Ccdb_util.Rng.int rng 2 = 0 ->
+         spent := rest;
+         let pending = E.pending eng in
+         check Alcotest.bool "spent handle refused" false (E.cancel eng h);
+         check Alcotest.int "spent handle cancelled nothing" pending
+           (E.pending eng)
+       | _ -> ());
       if !inner_batch && !budget < 60 then begin
         inner_batch := false;
         E.schedule_all eng (batch ~from:(E.now eng))
@@ -368,7 +416,14 @@ module Script (E : ENGINE) = struct
                 (E.schedule eng ~after:(Ccdb_util.Rng.float rng 30.) child)
             | 1 ->
               let after = float_of_int (Ccdb_util.Rng.int rng 4) in
-              fired_handles := E.schedule eng ~after child :: !fired_handles
+              let self = ref None in
+              let h =
+                E.schedule eng ~after (fun () ->
+                    Option.iter (fun h -> spent := h :: !spent) !self;
+                    child ())
+              in
+              self := Some h;
+              fired_handles := h :: !fired_handles
             | 2 ->
               ignore
                 (E.schedule_at eng
@@ -395,6 +450,7 @@ module Script (E : ENGINE) = struct
               check Alcotest.bool "cancel accepted" true (E.cancel eng h);
               check Alcotest.bool "second cancel refused" false
                 (E.cancel eng h);
+              spent := h :: !spent;
               ignore
                 (E.schedule eng ~after:(Ccdb_util.Rng.float rng 10.) child)
           end
@@ -488,12 +544,16 @@ let test_net_counts () =
   Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:"a" ignore;
   Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:"a" ignore;
   Ccdb_sim.Net.send net ~src:1 ~dst:0 ~kind:"b" ignore;
+  (* a kind is counted by its contents, not by which string carries them *)
+  Ccdb_sim.Net.send net ~src:1 ~dst:0 ~kind:(String.make 1 'a') ignore;
+  Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:(String.make 1 'b') ignore;
+  Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:"a" ignore;
   Ccdb_sim.Engine.run e;
-  check Alcotest.int "total" 3 (Ccdb_sim.Net.messages_sent net);
+  check Alcotest.int "total" 6 (Ccdb_sim.Net.messages_sent net);
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "by kind"
-    [ ("a", 2); ("b", 1) ]
+    [ ("a", 4); ("b", 2) ]
     (Ccdb_sim.Net.messages_by_kind net)
 
 let test_net_fifo_per_channel () =
@@ -520,6 +580,8 @@ let suites =
         Alcotest.test_case "fifo ties" `Quick test_engine_fifo_ties;
         Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "schedule and fire allocate only the clock" `Quick
+          test_engine_allocation;
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "max events" `Quick test_engine_max_events;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;

@@ -43,6 +43,50 @@ let test_rng_copy () =
   check Alcotest.int64 "copy replays" (Ccdb_util.Rng.bits64 a)
     (Ccdb_util.Rng.bits64 b)
 
+(* Known answers for seed 2026, recorded from the boxed-state generator
+   this one replaced: the same seed must keep drawing the same bits,
+   through every entry point. *)
+let test_rng_known_answers () =
+  let module R = Ccdb_util.Rng in
+  let r = R.create ~seed:2026 in
+  List.iter
+    (fun want -> check Alcotest.int64 "bits64" want (R.bits64 r))
+    [ -2622126769270649565L; 8699989649721214301L; -6136402475954816882L ];
+  let float_bits bound = Int64.bits_of_float (R.float r bound) in
+  check Alcotest.int64 "float 1" (Int64.bits_of_float 0x1.8a024e2b5684p-2)
+    (float_bits 1.0);
+  check Alcotest.int64 "float 10" (Int64.bits_of_float 0x1.faa0864b12fe7p+2)
+    (float_bits 10.0);
+  check Alcotest.int "int 1000" 811 (R.int r 1000);
+  check Alcotest.int "int max_int" 3744871854979365294 (R.int r max_int);
+  let child = R.split r in
+  check Alcotest.int64 "split child" (-6707012011512799555L) (R.bits64 child);
+  check Alcotest.int64 "parent after split" 6176811619522188020L
+    (R.bits64 r);
+  let copy = R.copy r in
+  check Alcotest.int64 "copy" 4243931252239386434L (R.bits64 copy);
+  check Alcotest.int64 "original after copy" 4243931252239386434L
+    (R.bits64 r);
+  check Alcotest.int64 "exponential"
+    (Int64.bits_of_float 0x1.053bba7deaee8p+1)
+    (Int64.bits_of_float (R.exponential r ~mean:5.));
+  check Alcotest.bool "bool" false (R.bool r);
+  check Alcotest.int64 "negative seed" 7790691224305936752L
+    (R.bits64 (R.create ~seed:(-7)))
+
+(* The state is held unboxed, so an int draw allocates nothing. *)
+let test_rng_int_allocates_nothing () =
+  let rng = Ccdb_util.Rng.create ~seed:5 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Ccdb_util.Rng.int rng 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "drew something" true (!sum > 0);
+  if words > 16. then
+    Alcotest.failf "10000 Rng.int draws allocated %.0f words" words
+
 let test_rng_int_bounds () =
   let rng = Ccdb_util.Rng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -175,6 +219,9 @@ let suites =
         Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         Alcotest.test_case "copy" `Quick test_rng_copy;
+        Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+        Alcotest.test_case "int allocates nothing" `Quick
+          test_rng_int_allocates_nothing;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
