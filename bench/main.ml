@@ -180,7 +180,7 @@ let bench_semi_lock_cycle =
                ~protocol:Ccdb_model.Protocol.Pa ~ts:(Some i) ~interval:5
                ~epoch:0 ~op:Ccdb_model.Op.Read)
         done;
-        ignore (Core.Semi_lock_queue.grant_ready q ~now:0.);
+        Core.Semi_lock_queue.grant_ready q ~now:0.;
         fun () ->
           incr counter;
           let txn = !counter in
@@ -189,8 +189,8 @@ let bench_semi_lock_cycle =
                ~protocol:Ccdb_model.Protocol.T_o
                ~ts:(Some (100 + !counter)) ~interval:5 ~epoch:0
                ~op:Ccdb_model.Op.Read);
-          ignore (Core.Semi_lock_queue.grant_ready q ~now:1.);
-          ignore (Core.Semi_lock_queue.release q ~txn)))
+          Core.Semi_lock_queue.grant_ready q ~now:1.;
+          ignore (Core.Semi_lock_queue.release q ~txn : Core.Semi_lock_queue.entry)))
 
 let bench_lock_table_cycle =
   (* one request -> grant sweep -> release cycle on a contended copy: a

@@ -16,19 +16,20 @@ type entry = {
   mutable implemented : bool;
 }
 
-type grant = { entry : entry; schedule : Ccdb_model.Lock.schedule }
-
-(* The [index] is only looked up, never iterated, so the key is its own
-   hash. *)
-module Index = Ccdb_util.Lookup_tbl.Int
-
 (* The hot paths this queue sits on run once per request, grant and release
-   of every simulated lock, so the representation carries three indexes on
-   top of the precedence-sorted entry list:
+   of every simulated lock, so none of them allocates beyond the request's
+   entry:
 
-   - [index]: txn -> entry, so duplicate detection and the by-txn lookups
-     ([update_ts], [transform], [release], [abort]) are O(1) instead of a
-     list scan;
+   - [order]: the entries in precedence order in [0, size), [vacant]
+     beyond.  A request shifts the entries that follow it up one place
+     (it lands at or near the tail, so it shifts few or none), and a
+     removal shifts the rest down: no cell is allocated.  A queue holds
+     only the transactions in flight at one copy, a handful, so the
+     by-txn lookups ([update_ts], [transform], [release], [abort]) scan
+     it rather than keep a table;
+   - [reports]: the last operation's grants or promotions, read by the
+     caller before its next call; slots past [n_reports] may still hold
+     entries that left, until the buffer is overwritten;
    - [n_rl]/[n_wl]/[n_srl]/[n_swl]: how many entries currently hold a lock
      of each mode.  Only ungranted entries are ever probed by
      [grant_check], and a transaction has at most one entry here, so these
@@ -44,8 +45,10 @@ module Index = Ccdb_util.Lookup_tbl.Int
      next [r_ts]/[w_ts] read, so the observable values never change. *)
 type t = {
   semi_locks : bool;
-  mutable entries : entry list; (* sorted by unified precedence *)
-  index : entry Index.t;
+  mutable order : entry array;
+  mutable size : int;
+  mutable reports : entry array;
+  mutable n_reports : int;
   mutable max_ts_seen : int;    (* biggest timestamp ever in this queue *)
   mutable arrival_counter : int;
   mutable grant_counter : int;
@@ -61,27 +64,73 @@ type t = {
   mutable granted_w_dirty : bool;
 }
 
+(* fills the unused slots of [order] and [reports] *)
+let vacant =
+  { txn = -1; site = -1; protocol = Ccdb_model.Protocol.Two_pl;
+    op = Ccdb_model.Op.Read; interval = 0; epoch = 0;
+    prec = Ccdb_model.Precedence.queue_local ~ts:(-1) ~arrival:(-1);
+    blocked = false; lock = None; schedule = Ccdb_model.Lock.Normal;
+    grant_seq = -1; granted_at = 0.; implemented = false }
+
 let create ?(semi_locks = true) () =
-  { semi_locks; entries = []; index = Index.create 16;
-    max_ts_seen = 0;
+  { semi_locks; order = [||]; size = 0;
+    reports = [||]; n_reports = 0; max_ts_seen = 0;
     arrival_counter = 0; grant_counter = 0; r_released = -1; w_released = -1;
     n_rl = 0; n_wl = 0; n_srl = 0; n_swl = 0;
     granted_r = -1; granted_w = -1;
     granted_r_dirty = false; granted_w_dirty = false }
 
+let grow a =
+  let a' = Array.make (Int.max 4 (2 * Array.length a)) vacant in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
 let compare_entries a b = Ccdb_model.Precedence.compare a.prec b.prec
 
 (* Precedence is a total order over distinct entries (timestamp, then
-   origin, then site/txn or arrival), so inserting before the first
-   strictly greater entry reproduces exactly what appending and running
-   [List.stable_sort] used to produce. *)
-let insert_sorted t e =
-  let rec go = function
-    | [] -> [ e ]
-    | x :: rest ->
-      if compare_entries e x < 0 then e :: x :: rest else x :: go rest
-  in
-  t.entries <- go t.entries
+   origin, then site/txn or arrival), so inserting after the last entry
+   that precedes [e] reproduces exactly what appending and running
+   [List.stable_sort] used to produce.  The walk starts at the tail, where
+   a 2PL request always lands. *)
+let insert t e =
+  if t.size = Array.length t.order then t.order <- grow t.order;
+  let i = ref t.size in
+  while !i > 0 && compare_entries e t.order.(!i - 1) < 0 do
+    t.order.(!i) <- t.order.(!i - 1);
+    decr i
+  done;
+  t.order.(!i) <- e;
+  t.size <- t.size + 1
+
+(* The position of [txn]'s entry in [order], [size] when it has none. *)
+let position t txn =
+  let i = ref 0 in
+  while !i < t.size && t.order.(!i).txn <> txn do
+    incr i
+  done;
+  !i
+
+let delete_at t i =
+  let last = t.size - 1 in
+  Array.blit t.order (i + 1) t.order i (last - i);
+  t.order.(last) <- vacant;
+  t.size <- last
+
+let find t txn =
+  let i = position t txn in
+  if i = t.size then raise Not_found;
+  t.order.(i)
+
+let push_report t e =
+  if t.n_reports = Array.length t.reports then t.reports <- grow t.reports;
+  t.reports.(t.n_reports) <- e;
+  t.n_reports <- t.n_reports + 1
+
+let reports t = t.n_reports
+
+let report t i =
+  if i < 0 || i >= t.n_reports then invalid_arg "Semi_lock_queue.report";
+  t.reports.(i)
 
 let count_held t delta mode =
   match (mode : Ccdb_model.Lock.mode) with
@@ -90,13 +139,27 @@ let count_held t delta mode =
   | Ccdb_model.Lock.Srl -> t.n_srl <- t.n_srl + delta
   | Ccdb_model.Lock.Swl -> t.n_swl <- t.n_swl + delta
 
+(* The held-lock options, built once: taking a lock allocates nothing. *)
+let some_rl = Some Ccdb_model.Lock.Rl
+let some_wl = Some Ccdb_model.Lock.Wl
+let some_srl = Some Ccdb_model.Lock.Srl
+let some_swl = Some Ccdb_model.Lock.Swl
+
+let held (mode : Ccdb_model.Lock.mode) =
+  match mode with
+  | Ccdb_model.Lock.Rl -> some_rl
+  | Ccdb_model.Lock.Wl -> some_wl
+  | Ccdb_model.Lock.Srl -> some_srl
+  | Ccdb_model.Lock.Swl -> some_swl
+
 let recompute_granted t op =
-  List.fold_left
-    (fun acc e ->
-      if Option.is_some e.lock && Ccdb_model.Op.equal e.op op then
-        Int.max acc e.prec.Ccdb_model.Precedence.ts
-      else acc)
-    (-1) t.entries
+  let acc = ref (-1) in
+  for i = 0 to t.size - 1 do
+    let e = t.order.(i) in
+    if Option.is_some e.lock && Ccdb_model.Op.equal e.op op then
+      acc := Int.max !acc e.prec.Ccdb_model.Precedence.ts
+  done;
+  !acc
 
 let r_ts t =
   if t.granted_r_dirty then begin
@@ -127,18 +190,22 @@ let note_ungranted t (e : entry) =
   | Ccdb_model.Op.Read -> t.granted_r_dirty <- true
   | Ccdb_model.Op.Write -> t.granted_w_dirty <- true
 
-let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
-  if Index.mem t.index txn then
-    invalid_arg "Semi_lock_queue.request: duplicate request";
-  let fresh prec blocked =
+let admit t ~txn ~site ~protocol ~interval ~epoch ~op prec ~blocked =
+  let e =
     { txn; site; protocol; op; interval; epoch; prec; blocked; lock = None;
       schedule = Ccdb_model.Lock.Normal; grant_seq = -1; granted_at = 0.;
       implemented = false }
   in
-  let admit e =
-    Index.add t.index txn e;
-    insert_sorted t e
-  in
+  insert t e
+
+let admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts ~blocked =
+  t.max_ts_seen <- Int.max t.max_ts_seen ts;
+  admit t ~txn ~site ~protocol ~interval ~epoch ~op ~blocked
+    (Ccdb_model.Precedence.timestamped ~ts ~site ~txn)
+
+let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
+  if position t txn < t.size then
+    invalid_arg "Semi_lock_queue.request: duplicate request";
   match protocol, ts with
   | Ccdb_model.Protocol.Two_pl, None ->
     (* 2PL precedence: the biggest timestamp ever seen here, tail position *)
@@ -147,7 +214,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
         ~arrival:t.arrival_counter
     in
     t.arrival_counter <- t.arrival_counter + 1;
-    admit (fresh prec false);
+    admit t ~txn ~site ~protocol ~interval ~epoch ~op prec ~blocked:false;
     Accepted
   | (Ccdb_model.Protocol.T_o | Ccdb_model.Protocol.Pa), Some ts ->
     let floor =
@@ -155,13 +222,8 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
       | Ccdb_model.Op.Read -> w_ts t
       | Ccdb_model.Op.Write -> Int.max (w_ts t) (r_ts t)
     in
-    let admit_ts ts blocked =
-      t.max_ts_seen <- Int.max t.max_ts_seen ts;
-      let prec = Ccdb_model.Precedence.timestamped ~ts ~site ~txn in
-      admit (fresh prec blocked)
-    in
     if ts > floor then begin
-      admit_ts ts false;
+      admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts ~blocked:false;
       Accepted
     end
     else begin
@@ -170,7 +232,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
       | Ccdb_model.Protocol.Pa ->
         let tuple = Ccdb_model.Timestamp.Tuple.make ~ts ~interval in
         let ts' = Ccdb_model.Timestamp.Tuple.backoff tuple ~floor in
-        admit_ts ts' true;
+        admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts' ~blocked:true;
         Backoff ts'
       | Ccdb_model.Protocol.Two_pl -> assert false
     end
@@ -180,9 +242,10 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
     invalid_arg "Semi_lock_queue.request: timestamped protocol needs a ts"
 
 let update_ts t ~txn ~ts =
-  match Index.find_opt t.index txn with
-  | None -> `Absent
-  | Some e ->
+  let i = position t txn in
+  if i = t.size then `Absent
+  else begin
+    let e = t.order.(i) in
     let revoked = Option.is_some e.lock in
     (match e.lock with
      | Some mode ->
@@ -190,15 +253,16 @@ let update_ts t ~txn ~ts =
        note_ungranted t e
      | None -> ());
     t.max_ts_seen <- Int.max t.max_ts_seen ts;
-    t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
+    delete_at t i;
     e.prec <-
       Ccdb_model.Precedence.timestamped ~ts ~site:e.site ~txn:e.txn;
     e.blocked <- false;
     e.lock <- None;
     e.schedule <- Ccdb_model.Lock.Normal;
     e.grant_seq <- -1;
-    insert_sorted t e;
+    insert t e;
     if revoked then `Revoked else `Moved
+  end
 
 let lock_mode_for t (e : entry) =
   (* the lock mode this entry would be granted, per protocol and queue mode *)
@@ -248,88 +312,91 @@ let grant_check t (e : entry) =
   if t.semi_locks then to_semi_rules else full_lock_rules
 
 let grant_ready t ~now =
-  let newly = ref [] in
+  t.n_reports <- 0;
   (* HD discipline: walk in precedence order past granted entries; grant the
      frontier while possible, stop at the first entry that keeps waiting. *)
-  let rec scan = function
-    | [] -> ()
-    | e :: rest ->
-      if Option.is_some e.lock then scan rest
-      else if e.blocked then ()
-      else begin
+  let i = ref 0 and frontier = ref true in
+  while !frontier && !i < t.size do
+    let e = t.order.(!i) in
+    if Option.is_none e.lock then begin
+      if e.blocked then frontier := false
+      else
         match grant_check t e with
-        | None -> ()
+        | None -> frontier := false
         | Some schedule ->
           let mode = lock_mode_for t e in
-          e.lock <- Some mode;
+          e.lock <- held mode;
           count_held t 1 mode;
           note_granted t e;
           e.schedule <- schedule;
           e.grant_seq <- t.grant_counter;
           t.grant_counter <- t.grant_counter + 1;
           e.granted_at <- now;
-          newly := { entry = e; schedule } :: !newly;
-          scan rest
-      end
-  in
-  scan t.entries;
-  List.rev !newly
+          push_report t e
+    end;
+    incr i
+  done
 
 let transform t ~txn =
-  match Index.find_opt t.index txn with
-  | None -> None
-  | Some e ->
-    (match e.lock with
-     | Some mode ->
-       let semi = Ccdb_model.Lock.to_semi mode in
-       count_held t (-1) mode;
-       count_held t 1 semi;
-       e.lock <- Some semi
-     | None -> ());
-    Some e
+  let e = find t txn in
+  (match e.lock with
+   | Some mode ->
+     let semi = Ccdb_model.Lock.to_semi mode in
+     count_held t (-1) mode;
+     count_held t 1 semi;
+     e.lock <- held semi
+   | None -> ());
+  e
 
-(* Pre-scheduled locks whose earlier conflicting grants are now all gone. *)
-let promotions t =
-  List.filter
-    (fun e ->
-      Option.is_some e.lock
-      && Ccdb_model.Lock.schedule_equal e.schedule Ccdb_model.Lock.Pre_scheduled
-      && not
-           (List.exists
-              (fun e' ->
-                e'.txn <> e.txn && e'.grant_seq >= 0
-                && e'.grant_seq < e.grant_seq
-                && match e'.lock, e.lock with
-                   | Some m', Some m -> Ccdb_model.Lock.conflicts m' m
-                   | _, _ -> false)
-              t.entries))
-    t.entries
+(* Is a lock of another transaction that conflicts with [e]'s lock [m]
+   granted before it, at position [i] or later? *)
+let rec conflicting_grant_from t (e : entry) m i =
+  i < t.size
+  && ((let e' = t.order.(i) in
+       match e'.lock with
+       | Some m' ->
+         e'.txn <> e.txn && e'.grant_seq >= 0 && e'.grant_seq < e.grant_seq
+         && Ccdb_model.Lock.conflicts m' m
+       | None -> false)
+      || conflicting_grant_from t e m (i + 1))
+
+(* Reports the pre-scheduled locks whose earlier conflicting grants are
+   now all gone, and makes them normal. *)
+let promote t =
+  t.n_reports <- 0;
+  for i = 0 to t.size - 1 do
+    let e = t.order.(i) in
+    match e.lock with
+    | Some m
+      when Ccdb_model.Lock.schedule_equal e.schedule
+             Ccdb_model.Lock.Pre_scheduled
+           && not (conflicting_grant_from t e m 0) ->
+      e.schedule <- Ccdb_model.Lock.Normal;
+      push_report t e
+    | Some _ | None -> ()
+  done
 
 let remove t ~txn ~advance_hwm =
-  match Index.find_opt t.index txn with
-  | None -> None
-  | Some e ->
-    Index.remove t.index txn;
-    t.entries <- List.filter (fun e' -> e'.txn <> txn) t.entries;
-    (match e.lock with
-     | Some mode ->
-       count_held t (-1) mode;
-       (* a release folds the departing timestamp into the released
-          high-water mark below, so the cached granted maximum cannot
-          overstate; an abort does not, hence the dirty flag *)
-       if not advance_hwm then note_ungranted t e
-     | None -> ());
-    if advance_hwm then begin
-      let ts = e.prec.Ccdb_model.Precedence.ts in
-      match e.op with
-      | Ccdb_model.Op.Read -> t.r_released <- Int.max t.r_released ts
-      | Ccdb_model.Op.Write -> t.w_released <- Int.max t.w_released ts
-    end;
-    let promoted = promotions t in
-    List.iter
-      (fun (p : entry) -> p.schedule <- Ccdb_model.Lock.Normal)
-      promoted;
-    Some (e, promoted)
+  let i = position t txn in
+  if i = t.size then raise Not_found;
+  let e = t.order.(i) in
+  delete_at t i;
+  (match e.lock with
+   | Some mode ->
+     count_held t (-1) mode;
+     (* a release folds the departing timestamp into the released
+        high-water mark below, so the cached granted maximum cannot
+        overstate; an abort does not, hence the dirty flag *)
+     if not advance_hwm then note_ungranted t e
+   | None -> ());
+  if advance_hwm then begin
+    let ts = e.prec.Ccdb_model.Precedence.ts in
+    match e.op with
+    | Ccdb_model.Op.Read -> t.r_released <- Int.max t.r_released ts
+    | Ccdb_model.Op.Write -> t.w_released <- Int.max t.w_released ts
+  end;
+  promote t;
+  e
 
 let release t ~txn = remove t ~txn ~advance_hwm:true
 let abort t ~txn = remove t ~txn ~advance_hwm:false
@@ -342,59 +409,57 @@ let wipe_volatile t =
      negotiation and force a PA restart, violating Corollary 1) survive.
      No held-mode counter or granted-ts cache changes: dropped entries are
      all ungranted. *)
-  let dropped, kept =
-    List.partition
-      (fun e ->
-        Option.is_none e.lock
-        && not (Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.Pa))
-      t.entries
-  in
-  t.entries <- kept;
-  List.iter (fun e -> Index.remove t.index e.txn) dropped;
-  dropped
-
-(* [f e.txn e'.txn] for each entry [e'] of another transaction before [e]
-   in precedence order that conflicts with it or still waits itself (the
-   frontier) *)
-let rec waits_on f (e : entry) = function
-  | e' :: rest when e' != e ->
+  let dropped = ref [] and kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    let e = t.order.(i) in
     if
-      e'.txn <> e.txn
-      && (Ccdb_model.Op.conflicts e'.op e.op || Option.is_none e'.lock)
-    then f e.txn e'.txn;
-    waits_on f e rest
-  | _ -> ()
-
-(* [f e.txn e'.txn] for each lock of another transaction granted before
-   [e]'s pre-scheduled lock [m] that conflicts with it *)
-let rec pre_scheduled_on f (e : entry) m = function
-  | [] -> ()
-  | e' :: rest ->
-    (match e'.lock with
-     | Some m'
-       when e'.txn <> e.txn && e'.grant_seq >= 0 && e'.grant_seq < e.grant_seq
-            && Ccdb_model.Lock.conflicts m' m ->
-       f e.txn e'.txn
-     | Some _ | None -> ());
-    pre_scheduled_on f e m rest
+      Option.is_none e.lock
+      && not (Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.Pa)
+    then dropped := e :: !dropped
+    else begin
+      t.order.(!kept) <- e;
+      incr kept
+    end
+  done;
+  Array.fill t.order !kept (t.size - !kept) vacant;
+  t.size <- !kept;
+  List.rev !dropped
 
 (* Blocked PA entries wait on their own issuer, not on other transactions,
-   so they contribute no outgoing edges.  A held pre-scheduled lock is
-   itself a wait: its owner cannot release (and a draining T/O transaction
-   cannot finish) until every conflicting lock granted earlier is released.
+   so they contribute no outgoing edges.  An ungranted entry waits on each
+   earlier entry of another transaction that conflicts with it or still
+   waits itself (the frontier).  A held pre-scheduled lock is itself a
+   wait: its owner cannot release (and a draining T/O transaction cannot
+   finish) until every conflicting lock granted earlier is released.
    Without these edges a deadlock running through a draining transaction is
    invisible to detection. *)
-let rec waiters f entries = function
-  | [] -> ()
-  | e :: rest ->
-    (match e.lock with
-     | None -> if not e.blocked then waits_on f e entries
-     | Some m ->
-       if
-         Ccdb_model.Lock.schedule_equal e.schedule Ccdb_model.Lock.Pre_scheduled
-       then pre_scheduled_on f e m entries);
-    waiters f entries rest
+let iter_waits_for t f =
+  for i = 0 to t.size - 1 do
+    let e = t.order.(i) in
+    match e.lock with
+    | None ->
+      if not e.blocked then
+        for j = 0 to i - 1 do
+          let e' = t.order.(j) in
+          if
+            e'.txn <> e.txn
+            && (Ccdb_model.Op.conflicts e'.op e.op || Option.is_none e'.lock)
+          then f e.txn e'.txn
+        done
+    | Some m ->
+      if
+        Ccdb_model.Lock.schedule_equal e.schedule Ccdb_model.Lock.Pre_scheduled
+      then
+        for j = 0 to t.size - 1 do
+          let e' = t.order.(j) in
+          match e'.lock with
+          | Some m'
+            when e'.txn <> e.txn && e'.grant_seq >= 0
+                 && e'.grant_seq < e.grant_seq
+                 && Ccdb_model.Lock.conflicts m' m ->
+            f e.txn e'.txn
+          | Some _ | None -> ()
+        done
+  done
 
-let iter_waits_for t f = waiters f t.entries t.entries
-
-let entries t = t.entries
+let entries t = List.init t.size (Array.get t.order)

@@ -61,8 +61,6 @@ type entry = {
           owning system, not the queue) *)
 }
 
-type grant = { entry : entry; schedule : Ccdb_model.Lock.schedule }
-
 type t
 
 val create : ?semi_locks:bool -> unit -> t
@@ -91,21 +89,35 @@ val request :
 val update_ts : t -> txn:int -> ts:int -> [ `Moved | `Revoked | `Absent ]
 (** PA phase 2 (same contract as {!Ccdb_protocols.Pa_queue.update_ts}). *)
 
-val grant_ready : t -> now:float -> grant list
-(** Grants everything the HD discipline allows, in precedence order. *)
+val grant_ready : t -> now:float -> unit
+(** Grants everything the HD discipline allows.  The grants are the
+    {!reports}, in precedence order; each grant's schedule is its entry's
+    [schedule]. *)
 
-val transform : t -> txn:int -> entry option
+val reports : t -> int
+(** How many entries the last {!grant_ready}, {!release} or {!abort} on
+    this queue reported: its grants, or its promotions. *)
+
+val report : t -> int -> entry
+(** [report t i] is the [i]-th of them, [0 <= i < reports t], in
+    precedence order.  The queue reuses one buffer, so read the reports
+    before the next of those calls.
+    @raise Invalid_argument on an out-of-range [i]. *)
+
+val transform : t -> txn:int -> entry
 (** Turns the T/O transaction's held lock into a semi-lock and returns the
-    entry (the caller implements the write at this instant); [None] when the
-    transaction holds nothing here.  The lock's normal/pre-scheduled status
-    is unchanged. *)
+    entry (the caller implements the write at this instant); an ungranted
+    entry is returned unchanged.  The lock's normal/pre-scheduled status
+    is unchanged.
+    @raise Not_found when the transaction has no entry here. *)
 
-val release : t -> txn:int -> (entry * entry list) option
-(** Removes the transaction's entry, advances the released high-water marks,
-    and returns [(removed, promoted)] where [promoted] are held pre-scheduled
-    locks that just became normal. *)
+val release : t -> txn:int -> entry
+(** Removes the transaction's entry, advances the released high-water
+    marks, and returns the removed entry.  The {!reports} are the held
+    pre-scheduled locks that just became normal.
+    @raise Not_found when the transaction has no entry here. *)
 
-val abort : t -> txn:int -> (entry * entry list) option
+val abort : t -> txn:int -> entry
 (** Like {!release} but without advancing the high-water marks (the
     operations were never implemented); used for T/O restarts and 2PL
     deadlock victims. *)

@@ -74,46 +74,52 @@ let send t ~src ~dst ~kind f = Ccdb_sim.Net.send (Rt.net t.rt) ~src ~dst ~kind f
 
 let rec pump t ~item ~site =
   let q = Copies.get t.queues ~item ~site in
-  let grants = Q.grant_ready q ~now:(Rt.now t.rt) in
-  let store = Rt.store t.rt in
-  List.iter
-    (fun { Q.entry = e; schedule } ->
-      Rt.emit t.rt
-        (Rt.Lock_granted
-           { txn = e.txn; protocol = e.protocol; op = e.op; item; site;
-             mode = e.lock; schedule;
-             ts = Some e.prec.Ccdb_model.Precedence.ts;
-             at = Rt.now t.rt });
-      (* T/O reads are implemented at grant: the value flows to the issuer
-         now and the semi-read lock never delays conflicting T/O writes *)
-      (if Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.T_o
-          && Ccdb_model.Op.equal e.op Ccdb_model.Op.Read then
-         Ccdb_storage.Store.log_read store ~item ~site ~txn:e.txn
-           ~at:(Rt.now t.rt));
-      let value = Ccdb_storage.Store.read store ~item ~site in
-      let ts = e.prec.Ccdb_model.Precedence.ts in
-      let epoch = e.epoch in
-      let txn_id = e.txn in
-      send t ~src:site ~dst:e.site ~kind:"u-grant" (fun () ->
-          on_grant t txn_id ~epoch ~ts ~item ~site value schedule))
-    grants
+  Q.grant_ready q ~now:(Rt.now t.rt);
+  for i = 0 to Q.reports q - 1 do
+    grant t ~item ~site (Q.report q i)
+  done
 
-and notify_promotions t ~item ~site:qm_site promoted =
-  List.iter
-    (fun (p : Q.entry) ->
-      let txn_id = p.txn and epoch = p.epoch in
+and grant t ~item ~site (e : Q.entry) =
+  let schedule = e.schedule in
+  if Rt.has_consumer t.rt then
+    Rt.emit t.rt
+      (Rt.Lock_granted
+         { txn = e.txn; protocol = e.protocol; op = e.op; item; site;
+           mode = e.lock; schedule;
+           ts = Some e.prec.Ccdb_model.Precedence.ts;
+           at = Rt.now t.rt });
+  let store = Rt.store t.rt in
+  (* T/O reads are implemented at grant: the value flows to the issuer
+     now and the semi-read lock never delays conflicting T/O writes *)
+  (if Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.T_o
+      && Ccdb_model.Op.equal e.op Ccdb_model.Op.Read then
+     Ccdb_storage.Store.log_read store ~item ~site ~txn:e.txn
+       ~at:(Rt.now t.rt));
+  let value = Ccdb_storage.Store.read store ~item ~site in
+  let ts = e.prec.Ccdb_model.Precedence.ts in
+  let epoch = e.epoch in
+  let txn_id = e.txn in
+  send t ~src:site ~dst:e.site ~kind:"u-grant" (fun () ->
+      on_grant t txn_id ~epoch ~ts ~item ~site value schedule)
+
+(* the queue manager tells each issuer whose grant here became normal *)
+and notify_promotions t q ~item ~site:qm_site =
+  for i = 0 to Q.reports q - 1 do
+    let p = Q.report q i in
+    let txn_id = p.txn and epoch = p.epoch in
+    if Rt.has_consumer t.rt then
       Rt.emit t.rt
         (Rt.Lock_promoted
            { txn = txn_id; item; site = qm_site; at = Rt.now t.rt });
-      (* the queue manager tells the issuer its grant here became normal *)
-      send t ~src:qm_site ~dst:p.site ~kind:"u-normal" (fun () ->
-          on_normal t txn_id ~epoch ~item ~site:qm_site))
-    promoted
+    send t ~src:qm_site ~dst:p.site ~kind:"u-normal" (fun () ->
+        on_normal t txn_id ~epoch ~item ~site:qm_site)
+  done
 
 and on_release_msg t ~item ~site txn_id value_opt =
-  match Q.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
-  | None -> ()
-  | Some (e, promoted) ->
+  let q = Copies.get t.queues ~item ~site in
+  match Q.release q ~txn:txn_id with
+  | exception Not_found -> ()
+  | e ->
     let store = Rt.store t.rt in
     let at = Rt.now t.rt in
     (match e.protocol, e.op with
@@ -133,24 +139,25 @@ and on_release_msg t ~item ~site txn_id value_opt =
            Ccdb_storage.Store.apply_write store ~item ~site ~txn:txn_id ~value ~at
          | None -> assert false
        end);
-    Rt.emit t.rt
-      (Rt.Lock_released
-         { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
-           granted_at = e.granted_at; at; aborted = false;
-           ts = Some e.prec.Ccdb_model.Precedence.ts });
-    notify_promotions t ~item ~site promoted;
+    if Rt.has_consumer t.rt then
+      Rt.emit t.rt
+        (Rt.Lock_released
+           { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
+             granted_at = e.granted_at; at; aborted = false;
+             ts = Some e.prec.Ccdb_model.Precedence.ts });
+    notify_promotions t q ~item ~site;
     pump t ~item ~site
 
 and on_transform_msg t ~item ~site txn_id value_opt =
   match Q.transform (Copies.get t.queues ~item ~site) ~txn:txn_id with
-  | None -> ()
-  | Some e ->
+  | exception Not_found -> ()
+  | e ->
     (match e.lock with
-     | Some mode ->
+     | Some mode when Rt.has_consumer t.rt ->
        Rt.emit t.rt
          (Rt.Lock_transformed { txn = txn_id; item; site; mode;
                                 at = Rt.now t.rt })
-     | None -> ());
+     | Some _ | None -> ());
     (match e.op, value_opt with
      | Ccdb_model.Op.Write, Some value when not e.implemented ->
        (* the T/O write is implemented when its lock turns into a semi-lock *)
@@ -161,25 +168,27 @@ and on_transform_msg t ~item ~site txn_id value_opt =
     pump t ~item ~site
 
 and on_abort_msg t ~item ~site txn_id =
-  match Q.abort (Copies.get t.queues ~item ~site) ~txn:txn_id with
-  | None -> ()
-  | Some (e, promoted) ->
+  let q = Copies.get t.queues ~item ~site in
+  match Q.abort q ~txn:txn_id with
+  | exception Not_found -> ()
+  | e ->
     (* withdraw an aborted T/O attempt's grant-time read from the log *)
     (if Ccdb_model.Protocol.equal e.protocol Ccdb_model.Protocol.T_o
         && Ccdb_model.Op.equal e.op Ccdb_model.Op.Read
         && Option.is_some e.lock then
        Ccdb_storage.Store.discard_reads (Rt.store t.rt) ~item ~site ~txn:txn_id);
-    (if Option.is_some e.lock then
-       Rt.emit t.rt
-         (Rt.Lock_released
-            { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
-              granted_at = e.granted_at; at = Rt.now t.rt; aborted = true;
-              ts = Some e.prec.Ccdb_model.Precedence.ts })
-     else
-       Rt.emit t.rt
-         (Rt.Request_withdrawn
-            { txn = txn_id; item; site; at = Rt.now t.rt }));
-    notify_promotions t ~item ~site promoted;
+    (if Rt.has_consumer t.rt then
+       if Option.is_some e.lock then
+         Rt.emit t.rt
+           (Rt.Lock_released
+              { txn = txn_id; protocol = e.protocol; op = e.op; item; site;
+                granted_at = e.granted_at; at = Rt.now t.rt; aborted = true;
+                ts = Some e.prec.Ccdb_model.Precedence.ts })
+       else
+         Rt.emit t.rt
+           (Rt.Request_withdrawn
+              { txn = txn_id; item; site; at = Rt.now t.rt }));
+    notify_promotions t q ~item ~site;
     pump t ~item ~site
 
 (* --- issuer-side state machine ------------------------------------------- *)
@@ -267,8 +276,9 @@ and check_progress t st =
                  Q.update_ts (Copies.get t.queues ~item ~site) ~txn:st.txn.id
                    ~ts:ts'
                with
-               | (`Moved | `Revoked | `Absent) as r ->
-                 if r <> `Absent then
+               | `Absent -> ()
+               | (`Moved | `Revoked) as r ->
+                 if Rt.has_consumer t.rt then
                    Rt.emit t.rt
                      (Rt.Ts_updated
                         { txn = st.txn.id; item; site; ts = ts';
@@ -421,16 +431,17 @@ and begin_attempt t st =
             Q.request q ~txn:txn.id ~site:txn.site ~protocol:txn.protocol ~ts
               ~interval ~epoch ~op
           in
-          Rt.emit t.rt
-            (Rt.Lock_requested
-               { txn = txn.id; protocol = txn.protocol; op; item; site;
-                 origin = txn.site; ts;
-                 outcome =
-                   (match verdict with
-                    | Q.Accepted -> Rt.Req_admitted
-                    | Q.Rejected -> Rt.Req_rejected
-                    | Q.Backoff ts' -> Rt.Req_backoff ts');
-                 at = Rt.now t.rt });
+          if Rt.has_consumer t.rt then
+            Rt.emit t.rt
+              (Rt.Lock_requested
+                 { txn = txn.id; protocol = txn.protocol; op; item; site;
+                   origin = txn.site; ts;
+                   outcome =
+                     (match verdict with
+                      | Q.Accepted -> Rt.Req_admitted
+                      | Q.Rejected -> Rt.Req_rejected
+                      | Q.Backoff ts' -> Rt.Req_backoff ts');
+                   at = Rt.now t.rt });
           (match verdict with
            | Q.Accepted -> ()
            | Q.Rejected ->

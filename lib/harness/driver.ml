@@ -72,23 +72,25 @@ let force_protocol protocol (txn : Ccdb_model.Txn.t) =
 
 (* The one forcing-and-recording step: every transaction runs under
    [forced] when given, under its workload protocol otherwise, and the
-   mix counts the protocol it actually runs. *)
+   mix counts the protocol it actually runs, by [Protocol.rank]. *)
 let runs ?forced ?verify submit =
-  let tally = Hashtbl.create 4 in
+  let tally = Array.make (List.length Ccdb_model.Protocol.all) 0 in
   { submit =
       (fun txn ->
         let txn =
           match forced with Some p -> force_protocol p txn | None -> txn
         in
-        let cur =
-          Option.value ~default:0 (Hashtbl.find_opt tally txn.protocol)
-        in
-        Hashtbl.replace tally txn.protocol (cur + 1);
+        let rank = Ccdb_model.Protocol.rank txn.protocol in
+        tally.(rank) <- tally.(rank) + 1;
         submit txn);
     decisions =
       (fun () ->
-        Hashtbl.fold (fun p n acc -> (p, n) :: acc) tally []
-        |> List.sort (fun (a, _) (b, _) -> Ccdb_model.Protocol.compare a b));
+        (* [all] is in [Protocol.compare] order: its rank order *)
+        List.filter_map
+          (fun p ->
+            let n = tally.(Ccdb_model.Protocol.rank p) in
+            if n > 0 then Some (p, n) else None)
+          Ccdb_model.Protocol.all);
     verify }
 
 (* Each mode's system.  Only [Dynamic] routes for itself and reports its
@@ -166,7 +168,7 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
         Ccdb_protocols.Cto_system.submit sys txn)
 
 (* shared run body: [arrivals_of] turns the workload RNG into the arrival
-   list; [spec] is the (first-phase) spec, needed for [Configured]. *)
+   stream; [spec] is the (first-phase) spec, needed for [Configured]. *)
 let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
     ?(verify_store = true) mode ~spec ~arrivals_of () =
   let net = { setup.net with Ccdb_sim.Net.sites = setup.sites } in
@@ -174,29 +176,25 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
     Ccdb_storage.Catalog.create ~items:setup.items ~sites:setup.sites
       ~replication:setup.replication
   in
-  (* The workload RNG is independent of the runtime's, so arrivals can be
-     drawn first: role-targeted crash windows in the fault plan need the
-     workload to pin the coordinator role — the home site of the earliest
-     arrival — before the plan is installed.  Acceptor role [k] is site [k]
-     (the Paxos acceptor set is sites 0..2f). *)
+  (* The workload RNG is independent of the runtime's, so each arrival can
+     be drawn when its predecessor fires and still be the one drawing the
+     whole list first would give.  Role-targeted crash windows in the
+     fault plan need the coordinator role — the home site of the earliest
+     arrival, which is the first — before the plan is installed, so the
+     first arrival is peeked here.  Acceptor role [k] is site [k] (the
+     Paxos acceptor set is sites 0..2f). *)
   let wl_rng = Ccdb_util.Rng.create ~seed:(setup.seed + 7919) in
   let arrivals = arrivals_of wl_rng in
+  let n_arrivals = Ccdb_workload.Generator.remaining arrivals in
   let faults =
     Option.map
       (fun plan ->
         if Ccdb_sim.Fault_plan.role_crashes plan = [] then plan
         else
           let coordinator =
-            match arrivals with
-            | [] -> 0
-            | (at0, (txn0 : Ccdb_model.Txn.t)) :: rest ->
-              let _, first =
-                List.fold_left
-                  (fun ((best_at, _) as best) (at, txn) ->
-                    if at < best_at then (at, txn) else best)
-                  (at0, txn0) rest
-              in
-              first.Ccdb_model.Txn.site
+            match Ccdb_workload.Generator.peek arrivals with
+            | None -> 0
+            | Some (_, first) -> first.Ccdb_model.Txn.site
           in
           Ccdb_sim.Fault_plan.resolve plan ~coordinator ~acceptor:(fun k -> k))
       faults
@@ -224,11 +222,12 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
       Some st
   in
   let system = build_system ~setup ~spec mode rt in
-  Ccdb_sim.Engine.schedule_all (Rt.engine rt)
-    (List.map (fun (at, txn) -> (at, fun () -> system.submit txn)) arrivals);
+  Ccdb_sim.Engine.feed (Rt.engine rt) ~n:n_arrivals (fun () ->
+      let at, txn = Ccdb_workload.Generator.pull arrivals in
+      (at, fun () -> system.submit txn));
   (* The budget is an anti-livelock backstop, not a limit: scale it with the
      workload so million-transaction runs (EXPERIMENTS.md E13) fit. *)
-  let budget = max 50_000_000 (400 * List.length arrivals) in
+  let budget = max 50_000_000 (400 * n_arrivals) in
   Rt.quiesce ~max_events:budget rt;
   let store = if theorem2 then Some (Rt.store rt) else None in
   let batch_report =
@@ -278,7 +277,7 @@ let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
         Ccdb_workload.Generator.create spec ~sites:setup.sites
           ~items:setup.items rng
       in
-      Ccdb_workload.Generator.generate generator ~n:n_txns ~start:0.)
+      Ccdb_workload.Generator.arrivals generator ~n:n_txns ~start:0.)
     ()
 
 let run_phases ?(setup = default_setup) ?observer ?(audit = false)
@@ -289,6 +288,6 @@ let run_phases ?(setup = default_setup) ?observer ?(audit = false)
     execute ~setup ?observer ~audit ~audit_path ?faults ?replay_cost
       ?verify_store mode ~spec:first_spec
       ~arrivals_of:(fun rng ->
-        Ccdb_workload.Generator.phased phases ~sites:setup.sites
+        Ccdb_workload.Generator.phased_arrivals phases ~sites:setup.sites
           ~items:setup.items rng)
       ()

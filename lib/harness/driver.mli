@@ -115,8 +115,11 @@ val run :
   mode ->
   Ccdb_workload.Generator.spec ->
   result
-(** Generates [n_txns] (default 200) transactions, schedules them at their
-    Poisson arrival times, runs to quiescence and summarizes.  [observer] is
+(** Runs [n_txns] (default 200) generated transactions, each submitted at
+    its Poisson arrival time, to quiescence and summarizes.  Each arrival
+    is drawn when its predecessor fires ({!Ccdb_workload.Generator.arrivals},
+    {!Ccdb_sim.Engine.feed}), so the run holds only the arrivals in
+    flight.  [observer] is
     invoked on the fresh runtime before any event fires (to subscribe
     estimators or probes).  With [~audit:true] the full event stream is
     traced and replayed through {!Ccdb_analysis.Analyzer} after the run.

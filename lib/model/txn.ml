@@ -17,9 +17,9 @@ let make ~id ~site ~read_set ~write_set ~compute_time ~protocol =
   in
   if read_set = [] && write_set = [] then
     invalid_arg "Txn.make: empty access sets";
-  List.iter
-    (fun i -> if i < 0 then invalid_arg "Txn.make: negative item id")
-    (read_set @ write_set);
+  let negative i = i < 0 in
+  if List.exists negative read_set || List.exists negative write_set then
+    invalid_arg "Txn.make: negative item id";
   { id; site; read_set; write_set; compute_time; protocol }
 
 let size t = List.length t.read_set + List.length t.write_set

@@ -81,19 +81,21 @@ let rec pump_site t qm_site =
 and execute t copy ~item ~site e =
   let store = Runtime.store t.rt in
   let at = Runtime.now t.rt in
-  Runtime.emit t.rt
-    (Runtime.Lock_granted
-       { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o; op = e.e_op; item;
-         site; mode = None; schedule = Ccdb_model.Lock.Normal;
-         ts = Some e.e_ts; at });
+  if Runtime.has_consumer t.rt then
+    Runtime.emit t.rt
+      (Runtime.Lock_granted
+         { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o; op = e.e_op; item;
+           site; mode = None; schedule = Ccdb_model.Lock.Normal;
+           ts = Some e.e_ts; at });
   match e.e_op, e.e_value with
   | Ccdb_model.Op.Write, Some value ->
     Ccdb_storage.Store.apply_write store ~item ~site ~txn:e.e_txn ~value ~at;
-    Runtime.emit t.rt
-      (Runtime.Lock_released
-         { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o;
-           op = Ccdb_model.Op.Write; item; site; granted_at = at; at;
-           aborted = false; ts = Some e.e_ts });
+    if Runtime.has_consumer t.rt then
+      Runtime.emit t.rt
+        (Runtime.Lock_released
+           { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o;
+             op = Ccdb_model.Op.Write; item; site; granted_at = at; at;
+             aborted = false; ts = Some e.e_ts });
     (match L.find t.live e.e_txn with
      | None -> ()
      | Some st ->

@@ -41,11 +41,12 @@ let record_read t ~txn_id record =
   Int_tbl.replace t.pending_reads txn_id (record :: cur)
 
 let emit_op t ~txn_id ~op ~item ~site =
-  Runtime.emit t.rt
-    (Runtime.Lock_granted
-       { txn = txn_id; protocol = Ccdb_model.Protocol.T_o; op; item; site;
-         mode = None; schedule = Ccdb_model.Lock.Normal; ts = None;
-         at = Runtime.now t.rt })
+  if Runtime.has_consumer t.rt then
+    Runtime.emit t.rt
+      (Runtime.Lock_granted
+         { txn = txn_id; protocol = Ccdb_model.Protocol.T_o; op; item; site;
+           mode = None; schedule = Ccdb_model.Lock.Normal; ts = None;
+           at = Runtime.now t.rt })
 
 (* deliver a read value home (skipped for a superseded attempt) *)
 let rec send_value t ((item, site) as copy) ~reader ~ts ~value =

@@ -46,17 +46,18 @@ let rec pump t ~item ~site =
   let store = Runtime.store t.rt in
   List.iter
     (fun (e : Pa_queue.entry) ->
-      Runtime.emit t.rt
-        (Runtime.Lock_granted
-           { txn = e.txn; protocol = Ccdb_model.Protocol.Pa; op = e.op; item;
-             site;
-             mode =
-               Some
-                 (match e.op with
-                  | Ccdb_model.Op.Read -> Ccdb_model.Lock.Rl
-                  | Ccdb_model.Op.Write -> Ccdb_model.Lock.Wl);
-             schedule = Ccdb_model.Lock.Normal; ts = Some e.ts;
-             at = Runtime.now t.rt });
+      if Runtime.has_consumer t.rt then
+        Runtime.emit t.rt
+          (Runtime.Lock_granted
+             { txn = e.txn; protocol = Ccdb_model.Protocol.Pa; op = e.op; item;
+               site;
+               mode =
+                 Some
+                   (match e.op with
+                    | Ccdb_model.Op.Read -> Ccdb_model.Lock.Rl
+                    | Ccdb_model.Op.Write -> Ccdb_model.Lock.Wl);
+               schedule = Ccdb_model.Lock.Normal; ts = Some e.ts;
+               at = Runtime.now t.rt });
       let value = Ccdb_storage.Store.read store ~item ~site in
       let ts = e.ts in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:e.site
@@ -115,8 +116,9 @@ and check_negotiation t st =
                  Pa_queue.update_ts (Copies.get t.queues ~item ~site)
                    ~txn:st.txn.id ~ts:ts'
                with
-               | (`Moved | `Revoked | `Absent) as r ->
-                 if r <> `Absent then
+               | `Absent -> ()
+               | (`Moved | `Revoked) as r ->
+                 if Runtime.has_consumer t.rt then
                    Runtime.emit t.rt
                      (Runtime.Ts_updated
                         { txn = st.txn.id; item; site; ts = ts';
@@ -199,11 +201,12 @@ and on_release t ~item ~site txn_id op wvalue =
      | Ccdb_model.Op.Write, None -> assert false
      | Ccdb_model.Op.Read, _ ->
        Ccdb_storage.Store.log_read store ~item ~site ~txn:txn_id ~at);
-    Runtime.emit t.rt
-      (Runtime.Lock_released
-         { txn = txn_id; protocol = Ccdb_model.Protocol.Pa; op; item; site;
-           granted_at = entry.granted_at; at; aborted = false;
-           ts = Some entry.ts });
+    if Runtime.has_consumer t.rt then
+      Runtime.emit t.rt
+        (Runtime.Lock_released
+           { txn = txn_id; protocol = Ccdb_model.Protocol.Pa; op; item; site;
+             granted_at = entry.granted_at; at; aborted = false;
+             ts = Some entry.ts });
     pump t ~item ~site
 
 (* --- submission --------------------------------------------------------- *)
@@ -231,15 +234,16 @@ let submit t ?payload txn =
           let verdict =
             Pa_queue.request q ~txn:txn.id ~site:txn.site ~ts ~interval ~op
           in
-          Runtime.emit t.rt
-            (Runtime.Lock_requested
-               { txn = txn.id; protocol = Ccdb_model.Protocol.Pa; op; item;
-                 site; origin = txn.site; ts = Some ts;
-                 outcome =
-                   (match verdict with
-                    | Pa_queue.Accepted -> Runtime.Req_admitted
-                    | Pa_queue.Backoff ts' -> Runtime.Req_backoff ts');
-                 at = Runtime.now t.rt });
+          if Runtime.has_consumer t.rt then
+            Runtime.emit t.rt
+              (Runtime.Lock_requested
+                 { txn = txn.id; protocol = Ccdb_model.Protocol.Pa; op; item;
+                   site; origin = txn.site; ts = Some ts;
+                   outcome =
+                     (match verdict with
+                      | Pa_queue.Accepted -> Runtime.Req_admitted
+                      | Pa_queue.Backoff ts' -> Runtime.Req_backoff ts');
+                   at = Runtime.now t.rt });
           (match verdict with
            | Pa_queue.Accepted -> ()
            | Pa_queue.Backoff ts' ->

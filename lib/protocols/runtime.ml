@@ -251,6 +251,8 @@ let recovery_stats t = Option.map Ccdb_sim.Recovery.stats t.recovery
 
 let subscribe t f = t.listeners <- f :: t.listeners
 
+let has_consumer t = t.durable || t.listeners != [] || t.observers != []
+
 (* Calls each function in turn; unlike [List.iter (fun f -> f event)] it
    builds no closure around the event. *)
 let rec fan_out event = function
@@ -437,13 +439,15 @@ let create ?(seed = 42) ?faults ?replay_cost ?(commit = Two_pc) ~net_config
   (* Mirror every implementation-log mutation as a runtime event, so the
      streaming analyzer can grow its conflict graph in-line instead of
      re-scanning the store's logs after the run. *)
-  Ccdb_storage.Store.on_append t.store (fun (item, site) entry ->
-      emit t
-        (Op_implemented
-           { txn = entry.Ccdb_storage.Store.txn; op = entry.kind; item; site;
-             at = entry.at }));
-  Ccdb_storage.Store.on_discard t.store (fun (item, site) ~txn ~removed ->
-      emit t (Reads_discarded { txn; item; site; removed; at = now t }));
+  Ccdb_storage.Store.on_append t.store (fun ~item ~site entry ->
+      if has_consumer t then
+        emit t
+          (Op_implemented
+             { txn = entry.Ccdb_storage.Store.txn; op = entry.kind; item;
+               site; at = entry.at }));
+  Ccdb_storage.Store.on_discard t.store (fun ~item ~site ~txn ~removed ->
+      if has_consumer t then
+        emit t (Reads_discarded { txn; item; site; removed; at = now t }));
   (match faults with
    | None -> ()
    | Some plan ->

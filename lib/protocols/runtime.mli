@@ -263,6 +263,18 @@ val subscribe : t -> (event -> unit) -> unit
     listeners whose state the run itself reads back (the STL estimator)
     and for probes that must see each event as it happens. *)
 
+val has_consumer : t -> bool
+(** Whether an emitted event reaches anything besides the runtime's own
+    counters: the WAL of a {!durable} runtime, a {!subscribe}d listener
+    or an {!observe}r.  Systems build the lock-point events
+    ({!event.Lock_requested}, {!event.Lock_granted},
+    {!event.Lock_promoted}, {!event.Lock_transformed},
+    {!event.Lock_released}, {!event.Request_withdrawn},
+    {!event.Ts_updated}) and the runtime builds {!event.Op_implemented}
+    and {!event.Reads_discarded} only while it holds, so a plain run
+    allocates none of them.  The events that move {!counters} or the
+    system-time summary are always emitted. *)
+
 val observe : t -> (event -> unit) -> unit
 (** Registers an observer: it gets every event emitted from now on, in
     emission order, but not necessarily on the emitting domain.  While

@@ -37,19 +37,21 @@ let rec drain t ((item, site) as copy) =
   List.iter
     (fun (p : To_queue.performed) ->
       let at = Runtime.now t.rt in
-      Runtime.emit t.rt
-        (Runtime.Lock_granted
-           { txn = p.txn; protocol = Ccdb_model.Protocol.T_o; op = p.op; item;
-             site; mode = None; schedule = Ccdb_model.Lock.Normal;
-             ts = Some p.ts; at });
+      if Runtime.has_consumer t.rt then
+        Runtime.emit t.rt
+          (Runtime.Lock_granted
+             { txn = p.txn; protocol = Ccdb_model.Protocol.T_o; op = p.op; item;
+               site; mode = None; schedule = Ccdb_model.Lock.Normal;
+               ts = Some p.ts; at });
       match p.op, p.value with
       | Ccdb_model.Op.Write, Some value ->
         Ccdb_storage.Store.apply_write store ~item ~site ~txn:p.txn ~value ~at;
-        Runtime.emit t.rt
-          (Runtime.Lock_released
-             { txn = p.txn; protocol = Ccdb_model.Protocol.T_o;
-               op = Ccdb_model.Op.Write; item; site; granted_at = at; at;
-               aborted = false; ts = Some p.ts });
+        if Runtime.has_consumer t.rt then
+          Runtime.emit t.rt
+            (Runtime.Lock_released
+               { txn = p.txn; protocol = Ccdb_model.Protocol.T_o;
+                 op = Ccdb_model.Op.Write; item; site; granted_at = at; at;
+                 aborted = false; ts = Some p.ts });
         (* the write phase of the issuing transaction completes only when
            its writes have been applied: acknowledge *)
         (match L.find t.live p.txn with
@@ -106,17 +108,18 @@ and send_prewrites t st =
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Write
             in
-            Runtime.emit t.rt
-              (Runtime.Lock_requested
-                 { txn = txn.id; protocol = Ccdb_model.Protocol.T_o;
-                   op = Ccdb_model.Op.Write; item; site; origin = txn.site;
-                   ts = Some ts;
-                   outcome =
-                     (match verdict with
-                      | To_queue.Accepted -> Runtime.Req_admitted
-                      | To_queue.Rejected -> Runtime.Req_rejected
-                      | To_queue.Ignored -> Runtime.Req_ignored);
-                   at = Runtime.now t.rt });
+            if Runtime.has_consumer t.rt then
+              Runtime.emit t.rt
+                (Runtime.Lock_requested
+                   { txn = txn.id; protocol = Ccdb_model.Protocol.T_o;
+                     op = Ccdb_model.Op.Write; item; site; origin = txn.site;
+                     ts = Some ts;
+                     outcome =
+                       (match verdict with
+                        | To_queue.Accepted -> Runtime.Req_admitted
+                        | To_queue.Rejected -> Runtime.Req_rejected
+                        | To_queue.Ignored -> Runtime.Req_ignored);
+                     at = Runtime.now t.rt });
             match verdict with
             | To_queue.Rejected ->
               Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:txn.site
@@ -227,9 +230,10 @@ and restart t st ~except ~reason =
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-abort" (fun () ->
             To_queue.abort (Copies.get t.queues ~item ~site) ~txn:txn.id;
-            Runtime.emit t.rt
-              (Runtime.Request_withdrawn
-                 { txn = txn.id; item; site; at = Runtime.now t.rt });
+            if Runtime.has_consumer t.rt then
+              Runtime.emit t.rt
+                (Runtime.Request_withdrawn
+                   { txn = txn.id; item; site; at = Runtime.now t.rt });
             Ccdb_storage.Store.discard_reads (Runtime.store t.rt) ~item ~site
               ~txn:txn.id;
             drain t copy))
@@ -262,17 +266,18 @@ and begin_attempt t st =
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Read
             in
-            Runtime.emit t.rt
-              (Runtime.Lock_requested
-                 { txn = txn.id; protocol = Ccdb_model.Protocol.T_o;
-                   op = Ccdb_model.Op.Read; item; site; origin = txn.site;
-                   ts = Some ts;
-                   outcome =
-                     (match verdict with
-                      | To_queue.Accepted -> Runtime.Req_admitted
-                      | To_queue.Rejected -> Runtime.Req_rejected
-                      | To_queue.Ignored -> Runtime.Req_ignored);
-                   at = Runtime.now t.rt });
+            if Runtime.has_consumer t.rt then
+              Runtime.emit t.rt
+                (Runtime.Lock_requested
+                   { txn = txn.id; protocol = Ccdb_model.Protocol.T_o;
+                     op = Ccdb_model.Op.Read; item; site; origin = txn.site;
+                     ts = Some ts;
+                     outcome =
+                       (match verdict with
+                        | To_queue.Accepted -> Runtime.Req_admitted
+                        | To_queue.Rejected -> Runtime.Req_rejected
+                        | To_queue.Ignored -> Runtime.Req_ignored);
+                     at = Runtime.now t.rt });
             match verdict with
             | To_queue.Rejected ->
               Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:txn.site

@@ -75,17 +75,18 @@ and send_grant t copy item site (entry : Lock_table.entry) =
   | None -> () (* transaction already gone; release will never come, but an
                   abort for this attempt is in flight and will clean up *)
   | Some st ->
-    Runtime.emit t.rt
-      (Runtime.Lock_granted
-         { txn = entry.txn; protocol = Ccdb_model.Protocol.Two_pl;
-           op = entry.op; item; site;
-           mode =
-             Some
-               (match entry.op with
-                | Ccdb_model.Op.Read -> Ccdb_model.Lock.Rl
-                | Ccdb_model.Op.Write -> Ccdb_model.Lock.Wl);
-           schedule = Ccdb_model.Lock.Normal; ts = None;
-           at = Runtime.now t.rt });
+    if Runtime.has_consumer t.rt then
+      Runtime.emit t.rt
+        (Runtime.Lock_granted
+           { txn = entry.txn; protocol = Ccdb_model.Protocol.Two_pl;
+             op = entry.op; item; site;
+             mode =
+               Some
+                 (match entry.op with
+                  | Ccdb_model.Op.Read -> Ccdb_model.Lock.Rl
+                  | Ccdb_model.Op.Write -> Ccdb_model.Lock.Wl);
+             schedule = Ccdb_model.Lock.Normal; ts = None;
+             at = Runtime.now t.rt });
     let value = Ccdb_storage.Store.read store ~item ~site in
     let attempt = entry.attempt in
     Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -155,10 +156,11 @@ and on_release t ((item, site) as copy) txn_id attempt op wvalue granted_at =
      | Ccdb_model.Op.Write, None -> assert false
      | Ccdb_model.Op.Read, _ ->
        Ccdb_storage.Store.log_read store ~item ~site ~txn:txn_id ~at);
-    Runtime.emit t.rt
-      (Runtime.Lock_released
-         { txn = txn_id; protocol = Ccdb_model.Protocol.Two_pl; op; item; site;
-           granted_at; at; aborted = false; ts = None });
+    if Runtime.has_consumer t.rt then
+      Runtime.emit t.rt
+        (Runtime.Lock_released
+           { txn = txn_id; protocol = Ccdb_model.Protocol.Two_pl; op; item; site;
+             granted_at; at; aborted = false; ts = None });
     pump t copy
 
 (* --- submission and restart ------------------------------------------ *)
@@ -192,11 +194,12 @@ let rec send_requests t st =
           let tbl = Copies.get t.tables ~item ~site in
           let proceed () =
             ignore (Lock_table.request tbl ~txn:txn.id ~attempt ~op);
-            Runtime.emit t.rt
-              (Runtime.Lock_requested
-                 { txn = txn.id; protocol = Ccdb_model.Protocol.Two_pl; op;
-                   item; site; origin = txn.site; ts = None;
-                   outcome = Runtime.Req_admitted; at = Runtime.now t.rt });
+            if Runtime.has_consumer t.rt then
+              Runtime.emit t.rt
+                (Runtime.Lock_requested
+                   { txn = txn.id; protocol = Ccdb_model.Protocol.Two_pl; op;
+                     item; site; origin = txn.site; ts = None;
+                     outcome = Runtime.Req_admitted; at = Runtime.now t.rt });
             pump t (item, site)
           in
           match t.config.prevention with
@@ -251,22 +254,23 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
               match Lock_table.release tbl ~txn:txn.id ~attempt:old_attempt with
               | None -> ()
               | Some entry ->
-                (if entry.granted then begin
-                   let granted_at =
-                     match granted_at_of ~item ~site granted with
-                     | Some at -> at
-                     | None -> Runtime.now t.rt
-                   in
-                   Runtime.emit t.rt
-                     (Runtime.Lock_released
-                        { txn = txn.id; protocol = Ccdb_model.Protocol.Two_pl;
-                          op; item; site; granted_at; at = Runtime.now t.rt;
-                          aborted = true; ts = None })
-                 end
-                 else
-                   Runtime.emit t.rt
-                     (Runtime.Request_withdrawn
-                        { txn = txn.id; item; site; at = Runtime.now t.rt }));
+                (if Runtime.has_consumer t.rt then
+                   if entry.granted then begin
+                     let granted_at =
+                       match granted_at_of ~item ~site granted with
+                       | Some at -> at
+                       | None -> Runtime.now t.rt
+                     in
+                     Runtime.emit t.rt
+                       (Runtime.Lock_released
+                          { txn = txn.id; protocol = Ccdb_model.Protocol.Two_pl;
+                            op; item; site; granted_at; at = Runtime.now t.rt;
+                            aborted = true; ts = None })
+                   end
+                   else
+                     Runtime.emit t.rt
+                       (Runtime.Request_withdrawn
+                          { txn = txn.id; item; site; at = Runtime.now t.rt }));
                 pump t (item, site)))
         (L.copies t.rt txn);
       st.attempt <- st.attempt + 1;

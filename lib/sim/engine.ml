@@ -4,7 +4,7 @@
    the same instant fire in schedule order and a run is a function of its
    schedule calls alone.  [reserve] allocates keys without queueing
    anything, and [schedule_reserved] queues an event under a key reserved
-   earlier; [schedule_all] and the network's retransmission timers use the
+   earlier; [feed] and the network's retransmission timers use the
    pair.
 
    The heap is three parallel arrays indexed by heap position: the due
@@ -37,7 +37,7 @@ type t = {
   mutable seq : int;
   mutable fired : int;
   mutable deferred : int;
-      (* members of time-sorted batches not pushed yet (see [feed]) *)
+      (* members of feeds not pushed yet (see [feed]) *)
 }
 
 let nop () = ()
@@ -163,20 +163,30 @@ let schedule_reserved t ~at ~seq action =
     invalid_arg "Engine.schedule_reserved: key not reserved";
   push t at seq action
 
-(* Push the head of a time-sorted batch under [seq]; as it fires it pushes
-   its successor under [seq + 1], before its own action runs.  Reserved
-   keys rise along the batch, so the successor is never due before the
-   member that pushes it, and the batch fires exactly as if every member
-   had been pushed up front. *)
-let rec feed t seq = function
-  | [] -> ()
-  | [ (at, action) ] -> ignore (schedule_reserved t ~at ~seq action)
-  | (at, action) :: rest ->
+(* Push the member [next] draws under [seq]; as it fires it draws and
+   pushes its successor under [seq + 1], before its own action runs, until
+   [last].  Reserved keys rise along the feed and each member is checked
+   to be due no earlier than the one that pushes it, so the feed fires
+   exactly as if every member had been pushed up front. *)
+let rec feed_from t ~seq ~last next =
+  let at, action = next () in
+  (* negated so that a NaN time is refused too *)
+  if not (at >= t.clock) then invalid_arg "Engine.feed: member out of order";
+  if seq = last then ignore (push t at seq action)
+  else
     ignore
-      (schedule_reserved t ~at ~seq (fun () ->
+      (push t at seq (fun () ->
            t.deferred <- t.deferred - 1;
-           feed t (seq + 1) rest;
+           feed_from t ~seq:(seq + 1) ~last next;
            action ()))
+
+let feed t ~n next =
+  if n < 0 then invalid_arg "Engine.feed: negative count";
+  let seq = reserve t n in
+  if n > 0 then begin
+    feed_from t ~seq ~last:(seq + n - 1) next;
+    t.deferred <- t.deferred + (n - 1)
+  end
 
 let schedule_all t batch =
   let rec scan prev sorted n = function
@@ -187,12 +197,17 @@ let schedule_all t batch =
       scan at (sorted && at >= prev) (n + 1) rest
   in
   let sorted, n = scan t.clock true 0 batch in
-  let seq = reserve t n in
   if sorted then begin
-    t.deferred <- t.deferred + Int.max 0 (n - 1);
-    feed t seq batch
+    let rest = ref batch in
+    feed t ~n (fun () ->
+        match !rest with
+        | member :: later ->
+          rest := later;
+          member
+        | [] -> assert false)
   end
   else
+    let seq = reserve t n in
     List.iteri
       (fun i (at, action) ->
         ignore (schedule_reserved t ~at ~seq:(seq + i) action))

@@ -49,12 +49,24 @@ val schedule_reserved :
     must be pushed at most once.  Raises [Invalid_argument] if [at] is
     before [now t] or NaN, or if [seq] was never reserved. *)
 
+val feed : t -> n:int -> (unit -> time * (unit -> unit)) -> unit
+(** [feed t ~n next] schedules [n] events drawn one at a time: [next]
+    draws the first [(at, f)] at the call, and each later one as its
+    predecessor fires, before the predecessor's [f] runs.  The members
+    take one consecutive block of sequence numbers at the call, so they
+    fire exactly as {!schedule_at} calls made at the call, in draw order,
+    would; a member draws nothing until it fires, and members cannot be
+    cancelled.  Each member must be due no earlier than its predecessor
+    (the first, no earlier than [now t]).
+    @raise Invalid_argument if [n < 0], or when a drawn member is due
+    before its predecessor or at a NaN time: from the call for the first
+    member, from {!run} or {!step} for the others. *)
+
 val schedule_all : t -> (time * (unit -> unit)) list -> unit
 (** [schedule_all t batch] schedules every [(at, f)] of [batch] at absolute
     time [at], firing exactly as [List.iter] over {!schedule_at} would: the
     members take one consecutive block of sequence numbers in list order.
-    A batch sorted by time enters the queue one member at a time, each
-    pushing its successor as it fires, so a long arrival list does not
+    A batch sorted by time is {!feed}: a long arrival list does not
     deepen the queue; members cannot be cancelled.  Raises
     [Invalid_argument] and schedules nothing if any [at] is before
     [now t] or NaN. *)
@@ -73,7 +85,7 @@ val step : t -> bool
 (** Fires the single next event; [false] if the queue was empty. *)
 
 val pending : t -> int
-(** Number of queued events, counting batch members not fired yet. *)
+(** Number of queued events, counting the {!feed} members not drawn yet. *)
 
 val processed : t -> int
 (** Number of events fired so far. *)

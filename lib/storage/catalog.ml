@@ -3,6 +3,8 @@ type t = {
   sites : int;
   replication : int;
   placement : int list array; (* item -> sorted sites *)
+  first_site : int array; (* item -> site of its copy 0, [item mod sites] *)
+  copy_sites : int array; (* copy id -> site *)
 }
 
 let create ~items ~sites ~replication =
@@ -15,7 +17,12 @@ let create ~items ~sites ~replication =
         List.init replication (fun k -> (item + k) mod sites)
         |> List.sort_uniq Int.compare)
   in
-  { items; sites; replication; placement }
+  let first_site = Array.init items (fun item -> item mod sites) in
+  let copy_sites =
+    Array.init (items * replication) (fun id ->
+        (first_site.(id / replication) + (id mod replication)) mod sites)
+  in
+  { items; sites; replication; placement; first_site; copy_sites }
 
 let items t = t.items
 let sites t = t.sites
@@ -30,11 +37,13 @@ let copy_count t = t.items * t.replication
 (* The [k]-th copy of [item] (k < replication) sits at site
    [(item + k) mod sites], so a site holds a copy exactly when
    [(site - item) mod sites < replication], and [item * replication + k]
-   numbers the copies densely.  -1 marks a non-copy. *)
+   numbers the copies densely.  -1 marks a non-copy.  Both residues are
+   tabled at [create] ([first_site], [copy_sites]: items and copies, never
+   items times sites), so a lookup divides nothing. *)
 let copy_index t ~item ~site =
   if item < 0 || item >= t.items || site < 0 || site >= t.sites then -1
   else begin
-    let k = (site - item) mod t.sites in
+    let k = site - t.first_site.(item) in
     let k = if k < 0 then k + t.sites else k in
     if k < t.replication then (item * t.replication) + k else -1
   end
@@ -44,7 +53,7 @@ let copy_id t ~item ~site =
   if id < 0 then invalid_arg "Catalog.copy_id: no such physical copy";
   id
 
-let copy_site t id = ((id / t.replication) + (id mod t.replication)) mod t.sites
+let copy_site t id = t.copy_sites.(id)
 
 let has_copy t ~item ~site =
   if item < 0 || item >= t.items then invalid_arg "Catalog.copies: bad item";

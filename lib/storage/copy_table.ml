@@ -21,13 +21,13 @@ let get t ~item ~site =
 let fold f t acc =
   let acc = ref acc in
   let r = Catalog.replication t.catalog in
-  Array.iteri
-    (fun id slot ->
-      match slot with
-      | Some x ->
-        acc := f ~item:(id / r) ~site:(Catalog.copy_site t.catalog id) x !acc
-      | None -> ())
-    t.slots;
+  for item = 0 to Catalog.items t.catalog - 1 do
+    for id = item * r to (item * r) + r - 1 do
+      match t.slots.(id) with
+      | Some x -> acc := f ~item ~site:(Catalog.copy_site t.catalog id) x !acc
+      | None -> ()
+    done
+  done;
   !acc
 
 (* The items with a copy at [site] are those congruent to [site - k]

@@ -15,8 +15,10 @@ type cell = {
 type t = {
   catalog : Catalog.t;
   cells : cell Copy_table.t;
-  mutable append_obs : (copy -> log_entry -> unit) list;   (* newest first *)
-  mutable discard_obs : (copy -> txn:int -> removed:int -> unit) list;
+  mutable append_obs : (item:int -> site:int -> log_entry -> unit) list;
+      (* newest first *)
+  mutable discard_obs :
+    (item:int -> site:int -> txn:int -> removed:int -> unit) list;
 }
 
 let initial_history = [ (-1, 0, 0.) ]
@@ -51,8 +53,12 @@ let read t ~item ~site =
 let writer_of t ~item ~site =
   match find_cell t ~item ~site with Some c -> c.writer | None -> -1
 
-let notify_append t copy entry =
-  List.iter (fun f -> f copy entry) t.append_obs
+(* Calls each observer in turn, with no closure or copy pair per append. *)
+let rec notify_append ~item ~site entry = function
+  | [] -> ()
+  | f :: rest ->
+    f ~item ~site entry;
+    notify_append ~item ~site entry rest
 
 let apply_write t ~item ~site ~txn ~value ~at =
   let c = cell t ~item ~site in
@@ -61,13 +67,13 @@ let apply_write t ~item ~site ~txn ~value ~at =
   c.history <- (txn, value, at) :: c.history;
   let entry = { txn; kind = Ccdb_model.Op.Write; at } in
   c.log <- entry :: c.log;
-  notify_append t (item, site) entry
+  notify_append ~item ~site entry t.append_obs
 
 let log_read t ~item ~site ~txn ~at =
   let c = cell t ~item ~site in
   let entry = { txn; kind = Ccdb_model.Op.Read; at } in
   c.log <- entry :: c.log;
-  notify_append t (item, site) entry
+  notify_append ~item ~site entry t.append_obs
 
 let discard_reads t ~item ~site ~txn =
   match find_cell t ~item ~site with
@@ -85,7 +91,7 @@ let discard_reads t ~item ~site ~txn =
         c.log;
     let removed = before - List.length c.log in
     if removed > 0 then
-      List.iter (fun f -> f (item, site) ~txn ~removed) t.discard_obs
+      List.iter (fun f -> f ~item ~site ~txn ~removed) t.discard_obs
 
 let log t ~item ~site =
   match find_cell t ~item ~site with Some c -> List.rev c.log | None -> []

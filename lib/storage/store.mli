@@ -56,12 +56,13 @@ val versions : t -> item:int -> site:int -> (int * int * float) list
 (** Version history [(txn, value, at)], oldest first, including the initial
     version. *)
 
-val on_append : t -> (copy -> log_entry -> unit) -> unit
+val on_append : t -> (item:int -> site:int -> log_entry -> unit) -> unit
 (** Registers an observer called synchronously after every log append
     ([apply_write] or [log_read]), with the copy and the entry just
     appended.  Observers fire newest-registered first. *)
 
-val on_discard : t -> (copy -> txn:int -> removed:int -> unit) -> unit
+val on_discard :
+  t -> (item:int -> site:int -> txn:int -> removed:int -> unit) -> unit
 (** Registers an observer called synchronously after [discard_reads]
     actually removes entries ([removed > 0]; no notification for no-op
     discards). *)

@@ -104,6 +104,80 @@ let next_txn t =
   Ccdb_model.Txn.make ~id ~site ~read_set:reads ~write_set:writes
     ~compute_time ~protocol:(pick_protocol t)
 
+(* A stream draws each arrival when it is pulled, in the order [generate]
+   and [phased] draw them all: the gap, then the transaction. *)
+type arrivals = {
+  mutable current : t;
+  mutable left : int;              (* arrivals the current phase still draws *)
+  mutable later : (t * int) list;  (* the phases after it *)
+  mutable at : float;              (* the latest arrival drawn *)
+  mutable remaining : int;         (* arrivals not yet pulled *)
+  mutable peeked : (float * Ccdb_model.Txn.t) option;
+}
+
+let arrivals t ~n ~start =
+  if n < 0 then invalid_arg "Generator.arrivals: negative count";
+  { current = t; left = n; later = []; at = start; remaining = n;
+    peeked = None }
+
+let phased_arrivals phases ~sites ~items rng =
+  let gens =
+    List.map
+      (fun (spec, n) ->
+        if n < 1 then invalid_arg "Generator.phased: phase count < 1";
+        (create spec ~sites ~items rng, n))
+      phases
+  in
+  match gens with
+  | [] -> invalid_arg "Generator.phased: no phases"
+  | (first, n) :: later ->
+    { current = first; left = n; later; at = 0.;
+      remaining = List.fold_left (fun acc (_, n) -> acc + n) 0 gens;
+      peeked = None }
+
+let remaining s = s.remaining
+
+let draw s =
+  while s.left = 0 do
+    (* the current phase is spent: the next continues its ids and clock *)
+    match s.later with
+    | (gen, n) :: rest ->
+      gen.next_id <- s.current.next_id;
+      s.current <- gen;
+      s.left <- n;
+      s.later <- rest
+    | [] -> invalid_arg "Generator.pull: no arrivals left"
+  done;
+  let t = s.current in
+  let at =
+    s.at +. Ccdb_util.Rng.exponential t.rng ~mean:(1. /. t.spec.arrival_rate)
+  in
+  let txn = next_txn t in
+  s.at <- at;
+  s.left <- s.left - 1;
+  (at, txn)
+
+let peek s =
+  match s.peeked with
+  | Some _ as next -> next
+  | None ->
+    if s.remaining = 0 then None
+    else begin
+      s.peeked <- Some (draw s);
+      s.peeked
+    end
+
+let pull s =
+  if s.remaining = 0 then invalid_arg "Generator.pull: no arrivals left";
+  s.remaining <- s.remaining - 1;
+  match s.peeked with
+  | Some next ->
+    s.peeked <- None;
+    next
+  | None -> draw s
+
+(* The eager draws, kept as the specification the streams are tested
+   against. *)
 let generate t ~n ~start =
   let mean_gap = 1. /. t.spec.arrival_rate in
   let rec go acc at remaining =

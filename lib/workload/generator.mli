@@ -62,6 +62,37 @@ val phased :
     @raise Invalid_argument on an empty phase list, a non-positive phase
     count, or an invalid spec (as {!validate}). *)
 
+(** {2 Arrivals drawn when due}
+
+    A stream of arrivals draws each transaction when it is pulled, from
+    the same RNG draws in the same order as {!generate} and {!phased},
+    so its members equal theirs one for one.  A run that pulls each
+    arrival when its predecessor fires holds only the arrivals in
+    flight, not the whole workload. *)
+
+type arrivals
+
+val arrivals : t -> n:int -> start:float -> arrivals
+(** The [n] arrivals [generate t ~n ~start] would return, drawn one at a
+    time; nothing is drawn yet.  @raise Invalid_argument if [n < 0]. *)
+
+val phased_arrivals :
+  (spec * int) list -> sites:int -> items:int -> Ccdb_util.Rng.t -> arrivals
+(** The arrivals of {!phased}, drawn one at a time.  Every phase is
+    validated here, with {!phased}'s exceptions. *)
+
+val remaining : arrivals -> int
+(** How many arrivals are still to be pulled. *)
+
+val peek : arrivals -> (float * Ccdb_model.Txn.t) option
+(** The next arrival without consuming it (it is drawn now if it was not
+    yet); [None] when none is left.  Arrival times never decrease, so
+    the first peek gives the earliest arrival. *)
+
+val pull : arrivals -> float * Ccdb_model.Txn.t
+(** Consumes the next arrival.
+    @raise Invalid_argument when none is left. *)
+
 val of_trace : (float * Ccdb_model.Txn.t) list -> (float * Ccdb_model.Txn.t) list
 (** Trace replay helper: validates a hand-written or recorded arrival list
     (times non-decreasing, ids unique) and returns it unchanged, so traces

@@ -223,7 +223,7 @@ let test_not_serializable_witness () =
   let catalog = Ccdb_storage.Catalog.create ~items:1 ~sites:2 ~replication:2 in
   let store = Ccdb_storage.Store.create catalog in
   let events = ref [] in
-  Ccdb_storage.Store.on_append store (fun (item, site) entry ->
+  Ccdb_storage.Store.on_append store (fun ~item ~site entry ->
       events :=
         Rt.Op_implemented
           { txn = entry.txn; op = entry.kind; item; site; at = entry.at }
@@ -301,12 +301,12 @@ let raw_script_gen =
 
 let instrument store =
   let events = ref [] in
-  Ccdb_storage.Store.on_append store (fun (item, site) entry ->
+  Ccdb_storage.Store.on_append store (fun ~item ~site entry ->
       events :=
         Rt.Op_implemented
           { txn = entry.txn; op = entry.kind; item; site; at = entry.at }
         :: !events);
-  Ccdb_storage.Store.on_discard store (fun (item, site) ~txn ~removed ->
+  Ccdb_storage.Store.on_discard store (fun ~item ~site ~txn ~removed ->
       events := Rt.Reads_discarded { txn; item; site; removed; at = 0. } :: !events);
   events
 

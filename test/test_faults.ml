@@ -598,6 +598,56 @@ let test_fault_free_numbers_do_not_drift () =
     (r.summary.transport = None);
   check Alcotest.int "no site aborts without a plan" 0 r.summary.site_aborts
 
+(* The driver resolves [crash=coordinator@...] to the home site of the
+   first arrival, which it peeks before the plan is installed.  The sites
+   the window lands on were recorded from the build that drew every
+   arrival up front; the eager [Generator.generate] over the workload RNG
+   (seed + 7919) names the same first arrival. *)
+let test_coordinator_role_resolution () =
+  let plan =
+    plan_of_string "drop=0.05,crash=coordinator@400+300,wipe=true,seed=11"
+  in
+  let spec =
+    { G.default with
+      arrival_rate = 0.12;
+      size_max = 4;
+      protocol_mix =
+        [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
+          (Ccdb_model.Protocol.Pa, 1.) ] }
+  in
+  let crashed seed =
+    let sites = ref [] in
+    let setup =
+      { D.default_setup with
+        items = 12; seed; commit = Ccdb_protocols.Runtime.Paxos { f = 1 } }
+    in
+    ignore
+      (D.run ~setup ~n_txns:40 ~faults:plan
+         ~observer:(fun rt ->
+           Ccdb_protocols.Runtime.subscribe rt (function
+             | Ccdb_protocols.Runtime.Site_crashed { site; _ } ->
+               sites := site :: !sites
+             | _ -> ()))
+         D.Unified spec);
+    let first_home =
+      match
+        G.generate
+          (G.create spec ~sites:setup.sites ~items:setup.items
+             (Ccdb_util.Rng.create ~seed:(seed + 7919)))
+          ~n:1 ~start:0.
+      with
+      | [ (_, txn) ] -> txn.Ccdb_model.Txn.site
+      | _ -> Alcotest.fail "one arrival expected"
+    in
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "seed %d: the first arrival's home crashes" seed)
+      [ first_home ] !sites;
+    first_home
+  in
+  check (Alcotest.list Alcotest.int) "crashed sites, seeds 1-8"
+    [ 0; 0; 0; 2; 0; 0; 2; 3 ]
+    (List.map crashed [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
 let suites =
   [ ( "faults.plan",
       [ Alcotest.test_case "grammar round-trip" `Quick test_plan_roundtrip;
@@ -643,4 +693,6 @@ let suites =
         Alcotest.test_case "80% loss: 20 txns commit, no site aborts" `Slow
           test_lossy_repro_commits;
         Alcotest.test_case "fault-free path unchanged" `Quick
-          test_fault_free_numbers_do_not_drift ] ) ]
+          test_fault_free_numbers_do_not_drift;
+        Alcotest.test_case "coordinator role resolves as before" `Quick
+          test_coordinator_role_resolution ] ) ]

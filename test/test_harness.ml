@@ -328,6 +328,99 @@ let test_commit_allocates_nothing () =
     Alcotest.failf "a commit allocates %.2f words, an ignored event %.2f"
       committed ignored
 
+(* Lock-point events are built only for a consumer: the WAL of a durable
+   runtime, a listener or an observer. *)
+let test_consumer_predicate () =
+  let catalog = Ccdb_storage.Catalog.create ~items:2 ~sites:2 ~replication:1 in
+  let runtime ?faults () =
+    Rt.create ?faults ~net_config:(Ccdb_sim.Net.default_config ~sites:2)
+      ~catalog ()
+  in
+  let plain = runtime () in
+  check Alcotest.bool "plain run" false (Rt.has_consumer plain);
+  Rt.subscribe plain ignore;
+  check Alcotest.bool "under a listener" true (Rt.has_consumer plain);
+  let observed = runtime () in
+  Rt.observe observed ignore;
+  check Alcotest.bool "under an observer" true (Rt.has_consumer observed);
+  let plan wipe =
+    match Ccdb_sim.Fault_plan.of_string ("drop=0.1,wipe=" ^ wipe) with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.bool "fail-pause faults" false
+    (Rt.has_consumer (runtime ~faults:(plan "false") ()));
+  check Alcotest.bool "wipe=true" true
+    (Rt.has_consumer (runtime ~faults:(plan "true") ()))
+
+(* A run without a consumer builds no lock-point event, and a no-op
+   listener turns them all on: in every mode both runs commit the same
+   work at the same instants, and a traced run's digest does not move
+   under the listener either. *)
+let test_noop_listener_changes_nothing () =
+  let modes =
+    [ D.Pure Ccdb_model.Protocol.Two_pl; D.Pure Ccdb_model.Protocol.T_o;
+      D.Pure Ccdb_model.Protocol.Pa; D.Unified;
+      D.Unified_forced Ccdb_model.Protocol.Two_pl;
+      D.Unified_forced Ccdb_model.Protocol.T_o;
+      D.Unified_forced Ccdb_model.Protocol.Pa; D.Unified_full_lock; D.Dynamic;
+      D.Mvto; D.Conservative ]
+  in
+  let run ?(listen = false) ?(trace = false) mode =
+    let traced = ref None in
+    let r =
+      D.run ~setup:small_setup ~n_txns:80
+        ~observer:(fun rt ->
+          if listen then Rt.subscribe rt ignore;
+          if trace then traced := Some (Ccdb_harness.Trace.attach rt))
+        mode spec
+    in
+    let logs =
+      Ccdb_storage.Store.logs (Rt.store r.runtime)
+      |> List.map (fun ((item, site), entries) ->
+             Printf.sprintf "%d/%d:%s" item site
+               (String.concat ","
+                  (List.map
+                     (fun (e : Ccdb_storage.Store.log_entry) ->
+                       Printf.sprintf "%d%s%h" e.txn
+                         (Ccdb_model.Op.to_string e.kind) e.at)
+                     entries)))
+      |> String.concat ";"
+    in
+    let digest =
+      match !traced with
+      | Some tr ->
+        Digest.to_hex (Digest.string (Ccdb_harness.Trace.render tr))
+      | None -> ""
+    in
+    ( Marshal.to_string r.summary [ Marshal.No_sharing ],
+      r.decisions,
+      Ccdb_sim.Engine.processed (Rt.engine r.runtime),
+      Digest.to_hex (Digest.string logs),
+      digest )
+  in
+  List.iter
+    (fun mode ->
+      let name = D.mode_name mode in
+      let summary, decisions, events, logs, _ = run mode in
+      let summary', decisions', events', logs', _ = run ~listen:true mode in
+      check Alcotest.string (name ^ " summary") summary summary';
+      check Alcotest.bool (name ^ " decisions") true (decisions = decisions');
+      check Alcotest.int (name ^ " engine events") events events';
+      check Alcotest.string (name ^ " store logs") logs logs';
+      let _, _, _, _, traced = run ~trace:true mode in
+      let _, _, _, _, traced' = run ~trace:true ~listen:true mode in
+      check Alcotest.string (name ^ " trace digest") traced traced')
+    modes
+
+let suites =
+  suites
+  @ [ ( "harness.consumers",
+        [ Alcotest.test_case "consumer predicate" `Quick
+            test_consumer_predicate;
+          Alcotest.test_case "a no-op listener changes nothing" `Quick
+            test_noop_listener_changes_nothing ] ) ]
+
 let suites =
   suites
   @ [ ( "harness.system_time",

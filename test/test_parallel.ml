@@ -451,10 +451,11 @@ let run_script ~seed ~semi_locks ~steps =
            (response_str ra) (response_str rb);
        if ra <> Q.Rejected then present := txn :: !present
      | 5 | 6 ->
+       Q.grant_ready q ~now:(float_of_int step);
        let ga =
-         List.map
-           (fun (g : Q.grant) -> (g.entry.txn, g.schedule))
-           (Q.grant_ready q ~now:(float_of_int step))
+         List.init (Q.reports q) (fun i ->
+             let (e : Q.entry) = Q.report q i in
+             (e.txn, e.schedule))
        in
        let gb = Spec_queue.grant_ready s in
        if ga <> gb then fail step "grant order"
@@ -465,9 +466,11 @@ let run_script ~seed ~semi_locks ~steps =
           let txn = List.nth txns (Ccdb_util.Rng.int rng (List.length txns)) in
           let release = Ccdb_util.Rng.bool rng in
           let ra =
-            (if release then Q.release q ~txn else Q.abort q ~txn)
-            |> Option.map (fun ((e : Q.entry), promoted) ->
-                   (e.txn, List.map (fun (p : Q.entry) -> p.txn) promoted))
+            match if release then Q.release q ~txn else Q.abort q ~txn with
+            | exception Not_found -> None
+            | e ->
+              Some
+                (e.txn, List.init (Q.reports q) (fun i -> (Q.report q i).txn))
           in
           let rb =
             if release then Spec_queue.release s ~txn
@@ -489,7 +492,11 @@ let run_script ~seed ~semi_locks ~steps =
         | [] -> ()
         | txns ->
           let txn = List.nth txns (Ccdb_util.Rng.int rng (List.length txns)) in
-          let ra = Q.transform q ~txn <> None in
+          let ra =
+            match Q.transform q ~txn with
+            | (_ : Q.entry) -> true
+            | exception Not_found -> false
+          in
           let rb = Spec_queue.transform s ~txn in
           if ra <> rb then fail step "transform result"));
     compare_states step "state"

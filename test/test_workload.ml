@@ -133,8 +133,150 @@ let prop_deterministic =
       in
       dump (make ~seed ()) = dump (make ~seed ()))
 
+(* --- arrivals drawn when due ----------------------------------------------- *)
+
+(* Everything an arrival carries, its times by their bits. *)
+let arrival_key (at, (t : Ccdb_model.Txn.t)) =
+  ( Int64.bits_of_float at, t.id, t.site, t.read_set, t.write_set,
+    Ccdb_model.Protocol.rank t.protocol, Int64.bits_of_float t.compute_time )
+
+(* A random valid spec over [items] items. *)
+let random_spec rng ~items =
+  let size_min = 1 + Ccdb_util.Rng.int rng 3 in
+  let access =
+    match Ccdb_util.Rng.int rng 3 with
+    | 0 -> G.Uniform
+    | 1 -> G.Zipf (0.2 +. Ccdb_util.Rng.float rng 1.5)
+    | _ ->
+      G.Hotspot
+        { hot_items = 1 + Ccdb_util.Rng.int rng items;
+          hot_prob = Ccdb_util.Rng.float rng 1. }
+  in
+  { G.arrival_rate = 0.01 +. Ccdb_util.Rng.float rng 1.;
+    size_min;
+    size_max = size_min + Ccdb_util.Rng.int rng (items - size_min + 1);
+    read_fraction = Ccdb_util.Rng.float rng 1.;
+    access;
+    compute_mean =
+      (if Ccdb_util.Rng.bool rng then 0. else Ccdb_util.Rng.float rng 10.);
+    protocol_mix =
+      List.map
+        (fun p -> (p, 0.1 +. Ccdb_util.Rng.float rng 1.))
+        Ccdb_model.Protocol.all }
+
+(* Pulls every arrival, peeking zero, one or two times before each pull. *)
+let drain rng s =
+  let rec go acc =
+    if G.remaining s = 0 then begin
+      if Option.is_some (G.peek s) then Alcotest.fail "peek past the end";
+      List.rev acc
+    end
+    else begin
+      for _ = 1 to Ccdb_util.Rng.int rng 3 do
+        ignore (G.peek s)
+      done;
+      go (G.pull s :: acc)
+    end
+  in
+  go []
+
+(* The arrivals fed through an engine, member [k] moved [shift] before its
+   predecessor when given: the instants they fire at, and whether the
+   engine refused a member. *)
+let fire arrivals ?out_of_order () =
+  let eng = Ccdb_sim.Engine.create () in
+  let fired = ref [] in
+  let rest = ref arrivals and i = ref 0 in
+  let prev = ref 0. in
+  Ccdb_sim.Engine.feed eng ~n:(List.length arrivals) (fun () ->
+      match !rest with
+      | [] -> Alcotest.fail "feed drew past its count"
+      | (at, _) :: later ->
+        rest := later;
+        let at =
+          match out_of_order with
+          | Some (k, shift) when k = !i -> !prev -. shift
+          | Some _ | None -> at
+        in
+        incr i;
+        prev := at;
+        (at, fun () -> fired := Ccdb_sim.Engine.now eng :: !fired));
+  match Ccdb_sim.Engine.run eng with
+  | () -> (List.rev !fired, false)
+  | exception Invalid_argument _ -> (List.rev !fired, true)
+
+let prop_streams_equal_eager_draws =
+  qtest ~count:200 "streamed arrivals equal generate and phased"
+    QCheck.(pair (int_range 0 100_000) (int_range 0 40))
+    (fun (seed, n) ->
+      let rng = Ccdb_util.Rng.create ~seed in
+      let sites = 1 + Ccdb_util.Rng.int rng 6 in
+      let items = 4 + Ccdb_util.Rng.int rng 30 in
+      let start = Ccdb_util.Rng.float rng 100. in
+      let spec = random_spec rng ~items in
+      let gen () =
+        G.create spec ~sites ~items (Ccdb_util.Rng.create ~seed:(seed + 1))
+      in
+      let eager = G.generate (gen ()) ~n ~start in
+      let streamed = drain rng (G.arrivals (gen ()) ~n ~start) in
+      let phases =
+        List.init
+          (1 + Ccdb_util.Rng.int rng 3)
+          (fun _ -> (random_spec rng ~items, 1 + Ccdb_util.Rng.int rng 15))
+      in
+      let phase_rng () = Ccdb_util.Rng.create ~seed:(seed + 2) in
+      let eager_phased = G.phased phases ~sites ~items (phase_rng ()) in
+      let streamed_phased =
+        drain rng (G.phased_arrivals phases ~sites ~items (phase_rng ()))
+      in
+      let times = List.map fst eager_phased in
+      let in_order, refused = fire eager_phased () in
+      let out_of_order =
+        match eager_phased with
+        | _ :: _ :: _ ->
+          let k = 1 + Ccdb_util.Rng.int rng (List.length eager_phased - 1) in
+          let shifted, refused =
+            fire eager_phased
+              ~out_of_order:(k, if Ccdb_util.Rng.bool rng then 1. else nan)
+              ()
+          in
+          (* members before [k] fired; the one that pushes [k] did not *)
+          refused && shifted = List.filteri (fun i _ -> i < k - 1) times
+        | [ _ ] | [] -> true
+      in
+      List.map arrival_key streamed = List.map arrival_key eager
+      && List.map arrival_key streamed_phased
+         = List.map arrival_key eager_phased
+      && (not refused) && in_order = times && out_of_order)
+
+let test_stream_exhaustion () =
+  let s = G.arrivals (make ()) ~n:2 ~start:0. in
+  check Alcotest.int "two to pull" 2 (G.remaining s);
+  let first = G.peek s in
+  check Alcotest.bool "peek keeps it" true (G.peek s == first);
+  ignore (G.pull s);
+  ignore (G.pull s);
+  check Alcotest.bool "nothing left to peek" true (G.peek s = None);
+  Alcotest.check_raises "pull past the end"
+    (Invalid_argument "Generator.pull: no arrivals left") (fun () ->
+      ignore (G.pull s));
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Generator.arrivals: negative count") (fun () ->
+      ignore (G.arrivals (make ()) ~n:(-1) ~start:0.));
+  Alcotest.check_raises "phased validation up front"
+    (Invalid_argument "Generator.phased: phase count < 1") (fun () ->
+      ignore
+        (G.phased_arrivals
+           [ (G.default, 3); (G.default, 0) ]
+           ~sites:2 ~items:8
+           (Ccdb_util.Rng.create ~seed:1)))
+
 let suites =
-  [ ( "workload.generator",
+  [ ( "workload.arrivals",
+      [ prop_streams_equal_eager_draws;
+        Alcotest.test_case "peek, pull and exhaustion" `Quick
+          test_stream_exhaustion ] );
+    ( "workload.generator",
       [ Alcotest.test_case "count and order" `Quick test_generate_count_and_order;
         Alcotest.test_case "sizes" `Quick test_generate_respects_sizes;
         Alcotest.test_case "poisson rate" `Quick test_generate_poisson_rate;
