@@ -117,7 +117,8 @@ let run_experiments () =
   print_endline "=== Paper reproduction: one table per experiment ===";
   print_endline
     (if quick then "(quick mode: reduced transaction counts)\n" else "");
-  let staged = Ccdb_harness.Experiments.staged ~quick () in
+  let suite () = Ccdb_harness.Experiments.staged ~quick () in
+  let staged = suite () in
   let n_experiments = List.length staged in
   let n_points =
     List.fold_left
@@ -127,7 +128,7 @@ let run_experiments () =
   let want_both = json_path <> None && jobs > 1 in
   if want_both || jobs <= 1 then begin
     let serial, serial_s =
-      timed (fun () -> Ccdb_harness.Parallel.experiments ~quick ~jobs:1 ())
+      timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs:1 (suite ()))
     in
     let serial_txt = render_all serial in
     print_string serial_txt;
@@ -135,7 +136,7 @@ let run_experiments () =
       if not want_both then None
       else begin
         let par, par_s =
-          timed (fun () -> Ccdb_harness.Parallel.experiments ~quick ~jobs ())
+          timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs (suite ()))
         in
         let identical = String.equal (render_all par) serial_txt in
         Printf.printf
@@ -149,7 +150,7 @@ let run_experiments () =
   end
   else begin
     let outs, par_s =
-      timed (fun () -> Ccdb_harness.Parallel.experiments ~quick ~jobs ())
+      timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs (suite ()))
     in
     print_string (render_all outs);
     (* a single parallel pass has no serial wall-clock to compare against;

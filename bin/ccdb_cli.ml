@@ -2,6 +2,7 @@
    evaluations from the shell.
 
      ccdb_cli run --mode dynamic --lambda 0.2 --txns 400
+     ccdb_cli run --plan "drop=0.1,crash=1@400+300,seed=11" --audit
      ccdb_cli experiments --only E1,E6 --quick
      ccdb_cli stl --lambda-a 1.0 --loss 0.3 --horizon 40 *)
 
@@ -49,71 +50,6 @@ let mode_conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
-(* [--stream] (the default), [--batch] and [--differential] select how
-   [run ~audit:true] computes its report; shared by analyze/faults/recover. *)
-let audit_path_term =
-  let open Cmdliner in
-  let stream =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:
-               "Audit online: feed the incremental analyzer during the run \
-                (flat per-event cost, no trace retained).  The default.")
-  in
-  let batch =
-    Arg.(value & flag
-         & info [ "batch" ]
-             ~doc:
-               "Audit offline: record the full trace, replay it through the \
-                batch analyzer after the run (the executable specification).")
-  in
-  let differential =
-    Arg.(value & flag
-         & info [ "differential" ]
-             ~doc:
-               "Run both audit paths and fail on any disagreement \
-                (reported as an audit.divergence error finding).")
-  in
-  let pick _stream batch differential =
-    if differential then Ccdb_harness.Driver.Differential
-    else if batch then Ccdb_harness.Driver.Batch
-    else Ccdb_harness.Driver.Streaming
-  in
-  Term.(const pick $ stream $ batch $ differential)
-
-(* [--commit 2pc|paxos|paxos:F]: atomic-commitment engine for durable
-   runs; shared by run/analyze/faults/recover.  Inert without a fail-stop
-   fault plan (only durable runtimes build a commit engine). *)
-let commit_term =
-  let open Cmdliner in
-  let parse s =
-    match String.lowercase_ascii s with
-    | "2pc" -> Ok Ccdb_protocols.Runtime.Two_pc
-    | "paxos" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 1 })
-    | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "paxos" -> (
-        let k = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt k with
-        | Some f when f >= 0 -> Ok (Ccdb_protocols.Runtime.Paxos { f })
-        | _ -> Error (`Msg (Printf.sprintf "bad fault tolerance %S" k)))
-      | _ -> Error (`Msg "expected 2pc, paxos or paxos:F"))
-  in
-  let print ppf = function
-    | Ccdb_protocols.Runtime.Two_pc -> Format.pp_print_string ppf "2pc"
-    | Ccdb_protocols.Runtime.Paxos { f } -> Format.fprintf ppf "paxos:%d" f
-  in
-  Arg.(value
-       & opt (conv (parse, print)) Ccdb_protocols.Runtime.Two_pc
-       & info [ "commit" ] ~docv:"PROTO"
-           ~doc:
-             "Atomic-commitment engine for durable (fail-stop) runs: \
-              $(b,2pc) (presumed-abort two-phase commit, the default), \
-              $(b,paxos) (Paxos Commit, one acceptor fault tolerated) or \
-              $(b,paxos:F) (Paxos Commit over 2F+1 acceptors at sites \
-              0..2F — requires at least 2F+1 sites).  See DESIGN.md \
-              section 15.")
-
 (* --- checked flags ------------------------------------------------------ *)
 
 (* Numeric flags are range-checked as they are parsed, so an out-of-range
@@ -140,20 +76,23 @@ let positive_float =
     (fun x -> x > 0. && Float.is_finite x)
     Cmdliner.Arg.float
 
+let non_negative_float =
+  checked ~what:"a finite number >= 0"
+    (fun x -> x >= 0. && Float.is_finite x)
+    Cmdliner.Arg.float
+
 let fraction =
   checked ~what:"a number in [0, 1]"
     (fun x -> x >= 0. && x <= 1.)
     Cmdliner.Arg.float
 
-(* The workload and topology flags of run, analyze, faults, recover,
-   insights and sweep. *)
-let lambda_term ~default =
+(* The workload and topology flags of run, insights and sweep. *)
+let lambda_term =
   Cmdliner.Arg.(
-    value & opt positive_float default & info [ "lambda" ] ~doc:"Arrival rate.")
+    value & opt positive_float 0.1 & info [ "lambda" ] ~doc:"Arrival rate.")
 
-let txns_term ~default =
-  Cmdliner.Arg.(
-    value & opt count default & info [ "txns" ] ~doc:"Transactions.")
+let txns_term =
+  Cmdliner.Arg.(value & opt count 400 & info [ "txns" ] ~doc:"Transactions.")
 
 let sites_term =
   Cmdliner.Arg.(value & opt positive_int 4 & info [ "sites" ] ~doc:"Sites.")
@@ -241,8 +180,6 @@ let run_cmd =
                 pure-cto, unified, unified-2pl, unified-to, unified-pa, \
                 full-lock, dynamic.")
   in
-  let lambda = lambda_term ~default:0.1 in
-  let txns = txns_term ~default:400 in
   let size_min =
     Arg.(value & opt positive_int 1 & info [ "size-min" ] ~doc:"Min st.")
   in
@@ -251,19 +188,25 @@ let run_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let mix =
-    Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
+    Arg.(value
+         & opt
+             (checked ~what:"a non-empty protocol list" (fun l -> l <> [])
+                (list protocol_conv))
+             Ccdb_model.Protocol.all
          & info [ "mix" ]
              ~doc:"Protocol mix for the unified mode (even weights).")
   in
   let detection =
+    (* The floor keeps every scan moving the clock: once [now] is large,
+       [now +. 1e-300 = now], and the detector would fire forever at one
+       instant, each firing queueing a report per site. *)
     let period what v =
       match float_of_string_opt v with
-      | Some x when x > 0. && Float.is_finite x -> Ok x
+      | Some x when x >= 1. && Float.is_finite x -> Ok x
       | _ ->
         Error
           (`Msg
-             (Printf.sprintf "bad %s %S: expected a positive finite number"
-                what v))
+             (Printf.sprintf "bad %s %S: expected a finite number >= 1" what v))
     in
     let parse s =
       match String.split_on_char ':' (String.lowercase_ascii s) with
@@ -290,7 +233,8 @@ let run_cmd =
          & info [ "detection" ]
              ~doc:
                "Deadlock detection: centralized:INTERVAL or \
-                edge-chasing:DELAY.")
+                edge-chasing:DELAY, in simulated time units, at least 1 (a \
+                tenth of a network hop).")
   in
   let prevention =
     let parse s =
@@ -321,11 +265,27 @@ let run_cmd =
              ~doc:"Enable the Thomas Write Rule in the pure T/O baseline.")
   in
   let audit =
-    Arg.(value & flag
-         & info [ "audit" ]
+    let path =
+      Arg.enum
+        [ ("stream", Ccdb_harness.Driver.Streaming);
+          ("batch", Ccdb_harness.Driver.Batch);
+          ("differential", Ccdb_harness.Driver.Differential) ]
+    in
+    Arg.(value
+         & opt ~vopt:(Some Ccdb_harness.Driver.Streaming) (some path) None
+         & info [ "audit" ] ~docv:"PATH"
              ~doc:
-               "Keep the streaming invariant audit online during the run \
-                and print its summary (exits 1 on an error finding).")
+               "Audit the run against the paper's invariants (semi-lock \
+                compatibility, precedence conditions E1/E2, the deadlock and \
+                restart theorems, serializability, and with a fail-stop \
+                plan durability and consensus) and print the report: its \
+                summary, then one line per finding.  $(docv) is \
+                $(b,stream) (the default: events feed the incremental \
+                analyzer as they fire, no trace retained), $(b,batch) \
+                (record the full trace and replay it through the batch \
+                analyzer after the run, the executable specification) or \
+                $(b,differential) (both; any disagreement is an \
+                audit.divergence error).  Exits 1 on an error finding.")
   in
   let no_store_check =
     Arg.(value & flag
@@ -342,8 +302,55 @@ let run_cmd =
                 of the run, in time linear in the logs (EXPERIMENTS.md \
                 E13).")
   in
+  let commit =
+    let parse s =
+      match String.lowercase_ascii s with
+      | "2pc" -> Ok Ccdb_protocols.Runtime.Two_pc
+      | "paxos" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 1 })
+      | s -> (
+        match String.index_opt s ':' with
+        | Some i when String.sub s 0 i = "paxos" -> (
+          let k = String.sub s (i + 1) (String.length s - i - 1) in
+          match int_of_string_opt k with
+          | Some f when f >= 0 -> Ok (Ccdb_protocols.Runtime.Paxos { f })
+          | _ -> Error (`Msg (Printf.sprintf "bad fault tolerance %S" k)))
+        | _ -> Error (`Msg "expected 2pc, paxos or paxos:F"))
+    in
+    let print ppf = function
+      | Ccdb_protocols.Runtime.Two_pc -> Format.pp_print_string ppf "2pc"
+      | Ccdb_protocols.Runtime.Paxos { f } -> Format.fprintf ppf "paxos:%d" f
+    in
+    Arg.(value
+         & opt (conv (parse, print)) Ccdb_protocols.Runtime.Two_pc
+         & info [ "commit" ] ~docv:"PROTO"
+             ~doc:
+               "Atomic-commitment engine under a fail-stop $(b,--plan) \
+                ($(b,wipe=true)); inert without one: $(b,2pc) \
+                (presumed-abort two-phase commit, the default), $(b,paxos) \
+                (Paxos Commit, one acceptor fault tolerated) or \
+                $(b,paxos:F) (Paxos Commit over 2F+1 acceptors at sites \
+                0..2F — requires at least 2F+1 sites).  See DESIGN.md \
+                section 15.")
+  in
+  let plan =
+    let parse s =
+      Result.map_error (fun e -> `Msg e) (Ccdb_sim.Fault_plan.of_string s)
+    in
+    Arg.(value
+         & opt (some (conv (parse, Ccdb_sim.Fault_plan.pp))) None
+         & info [ "plan" ] ~docv:"PLAN"
+             ~doc:
+               "Run under a fault plan, e.g. \
+                $(b,drop=0.1,crash=1@400+300,crash=2@1200+300,seed=11).  \
+                Grammar: drop=F dup=F delay=PxM crash=WHO@T+D where WHO is \
+                a site number, $(b,coordinator) or $(b,acceptor:K), \
+                link=SRC>DST/... wipe=B seed=N (see DESIGN.md section 9).  \
+                $(b,wipe=true) makes crashes fail-stop: volatile state is \
+                wiped, sites write ahead and replay their logs on recovery \
+                (DESIGN.md section 11).")
+  in
   let run mode lambda txns sites items repl size_min size_max qr seed mix
-      detection prevention twr audit no_store_check commit () =
+      detection prevention twr audit no_store_check commit plan () =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -359,118 +366,83 @@ let run_cmd =
         detection; prevention; thomas_write_rule = twr }
     in
     check_setup setup spec;
+    Option.iter (check_plan ~sites) plan;
     let r =
-      Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit
-        ~verify_store:(not no_store_check) mode spec
-    in
-    let s = r.summary in
-    Format.printf "mode:            %s@." (Ccdb_harness.Driver.mode_name mode);
-    Format.printf "workload:        %a@." Ccdb_workload.Generator.pp_spec spec;
-    Format.printf "committed:       %d@." s.committed;
-    Format.printf "mean S:          %.2f@." s.mean_system_time;
-    Format.printf "p95 S:           %.2f@." s.p95_system_time;
-    Format.printf "throughput:      %.4f txns/unit@." s.throughput;
-    Format.printf "restarts/txn:    %.3f@." s.restarts_per_txn;
-    Format.printf "deadlock aborts: %d@." s.deadlock_aborts;
-    Format.printf "backoffs/txn:    %.3f@." s.backoffs_per_txn;
-    Format.printf "messages/txn:    %.1f@." s.messages_per_txn;
-    (if no_store_check then
-       Format.printf "store checks:    skipped (--no-store-check)@."
-     else begin
-       Format.printf "serializable:    %b@." s.serializable;
-       Format.printf "replicas ok:     %b@." s.replica_consistent
-     end);
-    (match r.audit with
-     | None -> ()
-     | Some report ->
-       Format.printf "audit:           %s@."
-         (Ccdb_analysis.Report.summary report));
-    (match r.decisions with
-     | [] -> ()
-     | decisions ->
-       Format.printf "protocol mix:    %a@."
-         (Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-            (fun ppf (p, n) ->
-              Format.fprintf ppf "%a=%d" Ccdb_model.Protocol.pp p n))
-         decisions);
-    let audit_failed =
-      match r.audit with
-      | Some report -> Ccdb_analysis.Report.errors report <> []
-      | None -> false
-    in
-    if (not s.serializable) || audit_failed then exit 1
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print its metrics.")
-    (reported
-       Term.(
-         const run $ mode $ lambda $ txns $ sites_term $ items_term
-         $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
-         $ mix $ detection $ prevention $ twr $ audit $ no_store_check
-         $ commit_term))
-
-(* -------------------------------------------------------------- analyze *)
-
-let analyze_cmd =
-  let open Cmdliner in
-  let mode =
-    Arg.(value & opt mode_conv Ccdb_harness.Driver.Unified
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"System to audit (same values as $(b,run) --mode).")
-  in
-  let lambda = lambda_term ~default:0.1 in
-  let txns = txns_term ~default:400 in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let mix =
-    Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
-         & info [ "mix" ]
-             ~doc:"Protocol mix for the unified mode (even weights).")
-  in
-  let quiet =
-    Arg.(value & flag
-         & info [ "quiet" ] ~doc:"Print only the summary line, not findings.")
-  in
-  let run mode lambda txns sites items repl qr seed mix quiet audit_path
-      commit () =
-    let spec =
-      { Ccdb_workload.Generator.default with
-        arrival_rate = lambda;
-        read_fraction = qr;
-        protocol_mix = List.map (fun p -> (p, 1.)) mix }
-    in
-    let setup =
-      { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; commit;
-        net = Ccdb_sim.Net.default_config ~sites }
-    in
-    check_setup setup spec;
-    let r =
-      Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:true ~audit_path mode
+      Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(Option.is_some audit)
+        ?audit_path:audit ?faults:plan ~verify_store:(not no_store_check) mode
         spec
     in
-    let report = Option.get r.audit in
-    Format.printf "mode:   %s@." (Ccdb_harness.Driver.mode_name mode);
-    if quiet then
-      Format.printf "audit:  %s@." (Ccdb_analysis.Report.summary report)
-    else Format.printf "audit:  %a@." Ccdb_analysis.Report.pp report;
-    if not (Ccdb_analysis.Report.is_clean report) then exit 1
+    let s = r.summary in
+    let field label fmt = Format.printf ("%-17s" ^^ fmt ^^ "@.") label in
+    field "mode:" "%s" (Ccdb_harness.Driver.mode_name mode);
+    Option.iter (field "fault plan:" "%a" Ccdb_sim.Fault_plan.pp) plan;
+    field "workload:" "%a" Ccdb_workload.Generator.pp_spec spec;
+    field "committed:" "%d / %d" s.committed txns;
+    field "mean S:" "%.2f" s.mean_system_time;
+    field "p95 S:" "%.2f" s.p95_system_time;
+    field "throughput:" "%.4f txns/unit" s.throughput;
+    field "restarts/txn:" "%.3f" s.restarts_per_txn;
+    field "deadlock aborts:" "%d" s.deadlock_aborts;
+    if Option.is_some plan then field "site aborts:" "%d" s.site_aborts;
+    field "backoffs/txn:" "%.3f" s.backoffs_per_txn;
+    field "messages/txn:" "%.1f" s.messages_per_txn;
+    Option.iter
+      (fun (st : Ccdb_sim.Net.fault_stats) ->
+        field "transport:"
+          "%d transmissions, %d dropped, %d duplicated, %d retransmitted"
+          st.transmissions st.dropped st.duplicated st.retransmitted;
+        field ""
+          "%d deliveries suppressed by crashes, %d acks lost, %d crashes, %d \
+           recoveries"
+          st.suppressed st.acks_lost st.crashes st.recoveries)
+      s.transport;
+    Option.iter
+      (fun (rec_ : Ccdb_harness.Metrics.recovery) ->
+        field "durability:" "%d WAL appends, %d volatile entries dropped"
+          rec_.wal_appends rec_.entries_dropped;
+        field "recovery:"
+          "%d replays (%d interrupted), %d records replayed, %.1f time units"
+          rec_.replays rec_.interrupted rec_.records_replayed rec_.replay_time;
+        let wal = Ccdb_protocols.Runtime.wal r.runtime in
+        for site = 0 to sites - 1 do
+          field (Printf.sprintf "  site %d WAL:" site) "%d records"
+            (Ccdb_storage.Wal.site_appends wal site)
+        done)
+      s.recovery;
+    if no_store_check then field "store checks:" "skipped (--no-store-check)"
+    else begin
+      field "serializable:" "%b" s.serializable;
+      field "replicas ok:" "%b" s.replica_consistent
+    end;
+    if r.decisions <> [] then
+      field "protocol mix:" "%a"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+           (fun ppf (p, n) ->
+             Format.fprintf ppf "%a=%d" Ccdb_model.Protocol.pp p n))
+        r.decisions;
+    Option.iter (field "audit:" "%a" Ccdb_analysis.Report.pp) r.audit;
+    let audit_clean =
+      Option.fold ~none:true ~some:Ccdb_analysis.Report.is_clean r.audit
+    in
+    if s.committed <> txns
+       || not (s.serializable && s.replica_consistent && audit_clean)
+    then exit 1
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "run"
        ~doc:
-         "Run one simulation and audit it against the paper's invariants \
-          (semi-lock compatibility, precedence conditions E1/E2, \
-          deadlock/restart theorems, serializability of the final logs).  \
-          By default the audit streams: events feed the incremental \
-          analyzer as they fire ($(b,--stream)); $(b,--batch) records and \
-          replays the full trace instead, and $(b,--differential) runs \
-          both and fails on disagreement.  Exits 1 on any error-severity \
-          finding.")
+         "Run one simulation and print its metrics: plain, audited \
+          ($(b,--audit)) or under a fault plan ($(b,--plan)), which adds \
+          the transport counters, and with $(b,wipe=true) the durability \
+          and recovery counters.  Exits 1 if a transaction fails to \
+          commit, the store checks fail or the audit finds an error.")
     (reported
        Term.(
-         const run $ mode $ lambda $ txns $ sites_term $ items_term
-         $ replication_term $ read_fraction_term $ seed $ mix $ quiet
-         $ audit_path_term $ commit_term))
+         const run $ mode $ lambda_term $ txns_term $ sites_term $ items_term
+         $ replication_term $ size_min $ size_max $ read_fraction_term $ seed
+         $ mix $ detection $ prevention $ twr $ audit $ no_store_check
+         $ commit $ plan))
 
 (* ---------------------------------------------------------- experiments *)
 
@@ -481,7 +453,10 @@ let experiments_cmd =
   in
   let only =
     Arg.(value & opt (list string) []
-         & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated ids, e.g. E1,E6.")
+         & info [ "only" ] ~docv:"IDS"
+             ~doc:
+               "Run only these experiments: comma-separated ids, e.g. \
+                E1,E6.")
   in
   let csv_dir =
     Arg.(value & opt (some string) None
@@ -498,271 +473,43 @@ let experiments_cmd =
                 serial path.")
   in
   let run quick only csv_dir jobs () =
-    let wanted o =
-      only = [] || List.exists (fun id -> String.uppercase_ascii id = o.Ccdb_harness.Experiments.id) only
+    let suite = Ccdb_harness.Experiments.staged ~quick () in
+    let ids = List.map Ccdb_harness.Experiments.id suite in
+    let only = List.map String.uppercase_ascii only in
+    List.iter
+      (fun id ->
+        if not (List.mem id ids) then
+          usage_error "--only: unknown experiment %S (known: %s)" id
+            (String.concat ", " ids))
+      only;
+    let chosen =
+      if only = [] then suite
+      else
+        List.filter (fun s -> List.mem (Ccdb_harness.Experiments.id s) only)
+          suite
     in
     List.iter
       (fun o ->
-        if wanted o then begin
-          print_endline (Ccdb_harness.Experiments.render o);
-          print_newline ();
-          match csv_dir with
-          | None -> ()
-          | Some dir ->
-            let path =
-              Filename.concat dir
-                (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
-            in
-            let oc = open_out path in
-            output_string oc (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
-            close_out oc;
-            Printf.printf "(wrote %s)\n\n" path
-        end)
-      (Ccdb_harness.Parallel.experiments ~quick ~jobs ())
+        print_endline (Ccdb_harness.Experiments.render o);
+        print_newline ();
+        match csv_dir with
+        | None -> ()
+        | Some dir ->
+          let path =
+            Filename.concat dir
+              (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
+          in
+          let oc = open_out path in
+          output_string oc
+            (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
+          close_out oc;
+          Printf.printf "(wrote %s)\n\n" path)
+      (Ccdb_harness.Parallel.experiments ~jobs chosen)
   in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper-reproduction tables (E1-E14, E16, X1-X7).")
     (reported Term.(const run $ quick $ only $ csv_dir $ jobs))
-
-(* --------------------------------------------------------------- faults *)
-
-let faults_cmd =
-  let open Cmdliner in
-  let plan_conv =
-    let parse s =
-      match Ccdb_sim.Fault_plan.of_string s with
-      | Ok p -> Ok p
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, Ccdb_sim.Fault_plan.pp)
-  in
-  let plan =
-    Arg.(required
-         & opt (some plan_conv) None
-         & info [ "plan" ] ~docv:"PLAN"
-             ~doc:
-               "Fault plan, e.g. \
-                $(b,drop=0.1,crash=1@400+300,crash=2@1200+300,seed=11).  \
-                Grammar: drop=F dup=F delay=PxM crash=WHO@T+D where WHO is \
-                a site number, $(b,coordinator) or $(b,acceptor:K), \
-                link=SRC>DST/... seed=N (see DESIGN.md section 9).")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Ccdb_harness.Driver.Unified
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"System to run (same values as $(b,run) --mode).")
-  in
-  let lambda = lambda_term ~default:0.08 in
-  let txns = txns_term ~default:200 in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let mix =
-    Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
-         & info [ "mix" ]
-             ~doc:"Protocol mix for the unified mode (even weights).")
-  in
-  let no_audit =
-    Arg.(value & flag
-         & info [ "no-audit" ]
-             ~doc:"Skip the static invariant audit of the traced run.")
-  in
-  let run plan mode lambda txns sites items seed mix no_audit audit_path
-      commit () =
-    let spec =
-      { Ccdb_workload.Generator.default with
-        arrival_rate = lambda;
-        protocol_mix = List.map (fun p -> (p, 1.)) mix }
-    in
-    let setup =
-      { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; commit;
-        net = Ccdb_sim.Net.default_config ~sites }
-    in
-    check_setup setup spec;
-    check_plan ~sites plan;
-    let r =
-      Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(not no_audit)
-        ~audit_path ~faults:plan mode spec
-    in
-    let s = r.summary in
-    Format.printf "mode:            %s@." (Ccdb_harness.Driver.mode_name mode);
-    Format.printf "fault plan:      %a@." Ccdb_sim.Fault_plan.pp plan;
-    Format.printf "committed:       %d / %d@." s.committed txns;
-    Format.printf "mean S:          %.2f@." s.mean_system_time;
-    Format.printf "throughput:      %.4f txns/unit@." s.throughput;
-    Format.printf "restarts/txn:    %.3f@." s.restarts_per_txn;
-    Format.printf "site aborts:     %d@." s.site_aborts;
-    Format.printf "serializable:    %b@." s.serializable;
-    Format.printf "replicas ok:     %b@." s.replica_consistent;
-    (match s.transport with
-     | None -> ()
-     | Some st ->
-       Format.printf
-         "transport:       %d transmissions, %d dropped, %d duplicated, %d \
-          retransmitted@."
-         st.Ccdb_sim.Net.transmissions st.Ccdb_sim.Net.dropped
-         st.Ccdb_sim.Net.duplicated st.Ccdb_sim.Net.retransmitted;
-       Format.printf
-         "                 %d deliveries suppressed by crashes, %d acks \
-          lost, %d crashes, %d recoveries@."
-         st.Ccdb_sim.Net.suppressed st.Ccdb_sim.Net.acks_lost
-         st.Ccdb_sim.Net.crashes st.Ccdb_sim.Net.recoveries);
-    (match r.audit with
-     | None -> ()
-     | Some report ->
-       Format.printf "audit:           %s@."
-         (Ccdb_analysis.Report.summary report);
-       if not (Ccdb_analysis.Report.is_clean report) then
-         Format.printf "%a@." Ccdb_analysis.Report.pp report);
-    let failed =
-      s.committed <> txns
-      || (match r.audit with
-          | Some report -> Ccdb_analysis.Report.errors report <> []
-          | None -> false)
-    in
-    if failed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Run one simulation under an injected fault plan (message loss, \
-          duplication, extra delay, site crashes), print transport-level \
-          counters, and audit the traced run against the paper's \
-          invariants.  Exits 1 if any transaction fails to commit or the \
-          audit finds an error.")
-    (reported
-       Term.(
-         const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
-         $ seed $ mix $ no_audit $ audit_path_term
-         $ commit_term))
-
-(* -------------------------------------------------------------- recover *)
-
-let recover_cmd =
-  let open Cmdliner in
-  let plan_conv =
-    let parse s =
-      match Ccdb_sim.Fault_plan.of_string s with
-      | Ok p -> Ok p
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, Ccdb_sim.Fault_plan.pp)
-  in
-  let plan =
-    Arg.(value
-         & opt plan_conv
-             (Ccdb_sim.Fault_plan.make ~seed:11
-                ~crashes:
-                  [ { Ccdb_sim.Fault_plan.site = 1; at = 400.;
-                      recover_at = 700. };
-                    { Ccdb_sim.Fault_plan.site = 2; at = 1200.;
-                      recover_at = 1500. } ]
-                ~wipe:true ())
-         & info [ "plan" ] ~docv:"PLAN"
-             ~doc:
-               "Fault plan (same grammar as $(b,faults) --plan); \
-                $(b,wipe=true) is forced, so crashes are always fail-stop \
-                here.  Default: two crash windows, reliable links.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Ccdb_harness.Driver.Unified
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"System to run (same values as $(b,run) --mode).")
-  in
-  let lambda = lambda_term ~default:0.08 in
-  let txns = txns_term ~default:200 in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
-  let mix =
-    Arg.(value & opt (list protocol_conv) Ccdb_model.Protocol.all
-         & info [ "mix" ]
-             ~doc:"Protocol mix for the unified mode (even weights).")
-  in
-  let no_audit =
-    Arg.(value & flag
-         & info [ "no-audit" ]
-             ~doc:"Skip the static invariant audit of the traced run.")
-  in
-  let run plan mode lambda txns sites items seed mix no_audit audit_path
-      commit () =
-    let plan =
-      (* fail-stop is the point of this command *)
-      Ccdb_sim.Fault_plan.make ~seed:(Ccdb_sim.Fault_plan.seed plan)
-        ~default_link:(Ccdb_sim.Fault_plan.default_link plan)
-        ~links:(Ccdb_sim.Fault_plan.links plan)
-        ~crashes:(Ccdb_sim.Fault_plan.crashes plan)
-        ~role_crashes:(Ccdb_sim.Fault_plan.role_crashes plan) ~wipe:true ()
-    in
-    let spec =
-      { Ccdb_workload.Generator.default with
-        arrival_rate = lambda;
-        protocol_mix = List.map (fun p -> (p, 1.)) mix }
-    in
-    let setup =
-      { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; commit;
-        net = Ccdb_sim.Net.default_config ~sites }
-    in
-    check_setup setup spec;
-    check_plan ~sites plan;
-    let r =
-      Ccdb_harness.Driver.run ~setup ~n_txns:txns ~audit:(not no_audit)
-        ~audit_path ~faults:plan mode spec
-    in
-    let s = r.summary in
-    Format.printf "mode:            %s@." (Ccdb_harness.Driver.mode_name mode);
-    Format.printf "fault plan:      %a@." Ccdb_sim.Fault_plan.pp plan;
-    Format.printf "committed:       %d / %d@." s.committed txns;
-    Format.printf "mean S:          %.2f@." s.mean_system_time;
-    Format.printf "site aborts:     %d@." s.site_aborts;
-    (match s.recovery with
-     | None -> ()
-     | Some rec_ ->
-       Format.printf
-         "durability:      %d WAL appends, %d volatile entries dropped@."
-         rec_.Ccdb_harness.Metrics.wal_appends
-         rec_.Ccdb_harness.Metrics.entries_dropped;
-       Format.printf
-         "recovery:        %d replays (%d interrupted), %d records \
-          replayed, %.1f time units@."
-         rec_.Ccdb_harness.Metrics.replays
-         rec_.Ccdb_harness.Metrics.interrupted
-         rec_.Ccdb_harness.Metrics.records_replayed
-         rec_.Ccdb_harness.Metrics.replay_time;
-       let wal = Ccdb_protocols.Runtime.wal r.runtime in
-       for site = 0 to sites - 1 do
-         Format.printf "  site %d WAL:    %d records@." site
-           (Ccdb_storage.Wal.site_appends wal site)
-       done);
-    Format.printf "serializable:    %b@." s.serializable;
-    Format.printf "replicas ok:     %b@." s.replica_consistent;
-    (match r.audit with
-     | None -> ()
-     | Some report ->
-       Format.printf "audit:           %s@."
-         (Ccdb_analysis.Report.summary report);
-       if not (Ccdb_analysis.Report.is_clean report) then
-         Format.printf "%a@." Ccdb_analysis.Report.pp report);
-    let failed =
-      s.committed <> txns
-      || (match r.audit with
-          | Some report -> Ccdb_analysis.Report.errors report <> []
-          | None -> false)
-    in
-    if failed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Run one simulation with fail-stop crashes (volatile state wiped, \
-          write-ahead logging, presumed-abort 2PC, WAL replay on recovery), \
-          print the durability counters, and audit the trace against the \
-          durability invariants (no lost committed write, no partial \
-          commit, no resurrected lock).  Exits 1 if any transaction fails \
-          to commit or the audit finds an error.")
-    (reported
-       Term.(
-         const run $ plan $ mode $ lambda $ txns $ sites_term $ items_term
-         $ seed $ mix $ no_audit $ audit_path_term $ commit_term))
 
 (* ---------------------------------------------------------------- sweep *)
 
@@ -780,7 +527,6 @@ let sweep_cmd =
                Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Pa ]
          & info [ "modes" ] ~doc:"Systems to sweep.")
   in
-  let txns = txns_term ~default:400 in
   let csv =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
@@ -832,7 +578,8 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep arrival rates across systems; print/CSV.")
-    (reported Term.(const run $ lambdas $ modes $ txns $ items_term $ csv))
+    (reported
+       Term.(const run $ lambdas $ modes $ txns_term $ items_term $ csv))
 
 (* ------------------------------------------------------------- insights *)
 
@@ -939,8 +686,6 @@ let insights_cmd =
          & info [ "reselect" ]
              ~doc:"Re-run the selector when a dynamic transaction restarts.")
   in
-  let lambda = lambda_term ~default:0.1 in
-  let txns = txns_term ~default:400 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let window =
     Arg.(value & opt positive_float 500.
@@ -1125,31 +870,18 @@ let insights_cmd =
           it against the schema and exits 1 on a violation.")
     (reported
        Term.(
-         const run $ mode $ adaptive $ reselect $ lambda $ txns $ sites_term
-         $ items_term $ replication_term $ read_fraction_term $ seed $ window
-         $ phases $ json_path $ check $ top))
+         const run $ mode $ adaptive $ reselect $ lambda_term $ txns_term
+         $ sites_term $ items_term $ replication_term $ read_fraction_term
+         $ seed $ window $ phases $ json_path $ check $ top))
 
 (* ------------------------------------------------------------------ stl *)
 
 let stl_cmd =
   let open Cmdliner in
-  let lambda_a =
-    Arg.(value & opt float 1.0 & info [ "lambda-a" ] ~doc:"System throughput.")
+  let param name c default doc =
+    Arg.(value & opt c default & info [ name ] ~doc)
   in
-  let lambda_r =
-    Arg.(value & opt float 0.04 & info [ "lambda-r" ] ~doc:"Queue read rate.")
-  in
-  let lambda_w =
-    Arg.(value & opt float 0.04 & info [ "lambda-w" ] ~doc:"Queue write rate.")
-  in
-  let qr = Arg.(value & opt float 0.5 & info [ "qr" ] ~doc:"Read fraction.") in
-  let k = Arg.(value & opt float 3. & info [ "k" ] ~doc:"Requests per txn.") in
-  let loss =
-    Arg.(value & opt float 0.3 & info [ "loss" ] ~doc:"Initial loss rate.")
-  in
-  let horizon =
-    Arg.(value & opt float 40. & info [ "horizon" ] ~doc:"Lock time U.")
-  in
+  let rate = non_negative_float in
   let run lambda_a lambda_r lambda_w qr k loss horizon =
     let p =
       { Ccdb_stl.Stl_model.lambda_a; lambda_r; lambda_w; q_r = qr; k }
@@ -1163,7 +895,19 @@ let stl_cmd =
       (lambda_a *. horizon)
   in
   Cmd.v (Cmd.info "stl" ~doc:"Evaluate the STL' dynamic program.")
-    Term.(const run $ lambda_a $ lambda_r $ lambda_w $ qr $ k $ loss $ horizon)
+    Term.(
+      const run
+      $ param "lambda-a" positive_float 1.0 "System throughput."
+      $ param "lambda-r" rate 0.04 "Queue read rate."
+      $ param "lambda-w" rate 0.04 "Queue write rate."
+      $ param "qr" fraction 0.5 "Read fraction."
+      $ param "k"
+          (checked ~what:"a finite number >= 1"
+             (fun x -> x >= 1. && Float.is_finite x)
+             Arg.float)
+          3. "Requests per txn."
+      $ param "loss" rate 0.3 "Initial loss rate."
+      $ param "horizon" rate 40. "Lock time U.")
 
 let () =
   let open Cmdliner in
@@ -1174,5 +918,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "ccdb_cli" ~doc)
-          [ run_cmd; analyze_cmd; experiments_cmd; faults_cmd; recover_cmd;
-            sweep_cmd; insights_cmd; stl_cmd ]))
+          [ run_cmd; experiments_cmd; sweep_cmd; insights_cmd; stl_cmd ]))

@@ -18,18 +18,20 @@ type outcome = {
    a domain pool produces byte-identical tables. *)
 type staged =
   | Staged : {
+      id : string;
       points : (unit -> 'a) list;
       assemble : 'a list -> outcome;
     }
       -> staged
 
+let id (Staged { id; _ }) = id
 let points_count (Staged { points; _ }) = List.length points
 
 (* Wrap a staged experiment's points as slot-filling thunks plus a finisher
    that assembles the outcome once every slot is filled.  The slots close
    over the existential point type, so callers only ever see
    [unit -> unit]. *)
-let prepare (Staged { points; assemble }) =
+let prepare (Staged { points; assemble; _ }) =
   let slots = Array.make (max 1 (List.length points)) None in
   let tasks =
     List.mapi (fun i p -> fun () -> slots.(i) <- Some (p ())) points
@@ -129,7 +131,7 @@ let e1_staged ~quick =
       table;
       notes = [ verdict ] }
   in
-  Staged { points = List.map point (lambda_sweep quick); assemble }
+  Staged { id = "E1"; points = List.map point (lambda_sweep quick); assemble }
 
 (* ---------------------------------------------------------------- E2 --- *)
 
@@ -186,7 +188,7 @@ let e2_staged ~quick =
           "restart cost here is the classic one: a late prewrite rejection \
            wastes the reads and computation already done" ] }
   in
-  Staged { points = List.map point sizes; assemble }
+  Staged { id = "E2"; points = List.map point sizes; assemble }
 
 (* ---------------------------------------------------------------- E3 --- *)
 
@@ -231,7 +233,7 @@ let e3_staged ~quick =
         [ "PA rows must show 0 restarts and 0 deadlocks at every load";
           "back-offs need fast grants, so they peak before the queues saturate" ] }
   in
-  Staged { points = List.map point (lambda_sweep quick); assemble }
+  Staged { id = "E3"; points = List.map point (lambda_sweep quick); assemble }
 
 (* ---------------------------------------------------------------- E4 --- *)
 
@@ -281,7 +283,8 @@ let e4_staged ~quick =
            dominates and T/O's lock-free applies win despite restarts" ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.1 ] else [ 0.05; 0.1; 0.2 ]);
+    { id = "E4";
+      points = List.map point (if quick then [ 0.1 ] else [ 0.05; 0.1; 0.2 ]);
       assemble }
 
 let e4_single_item_writes ?(quick = false) () = run_one (e4_staged ~quick)
@@ -323,7 +326,8 @@ let e5_staged ~quick =
            else "measured: expected gap not observed") ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.4 ] else [ 0.2; 0.4; 0.8 ]);
+    { id = "E5";
+      points = List.map point (if quick then [ 0.4 ] else [ 0.2; 0.4; 0.8 ]);
       assemble }
 
 (* ---------------------------------------------------------------- E6 --- *)
@@ -387,7 +391,7 @@ let e6_staged ~quick =
            own response time, so it need not dominate the best static choice; \
            the paper itself lists better criteria as future work" ] }
   in
-  Staged { points = List.map point (lambda_sweep quick); assemble }
+  Staged { id = "E6"; points = List.map point (lambda_sweep quick); assemble }
 
 (* ---------------------------------------------------------------- E7 --- *)
 
@@ -461,7 +465,7 @@ let e7_staged ~quick =
           "measured order ranks mean per-protocol system time, an imperfect \
            proxy for throughput loss (the quantity STL actually estimates)" ] }
   in
-  Staged { points = List.map point (lambda_sweep quick); assemble }
+  Staged { id = "E7"; points = List.map point (lambda_sweep quick); assemble }
 
 (* ---------------------------------------------------------------- E8 --- *)
 
@@ -523,7 +527,8 @@ let e8_staged ~quick =
            else "measured: no semi-lock advantage at these loads") ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3; 0.6 ]);
+    { id = "E8";
+      points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3; 0.6 ]);
       assemble }
 
 (* ---------------------------------------------------------------- E9 --- *)
@@ -579,7 +584,7 @@ let e9_staged ~quick =
               transactions never restart, every run serializable"
            else "measured: VIOLATION — inspect rows") ] }
   in
-  Staged { points = List.map point mixes; assemble }
+  Staged { id = "E9"; points = List.map point mixes; assemble }
 
 let e9_correctness_counters ?(quick = false) () = run_one (e9_staged ~quick)
 
@@ -623,7 +628,8 @@ let e10_staged ~quick =
            predeclared write locks (rule 4), trading the classic lifecycle's \
            late-rejection restarts for lock waiting" ] }
   in
-  Staged { points = List.map point Ccdb_model.Protocol.all; assemble }
+  Staged
+    { id = "E10"; points = List.map point Ccdb_model.Protocol.all; assemble }
 
 let e10_preservation ?(quick = false) () = run_one (e10_staged ~quick)
 
@@ -682,7 +688,7 @@ let x1_staged ~quick =
            prevention trades extra aborts (the column also counts kills) for \
            zero detection machinery and thrashes under hot write contention" ] }
   in
-  Staged { points = List.map point mechanisms; assemble }
+  Staged { id = "X1"; points = List.map point mechanisms; assemble }
 
 (* ---------------------------------------------------------------- X2 --- *)
 
@@ -727,7 +733,8 @@ let x2_staged ~quick =
            else "measured: no TWR benefit observed") ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3 ]);
+    { id = "X2";
+      points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3 ]);
       assemble }
 
 let x2_thomas_write_rule ?(quick = false) () = run_one (x2_staged ~quick)
@@ -788,7 +795,7 @@ let x3_staged ~quick =
              "measured: the analytic pick always lands in the better half of             the static choices"
            else "measured: the analytic model mispicked in some regime") ] }
   in
-  Staged { points = List.map point (lambda_sweep quick); assemble }
+  Staged { id = "X3"; points = List.map point (lambda_sweep quick); assemble }
 
 (* ---------------------------------------------------------------- X4 --- *)
 
@@ -843,7 +850,8 @@ let x4_staged ~quick =
            in timestamp order), not the single-version conflict graph" ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.2 ] else [ 0.1; 0.2; 0.4 ]);
+    { id = "X4";
+      points = List.map point (if quick then [ 0.2 ] else [ 0.1; 0.2; 0.4 ]);
       assemble }
 
 let x4_multiversion ?(quick = false) () = run_one (x4_staged ~quick)
@@ -894,7 +902,8 @@ let x5_staged ~quick =
           "the msgs/txn column shows the null-message (tick) cost" ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
+    { id = "X5";
+      points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
       assemble }
 
 (* ---------------------------------------------------------------- X6 --- *)
@@ -945,7 +954,8 @@ let x6_staged ~quick =
            (property-tested under maximum-churn rotation)" ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.06 ] else [ 0.03; 0.06; 0.12 ]);
+    { id = "X6";
+      points = List.map point (if quick then [ 0.06 ] else [ 0.03; 0.06; 0.12 ]);
       assemble }
 
 (* ---------------------------------------------------------------- X7 --- *)
@@ -1007,7 +1017,8 @@ let x7_staged ~quick =
            S across rows per load to see which criterion the data favours" ] }
   in
   Staged
-    { points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
+    { id = "X7";
+      points = List.map point (if quick then [ 0.2 ] else [ 0.05; 0.2; 0.4 ]);
       assemble }
 
 (* ---------------------------------------------------------------- E11 -- *)
@@ -1078,7 +1089,7 @@ let e11_staged ~quick =
            test/test_faults.ml, which replays the traced run through the \
            static analyzer" ] }
   in
-  Staged { points = List.map point rates; assemble }
+  Staged { id = "E11"; points = List.map point rates; assemble }
 
 (* ---------------------------------------------------------------- E12 -- *)
 
@@ -1156,7 +1167,7 @@ let e12_staged ~quick =
            no resurrected lock) are audited on fail-stop schedules by \
            test/test_recovery.ml" ] }
   in
-  Staged { points = List.map point counts; assemble }
+  Staged { id = "E12"; points = List.map point counts; assemble }
 
 let e12_crash_recovery ?(quick = false) () = run_one (e12_staged ~quick)
 
@@ -1259,7 +1270,7 @@ let e13_staged ~quick =
            (enforced by the differential lint gate and \
            test/test_analysis.ml)" ] }
   in
-  Staged { points = List.map point counts; assemble }
+  Staged { id = "E13"; points = List.map point counts; assemble }
 
 (* ---------------------------------------------------------------- E14 --- *)
 
@@ -1405,7 +1416,7 @@ let e14_staged ~quick =
              workload seed); the insights collector that reports the \
              routing windows is the same code path as `ccdb_cli insights`" ] }
   in
-  Staged { points = List.map point modes; assemble }
+  Staged { id = "E14"; points = List.map point modes; assemble }
 
 (* ---------------------------------------------------------------- E16 -- *)
 
@@ -1578,7 +1589,7 @@ let e16_staged ~quick =
            finishes the round by takeover instead of presuming abort" ] }
   in
   Staged
-    { points =
+    { id = "E16"; points =
         List.concat_map
           (fun sc -> List.map (fun p -> point sc p) protocols)
           scenarios;
@@ -1599,8 +1610,8 @@ let staged ?(quick = false) () =
 
 let serial_runner tasks = List.iter (fun f -> f ()) tasks
 
-let all ?(quick = false) ?(runner = serial_runner) () =
-  let prepared = List.map prepare (staged ~quick ()) in
+let all ?(runner = serial_runner) staged =
+  let prepared = List.map prepare staged in
   runner (List.concat_map fst prepared);
   List.map (fun (_, finish) -> finish ()) prepared
 

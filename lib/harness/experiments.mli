@@ -64,6 +64,10 @@ type staged
 val staged : ?quick:bool -> unit -> staged list
 (** Every experiment in order (E1-E14, E16, then X1-X7), decomposed. *)
 
+val id : staged -> string
+(** The id of the experiment's outcome, e.g. ["E4"], known before it
+    runs. *)
+
 val points_count : staged -> int
 (** Number of independent points the experiment fans out. *)
 
@@ -76,10 +80,10 @@ val prepare : staged -> (unit -> unit) list * (unit -> outcome)
 val run_one : staged -> outcome
 (** Runs the points serially, in order, and assembles. *)
 
-val all : ?quick:bool -> ?runner:((unit -> unit) list -> unit) -> unit -> outcome list
-(** Every experiment in order (E1-E14, E16, then X1-X7).  [runner] receives the
-    flattened point tasks of all experiments and must run each exactly once
-    (default: serially, in order); outcomes are assembled in experiment
+val all : ?runner:((unit -> unit) list -> unit) -> staged list -> outcome list
+(** Runs the given experiments, e.g. all of {!staged}.  [runner] receives
+    the flattened point tasks of all of them and must run each exactly once
+    (default: serially, in order); outcomes are assembled in the given
     order afterwards regardless of how the runner scheduled the tasks. *)
 
 val render : outcome -> string

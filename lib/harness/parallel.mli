@@ -20,7 +20,8 @@ val cores : unit -> int
     a single-core box reads as "no cores available", not "parallelism
     overhead". *)
 
-val experiments : ?quick:bool -> jobs:int -> unit -> Experiments.outcome list
-(** The full suite (E1-E11, X1-X7), points fanned across [jobs] domains.
-    [~jobs:1] takes the plain serial path ({!Experiments.all}) without
-    spawning any domain. *)
+val experiments :
+  jobs:int -> Experiments.staged list -> Experiments.outcome list
+(** The given experiments (the suite is {!Experiments.staged}), their
+    points fanned across [jobs] domains.  [~jobs:1] takes the plain serial
+    path ({!Experiments.all}) without spawning any domain. *)

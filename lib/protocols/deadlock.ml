@@ -89,24 +89,3 @@ let stop t =
 
 let scans t = t.scans
 let cycles_found t = t.cycles_found
-
-module Probes = struct
-  type probe = { initiator : int; sender : int; receiver : int }
-
-  let initiate ~blocked ~waits_on =
-    List.map
-      (fun target -> { initiator = blocked; sender = blocked; receiver = target })
-      waits_on
-
-  let on_receive probe ~receiver_blocked ~waits_on =
-    if probe.receiver = probe.initiator then `Deadlock probe.initiator
-    else if not receiver_blocked then `Ignore
-    else
-      `Forward
-        (List.map
-           (fun target ->
-             { initiator = probe.initiator;
-               sender = probe.receiver;
-               receiver = target })
-           waits_on)
-end

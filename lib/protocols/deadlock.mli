@@ -7,10 +7,10 @@
       site plus one abort message per victim, and the abort takes effect only
       after the simulated network delay — so detection time and cost (the
       paper's parameter (6)) are both modelled.
-    - {b Edge-chasing} (Chandy-Misra-Haas style, {!Probes}): a transaction
-      blocked longer than a threshold sends a probe along wait-for edges;
-      a probe returning to its initiator proves a cycle.  Exposed as a pure
-      state machine driven by the owning system. *)
+    - {b Edge-chasing} (Chandy-Misra-Haas style, {!Edge_chasing}): a
+      transaction blocked longer than a threshold sends a probe along
+      wait-for edges; a probe returning to its initiator proves a cycle.
+      No site sees the whole graph. *)
 
 (** How a system detects 2PL deadlocks. *)
 type detection =
@@ -59,23 +59,3 @@ val stop : t -> unit
 
 val scans : t -> int
 val cycles_found : t -> int
-
-(** Chandy-Misra-Haas edge-chasing probes (AND model), as a pure state
-    machine: the caller owns delivery of probes between transactions. *)
-module Probes : sig
-  type probe = { initiator : int; sender : int; receiver : int }
-
-  val initiate : blocked:int -> waits_on:int list -> probe list
-  (** Probes a blocked transaction sends to everything it waits on. *)
-
-  val on_receive :
-    probe ->
-    receiver_blocked:bool ->
-    waits_on:int list ->
-    [ `Deadlock of int  (** cycle detected; the initiator id *)
-    | `Forward of probe list
-    | `Ignore ]
-  (** CMH propagation rule: a blocked receiver forwards the probe along its
-      own wait-for edges; a probe whose initiator equals the receiver proves
-      a deadlock; an unblocked receiver discards the probe. *)
-end

@@ -8,13 +8,6 @@ type config = {
 let default_config ~sites =
   { sites; base_delay = 10.0; jitter = 2.0; local_delay = 0.1 }
 
-type slowdown = {
-  site : int option; (* None = whole network *)
-  from_time : float;
-  until_time : float;
-  factor : float;
-}
-
 type retry = {
   rto : float;
   rto_backoff : float;
@@ -113,7 +106,6 @@ type t = {
   mutable last_kind : string; (* the kind [last_count] counts *)
   mutable last_count : int ref;
   mutable total : int;
-  mutable slowdowns : slowdown list;
   (* Earliest admissible delivery time per ordered (src, dst) pair, to keep
      per-channel delivery FIFO even with jitter. *)
   channel_front : front Lookup.Int.t;
@@ -128,7 +120,7 @@ let no_kind = String.make 1 '?'
 let create engine rng config =
   if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
   { engine; rng; config; counts = Kind_tbl.create 16; last_kind = no_kind;
-    last_count = ref 0; total = 0; slowdowns = [];
+    last_count = ref 0; total = 0;
     channel_front = Lookup.Int.create 64; faults = None }
 
 let sites t = t.config.sites
@@ -152,20 +144,6 @@ let count t kind =
     t.last_count <- r
   end;
   incr t.last_count
-
-let slowdown_factor t ~src ~dst =
-  match t.slowdowns with
-  | [] -> 1.
-  | slowdowns ->
-    let now = Engine.now t.engine in
-    List.fold_left
-      (fun acc s ->
-        let applies_window = now >= s.from_time && now < s.until_time in
-        let applies_site =
-          match s.site with None -> true | Some w -> w = src || w = dst
-        in
-        if applies_window && applies_site then acc *. s.factor else acc)
-      1. slowdowns
 
 (* --- reliable transport over faulty links ------------------------------- *)
 
@@ -215,7 +193,7 @@ let faulty_delay t fr (link : Fault_plan.link) ~src ~dst =
     then Ccdb_util.Rng.exponential fr.frng ~mean:link.Fault_plan.delay_mean
     else 0.
   in
-  (base *. slowdown_factor t ~src ~dst) +. extra
+  base +. extra
 
 let rec release_ready ch =
   match Lookup.Int.find_opt ch.ready ch.deliver_next with
@@ -377,9 +355,8 @@ let send t ~src ~dst ~kind deliver =
   | Some fr -> send_faulted t fr ~src ~dst deliver
   | None ->
     let delay =
-      (if src = dst then t.config.local_delay
-       else t.config.base_delay +. Ccdb_util.Rng.float t.rng t.config.jitter)
-      *. slowdown_factor t ~src ~dst
+      if src = dst then t.config.local_delay
+      else t.config.base_delay +. Ccdb_util.Rng.float t.rng t.config.jitter
     in
     let naive = Engine.now t.engine +. delay in
     let key = (src * n) + dst in
@@ -466,24 +443,10 @@ let on_recover t f =
   | Some fr -> fr.recover_listeners <- fr.recover_listeners @ [ f ]
   | None -> ()
 
-(* --- counters and slowdowns --------------------------------------------- *)
+(* --- counters ----------------------------------------------------------- *)
 
 let messages_sent t = t.total
 
 let messages_by_kind t =
   Kind_tbl.fold (fun k r acc -> (k, !r) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let add_slowdown t site ~from_time ~until_time ~factor =
-  if from_time < 0. || until_time <= from_time then
-    invalid_arg "Net.inject_slowdown: bad time window";
-  if factor < 1. then invalid_arg "Net.inject_slowdown: factor < 1";
-  t.slowdowns <- { site; from_time; until_time; factor } :: t.slowdowns
-
-let inject_slowdown t ~from_time ~until_time ~factor =
-  add_slowdown t None ~from_time ~until_time ~factor
-
-let inject_site_slowdown t ~site ~from_time ~until_time ~factor =
-  if site < 0 || site >= t.config.sites then
-    invalid_arg "Net.inject_site_slowdown: site out of range";
-  add_slowdown t (Some site) ~from_time ~until_time ~factor

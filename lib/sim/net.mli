@@ -129,22 +129,3 @@ val on_crash : t -> (int -> unit) -> unit
 val on_recover : t -> (int -> unit) -> unit
 (** Registers a listener called with the site id at each recovery instant
     (in registration order).  No-op without a fault plan. *)
-
-(** {2 Slowdown injection}
-
-    Degradations model transient network trouble (congestion, partial
-    partitions) without breaking delivery guarantees: messages are delayed,
-    never lost, and per-channel FIFO still holds.  Concurrency-control
-    correctness must survive arbitrary delay — the test suite injects spikes
-    and re-checks serializability. *)
-
-val inject_slowdown : t -> from_time:float -> until_time:float -> factor:float -> unit
-(** Multiplies the transit delay of every message {e sent} in
-    [\[from_time, until_time)] by [factor >= 1.].  Multiple overlapping
-    injections compound.  @raise Invalid_argument on a bad window or
-    [factor < 1.]. *)
-
-val inject_site_slowdown :
-  t -> site:int -> from_time:float -> until_time:float -> factor:float -> unit
-(** Like {!inject_slowdown} but only for messages to or from [site]
-    (a congested or flapping node). *)

@@ -206,18 +206,6 @@ let phased phases ~sites ~items rng =
   in
   List.rev rev
 
-let of_trace arrivals =
-  let rec check last_at seen = function
-    | [] -> ()
-    | (at, txn) :: rest ->
-      if at < last_at then invalid_arg "Generator.of_trace: times decrease";
-      let id = txn.Ccdb_model.Txn.id in
-      if List.mem id seen then invalid_arg "Generator.of_trace: duplicate id";
-      check at (id :: seen) rest
-  in
-  check 0. [] arrivals;
-  arrivals
-
 let pp_access ppf = function
   | Uniform -> Format.pp_print_string ppf "uniform"
   | Zipf theta -> Format.fprintf ppf "zipf(%.2f)" theta

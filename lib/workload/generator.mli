@@ -55,10 +55,10 @@ val phased :
 (** [phased [(spec1, n1); (spec2, n2); ...] ~sites ~items rng] concatenates
     the phases of a non-stationary workload: [n1] transactions drawn from
     [spec1], then [n2] from [spec2] whose Poisson arrivals continue from the
-    last arrival of phase 1, and so on.  Transaction ids keep increasing
-    across phases, so the result is a valid trace ({!of_trace} accepts it)
-    and flows through the same driver path as a single-spec workload.  Used
-    by the phase-change experiment E14.
+    last arrival of phase 1, and so on.  Arrival times never decrease and
+    transaction ids keep increasing across phases, so the phases flow
+    through the same driver path as a single-spec workload.  Used by the
+    phase-change experiment E14.
     @raise Invalid_argument on an empty phase list, a non-positive phase
     count, or an invalid spec (as {!validate}). *)
 
@@ -92,11 +92,5 @@ val peek : arrivals -> (float * Ccdb_model.Txn.t) option
 val pull : arrivals -> float * Ccdb_model.Txn.t
 (** Consumes the next arrival.
     @raise Invalid_argument when none is left. *)
-
-val of_trace : (float * Ccdb_model.Txn.t) list -> (float * Ccdb_model.Txn.t) list
-(** Trace replay helper: validates a hand-written or recorded arrival list
-    (times non-decreasing, ids unique) and returns it unchanged, so traces
-    and generated workloads flow through the same driver code path.
-    @raise Invalid_argument on a malformed trace. *)
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -177,9 +177,11 @@ let test_q_waits_for_edges () =
 
 (* --- Unified system ------------------------------------------------------- *)
 
-let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1) () =
+let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1)
+    ?faults () =
   let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication in
-  Rt.create ~seed ~net_config:(Ccdb_sim.Net.default_config ~sites) ~catalog ()
+  Rt.create ~seed ?faults ~net_config:(Ccdb_sim.Net.default_config ~sites)
+    ~catalog ()
 
 let mk_txn ?(site = 0) ?(reads = []) ?(writes = []) ?(compute = 1.0)
     ?(protocol = two_pl) id =
@@ -487,17 +489,33 @@ let suites =
 
 (* --- correctness under network degradation ----------------------------------- *)
 
+(* A fault-plan link that delays a transmission with probability [p] by an
+   exponential extra delay of mean [mean] (the plan's [delay=PxM]); the
+   reliable transport keeps per-channel FIFO, so only timing changes. *)
+let spike p mean =
+  { Ccdb_sim.Fault_plan.reliable_link with delay_prob = p; delay_mean = mean }
+
 let prop_u_serializable_under_delay_spikes =
   qtest ~count:10 "unified: Theorem 2 survives delay spikes"
     QCheck.(int_range 0 50_000)
     (fun seed ->
       let sites = 3 and items = 5 and n = 25 in
-      let rt = make_runtime ~seed ~sites ~items ~replication:2 () in
-      (* a network-wide 6x slowdown mid-run plus one flapping site *)
-      Ccdb_sim.Net.inject_slowdown (Rt.net rt) ~from_time:100. ~until_time:250.
-        ~factor:6.;
-      Ccdb_sim.Net.inject_site_slowdown (Rt.net rt) ~site:(seed mod sites)
-        ~from_time:200. ~until_time:400. ~factor:4.;
+      (* spikes of six network hops on the whole network, plus one
+         flapping site whose links spike twice as often *)
+      let flapping = seed mod sites in
+      let links =
+        List.concat_map
+          (fun other ->
+            if other = flapping then []
+            else
+              [ ((flapping, other), spike 0.6 40.);
+                ((other, flapping), spike 0.6 40.) ])
+          (List.init sites Fun.id)
+      in
+      let faults =
+        Ccdb_sim.Fault_plan.make ~seed ~default_link:(spike 0.3 60.) ~links ()
+      in
+      let rt = make_runtime ~seed ~sites ~items ~replication:2 ~faults () in
       let sys = U.create rt in
       random_mixed_workload ~seed ~sites ~items ~n rt sys;
       Rt.quiesce rt;
@@ -512,9 +530,12 @@ let prop_pure_systems_survive_spikes =
     (fun seed ->
       List.for_all
         (fun make_system ->
-          let rt = make_runtime ~seed ~sites:3 ~items:5 ~replication:1 () in
-          Ccdb_sim.Net.inject_slowdown (Rt.net rt) ~from_time:50.
-            ~until_time:300. ~factor:8.;
+          let faults =
+            Ccdb_sim.Fault_plan.make ~seed ~default_link:(spike 0.5 80.) ()
+          in
+          let rt =
+            make_runtime ~seed ~sites:3 ~items:5 ~replication:1 ~faults ()
+          in
           let submit = make_system rt in
           let rng = Ccdb_util.Rng.create ~seed:(seed + 17) in
           for i = 1 to 15 do

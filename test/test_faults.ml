@@ -466,7 +466,8 @@ let spec =
         (Ccdb_model.Protocol.T_o, 1.);
         (Ccdb_model.Protocol.Pa, 1.) ] }
 
-(* the workload [ccdb_cli faults] runs by default *)
+(* the workload of [ccdb_cli run --lambda 0.08], at which the faulted
+   smoke runs of [bin/dune] arrive *)
 let spec_cli =
   { G.default with
     arrival_rate = 0.08;
@@ -549,7 +550,7 @@ let test_crashes_cause_site_aborts_for_2pl () =
   check Alcotest.bool "crash-triggered aborts recorded" true
     (r.summary.site_aborts > 0)
 
-(* An 80%-loss run at [ccdb_cli faults]'s sizes, audited differentially:
+(* An 80%-loss run at the smoke runs' sizes, audited differentially:
    every transaction commits, none is aborted for a site failure, since
    no site crashes, and restarts average at most [max_restarts] per
    transaction.  A message needs five transmissions on average, but it
@@ -569,19 +570,19 @@ let lossy_run ~n_txns ~max_restarts mode =
     Alcotest.failf "%s: %.3f restarts per transaction, above %g" name
       r.summary.restarts_per_txn max_restarts
 
-(* [ccdb_cli faults --txns 5 --plan drop=0.8,seed=1] once crashed in
-   [unified] and [full-lock]: a restarted transaction's u-abort ran out of
-   transport retries, and the next attempt's u-req found the old entry
-   still queued ([Semi_lock_queue.request: duplicate request]).  The
-   transport now delivers every message in order, so the u-abort always
-   arrives first. *)
+(* [ccdb_cli run --txns 5 --plan drop=0.8,seed=1 --lambda 0.08] once
+   crashed in [unified] and [full-lock]: a restarted transaction's u-abort
+   ran out of transport retries, and the next attempt's u-req found the
+   old entry still queued ([Semi_lock_queue.request: duplicate request]).
+   The transport now delivers every message in order, so the u-abort
+   always arrives first. *)
 let test_lost_abort_before_next_attempt () =
   List.iter
     (lossy_run ~n_txns:5 ~max_restarts:2.)
     [ D.Unified; D.Unified_full_lock; D.Dynamic ]
 
-(* [ccdb_cli faults --txns 20 --plan drop=0.8,seed=1] used to exhaust its
-   event budget in these four modes: a stall watchdog restarted every
+(* [ccdb_cli run --txns 20 --plan drop=0.8,seed=1 --lambda 0.08] used to
+   exhaust its event budget in these four modes: a stall watchdog restarted every
    transaction silent for 1500 units, and at 80% loss a single delivery
    often takes longer than that, so some transactions restarted forever. *)
 let test_lossy_repro_commits () =

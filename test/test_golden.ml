@@ -233,7 +233,7 @@ let test_delay_link_role () =
    content (test_parallel only compares serial against parallel output). *)
 let test_quick_tables () =
   let printed =
-    Ccdb_harness.Experiments.all ~quick:true ()
+    Ccdb_harness.Experiments.(all (staged ~quick:true ()))
     |> List.map (fun o -> Ccdb_harness.Experiments.render o ^ "\n\n")
     |> String.concat ""
   in

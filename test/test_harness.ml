@@ -169,28 +169,6 @@ let suites =
         [ Alcotest.test_case "quick smoke" `Slow test_experiment_smoke;
           Alcotest.test_case "trace" `Quick test_trace_records ] ) ]
 
-(* --- workload traces ------------------------------------------------------------ *)
-
-let test_trace_replay () =
-  let txn id at_site =
-    Ccdb_model.Txn.make ~id ~site:at_site ~read_set:[ 0 ] ~write_set:[ 1 ]
-      ~compute_time:1. ~protocol:Ccdb_model.Protocol.Pa
-  in
-  let trace = [ (1., txn 1 0); (5., txn 2 1); (5., txn 3 0) ] in
-  check Alcotest.int "valid trace passes" 3
-    (List.length (Ccdb_workload.Generator.of_trace trace));
-  Alcotest.check_raises "decreasing times"
-    (Invalid_argument "Generator.of_trace: times decrease") (fun () ->
-      ignore (Ccdb_workload.Generator.of_trace [ (5., txn 1 0); (1., txn 2 0) ]));
-  Alcotest.check_raises "duplicate ids"
-    (Invalid_argument "Generator.of_trace: duplicate id") (fun () ->
-      ignore (Ccdb_workload.Generator.of_trace [ (1., txn 1 0); (2., txn 1 0) ]))
-
-let suites =
-  suites
-  @ [ ( "harness.timeline",
-        [ Alcotest.test_case "trace replay" `Quick test_trace_replay ] ) ]
-
 (* --- the runtime's S summary against a reference -------------------------- *)
 
 module Rt = Ccdb_protocols.Runtime

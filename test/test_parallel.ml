@@ -66,11 +66,18 @@ let render_all outcomes =
   String.concat "\n"
     (List.map Ccdb_harness.Experiments.render outcomes)
 
+let quick_suite () = Ccdb_harness.Experiments.staged ~quick:true ()
+
 let test_experiments_jobs_identical () =
-  let serial = Ccdb_harness.Parallel.experiments ~quick:true ~jobs:1 () in
-  let parallel = Ccdb_harness.Parallel.experiments ~quick:true ~jobs:4 () in
+  let serial = Ccdb_harness.Parallel.experiments ~jobs:1 (quick_suite ()) in
+  let parallel = Ccdb_harness.Parallel.experiments ~jobs:4 (quick_suite ()) in
   check Alcotest.int "same number of outcomes" (List.length serial)
     (List.length parallel);
+  check
+    Alcotest.(list string)
+    "each staged id names its table"
+    (List.map Ccdb_harness.Experiments.id (quick_suite ()))
+    (List.map (fun (o : Ccdb_harness.Experiments.outcome) -> o.id) serial);
   check Alcotest.string "byte-identical rendered tables" (render_all serial)
     (render_all parallel)
 
@@ -78,7 +85,7 @@ let test_experiments_jobs_identical () =
    still reserve a domain for its observers. *)
 let test_experiments_release_their_domains () =
   if Domain.recommended_domain_count () >= 2 then begin
-    ignore (Ccdb_harness.Parallel.experiments ~quick:true ~jobs:2 ());
+    ignore (Ccdb_harness.Parallel.experiments ~jobs:2 (quick_suite ()));
     let reserved = Pool.reserve_domain () in
     if reserved then Pool.release_domain ();
     check Alcotest.bool "a domain is free after the call" true reserved

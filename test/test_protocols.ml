@@ -134,45 +134,6 @@ let test_lock_table_holders () =
   check (Alcotest.list Alcotest.int) "holders" [ 1; 2 ]
     (List.map fst (Lt.holders t))
 
-(* --- Deadlock.Probes ------------------------------------------------------- *)
-
-let test_probes_initiate () =
-  let probes = Ccdb_protocols.Deadlock.Probes.initiate ~blocked:1 ~waits_on:[ 2; 3 ] in
-  check Alcotest.int "fanout" 2 (List.length probes);
-  List.iter
-    (fun (p : Ccdb_protocols.Deadlock.Probes.probe) ->
-      check Alcotest.int "initiator" 1 p.initiator;
-      check Alcotest.int "sender" 1 p.sender)
-    probes
-
-let test_probes_detects_cycle () =
-  (* 1 -> 2 -> 3 -> 1 *)
-  let open Ccdb_protocols.Deadlock.Probes in
-  let step probe waits_on =
-    on_receive probe ~receiver_blocked:true ~waits_on
-  in
-  let p12 =
-    match initiate ~blocked:1 ~waits_on:[ 2 ] with
-    | [ p ] -> p
-    | _ -> Alcotest.fail "expected one probe"
-  in
-  (match step p12 [ 3 ] with
-   | `Forward [ p23 ] ->
-     (match step p23 [ 1 ] with
-      | `Forward [ p31 ] ->
-        (match step p31 [] with
-         | `Deadlock who -> check Alcotest.int "initiator detected" 1 who
-         | _ -> Alcotest.fail "expected deadlock")
-      | _ -> Alcotest.fail "expected forward to 1")
-   | _ -> Alcotest.fail "expected forward to 3")
-
-let test_probes_unblocked_discards () =
-  let open Ccdb_protocols.Deadlock.Probes in
-  let probe = { initiator = 1; sender = 1; receiver = 2 } in
-  (match on_receive probe ~receiver_blocked:false ~waits_on:[ 3 ] with
-   | `Ignore -> ()
-   | _ -> Alcotest.fail "unblocked receiver must discard")
-
 (* --- helpers for system tests ---------------------------------------------- *)
 
 let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1) () =
@@ -324,10 +285,6 @@ let suites =
         Alcotest.test_case "waits_for" `Quick test_lock_table_waits_for;
         prop_lock_table_streams_reference_edges;
         Alcotest.test_case "holders" `Quick test_lock_table_holders ] );
-    ( "protocols.probes",
-      [ Alcotest.test_case "initiate" `Quick test_probes_initiate;
-        Alcotest.test_case "detects cycle" `Quick test_probes_detects_cycle;
-        Alcotest.test_case "unblocked discards" `Quick test_probes_unblocked_discards ] );
     ( "protocols.two_pl",
       [ Alcotest.test_case "single txn" `Quick test_2pl_single_txn;
         Alcotest.test_case "write all copies" `Quick test_2pl_write_all_copies;

@@ -603,50 +603,3 @@ let suites =
         Alcotest.test_case "message counts" `Quick test_net_counts;
         Alcotest.test_case "fifo per channel" `Quick test_net_fifo_per_channel;
         Alcotest.test_case "bad site" `Quick test_net_bad_site ] ) ]
-
-(* --- failure injection ------------------------------------------------------- *)
-
-let test_net_slowdown_window () =
-  let e, net = make_net () in
-  Ccdb_sim.Net.inject_slowdown net ~from_time:0. ~until_time:5. ~factor:3. ;
-  let t1 = ref 0. and t2 = ref 0. in
-  (* sent inside the window: 3x delay *)
-  Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:"m" (fun () ->
-      t1 := Ccdb_sim.Engine.now e);
-  (* a message sent after the window closes travels at normal speed *)
-  ignore
-    (Ccdb_sim.Engine.schedule e ~after:6. (fun () ->
-         Ccdb_sim.Net.send net ~src:1 ~dst:0 ~kind:"m" (fun () ->
-             t2 := Ccdb_sim.Engine.now e)));
-  Ccdb_sim.Engine.run e;
-  check (Alcotest.float 1e-9) "slowed" 30. !t1;
-  check (Alcotest.float 1e-9) "normal after window" 16. !t2
-
-let test_net_site_slowdown () =
-  let e, net = make_net () in
-  Ccdb_sim.Net.inject_site_slowdown net ~site:2 ~from_time:0. ~until_time:100.
-    ~factor:5.;
-  let slow = ref 0. and fast = ref 0. in
-  Ccdb_sim.Net.send net ~src:0 ~dst:2 ~kind:"m" (fun () ->
-      slow := Ccdb_sim.Engine.now e);
-  Ccdb_sim.Net.send net ~src:0 ~dst:1 ~kind:"m" (fun () ->
-      fast := Ccdb_sim.Engine.now e);
-  Ccdb_sim.Engine.run e;
-  check (Alcotest.float 1e-9) "affected site" 50. !slow;
-  check (Alcotest.float 1e-9) "other channel" 10. !fast
-
-let test_net_slowdown_validation () =
-  let _, net = make_net () in
-  Alcotest.check_raises "bad window"
-    (Invalid_argument "Net.inject_slowdown: bad time window") (fun () ->
-      Ccdb_sim.Net.inject_slowdown net ~from_time:5. ~until_time:5. ~factor:2.);
-  Alcotest.check_raises "bad factor"
-    (Invalid_argument "Net.inject_slowdown: factor < 1") (fun () ->
-      Ccdb_sim.Net.inject_slowdown net ~from_time:0. ~until_time:1. ~factor:0.5)
-
-let suites =
-  suites
-  @ [ ( "sim.failure_injection",
-        [ Alcotest.test_case "slowdown window" `Quick test_net_slowdown_window;
-          Alcotest.test_case "site slowdown" `Quick test_net_site_slowdown;
-          Alcotest.test_case "validation" `Quick test_net_slowdown_validation ] ) ]
