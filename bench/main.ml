@@ -242,7 +242,8 @@ let bench_wal_append =
 let bench_wal_replay =
   (* recovery scan of a 512-record site log shaped like a real one: mostly
      completed admit/grant/release triples, a tail of live grants and one
-     in-doubt 2PC round, so every replay bucket is exercised *)
+     in-doubt commit round with its acceptor's accepts and a takeover's
+     promise, so every replay bucket is exercised *)
   Bechamel.Test.make ~name:"wal.replay-512"
     (Bechamel.Staged.stage
        (let w = Ccdb_storage.Wal.create ~sites:1 in
@@ -276,12 +277,16 @@ let bench_wal_replay =
                        value = Some 7; attempt = 0; granted_at = 1. } })
           done;
           append (Ccdb_storage.Wal.Vote { txn = 200; round = 0; coordinator = 0 });
-          for txn = 201 to 204 do
+          let accept instance ballot prepared =
             append
-              (Ccdb_storage.Wal.Coord_commit
-                 { txn; round = 0; participants = [ 0; 1 ] });
-            append (Ccdb_storage.Wal.Coord_end { txn; round = 0 })
-          done
+              (Ccdb_storage.Wal.Acceptor_accept
+                 { txn = 200; round = 0; instance; ballot; prepared; home = 0;
+                   psites = [ 0; 1 ] })
+          in
+          accept 0 0 true;
+          append
+            (Ccdb_storage.Wal.Acceptor_promise { txn = 200; round = 0; ballot = 4 });
+          accept 1 4 false
         in
         fun () -> ignore (Ccdb_storage.Wal.replay w ~site:0)))
 
@@ -456,12 +461,13 @@ let bench_end_to_end =
 (* Atomic-commitment cost, timed as a whole run: one operation is a durable
    (wipe=true, otherwise fault-free) simulation of 16 multi-operation
    transactions through the unified system, so every commit drives a full
-   round of the selected engine — presumed-abort 2PC vs Paxos Commit over
-   three acceptors (f = 1).  Divide by 16 for a per-round figure.  Both
-   rows share the workload and the durable-run fixed costs (WAL forces,
-   vote collection), so their difference is the consensus premium
-   DESIGN.md section 15 quantifies: one extra phase-2a/2b exchange per
-   participant vote on the ballot-0 fast path. *)
+   round of Paxos Commit — at f = 0 (2PC: the one acceptor is the home
+   site) and over three acceptors (f = 1).  Divide by 16 for a per-round
+   figure.  Both rows share the workload and the durable-run fixed costs
+   (WAL forces, vote collection), so their difference is the consensus
+   premium DESIGN.md section 15 quantifies: each participant vote goes to
+   three acceptors instead of one, and each accept returns a phase-2b
+   message instead of a local step. *)
 let bench_commit_run name commit =
   let spec =
     { Ccdb_workload.Generator.default with
@@ -487,7 +493,8 @@ let bench_commit_run name commit =
               Ccdb_harness.Driver.Unified spec)))
 
 let bench_2pc_run =
-  bench_commit_run "commit.2pc-sim-16txn" Ccdb_protocols.Runtime.Two_pc
+  bench_commit_run "commit.2pc-sim-16txn"
+    (Ccdb_protocols.Runtime.Paxos { f = 0 })
 
 let bench_paxos_run =
   bench_commit_run "commit.paxos-sim-16txn"

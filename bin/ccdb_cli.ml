@@ -213,7 +213,7 @@ let run_cmd =
       | [ "centralized"; v ] ->
         Result.map
           (fun interval ->
-            Ccdb_protocols.Deadlock.Centralized { interval; detector_site = 0 })
+            Ccdb_protocols.Deadlock.Centralized { interval })
           (period "interval" v)
       | [ "edge-chasing"; v ] ->
         Result.map
@@ -223,7 +223,7 @@ let run_cmd =
       | _ -> Error (`Msg "expected centralized:INTERVAL or edge-chasing:DELAY")
     in
     let print ppf = function
-      | Ccdb_protocols.Deadlock.Centralized { interval; _ } ->
+      | Ccdb_protocols.Deadlock.Centralized { interval } ->
         Format.fprintf ppf "centralized:%g" interval
       | Ccdb_protocols.Deadlock.Edge_chasing { probe_delay } ->
         Format.fprintf ppf "edge-chasing:%g" probe_delay
@@ -305,7 +305,7 @@ let run_cmd =
   let commit =
     let parse s =
       match String.lowercase_ascii s with
-      | "2pc" -> Ok Ccdb_protocols.Runtime.Two_pc
+      | "2pc" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 0 })
       | "paxos" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 1 })
       | s -> (
         match String.index_opt s ':' with
@@ -316,21 +316,23 @@ let run_cmd =
           | _ -> Error (`Msg (Printf.sprintf "bad fault tolerance %S" k)))
         | _ -> Error (`Msg "expected 2pc, paxos or paxos:F"))
     in
-    let print ppf = function
-      | Ccdb_protocols.Runtime.Two_pc -> Format.pp_print_string ppf "2pc"
-      | Ccdb_protocols.Runtime.Paxos { f } -> Format.fprintf ppf "paxos:%d" f
+    let print ppf (Ccdb_protocols.Runtime.Paxos { f }) =
+      if f = 0 then Format.pp_print_string ppf "2pc"
+      else Format.fprintf ppf "paxos:%d" f
     in
     Arg.(value
-         & opt (conv (parse, print)) Ccdb_protocols.Runtime.Two_pc
+         & opt (some (conv (parse, print))) None
          & info [ "commit" ] ~docv:"PROTO"
              ~doc:
-               "Atomic-commitment engine under a fail-stop $(b,--plan) \
-                ($(b,wipe=true)); inert without one: $(b,2pc) \
-                (presumed-abort two-phase commit, the default), $(b,paxos) \
-                (Paxos Commit, one acceptor fault tolerated) or \
-                $(b,paxos:F) (Paxos Commit over 2F+1 acceptors at sites \
-                0..2F — requires at least 2F+1 sites).  See DESIGN.md \
-                section 15.")
+               "Atomic-commitment engine, Paxos Commit tolerating F \
+                acceptor crashes; needs a fail-stop $(b,--plan) \
+                ($(b,wipe=true)), the only runs that commit through one: \
+                $(b,2pc) (two-phase commit, the default: F = 0, whose one \
+                acceptor is each transaction's home site; a round open \
+                when that site fail-stops waits for its recovery), \
+                $(b,paxos) (F = 1) or $(b,paxos:F) (2F+1 acceptors at \
+                sites 0..2F — requires at least 2F+1 sites; $(b,paxos:0) \
+                is $(b,2pc)).  See DESIGN.md section 15.")
   in
   let plan =
     let parse s =
@@ -359,9 +361,19 @@ let run_cmd =
         read_fraction = qr;
         protocol_mix = List.map (fun p -> (p, 1.)) mix }
     in
+    (match (commit, plan) with
+     | Some _, Some p when Ccdb_sim.Fault_plan.wipe p -> ()
+     | Some _, _ ->
+       usage_error
+         "--commit needs a fail-stop --plan (wipe=true): no other run \
+          commits through a commit protocol"
+     | None, _ -> ());
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; commit;
+        sites; items; replication = repl; seed;
+        commit =
+          Option.value commit
+            ~default:Ccdb_harness.Driver.default_setup.commit;
         net = Ccdb_sim.Net.default_config ~sites;
         detection; prevention; thomas_write_rule = twr }
     in

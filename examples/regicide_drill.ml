@@ -1,5 +1,5 @@
-(* Regicide drill: kill the coordinator mid-commit, under both
-   atomic-commitment engines, and watch the outcomes diverge.
+(* Regicide drill: kill the coordinator mid-commit, under 2PC and under
+   Paxos Commit with f = 1, and watch the outcomes diverge.
 
    The drill is two-pass per engine (the E16 chaos drill, EXPERIMENTS.md).
    A durable fault-free probe finds the coordinator — the home site of the
@@ -8,13 +8,16 @@
    role-targeted fail-stop window (crash=coordinator, wipe=true) starting
    one time unit later, so the crash provably lands inside a commit round.
 
-   Under presumed-abort 2PC that round is doomed: the participants'
-   inquiries reach a site with no coordinator record, which presumes
-   abort, and the client must retry after recovery.  Under Paxos Commit
-   with f = 1 the decision lives on three acceptors; the survivors time
-   out, take over leadership with a higher ballot, and drive the same
-   round to commit while the old coordinator is still dead (DESIGN.md
-   section 15).
+   2PC is Paxos Commit with f = 0: the decision lives on one acceptor,
+   the coordinator itself, so that round stalls.  The participants'
+   inquiries wait out the crash; after recovery the coordinator replays
+   its accept records and finishes the round by takeover.  Under Paxos
+   Commit with f = 1 the decision lives on three acceptors; the survivors
+   time out, take over leadership with a higher ballot, and decide the
+   same round while the old coordinator is still dead (DESIGN.md section
+   15).  The drill measures each engine's longest commit round, from a
+   round's first prepare to its first commit decision, against the
+   crash window.
 
    Run with: dune exec examples/regicide_drill.exe *)
 
@@ -24,6 +27,7 @@ module Rt = Ccdb_protocols.Runtime
 
 let n_txns = 150
 let sites = 5
+let window = 400.
 
 let spec =
   { Ccdb_workload.Generator.default with
@@ -62,25 +66,34 @@ let probe commit =
   | Some c, Some t -> (c, t)
   | _ -> failwith "probe saw no coordinator commit round"
 
-(* pass 2: the same run with the coordinator fail-stopped inside that round *)
+(* pass 2: the same run with the coordinator fail-stopped inside that
+   round; returns the run, its longest commit round and its takeovers *)
 let regicide label commit =
   let coord, t0 = probe commit in
   Format.printf
     "%-10s coordinator is site %d; its first round prepares at t=%.0f — \
-     killing it at t=%.0f@."
-    label coord t0 (t0 +. 1.);
+     killing it at t=%.0f for %.0f units@."
+    label coord t0 (t0 +. 1.) window;
   let plan =
     FP.make ~seed:11 ~wipe:true
       ~role_crashes:
         [ { FP.role = FP.Coordinator;
-            r_at = t0 +. 1.; r_recover_at = t0 +. 401. } ]
+            r_at = t0 +. 1.; r_recover_at = t0 +. 1. +. window } ]
       ()
   in
-  let aborted = Hashtbl.create 16 and takeovers = Hashtbl.create 16 in
+  let prepared = Hashtbl.create 64 and longest = ref 0.
+  and takeovers = Hashtbl.create 16 in
   let observe rt =
     Rt.subscribe rt (function
-      | Rt.Decision_logged { txn; round; commit = false; _ } ->
-        Hashtbl.replace aborted (txn, round) ()
+      | Rt.Prepared { txn; round; at; _ } ->
+        if not (Hashtbl.mem prepared (txn, round)) then
+          Hashtbl.add prepared (txn, round) at
+      | Rt.Decision_logged { txn; round; commit = true; at; _ } -> (
+        match Hashtbl.find_opt prepared (txn, round) with
+        | Some t ->
+          Hashtbl.remove prepared (txn, round);
+          longest := Float.max !longest (at -. t)
+        | None -> ())
       | Rt.Acceptor_promised { txn; round; ballot; _ } when ballot > 0 ->
         Hashtbl.replace takeovers (txn, round) ()
       | _ -> ())
@@ -89,7 +102,7 @@ let regicide label commit =
     D.run ~setup:(setup commit) ~n_txns ~observer:observe ~audit:true
       ~faults:plan D.Unified spec
   in
-  (r, Hashtbl.length aborted, Hashtbl.length takeovers)
+  (r, !longest, Hashtbl.length takeovers)
 
 let () =
   print_endline "=== Regicide drill ===";
@@ -98,45 +111,47 @@ let () =
      time unit@.after the coordinator's first commit round prepares@.@."
     n_txns sites;
 
-  let r_2pc, ab_2pc, _ = regicide "2PC" Rt.Two_pc in
-  let r_px, ab_px, tk_px = regicide "Paxos f=1" (Rt.Paxos { f = 1 }) in
+  let r_2pc, l_2pc, tk_2pc = regicide "2PC" (Rt.Paxos { f = 0 }) in
+  let r_px, l_px, tk_px = regicide "Paxos f=1" (Rt.Paxos { f = 1 }) in
 
-  let row label (r : D.result) ab tk =
+  let row label (r : D.result) longest tk =
     Format.printf
-      "%-10s committed=%d/%d  S=%7.1f  aborted-rounds=%d  takeovers=%d  \
+      "%-10s committed=%d/%d  S=%7.1f  longest-round=%6.1f  takeovers=%d  \
        audit=%s@."
-      label r.D.summary.committed n_txns r.D.summary.mean_system_time ab tk
+      label r.D.summary.committed n_txns r.D.summary.mean_system_time longest
+      tk
       (if Ccdb_analysis.Report.is_clean (Option.get r.D.audit) then "clean"
        else "FINDINGS")
   in
   print_newline ();
-  row "2PC" r_2pc ab_2pc 0;
-  row "Paxos f=1" r_px ab_px tk_px;
+  row "2PC" r_2pc l_2pc tk_2pc;
+  row "Paxos f=1" r_px l_px tk_px;
 
   Format.printf
-    "@.2PC: the fail-stop caught %d round(s) in flight; with the \
-     coordinator's log@.unreachable the participants presumed abort, and \
-     the clients re-ran those@.transactions after recovery (committed \
-     still %d/%d, but the rounds were lost).@."
-    ab_2pc r_2pc.D.summary.committed n_txns;
+    "@.2PC: the round the crash caught stayed open %.1f units, past the \
+     %.0f-unit@.window: its one acceptor was the dead coordinator, which \
+     finished it only@.after recovery, from its replayed log (committed \
+     %d/%d).@."
+    l_2pc window r_2pc.D.summary.committed n_txns;
   Format.printf
     "Paxos f=1: %d takeover(s) — the surviving acceptors raised the \
-     ballot, finished@.the dead coordinator's rounds, and %d round(s) \
-     aborted.@."
-    tk_px ab_px;
+     ballot and decided@.the dead coordinator's rounds; the longest took \
+     %.1f units.@."
+    tk_px l_px;
 
   let clean r = Ccdb_analysis.Report.is_clean (Option.get r.D.audit) in
   if
     r_2pc.D.summary.committed = n_txns
     && r_px.D.summary.committed = n_txns
-    && ab_px < ab_2pc
+    && l_2pc > window && l_px <= window
     && tk_px > 0
     && clean r_2pc && clean r_px
   then
     print_endline
-      "\n=> the same regicide that forced 2PC to abort its in-flight \
-       rounds was\n   survived in-stride by Paxos Commit: consensus made \
-       the commit decision\n   nobody's single point of failure"
+      "\n=> the same regicide that stalled 2PC's round until the \
+       coordinator came back\n   was survived in-stride by Paxos Commit: \
+       consensus made the commit decision\n   nobody's single point of \
+       failure"
   else begin
     print_endline "\n=> THE DRILL DID NOT DIVERGE AS EXPECTED";
     Format.printf "2PC audit: %a@." Ccdb_analysis.Report.pp

@@ -1,10 +1,8 @@
 (* Consensus-commit auditor (Paxos Commit, DESIGN.md §15).
 
    - consensus.split-decision: two sites log different terminal outcomes
-     for one (txn, round).  Under Paxos Commit a round number only
-     advances after its predecessor's abort was *learned*, so — unlike
-     2PC, where client-retry rounds race the decision and per-round
-     outcome splits are benign bookkeeping — a same-round split is a
+     for one (txn, round).  A round number only advances after its
+     predecessor's abort was *learned*, so a same-round split is a
      genuine safety violation of the one-outcome-per-round guarantee.
    - consensus.ballot-regression: an acceptor accepts a ballot below one
      it promised (or below one it already accepted, which implies the
@@ -14,16 +12,14 @@
      window non-blocking commit exists to close.  Sites still inside a
      crash window at end of trace are excused.
 
-   All three checks are scoped to transactions with consensus activity
-   (at least one acceptor promise/accept event): a 2PC trace contains no
-   such events and yields no consensus findings. *)
+   Every durable run commits through Paxos Commit (2PC is its F = 0
+   case), so the checks apply to every transaction. *)
 
 module Rt = Ccdb_protocols.Runtime
 module Lookup = Ccdb_util.Lookup_tbl
 
 (* Only [in_doubt] is iterated, and [finish] sorts what it collects. *)
 type state = {
-  consensus_txns : unit Lookup.Int.t;
   (* (txn, round) -> (first commit site, first abort site) *)
   outcomes : (int option * int option) Lookup.Pair.t;
   split_reported : unit Lookup.Pair.t;
@@ -37,13 +33,12 @@ type state = {
 }
 
 let create () =
-  { consensus_txns = Lookup.Int.create 16; outcomes = Lookup.Pair.create 64;
+  { outcomes = Lookup.Pair.create 64;
     split_reported = Lookup.Pair.create 8; promised = Lookup.Triple.create 64;
     in_doubt = Lookup.Pair.create 64; crashed = Lookup.Int.create 8;
     findings = []; idx = 0 }
 
 let add st f = st.findings <- f :: st.findings
-let is_consensus st txn = Lookup.Int.mem st.consensus_txns txn
 
 let feed st event =
   let i = st.idx in
@@ -64,8 +59,7 @@ let feed st event =
      Lookup.Pair.replace st.outcomes (txn, round) (c, a);
      (match (c, a) with
       | Some cs, Some as_
-        when is_consensus st txn
-             && not (Lookup.Pair.mem st.split_reported (txn, round)) ->
+        when not (Lookup.Pair.mem st.split_reported (txn, round)) ->
         Lookup.Pair.replace st.split_reported (txn, round) ();
         add st
           (Finding.make ~event_index:i ~txns:[ txn ]
@@ -76,14 +70,12 @@ let feed st event =
                 round txn cs as_))
       | _ -> ())
    | Rt.Acceptor_promised { txn; site; round; ballot; _ } ->
-     Lookup.Int.replace st.consensus_txns txn ();
      let key = (site, txn, round) in
      let prev =
        Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
      in
      if ballot > prev then Lookup.Triple.replace st.promised key ballot
    | Rt.Acceptor_accepted { txn; site; round; instance; ballot; _ } ->
-     Lookup.Int.replace st.consensus_txns txn ();
      let key = (site, txn, round) in
      let prev =
        Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
@@ -111,7 +103,7 @@ let finish st =
   let stuck =
     Lookup.Pair.fold
       (fun (txn, site) idx acc ->
-        if is_consensus st txn && not (Lookup.Int.mem st.crashed site) then
+        if not (Lookup.Int.mem st.crashed site) then
           (txn, site, idx) :: acc
         else acc)
       st.in_doubt []

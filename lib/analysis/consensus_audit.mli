@@ -2,9 +2,9 @@
     [consensus.split-decision] (two sites log different outcomes for one
     round), [consensus.ballot-regression] (an acceptor accepts below a
     ballot it promised), and [consensus.blocking-window] (a participant is
-    still in-doubt at a live site when the trace quiesces).  All three are
-    scoped to transactions with acceptor activity, so 2PC traces yield no
-    consensus findings.
+    still in-doubt at a live site when the trace quiesces).  Every durable
+    run commits through Paxos Commit (2PC is its [f = 0] case), so all
+    three apply to every transaction.
 
     Event-at-a-time: [create] / [feed] / [finish]; [run] is the batch
     fold. *)

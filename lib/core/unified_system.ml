@@ -8,13 +8,11 @@ type config = {
   semi_locks : bool;
   restart_delay : float;
   detection : Ccdb_protocols.Deadlock.detection;
-  backoff_interval : int;
 }
 
 let default_config =
   { semi_locks = true; restart_delay = 50.;
-    detection = Ccdb_protocols.Deadlock.default_detection;
-    backoff_interval = 8 }
+    detection = Ccdb_protocols.Deadlock.default_detection }
 
 type slot_state =
   | Waiting
@@ -310,8 +308,8 @@ and finish t st =
   if all_normal st then begin
     match t.committer with
     | Some c ->
-      (* durable: past the lock point, releases wait for the presumed-abort
-         2PC decision at each participant *)
+      (* durable: past the lock point, releases wait for the commit
+         decision at each participant *)
       st.phase <- Done;
       let value_for = value_for_fn st in
       Ccdb_protocols.Commit.commit c ~txn:txn.id ~home:txn.site
@@ -422,7 +420,7 @@ and begin_attempt t st =
   st.reads <- [];
   let epoch = st.epoch in
   let ts = st.ts in
-  let interval = t.config.backoff_interval in
+  let interval = Ccdb_model.Timestamp.Tuple.backoff_interval in
   List.iter
     (fun (item, site, op) ->
       send t ~src:txn.site ~dst:site ~kind:"u-req" (fun () ->

@@ -27,12 +27,12 @@ type config = {
   detection : Ccdb_protocols.Deadlock.detection;
       (** centralized WFG scan or Chandy-Misra-Haas edge-chasing; only 2PL
           transactions ever initiate probes or get aborted (Corollary 2) *)
-  backoff_interval : int; (** INT of PA timestamp tuples *)
 }
 
 val default_config : config
-(** semi_locks true, restart_delay 50., centralized detection every 100. at
-    site 0, backoff_interval 8. *)
+(** semi_locks true, restart_delay 50., centralized detection every 100.
+    at site 0.  PA transactions carry
+    {!Ccdb_model.Timestamp.Tuple.backoff_interval}. *)
 
 type t
 

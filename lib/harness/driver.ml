@@ -26,7 +26,7 @@ let default_setup =
     thomas_write_rule = false;
     prevention = Ccdb_protocols.Two_pl_system.No_prevention;
     adaptive = Cumulative; reselect = false;
-    criterion = Ccdb_stl.Selector.Min_stl; commit = Rt.Two_pc }
+    criterion = Ccdb_stl.Selector.Min_stl; commit = Rt.Paxos { f = 0 } }
 
 type mode =
   | Pure of Ccdb_model.Protocol.t
@@ -99,7 +99,7 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
     rt =
   let restart_delay = setup.restart_delay in
   let unified ?(semi_locks = true) () =
-    { Core.Unified_system.default_config with semi_locks; restart_delay;
+    { Core.Unified_system.semi_locks; restart_delay;
       detection = setup.detection }
   in
   let on_unified config =
@@ -182,7 +182,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
      fault plan need the coordinator role — the home site of the earliest
      arrival, which is the first — before the plan is installed, so the
      first arrival is peeked here.  Acceptor role [k] is site [k] (the
-     Paxos acceptor set is sites 0..2f). *)
+     acceptor set is sites 0..2f for f >= 1; at f = 0 it is each
+     transaction's home). *)
   let wl_rng = Ccdb_util.Rng.create ~seed:(setup.seed + 7919) in
   let arrivals = arrivals_of wl_rng in
   let n_arrivals = Ccdb_workload.Generator.remaining arrivals in

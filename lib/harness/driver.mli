@@ -40,20 +40,21 @@ type setup = {
           the transaction's own response time (X7); inert in every other
           mode *)
   commit : Ccdb_protocols.Runtime.commit_protocol;
-      (** atomic-commitment engine for durable runs: presumed-abort 2PC
-          (the default) or Paxos Commit over [2f+1] acceptors; inert
-          without a fail-stop fault plan.  With [Paxos], role-targeted
-          crash windows in the fault plan ([crash=coordinator@T+D],
-          [crash=acceptor:k@T+D]) are resolved against the workload — the
-          coordinator is the home site of the earliest arrival, acceptor
-          [k] is site [k] *)
+      (** atomic-commitment engine for durable runs: Paxos Commit, whose
+          [f = 0] is two-phase commit (the default); inert without a
+          fail-stop fault plan.  Role-targeted crash windows in the fault
+          plan ([crash=coordinator@T+D], [crash=acceptor:k@T+D]) are
+          resolved against the workload — the coordinator is the home site
+          of the earliest arrival, acceptor [k] is site [k] (at [f = 0]
+          the one acceptor is each transaction's home site, so its crash
+          is [crash=coordinator]) *)
 }
 
 val default_setup : setup
 (** 4 sites, 32 items, replication 2, default network, seed 42,
     restart_delay 50., centralized detection, Thomas Write Rule off,
-    cumulative adaptivity, reselection off, min-STL selection, 2PC
-    commit. *)
+    cumulative adaptivity, reselection off, min-STL selection, two-phase
+    commit ([Paxos { f = 0 }]). *)
 
 (** Which concurrency-control system executes the workload. *)
 type mode =

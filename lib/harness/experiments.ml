@@ -644,8 +644,8 @@ let x1_staged ~quick =
   in
   let det d = (d, Ccdb_protocols.Two_pl_system.No_prevention) in
   let mechanisms =
-    [ ("centralized/50", det (Ccdb_protocols.Deadlock.Centralized { interval = 50.; detector_site = 0 }));
-      ("centralized/200", det (Ccdb_protocols.Deadlock.Centralized { interval = 200.; detector_site = 0 }));
+    [ ("centralized/50", det (Ccdb_protocols.Deadlock.Centralized { interval = 50. }));
+      ("centralized/200", det (Ccdb_protocols.Deadlock.Centralized { interval = 200. }));
       ("edge-chasing/60", det (Ccdb_protocols.Deadlock.Edge_chasing { probe_delay = 60. }));
       ("edge-chasing/200", det (Ccdb_protocols.Deadlock.Edge_chasing { probe_delay = 200. }));
       ("wait-die",
@@ -1421,19 +1421,21 @@ let e14_staged ~quick =
 (* ---------------------------------------------------------------- E16 -- *)
 
 let e16_staged ~quick =
-  (* Non-blocking commit: the same durable workload under presumed-abort
-     2PC and Paxos Commit at three acceptor-set sizes (f = 0, 1, 2;
-     acceptors at sites 0..2f), each driven through two fault scenarios —
-     a 10% message-loss plan and a coordinator fail-stop window opening
-     mid-run.  [aborted rounds] counts distinct (txn, round) pairs that
-     force-logged an abort decision; [takeovers] counts rounds where some
-     acceptor promised a ballot above the coordinator's ballot 0 (leader
-     takeover).  The headline is the crash scenario: 2PC's in-flight
-     rounds learn presumed abort from the crashed coordinator's replayed
-     log (the client restarts them after recovery), while under Paxos
-     with f >= 1 the surviving acceptors drive the same rounds to commit
-     inside the crash window. *)
+  (* Non-blocking commit: the same durable workload under Paxos Commit at
+     three acceptor-set sizes — f = 0, which is 2PC (the one acceptor is
+     each transaction's home site), and f = 1, 2 (acceptors at sites
+     0..2f) — each driven through two fault scenarios: a 10% message-loss
+     plan and a coordinator fail-stop window opening mid-run.  [longest
+     round] is the longest commit round, from a round's first Prepared to
+     its first commit Decision_logged; [aborted rounds] counts distinct
+     (txn, round) pairs that force-logged an abort decision; [takeovers]
+     counts rounds where some acceptor promised a ballot above the
+     coordinator's ballot 0 (leader takeover).  The headline is the crash
+     scenario: under 2PC the round open at the crash waits for the
+     coordinator's recovery, whose replayed acceptor finishes it, while
+     with f >= 1 the surviving acceptors decide it inside the window. *)
   let n = n_for quick 150 in
+  let window = 400. (* the coordinator's crash window *) in
   let sites = 5 in
   let setup commit =
     { base_setup with
@@ -1482,12 +1484,11 @@ let e16_staged ~quick =
     Ccdb_sim.Fault_plan.make ~seed:11 ~wipe:true
       ~role_crashes:
         [ { Ccdb_sim.Fault_plan.role = Ccdb_sim.Fault_plan.Coordinator;
-            r_at = t0 +. 1.; r_recover_at = t0 +. 401. } ]
+            r_at = t0 +. 1.; r_recover_at = t0 +. 1. +. window } ]
       ()
   in
   let protocols =
-    [ ("2PC", Ccdb_protocols.Runtime.Two_pc);
-      ("Paxos f=0", Ccdb_protocols.Runtime.Paxos { f = 0 });
+    [ ("2PC", Ccdb_protocols.Runtime.Paxos { f = 0 });
       ("Paxos f=1", Ccdb_protocols.Runtime.Paxos { f = 1 });
       ("Paxos f=2", Ccdb_protocols.Runtime.Paxos { f = 2 }) ]
   in
@@ -1496,9 +1497,22 @@ let e16_staged ~quick =
   in
   let point (slabel, plan_for) (plabel, commit) () =
     let plan = plan_for commit in
-    let aborted = Hashtbl.create 16 and takeovers = Hashtbl.create 16 in
+    let aborted = Hashtbl.create 16 and takeovers = Hashtbl.create 16
+    and prepared = Hashtbl.create 64 and longest = ref 0. in
     let observe rt =
       Ccdb_protocols.Runtime.subscribe rt (function
+        | Ccdb_protocols.Runtime.Prepared { txn; round; at; _ } ->
+          if not (Hashtbl.mem prepared (txn, round)) then
+            Hashtbl.add prepared (txn, round) at
+        | Ccdb_protocols.Runtime.Decision_logged
+            { txn; round; commit = true; at; _ } -> (
+          match Hashtbl.find_opt prepared (txn, round) with
+          | Some t ->
+            (* the round's first commit decision: later ones only repeat
+               it at other participants *)
+            Hashtbl.remove prepared (txn, round);
+            longest := Float.max !longest (at -. t)
+          | None -> ())
         | Ccdb_protocols.Runtime.Decision_logged
             { txn; round; commit = false; _ } ->
           Hashtbl.replace aborted (txn, round) ()
@@ -1511,7 +1525,7 @@ let e16_staged ~quick =
         ~faults:plan D.Unified spec
     in
     let audit = Option.get r.D.audit in
-    ( plabel, slabel, r.D.summary, Hashtbl.length aborted,
+    ( plabel, slabel, r.D.summary, !longest, Hashtbl.length aborted,
       Hashtbl.length takeovers, Ccdb_analysis.Report.is_clean audit )
   in
   let assemble rows =
@@ -1520,41 +1534,49 @@ let e16_staged ~quick =
         ~columns:
           [ ("commit", T.Left); ("scenario", T.Left); ("committed", T.Right);
             ("S", T.Right); ("restarts/txn", T.Right);
-            ("aborted rounds", T.Right); ("takeovers", T.Right);
-            ("audit", T.Left) ]
+            ("longest round", T.Right); ("aborted rounds", T.Right);
+            ("takeovers", T.Right); ("audit", T.Left) ]
     in
     List.iter
-      (fun (p, sc, (s : Metrics.summary), ab, tk, clean) ->
+      (fun (p, sc, (s : Metrics.summary), longest, ab, tk, clean) ->
         T.add_row table
           [ p; sc; string_of_int s.committed; f s.mean_system_time;
-            f ~decimals:3 s.restarts_per_txn; string_of_int ab;
-            string_of_int tk; (if clean then "clean" else "FINDINGS") ])
+            f ~decimals:3 s.restarts_per_txn; f ~decimals:1 longest;
+            string_of_int ab; string_of_int tk;
+            (if clean then "clean" else "FINDINGS") ])
       rows;
-    let stat p sc =
-      let _, _, _, ab, tk, _ =
-        List.find (fun (p', sc', _, _, _, _) -> p' = p && sc' = sc) rows
+    let stat p =
+      let _, _, _, longest, _, tk, _ =
+        List.find
+          (fun (p', sc, _, _, _, _, _) -> p' = p && sc = "coord crash")
+          rows
       in
-      (ab, tk)
+      (longest, tk)
     in
-    let ab_2pc, _ = stat "2PC" "coord crash"
-    and ab_px, tk_px = stat "Paxos f=1" "coord crash" in
+    let l_2pc, _ = stat "2PC"
+    and l_1, tk_1 = stat "Paxos f=1"
+    and l_2, tk_2 = stat "Paxos f=2" in
     let all_clean =
-      List.for_all (fun (_, _, _, _, _, clean) -> clean) rows
+      List.for_all (fun (_, _, _, _, _, _, clean) -> clean) rows
     in
     let verdict =
-      if ab_px < ab_2pc then
+      if l_2pc > window && l_1 <= window && l_2 <= window then
         Printf.sprintf
-          "measured: the coordinator fail-stop forced %d round(s) into \
-           presumed abort under 2PC, but only %d under Paxos f=1 — %d \
-           takeover(s) let the surviving acceptors finish rounds the \
-           crashed coordinator had started"
-          ab_2pc ab_px tk_px
+          "measured: under 2PC the coordinator fail-stop held its longest \
+           commit round open for %.1f units, past the %.0f-unit crash \
+           window: the round waited for the coordinator's recovery, whose \
+           replayed acceptor decided it.  Paxos f=1 decided its longest \
+           round in %.1f units and f=2 in %.1f, inside the window — %d and \
+           %d takeover(s) let the surviving acceptors finish the rounds \
+           the crashed coordinator had started"
+          l_2pc window l_1 l_2 tk_1 tk_2
       else
         Printf.sprintf
-          "measured: 2PC aborted %d round(s) vs Paxos f=1 %d under the \
-           coordinator crash — the window missed the commit point in this \
-           configuration; inspect the takeover column (%d)"
-          ab_2pc ab_px tk_px
+          "measured: longest commit rounds under the coordinator crash are \
+           %.1f (2PC), %.1f (Paxos f=1) and %.1f (f=2) units against a \
+           %.0f-unit window — the window missed the commit point in this \
+           configuration; inspect the takeover column"
+          l_2pc l_1 l_2 window
     in
     { id = "E16";
       title =
@@ -1563,12 +1585,13 @@ let e16_staged ~quick =
       claim =
         "replicating the commit decision over 2f+1 acceptors removes the \
          coordinator as a single point of blocking: when the coordinator \
-         fail-stops mid-round, presumed-abort 2PC aborts its in-flight \
-         rounds (clients must retry after recovery), while Paxos Commit \
-         with f >= 1 lets the surviving acceptors elect a new leader and \
-         drive the same rounds to commit — at the price of 2f+1 extra \
-         force-logs per round fault-free (Gray & Lamport; DESIGN.md \
-         section 15)";
+         fail-stops mid-round, 2PC (Paxos Commit with f = 0, whose one \
+         acceptor is the coordinator) stalls the round it holds until the \
+         coordinator recovers and replays its log, while Paxos Commit with \
+         f >= 1 lets the surviving acceptors elect a new leader and decide \
+         the same round inside the crash window — at the price of 2f+1 \
+         accept force-logs per vote where 2PC has one (Gray & Lamport; \
+         DESIGN.md section 15)";
       table;
       notes =
         [ verdict;
@@ -1582,11 +1605,12 @@ let e16_staged ~quick =
            measured run opens a role-targeted crash=coordinator window \
            (Fault_plan.resolve: the coordinator is the home site of the \
            earliest arrival) right inside that round";
-          "f=0 is one acceptor (site 0): when the coordinator is site 0 \
-           the crash takes the whole acceptor set down and the round waits \
-           for recovery plus WAL replay, like 2PC — but replayed accept \
-           records carry the participant set, so the acceptor still \
-           finishes the round by takeover instead of presuming abort" ] }
+          "2PC is f=0: its one acceptor is each transaction's home site, \
+           so the crash takes the coordinator's acceptor down with it and \
+           the round waits for recovery plus WAL replay; the replayed \
+           accept records carry the participant set, so the acceptor \
+           finishes the round by takeover (commit when every vote was \
+           accepted) instead of presuming abort" ] }
   in
   Staged
     { id = "E16"; points =

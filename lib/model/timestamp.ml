@@ -6,6 +6,8 @@ let pp = Format.pp_print_int
 module Tuple = struct
   type nonrec t = { ts : t; interval : int }
 
+  let backoff_interval = 8
+
   let make ~ts ~interval =
     if interval <= 0 then invalid_arg "Timestamp.Tuple.make: interval <= 0";
     { ts; interval }

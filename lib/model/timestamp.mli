@@ -13,6 +13,11 @@ val pp : Format.formatter -> t -> unit
 module Tuple : sig
   type nonrec t = { ts : t; interval : int }
 
+  val backoff_interval : int
+  (** The INT every PA transaction carries, in the pure PA system and in
+      the unified one: 8 (the paper leaves the choice free; a constant
+      matching the timestamp granularity works well). *)
+
   val make : ts:int -> interval:int -> t
   (** @raise Invalid_argument if [interval <= 0]. *)
 

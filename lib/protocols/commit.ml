@@ -1,17 +1,19 @@
-(* Atomic commitment: presumed-abort 2PC and Paxos Commit behind one
-   client and one participant (commit.mli states the contract).  The
-   shared code calls the decider only at begin, vote, re-vote on a
-   duplicate prepare, inquire, all-acked, the client's retry and the
-   decider's own wipe/replay.
+(* Atomic commitment: Paxos Commit behind one client and one participant
+   (commit.mli states the contract).  Two-phase commit is its F = 0 case
+   (Gray & Lamport): the one acceptor is the transaction's home site, the
+   same process as the ballot-0 leader, so its phase-2b and its copy of
+   the decision are local steps and a fault-free round sends what 2PC
+   sends.  At F >= 1 the acceptors are sites 0..2F and every step between
+   two of them is a message, even on one site.
 
    Paxos details the interface leaves out: ballot b > 0 belongs to site
    b mod sites, so a takeover acceptor picks the next ballot above its
    highest promise in its own residue class and two candidates never
-   collide; the takeover clock re-arms with the runtime's capped seeded
-   per-site backoff until a decision is known; acceptors learn decisions
-   but deliberately do not log them — a replayed acceptor re-arms,
-   re-runs the protocol and converges on the same outcome, which every
-   receiver absorbs idempotently. *)
+   collide; the takeover clock re-arms with a growing seeded per-site
+   backoff until a decision is known; acceptors learn decisions but
+   deliberately do not log them — a replayed acceptor re-arms, re-runs the
+   protocol and converges on the same outcome, which every receiver
+   absorbs idempotently. *)
 
 (* Tables keyed by txn or by (site, txn).  Their hash is the generic one,
    so the folds whose order reaches the engine ([wipe]'s removals and
@@ -22,7 +24,7 @@ module Pair_tbl = Ccdb_util.Pair_tbl
 module Int_list = Ccdb_util.Int_list
 
 (* How long a prepared participant waits before (re-)asking for the
-   outcome; the Paxos takeover clock's base is twice this. *)
+   outcome; the takeover clock's base is twice this. *)
 let inquiry_timeout = 250.
 
 (* How long the client terminal waits for a decision before re-driving. *)
@@ -42,10 +44,8 @@ type client = {
   mutable decided : bool;
 }
 
-(* Ack collection at the home site once the outcome is commit.  Under 2PC
-   it mirrors a [Coord_commit] record without its [Coord_end] (rebuilt on
-   replay); under Paxos it is volatile, since the acceptors' logs are the
-   durable decision. *)
+(* Ack collection at the home site once the outcome is commit.  Volatile:
+   the acceptors' logs are the durable decision. *)
 type ack_entry = {
   k_round : int;
   k_participants : int list;
@@ -57,16 +57,8 @@ type ack_entry = {
    wipe rebuilds it from the WAL's in-doubt list. *)
 type part_entry = {
   p_round : int;
-  p_home : int;
   p_actions : Ccdb_storage.Wal.action list;
   p_timer : int; (* invalidates stale recurring inquiry timers *)
-}
-
-(* 2PC coordinator collecting votes for one round (volatile, at home). *)
-type coord_entry = {
-  c_round : int;
-  c_participants : int list;
-  mutable c_votes : int list;
 }
 
 (* One acceptor's state for the highest round it has seen of one
@@ -98,24 +90,16 @@ type lead_entry = {
   mutable l_accepts : (int * int list) list; (* instance -> 2b senders *)
 }
 
-type paxos = {
-  f : int;                           (* tolerated acceptor crashes *)
-  acceptors : acc_entry Pair_tbl.t;  (* (site, txn) *)
-  leaders : lead_entry Pair_tbl.t;   (* (site, txn) *)
-}
-
-type decider =
-  | Two_pc of coord_entry Int_tbl.t (* txn, at the home site *)
-  | Paxos of paxos
-
 type t = {
   rt : Runtime.t;
   hooks : hooks;
-  decider : decider;
+  f : int;                           (* tolerated acceptor crashes *)
   clients : client Int_tbl.t;        (* txn -> terminal state *)
   acks : ack_entry Int_tbl.t;        (* txn, at the home site *)
   parts : part_entry Pair_tbl.t;     (* (site, txn) *)
   decided : int Pair_tbl.t;          (* (site, txn) -> commit round *)
+  acceptors : acc_entry Pair_tbl.t;  (* (site, txn) *)
+  leaders : lead_entry Pair_tbl.t;   (* (site, txn) *)
   mutable timer_seq : int;
 }
 
@@ -128,8 +112,12 @@ let send t ~src ~dst ~kind f =
 let home_of t txn = (Int_tbl.find t.clients txn).home
 
 let nsites t = Ccdb_sim.Net.sites (Runtime.net t.rt)
-let quorum px = px.f + 1
-let acceptor_sites px = List.init ((2 * px.f) + 1) Fun.id
+let quorum t = t.f + 1
+
+(* At F = 0 the one acceptor is the transaction's home site; at F >= 1
+   the acceptors are sites 0..2F. *)
+let acceptor_sites t txn =
+  if t.f = 0 then [ home_of t txn ] else List.init ((2 * t.f) + 1) Fun.id
 
 (* ballot 0 is the fast path led by the home site; ballot b > 0 belongs to
    acceptor site b mod sites *)
@@ -170,24 +158,16 @@ let on_ack t ~txn ~round ~site =
   | Some k when k.k_round = round ->
     if not (Int_list.mem site k.k_acked) then k.k_acked <- site :: k.k_acked;
     if List.for_all (fun s -> Int_list.mem s k.k_acked) k.k_participants
-    then begin
-      (match t.decider with
-       | Two_pc _ ->
-         Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
-           (Ccdb_storage.Wal.Coord_end { txn; round })
-       | Paxos _ -> ());
-      Int_tbl.remove t.acks txn
-    end
+    then Int_tbl.remove t.acks txn
   | Some _ | None -> ()
 
 let ack t ~txn ~round ~site =
-  send t ~src:site ~dst:(home_of t txn)
-    ~kind:(match t.decider with Two_pc _ -> "2pc-ack" | Paxos _ -> "px-ack")
-    (fun () -> on_ack t ~txn ~round ~site)
+  send t ~src:site ~dst:(home_of t txn) ~kind:"px-ack" (fun () ->
+      on_ack t ~txn ~round ~site)
 
 (* Participant learns the round's outcome.  Exactly-once application: a
    decided participant only re-acknowledges; an unknown round is ignored
-   (its prepare was superseded or its state presumed-aborted).  An aborted
+   (its prepare was superseded, or its abort is already logged).  An aborted
    round keeps the locks — the transaction is past execution and will be
    retried by the client. *)
 let on_decision t ~txn ~round ~site ~commit =
@@ -213,56 +193,7 @@ let on_decision t ~txn ~round ~site ~commit =
       end
     | Some _ | None -> ()
 
-(* --- 2PC: the coordinator decides --------------------------------------- *)
-
-let resend_commit t txn k =
-  let home = home_of t txn in
-  List.iter
-    (fun site ->
-      send t ~src:home ~dst:site ~kind:"2pc-commit" (fun () ->
-          on_decision t ~txn ~round:k.k_round ~site ~commit:true))
-    k.k_participants
-
-let presume_abort t ~txn ~round ~site =
-  send t ~src:(home_of t txn) ~dst:site ~kind:"2pc-abort" (fun () ->
-      on_decision t ~txn ~round ~site ~commit:false)
-
-let on_vote t coords ~txn ~round ~site =
-  match Int_tbl.find_opt coords txn with
-  | Some e when e.c_round = round ->
-    if not (Int_list.mem site e.c_votes) then e.c_votes <- site :: e.c_votes;
-    if List.for_all (fun s -> Int_list.mem s e.c_votes) e.c_participants
-    then begin
-      (* commit point: force the coordinator record, then tell the world *)
-      Ccdb_storage.Wal.append (wal t) ~site:(home_of t txn) ~at:(now t)
-        (Ccdb_storage.Wal.Coord_commit
-           { txn; round; participants = e.c_participants });
-      let k =
-        { k_round = round; k_participants = e.c_participants; k_acked = [] }
-      in
-      Int_tbl.replace t.acks txn k;
-      Int_tbl.remove coords txn;
-      fire_commit_point t (Int_tbl.find t.clients txn) ~txn;
-      resend_commit t txn k
-    end
-  | Some _ | None -> (
-    (* no live round matches the vote *)
-    match Int_tbl.find_opt t.acks txn with
-    | Some k -> resend_commit t txn k
-    | None -> presume_abort t ~txn ~round ~site)
-
-let on_inquire_coord t coords ~txn ~round ~site =
-  match Int_tbl.find_opt t.acks txn with
-  | Some k -> resend_commit t txn k
-  | None -> (
-    match Int_tbl.find_opt coords txn with
-    | Some e when e.c_round = round -> () (* still collecting votes *)
-    | Some _ | None ->
-      (* presumed abort: the coordinator remembers nothing about this
-         round, so it cannot have committed it *)
-      presume_abort t ~txn ~round ~site)
-
-(* --- Paxos: a quorum of acceptors decides -------------------------------- *)
+(* --- a quorum of acceptors decides ---------------------------------------- *)
 
 (* The home terminal learns the outcome: fire the commit point once, or
    advance the retry round past a learned abort. *)
@@ -281,36 +212,39 @@ let on_client_decision t ~txn ~round ~commit =
 
 (* An acceptor that learns the decision stops its takeover clock.  The
    decision is deliberately not logged: see the module comment. *)
-let on_acc_decision px ~txn ~round ~site ~commit =
-  match Pair_tbl.find_opt px.acceptors (site, txn) with
+let on_acc_decision t ~txn ~round ~site ~commit =
+  match Pair_tbl.find_opt t.acceptors (site, txn) with
   | Some a when a.a_round = round ->
     if Option.is_none a.a_outcome then a.a_outcome <- Some commit
   | Some _ | None -> ()
 
 (* The learned outcome IS the commit point (a quorum of acceptors holds it
    durably), so the client-side transition runs synchronously at decision
-   time — exactly where 2PC fires its hook when the last vote lands.
-   Participants applying on their (later) decision messages therefore
-   always release locks after the commit event, whatever the message
-   delays and losses en route. *)
-let distribute t px ~src ~txn ~round ~commit ~psites =
+   time — at F = 0 when the last vote lands, as in 2PC.  Participants
+   applying on their (later) decision messages therefore always release
+   locks after the commit event, whatever the message delays and losses
+   en route.  At F = 0 the leader is the acceptor, which learns the
+   decision in place. *)
+let distribute t ~src ~txn ~round ~commit ~psites =
   on_client_decision t ~txn ~round ~commit;
   List.iter
     (fun site ->
       send t ~src ~dst:site ~kind:"px-decision" (fun () ->
           on_decision t ~txn ~round ~site ~commit))
     psites;
-  List.iter
-    (fun a ->
-      send t ~src ~dst:a ~kind:"px-decision" (fun () ->
-          on_acc_decision px ~txn ~round ~site:a ~commit))
-    (acceptor_sites px)
+  if t.f = 0 then on_acc_decision t ~txn ~round ~site:src ~commit
+  else
+    List.iter
+      (fun a ->
+        send t ~src ~dst:a ~kind:"px-decision" (fun () ->
+            on_acc_decision t ~txn ~round ~site:a ~commit))
+      (acceptor_sites t txn)
 
-let try_decide t px ~leader ~txn (l : lead_entry) =
+let try_decide t ~leader ~txn (l : lead_entry) =
   match (l.l_psites, l.l_home) with
   | Some psites, Some _ ->
     let n = List.length psites in
-    let q = quorum px in
+    let q = quorum t in
     let instance_done i =
       match Int_list.assoc_opt i l.l_accepts with
       | Some acks -> List.length acks >= q
@@ -319,16 +253,16 @@ let try_decide t px ~leader ~txn (l : lead_entry) =
     let rec all_done i = i >= n || (instance_done i && all_done (i + 1)) in
     if all_done 0 then begin
       let commit = List.for_all snd l.l_values in
-      Pair_tbl.remove px.leaders (leader, txn);
-      distribute t px ~src:leader ~txn ~round:l.l_round ~commit ~psites
+      Pair_tbl.remove t.leaders (leader, txn);
+      distribute t ~src:leader ~txn ~round:l.l_round ~commit ~psites
     end
   | _ -> ()
 
 (* Phase 2b, counted by the ballot's leader.  One proposer per (ballot,
    instance) means every 2b of a ballot carries the proposed value, so
    counting distinct acceptors is enough. *)
-let on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader =
-  match Pair_tbl.find_opt px.leaders (leader, txn) with
+let on_2b t ~txn ~round ~instance ~ballot ~acceptor ~leader =
+  match Pair_tbl.find_opt t.leaders (leader, txn) with
   | Some l when l.l_round = round && l.l_ballot = ballot && l.l_phase2 ->
     let cur =
       Option.value ~default:[] (Int_list.assoc_opt instance l.l_accepts)
@@ -337,23 +271,27 @@ let on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader =
       l.l_accepts <-
         (instance, acceptor :: cur)
         :: Int_list.remove_assoc instance l.l_accepts;
-      try_decide t px ~leader ~txn l
+      try_decide t ~leader ~txn l
     end
   | Some _ | None -> ()
 
-let send_2b t px ~acceptor ~txn ~round ~instance ~ballot ~home =
+(* At F = 0 every ballot's leader is the one acceptor, so its 2b is a
+   local step. *)
+let send_2b t ~acceptor ~txn ~round ~instance ~ballot ~home =
   let leader = leader_of_ballot t ~home ballot in
-  send t ~src:acceptor ~dst:leader ~kind:"px-2b" (fun () ->
-      on_2b t px ~txn ~round ~instance ~ballot ~acceptor ~leader)
+  if t.f = 0 then on_2b t ~txn ~round ~instance ~ballot ~acceptor ~leader
+  else
+    send t ~src:acceptor ~dst:leader ~kind:"px-2b" (fun () ->
+        on_2b t ~txn ~round ~instance ~ballot ~acceptor ~leader)
 
 (* Phase 2a at an acceptor: accept iff the ballot meets our promise, force
    the accept record, answer the ballot's leader.  A stale ballot re-sends
    the accept we hold — without logging and without regressing. *)
-let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
-    ~acceptor =
+let rec on_2a t ~txn ~round ~instance ~ballot ~value ~home ~psites ~acceptor
+    =
   let key = (acceptor, txn) in
   let entry =
-    match Pair_tbl.find_opt px.acceptors key with
+    match Pair_tbl.find_opt t.acceptors key with
     | Some a when a.a_round = round -> Some a
     | Some a when a.a_round < round ->
       reset_acceptor a round;
@@ -369,7 +307,7 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
       None
     | None ->
       let a = fresh_acceptor round in
-      Pair_tbl.add px.acceptors key a;
+      Pair_tbl.add t.acceptors key a;
       Some a
   in
   match entry with
@@ -380,7 +318,7 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
     if ballot < a.a_promised then (
       match Int_tbl.find_opt a.a_accepted instance with
       | Some (b, _) ->
-        send_2b t px ~acceptor ~txn ~round ~instance ~ballot:b ~home
+        send_2b t ~acceptor ~txn ~round ~instance ~ballot:b ~home
       | None -> ())
     else begin
       let first_accept = Int_tbl.length a.a_accepted = 0 in
@@ -402,23 +340,23 @@ let rec on_2a t px ~txn ~round ~instance ~ballot ~value ~home ~psites
              { txn; site = acceptor; round; instance; ballot; prepared = value;
                at })
       end;
-      send_2b t px ~acceptor ~txn ~round ~instance ~ballot ~home;
+      send_2b t ~acceptor ~txn ~round ~instance ~ballot ~home;
       if first_accept && Option.is_none a.a_outcome then begin
         t.timer_seq <- t.timer_seq + 1;
         a.a_timer <- t.timer_seq;
-        arm_takeover t px ~acceptor ~txn ~round ~timer:a.a_timer
+        arm_takeover t ~acceptor ~txn ~round ~timer:a.a_timer
           ~attempt:a.a_attempts
       end
     end
 
 (* Phase 1a: promise iff the ballot beats everything seen, force the
    promise record, report our accepts so the new leader proposes safely. *)
-and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
-  match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
+and on_1a t ~txn ~round ~ballot ~leader ~acceptor =
+  match Pair_tbl.find_opt t.acceptors (acceptor, txn) with
   | Some a when a.a_round > round ->
     (* superseded rounds aborted; let the stale leader stand down *)
     send t ~src:acceptor ~dst:leader ~kind:"px-decision" (fun () ->
-        on_acc_decision px ~txn ~round ~site:leader ~commit:false)
+        on_acc_decision t ~txn ~round ~site:leader ~commit:false)
   | entry ->
     let a =
       match entry with
@@ -428,7 +366,7 @@ and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
         a
       | None ->
         let a = fresh_acceptor round in
-        Pair_tbl.add px.acceptors (acceptor, txn) a;
+        Pair_tbl.add t.acceptors (acceptor, txn) a;
         a
     in
     if ballot > a.a_promised then begin
@@ -450,20 +388,19 @@ and on_1a t px ~txn ~round ~ballot ~leader ~acceptor =
       in
       let home = a.a_home and psites = a.a_psites in
       send t ~src:acceptor ~dst:leader ~kind:"px-1b" (fun () ->
-          on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites
+          on_1b t ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites
             ~leader)
     end
 
-and on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites ~leader
-    =
-  match Pair_tbl.find_opt px.leaders (leader, txn) with
+and on_1b t ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites ~leader =
+  match Pair_tbl.find_opt t.leaders (leader, txn) with
   | Some l when l.l_round = round && l.l_ballot = ballot && not l.l_phase2 ->
     if Option.is_none l.l_home then l.l_home <- home;
     if Option.is_none l.l_psites then l.l_psites <- psites;
     if not (Int_list.mem_assoc acceptor l.l_promises) then
       l.l_promises <- (acceptor, accepted) :: l.l_promises;
-    if List.length l.l_promises >= quorum px then
-      start_phase2 t px ~leader ~txn l
+    if List.length l.l_promises >= quorum t then
+      start_phase2 t ~leader ~txn l
   | Some _ | None -> ()
 
 (* Phase 1 is complete: propose, per instance, the highest-ballot value any
@@ -471,7 +408,7 @@ and on_1b t px ~txn ~round ~ballot ~acceptor ~accepted ~home ~psites ~leader
    quorum member knew the participant set (every acceptor replayed from a
    wipe before learning it), stand down; the takeover clock retries and the
    client's round-level retry re-teaches the set. *)
-and start_phase2 t px ~leader ~txn (l : lead_entry) =
+and start_phase2 t ~leader ~txn (l : lead_entry) =
   match (l.l_psites, l.l_home) with
   | Some psites, Some home ->
     l.l_phase2 <- true;
@@ -496,62 +433,68 @@ and start_phase2 t px ~leader ~txn (l : lead_entry) =
         List.iter
           (fun a ->
             send t ~src:leader ~dst:a ~kind:"px-2a" (fun () ->
-                on_2a t px ~txn ~round:l.l_round ~instance:i
-                  ~ballot:l.l_ballot ~value:v ~home ~psites ~acceptor:a))
-          (acceptor_sites px))
+                on_2a t ~txn ~round:l.l_round ~instance:i ~ballot:l.l_ballot
+                  ~value:v ~home ~psites ~acceptor:a))
+          (acceptor_sites t txn))
       l.l_values
   | _ -> ()
 
-and start_takeover t px ~acceptor ~txn (a : acc_entry) =
+and start_takeover t ~acceptor ~txn (a : acc_entry) =
   let n = nsites t in
   let ballot = (((a.a_promised / n) + 1) * n) + acceptor in
   let supersedes =
-    match Pair_tbl.find_opt px.leaders (acceptor, txn) with
+    match Pair_tbl.find_opt t.leaders (acceptor, txn) with
     | Some l ->
       l.l_round < a.a_round || (l.l_round = a.a_round && l.l_ballot < ballot)
     | None -> true
   in
   if supersedes then begin
-    Pair_tbl.replace px.leaders (acceptor, txn)
+    Pair_tbl.replace t.leaders (acceptor, txn)
       { l_round = a.a_round; l_ballot = ballot; l_phase2 = false;
         l_promises = []; l_home = a.a_home; l_psites = a.a_psites;
         l_values = []; l_accepts = [] };
     List.iter
       (fun dst ->
         send t ~src:acceptor ~dst ~kind:"px-1a" (fun () ->
-            on_1a t px ~txn ~round:a.a_round ~ballot ~leader:acceptor
+            on_1a t ~txn ~round:a.a_round ~ballot ~leader:acceptor
               ~acceptor:dst))
-      (acceptor_sites px)
+      (acceptor_sites t txn)
   end
 
-(* The takeover clock: armed at an acceptor's first accept, re-armed with
-   the runtime's capped seeded per-site backoff until the outcome is
-   known.  Twice the inquiry timeout, so prepared participants get to ask
-   before anyone seizes leadership. *)
-and arm_takeover t px ~acceptor ~txn ~round ~timer ~attempt =
+(* The takeover clock: armed at an acceptor's first accept, re-armed until
+   the outcome is known.  Its base is twice the inquiry timeout, so
+   prepared participants get to ask before anyone seizes leadership.  The
+   runtime's seeded per-site backoff caps every delay at 800 units, below
+   the 1a/1b/2a/2b exchange a takeover needs through a lossy transport,
+   so the acceptors' clocks would keep preempting each other's ballots
+   forever; doubling the capped delay with every attempt lets one leader
+   run uncontested long enough. *)
+and arm_takeover t ~acceptor ~txn ~round ~timer ~attempt =
   let after =
-    Runtime.restart_backoff t.rt ~site:acceptor ~base:(2. *. inquiry_timeout)
-      ~attempt
+    Float.ldexp
+      (Runtime.restart_backoff t.rt ~site:acceptor
+         ~base:(2. *. inquiry_timeout) ~attempt)
+      (Int.min attempt 8)
   in
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after (fun () ->
-         match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
+         match Pair_tbl.find_opt t.acceptors (acceptor, txn) with
          | Some a when a.a_timer = timer && a.a_round = round -> (
            match a.a_outcome with
            | Some _ -> ()
            | None ->
-             start_takeover t px ~acceptor ~txn a;
+             start_takeover t ~acceptor ~txn a;
              a.a_attempts <- a.a_attempts + 1;
-             arm_takeover t px ~acceptor ~txn ~round ~timer
+             arm_takeover t ~acceptor ~txn ~round ~timer
                ~attempt:a.a_attempts)
          | Some _ | None -> ()))
 
 (* Outcome inquiry from a prepared participant.  An acceptor that does not
-   know the outcome stays silent — unlike a 2PC coordinator it must not
-   presume abort, because the round may have committed without it.  A
-   superseded round, though, is known-aborted. *)
-let on_inquire_acc t px ~txn ~round ~from ~acceptor =
-  match Pair_tbl.find_opt px.acceptors (acceptor, txn) with
+   know the outcome stays silent — it must not presume abort, because the
+   round may have committed without it; its takeover clock decides the
+   round.  A superseded round, though, is known-aborted. *)
+let on_inquire_acc t ~txn ~round ~from ~acceptor =
+  match Pair_tbl.find_opt t.acceptors (acceptor, txn) with
   | Some a when a.a_round = round -> (
     match a.a_outcome with
     | Some commit ->
@@ -563,36 +506,25 @@ let on_inquire_acc t px ~txn ~round ~from ~acceptor =
         on_decision t ~txn ~round ~site:from ~commit:false)
   | Some _ | None -> ()
 
-(* --- the participant's vote and inquiry, and the decider's begin -------- *)
+(* --- the participant's vote and inquiry, and the home site's begin ------ *)
 
-(* A participant's yes vote: to the 2PC coordinator, or as a ballot-0
-   phase-2a to every acceptor (the Paxos Commit fast path). *)
+(* A participant's yes vote: a ballot-0 phase-2a to every acceptor (the
+   Paxos Commit fast path; at F = 0, 2PC's vote to the coordinator). *)
 let vote t ~txn ~round ~instance ~home ~psites ~site =
-  match t.decider with
-  | Two_pc coords ->
-    send t ~src:site ~dst:home ~kind:"2pc-vote" (fun () ->
-        on_vote t coords ~txn ~round ~site)
-  | Paxos px ->
-    List.iter
-      (fun a ->
-        send t ~src:site ~dst:a ~kind:"px-2a" (fun () ->
-            on_2a t px ~txn ~round ~instance ~ballot:0 ~value:true ~home
-              ~psites ~acceptor:a))
-      (acceptor_sites px)
+  List.iter
+    (fun a ->
+      send t ~src:site ~dst:a ~kind:"px-2a" (fun () ->
+          on_2a t ~txn ~round ~instance ~ballot:0 ~value:true ~home ~psites
+            ~acceptor:a))
+    (acceptor_sites t txn)
 
-(* A prepared participant asks for the outcome: the 2PC coordinator, or
-   every acceptor. *)
+(* A prepared participant asks every acceptor for the outcome. *)
 let inquire t ~site ~txn e =
-  match t.decider with
-  | Two_pc coords ->
-    send t ~src:site ~dst:e.p_home ~kind:"2pc-inquire" (fun () ->
-        on_inquire_coord t coords ~txn ~round:e.p_round ~site)
-  | Paxos px ->
-    List.iter
-      (fun a ->
-        send t ~src:site ~dst:a ~kind:"px-inquire" (fun () ->
-            on_inquire_acc t px ~txn ~round:e.p_round ~from:site ~acceptor:a))
-      (acceptor_sites px)
+  List.iter
+    (fun a ->
+      send t ~src:site ~dst:a ~kind:"px-inquire" (fun () ->
+          on_inquire_acc t ~txn ~round:e.p_round ~from:site ~acceptor:a))
+    (acceptor_sites t txn)
 
 (* Coordinator-crash termination: a prepared participant periodically asks
    for the outcome until it learns one.  The timer re-arms only while its
@@ -609,22 +541,17 @@ let rec arm_inquiry t ~site ~txn ~timer =
          | Some _ | None -> ()))
 
 (* Prepare at a participant: force the round's Prewrite records and the
-   Vote, then vote.  A duplicate prepare re-votes: 2PC for the round the
-   participant holds, Paxos only for the round asked about (an older round
-   is known-aborted).  A newer round supersedes the previous one, which is
-   dead: its abort keeps the WAL replayable; the locks are untouched. *)
+   Vote, then vote.  A duplicate prepare re-votes for the round asked
+   about only (an older round is known-aborted).  A newer round supersedes
+   the previous one, which is dead: its abort keeps the WAL replayable;
+   the locks are untouched. *)
 let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
   let key = (site, txn) in
   if Pair_tbl.mem t.decided key then ack t ~txn ~round ~site
   else
     match Pair_tbl.find_opt t.parts key with
-    | Some e when e.p_round >= round -> (
-      match t.decider with
-      | Two_pc _ ->
-        vote t ~txn ~round:e.p_round ~instance ~home ~psites ~site
-      | Paxos _ ->
-        if e.p_round = round then
-          vote t ~txn ~round ~instance ~home ~psites ~site)
+    | Some e when e.p_round >= round ->
+      if e.p_round = round then vote t ~txn ~round ~instance ~home ~psites ~site
     | prev ->
       (match prev with
        | Some e -> log_decision t ~txn ~round:e.p_round ~site ~commit:false
@@ -640,53 +567,33 @@ let on_prepare t ~txn ~round ~instance ~home ~psites ~site actions =
       t.timer_seq <- t.timer_seq + 1;
       let timer = t.timer_seq in
       Pair_tbl.replace t.parts key
-        { p_round = round; p_home = home; p_actions = actions;
-          p_timer = timer };
+        { p_round = round; p_actions = actions; p_timer = timer };
       Runtime.emit t.rt (Runtime.Prepared { txn; site; round; at });
       vote t ~txn ~round ~instance ~home ~psites ~site;
       arm_inquiry t ~site ~txn ~timer
 
-(* The home site starts a round: a 2PC coordinator, or Paxos's ballot-0
-   leader with phase 1 pre-skipped. *)
+(* The home site starts a round as its ballot-0 leader, phase 1
+   pre-skipped. *)
 let on_begin t ~txn ~round =
   match Int_tbl.find_opt t.clients txn with
-  | None -> ()
-  | Some c -> (
-    let prepare ~kind psites =
-      List.iteri
-        (fun instance (site, actions) ->
-          send t ~src:c.home ~dst:site ~kind (fun () ->
-              on_prepare t ~txn ~round ~instance ~home:c.home ~psites ~site
-                actions))
-        c.participants
-    in
-    match t.decider with
-    | Two_pc coords -> (
-      match Int_tbl.find_opt t.acks txn with
-      | Some k -> resend_commit t txn k (* already decided: re-drive acks *)
-      | None -> (
-        match Int_tbl.find_opt coords txn with
-        | Some e when e.c_round >= round -> () (* stale or duplicate begin *)
-        | Some _ | None ->
-          let sites = List.map fst c.participants in
-          Int_tbl.replace coords txn
-            { c_round = round; c_participants = sites; c_votes = [] };
-          prepare ~kind:"2pc-prepare" sites))
-    | Paxos px ->
-      if c.decided || round < c.round then ()
-      else begin
-        let psites = List.map fst c.participants in
-        (match Pair_tbl.find_opt px.leaders (c.home, txn) with
-         | Some l when l.l_round >= round ->
-           () (* the live round re-begun, or a takeover at our own site *)
-         | Some _ | None ->
-           Pair_tbl.replace px.leaders (c.home, txn)
-             { l_round = round; l_ballot = 0; l_phase2 = true;
-               l_promises = []; l_home = Some c.home; l_psites = Some psites;
-               l_values = List.mapi (fun i _ -> (i, true)) psites;
-               l_accepts = [] });
-        prepare ~kind:"px-prepare" psites
-      end)
+  | Some c when (not c.decided) && round >= c.round ->
+    let psites = List.map fst c.participants in
+    (match Pair_tbl.find_opt t.leaders (c.home, txn) with
+     | Some l when l.l_round >= round ->
+       () (* the live round re-begun, or a takeover at our own site *)
+     | Some _ | None ->
+       Pair_tbl.replace t.leaders (c.home, txn)
+         { l_round = round; l_ballot = 0; l_phase2 = true; l_promises = [];
+           l_home = Some c.home; l_psites = Some psites;
+           l_values = List.mapi (fun i _ -> (i, true)) psites;
+           l_accepts = [] });
+    List.iteri
+      (fun instance (site, actions) ->
+        send t ~src:c.home ~dst:site ~kind:"px-prepare" (fun () ->
+            on_prepare t ~txn ~round ~instance ~home:c.home ~psites ~site
+              actions))
+      c.participants
+  | Some _ | None -> ()
 
 (* --- client ------------------------------------------------------------ *)
 
@@ -694,24 +601,18 @@ let begin_round t txn =
   match Int_tbl.find_opt t.clients txn with
   | Some c when not c.decided ->
     let round = c.round in
-    let kind =
-      match t.decider with Two_pc _ -> "2pc-begin" | Paxos _ -> "px-begin"
-    in
-    send t ~src:c.home ~dst:c.home ~kind (fun () -> on_begin t ~txn ~round)
+    send t ~src:c.home ~dst:c.home ~kind:"px-begin" (fun () ->
+        on_begin t ~txn ~round)
   | Some _ | None -> ()
 
-(* 2PC retries with a fresh round: the old one may have been presumed
-   aborted.  Paxos re-drives the current round, which only advanced if an
-   abort was learned since the last tick; resent prepares are idempotent. *)
+(* The client re-drives the current round, which only advanced if an abort
+   was learned since the last tick; resent prepares are idempotent. *)
 let rec arm_client_retry t txn =
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:client_retry
        (fun () ->
          match Int_tbl.find_opt t.clients txn with
          | Some c when not c.decided ->
-           (match t.decider with
-            | Two_pc _ -> c.round <- c.round + 1
-            | Paxos _ -> ());
            begin_round t txn;
            arm_client_retry t txn
          | Some _ | None -> ()))
@@ -737,12 +638,10 @@ let participants ~site ~action copies =
 
 (* --- crash / recovery --------------------------------------------------- *)
 
-(* Fail-stop wipe of one site's commit state.  Participant entries mirror
-   the WAL and count as preserved.  2PC loses its collecting coordinators
-   (their rounds will be presumed aborted) and keeps its ack table, a
-   mirror of the Coord_commit records; Paxos loses its leaders and ack
-   table (another leader, or a client retry, re-drives the round) and
-   keeps its acceptor state, a mirror of the promise and accept records. *)
+(* Fail-stop wipe of one site's commit state.  Participant and acceptor
+   entries mirror the WAL (the acceptors' promise and accept records) and
+   count as preserved; leaders and the ack table are lost (another leader,
+   or a client retry, re-drives the round). *)
 let wipe t site =
   let at_home txn = home_of t txn = site in
   let drop tbl =
@@ -764,18 +663,15 @@ let wipe t site =
   let acks = drop t.acks in
   let parts = drop_here t.parts in
   ignore (drop_here t.decided);
-  match t.decider with
-  | Two_pc coords -> (drop coords, acks + parts)
-  | Paxos px ->
-    let leaders = drop_here px.leaders in
-    (acks + leaders, parts + drop_here px.acceptors)
+  let leaders = drop_here t.leaders in
+  (acks + leaders, parts + drop_here t.acceptors)
 
 (* Replayed acceptor state re-arms its takeover clock: the outcome is
    unknown after a wipe, and if the round was in fact already decided the
    re-run converges on the same outcome, absorbed idempotently everywhere.
    Only each transaction's highest replayed round matters: lower rounds
    are known-aborted. *)
-let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
+let replay_acceptors t site (r : Ccdb_storage.Wal.replay) =
   let best : int Int_tbl.t = Int_tbl.create 16 in
   let note txn round =
     match Int_tbl.find_opt best txn with
@@ -814,64 +710,46 @@ let replay_acceptors t px site (r : Ccdb_storage.Wal.replay) =
           else meta rest
       in
       meta r.acc_meta;
-      Pair_tbl.replace px.acceptors (site, txn) a;
+      Pair_tbl.replace t.acceptors (site, txn) a;
       if Int_tbl.length a.a_accepted > 0 then begin
         t.timer_seq <- t.timer_seq + 1;
         a.a_timer <- t.timer_seq;
-        arm_takeover t px ~acceptor:site ~txn ~round ~timer:a.a_timer
+        arm_takeover t ~acceptor:site ~txn ~round ~timer:a.a_timer
           ~attempt:0
       end)
     best
 
 (* Recovery: rebuild the WAL mirrors and immediately re-drive anything
    unfinished — in-doubt participants inquire and re-arm their inquiry
-   clocks, 2PC resends unacknowledged commit decisions (duplicates
-   re-acknowledge harmlessly), Paxos acceptors re-arm their takeover
-   clocks. *)
+   clocks, acceptors re-arm their takeover clocks. *)
 let replay t site (r : Ccdb_storage.Wal.replay) =
   List.iter
     (fun (txn, round, commit) ->
       if commit then Pair_tbl.replace t.decided (site, txn) round)
     r.decided;
   List.iter
-    (fun (txn, round, home, actions) ->
+    (fun (txn, round, actions) ->
       t.timer_seq <- t.timer_seq + 1;
       let timer = t.timer_seq in
-      let e =
-        { p_round = round; p_home = home; p_actions = actions;
-          p_timer = timer }
-      in
+      let e = { p_round = round; p_actions = actions; p_timer = timer } in
       Pair_tbl.replace t.parts (site, txn) e;
       inquire t ~site ~txn e;
       arm_inquiry t ~site ~txn ~timer)
     r.in_doubt;
-  match t.decider with
-  | Two_pc _ ->
-    List.iter
-      (fun (txn, round, participants) ->
-        let k =
-          { k_round = round; k_participants = participants; k_acked = [] }
-        in
-        Int_tbl.replace t.acks txn k;
-        resend_commit t txn k)
-      r.coord_pending
-  | Paxos px -> replay_acceptors t px site r
+  replay_acceptors t site r
 
 let create rt hooks =
   if not (Runtime.durable rt) then
     invalid_arg "Commit.create: runtime is not durable";
-  let decider =
-    match Runtime.commit_protocol rt with
-    | Runtime.Two_pc -> Two_pc (Int_tbl.create 64)
-    | Runtime.Paxos { f } ->
-      Paxos { f; acceptors = Pair_tbl.create 64; leaders = Pair_tbl.create 64 }
-  in
+  let (Runtime.Paxos { f }) = Runtime.commit_protocol rt in
   let t =
-    { rt; hooks; decider;
+    { rt; hooks; f;
       clients = Int_tbl.create 64;
       acks = Int_tbl.create 64;
       parts = Pair_tbl.create 64;
       decided = Pair_tbl.create 64;
+      acceptors = Pair_tbl.create 64;
+      leaders = Pair_tbl.create 64;
       timer_seq = 0 }
   in
   Runtime.on_site_wipe rt (fun site -> wipe t site);

@@ -7,9 +7,9 @@
     can never implement a transaction at one copy and lose it at another
     (the analyzer's [thm.partial-commit]).
 
-    Presumed-abort 2PC and Paxos Commit differ only in who decides (Gray &
-    Lamport), so one client, one participant and one recovery serve both;
-    {!Runtime.commit_protocol} picks the decider:
+    The protocol is Paxos Commit (Gray & Lamport) with the fault
+    tolerance [f] of {!Runtime.commit_protocol}; two-phase commit is its
+    [f = 0] case:
 
     - The {e client} — the terminal that issued the transaction, outside
       the failure domain — hands {!commit} the per-site action lists and
@@ -20,29 +20,31 @@
       [Decision], applies its actions exactly once ({!hooks.apply}), logs
       [Applied] and acknowledges to the home site; duplicate decisions
       re-acknowledge without re-applying.
-    - {!Runtime.commit_protocol.Two_pc}: the {e coordinator} at the home
-      site (volatile) collects the votes, force-logs [Coord_commit] — the
-      commit point — and distributes the outcome; once every participant
-      acknowledged it logs [Coord_end] and forgets.  A coordinator that
-      remembers nothing about a round presumes abort, and the client
-      retries with a fresh round.  A coordinator fail-stop inside the
-      decision window blocks the round, then presumes it aborted.
-    - {!Runtime.commit_protocol.Paxos}: each participant's vote is one
-      single-decree Paxos instance over the [2f+1] acceptors at sites
-      [0..2f], so the round decides as long as [f+1] acceptors are up.
-      Participants send their yes vote as a ballot-0 phase-2a straight to
-      the acceptors, which force-log promises and accepts
-      ([Acceptor_promise]/[Acceptor_accept]) and take over leadership on a
-      timer if the outcome stays unknown.  The quorum accept is the commit
-      point; the client re-drives the same round, which advances only
-      after a learned abort.  See DESIGN.md §15.
+    - Each participant's vote is one single-decree Paxos instance over
+      the [2f+1] acceptors, so the round decides as long as [f+1]
+      acceptors are up.  Participants send their yes vote as a ballot-0
+      phase-2a straight to the acceptors, which force-log promises and
+      accepts ([Acceptor_promise]/[Acceptor_accept]) and take over
+      leadership on a timer, whose delay doubles with each attempt, if
+      the outcome stays unknown.  The quorum accept is the commit point;
+      the client re-drives the same round, which advances only after a
+      learned abort.
+    - At [f = 0] the one acceptor is the transaction's home site, the
+      same process as the ballot-0 leader (2PC's coordinator): its
+      phase-2b and its copy of the decision are local steps, so a
+      fault-free round sends one begin, then one prepare, one vote, one
+      decision and one ack per participant.  A round open when the home
+      site fail-stops waits for its recovery: the replayed acceptor
+      finishes it by takeover, committing it if every vote was accepted.
+    - At [f >= 1] the acceptors are sites [0..2f].  See DESIGN.md §15.
 
     An aborted round keeps the participants' locks: post-execution the
     transaction never aborts, only the round is retried, so PA
     transactions stay restart-free (Corollary 1).  Crash wipes erase the
     volatile state; recovery rebuilds in-doubt participants, decided
-    rounds and the decider's logged state from the WAL
-    ({!Runtime.on_wal_replay}) and re-inquires immediately. *)
+    rounds and the acceptors' promises and accepts from the WAL
+    ({!Runtime.on_wal_replay}), re-inquires immediately and re-arms the
+    acceptors' takeover clocks. *)
 
 type hooks = {
   apply : txn:int -> site:int -> Ccdb_storage.Wal.action list -> unit;
@@ -58,8 +60,8 @@ type hooks = {
 type t
 
 val create : Runtime.t -> hooks -> t
-(** Builds the decider named by [Runtime.commit_protocol rt] and registers
-    the wipe and WAL-replay handlers on the runtime.
+(** Builds Paxos Commit with the [f] of [Runtime.commit_protocol rt] and
+    registers the wipe and WAL-replay handlers on the runtime.
     @raise Invalid_argument if the runtime is not {!Runtime.durable}. *)
 
 val participants :

@@ -1,8 +1,11 @@
 type detection =
-  | Centralized of { interval : float; detector_site : int }
+  | Centralized of { interval : float }
   | Edge_chasing of { probe_delay : float }
 
-let default_detection = Centralized { interval = 100.; detector_site = 0 }
+let default_detection = Centralized { interval = 100. }
+
+(* where the centralized detector runs *)
+let detector_site = 0
 
 type victim_choice = int list -> int option
 
@@ -14,7 +17,6 @@ type t = {
   engine : Ccdb_sim.Engine.t;
   net : Ccdb_sim.Net.t;
   interval : float;
-  detector_site : int;
   edges : (int -> int -> unit) -> unit;
   graph : Ccdb_serial.Conflict_graph.Builder.t;  (* reused by every scan *)
   choose_victim : victim_choice;
@@ -26,11 +28,11 @@ type t = {
   mutable cycles_found : int;
 }
 
-let create_centralized ~engine ~net ~interval ~detector_site ~edges
-    ~choose_victim ~victim_site ~abort =
+let create_centralized ~engine ~net ~interval ~edges ~choose_victim
+    ~victim_site ~abort =
   (* negated so that a NaN interval is refused too *)
   if not (interval > 0.) then invalid_arg "Deadlock: interval must be positive";
-  { engine; net; interval; detector_site; edges;
+  { engine; net; interval; edges;
     graph = Ccdb_serial.Conflict_graph.Builder.create (); choose_victim;
     victim_site; abort; running = false; pending = -1; scans = 0;
     cycles_found = 0 }
@@ -43,8 +45,8 @@ let scan t =
   (* each site reports its local wait-for edges to the detector site *)
   let sites = Ccdb_sim.Net.sites t.net in
   for site = 0 to sites - 1 do
-    if site <> t.detector_site then
-      Ccdb_sim.Net.send t.net ~src:site ~dst:t.detector_site ~kind:"wfg-report"
+    if site <> detector_site then
+      Ccdb_sim.Net.send t.net ~src:site ~dst:detector_site ~kind:"wfg-report"
         (fun () -> ())
   done;
   let module B = Ccdb_serial.Conflict_graph.Builder in
@@ -60,7 +62,7 @@ let scan t =
        (match t.victim_site victim with
         | None -> ()
         | Some site ->
-          Ccdb_sim.Net.send t.net ~src:t.detector_site ~dst:site ~kind:"abort"
+          Ccdb_sim.Net.send t.net ~src:detector_site ~dst:site ~kind:"abort"
             (fun () -> t.abort victim)))
 
 let rec tick t =

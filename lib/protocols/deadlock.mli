@@ -2,8 +2,8 @@
 
     Two detectors are provided, matching the mechanisms the paper cites:
 
-    - {b Centralized}: a detector process at a designated site periodically
-      collects the wait-for graph.  Each scan costs one report message per
+    - {b Centralized}: a detector process at site 0 periodically collects
+      the wait-for graph.  Each scan costs one report message per
       site plus one abort message per victim, and the abort takes effect only
       after the simulated network delay — so detection time and cost (the
       paper's parameter (6)) are both modelled.
@@ -14,13 +14,13 @@
 
 (** How a system detects 2PL deadlocks. *)
 type detection =
-  | Centralized of { interval : float; detector_site : int }
-      (** periodic wait-for-graph collection at one site *)
+  | Centralized of { interval : float }
+      (** periodic wait-for-graph collection at site 0 *)
   | Edge_chasing of { probe_delay : float }
       (** Chandy-Misra-Haas probes ({!Edge_chasing}) *)
 
 val default_detection : detection
-(** [Centralized { interval = 100.; detector_site = 0 }]. *)
+(** [Centralized { interval = 100. }]. *)
 
 type victim_choice = int list -> int option
 (** Picks the victim from a witness cycle; [None] aborts nothing (used when
@@ -36,7 +36,6 @@ val create_centralized :
   engine:Ccdb_sim.Engine.t ->
   net:Ccdb_sim.Net.t ->
   interval:float ->
-  detector_site:int ->
   edges:((int -> int -> unit) -> unit) ->
   choose_victim:victim_choice ->
   victim_site:(int -> int option) ->

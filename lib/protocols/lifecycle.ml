@@ -112,11 +112,11 @@ let detect_deadlocks live detection tables ~waits_for p =
   let holds pred id = match find live id with Some st -> pred st | None -> false in
   live.detector <-
     (match detection with
-     | Deadlock.Centralized { interval; detector_site } ->
+     | Deadlock.Centralized { interval } ->
        let restarting = holds p.restarting in
        Central
          (Deadlock.create_centralized ~engine:(Runtime.engine rt)
-            ~net:(Runtime.net rt) ~interval ~detector_site
+            ~net:(Runtime.net rt) ~interval
             ~edges:(fun add ->
               Copies.fold
                 (fun ~item:_ ~site:_ q () -> waits_for q add)

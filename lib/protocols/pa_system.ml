@@ -2,10 +2,6 @@ module Copies = Ccdb_storage.Copy_table
 module Int_list = Ccdb_util.Int_list
 module L = Lifecycle
 
-type config = { backoff_interval : int }
-
-let default_config = { backoff_interval = 8 }
-
 type slot_state = Waiting | Granted of int | Backed of int
 
 (* one per copy the transaction negotiates *)
@@ -27,10 +23,9 @@ type txn_state = {
 
 type t = {
   rt : Runtime.t;
-  config : config;
   queues : Pa_queue.t Copies.t;
   live : txn_state L.live;
-  mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
+  mutable committer : Commit.t option; (* durable runtimes only *)
 }
 
 let set_slot st ~item ~site state =
@@ -153,7 +148,7 @@ and finish t st =
   st.executed <- Runtime.now t.rt;
   match t.committer with
   | Some c ->
-    (* durable: releases wait for the presumed-abort 2PC decision *)
+    (* durable: releases wait for the commit decision *)
     Commit.commit c ~txn:txn.id ~home:txn.site
       ~participants:
         (Commit.participants (L.copies t.rt txn)
@@ -225,7 +220,7 @@ let submit t ?payload txn =
   in
   L.admit t.live ~duplicate:"Pa_system.submit: duplicate transaction id"
     txn.id st;
-  let interval = t.config.backoff_interval in
+  let interval = Ccdb_model.Timestamp.Tuple.backoff_interval in
   List.iter
     (fun (item, site, op) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
@@ -253,9 +248,9 @@ let submit t ?payload txn =
           pump t ~item ~site))
     copies
 
-let create ?(config = default_config) rt =
+let create rt =
   let t =
-    { rt; config; queues = Copies.create (Runtime.catalog rt) Pa_queue.create;
+    { rt; queues = Copies.create (Runtime.catalog rt) Pa_queue.create;
       live = L.live rt; committer = None }
   in
   if Runtime.durable rt then begin

@@ -8,19 +8,11 @@
     revoked and re-issued), waits for all grants, executes, and releases.
     PA transactions never restart and never deadlock (Corollary 1). *)
 
-type config = {
-  backoff_interval : int;
-      (** INT of every transaction's timestamp tuple (paper leaves the
-          choice free; a constant matching the timestamp granularity works
-          well) *)
-}
-
-val default_config : config
-(** backoff_interval 8. *)
-
 type t
 
-val create : ?config:config -> Runtime.t -> t
+val create : Runtime.t -> t
+(** Every transaction's timestamp tuple carries
+    {!Ccdb_model.Timestamp.Tuple.backoff_interval}. *)
 
 val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)

@@ -1,8 +1,6 @@
 (* Which atomic-commitment protocol the durable paths run (inert unless the
    runtime is durable; see Commit). *)
-type commit_protocol =
-  | Two_pc
-  | Paxos of { f : int }
+type commit_protocol = Paxos of { f : int }
 
 type restart_reason =
   | To_rejected of Ccdb_model.Op.kind
@@ -131,18 +129,18 @@ type event =
       site : int;
       records : int;
       reacquired : int;         (* live grants/semi-locks restored *)
-      in_doubt : int;           (* voted 2PC rounds awaiting a decision *)
+      in_doubt : int;           (* voted commit rounds awaiting a decision *)
       at : float;
     }
   | Prepared of {
-      (* 2PC participant force-logged its prewrites and voted yes *)
+      (* commit participant force-logged its prewrites and voted yes *)
       txn : int;
       site : int;
       round : int;
       at : float;
     }
   | Decision_logged of {
-      (* 2PC participant learned and force-logged the round's outcome *)
+      (* commit participant learned and force-logged the round's outcome *)
       txn : int;
       site : int;
       round : int;
@@ -380,17 +378,15 @@ let restart_backoff t ~site ~base ~attempt =
       let capped = Float.min restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
-let create ?(seed = 42) ?faults ?replay_cost ?(commit = Two_pc) ~net_config
-    ~catalog () =
+let create ?(seed = 42) ?faults ?replay_cost ?(commit = Paxos { f = 0 })
+    ~net_config ~catalog () =
   if net_config.Ccdb_sim.Net.sites <> Ccdb_storage.Catalog.sites catalog then
     invalid_arg "Runtime.create: catalog/network site count mismatch";
-  (match commit with
-   | Two_pc -> ()
-   | Paxos { f } ->
-     if f < 0 then invalid_arg "Runtime.create: negative Paxos f";
-     if (2 * f) + 1 > net_config.Ccdb_sim.Net.sites then
-       invalid_arg
-         "Runtime.create: Paxos needs 2f+1 acceptor sites (not enough sites)");
+  (let (Paxos { f }) = commit in
+   if f < 0 then invalid_arg "Runtime.create: negative Paxos f";
+   if (2 * f) + 1 > net_config.Ccdb_sim.Net.sites then
+     invalid_arg
+       "Runtime.create: Paxos needs 2f+1 acceptor sites (not enough sites)");
   let rng = Ccdb_util.Rng.create ~seed in
   let engine = Ccdb_sim.Engine.create () in
   let net_rng = Ccdb_util.Rng.split rng in

@@ -7,14 +7,15 @@
     directly comparable. *)
 
 (** Which atomic-commitment protocol the durable paths run — selected at
-    {!create} and read back by [Commit], which builds its decider from it.
-    Inert unless the runtime is {!durable}. *)
+    {!create} and read back by [Commit].  Inert unless the runtime is
+    {!durable}. *)
 type commit_protocol =
-  | Two_pc  (** presumed-abort two-phase commit (the historical default) *)
   | Paxos of { f : int }
-      (** Paxos Commit (Gray–Lamport) over the [2f+1] acceptor sites
-          [0 .. 2f]: tolerates [f] simultaneous fail-stop acceptors with no
-          blocking window *)
+      (** Paxos Commit (Gray–Lamport).  [f = 0] is two-phase commit: the one
+          acceptor is each transaction's home site, the coordinator, and a
+          round it holds blocks until that site recovers.  [f >= 1] runs
+          over the [2f+1] acceptor sites [0 .. 2f]: tolerates [f]
+          simultaneous fail-stop acceptors with no blocking window *)
 
 type restart_reason =
   | To_rejected of Ccdb_model.Op.kind
@@ -149,18 +150,18 @@ type event =
       site : int;
       records : int;    (** stable-log records scanned *)
       reacquired : int; (** live grants/semi-locks restored *)
-      in_doubt : int;   (** voted 2PC rounds awaiting a decision *)
+      in_doubt : int;   (** voted commit rounds awaiting a decision *)
       at : float;
     }  (** recovery replayed the site's write-ahead log before rejoining *)
   | Prepared of { txn : int; site : int; round : int; at : float }
-      (** 2PC participant force-logged its prewrites and voted yes *)
+      (** commit participant force-logged its prewrites and voted yes *)
   | Decision_logged of {
       txn : int;
       site : int;
       round : int;
       commit : bool;
       at : float;
-    }  (** 2PC participant learned and force-logged the round's outcome *)
+    }  (** commit participant learned and force-logged the round's outcome *)
   | Acceptor_promised of {
       txn : int;
       site : int;
@@ -242,8 +243,9 @@ val create :
     {!on_site_wipe}, and each recovery replays the site's log
     ({!Ccdb_sim.Recovery}, with per-record cost [replay_cost]) before the
     {!on_wal_replay} handlers rebuild commit state.
-    [commit] (default {!commit_protocol.Two_pc}) selects the atomic-
-    commitment protocol the durable paths build ({!commit_protocol}).
+    [commit] (default [Paxos { f = 0 }], two-phase commit) selects the
+    atomic-commitment protocol the durable paths build
+    ({!commit_protocol}).
     @raise Invalid_argument if the catalog's site count differs from the
     network's, if a Paxos [commit] has [f < 0] or
     needs more acceptor sites than exist, or if the plan is rejected by

@@ -35,11 +35,12 @@ type t = {
   config : config;
   tables : Lock_table.t Copies.t;
   live : txn_state L.live;
-  mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
+  mutable committer : Commit.t option; (* durable runtimes only *)
 }
 
-(* Commit point: the transaction is durably decided.  Without 2PC this is
-   the end of the compute phase; with it, the coordinator's commit record. *)
+(* Commit point: the transaction is durably decided.  Without a commit
+   protocol this is the end of the compute phase; with one, the learned
+   decision. *)
 let commit_txn t st =
   let txn = st.txn in
   Runtime.emit t.rt
@@ -123,7 +124,7 @@ and finish t st =
   match t.committer with
   | Some c ->
     (* durable: past the lock point the transaction's fate is settled by
-       presumed-abort 2PC; locks are released when each participant learns
+       the commit protocol; locks are released when each participant learns
        the decision *)
     Commit.commit c ~txn:txn.id ~home:txn.site
       ~participants:(participants_of st value_for)

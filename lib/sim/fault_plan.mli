@@ -32,7 +32,8 @@
       home site crashes at [T].  Roles are symbolic until the harness pins
       them to concrete sites with {!resolve}.
     - [crash=acceptor:K@T+D] — role-targeted: the [K]-th Paxos acceptor
-      crashes at [T]
+      crashes at [T] (with one acceptor per transaction, at its home site,
+      that acceptor's crash is [crash=coordinator])
     - [link=SRC>DST/…] — override [drop]/[dup]/[delay] for one directed link
     - [wipe=B] — [true] for fail-stop crashes, [false] (default) fail-pause
     - [seed=N] — seed of the plan's private fault RNG *)

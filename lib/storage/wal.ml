@@ -15,8 +15,6 @@ type record =
   | Vote of { txn : int; round : int; coordinator : int }
   | Decision of { txn : int; round : int; commit : bool }
   | Applied of { txn : int; round : int }
-  | Coord_commit of { txn : int; round : int; participants : int list }
-  | Coord_end of { txn : int; round : int }
   | Acceptor_promise of { txn : int; round : int; ballot : int }
   | Acceptor_accept of {
       txn : int;
@@ -65,10 +63,9 @@ let records t ~site =
 type replay = {
   scanned : int;
   live_grants : int;
-  in_doubt : (int * int * int * action list) list;
+  in_doubt : (int * int * action list) list;
   decided : (int * int * bool) list;
   applied : int list;
-  coord_pending : (int * int * int list) list;
   promised : ((int * int) * int) list;
   accepted : ((int * int * int) * (int * bool)) list;
   acc_meta : ((int * int) * (int * int list)) list;
@@ -79,15 +76,13 @@ let replay t ~site =
   let log = List.rev t.logs.(site) in
   let scanned = List.length log in
   let live = ref 0 in
-  (* 2PC bookkeeping keyed by (txn, round) *)
-  let votes : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* participant bookkeeping keyed by (txn, round) *)
+  let votes : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let prewrites : (int * int, action list) Hashtbl.t = Hashtbl.create 16 in
   let decisions : (int * int, bool) Hashtbl.t = Hashtbl.create 16 in
   let applied = ref [] in
   let decided = ref [] in
   let vote_order = ref [] in
-  let coord : (int * int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let coord_order = ref [] in
   (* Paxos acceptor state: highest promise per (txn, round), highest-ballot
      accept per (txn, round, instance) *)
   let promises : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -108,19 +103,14 @@ let replay t ~site =
             match Hashtbl.find_opt prewrites key with Some l -> l | None -> []
           in
           Hashtbl.replace prewrites key (action :: prev)
-      | Vote { txn; round; coordinator } ->
+      | Vote { txn; round; _ } ->
           let key = (txn, round) in
           if not (Hashtbl.mem votes key) then vote_order := key :: !vote_order;
-          Hashtbl.replace votes key coordinator
+          Hashtbl.replace votes key ()
       | Decision { txn; round; commit } ->
           Hashtbl.replace decisions (txn, round) commit;
           decided := (txn, round, commit) :: !decided
       | Applied { txn; _ } -> applied := txn :: !applied
-      | Coord_commit { txn; round; participants } ->
-          let key = (txn, round) in
-          if not (Hashtbl.mem coord key) then coord_order := key :: !coord_order;
-          Hashtbl.replace coord key participants
-      | Coord_end { txn; round } -> Hashtbl.remove coord (txn, round)
       | Acceptor_promise { txn; round; ballot } ->
           let key = (txn, round) in
           let prev = Option.value ~default:(-1) (Hashtbl.find_opt promises key) in
@@ -148,20 +138,12 @@ let replay t ~site =
            if Hashtbl.mem decisions (txn, round) then None
            else if List.mem txn applied_set then None
            else
-             let coordinator = Hashtbl.find votes (txn, round) in
              let actions =
                match Hashtbl.find_opt prewrites (txn, round) with
                | Some l -> List.rev l
                | None -> []
              in
-             Some (txn, round, coordinator, actions))
-  in
-  let coord_pending =
-    List.rev !coord_order
-    |> List.filter_map (fun key ->
-           match Hashtbl.find_opt coord key with
-           | Some participants -> Some (fst key, snd key, participants)
-           | None -> None)
+             Some (txn, round, actions))
   in
   {
     scanned;
@@ -169,7 +151,6 @@ let replay t ~site =
     in_doubt;
     decided = List.rev !decided;
     applied = List.rev !applied;
-    coord_pending;
     promised =
       List.rev !promise_order
       |> List.map (fun key -> (key, Hashtbl.find promises key));
@@ -204,10 +185,6 @@ let pp_record ppf = function
       Format.fprintf ppf "decision t%d/%d %s" txn round
         (if commit then "commit" else "abort")
   | Applied { txn; round } -> Format.fprintf ppf "applied t%d/%d" txn round
-  | Coord_commit { txn; round; participants } ->
-      Format.fprintf ppf "coord-commit t%d/%d [%s]" txn round
-        (String.concat "," (List.map string_of_int participants))
-  | Coord_end { txn; round } -> Format.fprintf ppf "coord-end t%d/%d" txn round
   | Acceptor_promise { txn; round; ballot } ->
       Format.fprintf ppf "acc-promise t%d/%d b%d" txn round ballot
   | Acceptor_accept { txn; round; instance; ballot; prepared; home; psites } ->

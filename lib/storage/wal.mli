@@ -37,22 +37,18 @@ type record =
   | Release of { txn : int; item : int; op : Ccdb_model.Op.kind; aborted : bool }
       (** the entry left the queue (implemented or aborted) *)
   | Prewrite of { txn : int; round : int; action : action }
-      (** 2PC: one action of a prepared transaction, forced before the vote *)
+      (** commit participant: one action of a prepared transaction, forced
+          before the vote *)
   | Vote of { txn : int; round : int; coordinator : int }
-      (** 2PC participant voted yes for this round (forced before the vote
-          message; presumed abort logs no explicit abort votes) *)
+      (** commit participant voted yes for this round (forced before the
+          vote message; no participant votes no).  [coordinator] is the
+          round's home site. *)
   | Decision of { txn : int; round : int; commit : bool }
-      (** 2PC participant learned the outcome of the round *)
+      (** commit participant learned the outcome of the round *)
   | Applied of { txn : int; round : int }
       (** the participant implemented the committed actions *)
-  | Coord_commit of { txn : int; round : int; participants : int list }
-      (** coordinator commit record — the transaction's commit point.
-          Presumed abort: this is the {e first} coordinator record of a
-          transaction; a coordinator with no record presumes abort. *)
-  | Coord_end of { txn : int; round : int }
-      (** every participant acknowledged; the coordinator forgets the txn *)
   | Acceptor_promise of { txn : int; round : int; ballot : int }
-      (** Paxos Commit acceptor promised to ignore ballots below [ballot]
+      (** Paxos Commit acceptor (at F = 0 the home site) promised to ignore ballots below [ballot]
           for every instance of this commit round — forced before the
           phase-1b reply leaves the site, so a fail-stop acceptor recovers
           the promise via {!replay} and can never regress *)
@@ -100,16 +96,13 @@ type replay = {
   live_grants : int;
       (** grants not yet released or revoked — the semi-locks and locks the
           recovering site still holds on behalf of remote issuers *)
-  in_doubt : (int * int * int * action list) list;
-      (** [(txn, round, coordinator, actions)]: voted rounds with no
-          decision and no applied transaction — must re-inquire *)
+  in_doubt : (int * int * action list) list;
+      (** [(txn, round, actions)]: voted rounds with no decision and no
+          applied transaction — must re-inquire *)
   decided : (int * int * bool) list;
       (** [(txn, round, commit)] decision records, oldest first *)
   applied : int list;
       (** transactions whose committed actions were implemented here *)
-  coord_pending : (int * int * int list) list;
-      (** [(txn, round, participants)]: commit records without a matching
-          {!record.Coord_end} — decisions that must be re-sent *)
   promised : ((int * int) * int) list;
       (** [((txn, round), ballot)]: the highest ballot this site promised
           for each commit round it acted as a Paxos acceptor for, in first-

@@ -932,8 +932,7 @@ let prop_u_theorem3 =
       let config =
         { U.default_config with
           detection =
-            Ccdb_protocols.Deadlock.Centralized
-              { interval = 1e8; detector_site = 0 } }
+            Ccdb_protocols.Deadlock.Centralized { interval = 1e8 } }
       in
       let sys = U.create ~config rt in
       random_mixed_workload ~seed ~sites ~items ~n rt sys;

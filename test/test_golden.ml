@@ -35,8 +35,9 @@ let setup = { D.default_setup with items = 16 }
 
 (* Every site's WAL in full: each record as [Wal.pp_record] prints it, at
    its exact instant, with the [Prewrite] fields [pp_record] leaves out.
-   The trace cannot see the coordinator's [Coord_commit]/[Coord_end]
-   records or the order of a participant's [Prewrite] records. *)
+   The trace cannot see the home site and participant set an acceptor's
+   [Acceptor_accept] record carries, or the order of a participant's
+   [Prewrite] records. *)
 let wal_digest rt =
   let module W = Ccdb_storage.Wal in
   let wal = Rt.wal rt in
@@ -135,46 +136,41 @@ let test_fail_stop () =
   let faults = stop_plan in
   let paxos = { setup with commit = Rt.Paxos { f = 1 } } in
   check_all
-    [ mode_case ~faults (D.Pure P.Two_pl) "6d9d0259700de158be0cafd1d643e7b1" 4018;
+    [ mode_case ~faults (D.Pure P.Two_pl) "34c287fa5452fa885e650d703da4cab2" 4420;
       mode_case ~faults (D.Pure P.T_o) "224bb5dcb8aa2e0a50554cc76ab53ef7" 2386;
-      mode_case ~faults (D.Pure P.Pa) "67781bb0fa921848fc3f7e5cff0b4c0f" 2026;
-      mode_case ~faults D.Unified "58654948681704b9c91f92e6d8ce9157" 3150;
+      mode_case ~faults (D.Pure P.Pa) "baa768fce4613d654d2e86aaef8f4911" 2175;
+      mode_case ~faults D.Unified "4ee39aa01bcd7b3fa292c17748462672" 3194;
       mode_case ~faults D.Mvto "bf406f3050acf3b8688216fe9c099ee6" 2373;
       mode_case ~faults D.Conservative "b6acbdeac48cd8c657a1ac7a60ae2115" 1189;
       mode_case ~label:"paxos " ~faults ~setup:paxos (D.Pure P.Two_pl)
-        "5c17be93f0e237979746dcdeadced195" 6323;
+        "de4b5cd0744a27f9020fce4a559e0595" 6144;
       mode_case ~label:"paxos " ~faults ~setup:paxos D.Unified
         "79b9260818d58a741a50966e0d62121d" 4971 ]
 
 (* The WAL of the modes that commit through [Commit], on [stop_plan], under
-   2PC and under Paxos Commit over one, three and five acceptors (five
-   sites for f=2).  Every row pins the WAL digest; the rows no other case
-   pins also pin the trace digest and event count. *)
+   2PC (Paxos Commit with f=0: one acceptor, at the home site) and under
+   Paxos Commit over three and five acceptors (five sites for f=2).  Every
+   row pins the WAL digest; the rows no other case pins also pin the trace
+   digest and event count. *)
 let test_fail_stop_wal () =
   let paxos f =
     { setup with sites = Int.max 4 ((2 * f) + 1); commit = Rt.Paxos { f } }
   in
   let rows =
-    [ ("2pc", setup, D.Pure P.Two_pl, "4f2f8b09e53761350e3aa9e9da2f7f8b",
+    [ ("2pc", setup, D.Pure P.Two_pl, "b9cfc2289fbf715f0df9c290687799ae",
        None);
-      ("2pc", setup, D.Pure P.Pa, "7181d7c25ef372e7549b1c378d362cc7",
+      ("2pc", setup, D.Pure P.Pa, "a9742a614c87f9103e7945289265150f",
        None);
-      ("2pc", setup, D.Unified, "bcc1e57b71ed6eeb3572995cef59f030",
+      ("2pc", setup, D.Unified, "4f35218d72bd5f49a4f2d3c9c1f63d5d",
        None);
-      ("paxos:0", paxos 0, D.Pure P.Two_pl, "c9a74df40a13cc55110206a324f466f4",
-       Some ("ece8bf7886dbc55ce9757c1e52eb1072", 4399));
-      ("paxos:0", paxos 0, D.Pure P.Pa, "127f85d4a271841c75f181e635533f9e",
-       Some ("c8a51cb2bb00ecfadff3a5417c7081a8", 2343));
-      ("paxos:0", paxos 0, D.Unified, "aa7b159fd10f29d35a7d429e51b03125",
-       Some ("fe007985686082bd2cbf3b9fe228647a", 3694));
-      ("paxos:1", paxos 1, D.Pure P.Two_pl, "ce5cb3ac48c5369092f8c5ad74fb5a79",
+      ("paxos:1", paxos 1, D.Pure P.Two_pl, "3c9a812ba3399412f4cb620831b9d6ed",
        None);
       ("paxos:1", paxos 1, D.Pure P.Pa, "0998322dc85fa31c1df2e2238c16fa38",
        Some ("46644bd66c64d98f532d4f92bf47a440", 3836));
       ("paxos:1", paxos 1, D.Unified, "01ac3213d7c6b866cd7967120966d728",
        None);
-      ("paxos:2", paxos 2, D.Pure P.Two_pl, "c9d12ce5946966588b914786f483215a",
-       Some ("1e380c5d9ce7012e9a9353a87d1df84a", 7394));
+      ("paxos:2", paxos 2, D.Pure P.Two_pl, "c3ce47621cdd4bc3e9695ee90ecdabb0",
+       Some ("0cd66072a05234cb5c66c96643a7fe78", 7483));
       ("paxos:2", paxos 2, D.Pure P.Pa, "bed6fe8db6cd8c9f8d2d0f7a364908ec",
        Some ("a4f0fed96549820033b0386d07297e29", 5230));
       ("paxos:2", paxos 2, D.Unified, "10ee3bdc2bef5e672752794a3ead64bb",
@@ -199,8 +195,10 @@ let test_fail_stop_wal () =
 (* Plans with what the two above lack: extra delay, per-link overrides and
    role-targeted crashes, resolved against the workload.  The fail-pause
    plan crashes the coordinator; the fail-stop one crashes it and then
-   acceptor 1 (site 1 under either engine).  Without wipe=true no commit
-   engine runs, so only the fail-stop plan has a Paxos case. *)
+   acceptor 1, which is site 1 (under 2PC, whose one acceptor is each
+   transaction's home site, site 1 is then only a participant).  Without
+   wipe=true no commit engine runs, so only the fail-stop plan has a
+   Paxos f=1 case. *)
 let role_pause_plan =
   plan_of_string
     "drop=0.05,delay=0.1x25,link=1>2/drop=0.4/dup=0.2,\
@@ -220,13 +218,13 @@ let test_delay_link_role () =
       mode_case ~label:"pause " ~faults:pause D.Unified
         "286b5ea37b06d64508ea538c16378ef0" 1861;
       mode_case ~label:"stop " ~faults:stop (D.Pure P.Two_pl)
-        "3a679e9c2eee6ca8b7d622e29c124a63" 5251;
+        "58fdf31917e5b25f5ac5bd3c37b3fa17" 5068;
       mode_case ~label:"stop " ~faults:stop D.Unified
-        "5ce0c00195a583537f994f4b7e37b57a" 3874;
+        "5b53a7679313d5547093f8bce61f7a1e" 4219;
       mode_case ~label:"stop paxos " ~faults:stop ~setup:paxos
-        (D.Pure P.Two_pl) "a935eb35090613a794be121d92818f94" 9252;
+        (D.Pure P.Two_pl) "1e83ba3e53f11dcc0023fceef1481ba4" 7901;
       mode_case ~label:"stop paxos " ~faults:stop ~setup:paxos D.Unified
-        "da42abb69237c0e3c6666b2eca661821" 6566 ]
+        "77fa6455cb450313e77a3f82b5c4a979" 7007 ]
 
 (* The 22 experiment tables at quick scale, rendered as
    [ccdb_cli experiments --quick] prints them: no other test pins table
@@ -238,7 +236,7 @@ let test_quick_tables () =
     |> String.concat ""
   in
   Alcotest.(check string)
-    "experiments --quick" "5ee1b837b85e21c87110a9a09fec9a11"
+    "experiments --quick" "18294461158c71eeb64be0f242eb88e0"
     (Digest.to_hex (Digest.string printed))
 
 let suites =

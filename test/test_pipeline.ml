@@ -131,12 +131,14 @@ let plan text =
 
 let fail_stop = "drop=0.05,crash=coordinator@400+300,wipe=true,seed=11"
 
+let two_pc = Rt.Paxos { f = 0 }
+
 let plans =
-  [ ("fault-free", None, Rt.Two_pc);
+  [ ("fault-free", None, two_pc);
     ( "fail-pause",
       plan "drop=0.1,crash=1@400+300,crash=2@1200+300,seed=11",
-      Rt.Two_pc );
-    ("fail-stop 2pc", plan fail_stop, Rt.Two_pc);
+      two_pc );
+    ("fail-stop 2pc", plan fail_stop, two_pc);
     ("fail-stop paxos f=1", plan fail_stop, Rt.Paxos { f = 1 }) ]
 
 (* One differential-audited run with the insights collector: the audit

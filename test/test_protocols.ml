@@ -1076,7 +1076,6 @@ let test_centralized_detector_unit () =
   let aborted = ref [] in
   let d =
     Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net ~interval:10.
-      ~detector_site:0
       ~edges:(fun add -> List.iter (fun (a, b) -> add a b) !edges)
       ~choose_victim:Ccdb_protocols.Deadlock.youngest
       ~victim_site:(fun _ -> Some 1)
@@ -1117,7 +1116,6 @@ let test_centralized_detector_reuse () =
     let scan = ref 0 and found = ref [] in
     let d =
       Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net ~interval:10.
-        ~detector_site:0
         ~edges:(fun add ->
           incr scan;
           List.iter (fun (a, b) -> add a b) (graph !scan))
@@ -1162,8 +1160,7 @@ let test_detector_period_guards () =
         (Invalid_argument "Deadlock: interval must be positive") (fun () ->
           ignore
             (Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net
-               ~interval ~detector_site:0
-               ~edges:(fun _ -> ())
+               ~interval ~edges:(fun _ -> ())
                ~choose_victim:Ccdb_protocols.Deadlock.youngest
                ~victim_site:(fun _ -> None) ~abort:ignore)))
     [ 0.; -1.; nan ];

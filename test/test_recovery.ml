@@ -1,6 +1,6 @@
 (* Durability: fail-stop crashes (volatile-state wipe), write-ahead
-   logging, presumed-abort 2PC and WAL replay, audited by the analyzer's
-   durability invariants across every driver mode. *)
+   logging, Paxos Commit (2PC at f = 0) and WAL replay, audited by the
+   analyzer's durability invariants across every driver mode. *)
 
 module FP = Ccdb_sim.Fault_plan
 module Net = Ccdb_sim.Net
@@ -104,8 +104,9 @@ let test_every_system_survives_fail_stop () =
    far more than 3 records under this workload, so the second crash at
    t=405 lands inside the window.  Replay is idempotent, so the run must
    end exactly as clean as a single-crash one.  Every mode runs it under
-   2PC; the modes that commit through [Commit] run it under Paxos Commit
-   too, over one, three and five acceptors (five sites for f=2). *)
+   2PC (Paxos Commit with f=0, one acceptor at the home site); the modes
+   that commit through [Commit] run it under Paxos Commit over three and
+   five acceptors too (five sites for f=2). *)
 let double_crash_plan =
   plan_of_string "crash=1@300+100,crash=1@405+200,wipe=true,seed=5"
 
@@ -135,7 +136,6 @@ let test_crash_during_recovery () =
             rec_.Ccdb_harness.Metrics.interrupted)
         modes)
     [ ("", D.default_setup, all_modes);
-      ("paxos:0 ", paxos 0, commit_modes);
       ("paxos:1 ", paxos 1, commit_modes);
       ("paxos:2 ", paxos 2, commit_modes) ]
 
@@ -144,7 +144,7 @@ let test_crash_during_recovery () =
 (* A high duplication rate on every link hits the 2PC decision and ack
    traffic; the transport's exactly-once delivery plus the participant's
    decided-round table must keep applies idempotent.  The crashes force
-   coordinator-resend and re-inquiry paths on top of the duplicates. *)
+   takeover and re-inquiry paths on top of the duplicates. *)
 let dup_plan =
   plan_of_string
     "dup=0.3,drop=0.05,crash=1@400+300,crash=3@1100+250,wipe=true,seed=23"
@@ -163,7 +163,7 @@ let test_duplicate_decision_delivery () =
 
 (* --- duplicated / reordered Paxos messages ------------------------------- *)
 
-(* The same drill with Paxos Commit as the engine: heavy duplication plus
+(* The same drill with Paxos Commit over three acceptors: heavy duplication plus
    crashes hits every consensus message — 1a/1b/2a/2b, learned decisions,
    and re-inquiries from recovering participants.  A participant receiving
    a stale px-decision for a round it already applied must re-acknowledge
@@ -261,6 +261,82 @@ let test_durability_inert_without_wipe () =
   check Alcotest.bool "paxos fault-free: summary identical to 2PC" true
     (r_px.summary = fault_free_summary)
 
+(* --- 2PC is Paxos Commit with f = 0 --------------------------------------- *)
+
+(* At f = 0 the one acceptor is the home site, the same process as the
+   ballot-0 leader, so a fault-free round sends exactly what two-phase
+   commit sends: one begin, then one prepare, one vote (a phase-2a), one
+   decision and one ack per participant.  No phase-2b crosses the network,
+   and no decision goes back to the acceptor (it would make the decisions
+   outnumber the prepares). *)
+let test_two_pc_messages () =
+  let prepared = ref 0 and rounds = Hashtbl.create 64 in
+  let r =
+    D.run ~n_txns:300 ~faults:(plan_of_string "wipe=true,seed=13")
+      ~observer:(fun rt ->
+        Rt.subscribe rt (function
+          | Rt.Prepared { txn; round; _ } ->
+            incr prepared;
+            Hashtbl.replace rounds (txn, round) ()
+          | _ -> ()))
+      D.Unified spec
+  in
+  check Alcotest.int "all txns commit" 300 r.summary.committed;
+  let by_kind = Net.messages_by_kind (Rt.net r.runtime) in
+  let sent kind = Option.value ~default:0 (List.assoc_opt kind by_kind) in
+  check Alcotest.int "one begin per round" (Hashtbl.length rounds)
+    (sent "px-begin");
+  List.iter
+    (fun kind ->
+      check Alcotest.int (kind ^ ": one per participant") !prepared
+        (sent kind))
+    [ "px-prepare"; "px-2a"; "px-decision"; "px-ack" ];
+  List.iter
+    (fun kind -> check Alcotest.int (kind ^ ": none") 0 (sent kind))
+    [ "px-2b"; "px-1a"; "px-1b"; "px-inquire" ]
+
+(* Every durable run gets the consensus checks: a split decision seeded
+   into a 2PC (f = 0) trace, by turning one participant's commit of a
+   round into an abort, is flagged. *)
+let test_split_decision_at_f0 () =
+  let trace = ref None in
+  ignore
+    (D.run ~n_txns:60 ~faults:(plan_of_string "wipe=true,seed=13")
+       ~observer:(fun rt -> trace := Some (Ccdb_harness.Trace.attach rt))
+       D.Unified spec);
+  let events = Ccdb_harness.Trace.to_array (Option.get !trace) in
+  let splits events =
+    List.filter
+      (fun (f : Ccdb_analysis.Finding.t) ->
+        f.check = "consensus.split-decision")
+      (Ccdb_analysis.Consensus_audit.run events)
+  in
+  check Alcotest.int "unseeded: no split" 0 (List.length (splits events));
+  (* the second participant to commit the first round with two *)
+  let committed = Hashtbl.create 16 and seeded = ref None in
+  let events =
+    Array.map
+      (fun e ->
+        match e with
+        | Rt.Decision_logged ({ txn; round; commit = true; _ } as d)
+          when !seeded = None ->
+          if Hashtbl.mem committed (txn, round) then begin
+            seeded := Some txn;
+            Rt.Decision_logged { d with commit = false }
+          end
+          else begin
+            Hashtbl.add committed (txn, round) ();
+            e
+          end
+        | e -> e)
+      events
+  in
+  match splits events with
+  | [ f ] ->
+    check (Alcotest.list Alcotest.int) "names the seeded txn"
+      [ Option.get !seeded ] f.txns
+  | fs -> Alcotest.failf "expected one split decision, got %d" (List.length fs)
+
 (* --- restart backoff ----------------------------------------------------- *)
 
 let test_restart_backoff () =
@@ -330,7 +406,9 @@ let test_e16_runs () =
   let rendered = Ccdb_harness.Experiments.render o in
   check Alcotest.bool "rendered" true (String.length rendered > 0);
   (* the headline must be measured, not the fallback wording: the chaos
-     drill really did land the coordinator crash inside a commit round *)
+     drill really did land the coordinator crash inside a commit round,
+     which 2PC held open past the crash window and f >= 1 decided inside
+     it *)
   check Alcotest.bool "crash landed in a round" false
     (let fallback = "the window missed the commit point" in
      let n = String.length rendered and m = String.length fallback in
@@ -403,5 +481,9 @@ let suites =
       [ Alcotest.test_case "inert without wipe" `Quick
           test_durability_inert_without_wipe;
         Alcotest.test_case "restart backoff" `Quick test_restart_backoff;
+        Alcotest.test_case "2PC sends 2PC's messages at f=0" `Quick
+          test_two_pc_messages;
+        Alcotest.test_case "split decision flagged at f=0" `Quick
+          test_split_decision_at_f0;
         Alcotest.test_case "E12 quick" `Slow test_e12_runs;
         Alcotest.test_case "E16 quick" `Slow test_e16_runs ] ) ]
