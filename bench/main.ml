@@ -3,36 +3,31 @@
    runs bechamel micro-benchmarks of the core data structures.
 
    Run with: dune exec bench/main.exe
-   Pass --quick for reduced transaction counts, --micro-only / --exp-only to
-   select one half, --audit to statically verify a traced run of every
-   system against the paper's invariants before benchmarking, and
-   --insights FILE to also write the canonical workload-insights document
-   (INSIGHTS.json, schema ccdb-insights/1 — see OBSERVABILITY.md). *)
+   Pass --quick for reduced transaction counts and --micro-only /
+   --exp-only to select one half.  One simulation, audited or observed by
+   the insights collector, is [ccdb_cli run --audit] or [--insights]. *)
 
 let quick = ref false
 let micro_only = ref false
 let exp_only = ref false
-let audit = ref false
 let jobs = ref (Ccdb_harness.Parallel.default_jobs ())
 let json_path = ref None
-let insights_path = ref None
 
 let () =
   let specs =
     [ ("--quick", Arg.Set quick, " reduced transaction counts");
       ("--micro-only", Arg.Set micro_only, " only the micro-benchmarks");
       ("--exp-only", Arg.Set exp_only, " only the experiment tables");
-      ("--audit", Arg.Set audit,
-       " statically verify a traced run of every system first");
-      ("--jobs", Arg.Set_int jobs,
-       "N fan experiment points across N domains (default: recommended \
-        domain count)");
+      ("--jobs",
+       Arg.Int
+         (fun n ->
+           if n < 1 then raise (Arg.Bad "--jobs: expected a positive integer");
+           jobs := n),
+       "N fan experiment points across N domains (default and maximum: \
+        recommended domain count)");
       ("--json", Arg.String (fun p -> json_path := Some p),
        "FILE write a machine-readable baseline (ns/op, r^2, wall-clocks) \
-        to FILE");
-      ("--insights", Arg.String (fun p -> insights_path := Some p),
-       "FILE write the canonical workload-insights document (the E14 \
-        measured-adaptive run, schema ccdb-insights/1) to FILE") ]
+        to FILE") ]
   in
   let usage = "usage: dune exec bench/main.exe -- [options]" in
   (* unknown flags and stray positional arguments are hard errors, so a
@@ -44,51 +39,8 @@ let () =
 let quick = !quick
 let micro_only = !micro_only
 let exp_only = !exp_only
-let audit = !audit
-let jobs = max 1 !jobs
+let jobs = min !jobs (Ccdb_harness.Parallel.default_jobs ())
 let json_path = !json_path
-let insights_path = !insights_path
-
-(* ----------------------------------------------------------------- audit *)
-
-let run_audit () =
-  print_endline
-    "=== Invariant audit (one differential batch/stream run per system) ===";
-  let spec =
-    { Ccdb_workload.Generator.default with
-      arrival_rate = 0.15;
-      protocol_mix =
-        [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
-          (Ccdb_model.Protocol.Pa, 1.) ] }
-  in
-  let setup = { Ccdb_harness.Driver.default_setup with items = 16 } in
-  let n_txns = if quick then 60 else 200 in
-  let failed = ref false in
-  List.iter
-    (fun mode ->
-      let r =
-        Ccdb_harness.Driver.run ~setup ~n_txns ~audit:true
-          ~audit_path:Ccdb_harness.Driver.Differential mode spec
-      in
-      let report = Option.get r.audit in
-      Printf.printf "%-18s %s\n%!"
-        (Ccdb_harness.Driver.mode_name mode)
-        (Ccdb_analysis.Report.summary report);
-      if not (Ccdb_analysis.Report.is_clean report) then begin
-        failed := true;
-        Format.printf "%a@." Ccdb_analysis.Report.pp report
-      end)
-    [ Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Two_pl;
-      Ccdb_harness.Driver.Pure Ccdb_model.Protocol.T_o;
-      Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Pa;
-      Ccdb_harness.Driver.Mvto; Ccdb_harness.Driver.Conservative;
-      Ccdb_harness.Driver.Unified; Ccdb_harness.Driver.Unified_full_lock;
-      Ccdb_harness.Driver.Dynamic ];
-  print_newline ();
-  if !failed then begin
-    print_endline "audit FAILED";
-    exit 1
-  end
 
 (* ----------------------------------------------------------- experiments *)
 
@@ -757,55 +709,7 @@ let write_json path ~exp ~micro =
   close_out oc;
   Printf.printf "(wrote %s)\n" path
 
-(* -------------------------------------------------------------- insights *)
-
-(* The canonical insights document: the "dynamic measured" row of E14
-   (phase-change workload, measured-lambda adaptivity with reselection),
-   observed by the insights collector and emitted as ccdb-insights/1.
-   Deterministic for the pinned seed, so the committed INSIGHTS.json can be
-   regenerated byte-identically; the test suite validates its schema. *)
-let run_insights path =
-  let calm =
-    { Ccdb_workload.Generator.default with arrival_rate = 0.15 }
-  in
-  let storm =
-    { Ccdb_workload.Generator.default with
-      arrival_rate = 0.3;
-      size_min = 1;
-      size_max = 1;
-      read_fraction = 0.;
-      access = Ccdb_workload.Generator.Zipf 1.0 }
-  in
-  (* always full size: this is the pinned artifact E14 documents, and the
-     run is cheap (700 transactions) even under --quick *)
-  let phases = [ (calm, 400); (storm, 300) ] in
-  let setup =
-    { Ccdb_harness.Driver.default_setup with
-      items = 24;
-      adaptive = Ccdb_harness.Driver.Measured 400.;
-      reselect = true }
-  in
-  let collector = ref None in
-  ignore
-    (Ccdb_harness.Driver.run_phases ~setup
-       ~observer:(fun rt ->
-         collector := Some (Ccdb_insights.Collector.attach ~window:500. rt))
-       Ccdb_harness.Driver.Dynamic phases);
-  let doc = Ccdb_insights.Collector.to_json (Option.get !collector) in
-  (match Ccdb_insights.Collector.validate doc with
-   | Ok () -> ()
-   | Error e ->
-     Printf.eprintf "insights document failed its own schema check: %s\n" e;
-     exit 1);
-  let oc = open_out path in
-  output_string oc (Ccdb_util.Json.to_string ~indent:2 doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "(wrote %s)\n" path
-
 let () =
-  if audit then run_audit ();
-  (match insights_path with None -> () | Some path -> run_insights path);
   (* micros run BEFORE the experiment suite: bechamel stabilizes the GC
      before every sample, which scales with the live major heap — after a
      full suite pass the stabilization eats the whole quota and leaves

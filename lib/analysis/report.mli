@@ -8,7 +8,6 @@ val make : events_scanned:int -> Finding.t list -> t
 val findings : t -> Finding.t list
 val events_scanned : t -> int
 val errors : t -> Finding.t list
-val warnings : t -> Finding.t list
 
 val is_clean : t -> bool
 (** No [Error]-severity findings ([Warning]/[Info] may be present). *)

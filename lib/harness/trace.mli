@@ -16,9 +16,6 @@ val events : t -> Ccdb_protocols.Runtime.event list
 val to_array : t -> Ccdb_protocols.Runtime.event array
 (** Recorded events, oldest first, as an array (for indexed analysis). *)
 
-val pp_event : Format.formatter -> Ccdb_protocols.Runtime.event -> unit
-(** Renders a single event on one line. *)
-
 val render : ?limit:int -> t -> string
 (** One line per event ([limit] most recent when set), e.g.
     {v

@@ -95,5 +95,5 @@ val to_json : t -> Ccdb_util.Json.t
 val validate : Ccdb_util.Json.t -> (unit, string) result
 (** Structural schema check of an insights document: version string,
     required fields, field types, and histogram well-formedness.  Used by
-    the [ccdb_cli insights --check] lint gate and the test suite; [Error]
-    names the offending field. *)
+    [ccdb_cli run --insights] on every document it builds and by the test
+    suite; [Error] names the offending field. *)

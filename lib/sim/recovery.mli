@@ -43,8 +43,4 @@ val create :
     transactions, so they see the post-wipe queues.
     @raise Invalid_argument if [replay_cost < 0.]. *)
 
-val replaying : t -> int -> bool
-(** Whether the site is inside its current replay window (accounting only —
-    the state is already rebuilt). *)
-
 val stats : t -> stats

@@ -55,8 +55,3 @@ val predicted_deadlock_probability : workload -> float
 (** P_A approximation: [(K - 1) * rho^2 / 2] clamped to [0, 0.5] — the
     probability that a waiting transaction's holder is itself waiting on
     the first transaction's class of items. *)
-
-val predicted_rejection_probability : workload -> window:float -> float
-(** Probability that a conflicting operation with a larger timestamp is
-    performed inside the request's vulnerability [window]:
-    [1 - exp (-conflict_rate * window)]. *)

@@ -1,5 +1,4 @@
 type t = {
-  jobs : int;
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
   nonempty : Condition.t;
@@ -58,14 +57,12 @@ let worker_loop t =
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   let t =
-    { jobs; queue = Queue.create (); lock = Mutex.create ();
+    { queue = Queue.create (); lock = Mutex.create ();
       nonempty = Condition.create (); closed = false; workers = [] }
   in
   ignore (Atomic.fetch_and_add others (jobs - 1));
   t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
-
-let jobs t = t.jobs
 
 (* One batch per [map] call: tasks decrement [remaining] as they settle and
    the caller waits for zero.  The caller itself drains the queue first, so

@@ -35,17 +35,11 @@ val create : jobs:int -> t
 (** Spawns [jobs - 1] worker domains.  @raise Invalid_argument when
     [jobs < 1]. *)
 
-val jobs : t -> int
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map: the result list matches the input
     order no matter which domain ran which element.  If one or more
     tasks raise, the exception of the smallest input index is re-raised
     on the caller after every task of the batch has settled. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains.  The pool is unusable afterwards;
-    idempotent. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], apply, then [shutdown] (also on exception). *)
+(** [create], apply, then join the worker domains (also on exception). *)

@@ -73,15 +73,6 @@ let zipf_sampler ~n ~theta =
     in
     search 0 (n - 1)
 
-let shuffle t arr =
-  let len = Array.length arr in
-  for i = len - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let sample_distinct t ~n ~universe =
   if n < 0 || n > universe then
     invalid_arg "Rng.sample_distinct: need 0 <= n <= universe";

@@ -45,9 +45,6 @@ val zipf_sampler : n:int -> theta:float -> (t -> int)
     with skew [theta >= 0.] ([theta = 0.] is uniform) and returns a sampler
     closure.  @raise Invalid_argument if [n <= 0] or [theta < 0.]. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val sample_distinct : t -> n:int -> universe:int -> int list
 (** [sample_distinct t ~n ~universe] draws [n] distinct integers from
     [0, universe), in increasing order.  @raise Invalid_argument if
