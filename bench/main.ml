@@ -24,7 +24,7 @@ let () =
            if n < 1 then raise (Arg.Bad "--jobs: expected a positive integer");
            jobs := n),
        "N fan experiment points across N domains (default and maximum: \
-        recommended domain count)");
+        recommended domain count, but at least 2 when N > 1)");
       ("--json", Arg.String (fun p -> json_path := Some p),
        "FILE write a machine-readable baseline (ns/op, r^2, wall-clocks) \
         to FILE") ]
@@ -39,8 +39,16 @@ let () =
 let quick = !quick
 let micro_only = !micro_only
 let exp_only = !exp_only
-let jobs = min !jobs (Ccdb_harness.Parallel.default_jobs ())
 let json_path = !json_path
+
+(* At most the recommended domain count, so a huge --jobs starts no
+   runaway domains, but at least 2 when asked for more than 1, so that
+   --json's serial-vs-parallel parity check runs whenever it is asked for. *)
+let jobs =
+  let cores = Ccdb_harness.Parallel.default_jobs () in
+  let n = max (min !jobs cores) (min !jobs 2) in
+  if n < !jobs then Printf.eprintf "bench: --jobs %d lowered to %d\n%!" !jobs n;
+  n
 
 (* ----------------------------------------------------------- experiments *)
 
@@ -62,9 +70,10 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* With [--json] the suite runs twice — serially and at [jobs] domains — so
-   the baseline records both wall-clocks and pins that the parallel tables
-   are byte-identical.  Without it the suite runs once at [jobs]. *)
+(* With [--json] and [jobs] > 1 the suite runs twice — serially and at
+   [jobs] domains — so the baseline records both wall-clocks and pins that
+   the parallel tables are byte-identical.  Otherwise it runs once at
+   [jobs]. *)
 let run_experiments () =
   print_endline "=== Paper reproduction: one table per experiment ===";
   print_endline
@@ -77,41 +86,37 @@ let run_experiments () =
       (fun acc s -> acc + Ccdb_harness.Experiments.points_count s)
       0 staged
   in
-  let want_both = json_path <> None && jobs > 1 in
-  if want_both || jobs <= 1 then begin
-    let serial, serial_s =
-      timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs:1 (suite ()))
-    in
-    let serial_txt = render_all serial in
-    print_string serial_txt;
-    let parallel =
-      if not want_both then None
-      else begin
-        let par, par_s =
-          timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs (suite ()))
-        in
-        let identical = String.equal (render_all par) serial_txt in
-        Printf.printf
-          "(suite wall-clock: %.2fs serial, %.2fs at %d jobs; tables %s)\n\n"
-          serial_s par_s jobs
-          (if identical then "byte-identical" else "DIFFER");
-        Some (jobs, par_s, identical)
-      end
-    in
-    { n_experiments; n_points; serial_s; parallel }
-  end
-  else begin
-    let outs, par_s =
+  let pass jobs =
+    let outs, s =
       timed (fun () -> Ccdb_harness.Parallel.experiments ~jobs (suite ()))
     in
-    print_string (render_all outs);
-    (* a single parallel pass has no serial wall-clock to compare against;
-       record what ran *)
-    { n_experiments; n_points; serial_s = par_s;
-      parallel = Some (jobs, par_s, true) }
-  end
+    (render_all outs, s)
+  in
+  let want_both = json_path <> None && jobs > 1 in
+  let first_txt, first_s = pass (if want_both then 1 else jobs) in
+  print_string first_txt;
+  let parallel =
+    if want_both then begin
+      let par_txt, par_s = pass jobs in
+      let identical = String.equal par_txt first_txt in
+      Printf.printf
+        "(suite wall-clock: %.2fs serial, %.2fs at %d jobs; tables %s)\n\n"
+        first_s par_s jobs
+        (if identical then "byte-identical" else "DIFFER");
+      Some (jobs, par_s, identical)
+    end
+    else if jobs > 1 then
+      (* a single parallel pass has no serial wall-clock to compare
+         against; record what ran *)
+      Some (jobs, first_s, true)
+    else None
+  in
+  { n_experiments; n_points; serial_s = first_s; parallel }
 
 (* ------------------------------------------------------ micro-benchmarks *)
+
+(* 2PL, T/O and PA at equal weights *)
+let even_mix = List.map (fun p -> (p, 1.)) Ccdb_model.Protocol.all
 
 let bench_precedence_compare =
   let a = Ccdb_model.Precedence.timestamped ~ts:42 ~site:1 ~txn:7 in
@@ -348,9 +353,7 @@ let bench_stream_feed =
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = 0.2;
-        protocol_mix =
-          [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
-            (Ccdb_model.Protocol.Pa, 1.) ] }
+        protocol_mix = even_mix }
     in
     ignore
       (Ccdb_harness.Driver.run ~setup ~n_txns:40
@@ -398,9 +401,7 @@ let bench_end_to_end =
        (let spec =
           { Ccdb_workload.Generator.default with
             arrival_rate = 0.2;
-            protocol_mix =
-              [ (Ccdb_model.Protocol.Two_pl, 1.);
-                (Ccdb_model.Protocol.T_o, 1.); (Ccdb_model.Protocol.Pa, 1.) ] }
+            protocol_mix = even_mix }
         in
         let setup =
           { Ccdb_harness.Driver.default_setup with items = 12; sites = 3 }
@@ -426,9 +427,7 @@ let bench_commit_run name commit =
       arrival_rate = 0.2;
       size_min = 2;
       size_max = 3;
-      protocol_mix =
-        [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
-          (Ccdb_model.Protocol.Pa, 1.) ] }
+      protocol_mix = even_mix }
   in
   let setup =
     { Ccdb_harness.Driver.default_setup with items = 12; sites = 3; commit }

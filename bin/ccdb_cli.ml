@@ -16,39 +16,33 @@ let protocol_conv =
   Cmdliner.Arg.conv (parse, Ccdb_model.Protocol.pp)
 
 let mode_conv =
+  let module D = Ccdb_harness.Driver in
   let parse s =
-    match String.lowercase_ascii s with
-    | "unified" -> Ok Ccdb_harness.Driver.Unified
-    | "dynamic" -> Ok Ccdb_harness.Driver.Dynamic
-    | "full-lock" -> Ok Ccdb_harness.Driver.Unified_full_lock
-    | "pure-mvto" | "mvto" -> Ok Ccdb_harness.Driver.Mvto
-    | "pure-cto" | "conservative" -> Ok Ccdb_harness.Driver.Conservative
-    | s -> (
-      let strip prefix =
-        if String.length s > String.length prefix
-           && String.sub s 0 (String.length prefix) = prefix
-        then
-          Some
-            (String.sub s (String.length prefix)
-               (String.length s - String.length prefix))
-        else None
-      in
-      match strip "pure-" with
-      | Some p -> (
-        match Ccdb_model.Protocol.of_string p with
-        | Some p -> Ok (Ccdb_harness.Driver.Pure p)
-        | None -> Error (`Msg ("unknown protocol in mode: " ^ s)))
-      | None -> (
-        match strip "unified-" with
-        | Some p -> (
-          match Ccdb_model.Protocol.of_string p with
-          | Some p -> Ok (Ccdb_harness.Driver.Unified_forced p)
-          | None -> Error (`Msg ("unknown protocol in mode: " ^ s)))
-        | None -> Error (`Msg ("unknown mode: " ^ s))))
+    let s = String.lowercase_ascii s in
+    (* [Some] protocol parse when [s] is [prefix] followed by a name *)
+    let after prefix =
+      let n = String.length prefix in
+      if String.length s > n && String.starts_with ~prefix s then
+        Some
+          (Ccdb_model.Protocol.of_string
+             (String.sub s n (String.length s - n)))
+      else None
+    in
+    match s with
+    | "unified" -> Ok D.Unified
+    | "dynamic" -> Ok D.Dynamic
+    | "full-lock" -> Ok D.Unified_full_lock
+    | "pure-mvto" | "mvto" -> Ok D.Mvto
+    | "pure-cto" | "conservative" -> Ok D.Conservative
+    | _ -> (
+      match (after "pure-", after "unified-") with
+      | Some (Some p), _ -> Ok (D.Pure p)
+      | _, Some (Some p) -> Ok (D.Unified_forced p)
+      | Some None, _ | _, Some None ->
+        Error (`Msg ("unknown protocol in mode: " ^ s))
+      | None, None -> Error (`Msg ("unknown mode: " ^ s)))
   in
-  let print ppf mode =
-    Format.pp_print_string ppf (Ccdb_harness.Driver.mode_name mode)
-  in
+  let print ppf mode = Format.pp_print_string ppf (D.mode_name mode) in
   Cmdliner.Arg.conv (parse, print)
 
 (* --- checked flags ------------------------------------------------------ *)
@@ -87,12 +81,16 @@ let fraction =
     (fun x -> x >= 0. && x <= 1.)
     Cmdliner.Arg.float
 
-(* A run holds about 200 bytes per physical copy before its first event
-   (219 MB at 500,000 items of two copies), and a few arrays per site, so
-   both counts are bounded: an unbounded count is an allocation failure
-   (exit 125) or a run that exhausts the host's memory. *)
-let max_sites = 1024
-let max_copies = 1 lsl 20
+(* The counts that size a run are bounded, so that a huge one is a usage
+   error, not an allocation failure (exit 125) or a run that exhausts the
+   host's memory.  Measured on a 2-vCPU host: a run holds about 215 bytes
+   a copy (868 MB at 2,000,000 items of two copies, 909 MB at 2^22
+   copies); every mode but pure-cto runs 400 transactions over 100,000
+   sites within 6 s and 27 MB; pure-cto's sites exchange timestamps
+   pairwise, 147 MB and 24 s for 20 transactions over 512 sites. *)
+let max_sites = 100_000
+let max_cto_sites = 512
+let max_copies = 1 lsl 22
 
 let items_term =
   Cmdliner.Arg.(
@@ -108,7 +106,12 @@ let usage_error fmt =
 (* Relations between flags that no single converter sees, checked on the
    assembled set-up before anything runs.  The acceptor set of
    [--commit paxos:F] lives at sites 0..2F, so the site count bounds the
-   tolerable F (compared without computing 2F+1, which overflows). *)
+   tolerable F (compared without computing 2F+1, which overflows).  A
+   transaction's distinct items are drawn by rejection, so its last one
+   takes 1 / tail draws on average, where tail is the share of draws past
+   the [size_max - 1] most popular items (summed as
+   {!Ccdb_util.Rng.zipf_sampler} sums it).  A Zipf skew whose tail is
+   below 10^-4 is refused: at zipf=1e308 it is 0. *)
 let check_setup (setup : Ccdb_harness.Driver.setup)
     (spec : Ccdb_workload.Generator.spec) =
   if setup.sites > max_sites then
@@ -131,6 +134,21 @@ let check_setup (setup : Ccdb_harness.Driver.setup)
       "--items %d is fewer than the %d items a transaction may access \
        (--size-max)"
       setup.items spec.size_max;
+  (match spec.access with
+   | Ccdb_workload.Generator.Zipf theta when spec.size_max > 1 ->
+     let total = ref 0. and head = ref 0. in
+     for i = 0 to setup.items - 1 do
+       total := !total +. (1.0 /. (float_of_int (i + 1) ** theta));
+       if i = spec.size_max - 2 then head := !total
+     done;
+     let tail = 1. -. (!head /. !total) in
+     if not (tail >= 1e-4) then
+       usage_error
+         "--phase zipf=%g: only %.3g of the draws fall past the %d most \
+          popular of %d items, so a transaction of %d distinct items takes \
+          over 10^4 draws on average"
+         theta tail (spec.size_max - 1) setup.items spec.size_max
+   | _ -> ());
   match setup.commit with
   | Ccdb_protocols.Runtime.Paxos { f } when f > (setup.sites - 1) / 2 ->
     usage_error "--commit paxos:%d needs 2F+1 sites, got %d" f setup.sites
@@ -195,55 +213,49 @@ let adaptive_conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
-(* One [--phase] argument: comma-separated k=v settings over a base spec,
-   e.g. lambda=0.3,txns=300,read-fraction=0,size=1-1,zipf=1.0. *)
+(* One [--phase] argument: comma-separated k=v settings over the base
+   spec, e.g. lambda=0.3,txns=300,read-fraction=0,size=1-1,zipf=1.0;
+   [over] applies them in order. *)
 type phase_arg = {
-  ph_lambda : float option;
   ph_txns : int;
-  ph_rf : float option;
-  ph_size : (int * int) option;
-  ph_zipf : float option;
+  over : Ccdb_workload.Generator.spec -> Ccdb_workload.Generator.spec;
 }
 
 let phase_conv =
   let parse s =
-    let init =
-      { ph_lambda = None; ph_txns = 0; ph_rf = None; ph_size = None;
-        ph_zipf = None }
-    in
     let step acc kv =
       match String.index_opt kv '=' with
       | None -> Error (`Msg (Printf.sprintf "phase setting %S is not k=v" kv))
       | Some i -> (
         let k = String.sub kv 0 i
         and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let fl ok =
-          match float_of_string_opt v with
-          | Some f when ok f -> Ok f
-          | _ -> Error (`Msg (Printf.sprintf "phase %s: bad value %S" k v))
+        let bad what =
+          Error (`Msg (Printf.sprintf "phase %s: %s %S" k what v))
         in
-        let positive f = f > 0. && Float.is_finite f in
+        let set f = Ok { acc with over = (fun spec -> f (acc.over spec)) } in
+        let fl ok f =
+          match float_of_string_opt v with
+          | Some x when ok x -> set (fun spec -> f spec x)
+          | _ -> bad "bad value"
+        in
+        let positive x = x > 0. && Float.is_finite x in
         match k with
-        | "lambda" ->
-          Result.map (fun f -> { acc with ph_lambda = Some f }) (fl positive)
+        | "lambda" -> fl positive (fun spec x -> { spec with arrival_rate = x })
         | "txns" -> (
           match int_of_string_opt v with
           | Some n when n > 0 -> Ok { acc with ph_txns = n }
-          | _ -> Error (`Msg (Printf.sprintf "phase txns: bad count %S" v)))
+          | _ -> bad "bad count")
         | "read-fraction" ->
-          Result.map
-            (fun f -> { acc with ph_rf = Some f })
-            (fl (fun f -> f >= 0. && f <= 1.))
+          fl (fun x -> x >= 0. && x <= 1.) (fun spec x ->
+              { spec with read_fraction = x })
         | "zipf" ->
-          Result.map (fun f -> { acc with ph_zipf = Some f }) (fl positive)
+          fl positive (fun spec x ->
+              { spec with access = Ccdb_workload.Generator.Zipf x })
         | "size" -> (
-          match String.split_on_char '-' v with
-          | [ a; b ] -> (
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some lo, Some hi when 0 < lo && lo <= hi ->
-              Ok { acc with ph_size = Some (lo, hi) }
-            | _ -> Error (`Msg (Printf.sprintf "phase size: bad range %S" v)))
-          | _ -> Error (`Msg "phase size: expected MIN-MAX"))
+          match List.map int_of_string_opt (String.split_on_char '-' v) with
+          | [ Some lo; Some hi ] when 0 < lo && lo <= hi ->
+            set (fun spec -> { spec with size_min = lo; size_max = hi })
+          | _ -> bad "bad range (expected MIN-MAX)")
         | _ -> Error (`Msg (Printf.sprintf "unknown phase setting %S" k)))
     in
     let rec fold acc = function
@@ -252,7 +264,7 @@ let phase_conv =
         else Ok acc
       | kv :: rest -> Result.bind (step acc kv) (fun acc -> fold acc rest)
     in
-    fold init (String.split_on_char ',' s)
+    fold { ph_txns = 0; over = Fun.id } (String.split_on_char ',' s)
   in
   let print ppf p = Format.fprintf ppf "txns=%d" p.ph_txns in
   Cmdliner.Arg.conv (parse, print)
@@ -421,23 +433,19 @@ let run_cmd =
                 or pure-cto, which hold no locks.")
   in
   let prevention =
+    let module T = Ccdb_protocols.Two_pl_system in
+    let names =
+      [ ("none", T.No_prevention); ("wait-die", T.Wait_die);
+        ("wound-wait", T.Wound_wait) ]
+    in
     let parse s =
-      match String.lowercase_ascii s with
-      | "none" -> Ok Ccdb_protocols.Two_pl_system.No_prevention
-      | "wait-die" -> Ok Ccdb_protocols.Two_pl_system.Wait_die
-      | "wound-wait" -> Ok Ccdb_protocols.Two_pl_system.Wound_wait
-      | _ -> Error (`Msg "expected none, wait-die or wound-wait")
+      Option.to_result ~none:(`Msg "expected none, wait-die or wound-wait")
+        (List.assoc_opt (String.lowercase_ascii s) names)
     in
-    let print ppf = function
-      | Ccdb_protocols.Two_pl_system.No_prevention ->
-        Format.pp_print_string ppf "none"
-      | Ccdb_protocols.Two_pl_system.Wait_die ->
-        Format.pp_print_string ppf "wait-die"
-      | Ccdb_protocols.Two_pl_system.Wound_wait ->
-        Format.pp_print_string ppf "wound-wait"
+    let print ppf p =
+      Format.pp_print_string ppf (fst (List.find (fun (_, q) -> q = p) names))
     in
-    Arg.(value
-         & opt (conv (parse, print)) Ccdb_protocols.Two_pl_system.No_prevention
+    Arg.(value & opt (conv (parse, print)) T.No_prevention
          & info [ "prevention" ]
              ~doc:
                "Deadlock prevention for pure 2PL: none, wait-die or \
@@ -487,17 +495,14 @@ let run_cmd =
   in
   let commit =
     let parse s =
-      match String.lowercase_ascii s with
-      | "2pc" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 0 })
-      | "paxos" -> Ok (Ccdb_protocols.Runtime.Paxos { f = 1 })
-      | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "paxos" -> (
-          let k = String.sub s (i + 1) (String.length s - i - 1) in
-          match int_of_string_opt k with
-          | Some f when f >= 0 -> Ok (Ccdb_protocols.Runtime.Paxos { f })
-          | _ -> Error (`Msg (Printf.sprintf "bad fault tolerance %S" k)))
-        | _ -> Error (`Msg "expected 2pc, paxos or paxos:F"))
+      match String.split_on_char ':' (String.lowercase_ascii s) with
+      | [ "2pc" ] -> Ok (Ccdb_protocols.Runtime.Paxos { f = 0 })
+      | [ "paxos" ] -> Ok (Ccdb_protocols.Runtime.Paxos { f = 1 })
+      | [ "paxos"; k ] -> (
+        match int_of_string_opt k with
+        | Some f when f >= 0 -> Ok (Ccdb_protocols.Runtime.Paxos { f })
+        | _ -> Error (`Msg (Printf.sprintf "bad fault tolerance %S" k)))
+      | _ -> Error (`Msg "expected 2pc, paxos or paxos:F")
     in
     let print ppf (Ccdb_protocols.Runtime.Paxos { f }) =
       if f = 0 then Format.pp_print_string ppf "2pc"
@@ -593,6 +598,9 @@ let run_cmd =
      | Some _, _ -> ignored "--mix" ~used_in:"unified and full-lock");
     if (Option.is_some adaptive || reselect) && mode <> D.Dynamic then
       ignored "--adaptive or --reselect" ~used_in:"dynamic";
+    if mode = D.Conservative && sites > max_cto_sites then
+      usage_error "--sites %d exceeds the %d sites a pure-cto run may hold"
+        sites max_cto_sites;
     if Option.is_some txns && phases <> [] then
       usage_error "--txns: each --phase names its own count (txns=N)";
     (match (commit, plan) with
@@ -613,20 +621,7 @@ let run_cmd =
             (fun p -> (p, 1.))
             (Option.value mix ~default:Ccdb_model.Protocol.all) }
     in
-    let phases =
-      List.map
-        (fun p ->
-          ( { spec with
-              arrival_rate = Option.value p.ph_lambda ~default:lambda;
-              read_fraction = Option.value p.ph_rf ~default:qr;
-              size_min = Option.fold p.ph_size ~none:size_min ~some:fst;
-              size_max = Option.fold p.ph_size ~none:size_max ~some:snd;
-              access =
-                Option.fold p.ph_zipf ~none:spec.access ~some:(fun theta ->
-                    Ccdb_workload.Generator.Zipf theta) },
-            p.ph_txns ))
-        phases
-    in
+    let phases = List.map (fun p -> (p.over spec, p.ph_txns)) phases in
     let txns =
       match phases with
       | [] -> Option.value txns ~default:400
@@ -800,12 +795,21 @@ let experiments_cmd =
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:
                "Fan independent experiment points across $(docv) domains \
-                (default and maximum: the recommended domain count).  Output \
-                is byte-identical for every job count; 1 takes the plain \
-                serial path.")
+                (default and maximum: the recommended domain count, but at \
+                least 2 when $(docv) > 1).  Output is byte-identical for \
+                every job count; 1 takes the plain serial path.")
   in
   let run quick only csv_dir jobs () =
-    let jobs = min jobs (Ccdb_harness.Parallel.default_jobs ()) in
+    (* at most the recommended domain count, so a huge value starts no
+       runaway domains, but at least 2 when asked for more than 1, so a
+       parity check against --jobs 1 still takes the parallel path *)
+    let jobs =
+      let cores = Ccdb_harness.Parallel.default_jobs () in
+      let n = max (min jobs cores) (min jobs 2) in
+      if n < jobs then
+        Printf.eprintf "ccdb_cli: --jobs %d lowered to %d\n%!" jobs n;
+      n
+    in
     let suite = Ccdb_harness.Experiments.staged ~quick () in
     let ids = List.map Ccdb_harness.Experiments.id suite in
     let only = List.map String.uppercase_ascii only in

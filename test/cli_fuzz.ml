@@ -8,11 +8,14 @@
    Each argv picks a subcommand (run, experiments, sweep, stl, the removed
    insights or an unknown word) and up to four of the flags that
    subcommand's --help lists, plus unknown ones, so a new flag is fuzzed
-   without a change here.  Values come from a pool of hostile ones and of
-   small valid ones per flag.  Every valid run stays tiny: --txns at most
-   10 (each --phase too), loss at most 0.2 in a --plan, experiments only
+   without a change here; one argv in eight is a run of one or two
+   --phase settings and a mode only.  Values come from a pool of hostile
+   ones and of small valid ones per flag; a --phase draws each setting's
+   value the same way.  Every valid run stays tiny: --txns at most 10
+   (each --phase too), loss at most 0.2 in a --plan, experiments only
    with --quick --only E4 or E99, and --jobs only in -1..2.  The argvs run
-   in a fresh temporary directory, so relative output paths land there. *)
+   in a fresh temporary directory, so relative output paths land there.
+   The default is 300 argvs at seed 2026, about 2 s. *)
 
 (* The long (or only) name of each option in [cmd --help=plain], and
    whether it takes a value: [`Flag], [`Value] or [`Optional].  Option
@@ -79,9 +82,6 @@ let valid = function
   | "--audit" -> [ "stream"; "batch"; "differential" ]
   | "--adaptive" ->
     [ "cumulative"; "configured"; "measured:400"; "measured:0" ]
-  | "--phase" ->
-    [ "txns=5"; "lambda=0.3,txns=4,size=1-1,zipf=1.0";
-      "txns=3,read-fraction=0"; "txns=2,size=1-30" ]
   | "--insights" | "--json" | "--csv" -> [ "out.txt"; "." ]
   | "--lambdas" -> [ "0.1"; "0.05,0.2" ]
   | "--txns" -> [ "-1"; "0"; "1"; "3"; "10"; "10" ]
@@ -90,15 +90,56 @@ let valid = function
   | _ -> [ "1"; "2"; "3"; "12"; "0.1"; "0.5" ]
 
 let bounded = function
-  | "--txns" | "--jobs" | "--phase" | "--plan" | "--only" -> true
+  | "--txns" | "--jobs" | "--plan" | "--only" -> true
   | _ -> false
+
+(* A --phase: txns=N, mostly a small count, else a bad one or none, then
+   up to three other settings, each drawn like a flag's value, and now
+   and then a malformed or unknown one. *)
+let phase_settings =
+  [ ("lambda", [ "0.1"; "0.3" ]); ("read-fraction", [ "0"; "0.5"; "1" ]);
+    ("size", [ "1-1"; "1-3"; "2-12"; "1-30"; "3-1"; "0-2" ]);
+    ("zipf", [ "0.5"; "1.0"; "8"; "20"; "1e308" ]) ]
+
+let phase =
+  let open QCheck.Gen in
+  let setting (k, vs) =
+    map (fun v -> k ^ "=" ^ v) (frequency [ (3, oneofl vs); (1, oneofl pool) ])
+  in
+  let* txns =
+    frequency
+      [ (4, map (fun n -> [ "txns=" ^ n ]) (oneofl [ "1"; "3"; "10" ]));
+        (1, oneofl [ [ "txns=0" ]; [ "txns=-1" ]; [ "txns=x" ]; [] ]) ]
+  in
+  let* k = int_bound 3 in
+  let* chosen =
+    map (List.filteri (fun i _ -> i < k)) (shuffle_l phase_settings)
+  in
+  let* others = flatten_l (List.map setting chosen) in
+  let* junk =
+    frequency [ (6, return []); (1, oneofl [ [ "bogus=1" ]; [ "txns" ] ]) ]
+  in
+  return (String.concat "," (txns @ others @ junk))
 
 let unknown_flags = [ ("--bogus", `Value); ("--no-such-flag", `Flag) ]
 
-let gen ~flags_of =
+(* A run of one or two phases under a drawn mode and no other flag: the
+   phase settings are a small language of their own, and the only way
+   into the workload's skewed access, so some argvs leave no other flag
+   to refuse them first. *)
+let phased_run =
+  let open QCheck.Gen in
+  let* mode = oneofl (valid "--mode") in
+  let* phases = list_size (int_range 1 2) phase in
+  return
+    ("run" :: "--mode" :: mode
+    :: List.concat_map (fun p -> [ "--phase"; p ]) phases)
+
+let mixed ~flags_of =
   let open QCheck.Gen in
   let value name =
-    if bounded name then oneofl (valid name)
+    if name = "--phase" then phase
+    else if bounded name then oneofl (valid name)
     else frequency [ (4, oneofl (valid name)); (1, oneofl pool) ]
   in
   let arg (name, kind) =
@@ -143,10 +184,13 @@ let gen ~flags_of =
     | "experiments" ->
       map (fun ids -> [ "--quick"; "--only"; ids ]) (value "--only")
     | "stl" -> return []
-    | _ when phased -> oneof [ return []; txns ]
+    | _ when phased -> frequency [ (4, return []); (1, txns) ]
     | _ -> txns
   in
   return (cmd :: (args @ extra))
+
+let gen ~flags_of =
+  QCheck.Gen.frequency [ (7, mixed ~flags_of); (1, phased_run) ]
 
 (* Runs one argv with stdout discarded and stderr kept in [err]: [Ok c]
    on exit [c] = 0, 1 or 124, [Error what] otherwise. *)
@@ -188,7 +232,7 @@ let stderr_head path =
 let () =
   let cli, count, seed =
     match Array.to_list Sys.argv with
-    | [ _; cli ] -> (cli, 150, 2026)
+    | [ _; cli ] -> (cli, 300, 2026)
     | [ _; cli; n ] -> (cli, int_of_string n, 2026)
     | [ _; cli; n; s ] -> (cli, int_of_string n, int_of_string s)
     | _ ->
