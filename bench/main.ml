@@ -10,7 +10,7 @@
 let quick = ref false
 let micro_only = ref false
 let exp_only = ref false
-let jobs = ref (Ccdb_harness.Parallel.default_jobs ())
+let jobs = ref (Ccdb_harness.Parallel.cores ())
 let json_path = ref None
 
 let () =
@@ -25,7 +25,17 @@ let () =
            jobs := n),
        "N fan experiment points across N domains (default and maximum: \
         recommended domain count, but at least 2 when N > 1)");
-      ("--json", Arg.String (fun p -> json_path := Some p),
+      ("--json",
+       Arg.String
+         (fun p ->
+           (* opened now (created if absent, never truncated), so a path
+              that cannot be written is a usage error before any work *)
+           match open_out_gen [ Open_wronly; Open_creat ] 0o644 p with
+           | oc ->
+             close_out oc;
+             json_path := Some p
+           | exception Sys_error e ->
+             raise (Arg.Bad ("--json: cannot write " ^ e))),
        "FILE write a machine-readable baseline (ns/op, r^2, wall-clocks) \
         to FILE") ]
   in
@@ -41,14 +51,9 @@ let micro_only = !micro_only
 let exp_only = !exp_only
 let json_path = !json_path
 
-(* At most the recommended domain count, so a huge --jobs starts no
-   runaway domains, but at least 2 when asked for more than 1, so that
-   --json's serial-vs-parallel parity check runs whenever it is asked for. *)
-let jobs =
-  let cores = Ccdb_harness.Parallel.default_jobs () in
-  let n = max (min !jobs cores) (min !jobs 2) in
-  if n < !jobs then Printf.eprintf "bench: --jobs %d lowered to %d\n%!" !jobs n;
-  n
+(* at least 2 when asked for more than 1, so --json's serial-vs-parallel
+   parity check runs whenever it is asked for *)
+let jobs = Ccdb_harness.Parallel.clamp_jobs ~prog:"bench" !jobs
 
 (* ----------------------------------------------------------- experiments *)
 

@@ -631,7 +631,6 @@ let run_cmd =
       { D.default_setup with
         sites; items; replication = repl; seed;
         commit = Option.value commit ~default:D.default_setup.commit;
-        net = Ccdb_sim.Net.default_config ~sites;
         detection = Option.value detection ~default:D.default_setup.detection;
         prevention; thomas_write_rule = twr;
         adaptive = Option.value adaptive ~default:D.default_setup.adaptive;
@@ -791,7 +790,7 @@ let experiments_cmd =
   in
   let jobs =
     Arg.(value
-         & opt positive_int (Ccdb_harness.Parallel.default_jobs ())
+         & opt positive_int (Ccdb_harness.Parallel.cores ())
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:
                "Fan independent experiment points across $(docv) domains \
@@ -800,16 +799,7 @@ let experiments_cmd =
                 every job count; 1 takes the plain serial path.")
   in
   let run quick only csv_dir jobs () =
-    (* at most the recommended domain count, so a huge value starts no
-       runaway domains, but at least 2 when asked for more than 1, so a
-       parity check against --jobs 1 still takes the parallel path *)
-    let jobs =
-      let cores = Ccdb_harness.Parallel.default_jobs () in
-      let n = max (min jobs cores) (min jobs 2) in
-      if n < jobs then
-        Printf.eprintf "ccdb_cli: --jobs %d lowered to %d\n%!" jobs n;
-      n
-    in
+    let jobs = Ccdb_harness.Parallel.clamp_jobs ~prog:"ccdb_cli" jobs in
     let suite = Ccdb_harness.Experiments.staged ~quick () in
     let ids = List.map Ccdb_harness.Experiments.id suite in
     let only = List.map String.uppercase_ascii only in

@@ -5,10 +5,10 @@
 
    The point of the exercise: durability is a property you can watch
    working.  Under fail-stop the run leans on the WAL — log-before-ack
-   appends, presumed-abort two-phase commit, replay at recovery — and the
-   static audit proves no committed write was lost, nothing committed at
-   one site and aborted at another, and no wiped lock silently came back
-   (DESIGN.md section 11).
+   appends, two-phase commit (Paxos Commit with its one acceptor at the
+   coordinator), replay at recovery — and the static audit proves no
+   committed write was lost, nothing committed at one site and aborted at
+   another, and no wiped lock silently came back (DESIGN.md section 11).
 
    Run with: dune exec examples/amnesia_drill.exe *)
 

@@ -20,8 +20,7 @@ let () =
     Ccdb_storage.Catalog.create ~items:accounts ~sites:4 ~replication:2
   in
   let rt =
-    Rt.create ~seed:2026 ~net_config:(Ccdb_sim.Net.default_config ~sites:4)
-      ~catalog ()
+    Rt.create ~seed:2026 ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let bank = Core.Dynamic_cc.create rt in
   let rng = Ccdb_util.Rng.create ~seed:99 in

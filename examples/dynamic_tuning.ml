@@ -15,8 +15,7 @@ let () =
   let sites = 4 and items = 24 in
   let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication:2 in
   let rt =
-    Rt.create ~seed:11 ~net_config:(Ccdb_sim.Net.default_config ~sites)
-      ~catalog ()
+    Rt.create ~seed:11 ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let system = Core.Dynamic_cc.create rt in
   let wl_rng = Ccdb_util.Rng.create ~seed:5 in

@@ -26,7 +26,7 @@ and z = 2
 let run ~seed ~verbose =
   let catalog = Ccdb_storage.Catalog.create ~items:3 ~sites:3 ~replication:1 in
   let rt =
-    Rt.create ~seed ~net_config:(Ccdb_sim.Net.default_config ~sites:3) ~catalog ()
+    Rt.create ~seed ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let trace = Ccdb_harness.Trace.attach rt in
   let system = Core.Unified_system.create rt in

@@ -10,8 +10,7 @@ let () =
   (* a database of 8 logical items over 3 sites, each item on 2 sites *)
   let catalog = Ccdb_storage.Catalog.create ~items:8 ~sites:3 ~replication:2 in
   let rt =
-    Rt.create ~seed:7 ~net_config:(Ccdb_sim.Net.default_config ~sites:3)
-      ~catalog ()
+    Rt.create ~seed:7 ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let system = Core.Unified_system.create rt in
   (* note each commit and its system time as it happens *)

@@ -38,9 +38,7 @@ let spec =
       [ (Ccdb_model.Protocol.Two_pl, 1.); (Ccdb_model.Protocol.T_o, 1.);
         (Ccdb_model.Protocol.Pa, 1.) ] }
 
-let setup commit =
-  { D.default_setup with
-    D.sites; commit; net = Ccdb_sim.Net.default_config ~sites }
+let setup commit = { D.default_setup with D.sites; commit }
 
 (* pass 1: when does the coordinator's first commit round prepare? *)
 let probe commit =

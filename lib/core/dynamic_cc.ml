@@ -5,9 +5,6 @@ type adaptivity =
 
 type config = {
   unified : Unified_system.config;
-  candidates : Ccdb_model.Protocol.t list;
-  class_cache_ttl : float;
-  priors : Ccdb_stl.Estimator.priors;
   reselect_on_restart : bool;
   criterion : Ccdb_stl.Selector.criterion;
   adaptive : adaptivity;
@@ -15,9 +12,6 @@ type config = {
 
 let default_config =
   { unified = Unified_system.default_config;
-    candidates = Ccdb_model.Protocol.all;
-    class_cache_ttl = 100.;
-    priors = Ccdb_stl.Estimator.default_priors;
     reselect_on_restart = false;
     criterion = Ccdb_stl.Selector.Min_stl;
     adaptive = Cumulative }
@@ -35,9 +29,7 @@ let create ?(config = default_config) rt =
     | Measured { window } -> Ccdb_stl.Estimator.Windowed window
     | Configured _ | Cumulative -> Ccdb_stl.Estimator.Cumulative
   in
-  let estimator =
-    Ccdb_stl.Estimator.create ~priors:config.priors ~source rt
-  in
+  let estimator = Ccdb_stl.Estimator.create ~source rt in
   let snapshot =
     match config.adaptive with
     | Configured workload ->
@@ -48,9 +40,7 @@ let create ?(config = default_config) rt =
     | Cumulative | Measured _ -> None
   in
   let selector =
-    Ccdb_stl.Selector.create ~candidates:config.candidates
-      ~criterion:config.criterion ~class_cache_ttl:config.class_cache_ttl
-      ?snapshot
+    Ccdb_stl.Selector.create ~criterion:config.criterion ?snapshot
       (Ccdb_protocols.Runtime.catalog rt)
       estimator
   in

@@ -26,9 +26,6 @@ type adaptivity =
 
 type config = {
   unified : Unified_system.config;
-  candidates : Ccdb_model.Protocol.t list;
-  class_cache_ttl : float;
-  priors : Ccdb_stl.Estimator.priors;
   reselect_on_restart : bool;
       (** the paper's future-work item (4): re-run the selector whenever a
           transaction restarts, letting it switch protocol mid-life *)

@@ -53,8 +53,6 @@ type t = {
       (* 2PC driver, durable runtimes only *)
 }
 
-let config t = t.config
-
 let rec find_slot ~item ~site = function
   | [] -> None
   | s :: rest ->

@@ -61,8 +61,6 @@ val draining : t -> int
 
 val detector_cycles : t -> int
 
-val config : t -> config
-
 val unimplemented_requests :
   t -> (Ccdb_model.Precedence.t * Ccdb_model.Protocol.t) list
 (** Every request not yet {e implemented} in the paper's section 4.3 sense,

@@ -20,7 +20,7 @@ type setup = {
 
 let default_setup =
   { sites = 4; items = 32; replication = 2;
-    net = Ccdb_sim.Net.default_config ~sites:4; seed = 42;
+    net = Ccdb_sim.Net.default_config; seed = 42;
     restart_delay = 50.;
     detection = Ccdb_protocols.Deadlock.default_detection;
     thomas_write_rule = false;
@@ -146,9 +146,8 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
              ~one_way_delay:setup.net.Ccdb_sim.Net.base_delay)
     in
     let config =
-      { Core.Dynamic_cc.default_config with
-        unified = unified (); adaptive; reselect_on_restart = setup.reselect;
-        criterion = setup.criterion }
+      { Core.Dynamic_cc.unified = unified (); adaptive;
+        reselect_on_restart = setup.reselect; criterion = setup.criterion }
     in
     let sys = Core.Dynamic_cc.create ~config rt in
     { submit = (fun txn -> Core.Dynamic_cc.submit sys txn);
@@ -169,9 +168,8 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
 
 (* shared run body: [arrivals_of] turns the workload RNG into the arrival
    stream; [spec] is the (first-phase) spec, needed for [Configured]. *)
-let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
+let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
     ?(verify_store = true) mode ~spec ~arrivals_of () =
-  let net = { setup.net with Ccdb_sim.Net.sites = setup.sites } in
   let catalog =
     Ccdb_storage.Catalog.create ~items:setup.items ~sites:setup.sites
       ~replication:setup.replication
@@ -201,8 +199,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
       faults
   in
   let rt =
-    Rt.create ~seed:setup.seed ?faults ?replay_cost ~commit:setup.commit
-      ~net_config:net ~catalog ()
+    Rt.create ~seed:setup.seed ?faults ~commit:setup.commit
+      ~net_config:setup.net ~catalog ()
   in
   (match observer with Some f -> f rt | None -> ());
   (* MVTO keeps the physical store as a per-copy newest-version cache, not
@@ -270,9 +268,8 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults ?replay_cost
   { summary; runtime = rt; decisions = system.decisions (); audit }
 
 let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?replay_cost ?verify_store mode spec =
-  execute ~setup ?observer ~audit ~audit_path ?faults ?replay_cost
-    ?verify_store mode ~spec
+    ?(audit_path = Streaming) ?faults ?verify_store mode spec =
+  execute ~setup ?observer ~audit ~audit_path ?faults ?verify_store mode ~spec
     ~arrivals_of:(fun rng ->
       let generator =
         Ccdb_workload.Generator.create spec ~sites:setup.sites
@@ -282,12 +279,12 @@ let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
     ()
 
 let run_phases ?(setup = default_setup) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?replay_cost ?verify_store mode phases =
+    ?(audit_path = Streaming) ?faults ?verify_store mode phases =
   match phases with
   | [] -> invalid_arg "Driver.run_phases: no phases"
   | (first_spec, _) :: _ ->
-    execute ~setup ?observer ~audit ~audit_path ?faults ?replay_cost
-      ?verify_store mode ~spec:first_spec
+    execute ~setup ?observer ~audit ~audit_path ?faults ?verify_store mode
+      ~spec:first_spec
       ~arrivals_of:(fun rng ->
         Ccdb_workload.Generator.phased_arrivals phases ~sites:setup.sites
           ~items:setup.items rng)

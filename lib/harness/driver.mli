@@ -18,6 +18,7 @@ type setup = {
   items : int;
   replication : int;
   net : Ccdb_sim.Net.config;
+      (** latency between distinct sites; the network has [sites] sites *)
   seed : int;
   restart_delay : float;
       (** resubmission delay after a T/O rejection or a deadlock abort,
@@ -111,7 +112,6 @@ val run :
   ?audit:bool ->
   ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?replay_cost:float ->
   ?verify_store:bool ->
   mode ->
   Ccdb_workload.Generator.spec ->
@@ -125,15 +125,13 @@ val run :
     estimators or probes).  With [~audit:true] the full event stream is
     traced and replayed through {!Ccdb_analysis.Analyzer} after the run.
     [faults] installs a fault plan (message loss, duplication, extra delay,
-    site crashes — see {!Ccdb_sim.Fault_plan}) under the default
-    retransmission policy; combine with [~audit:true] to certify that the
-    run stayed serializable under the injected faults.  [replay_cost] is
-    the simulated time charged per WAL record at recovery (fail-stop plans
-    only; see {!Ccdb_sim.Recovery}).  [verify_store] (default [true])
-    controls the post-hoc store checks of {!Metrics.summarize}, or MVTO's
-    own invariant in the [Mvto] mode — switch it off for
-    million-transaction runs where the streaming audit replaces them
-    (EXPERIMENTS.md E13).
+    site crashes — see {!Ccdb_sim.Fault_plan}) over the reliable transport
+    of {!Ccdb_sim.Net}; combine with [~audit:true] to certify that the
+    run stayed serializable under the injected faults.  [verify_store]
+    (default [true]) controls the post-hoc store checks of
+    {!Metrics.summarize}, or MVTO's own invariant in the [Mvto] mode —
+    switch it off for million-transaction runs where the streaming audit
+    replaces them (EXPERIMENTS.md E13).
     @raise Ccdb_protocols.Runtime.Event_budget_exhausted if the run
     livelocks. *)
 
@@ -143,7 +141,6 @@ val run_phases :
   ?audit:bool ->
   ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?replay_cost:float ->
   ?verify_store:bool ->
   mode ->
   (Ccdb_workload.Generator.spec * int) list ->

@@ -139,7 +139,7 @@ let e2_setup =
   { D.default_setup with
     items = 10;
     restart_delay = 500.;
-    net = { (Ccdb_sim.Net.default_config ~sites:4) with base_delay = 40.; jitter = 10. } }
+    net = { Ccdb_sim.Net.base_delay = 40.; jitter = 10. } }
 
 let e2_staged ~quick =
   let n = n_for quick 400 in
@@ -286,8 +286,6 @@ let e4_staged ~quick =
     { id = "E4";
       points = List.map point (if quick then [ 0.1 ] else [ 0.05; 0.1; 0.2 ]);
       assemble }
-
-let e4_single_item_writes ?(quick = false) () = run_one (e4_staged ~quick)
 
 (* ---------------------------------------------------------------- E5 --- *)
 
@@ -586,8 +584,6 @@ let e9_staged ~quick =
   in
   Staged { id = "E9"; points = List.map point mixes; assemble }
 
-let e9_correctness_counters ?(quick = false) () = run_one (e9_staged ~quick)
-
 (* --------------------------------------------------------------- E10 --- *)
 
 let e10_staged ~quick =
@@ -630,8 +626,6 @@ let e10_staged ~quick =
   in
   Staged
     { id = "E10"; points = List.map point Ccdb_model.Protocol.all; assemble }
-
-let e10_preservation ?(quick = false) () = run_one (e10_staged ~quick)
 
 (* ---------------------------------------------------------------- X1 --- *)
 
@@ -736,8 +730,6 @@ let x2_staged ~quick =
     { id = "X2";
       points = List.map point (if quick then [ 0.3 ] else [ 0.1; 0.3 ]);
       assemble }
-
-let x2_thomas_write_rule ?(quick = false) () = run_one (x2_staged ~quick)
 
 (* ---------------------------------------------------------------- X3 --- *)
 
@@ -853,8 +845,6 @@ let x4_staged ~quick =
     { id = "X4";
       points = List.map point (if quick then [ 0.2 ] else [ 0.1; 0.2; 0.4 ]);
       assemble }
-
-let x4_multiversion ?(quick = false) () = run_one (x4_staged ~quick)
 
 (* ---------------------------------------------------------------- X5 --- *)
 
@@ -1169,8 +1159,6 @@ let e12_staged ~quick =
   in
   Staged { id = "E12"; points = List.map point counts; assemble }
 
-let e12_crash_recovery ?(quick = false) () = run_one (e12_staged ~quick)
-
 (* ---------------------------------------------------------------- E13 -- *)
 
 let e13_staged ~quick =
@@ -1437,10 +1425,7 @@ let e16_staged ~quick =
   let n = n_for quick 150 in
   let window = 400. (* the coordinator's crash window *) in
   let sites = 5 in
-  let setup commit =
-    { base_setup with
-      D.sites; commit; net = Ccdb_sim.Net.default_config ~sites }
-  in
+  let setup commit = { base_setup with D.sites; commit } in
   let spec =
     { base_spec with
       arrival_rate = 0.1;
@@ -1618,8 +1603,6 @@ let e16_staged ~quick =
           (fun sc -> List.map (fun p -> point sc p) protocols)
           scenarios;
       assemble }
-
-let e16_nonblocking_commit ?(quick = false) () = run_one (e16_staged ~quick)
 
 (* --------------------------------------------------------------- all --- *)
 

@@ -2,9 +2,14 @@
     paper (the ICDE 1988 text has no numbered tables/figures; DESIGN.md
     section 5 maps each claim to an experiment id).
 
-    Every function runs the full simulation(s) and renders the table the
+    Each experiment runs the full simulation(s) and renders the table the
     paper's claim predicts.  [quick] shrinks transaction counts for use
-    inside the test suite; the benchmark binary runs full size. *)
+    inside the test suite; the benchmark binary runs full size.
+
+    X-experiments go beyond the paper's explicit claims but stay inside its
+    stated problem space: parameter (6) "deadlock detection time and cost",
+    and future-work items (2) "integration of other concurrency control
+    algorithms" and the analytical estimation option of section 5.2. *)
 
 type outcome = {
   id : string;                 (** "E1" ... "E14", "X1" ... *)
@@ -13,41 +18,6 @@ type outcome = {
   table : Ccdb_util.Table.t;
   notes : string list;         (** measured verdict + caveats *)
 }
-
-val e4_single_item_writes : ?quick:bool -> unit -> outcome
-(** st = 1, write-only: 2PL cannot deadlock and beats T/O (section 1). *)
-
-val e9_correctness_counters : ?quick:bool -> unit -> outcome
-(** Corollary 1 and Theorem 3 at scale: PA never restarts, 2PL-free mixes
-    never deadlock, everything serializable. *)
-
-val e10_preservation : ?quick:bool -> unit -> outcome
-(** unified(all-X) vs pure X on identical workloads (section 4.2). *)
-
-val e12_crash_recovery : ?quick:bool -> unit -> outcome
-(** Fail-stop crash-frequency sweep: WAL append volume, wipe drops, replay
-    counts and replay time vs number of crash windows (DESIGN.md
-    section 11). *)
-
-val e16_nonblocking_commit : ?quick:bool -> unit -> outcome
-(** Presumed-abort 2PC vs Paxos Commit at acceptor-set sizes f = 0, 1, 2
-    under a message-loss plan and a role-targeted coordinator fail-stop:
-    committed counts, commit latency, rounds forced to abort and acceptor
-    takeovers, every row audited by the consensus.* checks (DESIGN.md
-    section 15). *)
-
-(** {2 Extension experiments}
-
-    X-experiments go beyond the paper's explicit claims but stay inside its
-    stated problem space: parameter (6) "deadlock detection time and cost",
-    and future-work items (2) "integration of other concurrency control
-    algorithms" and the analytical estimation option of section 5.2. *)
-
-val x2_thomas_write_rule : ?quick:bool -> unit -> outcome
-(** Basic T/O vs T/O + Thomas Write Rule on a write-heavy workload. *)
-
-val x4_multiversion : ?quick:bool -> unit -> outcome
-(** Multiversion T/O vs Basic T/O on a read-heavy workload. *)
 
 (** {2 Staged execution}
 

@@ -1,8 +1,11 @@
 module Pool = Ccdb_util.Pool
 
-let default_jobs = Pool.default_jobs
-
 let cores () = Domain.recommended_domain_count ()
+
+let clamp_jobs ~prog n =
+  let jobs = max (min n (cores ())) (min n 2) in
+  if jobs < n then Printf.eprintf "%s: --jobs %d lowered to %d\n%!" prog n jobs;
+  jobs
 
 (* The pool lives for one call: its workers are joined before the call
    returns, so they hold no core that a later run could reserve for its

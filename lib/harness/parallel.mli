@@ -11,14 +11,17 @@
     Each call spawns its own pool and joins its workers before it returns,
     so no domain outlives the call. *)
 
-val default_jobs : unit -> int
-(** [Ccdb_util.Pool.default_jobs]: [Domain.recommended_domain_count ()]. *)
-
 val cores : unit -> int
 (** [Domain.recommended_domain_count ()] — the parallelism actually
-    available to this process.  Recorded in BENCH.json so a speedup <= 1 on
-    a single-core box reads as "no cores available", not "parallelism
-    overhead". *)
+    available to this process, and the default job count.  Recorded in
+    BENCH.json so a speedup <= 1 on a single-core box reads as "no cores
+    available", not "parallelism overhead". *)
+
+val clamp_jobs : prog:string -> int -> int
+(** The job count a [--jobs n] runs at: at most {!cores}, so a huge value
+    starts no runaway domains, but at least 2 when [n > 1], so a parity
+    check against one job still takes the parallel path.  When it lowers
+    [n] it says so on stderr, after [prog ^ ": "]. *)
 
 val experiments :
   jobs:int -> Experiments.staged list -> Experiments.outcome list

@@ -136,24 +136,11 @@ let pp_event ppf (e : Rt.event) =
       at txn item site removed
       (if removed = 1 then "" else "s")
 
-let render ?limit t =
-  (* [events] is newest-first, so the [limit] most recent are its prefix:
-     take it, then emit in one reversed pass — no length/filteri double
-     traversal of the full history. *)
-  let suffix =
-    match limit with
-    | Some l when l < t.n_events ->
-      let rec take k acc = function
-        | e :: rest when k > 0 -> take (k - 1) (e :: acc) rest
-        | _ -> acc
-      in
-      take (max 0 l) [] t.events
-    | Some _ | None -> List.rev t.events
-  in
-  let buf = Buffer.create (256 * (List.length suffix + 1)) in
+let render t =
+  let buf = Buffer.create (256 * (t.n_events + 1)) in
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf '\n';
       Buffer.add_string buf (Format.asprintf "%a" pp_event e))
-    suffix;
+    (List.rev t.events);
   Buffer.contents buf

@@ -31,7 +31,5 @@ module Source = struct
     src.counter <- src.counter + 1;
     src.counter
 
-  let advance_past src ts = if src.counter < ts then src.counter <- ts
-
   let current src = src.counter
 end

@@ -38,10 +38,6 @@ module Source : sig
   val next : t -> int
   (** Strictly increasing across calls, starting at 1. *)
 
-  val advance_past : t -> int -> unit
-  (** [advance_past src ts] makes subsequent [next] results exceed [ts];
-      used when a T/O transaction restarts with a fresh timestamp. *)
-
   val current : t -> int
   (** The last value handed out (0 initially): a lower bound on every
       future [next] result, which is what a conservative T/O site advertises

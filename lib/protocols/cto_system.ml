@@ -1,8 +1,8 @@
 module L = Lifecycle
 
-type config = { tick_interval : float }
-
-let default_config = { tick_interval = 25. }
+(* period of the null-message broadcast that keeps idle sites from
+   stalling the others *)
+let tick_interval = 25.
 
 type phase = Reading | Computing | Committing
 
@@ -26,7 +26,6 @@ type entry = {
 
 type t = {
   rt : Runtime.t;
-  config : config;
   sites : int;
   (* hw.(qm_site).(origin): origin has promised never to send an op with a
      timestamp <= this value to anyone *)
@@ -207,13 +206,13 @@ let rec tick_loop t =
     done;
     ignore
       (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-         ~after:t.config.tick_interval (fun () -> tick_loop t))
+         ~after:tick_interval (fun () -> tick_loop t))
   end
   else t.ticking <- false
 
-let create ?(config = default_config) rt =
+let create rt =
   let sites = Ccdb_storage.Catalog.sites (Runtime.catalog rt) in
-  { rt; config; sites;
+  { rt; sites;
     hw = Array.make_matrix sites sites (-1);
     advertised = Array.make sites (-1);
     in_flight = Array.make sites [];

@@ -19,20 +19,14 @@
     A site's advertisement is [min(in-flight timestamps) - 1], or the
     timestamp source's current value when it has nothing in flight;
     a transaction leaves the in-flight set once its committed writes have
-    been sent (its timestamp can no longer appear on any channel). *)
-
-type config = {
-  tick_interval : float;
-      (** period of the null-message broadcast that keeps idle sites from
-          stalling the others *)
-}
-
-val default_config : config
-(** tick_interval 25. *)
+    been sent (its timestamp can no longer appear on any channel).  Every
+    site broadcasts its advertisement as a null message every 25 time
+    units while transactions are live, so idle sites do not stall the
+    others. *)
 
 type t
 
-val create : ?config:config -> Runtime.t -> t
+val create : Runtime.t -> t
 
 val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** The payload has {!To_system}'s blind-write caveat for items in both

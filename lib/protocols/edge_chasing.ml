@@ -1,7 +1,5 @@
 type config = { probe_delay : float }
 
-let default_config = { probe_delay = 150. }
-
 type callbacks = {
   is_waiting : int -> bool;
   home_site : int -> int option;

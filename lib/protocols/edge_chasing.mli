@@ -30,9 +30,6 @@
 
 type config = { probe_delay : float }
 
-val default_config : config
-(** probe_delay 150. *)
-
 type callbacks = {
   is_waiting : int -> bool;
       (** is the transaction currently blocked waiting for grants? *)

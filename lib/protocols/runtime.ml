@@ -378,19 +378,18 @@ let restart_backoff t ~site ~base ~attempt =
       let capped = Float.min restart_cap doubled in
       capped *. Ccdb_util.Rng.uniform_in rngs.(site) ~lo:0.5 ~hi:1.0
 
-let create ?(seed = 42) ?faults ?replay_cost ?(commit = Paxos { f = 0 })
-    ~net_config ~catalog () =
-  if net_config.Ccdb_sim.Net.sites <> Ccdb_storage.Catalog.sites catalog then
-    invalid_arg "Runtime.create: catalog/network site count mismatch";
+let create ?(seed = 42) ?faults ?(commit = Paxos { f = 0 }) ~net_config
+    ~catalog () =
+  let sites = Ccdb_storage.Catalog.sites catalog in
   (let (Paxos { f }) = commit in
    if f < 0 then invalid_arg "Runtime.create: negative Paxos f";
-   if (2 * f) + 1 > net_config.Ccdb_sim.Net.sites then
+   if (2 * f) + 1 > sites then
      invalid_arg
        "Runtime.create: Paxos needs 2f+1 acceptor sites (not enough sites)");
   let rng = Ccdb_util.Rng.create ~seed in
   let engine = Ccdb_sim.Engine.create () in
   let net_rng = Ccdb_util.Rng.split rng in
-  let net = Ccdb_sim.Net.create engine net_rng net_config in
+  let net = Ccdb_sim.Net.create engine net_rng ~sites net_config in
   let t =
     { engine;
       net;
@@ -416,8 +415,7 @@ let create ?(seed = 42) ?faults ?replay_cost ?(commit = Paxos { f = 0 })
         (match faults with
          | Some plan -> Ccdb_sim.Fault_plan.wipe plan
          | None -> false);
-      wal =
-        Ccdb_storage.Wal.create ~sites:(Ccdb_storage.Catalog.sites catalog);
+      wal = Ccdb_storage.Wal.create ~sites;
       recovery = None;
       wipe_handlers = [];
       replay_handlers = [];
@@ -426,9 +424,7 @@ let create ?(seed = 42) ?faults ?replay_cost ?(commit = Paxos { f = 0 })
            their own stream; see [restart_backoff]) *)
         (match faults with
          | Some _ ->
-           Some
-             (Array.init net_config.Ccdb_sim.Net.sites (fun _ ->
-                  Ccdb_util.Rng.split rng))
+           Some (Array.init sites (fun _ -> Ccdb_util.Rng.split rng))
          | None -> None);
       commit_protocol = commit }
   in
@@ -461,7 +457,7 @@ let create ?(seed = 42) ?faults ?replay_cost ?(commit = Paxos { f = 0 })
           post-wipe queues *)
        t.recovery <-
          Some
-           (Ccdb_sim.Recovery.create ~net:t.net ~engine ?replay_cost
+           (Ccdb_sim.Recovery.create ~net:t.net ~engine
               ~records:(fun site -> Ccdb_storage.Wal.site_appends t.wal site)
               ~on_wipe:(fun site ->
                   let dropped = ref 0 and preserved = ref 0 in
@@ -513,9 +509,9 @@ let () =
    are any and a core is spare, and joins the worker before returning or
    raising.  An observer's exception wins over the run's: in event order
    it came first. *)
-let drive ?until ?max_events t =
+let drive ~max_events t =
   if t.observers == [] || not (Ccdb_util.Pool.reserve_domain ()) then
-    Ccdb_sim.Engine.run ?until ?max_events t.engine
+    Ccdb_sim.Engine.run ~max_events t.engine
   else begin
     t.pipe <- Some (pipeline t.observers);
     let stop () =
@@ -524,15 +520,13 @@ let drive ?until ?max_events t =
       Fun.protect ~finally:Ccdb_util.Pool.release_domain (fun () ->
           Option.iter Ccdb_util.Pipeline.finish p)
     in
-    match Ccdb_sim.Engine.run ?until ?max_events t.engine with
+    match Ccdb_sim.Engine.run ~max_events t.engine with
     | () -> stop ()
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       stop ();
       Printexc.raise_with_backtrace e bt
   end
-
-let run ?until t = drive ?until t
 
 let quiesce ?(max_events = 10_000_000) t =
   drive ~max_events t;

@@ -225,29 +225,28 @@ type t
 val create :
   ?seed:int ->
   ?faults:Ccdb_sim.Fault_plan.t ->
-  ?replay_cost:float ->
   ?commit:commit_protocol ->
   net_config:Ccdb_sim.Net.config ->
   catalog:Ccdb_storage.Catalog.t ->
   unit ->
   t
-(** Builds engine + network + store.  [seed] defaults to 42.  When [faults]
-    is given it is installed on the network ({!Ccdb_sim.Net.install_faults},
-    with the default retransmission policy) and {!event.Site_crashed} /
-    {!event.Site_recovered} events are emitted at each crash boundary.
-    Without [faults] the network is the fault-free one.
+(** Builds engine + network + store.  The network has the catalog's sites
+    and [net_config]'s latencies.  [seed] defaults to 42.  When [faults]
+    is given it is installed on the network ({!Ccdb_sim.Net.install_faults})
+    and {!event.Site_crashed} / {!event.Site_recovered} events are emitted
+    at each crash boundary.  Without [faults] the network is the
+    fault-free one.
 
     If the plan additionally says [wipe=true] the runtime is {e durable}:
     lock-point events are forced to the per-site {!Ccdb_storage.Wal} as they
     are emitted, crashes wipe the volatile queue state registered with
     {!on_site_wipe}, and each recovery replays the site's log
-    ({!Ccdb_sim.Recovery}, with per-record cost [replay_cost]) before the
+    ({!Ccdb_sim.Recovery}, 0.05 time units per record) before the
     {!on_wal_replay} handlers rebuild commit state.
     [commit] (default [Paxos { f = 0 }], two-phase commit) selects the
     atomic-commitment protocol the durable paths build
     ({!commit_protocol}).
-    @raise Invalid_argument if the catalog's site count differs from the
-    network's, if a Paxos [commit] has [f < 0] or
+    @raise Invalid_argument if a Paxos [commit] has [f < 0] or
     needs more acceptor sites than exist, or if the plan is rejected by
     {!Ccdb_sim.Net.install_faults}. *)
 
@@ -280,20 +279,20 @@ val has_consumer : t -> bool
 val observe : t -> (event -> unit) -> unit
 (** Registers an observer: it gets every event emitted from now on, in
     emission order, but not necessarily on the emitting domain.  While
-    {!run} or {!quiesce} drives the engine, observers run on one worker
-    domain, fed through a bounded single-producer/single-consumer ring
+    {!quiesce} drives the engine, observers run on one worker domain, fed
+    through a bounded single-producer/single-consumer ring
     ({!Ccdb_util.Pipeline}); the worker starts at the first event, and
     by the time the call returns or raises every event has been observed
     and the worker joined.  Observers run inline, exactly like
-    {!subscribe}d listeners, for events emitted outside those calls, on a
+    {!subscribe}d listeners, for events emitted outside that call, on a
     single-core host, inside a {!Ccdb_util.Pool} task, and whenever
     another domain would exceed [Domain.recommended_domain_count ()]
     ({!Ccdb_util.Pool.reserve_domain}).
 
     So an observer may read only the event and its own state until the
     run returns, must not emit, and must not be read by the simulation.
-    An exception it raises surfaces from the {!run} or {!quiesce} call
-    after the worker is joined, in preference to one the run raised. *)
+    An exception it raises surfaces from the {!quiesce} call after the
+    worker is joined, in preference to one the run raised. *)
 
 val emit : t -> event -> unit
 (** Systems publish their events here; counters and the system-time
@@ -322,10 +321,6 @@ val system_time_histogram : t -> Ccdb_util.Histogram.t
 val last_executed : t -> float
 (** The latest [executed_at] of any commit; [0.] before the first. *)
 
-val run : ?until:float -> t -> unit
-(** Drives the engine (see {!Ccdb_sim.Engine.run}); observers have seen
-    every event when it returns (see {!observe}). *)
-
 exception Event_budget_exhausted of {
   fired : int;    (** engine events fired so far *)
   pending : int;  (** engine events still queued *)
@@ -335,7 +330,8 @@ exception Event_budget_exhausted of {
 
 val quiesce : ?max_events:int -> t -> unit
 (** Runs until no events remain ([max_events] guards against livelock;
-    default 10_000_000), and joins the observer worker as {!run} does.
+    default 10_000_000).  Observers have seen every event when it returns
+    or raises (see {!observe}).
     @raise Event_budget_exhausted if the budget is exhausted, after the
     observers have seen every event emitted. *)
 

@@ -1,20 +1,19 @@
 type config = {
-  sites : int;
   base_delay : float;
   jitter : float;
-  local_delay : float;
 }
 
-let default_config ~sites =
-  { sites; base_delay = 10.0; jitter = 2.0; local_delay = 0.1 }
+let default_config = { base_delay = 10.0; jitter = 2.0 }
 
-type retry = {
-  rto : float;
-  rto_backoff : float;
-  rto_cap : float;
-}
+(* latency of a message a site sends to itself *)
+let local_delay = 0.1
 
-let default_retry = { rto = 60.; rto_backoff = 2.; rto_cap = 480. }
+(* retransmission schedule of the reliable transport: the [k]-th
+   retransmission fires [min (rto * rto_backoff^k) rto_cap] after the
+   [k]-th transmission *)
+let rto = 60.
+let rto_backoff = 2.
+let rto_cap = 480.
 
 type fault_stats = {
   transmissions : int;
@@ -89,7 +88,6 @@ and fchannel = {
 
 type faults = {
   plan : Fault_plan.t;
-  retry : retry;
   frng : Ccdb_util.Rng.t;
   channels : fchannel Lookup.Int.t;
   crashed : bool array;
@@ -101,7 +99,12 @@ type faults = {
 type t = {
   engine : Engine.t;
   rng : Ccdb_util.Rng.t;
-  config : config;
+  sites : int;
+  (* [config]'s fields, kept boxed here: a [config] holds only floats, so
+     its fields are stored flat, and passing one to [Rng.float] would box
+     it on every send *)
+  base_delay : float;
+  jitter : float;
   counts : int ref Kind_tbl.t;
   mutable last_kind : string; (* the kind [last_count] counts *)
   mutable last_count : int ref;
@@ -117,13 +120,14 @@ and front = { mutable front : float }
 (* a string no caller holds, so no kind is identical to it *)
 let no_kind = String.make 1 '?'
 
-let create engine rng config =
-  if config.sites <= 0 then invalid_arg "Net.create: need at least one site";
-  { engine; rng; config; counts = Kind_tbl.create 16; last_kind = no_kind;
-    last_count = ref 0; total = 0;
+let create engine rng ~sites (config : config) =
+  if sites <= 0 then invalid_arg "Net.create: need at least one site";
+  { engine; rng; sites; base_delay = config.base_delay;
+    jitter = config.jitter; counts = Kind_tbl.create 16;
+    last_kind = no_kind; last_count = ref 0; total = 0;
     channel_front = Lookup.Int.create 64; faults = None }
 
-let sites t = t.config.sites
+let sites t = t.sites
 
 (* Kinds are literals at their call sites, and runs of sends share one
    (a message to each copy, participant or acceptor), so the counter of
@@ -172,7 +176,7 @@ let count t kind =
    strictly before it is due, so every event that fires keeps its place. *)
 
 let fchannel t fr ~src ~dst =
-  let key = (src * t.config.sites) + dst in
+  let key = (src * t.sites) + dst in
   match Lookup.Int.find fr.channels key with
   | ch -> ch
   | exception Not_found ->
@@ -184,8 +188,8 @@ let fchannel t fr ~src ~dst =
    plan's private RNG *)
 let faulty_delay t fr (link : Fault_plan.link) ~src ~dst =
   let base =
-    if src = dst then t.config.local_delay
-    else t.config.base_delay +. Ccdb_util.Rng.float fr.frng t.config.jitter
+    if src = dst then local_delay
+    else t.base_delay +. Ccdb_util.Rng.float fr.frng t.jitter
   in
   let extra =
     if link.Fault_plan.delay_prob > 0.
@@ -223,10 +227,9 @@ let rec transmit t fr msg =
      first timeout is [rto *. rto_backoff ** 0.], which is [rto] *)
   let k = msg.m_attempts - 1 in
   let timeout =
-    if k = 0 then fr.retry.rto
-    else fr.retry.rto *. (fr.retry.rto_backoff ** float_of_int k)
+    if k = 0 then rto else rto *. (rto_backoff ** float_of_int k)
   in
-  msg.m_due <- Engine.now t.engine +. Float.min timeout fr.retry.rto_cap;
+  msg.m_due <- Engine.now t.engine +. Float.min timeout rto_cap;
   let link = Fault_plan.link_for fr.plan ~src:msg.m_src ~dst:msg.m_dst in
   let early =
     if fr.crashed.(msg.m_src) then begin
@@ -347,7 +350,7 @@ let send_faulted t fr ~src ~dst deliver =
 (* --- the send entry point ----------------------------------------------- *)
 
 let send t ~src ~dst ~kind deliver =
-  let n = t.config.sites in
+  let n = t.sites in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Net.send: site out of range";
   count t kind;
@@ -355,8 +358,8 @@ let send t ~src ~dst ~kind deliver =
   | Some fr -> send_faulted t fr ~src ~dst deliver
   | None ->
     let delay =
-      if src = dst then t.config.local_delay
-      else t.config.base_delay +. Ccdb_util.Rng.float t.rng t.config.jitter
+      if src = dst then local_delay
+      else t.base_delay +. Ccdb_util.Rng.float t.rng t.jitter
     in
     let naive = Engine.now t.engine +. delay in
     let key = (src * n) + dst in
@@ -374,24 +377,22 @@ let send t ~src ~dst ~kind deliver =
 
 (* --- fault-plan installation -------------------------------------------- *)
 
-let install_faults t ?(retry = default_retry) plan =
+let install_faults t plan =
   if t.faults <> None then
     invalid_arg "Net.install_faults: a fault plan is already installed";
   if t.total > 0 then
     invalid_arg "Net.install_faults: traffic has already been sent";
-  if Fault_plan.max_site plan >= t.config.sites then
+  if Fault_plan.max_site plan >= t.sites then
     invalid_arg "Net.install_faults: plan names an out-of-range site";
   if Fault_plan.role_crashes plan <> [] then
     invalid_arg
       "Net.install_faults: plan has unresolved role-targeted crashes (use \
        Fault_plan.resolve first)";
-  if retry.rto <= 0. || retry.rto_backoff < 1. || retry.rto_cap < retry.rto
-  then invalid_arg "Net.install_faults: bad retry configuration";
   let fr =
-    { plan; retry;
+    { plan;
       frng = Ccdb_util.Rng.create ~seed:(Fault_plan.seed plan);
       channels = Lookup.Int.create 64;
-      crashed = Array.make t.config.sites false;
+      crashed = Array.make t.sites false;
       stats =
         { s_transmissions = 0; s_dropped = 0; s_duplicated = 0;
           s_retransmitted = 0; s_suppressed = 0;
@@ -429,7 +430,7 @@ let fault_stats t =
     t.faults
 
 let is_crashed t site =
-  if site < 0 || site >= t.config.sites then
+  if site < 0 || site >= t.sites then
     invalid_arg "Net.is_crashed: site out of range";
   match t.faults with Some fr -> fr.crashed.(site) | None -> false
 

@@ -1,7 +1,7 @@
 (** Simulated network between database sites.
 
     Messages between distinct sites experience [base_delay] plus uniform
-    jitter; messages a site sends to itself experience [local_delay] (the
+    jitter; messages a site sends to itself experience a fixed 0.1 (the
     cost of the local request path).  Delivery between any ordered pair of
     sites is FIFO, matching the paper's implicit assumption that requests
     from a request issuer reach a data queue in order.  Every send is counted
@@ -11,7 +11,9 @@
     With a {!Fault_plan} installed (see {!install_faults}), the same [send]
     interface runs over a reliable transport layered on lossy links: each
     message gets a per-channel sequence number, is retransmitted on a capped
-    exponential-backoff timer until acknowledged, however long that takes,
+    exponential-backoff timer until acknowledged, however long that takes
+    (the [k]-th retransmission fires [min (60 * 2^k) 480] after the [k]-th
+    transmission),
     and the receiver deduplicates and releases messages in sequence order.
     No message is ever abandoned: every link delivers with positive
     probability ({!Fault_plan.link} has [drop < 1]) and every crash window
@@ -32,19 +34,18 @@ type t
 (** A network instance, bound to one {!Engine.t}. *)
 
 type config = {
-  sites : int;           (** number of sites, numbered [0 .. sites-1] *)
   base_delay : float;    (** fixed one-way latency between distinct sites *)
   jitter : float;        (** uniform extra latency in [0, jitter) *)
-  local_delay : float;   (** latency when [src = dst] *)
 }
-(** Static topology and latency parameters. *)
+(** Latency between distinct sites. *)
 
-val default_config : sites:int -> config
-(** 10.0 base delay, 2.0 jitter, 0.1 local delay. *)
+val default_config : config
+(** 10.0 base delay, 2.0 jitter. *)
 
-val create : Engine.t -> Ccdb_util.Rng.t -> config -> t
-(** [create engine rng config] builds a fault-free network; [rng] drives the
-    per-message jitter.  @raise Invalid_argument if [config.sites <= 0]. *)
+val create : Engine.t -> Ccdb_util.Rng.t -> sites:int -> config -> t
+(** [create engine rng ~sites config] builds a fault-free network of sites
+    [0 .. sites-1]; [rng] drives the per-message jitter.
+    @raise Invalid_argument if [sites <= 0]. *)
 
 val sites : t -> int
 (** Number of sites in the network. *)
@@ -54,7 +55,7 @@ val send : t -> src:int -> dst:int -> kind:string -> (unit -> unit) -> unit
     transit delay and counts one message of [kind].  With a fault plan
     installed, the message travels the reliable transport instead: [deliver]
     runs exactly once, in per-channel FIFO order, after however many
-    retransmissions it takes (see {!retry}).
+    retransmissions it takes.
     @raise Invalid_argument on an out-of-range site. *)
 
 val messages_sent : t -> int
@@ -79,24 +80,11 @@ val messages_by_kind : t -> (string * int) list
     order) let {!Recovery} wipe and later rebuild it from the write-ahead
     log. *)
 
-type retry = {
-  rto : float;         (** initial retransmission timeout *)
-  rto_backoff : float; (** multiplicative backoff per retry, [>= 1] *)
-  rto_cap : float;     (** upper bound on the timeout, [>= rto] *)
-}
-(** Retransmission schedule of the reliable transport.  The [k]-th
-    retransmission fires [min (rto * rto_backoff^k) rto_cap] after the
-    [k]-th transmission; retransmissions go on until an ack arrives. *)
-
-val default_retry : retry
-(** rto 60, backoff 2.0, cap 480. *)
-
-val install_faults : t -> ?retry:retry -> Fault_plan.t -> unit
+val install_faults : t -> Fault_plan.t -> unit
 (** Installs a fault plan.  Must be called before any traffic is sent.
     Crash and recovery events are scheduled immediately on the engine.
     @raise Invalid_argument if a plan is already installed, traffic has
-    flowed, the plan names a site outside [0 .. sites-1], or [retry] is
-    malformed. *)
+    flowed, or the plan names a site outside [0 .. sites-1]. *)
 
 val fault_plan : t -> Fault_plan.t option
 (** The installed plan, if any. *)

@@ -5,9 +5,11 @@ type stats = {
   replay_time : float;
 }
 
+(* simulated time charged per stable-log record a recovery replays *)
+let replay_cost = 0.05
+
 type t = {
   engine : Engine.t;
-  replay_cost : float;
   open_until : float array; (* per-site replay-window end, -inf when closed *)
   mutable replays : int;
   mutable interrupted : int;
@@ -17,12 +19,10 @@ type t = {
 
 let replaying t site = Engine.now t.engine < t.open_until.(site)
 
-let create ~net ~engine ?(replay_cost = 0.05) ~records ~on_wipe ~on_replay () =
-  if replay_cost < 0. then invalid_arg "Recovery.create: negative replay cost";
+let create ~net ~engine ~records ~on_wipe ~on_replay () =
   let t =
     {
       engine;
-      replay_cost;
       open_until = Array.make (Net.sites net) neg_infinity;
       replays = 0;
       interrupted = 0;
@@ -40,7 +40,7 @@ let create ~net ~engine ?(replay_cost = 0.05) ~records ~on_wipe ~on_replay () =
       on_wipe site);
   Net.on_recover net (fun site ->
       let n = records site in
-      let window = t.replay_cost *. float_of_int n in
+      let window = replay_cost *. float_of_int n in
       t.replays <- t.replays + 1;
       t.records_replayed <- t.records_replayed + n;
       t.replay_time <- t.replay_time +. window;

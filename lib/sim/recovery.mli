@@ -10,8 +10,9 @@
     Replay is modeled as {e atomic at the recovery instant}: the site's
     state is rebuilt before any post-recovery message is processed (event
     callbacks are atomic in {!Engine}, and the network only resumes delivery
-    after the recovery event).  The {e replay window} [\[t, t + cost·n)] is
-    an accounting device on top of that atomic rebuild — it feeds the
+    after the recovery event).  The {e replay window} [\[t, t + 0.05·n)],
+    for [n] replayed records, is an accounting device on top of that
+    atomic rebuild — it feeds the
     recovery-time metrics of experiment E12 and lets tests aim a second
     crash "inside" a replay ([crash=S\@T+D] with [T] in the window), which
     simply re-wipes and re-replays: replay is idempotent, so the interrupted
@@ -29,18 +30,16 @@ type t
 val create :
   net:Net.t ->
   engine:Engine.t ->
-  ?replay_cost:float ->
   records:(int -> int) ->
   on_wipe:(int -> unit) ->
   on_replay:(int -> records:int -> unit) ->
   unit ->
   t
 (** Registers crash/recovery listeners on [net].  [records site] must return
-    the current size of the site's stable log; [replay_cost] is the
-    simulated time charged per record (default [0.05]).  Listener order
-    matters: create this {e after} any listener that must observe the
-    pre-wipe state and {e before} protocol crash handlers that restart
-    transactions, so they see the post-wipe queues.
-    @raise Invalid_argument if [replay_cost < 0.]. *)
+    the current size of the site's stable log; each record costs 0.05
+    simulated time units of replay window.  Listener order matters: create
+    this {e after} any listener that must observe the pre-wipe state and
+    {e before} protocol crash handlers that restart transactions, so they
+    see the post-wipe queues. *)
 
 val stats : t -> stats

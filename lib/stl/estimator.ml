@@ -1,8 +1,8 @@
 module Rt = Ccdb_protocols.Runtime
 
-type priors = { hold_time : float; aborted_time : float }
-
-let default_priors = { hold_time = 30.; aborted_time = 30. }
+(* prior lock hold time U of every protocol before any observation: the
+   scale of one round trip plus compute in the default network *)
+let prior_hold_time = 30.
 
 type source = Cumulative | Windowed of float
 
@@ -119,12 +119,11 @@ type snapshot = {
   response_time : Ccdb_model.Protocol.t -> float;
       (** mean observed system time per protocol (EMA), for the
           response-time selection criterion the paper's section 5.1
-          rejects; equals [2 * priors.hold_time] before any observation *)
+          rejects; equals [2 * prior_hold_time] before any observation *)
 }
 
 type t = {
   rt : Rt.t;
-  priors : priors;
   win : windowed option; (* Some iff the source is [Windowed] *)
   created_at : float;
   (* per-copy grant counts: (reads, writes) *)
@@ -307,7 +306,7 @@ let on_event t = function
   | Rt.Decision_logged _ | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
   | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ()
 
-let create ?(priors = default_priors) ?(source = Cumulative) rt =
+let create ?(source = Cumulative) rt =
   let win =
     match source with
     | Cumulative -> None
@@ -321,7 +320,7 @@ let create ?(priors = default_priors) ?(source = Cumulative) rt =
           wh_all_sum = fwring_make ~window; wh_all_count = wring_make ~window }
   in
   let t =
-    { rt; priors; win; created_at = Rt.now rt;
+    { rt; win; created_at = Rt.now rt;
       copy_grants = Hashtbl.create 128; grants_read = 0; grants_write = 0;
       hold = Hashtbl.create 8; probs = Hashtbl.create 8;
       response = Hashtbl.create 4; commits = 0; committed_requests = 0 }
@@ -395,7 +394,7 @@ let snapshot t =
     else Float.max 1. (float_of_int committed_requests /. float_of_int commits)
   in
   let u_cumulative p =
-    ema_get ~prior:t.priors.hold_time (hold_acc t (p, false))
+    ema_get ~prior:prior_hold_time (hold_acc t (p, false))
   in
   let u p =
     match t.win with
@@ -424,8 +423,8 @@ let snapshot t =
   in
   let response_time p =
     match Hashtbl.find_opt t.response p with
-    | Some e -> ema_get ~prior:(2. *. t.priors.hold_time) e
-    | None -> 2. *. t.priors.hold_time
+    | Some e -> ema_get ~prior:(2. *. prior_hold_time) e
+    | None -> 2. *. prior_hold_time
   in
   { params = { lambda_a; lambda_r; lambda_w; q_r; k };
     rates;

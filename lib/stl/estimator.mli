@@ -5,18 +5,10 @@
 
     An estimator subscribes to a {!Ccdb_protocols.Runtime} event stream and
     accumulates counts; {!snapshot} turns them into inputs for
-    {!Txn_cost}.  Priors keep the selector sane before any data exists
-    (paper: "collected periodically or estimated through analytical
-    methods"). *)
-
-type priors = {
-  hold_time : float;     (** prior U for every protocol *)
-  aborted_time : float;  (** prior U' *)
-}
-
-val default_priors : priors
-(** hold_time 30., aborted_time 30. — the scale of one round trip plus
-    compute in the default network. *)
+    {!Txn_cost}.  A prior lock hold time U of 30 for every protocol, the
+    scale of one round trip plus compute in the default network, keeps
+    the selector sane before any data exists (paper: "collected
+    periodically or estimated through analytical methods"). *)
 
 type snapshot = {
   params : Stl_model.params;
@@ -27,8 +19,8 @@ type snapshot = {
   response_time : Ccdb_model.Protocol.t -> float;
       (** mean observed system time per protocol (EMA) — input for the
           response-time selection criterion that section 5.1 argues against
-          (measured by experiment X7); [2 * priors.hold_time] before any
-          observation *)
+          (measured by experiment X7); 60, twice the prior hold time,
+          before any observation *)
 }
 
 (** Where the rate-like estimates come from.
@@ -58,15 +50,14 @@ type source =
 type t
 (** A live estimator, subscribed to one runtime's event stream. *)
 
-val create :
-  ?priors:priors -> ?source:source -> Ccdb_protocols.Runtime.t -> t
+val create : ?source:source -> Ccdb_protocols.Runtime.t -> t
 (** Subscribes to the runtime's event stream immediately.  [source]
     defaults to [Cumulative] (the historical behaviour).
     @raise Invalid_argument on [Windowed w] with [w <= 0.]. *)
 
 val snapshot : t -> snapshot
 (** Current estimates.  Copies with no observed traffic report rate 0;
-    protocols with no observations fall back to the priors.  [params.k] and
+    protocols with no observations fall back to the prior.  [params.k] and
     [params.q_r] are estimated across all protocols; [params.lambda_a] is
     the sum of all per-copy rates (at least a small epsilon, so
     {!Stl_model.stl'} stays defined).  Under a [Windowed] source all of

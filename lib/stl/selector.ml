@@ -22,10 +22,10 @@ let cost ~criterion (snap : Estimator.snapshot) fp protocol =
     | Ccdb_model.Protocol.Pa ->
       Txn_cost.stl_pa snap.params snap.rates snap.pa fp)
 
-let evaluate ?(candidates = Ccdb_model.Protocol.all) ?(criterion = Min_stl)
-    snap fp =
-  if candidates = [] then invalid_arg "Selector.evaluate: no candidates";
-  let costs = List.map (fun p -> (p, cost ~criterion snap fp p)) candidates in
+let evaluate ?(criterion = Min_stl) snap fp =
+  let costs =
+    List.map (fun p -> (p, cost ~criterion snap fp p)) Ccdb_model.Protocol.all
+  in
   let chosen, _ =
     List.fold_left
       (fun ((_, best_c) as best) ((_, c) as cand) ->
@@ -34,25 +34,24 @@ let evaluate ?(candidates = Ccdb_model.Protocol.all) ?(criterion = Min_stl)
   in
   { chosen; costs }
 
+(* how long a class decision is reused before it is re-evaluated *)
+let class_cache_ttl = 100.
+
 type t = {
-  candidates : Ccdb_model.Protocol.t list;
   criterion : criterion;
-  ttl : float;
   catalog : Ccdb_storage.Catalog.t;
   snapshot : unit -> Estimator.snapshot;
   cache : (int * int, float * verdict) Hashtbl.t; (* class -> expiry, verdict *)
   counts : (Ccdb_model.Protocol.t, int ref) Hashtbl.t;
 }
 
-let create ?(candidates = Ccdb_model.Protocol.all) ?(criterion = Min_stl)
-    ?(class_cache_ttl = 200.) ?snapshot catalog estimator =
-  if candidates = [] then invalid_arg "Selector.create: no candidates";
+let create ?(criterion = Min_stl) ?snapshot catalog estimator =
   let snapshot =
     match snapshot with
     | Some f -> f
     | None -> fun () -> Estimator.snapshot estimator
   in
-  { candidates; criterion; ttl = class_cache_ttl; catalog; snapshot;
+  { criterion; catalog; snapshot;
     cache = Hashtbl.create 32; counts = Hashtbl.create 4 }
 
 let record t protocol =
@@ -68,10 +67,8 @@ let choose t ~now (txn : Ccdb_model.Txn.t) =
         ~write_set:txn.write_set
     in
     let snap = t.snapshot () in
-    let verdict =
-      evaluate ~candidates:t.candidates ~criterion:t.criterion snap fp
-    in
-    if t.ttl > 0. then Hashtbl.replace t.cache key (now +. t.ttl, verdict);
+    let verdict = evaluate ~criterion:t.criterion snap fp in
+    Hashtbl.replace t.cache key (now +. class_cache_ttl, verdict);
     verdict
   in
   let verdict =

@@ -10,7 +10,7 @@
 type verdict = {
   chosen : Ccdb_model.Protocol.t;
   costs : (Ccdb_model.Protocol.t * float) list;
-      (** STL per candidate, in candidate order *)
+      (** STL of each protocol, in {!Ccdb_model.Protocol.all} order *)
 }
 
 val footprint :
@@ -32,32 +32,24 @@ type criterion =
           the difference *)
 
 val evaluate :
-  ?candidates:Ccdb_model.Protocol.t list ->
-  ?criterion:criterion ->
-  Estimator.snapshot ->
-  Txn_cost.footprint ->
-  verdict
-(** Candidates default to all three protocols, criterion to [Min_stl]; ties
-    break in candidate order.  @raise Invalid_argument on an empty candidate
-    list. *)
+  ?criterion:criterion -> Estimator.snapshot -> Txn_cost.footprint -> verdict
+(** Evaluates all three protocols; [criterion] defaults to [Min_stl], and
+    ties break in {!Ccdb_model.Protocol.all} order. *)
 
 type t
 (** A selector with its class-decision cache and snapshot source. *)
 
 val create :
-  ?candidates:Ccdb_model.Protocol.t list ->
   ?criterion:criterion ->
-  ?class_cache_ttl:float ->
   ?snapshot:(unit -> Estimator.snapshot) ->
   Ccdb_storage.Catalog.t ->
   Estimator.t ->
   t
-(** [class_cache_ttl] (default 200. time units) controls how long a class
-    decision is reused before re-evaluating; [0.] disables caching.
-    [snapshot] overrides where fresh evaluations read their STL inputs
-    (default: [Estimator.snapshot] of the given estimator) — this is how
-    {!Core.Dynamic_cc} plugs in the analytic design-time parameters for
-    its [Configured] adaptivity. *)
+(** A class decision is reused for 100 time units before it is
+    re-evaluated.  [snapshot] overrides where fresh evaluations read their
+    STL inputs (default: [Estimator.snapshot] of the given estimator) —
+    this is how {!Core.Dynamic_cc} plugs in the analytic design-time
+    parameters for its [Configured] adaptivity. *)
 
 val choose : t -> now:float -> Ccdb_model.Txn.t -> verdict
 (** Selects a protocol for the transaction (its own [protocol] field is

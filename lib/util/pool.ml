@@ -6,8 +6,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
 (* Domain accounting shared by every pool and every [reserve_domain]
    caller: the domains spawned and not yet joined, not counting the one
    that runs the program. *)

@@ -13,9 +13,6 @@
 
 type t
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], clamped to at least 1. *)
-
 val in_task : unit -> bool
 (** Whether the calling domain is running a task of some pool's {!map}
     (on a worker, or inline on the submitting domain). *)

@@ -45,6 +45,7 @@ type t = {
   sites : int;
   rng : Ccdb_util.Rng.t;
   sample_item : Ccdb_util.Rng.t -> int;
+  drawn : Bytes.t;  (* per item, whether the transaction being drawn has it *)
   mutable next_id : int;
 }
 
@@ -61,7 +62,8 @@ let create spec ~sites ~items rng =
           Ccdb_util.Rng.int rng hot_items
         else Ccdb_util.Rng.int rng items
   in
-  { spec; sites; rng; sample_item; next_id = 1 }
+  { spec; sites; rng; sample_item; drawn = Bytes.make items '\000';
+    next_id = 1 }
 
 let pick_protocol t =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. t.spec.protocol_mix in
@@ -72,15 +74,30 @@ let pick_protocol t =
   in
   walk 0. t.spec.protocol_mix
 
-(* distinct items via rejection (sizes are small relative to the universe) *)
+(* [n - k] more distinct items via rejection: a draw the transaction
+   already has is drawn again *)
+let rec fill t n acc k =
+  if k >= n then acc
+  else
+    let item = t.sample_item t.rng in
+    if Bytes.get t.drawn item <> '\000' then fill t n acc k
+    else begin
+      Bytes.set t.drawn item '\001';
+      fill t n (item :: acc) (k + 1)
+    end
+
+let rec clear drawn = function
+  | [] -> ()
+  | item :: rest ->
+    Bytes.set drawn item '\000';
+    clear drawn rest
+
+(* [n] distinct items, newest first; the flags are cleared again for the
+   next transaction *)
 let sample_items t n =
-  let rec fill acc =
-    if List.length acc >= n then acc
-    else
-      let item = t.sample_item t.rng in
-      if List.mem item acc then fill acc else fill (item :: acc)
-  in
-  fill []
+  let items = fill t n [] 0 in
+  clear t.drawn items;
+  items
 
 let next_txn t =
   let size =

@@ -180,8 +180,7 @@ let test_q_waits_for_edges () =
 let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1)
     ?faults () =
   let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication in
-  Rt.create ~seed ?faults ~net_config:(Ccdb_sim.Net.default_config ~sites)
-    ~catalog ()
+  Rt.create ~seed ?faults ~net_config:Ccdb_sim.Net.default_config ~catalog ()
 
 let mk_txn ?(site = 0) ?(reads = []) ?(writes = []) ?(compute = 1.0)
     ?(protocol = two_pl) id =

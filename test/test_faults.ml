@@ -260,7 +260,7 @@ let test_plan_roundtrip_random =
 let transport ?(sites = 3) plan =
   let engine = Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:99 in
-  let net = Net.create engine rng (Net.default_config ~sites) in
+  let net = Net.create engine rng ~sites Net.default_config in
   Net.install_faults net plan;
   (engine, net)
 
@@ -310,7 +310,7 @@ let test_transport_rides_out_crash () =
 let test_install_guards () =
   let engine = Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:1 in
-  let net = Net.create engine rng (Net.default_config ~sites:2) in
+  let net = Net.create engine rng ~sites:2 Net.default_config in
   (* plans must fit the topology *)
   Alcotest.check_raises "out-of-range site"
     (Invalid_argument "Net.install_faults: plan names an out-of-range site")
@@ -326,23 +326,23 @@ let test_install_guards () =
 
 (* --- the ack rule and deferred timers, at their boundaries -------------- *)
 
-(* With jitter 0 every time is exact: a copy or an ack takes 10 units and
-   the first timer is due 60 after its transmission.  A copy that arrives
-   before its timer is due leaves the timer out of the heap; its arrival
-   settles the timer at once if the ack will land before the due time on
-   a live sender, and otherwise pushes it.  Each case sends one message
-   0 -> 1 at time 0 and checks the heap right after the send, the delivery
-   times, the transport counters, the engine's event count and that the
-   heap drains.  The exact event and retransmission counts show that no
-   timer fires after its message was acked.  A transport that schedules
-   every ack and timer gives the same deliveries and counters in every
-   case, in 5, 8, 8, 4, 4, 3, 3, 8 and 12 events. *)
-let exact_transport ?(retry = Net.default_retry) plan =
+(* With jitter 0 every time is exact: a copy or an ack takes the base
+   delay, 10 units unless a case says otherwise, and the first timer is due
+   60 after its transmission.  A copy that arrives before its timer is due
+   leaves the timer out of the heap; its arrival settles the timer at once
+   if the ack will land before the due time on a live sender, and
+   otherwise pushes it.  Each case sends one message 0 -> 1 at time 0 and
+   checks the heap right after the send, the delivery times, the transport
+   counters, the engine's event count and that the heap drains.  The exact
+   event and retransmission counts show that no timer fires after its
+   message was acked.  A transport that schedules every ack and timer
+   gives the same deliveries and counters in every case, in 5, 8, 8, 4, 4,
+   3, 3, 8 and 12 events. *)
+let exact_transport ?(base_delay = 10.) plan =
   let engine = Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:99 in
-  let config = { (Net.default_config ~sites:3) with Net.jitter = 0. } in
-  let net = Net.create engine rng config in
-  Net.install_faults net ~retry plan;
+  let net = Net.create engine rng ~sites:3 { Net.base_delay; jitter = 0. } in
+  Net.install_faults net plan;
   (engine, net)
 
 let stats ?(transmissions = 1) ?(dropped = 0) ?(duplicated = 0)
@@ -361,9 +361,9 @@ let stats_t =
         s.acks_lost s.crashes s.recoveries)
     ( = )
 
-let boundary ?retry ?(setup = fun _ _ -> ()) plan ~queued ~delivered
+let boundary ?base_delay ?(setup = fun _ _ -> ()) plan ~queued ~delivered
     ~expect ~events =
-  let engine, net = exact_transport ?retry plan in
+  let engine, net = exact_transport ?base_delay plan in
   setup engine net;
   let times = ref [] in
   Net.send net ~src:0 ~dst:1 ~kind:"m" (fun () ->
@@ -376,12 +376,12 @@ let boundary ?retry ?(setup = fun _ _ -> ()) plan ~queued ~delivered
   check Alcotest.int "engine events" events (Engine.processed engine);
   check Alcotest.int "heap drained" 0 (Engine.pending engine)
 
-(* The ack lands at 20, exactly when the timer is due (rto 20).  The
-   timer's key is older, so it fires first and retransmits; the ack then
-   settles the new timer, and the second copy's ack finds nothing to do. *)
+(* With a 30-unit delay the ack lands at 60, exactly when the timer is
+   due.  The timer's key is older, so it fires first and retransmits; the
+   ack then settles the new timer, and the second copy's ack finds nothing
+   to do. *)
 let test_ack_at_due_time () =
-  boundary ~retry:{ Net.default_retry with rto = 20. } FP.none ~queued:1
-    ~delivered:[ 10. ]
+  boundary ~base_delay:30. FP.none ~queued:1 ~delivered:[ 30. ]
     ~expect:(stats ~transmissions:2 ~retransmitted:1 ())
     ~events:4
 

@@ -252,7 +252,7 @@ let test_windowed_rejects_bad_window () =
   in
   let rt =
     Ccdb_protocols.Runtime.create ~seed:1
-      ~net_config:(Ccdb_sim.Net.default_config ~sites:2) ~catalog ()
+      ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   (match Ccdb_stl.Estimator.create ~source:(Ccdb_stl.Estimator.Windowed 0.) rt with
    | _ -> Alcotest.fail "Windowed 0. should raise"
@@ -270,7 +270,7 @@ let test_windowed_empty_falls_back () =
   in
   let rt =
     Ccdb_protocols.Runtime.create ~seed:1
-      ~net_config:(Ccdb_sim.Net.default_config ~sites:2) ~catalog ()
+      ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let windowed =
     Ccdb_stl.Estimator.create ~source:(Ccdb_stl.Estimator.Windowed 100.) rt

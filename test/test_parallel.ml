@@ -12,8 +12,15 @@ let check = Alcotest.check
 
 (* --- Pool --------------------------------------------------------------- *)
 
+(* the default job count, and the clamp every --jobs goes through *)
 let test_pool_default_jobs () =
-  check Alcotest.bool "at least one" true (Pool.default_jobs () >= 1)
+  let cores = Ccdb_harness.Parallel.cores () in
+  check Alcotest.bool "at least one" true (cores >= 1);
+  let clamp = Ccdb_harness.Parallel.clamp_jobs ~prog:"test_parallel" in
+  check Alcotest.int "1 stays serial" 1 (clamp 1);
+  check Alcotest.int "2 stays parallel" 2 (clamp 2);
+  check Alcotest.int "at most the cores, at least 2" (max cores 2)
+    (clamp max_int)
 
 let test_pool_map_order () =
   List.iter

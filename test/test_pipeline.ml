@@ -254,7 +254,7 @@ let test_budget_exhausted () =
     Ccdb_storage.Catalog.create ~items ~sites ~replication:2
   in
   let rt =
-    Rt.create ~net_config:(Ccdb_sim.Net.default_config ~sites) ~catalog ()
+    Rt.create ~net_config:Ccdb_sim.Net.default_config ~catalog ()
   in
   let sys = Core.Unified_system.create rt in
   let emitted = ref 0 and observed = ref 0 and observed_on = ref None in

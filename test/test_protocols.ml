@@ -138,7 +138,7 @@ let test_lock_table_holders () =
 
 let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1) () =
   let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication in
-  Rt.create ~seed ~net_config:(Ccdb_sim.Net.default_config ~sites) ~catalog ()
+  Rt.create ~seed ~net_config:Ccdb_sim.Net.default_config ~catalog ()
 
 let mk_txn ?(site = 0) ?(reads = []) ?(writes = []) ?(compute = 1.0)
     ?(protocol = Ccdb_model.Protocol.Two_pl) id =
@@ -1059,19 +1059,17 @@ let test_runtime_counters_and_subscribe () =
     (Ccdb_util.Stats.mean (Rt.system_time rt));
   check (Alcotest.float 0.) "latest executed_at" 5. (Rt.last_executed rt)
 
-let test_runtime_site_mismatch () =
+(* the catalog owns the site count: the network is built with it *)
+let test_runtime_sites_from_catalog () =
   let catalog = Ccdb_storage.Catalog.create ~items:2 ~sites:3 ~replication:1 in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Runtime.create: catalog/network site count mismatch")
-    (fun () ->
-      ignore
-        (Rt.create ~net_config:(Ccdb_sim.Net.default_config ~sites:2) ~catalog ()))
+  let rt = Rt.create ~net_config:Ccdb_sim.Net.default_config ~catalog () in
+  check Alcotest.int "network sites" 3 (Ccdb_sim.Net.sites (Rt.net rt))
 
 let test_centralized_detector_unit () =
   (* drive the detector directly against a synthetic wait-for graph *)
   let e = Ccdb_sim.Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:1 in
-  let net = Ccdb_sim.Net.create e rng (Ccdb_sim.Net.default_config ~sites:2) in
+  let net = Ccdb_sim.Net.create e rng ~sites:2 Ccdb_sim.Net.default_config in
   let edges = ref [ (1, 2); (2, 1) ] in
   let aborted = ref [] in
   let d =
@@ -1112,7 +1110,7 @@ let test_centralized_detector_reuse () =
   let detections graph scans =
     let e = Ccdb_sim.Engine.create () in
     let rng = Ccdb_util.Rng.create ~seed:1 in
-    let net = Ccdb_sim.Net.create e rng (Ccdb_sim.Net.default_config ~sites:2) in
+    let net = Ccdb_sim.Net.create e rng ~sites:2 Ccdb_sim.Net.default_config in
     let scan = ref 0 and found = ref [] in
     let d =
       Ccdb_protocols.Deadlock.create_centralized ~engine:e ~net ~interval:10.
@@ -1152,7 +1150,7 @@ let test_centralized_detector_reuse () =
 let test_detector_period_guards () =
   let e = Ccdb_sim.Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:1 in
-  let net = Ccdb_sim.Net.create e rng (Ccdb_sim.Net.default_config ~sites:2) in
+  let net = Ccdb_sim.Net.create e rng ~sites:2 Ccdb_sim.Net.default_config in
   List.iter
     (fun interval ->
       Alcotest.check_raises
@@ -1185,7 +1183,9 @@ let test_stress_unified_mixed () =
   (* a long mixed run: 1500 transactions across every protocol *)
   let sites = 4 and items = 40 in
   let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication:2 in
-  let rt = Rt.create ~seed:7 ~net_config:(Ccdb_sim.Net.default_config ~sites) ~catalog () in
+  let rt =
+    Rt.create ~seed:7 ~net_config:Ccdb_sim.Net.default_config ~catalog ()
+  in
   let sys = Core.Unified_system.create rt in
   let rng = Ccdb_util.Rng.create ~seed:99 in
   let n = 1500 in
@@ -1216,7 +1216,8 @@ let suites =
   suites
   @ [ ( "protocols.runtime",
         [ Alcotest.test_case "counters + subscribe" `Quick test_runtime_counters_and_subscribe;
-          Alcotest.test_case "site mismatch" `Quick test_runtime_site_mismatch;
+          Alcotest.test_case "sites from catalog" `Quick
+            test_runtime_sites_from_catalog;
           Alcotest.test_case "centralized detector unit" `Quick test_centralized_detector_unit;
           Alcotest.test_case "centralized detector reuse" `Quick
             test_centralized_detector_reuse;
@@ -1364,7 +1365,7 @@ let test_differential_2pl_exact () =
   let run mode =
     let sites = 3 and items = 8 in
     let catalog = Ccdb_storage.Catalog.create ~items ~sites ~replication:2 in
-    let net = { (Ccdb_sim.Net.default_config ~sites) with jitter = 0. } in
+    let net = { Ccdb_sim.Net.default_config with jitter = 0. } in
     let rt = Rt.create ~seed:5 ~net_config:net ~catalog () in
     let submit =
       match mode with

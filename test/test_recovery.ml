@@ -99,16 +99,17 @@ let test_every_system_survives_fail_stop () =
 
 (* --- crash during recovery ---------------------------------------------- *)
 
-(* With replay_cost 2.0, site 1's recovery at t=400 opens a replay window
-   of 2.0 x (records in its WAL) time units; by then the site has logged
-   far more than 3 records under this workload, so the second crash at
-   t=405 lands inside the window.  Replay is idempotent, so the run must
-   end exactly as clean as a single-crash one.  Every mode runs it under
-   2PC (Paxos Commit with f=0, one acceptor at the home site); the modes
-   that commit through [Commit] run it under Paxos Commit over three and
-   five acceptors too (five sites for f=2). *)
+(* Site 1's recovery at t=400 opens a replay window of 0.05 time units per
+   record in its WAL.  By then the site has logged 9 records (pure-mvto)
+   to 102 (unified under Paxos f=2) under this workload, a window of 0.45
+   to 5.1 units, so the second crash at t=400.2 lands inside it in every
+   case.  Replay is idempotent, so the run must end exactly as clean as a
+   single-crash one.  Every mode runs it under 2PC (Paxos Commit with f=0,
+   one acceptor at the home site); the modes that commit through [Commit]
+   run it under Paxos Commit over three and five acceptors too (five sites
+   for f=2). *)
 let double_crash_plan =
-  plan_of_string "crash=1@300+100,crash=1@405+200,wipe=true,seed=5"
+  plan_of_string "crash=1@300+100,crash=1@400.2+200,wipe=true,seed=5"
 
 let test_crash_during_recovery () =
   let paxos f =
@@ -126,7 +127,7 @@ let test_crash_during_recovery () =
           let name = label ^ D.mode_name mode in
           let r =
             D.run ~setup ~n_txns:150 ~audit:true ~faults:double_crash_plan
-              ~replay_cost:2.0 mode spec
+              mode spec
           in
           check Alcotest.int (name ^ " all txns commit") 150
             r.summary.committed;
@@ -343,7 +344,7 @@ let test_restart_backoff () =
   let catalog = Ccdb_storage.Catalog.create ~items:4 ~sites:2 ~replication:1 in
   (* fault-free runtime: exactly base, every attempt (byte identity) *)
   let rt =
-    Rt.create ~net_config:(Net.default_config ~sites:2) ~catalog ()
+    Rt.create ~net_config:Net.default_config ~catalog ()
   in
   List.iter
     (fun attempt ->
@@ -356,7 +357,7 @@ let test_restart_backoff () =
   (* faulted runtime: jittered doubling under the cap, per site *)
   let rt =
     Rt.create ~faults:(plan_of_string "drop=0.1,seed=3")
-      ~net_config:(Net.default_config ~sites:2) ~catalog ()
+      ~net_config:Net.default_config ~catalog ()
   in
   for attempt = 0 to 20 do
     List.iter
@@ -382,7 +383,7 @@ let test_restart_backoff () =
   in
   let fresh () =
     Rt.create ~faults:(plan_of_string "drop=0.1,seed=3")
-      ~net_config:(Net.default_config ~sites:2) ~catalog ()
+      ~net_config:Net.default_config ~catalog ()
   in
   let rt_a = fresh () in
   let site0_alone = draws rt_a 0 in
@@ -394,14 +395,20 @@ let test_restart_backoff () =
 
 (* --- E12 ----------------------------------------------------------------- *)
 
+let quick_experiment id =
+  Ccdb_harness.Experiments.run_one
+    (List.find
+       (fun s -> Ccdb_harness.Experiments.id s = id)
+       (Ccdb_harness.Experiments.staged ~quick:true ()))
+
 let test_e12_runs () =
-  let o = Ccdb_harness.Experiments.e12_crash_recovery ~quick:true () in
+  let o = quick_experiment "E12" in
   check Alcotest.string "id" "E12" o.Ccdb_harness.Experiments.id;
   check Alcotest.bool "rendered" true
     (String.length (Ccdb_harness.Experiments.render o) > 0)
 
 let test_e16_runs () =
-  let o = Ccdb_harness.Experiments.e16_nonblocking_commit ~quick:true () in
+  let o = quick_experiment "E16" in
   check Alcotest.string "id" "E16" o.Ccdb_harness.Experiments.id;
   let rendered = Ccdb_harness.Experiments.render o in
   check Alcotest.bool "rendered" true (String.length rendered > 0);

@@ -518,10 +518,8 @@ let test_engine_fuzz () =
 let make_net ?(sites = 3) ?(jitter = 0.) () =
   let e = Ccdb_sim.Engine.create () in
   let rng = Ccdb_util.Rng.create ~seed:1 in
-  let config =
-    { Ccdb_sim.Net.sites; base_delay = 10.; jitter; local_delay = 0.1 }
-  in
-  (e, Ccdb_sim.Net.create e rng config)
+  let net = Ccdb_sim.Net.create e rng ~sites { base_delay = 10.; jitter } in
+  (e, net)
 
 let test_net_delivery_delay () =
   let e, net = make_net () in

@@ -160,7 +160,7 @@ let test_stl_protocol_ranking_under_failures () =
 
 let make_runtime () =
   let catalog = Ccdb_storage.Catalog.create ~items:4 ~sites:2 ~replication:1 in
-  Rt.create ~net_config:(Ccdb_sim.Net.default_config ~sites:2) ~catalog ()
+  Rt.create ~net_config:Ccdb_sim.Net.default_config ~catalog ()
 
 let test_estimator_priors_before_data () =
   let rt = make_runtime () in
@@ -175,7 +175,7 @@ let test_estimator_tracks_events () =
   let est = Est.create rt in
   (* drive some simulated time so rates are finite *)
   ignore (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:100. (fun () -> ()));
-  Rt.run rt;
+  Rt.quiesce rt;
   let emit_grant op =
     Rt.emit rt
       (Rt.Lock_granted
@@ -243,7 +243,7 @@ let test_selector_picks_min () =
            schedule = Ccdb_model.Lock.Normal; ts = Some 1; at = 1. })
   done;
   ignore (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:100. (fun () -> ()));
-  Rt.run rt;
+  Rt.quiesce rt;
   let snap = Est.snapshot est in
   let fp =
     Sel.footprint (Rt.catalog rt) ~site:0 ~read_set:[ 0 ] ~write_set:[ 1 ]
@@ -262,7 +262,7 @@ let test_selector_picks_min () =
 let test_selector_class_cache () =
   let rt = make_runtime () in
   let est = Est.create rt in
-  let sel = Sel.create ~class_cache_ttl:100. (Rt.catalog rt) est in
+  let sel = Sel.create (Rt.catalog rt) est in
   let txn id =
     Ccdb_model.Txn.make ~id ~site:0 ~read_set:[ 0 ] ~write_set:[ 1 ]
       ~compute_time:1. ~protocol:Ccdb_model.Protocol.Two_pl
@@ -278,20 +278,6 @@ let test_selector_class_cache () =
     (List.map
        (fun (p, n) -> (Ccdb_model.Protocol.to_string p, n))
        (Sel.decisions sel))
-
-let test_selector_candidates_restricted () =
-  let rt = make_runtime () in
-  let est = Est.create rt in
-  let snap = Est.snapshot est in
-  let fp = Sel.footprint (Rt.catalog rt) ~site:0 ~read_set:[ 0 ] ~write_set:[] in
-  let verdict =
-    Sel.evaluate ~candidates:[ Ccdb_model.Protocol.Pa ] snap fp
-  in
-  check Alcotest.bool "only candidate wins" true
-    (Ccdb_model.Protocol.equal verdict.chosen Ccdb_model.Protocol.Pa);
-  Alcotest.check_raises "empty candidates"
-    (Invalid_argument "Selector.evaluate: no candidates") (fun () ->
-      ignore (Sel.evaluate ~candidates:[] snap fp))
 
 let suites =
   [ ( "stl.model",
@@ -320,8 +306,7 @@ let suites =
     ( "stl.selector",
       [ Alcotest.test_case "footprint" `Quick test_selector_footprint;
         Alcotest.test_case "picks min" `Quick test_selector_picks_min;
-        Alcotest.test_case "class cache" `Quick test_selector_class_cache;
-        Alcotest.test_case "restricted candidates" `Quick test_selector_candidates_restricted ] ) ]
+        Alcotest.test_case "class cache" `Quick test_selector_class_cache ] ) ]
 
 (* --- Analytic model ---------------------------------------------------------- *)
 

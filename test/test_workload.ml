@@ -133,6 +133,85 @@ let prop_deterministic =
       in
       dump (make ~seed ()) = dump (make ~seed ()))
 
+(* --- distinct items ------------------------------------------------------- *)
+
+(* One transaction of all 20,000 items: each draw is tested against a flag
+   per item, so even the last items, drawn after many repeats, cost a
+   constant each. *)
+let test_draw_every_item () =
+  let items = 20_000 in
+  List.iter
+    (fun access ->
+      let spec =
+        { G.default with size_min = items; size_max = items; access }
+      in
+      match G.generate (make ~spec ~items ()) ~n:1 ~start:0. with
+      | [ (_, txn) ] ->
+        check (Alcotest.list Alcotest.int) "every item once"
+          (List.init items Fun.id)
+          (List.sort Int.compare (List.map fst (Ccdb_model.Txn.accesses txn)))
+      | _ -> Alcotest.fail "one transaction")
+    [ G.Uniform; G.Zipf 0.5 ]
+
+(* The generator as it drew before it kept a flag per item: a repeat was
+   found by [List.mem] on the items drawn so far.  The flags must reject
+   the same draws, so every transaction comes out the same. *)
+let reference_generate (spec : G.spec) ~sites ~items rng ~n ~start =
+  let sample_item =
+    match spec.access with
+    | G.Uniform -> fun rng -> Ccdb_util.Rng.int rng items
+    | G.Zipf theta -> Ccdb_util.Rng.zipf_sampler ~n:items ~theta
+    | G.Hotspot { hot_items; hot_prob } ->
+      fun rng ->
+        if Ccdb_util.Rng.float rng 1.0 < hot_prob then
+          Ccdb_util.Rng.int rng hot_items
+        else Ccdb_util.Rng.int rng items
+  in
+  let rec sample acc n =
+    if List.length acc >= n then acc
+    else
+      let item = sample_item rng in
+      if List.mem item acc then sample acc n else sample (item :: acc) n
+  in
+  let pick_protocol () =
+    let total =
+      List.fold_left (fun acc (_, w) -> acc +. w) 0. spec.protocol_mix
+    in
+    let u = Ccdb_util.Rng.float rng total in
+    let rec walk acc = function
+      | [] -> fst (List.hd spec.protocol_mix)
+      | (p, w) :: rest -> if u < acc +. w then p else walk (acc +. w) rest
+    in
+    walk 0. spec.protocol_mix
+  in
+  let txn id =
+    let size =
+      spec.size_min + Ccdb_util.Rng.int rng (spec.size_max - spec.size_min + 1)
+    in
+    let reads, writes =
+      List.partition
+        (fun _ -> Ccdb_util.Rng.float rng 1.0 < spec.read_fraction)
+        (sample [] size)
+    in
+    let site = Ccdb_util.Rng.int rng sites in
+    let compute_time =
+      if spec.compute_mean = 0. then 0.
+      else Ccdb_util.Rng.exponential rng ~mean:spec.compute_mean
+    in
+    Ccdb_model.Txn.make ~id ~site ~read_set:reads ~write_set:writes
+      ~compute_time ~protocol:(pick_protocol ())
+  in
+  let rec go acc at id =
+    if id > n then List.rev acc
+    else
+      let at =
+        at +. Ccdb_util.Rng.exponential rng ~mean:(1. /. spec.arrival_rate)
+      in
+      let t = txn id in
+      go ((at, t) :: acc) at (id + 1)
+  in
+  go [] start 1
+
 (* --- arrivals drawn when due ----------------------------------------------- *)
 
 (* Everything an arrival carries, its times by their bits. *)
@@ -249,6 +328,36 @@ let prop_streams_equal_eager_draws =
          = List.map arrival_key eager_phased
       && (not refused) && in_order = times && out_of_order)
 
+(* Uniform, Zipf and hotspot access, half the time with transactions of
+   every item. *)
+let prop_sampler_matches_reference =
+  qtest ~count:200 "generate draws what the List.mem sampler drew"
+    QCheck.(pair (int_range 0 100_000) (int_range 0 30))
+    (fun (seed, n) ->
+      let rng = Ccdb_util.Rng.create ~seed in
+      let sites = 1 + Ccdb_util.Rng.int rng 6 in
+      let items = 4 + Ccdb_util.Rng.int rng 30 in
+      let start = Ccdb_util.Rng.float rng 100. in
+      let spec = random_spec rng ~items in
+      let spec =
+        if Ccdb_util.Rng.bool rng then
+          { spec with size_min = items; size_max = items }
+        else spec
+      in
+      List.for_all
+        (fun access ->
+          let spec = { spec with access } in
+          let draws () = Ccdb_util.Rng.create ~seed:(seed + 1) in
+          List.map arrival_key
+            (G.generate (G.create spec ~sites ~items (draws ())) ~n ~start)
+          = List.map arrival_key
+              (reference_generate spec ~sites ~items (draws ()) ~n ~start))
+        [ G.Uniform;
+          G.Zipf (0.2 +. Ccdb_util.Rng.float rng 1.5);
+          G.Hotspot
+            { hot_items = 1 + Ccdb_util.Rng.int rng items;
+              hot_prob = Ccdb_util.Rng.float rng 1. } ])
+
 let test_stream_exhaustion () =
   let s = G.arrivals (make ()) ~n:2 ~start:0. in
   check Alcotest.int "two to pull" 2 (G.remaining s);
@@ -285,5 +394,7 @@ let suites =
         Alcotest.test_case "hotspot" `Quick test_hotspot_access;
         Alcotest.test_case "validation" `Quick test_validate_rejects_nonsense;
         Alcotest.test_case "sites in range" `Quick test_sites_in_range;
+        Alcotest.test_case "every item of 20,000" `Quick test_draw_every_item;
+        prop_sampler_matches_reference;
         prop_items_in_range;
         prop_deterministic ] ) ]
