@@ -140,8 +140,8 @@ let bench_semi_lock_cycle =
         for i = 1 to 8 do
           ignore
             (Core.Semi_lock_queue.request q ~txn:(1_000_000 + i) ~site:0
-               ~protocol:Ccdb_model.Protocol.Pa ~ts:(Some i) ~interval:5
-               ~epoch:0 ~op:Ccdb_model.Op.Read)
+               ~protocol:Ccdb_model.Protocol.Pa ~ts:(Some i) ~epoch:0
+               ~op:Ccdb_model.Op.Read)
         done;
         Core.Semi_lock_queue.grant_ready q ~now:0.;
         fun () ->
@@ -150,8 +150,7 @@ let bench_semi_lock_cycle =
           ignore
             (Core.Semi_lock_queue.request q ~txn ~site:0
                ~protocol:Ccdb_model.Protocol.T_o
-               ~ts:(Some (100 + !counter)) ~interval:5 ~epoch:0
-               ~op:Ccdb_model.Op.Read);
+               ~ts:(Some (100 + !counter)) ~epoch:0 ~op:Ccdb_model.Op.Read);
           Core.Semi_lock_queue.grant_ready q ~now:1.;
           ignore (Core.Semi_lock_queue.release q ~txn : Core.Semi_lock_queue.entry)))
 

@@ -92,10 +92,6 @@ let max_sites = 100_000
 let max_cto_sites = 512
 let max_copies = 1 lsl 22
 
-let items_term =
-  Cmdliner.Arg.(
-    value & opt positive_int 24 & info [ "items" ] ~doc:"Logical items.")
-
 let usage_error fmt =
   Printf.ksprintf
     (fun msg ->
@@ -358,6 +354,9 @@ let run_cmd =
   let sites =
     Arg.(value & opt positive_int 4 & info [ "sites" ] ~doc:"Sites.")
   in
+  let items =
+    Arg.(value & opt positive_int 24 & info [ "items" ] ~doc:"Logical items.")
+  in
   let replication =
     Arg.(value & opt positive_int 2
          & info [ "replication" ] ~doc:"Copies per item.")
@@ -458,9 +457,7 @@ let run_cmd =
   in
   let audit =
     let path =
-      Arg.enum
-        [ ("stream", D.Streaming); ("batch", D.Batch);
-          ("differential", D.Differential) ]
+      Arg.enum [ ("stream", D.Streaming); ("differential", D.Differential) ]
     in
     Arg.(value
          & opt ~vopt:(Some D.Streaming) (some path) None
@@ -472,11 +469,11 @@ let run_cmd =
                 plan durability and consensus) and print the report: its \
                 summary, then one line per finding.  $(docv) is \
                 $(b,stream) (the default: events feed the incremental \
-                analyzer as they fire, no trace retained), $(b,batch) \
-                (record the full trace and replay it through the batch \
-                analyzer after the run, the executable specification) or \
-                $(b,differential) (both; any disagreement is an \
-                audit.divergence error).  Exits 1 on an error finding.")
+                analyzer as they fire, no trace retained) or \
+                $(b,differential) (also record the full trace and replay it \
+                through the batch analyzer after the run, the executable \
+                specification; any disagreement is an audit.divergence \
+                error).  Exits 1 on an error finding.")
   in
   let no_store_check =
     Arg.(value & flag
@@ -765,7 +762,7 @@ let run_cmd =
           document fails its schema check.")
     (reported
        Term.(
-         const run $ mode $ lambda $ txns $ sites $ items_term $ replication
+         const run $ mode $ lambda $ txns $ sites $ items $ replication
          $ size_min $ size_max $ read_fraction $ seed $ mix $ detection
          $ prevention $ twr $ audit $ no_store_check $ commit $ plan
          $ adaptive $ reselect $ phases $ insights))
@@ -842,79 +839,6 @@ let experiments_cmd =
        ~doc:"Regenerate the paper-reproduction tables (E1-E14, E16, X1-X7).")
     (reported Term.(const run $ quick $ only $ csv_dir $ jobs))
 
-(* ---------------------------------------------------------------- sweep *)
-
-let sweep_cmd =
-  let open Cmdliner in
-  let lambdas =
-    Arg.(value & opt (list positive_float) [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
-         & info [ "lambdas" ] ~doc:"Arrival rates to sweep.")
-  in
-  let modes =
-    Arg.(value
-         & opt (list mode_conv)
-             [ Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Two_pl;
-               Ccdb_harness.Driver.Pure Ccdb_model.Protocol.T_o;
-               Ccdb_harness.Driver.Pure Ccdb_model.Protocol.Pa ]
-         & info [ "modes" ] ~doc:"Systems to sweep.")
-  in
-  let txns =
-    Arg.(value & opt count 400 & info [ "txns" ] ~doc:"Transactions.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
-  in
-  let run lambdas modes txns items csv () =
-    check_setup
-      { Ccdb_harness.Driver.default_setup with items }
-      Ccdb_workload.Generator.default;
-    Option.iter (check_writable "--csv") csv;
-    let table =
-      Ccdb_util.Table.create
-        ~columns:
-          [ ("mode", Ccdb_util.Table.Left); ("lambda", Ccdb_util.Table.Right);
-            ("mean S", Ccdb_util.Table.Right); ("p95 S", Ccdb_util.Table.Right);
-            ("restarts/txn", Ccdb_util.Table.Right);
-            ("deadlocks", Ccdb_util.Table.Right);
-            ("msgs/txn", Ccdb_util.Table.Right);
-            ("serializable", Ccdb_util.Table.Left) ]
-    in
-    List.iter
-      (fun mode ->
-        List.iter
-          (fun lambda ->
-            let spec =
-              { Ccdb_workload.Generator.default with arrival_rate = lambda }
-            in
-            let setup = { Ccdb_harness.Driver.default_setup with items } in
-            let s =
-              (Ccdb_harness.Driver.run ~setup ~n_txns:txns mode spec).summary
-            in
-            Ccdb_util.Table.add_row table
-              [ Ccdb_harness.Driver.mode_name mode;
-                Printf.sprintf "%.3f" lambda;
-                Ccdb_util.Table.fmt_float s.mean_system_time;
-                Ccdb_util.Table.fmt_float s.p95_system_time;
-                Ccdb_util.Table.fmt_float ~decimals:3 s.restarts_per_txn;
-                string_of_int s.deadlock_aborts;
-                Ccdb_util.Table.fmt_float ~decimals:1 s.messages_per_txn;
-                (if s.serializable then "yes" else "NO") ])
-          lambdas)
-      modes;
-    print_string (Ccdb_util.Table.render table);
-    Option.iter
-      (fun path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Ccdb_util.Table.to_csv table));
-        Printf.printf "(wrote %s)\n" path)
-      csv
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Sweep arrival rates across systems; print/CSV.")
-    (reported
-       Term.(const run $ lambdas $ modes $ txns $ items_term $ csv))
-
 (* ------------------------------------------------------------------ stl *)
 
 let stl_cmd =
@@ -941,10 +865,17 @@ let stl_cmd =
         ("delta per block", delta, "--lambda-r and --lambda-w");
         ("the lower bound", lower, "--loss and --horizon");
         ("the upper bound", upper, "--lambda-a and --horizon") ];
-    Format.printf "STL'(%.3f, %.1f) = %.4f@." loss horizon v;
-    Format.printf "lambda_block    = %.4f@." block;
-    Format.printf "delta per block = %.4f@." delta;
-    Format.printf "bounds: [%.4f, %.4f]@." lower upper
+    (* %f spells out every digit (309 of them at 1e308), so a magnitude of
+       10^9 or more prints in scientific notation *)
+    let num ?(decimals = 4) x =
+      if Float.abs x >= 1e9 then Printf.sprintf "%.4e" x
+      else Printf.sprintf "%.*f" decimals x
+    in
+    Format.printf "STL'(%s, %s) = %s@." (num ~decimals:3 loss)
+      (num ~decimals:1 horizon) (num v);
+    Format.printf "lambda_block    = %s@." (num block);
+    Format.printf "delta per block = %s@." (num delta);
+    Format.printf "bounds: [%s, %s]@." (num lower) (num upper)
   in
   Cmd.v (Cmd.info "stl" ~doc:"Evaluate the STL' dynamic program.")
     Term.(
@@ -970,4 +901,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "ccdb_cli" ~doc)
-          [ run_cmd; experiments_cmd; sweep_cmd; stl_cmd ]))
+          [ run_cmd; experiments_cmd; stl_cmd ]))

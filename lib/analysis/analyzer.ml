@@ -1,19 +1,16 @@
 module Rt = Ccdb_protocols.Runtime
 
-let analyze ?store (events : Rt.event array) =
-  let findings =
-    Lock_audit.run events
-    @ Precedence_audit.run events
-    @ Theorem_audit.run ?store events
-    @ Consensus_audit.run events
-  in
-  Report.make ~events_scanned:(Array.length events) findings
-
-let analyze_stream ?store ?catalog ?(theorem2 = true) (events : Rt.event array)
-    =
+let fold ?store ?catalog ~theorem2 (events : Rt.event array) =
   let st = Stream.create ~theorem2 ?catalog () in
   Array.iter (fun e -> ignore (Stream.feed st e)) events;
   Stream.report ?store st
+
+let analyze_stream ?store ?catalog events =
+  fold ?store ?catalog ~theorem2:true events
+
+(* Without the incremental graph, [Theorem_audit.finish] decides Theorem 2
+   by scanning the store's logs: the batch verdict. *)
+let analyze ?store events = fold ?store ~theorem2:false events
 
 (* Batch/stream divergence: the two paths share the audit code, so every
    finding must match field-for-field — except thm.not-serializable, whose

@@ -6,8 +6,7 @@
     run commits through Paxos Commit (2PC is its [f = 0] case), so all
     three apply to every transaction.
 
-    Event-at-a-time: [create] / [feed] / [finish]; [run] is the batch
-    fold. *)
+    Event-at-a-time: [create] / [feed] / [finish]. *)
 
 type state
 
@@ -19,6 +18,3 @@ val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
 val finish : state -> Finding.t list
 (** End-of-trace check: the blocking-window scan over participants still
     prepared at sites not inside a crash window. *)
-
-val run : Ccdb_protocols.Runtime.event array -> Finding.t list
-(** Findings in event order; blocking-window findings last. *)

@@ -36,7 +36,7 @@ type state = {
   held : held list ref Pair_tbl.t;
       (* by (item, site); [finish] reports leaked locks in its order *)
   performed : unit Lookup.Triple.t;
-      (* lockless grants by ([op_key], item, site), so their releases are
+      (* lockless grants by ([txn_op], item, site), so their releases are
          not "unmatched" *)
   committed : unit Lookup.Int.t;
   dropped : unit Lookup.Triple.t;
@@ -52,7 +52,7 @@ let create () =
     findings = []; idx = 0 }
 
 (* One int per (txn, op), as [To_queue] keys its index. *)
-let op_key txn (op : Ccdb_model.Op.kind) =
+let txn_op txn (op : Ccdb_model.Op.kind) =
   (2 * txn) + match op with Ccdb_model.Op.Read -> 0 | Ccdb_model.Op.Write -> 1
 
 let rec remove_held h = function
@@ -82,7 +82,7 @@ let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
               re-request in between)"
              txn site)));
   match mode with
-  | None -> Lookup.Triple.replace st.performed (op_key txn op, item, site) ()
+  | None -> Lookup.Triple.replace st.performed (txn_op txn op, item, site) ()
   | Some m ->
     let copy = (item, site) in
     (if
@@ -189,7 +189,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
             ~check:"lock.release-pre-scheduled"
             "lock released while still pre-scheduled (never promoted)")
    | None ->
-     let key = (op_key txn op, item, site) in
+     let key = (txn_op txn op, item, site) in
      if Lookup.Triple.mem st.performed key then
        Lookup.Triple.remove st.performed key
      else
@@ -275,10 +275,3 @@ let finish_checks st n_events =
 let finish st =
   finish_checks st st.idx;
   drain st
-
-let run (events : Rt.event array) =
-  let st = create () in
-  let per_event =
-    Array.fold_left (fun acc e -> List.rev_append (feed st e) acc) [] events
-  in
-  List.rev_append per_event (finish st)

@@ -7,7 +7,7 @@
     Event-at-a-time: [create] a state, [feed] it each event as it happens
     (the returned findings are the ones that event triggered), then [finish]
     for the end-of-trace checks (leaked locks, never-promoted grants).
-    [run] is the batch fold of the same machinery. *)
+    {!Stream} fans each event out to every audit. *)
 
 type state
 
@@ -19,6 +19,3 @@ val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
 val finish : state -> Finding.t list
 (** End-of-trace checks; event index of these findings is the number of
     events fed. *)
-
-val run : Ccdb_protocols.Runtime.event array -> Finding.t list
-(** Findings in event order ([create] + [feed] each + [finish]). *)

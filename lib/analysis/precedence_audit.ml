@@ -424,8 +424,3 @@ let feed st event =
   let out = List.rev st.findings in
   st.findings <- [];
   out
-
-let run (events : Rt.event array) =
-  let st = create () in
-  List.rev
-    (Array.fold_left (fun acc e -> List.rev_append (feed st e) acc) [] events)

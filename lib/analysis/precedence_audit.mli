@@ -5,8 +5,7 @@
     rejections consistent with [r_ts]/[w_ts], grants in precedence order
     (E2) and conflicting operations implemented in precedence order (E1).
 
-    Event-at-a-time: [create] / [feed]; there are no end-of-trace checks.
-    [run] is the batch fold. *)
+    Event-at-a-time: [create] / [feed]; there are no end-of-trace checks. *)
 
 type state
 
@@ -14,6 +13,3 @@ val create : unit -> state
 
 val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
 (** Advances the audit by one event; returns the findings it triggered. *)
-
-val run : Ccdb_protocols.Runtime.event array -> Finding.t list
-(** Findings in event order. *)

@@ -1,5 +1,7 @@
-(* Streaming analyzer: one event-at-a-time interface over all three audits
-   plus an incremental serializability check.
+(* Streaming analyzer: one event-at-a-time interface over all four audits
+   plus an incremental serializability check.  Folded over a recorded
+   trace without that check, it is the batch analyzer
+   ([Analyzer.analyze]).
 
    The lock and precedence audits were already per-event state machines;
    this module adds the serializability side online.  [Op_implemented]

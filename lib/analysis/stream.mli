@@ -1,4 +1,4 @@
-(** Streaming analyzer: all three audits plus an incremental Theorem 2
+(** Streaming analyzer: all four audits plus an incremental Theorem 2
     check, advanced one event at a time while the simulation runs.
 
     Subscribe [feed] to the runtime's event stream (or fold it over a

@@ -277,10 +277,3 @@ let finish ?store ?serializability st =
   let out = List.rev st.findings in
   st.findings <- [];
   out
-
-let run ?store (events : Rt.event array) =
-  let st = create () in
-  let per_event =
-    Array.fold_left (fun acc e -> List.rev_append (feed st e) acc) [] events
-  in
-  List.rev_append per_event (finish ?store st)

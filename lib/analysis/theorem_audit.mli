@@ -4,8 +4,7 @@
     Theorem 2 (conflict-serializable logs, convergent replicas) plus the
     fail-stop durability and 2PC-atomicity checks.
 
-    Event-at-a-time: [create] / [feed] / [finish]; [run] is the batch
-    fold. *)
+    Event-at-a-time: [create] / [feed] / [finish]. *)
 
 type state
 
@@ -24,9 +23,3 @@ val finish :
     conflict-serializability verdict — [Some cycle] when violated — in
     place of the batch scan of the store's logs (the streaming analyzer
     passes its incremental graph's verdict here). *)
-
-val run :
-  ?store:Ccdb_storage.Store.t ->
-  Ccdb_protocols.Runtime.event array ->
-  Finding.t list
-(** Findings in event order; store-level findings last. *)

@@ -19,30 +19,28 @@ let default_config =
 type t = {
   rt : Ccdb_protocols.Runtime.t;
   system : Unified_system.t;
-  estimator : Ccdb_stl.Estimator.t;
   selector : Ccdb_stl.Selector.t;
 }
 
 let create ?(config = default_config) rt =
-  let source =
-    match config.adaptive with
-    | Measured { window } -> Ccdb_stl.Estimator.Windowed window
-    | Configured _ | Cumulative -> Ccdb_stl.Estimator.Cumulative
+  let measured source =
+    let estimator = Ccdb_stl.Estimator.create ~source rt in
+    fun () -> Ccdb_stl.Estimator.snapshot estimator
   in
-  let estimator = Ccdb_stl.Estimator.create ~source rt in
   let snapshot =
     match config.adaptive with
     | Configured workload ->
       (* design-time parameters, computed once; the selector never sees a
-         measurement (the analytical option of section 5.2) *)
+         measurement (the analytical option of section 5.2), so no
+         estimator subscribes *)
       let snap = Ccdb_stl.Analytic.snapshot workload in
-      Some (fun () -> snap)
-    | Cumulative | Measured _ -> None
+      fun () -> snap
+    | Cumulative -> measured Ccdb_stl.Estimator.Cumulative
+    | Measured { window } -> measured (Ccdb_stl.Estimator.Windowed window)
   in
   let selector =
-    Ccdb_stl.Selector.create ~criterion:config.criterion ?snapshot
+    Ccdb_stl.Selector.create ~criterion:config.criterion ~snapshot
       (Ccdb_protocols.Runtime.catalog rt)
-      estimator
   in
   let reselect =
     if config.reselect_on_restart then
@@ -54,7 +52,7 @@ let create ?(config = default_config) rt =
     else None
   in
   let system = Unified_system.create ~config:config.unified ?reselect rt in
-  { rt; system; estimator; selector }
+  { rt; system; selector }
 
 let submit t ?payload txn =
   let verdict =
@@ -70,4 +68,3 @@ let submit t ?payload txn =
 
 let decisions t = Ccdb_stl.Selector.decisions t.selector
 let unified t = t.system
-let estimator t = t.estimator

@@ -12,7 +12,8 @@ type adaptivity =
   | Configured of Ccdb_stl.Analytic.workload
       (** design-time choice: a single {!Ccdb_stl.Analytic.snapshot} of
           the configured workload description, computed once — the
-          selector never sees a measurement (X3's policy as a live mode) *)
+          selector never sees a measurement, so no estimator subscribes
+          to the runtime (X3's policy as a live mode) *)
   | Cumulative
       (** whole-run online estimation (the historical default): counts
           since startup over elapsed time, so early phases dilute the
@@ -52,4 +53,3 @@ val decisions : t -> (Ccdb_model.Protocol.t * int) list
 (** Transactions routed to each protocol so far. *)
 
 val unified : t -> Unified_system.t
-val estimator : t -> Ccdb_stl.Estimator.t

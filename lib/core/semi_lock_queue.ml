@@ -5,7 +5,6 @@ type entry = {
   site : int;
   protocol : Ccdb_model.Protocol.t;
   op : Ccdb_model.Op.kind;
-  interval : int;
   epoch : int;
   mutable prec : Ccdb_model.Precedence.t;
   mutable blocked : bool;
@@ -67,7 +66,7 @@ type t = {
 (* fills the unused slots of [order] and [reports] *)
 let vacant =
   { txn = -1; site = -1; protocol = Ccdb_model.Protocol.Two_pl;
-    op = Ccdb_model.Op.Read; interval = 0; epoch = 0;
+    op = Ccdb_model.Op.Read; epoch = 0;
     prec = Ccdb_model.Precedence.queue_local ~ts:(-1) ~arrival:(-1);
     blocked = false; lock = None; schedule = Ccdb_model.Lock.Normal;
     grant_seq = -1; granted_at = 0.; implemented = false }
@@ -190,20 +189,20 @@ let note_ungranted t (e : entry) =
   | Ccdb_model.Op.Read -> t.granted_r_dirty <- true
   | Ccdb_model.Op.Write -> t.granted_w_dirty <- true
 
-let admit t ~txn ~site ~protocol ~interval ~epoch ~op prec ~blocked =
+let admit t ~txn ~site ~protocol ~epoch ~op prec ~blocked =
   let e =
-    { txn; site; protocol; op; interval; epoch; prec; blocked; lock = None;
+    { txn; site; protocol; op; epoch; prec; blocked; lock = None;
       schedule = Ccdb_model.Lock.Normal; grant_seq = -1; granted_at = 0.;
       implemented = false }
   in
   insert t e
 
-let admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts ~blocked =
+let admit_ts t ~txn ~site ~protocol ~epoch ~op ts ~blocked =
   t.max_ts_seen <- Int.max t.max_ts_seen ts;
-  admit t ~txn ~site ~protocol ~interval ~epoch ~op ~blocked
+  admit t ~txn ~site ~protocol ~epoch ~op ~blocked
     (Ccdb_model.Precedence.timestamped ~ts ~site ~txn)
 
-let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
+let request t ~txn ~site ~protocol ~ts ~epoch ~op =
   if position t txn < t.size then
     invalid_arg "Semi_lock_queue.request: duplicate request";
   match protocol, ts with
@@ -214,7 +213,7 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
         ~arrival:t.arrival_counter
     in
     t.arrival_counter <- t.arrival_counter + 1;
-    admit t ~txn ~site ~protocol ~interval ~epoch ~op prec ~blocked:false;
+    admit t ~txn ~site ~protocol ~epoch ~op prec ~blocked:false;
     Accepted
   | (Ccdb_model.Protocol.T_o | Ccdb_model.Protocol.Pa), Some ts ->
     let floor =
@@ -223,16 +222,15 @@ let request t ~txn ~site ~protocol ~ts ~interval ~epoch ~op =
       | Ccdb_model.Op.Write -> Int.max (w_ts t) (r_ts t)
     in
     if ts > floor then begin
-      admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts ~blocked:false;
+      admit_ts t ~txn ~site ~protocol ~epoch ~op ts ~blocked:false;
       Accepted
     end
     else begin
       match protocol with
       | Ccdb_model.Protocol.T_o -> Rejected
       | Ccdb_model.Protocol.Pa ->
-        let tuple = Ccdb_model.Timestamp.Tuple.make ~ts ~interval in
-        let ts' = Ccdb_model.Timestamp.Tuple.backoff tuple ~floor in
-        admit_ts t ~txn ~site ~protocol ~interval ~epoch ~op ts' ~blocked:true;
+        let ts' = Ccdb_model.Timestamp.backoff ~ts ~floor in
+        admit_ts t ~txn ~site ~protocol ~epoch ~op ts' ~blocked:true;
         Backoff ts'
       | Ccdb_model.Protocol.Two_pl -> assert false
     end

@@ -47,7 +47,6 @@ type entry = {
   site : int;
   protocol : Ccdb_model.Protocol.t;
   op : Ccdb_model.Op.kind;
-  interval : int;
   epoch : int;  (** issuer's attempt number, echoed in grants so the issuer
                     can discard messages from a superseded attempt *)
   mutable prec : Ccdb_model.Precedence.t;
@@ -77,12 +76,12 @@ val request :
   site:int ->
   protocol:Ccdb_model.Protocol.t ->
   ts:int option ->
-  interval:int ->
   epoch:int ->
   op:Ccdb_model.Op.kind ->
   response
 (** [ts] must be [None] exactly for 2PL requests (the queue assigns their
-    precedence) and [Some _] for T/O and PA.  [interval] is only read for PA.
+    precedence) and [Some _] for T/O and PA.  A late PA request is queued
+    blocked at {!Ccdb_model.Timestamp.backoff}.
     @raise Invalid_argument on a duplicate entry for the transaction or on a
     [ts]/protocol mismatch. *)
 

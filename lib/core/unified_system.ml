@@ -418,14 +418,13 @@ and begin_attempt t st =
   st.reads <- [];
   let epoch = st.epoch in
   let ts = st.ts in
-  let interval = Ccdb_model.Timestamp.Tuple.backoff_interval in
   List.iter
     (fun (item, site, op) ->
       send t ~src:txn.site ~dst:site ~kind:"u-req" (fun () ->
           let q = Copies.get t.queues ~item ~site in
           let verdict =
             Q.request q ~txn:txn.id ~site:txn.site ~protocol:txn.protocol ~ts
-              ~interval ~epoch ~op
+              ~epoch ~op
           in
           if Rt.has_consumer t.rt then
             Rt.emit t.rt

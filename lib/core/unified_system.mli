@@ -31,8 +31,8 @@ type config = {
 
 val default_config : config
 (** semi_locks true, restart_delay 50., centralized detection every 100.
-    at site 0.  PA transactions carry
-    {!Ccdb_model.Timestamp.Tuple.backoff_interval}. *)
+    at site 0.  PA transactions back off by
+    {!Ccdb_model.Timestamp.backoff_interval}. *)
 
 type t
 

@@ -46,7 +46,7 @@ let mode_name = function
   | Mvto -> "pure-mvto"
   | Conservative -> "pure-cto"
 
-type audit_path = Batch | Streaming | Differential
+type audit_path = Streaming | Differential
 
 type result = {
   summary : Metrics.summary;
@@ -209,16 +209,16 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
   let theorem2 = match mode with Mvto -> false | _ -> true in
   let trace =
     match audit, audit_path with
+    | true, Differential -> Some (Trace.attach rt)
     | false, _ | true, Streaming -> None
-    | true, (Batch | Differential) -> Some (Trace.attach rt)
   in
   let stream =
-    match audit, audit_path with
-    | false, _ | true, Batch -> None
-    | true, (Streaming | Differential) ->
+    if audit then begin
       let st = Ccdb_analysis.Stream.create ~theorem2 ~catalog () in
       Rt.observe rt (fun e -> ignore (Ccdb_analysis.Stream.feed st e));
       Some st
+    end
+    else None
   in
   let system = build_system ~setup ~spec mode rt in
   Ccdb_sim.Engine.feed (Rt.engine rt) ~n:n_arrivals (fun () ->
@@ -229,33 +229,32 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
   let budget = max 50_000_000 (400 * n_arrivals) in
   Rt.quiesce ~max_events:budget rt;
   let store = if theorem2 then Some (Rt.store rt) else None in
-  let batch_report =
+  let batch =
     Option.map
       (fun tr -> Ccdb_analysis.Analyzer.analyze ?store (Trace.to_array tr))
       trace
   in
-  let stream_report =
-    Option.map (fun st -> Ccdb_analysis.Stream.report ?store st) stream
-  in
   let audit =
-    match batch_report, stream_report with
-    | None, None -> None
-    | Some r, None | None, Some r -> Some r
-    | Some batch, Some streamed ->
-      (* differential gate: any batch/stream disagreement is itself an
-         error finding, so is_clean machinery (tests, CLI exit codes)
-         fails on divergence *)
-      let divergences = Ccdb_analysis.Analyzer.diff ~batch ~stream:streamed in
-      if divergences = [] then Some streamed
-      else
-        Some
-          (Ccdb_analysis.Report.make
-             ~events_scanned:(Ccdb_analysis.Report.events_scanned streamed)
-             (Ccdb_analysis.Report.findings streamed
-             @ List.map
-                 (fun msg ->
-                   Ccdb_analysis.Finding.make ~check:"audit.divergence" msg)
-                 divergences))
+    Option.map
+      (fun st ->
+        let streamed = Ccdb_analysis.Stream.report ?store st in
+        match batch with
+        | None -> streamed
+        | Some batch -> (
+          (* differential gate: any batch/stream disagreement is itself an
+             error finding, so is_clean machinery (tests, CLI exit codes)
+             fails on divergence *)
+          match Ccdb_analysis.Analyzer.diff ~batch ~stream:streamed with
+          | [] -> streamed
+          | divergences ->
+            Ccdb_analysis.Report.make
+              ~events_scanned:(Ccdb_analysis.Report.events_scanned streamed)
+              (Ccdb_analysis.Report.findings streamed
+              @ List.map
+                  (fun msg ->
+                    Ccdb_analysis.Finding.make ~check:"audit.divergence" msg)
+                  divergences)))
+      stream
   in
   let summary =
     match system.verify with

@@ -86,15 +86,14 @@ val mode_name : mode -> string
 
 (** How [run ~audit:true] computes its report. *)
 type audit_path =
-  | Batch
-      (** record the full trace, replay it through the batch analyzer
-          after the run (the executable specification) *)
   | Streaming
       (** feed {!Ccdb_analysis.Stream} inline during the run — no trace
           retained, flat per-event cost; the default *)
   | Differential
-      (** both; any disagreement is reported as an [audit.divergence]
-          error finding (used by the lint gates and the mode oracle) *)
+      (** also record the full trace and replay it through the batch
+          analyzer after the run (the executable specification); any
+          disagreement is reported as an [audit.divergence] error finding
+          (used by the lint gates and the mode oracle) *)
 
 type result = {
   summary : Metrics.summary;
@@ -122,8 +121,9 @@ val run :
     {!Ccdb_sim.Engine.feed}), so the run holds only the arrivals in
     flight.  [observer] is
     invoked on the fresh runtime before any event fires (to subscribe
-    estimators or probes).  With [~audit:true] the full event stream is
-    traced and replayed through {!Ccdb_analysis.Analyzer} after the run.
+    estimators or probes).  With [~audit:true] the events feed
+    {!Ccdb_analysis.Stream} as they fire ([audit_path], default
+    [Streaming]).
     [faults] installs a fault plan (message loss, duplication, extra delay,
     site crashes — see {!Ccdb_sim.Fault_plan}) over the reliable transport
     of {!Ccdb_sim.Net}; combine with [~audit:true] to certify that the

@@ -3,24 +3,14 @@ type t = int
 let compare = Int.compare
 let pp = Format.pp_print_int
 
-module Tuple = struct
-  type nonrec t = { ts : t; interval : int }
+let backoff_interval = 8
 
-  let backoff_interval = 8
-
-  let make ~ts ~interval =
-    if interval <= 0 then invalid_arg "Timestamp.Tuple.make: interval <= 0";
-    { ts; interval }
-
-  let backoff { ts; interval } ~floor =
-    if ts > floor then ts + interval
-    else begin
-      (* smallest k >= 1 with ts + k * interval > floor *)
-      let gap = floor - ts in
-      let k = (gap / interval) + 1 in
-      ts + (k * interval)
-    end
-end
+let backoff ~ts ~floor =
+  if ts > floor then ts + backoff_interval
+  else
+    (* smallest k >= 1 with ts + k * backoff_interval > floor *)
+    let k = ((floor - ts) / backoff_interval) + 1 in
+    ts + (k * backoff_interval)
 
 module Source = struct
   type nonrec t = { mutable counter : int }

@@ -9,12 +9,20 @@ type t = {
 
 let normalise items = List.sort_uniq Int.compare items
 
+(* the items of [xs] not in [ys], both sorted and distinct: one merge walk *)
+let rec diff acc xs ys =
+  match xs, ys with
+  | [], _ -> List.rev acc
+  | _, [] -> List.rev_append acc xs
+  | x :: xs', y :: ys' ->
+    if x < y then diff (x :: acc) xs' ys
+    else if x > y then diff acc xs ys'
+    else diff acc xs' ys'
+
 let make ~id ~site ~read_set ~write_set ~compute_time ~protocol =
   if compute_time < 0. then invalid_arg "Txn.make: negative compute_time";
   let write_set = normalise write_set in
-  let read_set =
-    List.filter (fun i -> not (List.mem i write_set)) (normalise read_set)
-  in
+  let read_set = diff [] (normalise read_set) write_set in
   if read_set = [] && write_set = [] then
     invalid_arg "Txn.make: empty access sets";
   let negative i = i < 0 in

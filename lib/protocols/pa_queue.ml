@@ -3,7 +3,6 @@ type response = Accepted | Backoff of int
 type entry = {
   txn : int;
   site : int;
-  interval : int;
   op : Ccdb_model.Op.kind;
   mutable ts : int;
   mutable blocked : bool;
@@ -35,7 +34,7 @@ let granted_max t op =
 let r_ts t = Int.max t.r_released (granted_max t Ccdb_model.Op.Read)
 let w_ts t = Int.max t.w_released (granted_max t Ccdb_model.Op.Write)
 
-let request t ~txn ~site ~ts ~interval ~op =
+let request t ~txn ~site ~ts ~op =
   if List.exists (fun e -> e.txn = txn) t.entries then
     invalid_arg "Pa_queue.request: duplicate request";
   let floor =
@@ -44,14 +43,13 @@ let request t ~txn ~site ~ts ~interval ~op =
     | Ccdb_model.Op.Write -> Int.max (w_ts t) (r_ts t)
   in
   let entry =
-    { txn; site; interval; op; ts; blocked = false; granted = false;
+    { txn; site; op; ts; blocked = false; granted = false;
       granted_at = 0. }
   in
   let response =
     if ts > floor then Accepted
     else begin
-      let tuple = Ccdb_model.Timestamp.Tuple.make ~ts ~interval in
-      let ts' = Ccdb_model.Timestamp.Tuple.backoff tuple ~floor in
+      let ts' = Ccdb_model.Timestamp.backoff ~ts ~floor in
       entry.ts <- ts';
       entry.blocked <- true;
       Backoff ts'

@@ -27,7 +27,6 @@ type response =
 type entry = {
   txn : int;
   site : int;
-  interval : int;
   op : Ccdb_model.Op.kind;
   mutable ts : int;
   mutable blocked : bool;     (** awaiting the issuer's agreed timestamp *)
@@ -47,8 +46,7 @@ val w_ts : t -> int
 (** Effective W-TS(j), same construction over writes. *)
 
 val request :
-  t -> txn:int -> site:int -> ts:int -> interval:int ->
-  op:Ccdb_model.Op.kind -> response
+  t -> txn:int -> site:int -> ts:int -> op:Ccdb_model.Op.kind -> response
 (** Acceptance test of step 2(c): a read needs [ts > w_ts], a write needs
     [ts > max r_ts w_ts]; otherwise the back-off timestamp is computed and
     the entry is queued blocked.

@@ -220,14 +220,13 @@ let submit t ?payload txn =
   in
   L.admit t.live ~duplicate:"Pa_system.submit: duplicate transaction id"
     txn.id st;
-  let interval = Ccdb_model.Timestamp.Tuple.backoff_interval in
   List.iter
     (fun (item, site, op) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"pa-req" (fun () ->
           let q = Copies.get t.queues ~item ~site in
           let verdict =
-            Pa_queue.request q ~txn:txn.id ~site:txn.site ~ts ~interval ~op
+            Pa_queue.request q ~txn:txn.id ~site:txn.site ~ts ~op
           in
           if Runtime.has_consumer t.rt then
             Runtime.emit t.rt

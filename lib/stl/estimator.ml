@@ -6,91 +6,67 @@ let prior_hold_time = 30.
 
 type source = Cumulative | Windowed of float
 
-(* Trailing-window counters for the [Windowed] source: the window is split
-   into [w_slots] fixed buckets keyed by absolute slot number; advancing
-   past a boundary zeroes the slots skipped, so a sum sees only events from
+(* Trailing-window sums for the [Windowed] source: the window is split into
+   [w_slots] fixed buckets keyed by absolute slot number; advancing past a
+   boundary zeroes the slots skipped, so a sum sees only what was added in
    (at most) the last [window * (1 + 1/w_slots)] time units.  O(1) per
-   update, fully deterministic in simulated time. *)
+   update, fully deterministic in simulated time.  Counts are added as
+   floats too: sums of integers below 2^53 are exact. *)
 let w_slots = 8
 
-type wring = {
+type ring = {
   slot_width : float;
-  slots : int array;
+  slots : float array;
   mutable head_epoch : int; (* absolute slot number the head covers *)
 }
 
-let wring_make ~window =
+let ring_make ~window =
   { slot_width = window /. float_of_int w_slots;
-    slots = Array.make w_slots 0;
+    slots = Array.make w_slots 0.;
     head_epoch = 0 }
 
-let wring_advance r ~now =
+let ring_advance r ~now =
   let epoch = int_of_float (now /. r.slot_width) in
   if epoch > r.head_epoch then begin
     let skip = min w_slots (epoch - r.head_epoch) in
     for i = 1 to skip do
-      r.slots.((r.head_epoch + i) mod w_slots) <- 0
+      r.slots.((r.head_epoch + i) mod w_slots) <- 0.
     done;
     r.head_epoch <- epoch
   end
 
-let wring_add r ~now =
-  wring_advance r ~now;
+let ring_add r ~now x =
+  ring_advance r ~now;
   let i = r.head_epoch mod w_slots in
-  r.slots.(i) <- r.slots.(i) + 1
+  r.slots.(i) <- r.slots.(i) +. x
 
-let wring_sum r ~now =
-  wring_advance r ~now;
-  Array.fold_left ( + ) 0 r.slots
+let ring_sum r ~now =
+  ring_advance r ~now;
+  Array.fold_left ( +. ) 0. r.slots
 
-(* same ring, accumulating a float total per slot (hold-time sums) *)
-type fwring = {
-  f_slot_width : float;
-  f_slots : float array;
-  mutable f_head_epoch : int;
-}
-
-let fwring_make ~window =
-  { f_slot_width = window /. float_of_int w_slots;
-    f_slots = Array.make w_slots 0.;
-    f_head_epoch = 0 }
-
-let fwring_advance r ~now =
-  let epoch = int_of_float (now /. r.f_slot_width) in
-  if epoch > r.f_head_epoch then begin
-    let skip = min w_slots (epoch - r.f_head_epoch) in
-    for i = 1 to skip do
-      r.f_slots.((r.f_head_epoch + i) mod w_slots) <- 0.
-    done;
-    r.f_head_epoch <- epoch
-  end
-
-let fwring_add r ~now x =
-  fwring_advance r ~now;
-  let i = r.f_head_epoch mod w_slots in
-  r.f_slots.(i) <- r.f_slots.(i) +. x
-
-let fwring_sum r ~now =
-  fwring_advance r ~now;
-  Array.fold_left ( +. ) 0. r.f_slots
+(* The five failure probabilities, one slot each: the 2PL abort, then the
+   T/O rejection and the PA back-off of a read and of a write. *)
+let n_probs = 5
+let two_pl_abort = 0
+let to_reject = function Ccdb_model.Op.Read -> 1 | Ccdb_model.Op.Write -> 2
+let pa_backoff = function Ccdb_model.Op.Read -> 3 | Ccdb_model.Op.Write -> 4
 
 (* everything the sliding-window source tracks on top of the cumulative
    counters; rates, Qr, k and the failure probabilities are then computed
    from these sums instead of the whole-run totals *)
 type windowed = {
   window : float;
-  wg : (int * int, wring * wring) Hashtbl.t; (* per-copy (reads, writes) *)
-  wg_read : wring;
-  wg_write : wring;
-  wc_commits : wring;
-  wc_requests : wring;
-  (* per probability key: (failures, trials) *)
-  wp : (string, wring * wring) Hashtbl.t;
+  wg : (int * int, ring * ring) Hashtbl.t; (* per-copy (reads, writes) *)
+  wg_read : ring;
+  wg_write : ring;
+  wc_commits : ring;
+  wc_requests : ring;
+  wp : (ring * ring) array; (* per probability slot: (failures, trials) *)
   (* per-protocol successful hold times: (time sum, count); the [_all]
      pair aggregates across protocols *)
-  wh : (Ccdb_model.Protocol.t, fwring * wring) Hashtbl.t;
-  wh_all_sum : fwring;
-  wh_all_count : wring;
+  wh : (Ccdb_model.Protocol.t, ring * ring) Hashtbl.t;
+  wh_all_sum : ring;
+  wh_all_count : ring;
 }
 
 (* Exponential moving averages track the current regime instead of the whole
@@ -133,8 +109,8 @@ type t = {
   (* lock hold times per protocol, split by aborted *)
   hold : (Ccdb_model.Protocol.t * bool, ema) Hashtbl.t;
   (* failure probabilities as EMAs of per-request (or per-attempt for 2PL)
-     failure indicators *)
-  probs : (string, ema) Hashtbl.t;
+     failure indicators, by slot *)
+  probs : ema array;
   (* mean system time per protocol *)
   response : (Ccdb_model.Protocol.t, ema) Hashtbl.t;
   mutable commits : int;
@@ -149,30 +125,15 @@ let hold_acc t key =
     Hashtbl.add t.hold key acc;
     acc
 
-let prob t key =
-  match Hashtbl.find_opt t.probs key with
-  | Some e -> e
-  | None ->
-    let e = ema_make () in
-    Hashtbl.add t.probs key e;
-    e
-
-let prob_observe t key outcome =
-  ema_add (prob t key) (if outcome then 1. else 0.);
+let prob_observe t slot outcome =
+  ema_add t.probs.(slot) (if outcome then 1. else 0.);
   match t.win with
   | None -> ()
   | Some w ->
-    let failures, trials =
-      match Hashtbl.find_opt w.wp key with
-      | Some cell -> cell
-      | None ->
-        let cell = (wring_make ~window:w.window, wring_make ~window:w.window) in
-        Hashtbl.add w.wp key cell;
-        cell
-    in
+    let failures, trials = w.wp.(slot) in
     let now = Rt.now t.rt in
-    wring_add trials ~now;
-    if outcome then wring_add failures ~now
+    ring_add trials ~now 1.;
+    if outcome then ring_add failures ~now 1.
 
 (* Pseudo-count weight of the cumulative estimate inside a windowed
    probability.  Failure events (deadlocks, rejections) are rare relative
@@ -187,24 +148,17 @@ let shrinkage = 8.
 
 (* windowed failure ratio shrunk towards the cumulative EMA; the EMA alone
    for a drained window (it says nothing, not "no conflicts") *)
-let prob_get t key =
-  let cumulative () = ema_get ~prior:0. (prob t key) in
+let prob_get t slot =
+  let cumulative = ema_get ~prior:0. t.probs.(slot) in
   match t.win with
-  | None -> cumulative ()
-  | Some w -> (
-    match Hashtbl.find_opt w.wp key with
-    | None -> cumulative ()
-    | Some (failures, trials) ->
-      let now = Rt.now t.rt in
-      let n = wring_sum trials ~now in
-      if n = 0 then cumulative ()
-      else
-        (float_of_int (wring_sum failures ~now) +. (shrinkage *. cumulative ()))
-        /. (float_of_int n +. shrinkage))
-
-let op_key prefix = function
-  | Ccdb_model.Op.Read -> prefix ^ "-read"
-  | Ccdb_model.Op.Write -> prefix ^ "-write"
+  | None -> cumulative
+  | Some w ->
+    let failures, trials = w.wp.(slot) in
+    let now = Rt.now t.rt in
+    let n = ring_sum trials ~now in
+    if n = 0. then cumulative
+    else
+      (ring_sum failures ~now +. (shrinkage *. cumulative)) /. (n +. shrinkage)
 
 let on_event t = function
   | Rt.Lock_granted { protocol; op; item; site; _ } ->
@@ -231,7 +185,7 @@ let on_event t = function
          | Some cell -> cell
          | None ->
            let cell =
-             (wring_make ~window:w.window, wring_make ~window:w.window)
+             (ring_make ~window:w.window, ring_make ~window:w.window)
            in
            Hashtbl.add w.wg (item, site) cell;
            cell
@@ -239,15 +193,15 @@ let on_event t = function
        let now = Rt.now t.rt in
        (match op with
         | Ccdb_model.Op.Read ->
-          wring_add wreads ~now;
-          wring_add w.wg_read ~now
+          ring_add wreads ~now 1.;
+          ring_add w.wg_read ~now 1.
         | Ccdb_model.Op.Write ->
-          wring_add wwrites ~now;
-          wring_add w.wg_write ~now));
+          ring_add wwrites ~now 1.;
+          ring_add w.wg_write ~now 1.));
     (* a grant is a request that was not rejected / backed off *)
     (match protocol with
-     | Ccdb_model.Protocol.T_o -> prob_observe t (op_key "to" op) false
-     | Ccdb_model.Protocol.Pa -> prob_observe t (op_key "pa" op) false
+     | Ccdb_model.Protocol.T_o -> prob_observe t (to_reject op) false
+     | Ccdb_model.Protocol.Pa -> prob_observe t (pa_backoff op) false
      | Ccdb_model.Protocol.Two_pl -> ())
   | Rt.Lock_released { protocol; granted_at; at; aborted; _ } ->
     ema_add (hold_acc t (protocol, aborted)) (at -. granted_at);
@@ -259,26 +213,27 @@ let on_event t = function
          match Hashtbl.find_opt w.wh protocol with
          | Some cell -> cell
          | None ->
-           let cell = (fwring_make ~window:w.window, wring_make ~window:w.window) in
+           let cell =
+             (ring_make ~window:w.window, ring_make ~window:w.window)
+           in
            Hashtbl.add w.wh protocol cell;
            cell
        in
        let now = Rt.now t.rt in
-       fwring_add sum ~now (at -. granted_at);
-       wring_add count ~now;
-       fwring_add w.wh_all_sum ~now (at -. granted_at);
-       wring_add w.wh_all_count ~now)
+       ring_add sum ~now (at -. granted_at);
+       ring_add count ~now 1.;
+       ring_add w.wh_all_sum ~now (at -. granted_at);
+       ring_add w.wh_all_count ~now 1.)
   | Rt.Txn_committed { txn; submitted_at; executed_at; restarts = _ } ->
+    let size = Ccdb_model.Txn.size txn in
     t.commits <- t.commits + 1;
-    t.committed_requests <- t.committed_requests + Ccdb_model.Txn.size txn;
+    t.committed_requests <- t.committed_requests + size;
     (match t.win with
      | None -> ()
      | Some w ->
        let now = Rt.now t.rt in
-       wring_add w.wc_commits ~now;
-       for _ = 1 to Ccdb_model.Txn.size txn do
-         wring_add w.wc_requests ~now
-       done);
+       ring_add w.wc_commits ~now 1.;
+       ring_add w.wc_requests ~now (float_of_int size));
     let resp =
       match Hashtbl.find_opt t.response txn.protocol with
       | Some e -> e
@@ -289,16 +244,16 @@ let on_event t = function
     in
     ema_add resp (executed_at -. submitted_at);
     (match txn.protocol with
-     | Ccdb_model.Protocol.Two_pl -> prob_observe t "2pl-abort" false
+     | Ccdb_model.Protocol.Two_pl -> prob_observe t two_pl_abort false
      | Ccdb_model.Protocol.T_o | Ccdb_model.Protocol.Pa -> ())
   | Rt.Txn_restarted { reason; _ } ->
     (match reason with
      | Rt.Deadlock_victim | Rt.Prevention_kill ->
-       prob_observe t "2pl-abort" true
-     | Rt.To_rejected op -> prob_observe t (op_key "to" op) true
+       prob_observe t two_pl_abort true
+     | Rt.To_rejected op -> prob_observe t (to_reject op) true
      (* crash-triggered restarts say nothing about data contention *)
      | Rt.Site_failure -> ())
-  | Rt.Pa_backoff { op; _ } -> prob_observe t (op_key "pa" op) true
+  | Rt.Pa_backoff { op; _ } -> prob_observe t (pa_backoff op) true
   | Rt.Lock_requested _ | Rt.Lock_promoted _ | Rt.Lock_transformed _
   | Rt.Request_withdrawn _ | Rt.Ts_updated _ | Rt.Deadlock_detected _
   | Rt.Site_crashed _ | Rt.Site_recovered _ | Rt.Request_dropped _
@@ -314,21 +269,26 @@ let create ?(source = Cumulative) rt =
       if window <= 0. then invalid_arg "Estimator.create: window <= 0";
       Some
         { window; wg = Hashtbl.create 128;
-          wg_read = wring_make ~window; wg_write = wring_make ~window;
-          wc_commits = wring_make ~window; wc_requests = wring_make ~window;
-          wp = Hashtbl.create 8; wh = Hashtbl.create 4;
-          wh_all_sum = fwring_make ~window; wh_all_count = wring_make ~window }
+          wg_read = ring_make ~window; wg_write = ring_make ~window;
+          wc_commits = ring_make ~window; wc_requests = ring_make ~window;
+          wp =
+            Array.init n_probs (fun _ ->
+                (ring_make ~window, ring_make ~window));
+          wh = Hashtbl.create 4;
+          wh_all_sum = ring_make ~window; wh_all_count = ring_make ~window }
   in
   let t =
     { rt; win; created_at = Rt.now rt;
       copy_grants = Hashtbl.create 128; grants_read = 0; grants_write = 0;
-      hold = Hashtbl.create 8; probs = Hashtbl.create 8;
+      hold = Hashtbl.create 8;
+      probs = Array.init n_probs (fun _ -> ema_make ());
       response = Hashtbl.create 4; commits = 0; committed_requests = 0 }
   in
   Rt.subscribe rt (on_event t);
   t
 
-(* cumulative rate inputs: counts since creation over elapsed time *)
+(* cumulative rate inputs: counts since creation over elapsed time (the
+   counts as floats, as the windowed sums are) *)
 let cumulative_inputs t =
   let elapsed = Float.max 1e-6 (Rt.now t.rt -. t.created_at) in
   let rates (copy : int * int) =
@@ -337,8 +297,9 @@ let cumulative_inputs t =
     | Some (reads, writes) ->
       (float_of_int !reads /. elapsed, float_of_int !writes /. elapsed)
   in
-  ( elapsed, rates, t.grants_read, t.grants_write,
-    Hashtbl.length t.copy_grants, t.commits, t.committed_requests )
+  ( elapsed, rates, float_of_int t.grants_read, float_of_int t.grants_write,
+    Hashtbl.length t.copy_grants, float_of_int t.commits,
+    float_of_int t.committed_requests )
 
 (* windowed rate inputs: counts from the trailing window over the covered
    span (the window, or the whole run while shorter than one window).  An
@@ -346,9 +307,9 @@ let cumulative_inputs t =
    estimates beat dividing nothing by something. *)
 let windowed_inputs t w =
   let now = Rt.now t.rt in
-  let g_read = wring_sum w.wg_read ~now in
-  let g_write = wring_sum w.wg_write ~now in
-  if g_read + g_write = 0 then cumulative_inputs t
+  let g_read = ring_sum w.wg_read ~now in
+  let g_write = ring_sum w.wg_write ~now in
+  if g_read +. g_write = 0. then cumulative_inputs t
   else begin
     let covered =
       Float.max 1e-6 (Float.min w.window (now -. t.created_at))
@@ -357,18 +318,17 @@ let windowed_inputs t w =
       match Hashtbl.find_opt w.wg copy with
       | None -> (0., 0.)
       | Some (reads, writes) ->
-        ( float_of_int (wring_sum reads ~now) /. covered,
-          float_of_int (wring_sum writes ~now) /. covered )
+        (ring_sum reads ~now /. covered, ring_sum writes ~now /. covered)
     in
     let live_copies =
       Hashtbl.fold
         (fun _ (reads, writes) acc ->
-          if wring_sum reads ~now + wring_sum writes ~now > 0 then acc + 1
+          if ring_sum reads ~now +. ring_sum writes ~now > 0. then acc + 1
           else acc)
         w.wg 0
     in
     ( covered, rates, g_read, g_write, live_copies,
-      wring_sum w.wc_commits ~now, wring_sum w.wc_requests ~now )
+      ring_sum w.wc_commits ~now, ring_sum w.wc_requests ~now )
   end
 
 let snapshot t =
@@ -378,20 +338,15 @@ let snapshot t =
     | None -> cumulative_inputs t
     | Some w -> windowed_inputs t w
   in
-  let lambda_a =
-    Float.max 1e-9 (float_of_int (grants_read + grants_write) /. elapsed)
-  in
+  let grants = grants_read +. grants_write in
+  let lambda_a = Float.max 1e-9 (grants /. elapsed) in
   let n_copies = Float.max 1. (float_of_int copies) in
-  let lambda_r = float_of_int grants_read /. elapsed /. n_copies in
-  let lambda_w = float_of_int grants_write /. elapsed /. n_copies in
-  let q_r =
-    if grants_read + grants_write = 0 then 0.5
-    else
-      float_of_int grants_read /. float_of_int (grants_read + grants_write)
-  in
+  let lambda_r = grants_read /. elapsed /. n_copies in
+  let lambda_w = grants_write /. elapsed /. n_copies in
+  let q_r = if grants = 0. then 0.5 else grants_read /. grants in
   let k =
-    if commits = 0 then 2.
-    else Float.max 1. (float_of_int committed_requests /. float_of_int commits)
+    if commits = 0. then 2.
+    else Float.max 1. (committed_requests /. commits)
   in
   let u_cumulative p =
     ema_get ~prior:prior_hold_time (hold_acc t (p, false))
@@ -402,8 +357,8 @@ let snapshot t =
     | Some w -> (
       let now = Rt.now t.rt in
       match Hashtbl.find_opt w.wh p with
-      | Some (sum, count) when wring_sum count ~now > 0 ->
-        fwring_sum sum ~now /. float_of_int (wring_sum count ~now)
+      | Some (sum, count) when ring_sum count ~now > 0. ->
+        ring_sum sum ~now /. ring_sum count ~now
       | _ ->
         (* no recent grants under [p]: inherit the current system-wide
            hold time.  A protocol nobody routes through cannot be assumed
@@ -411,8 +366,8 @@ let snapshot t =
            measuring — using its own (stale) history here makes an idle
            protocol look cheap exactly when the system is overloaded,
            and the selector flaps into it. *)
-        let n_all = wring_sum w.wh_all_count ~now in
-        if n_all > 0 then fwring_sum w.wh_all_sum ~now /. float_of_int n_all
+        let n_all = ring_sum w.wh_all_count ~now in
+        if n_all > 0. then ring_sum w.wh_all_sum ~now /. n_all
         else u_cumulative p)
   in
   let u' p =
@@ -432,14 +387,14 @@ let snapshot t =
     two_pl =
       { u_hold = u Ccdb_model.Protocol.Two_pl;
         u_aborted = u' Ccdb_model.Protocol.Two_pl;
-        p_abort = prob_get t "2pl-abort" };
+        p_abort = prob_get t two_pl_abort };
     t_o =
       { u_hold = u Ccdb_model.Protocol.T_o;
         u_aborted = u' Ccdb_model.Protocol.T_o;
-        p_reject_read = prob_get t "to-read";
-        p_reject_write = prob_get t "to-write" };
+        p_reject_read = prob_get t (to_reject Ccdb_model.Op.Read);
+        p_reject_write = prob_get t (to_reject Ccdb_model.Op.Write) };
     pa =
       { u_hold = u Ccdb_model.Protocol.Pa;
         u_aborted = u' Ccdb_model.Protocol.Pa;
-        p_backoff_read = prob_get t "pa-read";
-        p_backoff_write = prob_get t "pa-write" } }
+        p_backoff_read = prob_get t (pa_backoff Ccdb_model.Op.Read);
+        p_backoff_write = prob_get t (pa_backoff Ccdb_model.Op.Write) } }

@@ -45,12 +45,7 @@ type t = {
   counts : (Ccdb_model.Protocol.t, int ref) Hashtbl.t;
 }
 
-let create ?(criterion = Min_stl) ?snapshot catalog estimator =
-  let snapshot =
-    match snapshot with
-    | Some f -> f
-    | None -> fun () -> Estimator.snapshot estimator
-  in
+let create ?(criterion = Min_stl) ~snapshot catalog =
   { criterion; catalog; snapshot;
     cache = Hashtbl.create 32; counts = Hashtbl.create 4 }
 

@@ -41,15 +41,14 @@ type t
 
 val create :
   ?criterion:criterion ->
-  ?snapshot:(unit -> Estimator.snapshot) ->
+  snapshot:(unit -> Estimator.snapshot) ->
   Ccdb_storage.Catalog.t ->
-  Estimator.t ->
   t
 (** A class decision is reused for 100 time units before it is
-    re-evaluated.  [snapshot] overrides where fresh evaluations read their
-    STL inputs (default: [Estimator.snapshot] of the given estimator) —
-    this is how {!Core.Dynamic_cc} plugs in the analytic design-time
-    parameters for its [Configured] adaptivity. *)
+    re-evaluated.  Fresh evaluations read their STL inputs from [snapshot]:
+    {!Estimator.snapshot} of a live estimator, or the analytic design-time
+    parameters that {!Core.Dynamic_cc} plugs in for its [Configured]
+    adaptivity. *)
 
 val choose : t -> now:float -> Ccdb_model.Txn.t -> verdict
 (** Selects a protocol for the transaction (its own [protocol] field is

@@ -61,12 +61,6 @@ let sorted_buckets t =
   done;
   !acc
 
-let merge a b =
-  let m = create () in
-  List.iter (fun (idx, n) -> add m idx n) (sorted_buckets a);
-  List.iter (fun (idx, n) -> add m idx n) (sorted_buckets b);
-  m
-
 let percentile t p =
   if p < 0. || p > 100. then
     invalid_arg "Histogram.percentile: p outside [0, 100]";

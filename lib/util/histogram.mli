@@ -1,14 +1,10 @@
-(** Latency histogram with HDR-style logarithmic buckets and exact merge.
+(** Latency histogram with HDR-style logarithmic buckets.
 
     The bucket layout is {e fixed} — it does not depend on the recorded
     data.  Bucket 0 covers [\[0, 1)]; above that, every power-of-two octave
     [\[2{^e}, 2{^e+1})] is split into {!sub_buckets} equal linear
     sub-buckets, so a recorded value is represented with a relative error
-    below [1 / sub_buckets] (6.25%).  Because the layout is static, merging
-    two histograms is a pointwise sum of bucket counts — exact, associative
-    and commutative, never a re-binning approximation.  That is what lets
-    per-worker histograms collected on different domains be combined into
-    one without distorting percentiles.
+    below [1 / sub_buckets] (6.25%).
 
     All operations are deterministic; histograms never record wall-clock
     time, only the simulated-time values handed to {!record}. *)
@@ -34,13 +30,7 @@ val record_span : t -> from:float -> until:float -> unit
     (see {!Stats.add_span}). *)
 
 val count : t -> int
-(** Total samples recorded (merges included). *)
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh histogram whose every bucket count is the sum of
-    the corresponding counts of [a] and [b]; inputs are unchanged.
-    [count (merge a b) = count a + count b], and merge is associative and
-    commutative up to {!equal} (property-tested in test/test_insights.ml). *)
+(** Total samples recorded. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [\[0, 100\]]: the upper edge of the bucket

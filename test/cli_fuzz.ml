@@ -5,8 +5,8 @@
 
      cli_fuzz.exe PATH/TO/ccdb_cli.exe [COUNT [SEED]]
 
-   Each argv picks a subcommand (run, experiments, sweep, stl, the removed
-   insights or an unknown word) and up to four of the flags that
+   Each argv picks a subcommand (run, experiments, stl, the removed sweep
+   and insights or an unknown word) and up to four of the flags that
    subcommand's --help lists, plus unknown ones, so a new flag is fuzzed
    without a change here; one argv in eight is a run of one or two
    --phase settings and a mode only.  Values come from a pool of hostile
@@ -67,7 +67,7 @@ let pool =
    no run grows past the bounds above.  The other flags draw from these
    four times in five, and from the pool otherwise. *)
 let valid = function
-  | "--mode" | "--modes" ->
+  | "--mode" ->
     [ "unified"; "pure-2pl"; "pure-to"; "pure-pa"; "pure-mvto"; "pure-cto";
       "unified-to"; "full-lock"; "dynamic"; "pure-2pl,dynamic" ]
   | "--plan" ->
@@ -83,7 +83,6 @@ let valid = function
   | "--adaptive" ->
     [ "cumulative"; "configured"; "measured:400"; "measured:0" ]
   | "--insights" | "--json" | "--csv" -> [ "out.txt"; "." ]
-  | "--lambdas" -> [ "0.1"; "0.05,0.2" ]
   | "--txns" -> [ "-1"; "0"; "1"; "3"; "10"; "10" ]
   | "--jobs" -> [ "-1"; "0"; "1"; "2" ]
   | "--only" -> [ "E4"; "E99"; "E4,E99" ]

@@ -152,7 +152,7 @@ let test_discarded_read_leaves_write_order () =
   let write_order events =
     List.exists
       (fun (f : An.Finding.t) -> f.check = "prec.e1-write-order")
-      (An.Precedence_audit.run (Array.of_list events))
+      (An.Report.findings (analyze events))
   in
   check Alcotest.bool "discarded read withdrawn" false
     (write_order (read_then ~committed:false ~discarded:true));
@@ -603,7 +603,7 @@ let prop_durability_matches_spec =
         Ccdb_storage.Catalog.create ~items:3 ~sites:3 ~replication:2
       in
       let store, events = replay_raw ~catalog script in
-      durability_lost (An.Theorem_audit.run ~store events)
+      durability_lost (An.Report.findings (An.Analyzer.analyze ~store events))
       = durability_spec store events)
 
 let suites =

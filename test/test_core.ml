@@ -16,8 +16,8 @@ let pa = Ccdb_model.Protocol.Pa
 let read = Ccdb_model.Op.Read
 let write = Ccdb_model.Op.Write
 
-let req ?(interval = 5) ?(epoch = 0) ?(site = 0) q ~txn ~protocol ~ts ~op =
-  Q.request q ~txn ~site ~protocol ~ts ~interval ~epoch ~op
+let req ?(epoch = 0) ?(site = 0) q ~txn ~protocol ~ts ~op =
+  Q.request q ~txn ~site ~protocol ~ts ~epoch ~op
 
 (* The entries the queue's last operation reported, in order. *)
 let reported q = List.init (Q.reports q) (Q.report q)
@@ -140,14 +140,14 @@ let test_q_pa_backoff_and_update () =
   let q = Q.create () in
   ignore (req q ~txn:1 ~protocol:t_o ~ts:(Some 10) ~op:write);
   ignore (grant_txns q);
-  (match req q ~txn:2 ~protocol:pa ~ts:(Some 4) ~interval:5 ~op:write with
-   | Q.Backoff ts' -> check Alcotest.int "TS' = 4 + 2*5" 14 ts'
+  (match req q ~txn:2 ~protocol:pa ~ts:(Some 1) ~op:write with
+   | Q.Backoff ts' -> check Alcotest.int "TS' = 1 + 2*8" 17 ts'
    | Q.Accepted | Q.Rejected -> Alcotest.fail "expected backoff");
   (* blocked entry stalls the frontier for a later 2PL request *)
   ignore (req q ~txn:3 ~protocol:two_pl ~ts:None ~op:read);
   ignore (Q.release q ~txn:1);
   check (Alcotest.list Alcotest.int) "stalled" [] (grant_txns q);
-  check Alcotest.bool "update" true (Q.update_ts q ~txn:2 ~ts:14 = `Moved);
+  check Alcotest.bool "update" true (Q.update_ts q ~txn:2 ~ts:17 = `Moved);
   check (Alcotest.list Alcotest.int) "unblocked, FCFS order" [ 2 ] (grant_txns q)
 
 let test_q_hwm_includes_granted () =
@@ -381,8 +381,8 @@ let test_u_payload_rmw () =
 
 (* A request -> grant -> release cycle allocates the request's entry and
    its precedence and nothing else: no list cell, closure, [Some] cell or
-   result list.  A T/O entry with its timestamped precedence is 14 + 6
-   words, a 2PL one 14 + 5.  The parent of this queue, which rebuilt its
+   result list.  A T/O entry with its timestamped precedence is 13 + 6
+   words, a 2PL one 13 + 5.  The parent of this queue, which rebuilt its
    entry list per operation and returned grants and promotions as lists,
    allocated 139 and 79 words per cycle here.  The [Some] carrying the
    T/O timestamp is built once, outside the measured loop. *)
@@ -409,7 +409,7 @@ let test_q_cycle_allocates_only_the_entry () =
     Q.grant_ready q ~now:1.;
     ignore (Q.release q ~txn : Q.entry)
   in
-  check (Alcotest.float 0.) "T/O read behind eight readers" 20.
+  check (Alcotest.float 0.) "T/O read behind eight readers" 19.
     (words to_cycle);
   let q = Q.create () in
   let two_pl_cycle txn =
@@ -417,7 +417,7 @@ let test_q_cycle_allocates_only_the_entry () =
     Q.grant_ready q ~now:1.;
     ignore (Q.release q ~txn : Q.entry)
   in
-  check (Alcotest.float 0.) "2PL write on an empty queue" 19.
+  check (Alcotest.float 0.) "2PL write on an empty queue" 18.
     (words two_pl_cycle)
 
 let suites =
@@ -627,7 +627,7 @@ let prop_q_random_ops =
            in
            (match
               Q.request q ~txn ~site:(Ccdb_util.Rng.int rng 3) ~protocol ~ts
-                ~interval:3 ~epoch:0 ~op
+                ~epoch:0 ~op
             with
             | Q.Accepted | Q.Backoff _ -> live := txn :: !live
             | Q.Rejected -> ()
@@ -764,7 +764,7 @@ let prop_q_streams_reference_edges =
            let op = if Ccdb_util.Rng.bool rng then read else write in
            ignore
              (Q.request q ~txn:!next_txn ~site:(Ccdb_util.Rng.int rng 3)
-                ~protocol ~ts ~interval:3 ~epoch:0 ~op)
+                ~protocol ~ts ~epoch:0 ~op)
          | 3 | 4 -> Q.grant_ready q ~now:1.
          | 5 ->
            (match

@@ -395,13 +395,43 @@ let test_noop_listener_changes_nothing () =
       check Alcotest.string (name ^ " trace digest") traced traced')
     modes
 
+(* Under [Configured] adaptivity the selector reads design-time parameters
+   only, so no estimator subscribes: after set-up the runtime has no
+   consumer.  It routes as it did when an unread estimator listened: the
+   pinned mix, and the same run under a no-op listener. *)
+let test_configured_dynamic_has_no_consumer () =
+  let run ~listen =
+    D.run
+      ~setup:{ small_setup with adaptive = D.Configured }
+      ~n_txns:80
+      ~observer:(fun rt -> if listen then Rt.subscribe rt ignore)
+      D.Dynamic
+      { spec with arrival_rate = 0.3 }
+  in
+  let quiet = run ~listen:false and heard = run ~listen:true in
+  check Alcotest.bool "no consumer" false (Rt.has_consumer quiet.runtime);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "routing"
+    [ ("2PL", 32); ("T/O", 21); ("PA", 27) ]
+    (List.map
+       (fun (p, n) -> (Ccdb_model.Protocol.to_string p, n))
+       quiet.decisions);
+  check Alcotest.bool "same routing under a listener" true
+    (quiet.decisions = heard.decisions);
+  check Alcotest.string "same summary under a listener"
+    (Marshal.to_string quiet.summary [ Marshal.No_sharing ])
+    (Marshal.to_string heard.summary [ Marshal.No_sharing ])
+
 let suites =
   suites
   @ [ ( "harness.consumers",
         [ Alcotest.test_case "consumer predicate" `Quick
             test_consumer_predicate;
           Alcotest.test_case "a no-op listener changes nothing" `Quick
-            test_noop_listener_changes_nothing ] ) ]
+            test_noop_listener_changes_nothing;
+          Alcotest.test_case "configured dynamic has no consumer" `Quick
+            test_configured_dynamic_has_no_consumer ] ) ]
 
 let suites =
   suites

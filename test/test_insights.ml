@@ -1,6 +1,6 @@
-(* Workload-insights layer: histogram algebra (property-tested), collector
-   document schema + round-trip, the committed INSIGHTS.json artifact, and
-   E14's order-independence. *)
+(* Workload-insights layer: histogram properties, collector document
+   schema + round-trip, the committed INSIGHTS.json artifact, and E14's
+   order-independence. *)
 
 let check = Alcotest.check
 
@@ -10,7 +10,7 @@ let qcheck ?(count = 200) name gen prop =
 module H = Ccdb_util.Histogram
 module Collector = Ccdb_insights.Collector
 
-(* --- histogram: recorded samples, algebraic laws ------------------------ *)
+(* --- histogram: recorded samples, percentiles, layout --------------------- *)
 
 let samples_gen =
   (* latencies spanning the sub-unit bucket, several octaves and the large
@@ -25,35 +25,6 @@ let of_samples xs =
 let test_histogram_count =
   qcheck "count = samples recorded" samples_gen (fun xs ->
       H.count (of_samples xs) = List.length xs)
-
-let test_merge_count =
-  qcheck "merge preserves count"
-    QCheck.(pair samples_gen samples_gen)
-    (fun (xs, ys) ->
-      let m = H.merge (of_samples xs) (of_samples ys) in
-      H.count m = List.length xs + List.length ys)
-
-let test_merge_commutative =
-  qcheck "merge commutes"
-    QCheck.(pair samples_gen samples_gen)
-    (fun (xs, ys) ->
-      let a = of_samples xs and b = of_samples ys in
-      H.equal (H.merge a b) (H.merge b a))
-
-let test_merge_associative =
-  qcheck "merge associates"
-    QCheck.(triple samples_gen samples_gen samples_gen)
-    (fun (xs, ys, zs) ->
-      let a = of_samples xs and b = of_samples ys and c = of_samples zs in
-      H.equal (H.merge (H.merge a b) c) (H.merge a (H.merge b c)))
-
-let test_merge_is_concat =
-  qcheck "merge a b = histogram of xs @ ys"
-    QCheck.(pair samples_gen samples_gen)
-    (fun (xs, ys) ->
-      H.equal
-        (H.merge (of_samples xs) (of_samples ys))
-        (of_samples (xs @ ys)))
 
 let test_percentile_bounds =
   (* the reported percentile is a tight upper bound on the true
@@ -305,8 +276,7 @@ let test_e14_order_independent () =
 
 let suites =
   [ ( "insights-histogram",
-      [ test_histogram_count; test_merge_count; test_merge_commutative;
-        test_merge_associative; test_merge_is_concat; test_percentile_bounds;
+      [ test_histogram_count; test_percentile_bounds;
         test_histogram_json_roundtrip;
         Alcotest.test_case "empty percentile" `Quick test_percentile_empty;
         Alcotest.test_case "record rejects bad values" `Quick

@@ -50,28 +50,22 @@ let test_ts_source_monotone () =
   check Alcotest.int "current is the last handed out" b
     (Ccdb_model.Timestamp.Source.current src)
 
-let test_tuple_backoff_basic () =
-  let tuple = Ccdb_model.Timestamp.Tuple.make ~ts:10 ~interval:7 in
-  (* late w.r.t. floor 30: smallest 10 + 7k > 30 is 31 (k=3) *)
-  check Alcotest.int "backoff" 31
-    (Ccdb_model.Timestamp.Tuple.backoff tuple ~floor:30)
+let test_backoff_basic () =
+  (* late w.r.t. floor 30: smallest 10 + 8k > 30 is 34 (k=3) *)
+  check Alcotest.int "backoff" 34
+    (Ccdb_model.Timestamp.backoff ~ts:10 ~floor:30)
 
-let test_tuple_backoff_exact_floor () =
-  let tuple = Ccdb_model.Timestamp.Tuple.make ~ts:10 ~interval:5 in
-  (* floor = 10: k = 1 gives 15 *)
-  check Alcotest.int "at floor" 15
-    (Ccdb_model.Timestamp.Tuple.backoff tuple ~floor:10)
-
-let test_tuple_invalid () =
-  Alcotest.check_raises "interval" (Invalid_argument "Timestamp.Tuple.make: interval <= 0")
-    (fun () -> ignore (Ccdb_model.Timestamp.Tuple.make ~ts:1 ~interval:0))
+let test_backoff_exact_floor () =
+  (* floor = ts = 10: k = 1 gives 18 *)
+  check Alcotest.int "at floor" 18
+    (Ccdb_model.Timestamp.backoff ~ts:10 ~floor:10)
 
 let prop_backoff_clears_floor =
   qtest "backoff clears floor with minimal k"
-    QCheck.(triple (int_range 0 1000) (int_range 1 50) (int_range 0 2000))
-    (fun (ts, interval, floor) ->
-      let tuple = Ccdb_model.Timestamp.Tuple.make ~ts ~interval in
-      let ts' = Ccdb_model.Timestamp.Tuple.backoff tuple ~floor in
+    QCheck.(pair (int_range 0 1000) (int_range 0 2000))
+    (fun (ts, floor) ->
+      let interval = Ccdb_model.Timestamp.backoff_interval in
+      let ts' = Ccdb_model.Timestamp.backoff ~ts ~floor in
       ts' > floor
       && (ts' - ts) mod interval = 0
       && ts' - interval <= max floor ts)
@@ -201,6 +195,33 @@ let test_txn_read_write_overlap () =
   check (Alcotest.list Alcotest.int) "read absorbed" [] t.read_set;
   check (Alcotest.list Alcotest.int) "write kept" [ 7 ] t.write_set
 
+(* [make] drops write-set items from the read set with a merge walk; the
+   plain [List.mem] filter is the reference *)
+let prop_txn_read_set_is_filter =
+  qtest ~count:500 "read set = reads not written"
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 30) (int_bound 40))
+        (list_of_size Gen.(1 -- 30) (int_bound 40)))
+    (fun (reads, writes) ->
+      let t = mk_txn ~reads ~writes () in
+      let writes = List.sort_uniq Int.compare writes in
+      t.read_set
+      = List.filter
+          (fun i -> not (List.mem i writes))
+          (List.sort_uniq Int.compare reads))
+
+(* 20,000 reads and writes, every other read also written: a quadratic
+   filter takes seconds here *)
+let test_txn_large () =
+  let reads = List.init 20_000 (fun i -> 2 * i) in
+  let writes = List.init 20_000 (fun i -> 4 * i) in
+  let t = mk_txn ~reads ~writes () in
+  check Alcotest.int "writes" 20_000 (List.length t.write_set);
+  check (Alcotest.list Alcotest.int) "reads"
+    (List.init 10_000 (fun i -> (4 * i) + 2))
+    t.read_set
+
 let suites =
   [ ( "model.protocol",
       [ Alcotest.test_case "string roundtrip" `Quick test_protocol_strings;
@@ -208,9 +229,8 @@ let suites =
     ("model.op", [ Alcotest.test_case "conflicts" `Quick test_op_conflicts ]);
     ( "model.timestamp",
       [ Alcotest.test_case "source monotone" `Quick test_ts_source_monotone;
-        Alcotest.test_case "backoff basic" `Quick test_tuple_backoff_basic;
-        Alcotest.test_case "backoff at floor" `Quick test_tuple_backoff_exact_floor;
-        Alcotest.test_case "invalid tuple" `Quick test_tuple_invalid;
+        Alcotest.test_case "backoff basic" `Quick test_backoff_basic;
+        Alcotest.test_case "backoff at floor" `Quick test_backoff_exact_floor;
         prop_backoff_clears_floor ] );
     ( "model.precedence",
       [ Alcotest.test_case "ts dominates" `Quick test_prec_ts_dominates;
@@ -227,4 +247,6 @@ let suites =
       [ Alcotest.test_case "normalises" `Quick test_txn_normalises;
         Alcotest.test_case "accesses" `Quick test_txn_accesses;
         Alcotest.test_case "invalid" `Quick test_txn_invalid;
-        Alcotest.test_case "read/write overlap" `Quick test_txn_read_write_overlap ] ) ]
+        Alcotest.test_case "read/write overlap" `Quick test_txn_read_write_overlap;
+        Alcotest.test_case "20,000 items" `Quick test_txn_large;
+        prop_txn_read_set_is_filter ] ) ]

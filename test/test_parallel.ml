@@ -171,7 +171,6 @@ module Spec_queue = struct
     site : int;
     protocol : Ccdb_model.Protocol.t;
     op : Ccdb_model.Op.kind;
-    interval : int;
     mutable prec : Ccdb_model.Precedence.t;
     mutable blocked : bool;
     mutable lock : Ccdb_model.Lock.mode option;
@@ -210,11 +209,11 @@ module Spec_queue = struct
   let r_ts t = max t.r_released (granted_max t Ccdb_model.Op.Read)
   let w_ts t = max t.w_released (granted_max t Ccdb_model.Op.Write)
 
-  let request t ~txn ~site ~protocol ~ts ~interval ~op =
+  let request t ~txn ~site ~protocol ~ts ~op =
     if List.exists (fun e -> e.txn = txn) t.entries then
       invalid_arg "duplicate";
     let fresh prec blocked =
-      { txn; site; protocol; op; interval; prec; blocked; lock = None;
+      { txn; site; protocol; op; prec; blocked; lock = None;
         schedule = Ccdb_model.Lock.Normal; grant_seq = -1 }
     in
     let admit e =
@@ -246,8 +245,7 @@ module Spec_queue = struct
       end
       else if protocol = Ccdb_model.Protocol.T_o then Q.Rejected
       else begin
-        let tuple = Ccdb_model.Timestamp.Tuple.make ~ts ~interval in
-        let ts' = Ccdb_model.Timestamp.Tuple.backoff tuple ~floor in
+        let ts' = Ccdb_model.Timestamp.backoff ~ts ~floor in
         admit_ts ts' true;
         Q.Backoff ts'
       end
@@ -455,11 +453,8 @@ let run_script ~seed ~semi_locks ~steps =
          else Some (Ccdb_util.Rng.int rng 60)
        in
        let site = Ccdb_util.Rng.int rng 4 in
-       let interval = 1 + Ccdb_util.Rng.int rng 8 in
-       let ra =
-         Q.request q ~txn ~site ~protocol ~ts ~interval ~epoch:0 ~op
-       in
-       let rb = Spec_queue.request s ~txn ~site ~protocol ~ts ~interval ~op in
+       let ra = Q.request q ~txn ~site ~protocol ~ts ~epoch:0 ~op in
+       let rb = Spec_queue.request s ~txn ~site ~protocol ~ts ~op in
        if ra <> rb then
          Alcotest.failf "seed %d step %d: response %s vs %s" seed step
            (response_str ra) (response_str rb);
@@ -526,10 +521,10 @@ let test_queue_duplicate_request () =
   let q = Q.create () in
   ignore
     (Q.request q ~txn:7 ~site:0 ~protocol:Ccdb_model.Protocol.T_o ~ts:(Some 5)
-       ~interval:1 ~epoch:0 ~op:Ccdb_model.Op.Read);
+       ~epoch:0 ~op:Ccdb_model.Op.Read);
   match
     Q.request q ~txn:7 ~site:0 ~protocol:Ccdb_model.Protocol.T_o ~ts:(Some 9)
-      ~interval:1 ~epoch:0 ~op:Ccdb_model.Op.Write
+      ~epoch:0 ~op:Ccdb_model.Op.Write
   with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()

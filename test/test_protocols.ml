@@ -447,7 +447,7 @@ module Pa_sys = Ccdb_protocols.Pa_system
 
 let test_pa_queue_accepts_fresh () =
   let q = Paq.create () in
-  (match Paq.request q ~txn:1 ~site:0 ~ts:5 ~interval:3 ~op:Ccdb_model.Op.Write with
+  (match Paq.request q ~txn:1 ~site:0 ~ts:5 ~op:Ccdb_model.Op.Write with
    | Paq.Accepted -> ()
    | Paq.Backoff _ -> Alcotest.fail "should accept");
   let granted = Paq.grant_ready q ~now:1.0 in
@@ -456,30 +456,31 @@ let test_pa_queue_accepts_fresh () =
 
 let test_pa_queue_backoff_instead_of_reject () =
   let q = Paq.create () in
-  ignore (Paq.request q ~txn:1 ~site:0 ~ts:10 ~interval:3 ~op:Ccdb_model.Op.Write);
+  ignore (Paq.request q ~txn:1 ~site:0 ~ts:10 ~op:Ccdb_model.Op.Write);
   ignore (Paq.grant_ready q ~now:0.);
   ignore (Paq.release q ~txn:1);
   check Alcotest.int "w released" 10 (Paq.w_ts q);
-  (* late read: ts 7 <= w_ts 10, backoff to 7 + 2*3 = 13 *)
-  (match Paq.request q ~txn:2 ~site:0 ~ts:7 ~interval:3 ~op:Ccdb_model.Op.Read with
-   | Paq.Backoff ts' -> check Alcotest.int "backoff value" 13 ts'
+  (* late read: ts 1 <= w_ts 10, backoff to 1 + 2*8 = 17 (k = 2) *)
+  (match Paq.request q ~txn:2 ~site:0 ~ts:1 ~op:Ccdb_model.Op.Read with
+   | Paq.Backoff ts' -> check Alcotest.int "backoff value" 17 ts'
    | Paq.Accepted -> Alcotest.fail "should back off")
 
 let test_pa_queue_blocked_stalls_frontier () =
   let q = Paq.create () in
-  ignore (Paq.request q ~txn:1 ~site:0 ~ts:10 ~interval:1 ~op:Ccdb_model.Op.Write);
+  ignore (Paq.request q ~txn:1 ~site:0 ~ts:10 ~op:Ccdb_model.Op.Write);
   ignore (Paq.grant_ready q ~now:0.);
   ignore (Paq.release q ~txn:1);
-  (* blocked entry at backed-off position *)
-  (match Paq.request q ~txn:2 ~site:0 ~ts:5 ~interval:1 ~op:Ccdb_model.Op.Write with
-   | Paq.Backoff ts' -> check Alcotest.int "ts'" 11 ts'
+  (* blocked entry at backed-off position: ts 10 = w_ts 10, so 10 + 8
+     (k = 1) *)
+  (match Paq.request q ~txn:2 ~site:0 ~ts:10 ~op:Ccdb_model.Op.Write with
+   | Paq.Backoff ts' -> check Alcotest.int "ts'" 18 ts'
    | Paq.Accepted -> Alcotest.fail "should back off");
   (* a later accepted request must not be granted past the blocked one *)
-  ignore (Paq.request q ~txn:3 ~site:0 ~ts:20 ~interval:1 ~op:Ccdb_model.Op.Write);
+  ignore (Paq.request q ~txn:3 ~site:0 ~ts:20 ~op:Ccdb_model.Op.Write);
   check Alcotest.int "frontier stalled" 0
     (List.length (Paq.grant_ready q ~now:1.));
   (* the issuer's agreed timestamp unblocks it *)
-  (match Paq.update_ts q ~txn:2 ~ts:11 with
+  (match Paq.update_ts q ~txn:2 ~ts:18 with
    | `Moved -> ()
    | `Revoked | `Absent -> Alcotest.fail "expected move");
   check (Alcotest.list Alcotest.int) "txn 2 first" [ 2 ]
@@ -491,7 +492,7 @@ let test_pa_queue_blocked_stalls_frontier () =
 
 let test_pa_queue_revoke_on_update () =
   let q = Paq.create () in
-  ignore (Paq.request q ~txn:1 ~site:0 ~ts:5 ~interval:1 ~op:Ccdb_model.Op.Write);
+  ignore (Paq.request q ~txn:1 ~site:0 ~ts:5 ~op:Ccdb_model.Op.Write);
   let granted = Paq.grant_ready q ~now:0. in
   check Alcotest.int "granted" 1 (List.length granted);
   (match Paq.update_ts q ~txn:1 ~ts:9 with
@@ -504,10 +505,10 @@ let test_pa_queue_revoke_on_update () =
 
 let test_pa_queue_shared_reads () =
   let q = Paq.create () in
-  ignore (Paq.request q ~txn:1 ~site:0 ~ts:5 ~interval:1 ~op:Ccdb_model.Op.Read);
-  ignore (Paq.request q ~txn:2 ~site:0 ~ts:6 ~interval:1 ~op:Ccdb_model.Op.Read);
+  ignore (Paq.request q ~txn:1 ~site:0 ~ts:5 ~op:Ccdb_model.Op.Read);
+  ignore (Paq.request q ~txn:2 ~site:0 ~ts:6 ~op:Ccdb_model.Op.Read);
   check Alcotest.int "both readers" 2 (List.length (Paq.grant_ready q ~now:0.));
-  ignore (Paq.request q ~txn:3 ~site:0 ~ts:7 ~interval:1 ~op:Ccdb_model.Op.Write);
+  ignore (Paq.request q ~txn:3 ~site:0 ~ts:7 ~op:Ccdb_model.Op.Write);
   check Alcotest.int "writer waits" 0 (List.length (Paq.grant_ready q ~now:0.));
   ignore (Paq.release q ~txn:1);
   ignore (Paq.release q ~txn:2);
@@ -1286,7 +1287,7 @@ let prop_pa_queue_random_ops =
           incr next;
           let ts = max 1 (!next - Ccdb_util.Rng.int rng 5) in
           let op = if Ccdb_util.Rng.bool rng then Ccdb_model.Op.Read else Ccdb_model.Op.Write in
-          (match Paq.request q ~txn:!next ~site:(!next mod 3) ~ts ~interval:3 ~op with
+          (match Paq.request q ~txn:!next ~site:(!next mod 3) ~ts ~op with
            | Paq.Accepted -> ()
            | Paq.Backoff ts' ->
              (* the agreed timestamp arrives eventually; apply immediately

@@ -310,7 +310,7 @@ let test_split_decision_at_f0 () =
     List.filter
       (fun (f : Ccdb_analysis.Finding.t) ->
         f.check = "consensus.split-decision")
-      (Ccdb_analysis.Consensus_audit.run events)
+      (Ccdb_analysis.Report.findings (Ccdb_analysis.Analyzer.analyze events))
   in
   check Alcotest.int "unseeded: no split" 0 (List.length (splits events));
   (* the second participant to commit the first round with two *)

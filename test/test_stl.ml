@@ -196,19 +196,95 @@ let test_estimator_tracks_events () =
   let lr, lw = snap.rates (0, 0) in
   check Alcotest.bool "rates positive" true (lr > 0. && lw > 0.)
 
+(* Each failure event moves its own probability and no other, under both
+   sources. *)
 let test_estimator_reject_probability () =
-  let rt = make_runtime () in
-  let est = Est.create rt in
   let txn =
-    Ccdb_model.Txn.make ~id:1 ~site:0 ~read_set:[ 0 ] ~write_set:[]
-      ~compute_time:1. ~protocol:Ccdb_model.Protocol.T_o
+    Ccdb_model.Txn.make ~id:1 ~site:0 ~read_set:[ 0 ] ~write_set:[ 1 ]
+      ~compute_time:1. ~protocol:Ccdb_model.Protocol.Two_pl
   in
-  Rt.emit rt
-    (Rt.Txn_restarted
-       { txn; reason = Rt.To_rejected Ccdb_model.Op.Read; at = 1. });
-  let snap = Est.snapshot est in
-  check Alcotest.bool "p_reject_read positive" true (snap.t_o.p_reject_read > 0.);
-  check (Alcotest.float 1e-9) "writes unaffected" 0. snap.t_o.p_reject_write
+  let restarted reason = Rt.Txn_restarted { txn; reason; at = 1. } in
+  let backoff op = Rt.Pa_backoff { txn = 1; op; at = 1. } in
+  let probs (s : Est.snapshot) =
+    [ s.two_pl.p_abort; s.t_o.p_reject_read; s.t_o.p_reject_write;
+      s.pa.p_backoff_read; s.pa.p_backoff_write ]
+  in
+  List.iter
+    (fun source ->
+      List.iteri
+        (fun i event ->
+          let rt = make_runtime () in
+          let est = Est.create ~source rt in
+          Rt.emit rt event;
+          check
+            (Alcotest.list (Alcotest.float 0.))
+            (Printf.sprintf "event %d" i)
+            (List.init 5 (fun j -> if i = j then 1. else 0.))
+            (probs (Est.snapshot est)))
+        [ restarted Rt.Deadlock_victim;
+          restarted (Rt.To_rejected Ccdb_model.Op.Read);
+          restarted (Rt.To_rejected Ccdb_model.Op.Write);
+          backoff Ccdb_model.Op.Read; backoff Ccdb_model.Op.Write ])
+    [ Est.Cumulative; Est.Windowed 80. ]
+
+(* An 80-unit window is eight 10-unit buckets.  What was added in a bucket
+   leaves the sums once the clock is eight buckets past it, and not
+   before; the sums are exact counts (a commit of three requests adds 3). *)
+let test_estimator_window_expires_by_bucket () =
+  let rt = make_runtime () in
+  let est = Est.create ~source:(Est.Windowed 80.) rt in
+  let grant ~item ~site op =
+    Rt.emit rt
+      (Rt.Lock_granted
+         { txn = 1; protocol = Ccdb_model.Protocol.Two_pl; op; item; site;
+           mode = None; schedule = Ccdb_model.Lock.Normal; ts = None;
+           at = Rt.now rt })
+  in
+  let commit ~reads ~writes =
+    Rt.emit rt
+      (Rt.Txn_committed
+         { txn =
+             Ccdb_model.Txn.make ~id:1 ~site:0 ~read_set:reads
+               ~write_set:writes ~compute_time:1.
+               ~protocol:Ccdb_model.Protocol.Two_pl;
+           submitted_at = 0.; executed_at = Rt.now rt; restarts = 0 })
+  in
+  let snaps = ref [] in
+  let at time f =
+    ignore (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:time f)
+  in
+  (* [rates] reads the window when called, so read it at the instant *)
+  let snap () =
+    let s = Est.snapshot est in
+    snaps :=
+      (Rt.now rt, (fst (s.rates (0, 0)), snd (s.rates (1, 1)), s.params.k))
+      :: !snaps
+  in
+  at 5. (fun () ->
+      for _ = 1 to 3 do grant ~item:0 ~site:0 Ccdb_model.Op.Read done;
+      commit ~reads:[ 0; 1 ] ~writes:[ 2 ]);
+  at 25. (fun () ->
+      grant ~item:0 ~site:0 Ccdb_model.Op.Read;
+      grant ~item:0 ~site:0 Ccdb_model.Op.Read;
+      commit ~reads:[ 0 ] ~writes:[ 1 ]);
+  at 75. (fun () -> grant ~item:1 ~site:1 Ccdb_model.Op.Write);
+  List.iter (fun t -> at t snap) [ 79.; 85.; 105. ];
+  Rt.quiesce rt;
+  let expect t ~reads ~covered ~k =
+    let read_rate, write_rate, k' = List.assoc t !snaps in
+    let name what = Printf.sprintf "%s at %g" what t in
+    check (Alcotest.float 0.) (name "reads of (0, 0)") (reads /. covered)
+      read_rate;
+    check (Alcotest.float 0.) (name "writes of (1, 1)") (1. /. covered)
+      write_rate;
+    check (Alcotest.float 0.) (name "k") k k'
+  in
+  (* 5 reads, 2 commits of 5 requests *)
+  expect 79. ~reads:5. ~covered:79. ~k:2.5;
+  (* bucket 0 (t = 5) gone: 2 reads, 1 commit of 2 requests *)
+  expect 85. ~reads:2. ~covered:80. ~k:2.;
+  (* bucket 2 (t = 25) gone: no read, no commit (k's prior) *)
+  expect 105. ~reads:0. ~covered:80. ~k:2.
 
 (* --- Selector ---------------------------------------------------------------- *)
 
@@ -262,7 +338,9 @@ let test_selector_picks_min () =
 let test_selector_class_cache () =
   let rt = make_runtime () in
   let est = Est.create rt in
-  let sel = Sel.create (Rt.catalog rt) est in
+  let sel =
+    Sel.create ~snapshot:(fun () -> Est.snapshot est) (Rt.catalog rt)
+  in
   let txn id =
     Ccdb_model.Txn.make ~id ~site:0 ~read_set:[ 0 ] ~write_set:[ 1 ]
       ~compute_time:1. ~protocol:Ccdb_model.Protocol.Two_pl
@@ -302,7 +380,9 @@ let suites =
     ( "stl.estimator",
       [ Alcotest.test_case "priors" `Quick test_estimator_priors_before_data;
         Alcotest.test_case "tracks events" `Quick test_estimator_tracks_events;
-        Alcotest.test_case "reject probability" `Quick test_estimator_reject_probability ] );
+        Alcotest.test_case "reject probability" `Quick test_estimator_reject_probability;
+        Alcotest.test_case "window expires bucket by bucket" `Quick
+          test_estimator_window_expires_by_bucket ] );
     ( "stl.selector",
       [ Alcotest.test_case "footprint" `Quick test_selector_footprint;
         Alcotest.test_case "picks min" `Quick test_selector_picks_min;
