@@ -378,7 +378,7 @@ let bench_stream_feed =
             i := 0;
             st := Ccdb_analysis.Stream.create ~catalog:(catalog ()) ()
           end;
-          ignore (Ccdb_analysis.Stream.feed !st events.(!i));
+          Ccdb_analysis.Stream.feed !st events.(!i);
           incr i))
 
 let bench_engine =

@@ -456,24 +456,18 @@ let run_cmd =
              ~doc:"Enable the Thomas Write Rule in the pure T/O baseline.")
   in
   let audit =
-    let path =
-      Arg.enum [ ("stream", D.Streaming); ("differential", D.Differential) ]
-    in
-    Arg.(value
-         & opt ~vopt:(Some D.Streaming) (some path) None
-         & info [ "audit" ] ~docv:"PATH"
+    Arg.(value & flag
+         & info [ "audit" ]
              ~doc:
                "Audit the run against the paper's invariants (semi-lock \
                 compatibility, precedence conditions E1/E2, the deadlock and \
                 restart theorems, serializability, and with a fail-stop \
                 plan durability and consensus) and print the report: its \
-                summary, then one line per finding.  $(docv) is \
-                $(b,stream) (the default: events feed the incremental \
-                analyzer as they fire, no trace retained) or \
-                $(b,differential) (also record the full trace and replay it \
-                through the batch analyzer after the run, the executable \
-                specification; any disagreement is an audit.divergence \
-                error).  Exits 1 on an error finding.")
+                summary, then one line per finding.  Unless \
+                $(b,--no-store-check) is given, in every mode but \
+                pure-mvto, its serializability verdict must match the \
+                store checks', or it reports an audit.divergence error.  \
+                Exits 1 on an error finding.")
   in
   let no_store_check =
     Arg.(value & flag
@@ -482,7 +476,8 @@ let run_cmd =
                "Skip the run summary's whole-history store checks (the \
                 $(i,serializable) and $(i,replicas ok) lines): its \
                 serializability check re-scans every log pair, prohibitive \
-                at millions of transactions.  Only those are skipped.  With \
+                at millions of transactions.  Only those are skipped, and \
+                with them the audit's cross-check against that scan.  With \
                 $(b,--audit), in every mode but pure-mvto, the streaming \
                 audit still decides conflict serializability from its \
                 incremental conflict graph, and still checks replica \
@@ -646,16 +641,15 @@ let run_cmd =
             Some (Ccdb_insights.Collector.attach ~window:insights_window rt))
         insights
     in
-    let audit_on = Option.is_some audit in
     let verify_store = not no_store_check in
     let r =
       match phases with
       | [] ->
-        D.run ~setup ~n_txns:txns ?observer ~audit:audit_on ?audit_path:audit
-          ?faults:plan ~verify_store mode spec
+        D.run ~setup ~n_txns:txns ?observer ~audit ?faults:plan ~verify_store
+          mode spec
       | phases ->
-        D.run_phases ~setup ?observer ~audit:audit_on ?audit_path:audit
-          ?faults:plan ~verify_store mode phases
+        D.run_phases ~setup ?observer ~audit ?faults:plan ~verify_store mode
+          phases
     in
     let s = r.summary in
     let field label fmt = Format.printf ("%-17s" ^^ fmt ^^ "@.") label in

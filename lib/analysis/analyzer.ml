@@ -2,7 +2,7 @@ module Rt = Ccdb_protocols.Runtime
 
 let fold ?store ?catalog ~theorem2 (events : Rt.event array) =
   let st = Stream.create ~theorem2 ?catalog () in
-  Array.iter (fun e -> ignore (Stream.feed st e)) events;
+  Array.iter (Stream.feed st) events;
   Stream.report ?store st
 
 let analyze_stream ?store ?catalog events =
@@ -17,7 +17,7 @@ let analyze ?store events = fold ?store ~theorem2:false events
    witness (and hence txns/cycle) legitimately differs between the batch
    DFS and the incremental insertion order; those are compared by count. *)
 let diff ~batch ~stream =
-  let ns = "thm.not-serializable" in
+  let ns = Theorem_audit.not_serializable in
   let key (f : Finding.t) =
     ( Finding.severity_to_string f.severity, f.check, f.event_index, f.txns,
       f.copy, f.message )

@@ -25,8 +25,8 @@ val analyze_stream :
   Ccdb_protocols.Runtime.event array ->
   Report.t
 (** The same verdicts via the streaming path: the {!Stream} fold with the
-    incremental conflict graph.  Used by the differential tests; the
-    driver feeds {!Stream} directly instead of recording a trace. *)
+    incremental conflict graph, which the tests diff against {!analyze}.
+    No run records a trace for it: the driver feeds {!Stream} directly. *)
 
 val diff : batch:Report.t -> stream:Report.t -> string list
 (** Divergences between a batch and a streaming report over the same

@@ -33,7 +33,7 @@
 
    No serializability finding is emitted mid-run: a cycle-closing edge is
    parked (a later discard may dissolve it) and the verdict is settled in
-   [finish] by {!Ccdb_serial.Incremental.check_deferred}, which matches
+   [report] by {!Ccdb_serial.Incremental.check_deferred}, which matches
    the batch verdict over the final logs on every trace. *)
 
 module Rt = Ccdb_protocols.Runtime
@@ -67,7 +67,7 @@ type state = {
   cons : Consensus_audit.state;
   ser : ser option;
   mutable events_fed : int;
-  mutable all : Finding.t list; (* newest first; everything [feed] returned *)
+  mutable all : Finding.t list; (* newest first; every finding [feed] raised *)
 }
 
 let create ?(theorem2 = true) ?catalog () =
@@ -194,24 +194,17 @@ let feed st event =
     @ Consensus_audit.feed st.cons event
   in
   (match st.ser with Some s -> ser_feed s event | None -> ());
-  st.all <- List.rev_append fs st.all;
-  (st, fs)
+  st.all <- List.rev_append fs st.all
 
-let finish ?store st =
+let report ?store st =
   let serializability =
     Option.map (fun s () -> Inc.check_deferred s.graph) st.ser
   in
-  let fs =
-    Lock_audit.finish st.lock
-    @ Theorem_audit.finish ?store ?serializability st.thm
-    @ Consensus_audit.finish st.cons
-  in
-  st.all <- List.rev_append fs st.all;
-  fs
-
-let report ?store st =
-  ignore (finish ?store st);
-  Report.make ~events_scanned:st.events_fed (List.rev st.all)
+  Report.make ~events_scanned:st.events_fed
+    (List.rev_append st.all
+       (Lock_audit.finish st.lock
+       @ Theorem_audit.finish ?store ?serializability st.thm
+       @ Consensus_audit.finish st.cons))
 
 type stats = {
   events_fed : int;

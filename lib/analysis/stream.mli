@@ -2,7 +2,7 @@
     check, advanced one event at a time while the simulation runs.
 
     Subscribe [feed] to the runtime's event stream (or fold it over a
-    recorded trace) and call [finish]/[report] once at end of run.  The
+    recorded trace) and call [report] once at end of run.  The
     serializability side consumes the {!Ccdb_protocols.Runtime.event.Op_implemented}
     / [Reads_discarded] events the store emits, maintaining a
     Pearce–Kelly incremental conflict graph whose verdict matches the
@@ -20,20 +20,15 @@ val create :
     enables committed-prefix GC; omit it for hand-built traces whose
     events may not line up with any catalog. *)
 
-val feed : state -> Ccdb_protocols.Runtime.event -> state * Finding.t list
-(** Advances every audit by one event; returns the findings that event
-    triggered (flat per-event cost).  The returned state is the argument
-    (state is mutable); the pair form makes the fold explicit. *)
-
-val finish : ?store:Ccdb_storage.Store.t -> state -> Finding.t list
-(** End-of-trace findings: leaked locks, 2PC atomicity and — when [store]
-    is given, as for the batch analyzer — the Theorem 2 serializability
-    verdict (from the incremental graph, not a log scan), replica
-    convergence and durability.  Call once. *)
+val feed : state -> Ccdb_protocols.Runtime.event -> unit
+(** Advances every audit by one event (flat per-event cost). *)
 
 val report : ?store:Ccdb_storage.Store.t -> state -> Report.t
-(** [finish] plus everything [feed] returned, as a sorted report
-    comparable to {!Analyzer.analyze}'s.  Call once. *)
+(** Every finding [feed] raised plus the end-of-trace ones — leaked
+    locks, 2PC atomicity and, when [store] is given, as for the batch
+    analyzer, the Theorem 2 serializability verdict (from the incremental
+    graph, not a log scan), replica convergence and durability — as a
+    sorted report comparable to {!Analyzer.analyze}'s.  Call once. *)
 
 type stats = {
   events_fed : int;

@@ -25,6 +25,8 @@ module Lookup = Ccdb_util.Lookup_tbl
 
 let protocol_name = Ccdb_model.Protocol.to_string
 
+let not_serializable = "thm.not-serializable"
+
 (* [committed_txns] and [last_decision] are iterated by [finish], in the
    order its findings come out, so they keep the generic hash's order. *)
 type state = {
@@ -228,7 +230,7 @@ let finish ?store ?serializability st =
                (List.map
                   (fun (e : Ccdb_serial.Incremental.edge) -> e.src)
                   edges)
-             ~cycle:edges ~check:"thm.not-serializable"
+             ~cycle:edges ~check:not_serializable
              "implementation logs are not conflict-serializable \
               (contradicts Theorem 2)"));
      if not (Ccdb_serial.Check.replica_consistent store) then
@@ -277,3 +279,18 @@ let finish ?store ?serializability st =
   let out = List.rev st.findings in
   st.findings <- [];
   out
+
+let cross_check ~serializable report =
+  let findings = Report.findings report in
+  if
+    List.exists (fun (f : Finding.t) -> f.check = not_serializable) findings
+    <> serializable
+  then report
+  else
+    Report.make ~events_scanned:(Report.events_scanned report)
+      (findings
+      @ [ Finding.make ~check:"audit.divergence"
+            (if serializable then
+               "the incremental graph has a cycle the log scan has not"
+             else "the log scan has a cycle the incremental graph has not")
+        ])

@@ -6,6 +6,9 @@
 
     Event-at-a-time: [create] / [feed] / [finish]. *)
 
+val not_serializable : string
+(** ["thm.not-serializable"], the check name of a Theorem 2 violation. *)
+
 type state
 
 val create : unit -> state
@@ -23,3 +26,8 @@ val finish :
     conflict-serializability verdict — [Some cycle] when violated — in
     place of the batch scan of the store's logs (the streaming analyzer
     passes its incremental graph's verdict here). *)
+
+val cross_check : serializable:bool -> Report.t -> Report.t
+(** Compares the report's Theorem 2 verdict with [serializable], a scan
+    of the same run's logs: the report as it is when they agree, with one
+    more error finding, [audit.divergence], when they do not. *)

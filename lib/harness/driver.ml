@@ -46,8 +46,6 @@ let mode_name = function
   | Mvto -> "pure-mvto"
   | Conservative -> "pure-cto"
 
-type audit_path = Streaming | Differential
-
 type result = {
   summary : Metrics.summary;
   runtime : Rt.t;
@@ -83,14 +81,7 @@ let runs ?forced ?verify submit =
         let rank = Ccdb_model.Protocol.rank txn.protocol in
         tally.(rank) <- tally.(rank) + 1;
         submit txn);
-    decisions =
-      (fun () ->
-        (* [all] is in [Protocol.compare] order: its rank order *)
-        List.filter_map
-          (fun p ->
-            let n = tally.(Ccdb_model.Protocol.rank p) in
-            if n > 0 then Some (p, n) else None)
-          Ccdb_model.Protocol.all);
+    decisions = (fun () -> Ccdb_model.Protocol.counted tally);
     verify }
 
 (* Each mode's system.  Only [Dynamic] routes for itself and reports its
@@ -168,8 +159,8 @@ let build_system ~(setup : setup) ~(spec : Ccdb_workload.Generator.spec) mode
 
 (* shared run body: [arrivals_of] turns the workload RNG into the arrival
    stream; [spec] is the (first-phase) spec, needed for [Configured]. *)
-let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
-    ?(verify_store = true) mode ~spec ~arrivals_of () =
+let execute ~(setup : setup) ?observer ~audit ?faults ?(verify_store = true)
+    mode ~spec ~arrivals_of () =
   let catalog =
     Ccdb_storage.Catalog.create ~items:setup.items ~sites:setup.sites
       ~replication:setup.replication
@@ -207,15 +198,10 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
      a write-all log, so the single-version store checks do not apply (the
      summary reports [Mvto_system.verify] in their place). *)
   let theorem2 = match mode with Mvto -> false | _ -> true in
-  let trace =
-    match audit, audit_path with
-    | true, Differential -> Some (Trace.attach rt)
-    | false, _ | true, Streaming -> None
-  in
   let stream =
     if audit then begin
       let st = Ccdb_analysis.Stream.create ~theorem2 ~catalog () in
-      Rt.observe rt (fun e -> ignore (Ccdb_analysis.Stream.feed st e));
+      Rt.observe rt (Ccdb_analysis.Stream.feed st);
       Some st
     end
     else None
@@ -228,34 +214,6 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
      workload so million-transaction runs (EXPERIMENTS.md E13) fit. *)
   let budget = max 50_000_000 (400 * n_arrivals) in
   Rt.quiesce ~max_events:budget rt;
-  let store = if theorem2 then Some (Rt.store rt) else None in
-  let batch =
-    Option.map
-      (fun tr -> Ccdb_analysis.Analyzer.analyze ?store (Trace.to_array tr))
-      trace
-  in
-  let audit =
-    Option.map
-      (fun st ->
-        let streamed = Ccdb_analysis.Stream.report ?store st in
-        match batch with
-        | None -> streamed
-        | Some batch -> (
-          (* differential gate: any batch/stream disagreement is itself an
-             error finding, so is_clean machinery (tests, CLI exit codes)
-             fails on divergence *)
-          match Ccdb_analysis.Analyzer.diff ~batch ~stream:streamed with
-          | [] -> streamed
-          | divergences ->
-            Ccdb_analysis.Report.make
-              ~events_scanned:(Ccdb_analysis.Report.events_scanned streamed)
-              (Ccdb_analysis.Report.findings streamed
-              @ List.map
-                  (fun msg ->
-                    Ccdb_analysis.Finding.make ~check:"audit.divergence" msg)
-                  divergences)))
-      stream
-  in
   let summary =
     match system.verify with
     | Some invariant when verify_store ->
@@ -264,11 +222,23 @@ let execute ~(setup : setup) ?observer ~audit ~audit_path ?faults
         serializable = ok; replica_consistent = ok }
     | Some _ | None -> Metrics.summarize ~verify:verify_store rt
   in
+  let store = if theorem2 then Some (Rt.store rt) else None in
+  let audit =
+    Option.map
+      (fun st ->
+        let report = Ccdb_analysis.Stream.report ?store st in
+        (* only then did the summary scan the single-version logs *)
+        if theorem2 && verify_store then
+          Ccdb_analysis.Theorem_audit.cross_check
+            ~serializable:summary.serializable report
+        else report)
+      stream
+  in
   { summary; runtime = rt; decisions = system.decisions (); audit }
 
 let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?verify_store mode spec =
-  execute ~setup ?observer ~audit ~audit_path ?faults ?verify_store mode ~spec
+    ?faults ?verify_store mode spec =
+  execute ~setup ?observer ~audit ?faults ?verify_store mode ~spec
     ~arrivals_of:(fun rng ->
       let generator =
         Ccdb_workload.Generator.create spec ~sites:setup.sites
@@ -277,12 +247,12 @@ let run ?(setup = default_setup) ?(n_txns = 200) ?observer ?(audit = false)
       Ccdb_workload.Generator.arrivals generator ~n:n_txns ~start:0.)
     ()
 
-let run_phases ?(setup = default_setup) ?observer ?(audit = false)
-    ?(audit_path = Streaming) ?faults ?verify_store mode phases =
+let run_phases ?(setup = default_setup) ?observer ?(audit = false) ?faults
+    ?verify_store mode phases =
   match phases with
   | [] -> invalid_arg "Driver.run_phases: no phases"
   | (first_spec, _) :: _ ->
-    execute ~setup ?observer ~audit ~audit_path ?faults ?verify_store mode
+    execute ~setup ?observer ~audit ?faults ?verify_store mode
       ~spec:first_spec
       ~arrivals_of:(fun rng ->
         Ccdb_workload.Generator.phased_arrivals phases ~sites:setup.sites

@@ -84,17 +84,6 @@ type mode =
 
 val mode_name : mode -> string
 
-(** How [run ~audit:true] computes its report. *)
-type audit_path =
-  | Streaming
-      (** feed {!Ccdb_analysis.Stream} inline during the run — no trace
-          retained, flat per-event cost; the default *)
-  | Differential
-      (** also record the full trace and replay it through the batch
-          analyzer after the run (the executable specification); any
-          disagreement is reported as an [audit.divergence] error finding
-          (used by the lint gates and the mode oracle) *)
-
 type result = {
   summary : Metrics.summary;
   runtime : Ccdb_protocols.Runtime.t;
@@ -109,7 +98,6 @@ val run :
   ?n_txns:int ->
   ?observer:(Ccdb_protocols.Runtime.t -> unit) ->
   ?audit:bool ->
-  ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
   ?verify_store:bool ->
   mode ->
@@ -122,8 +110,8 @@ val run :
     flight.  [observer] is
     invoked on the fresh runtime before any event fires (to subscribe
     estimators or probes).  With [~audit:true] the events feed
-    {!Ccdb_analysis.Stream} as they fire ([audit_path], default
-    [Streaming]).
+    {!Ccdb_analysis.Stream} as they fire, and its report becomes
+    [audit].
     [faults] installs a fault plan (message loss, duplication, extra delay,
     site crashes — see {!Ccdb_sim.Fault_plan}) over the reliable transport
     of {!Ccdb_sim.Net}; combine with [~audit:true] to certify that the
@@ -131,7 +119,11 @@ val run :
     (default [true]) controls the post-hoc store checks of
     {!Metrics.summarize}, or MVTO's own invariant in the [Mvto] mode —
     switch it off for million-transaction runs where the streaming audit
-    replaces them (EXPERIMENTS.md E13).
+    replaces them (EXPERIMENTS.md E13).  With both on, in every mode but
+    [Mvto], the audit's Theorem 2 verdict (from the incremental conflict
+    graph) is cross-checked against the summary's [serializable] (from a
+    scan of the logs) by {!Ccdb_analysis.Theorem_audit.cross_check}: a
+    disagreement is an [audit.divergence] error finding.
     @raise Ccdb_protocols.Runtime.Event_budget_exhausted if the run
     livelocks. *)
 
@@ -139,7 +131,6 @@ val run_phases :
   ?setup:setup ->
   ?observer:(Ccdb_protocols.Runtime.t -> unit) ->
   ?audit:bool ->
-  ?audit_path:audit_path ->
   ?faults:Ccdb_sim.Fault_plan.t ->
   ?verify_store:bool ->
   mode ->

@@ -1177,13 +1177,19 @@ let e13_staged ~quick =
           (Ccdb_model.Protocol.Pa, 1.) ] }
   in
   let point n () =
-    let tr = ref None in
+    let st =
+      Ccdb_analysis.Stream.create
+        ~catalog:
+          (Ccdb_storage.Catalog.create ~items:base_setup.items
+             ~sites:base_setup.sites ~replication:base_setup.replication)
+        ()
+    in
     let r =
       D.run ~setup:base_setup ~n_txns:n
-        ~observer:(fun rt -> tr := Some (Trace.attach rt))
+        ~observer:(fun rt ->
+          Ccdb_protocols.Runtime.observe rt (Ccdb_analysis.Stream.feed st))
         D.Unified spec
     in
-    let events = Trace.to_array (Option.get !tr) in
     let logs =
       Ccdb_storage.Store.logs (Ccdb_protocols.Runtime.store r.D.runtime)
     in
@@ -1194,13 +1200,8 @@ let e13_staged ~quick =
           acc + (k * (k - 1) / 2))
         0 logs
     in
-    let catalog =
-      Ccdb_storage.Catalog.create ~items:base_setup.items
-        ~sites:base_setup.sites ~replication:base_setup.replication
-    in
-    let st = Ccdb_analysis.Stream.create ~catalog () in
-    Array.iter (fun e -> ignore (Ccdb_analysis.Stream.feed st e)) events;
-    (n, Array.length events, batch_pairs, Ccdb_analysis.Stream.stats st)
+    let stats = Ccdb_analysis.Stream.stats st in
+    (n, stats.events_fed, batch_pairs, stats)
   in
   let assemble rows =
     let table =

@@ -10,6 +10,11 @@ let equal a b =
 let rank = function Two_pl -> 0 | T_o -> 1 | Pa -> 2
 let compare a b = Int.compare (rank a) (rank b)
 
+let counted tally =
+  List.filter_map
+    (fun p -> match tally.(rank p) with 0 -> None | n -> Some (p, n))
+    all
+
 let to_string = function Two_pl -> "2PL" | T_o -> "T/O" | Pa -> "PA"
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

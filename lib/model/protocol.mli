@@ -16,6 +16,10 @@ val compare : t -> t -> int
 val rank : t -> int
 (** Position in [all]: [0], [1], [2]; [compare] orders by it. *)
 
+val counted : int array -> (t * int) list
+(** The protocols whose entry in a [rank]-indexed tally is not zero, with
+    that entry, in [all] order. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val of_string : string -> t option

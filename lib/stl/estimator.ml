@@ -62,9 +62,9 @@ type windowed = {
   wc_commits : ring;
   wc_requests : ring;
   wp : (ring * ring) array; (* per probability slot: (failures, trials) *)
-  (* per-protocol successful hold times: (time sum, count); the [_all]
-     pair aggregates across protocols *)
-  wh : (Ccdb_model.Protocol.t, ring * ring) Hashtbl.t;
+  (* successful hold times by [Protocol.rank]: (time sum, count); the
+     [_all] pair aggregates across protocols *)
+  wh : (ring * ring) array;
   wh_all_sum : ring;
   wh_all_count : ring;
 }
@@ -102,28 +102,28 @@ type t = {
   rt : Rt.t;
   win : windowed option; (* Some iff the source is [Windowed] *)
   created_at : float;
+  mutable seen : int; (* events observed, to date a snapshot *)
   (* per-copy grant counts: (reads, writes) *)
   copy_grants : (int * int, int ref * int ref) Hashtbl.t;
   mutable grants_read : int;
   mutable grants_write : int;
-  (* lock hold times per protocol, split by aborted *)
-  hold : (Ccdb_model.Protocol.t * bool, ema) Hashtbl.t;
+  (* lock hold times by [Protocol.rank], of successful and of aborted
+     attempts *)
+  hold : ema array;
+  hold_aborted : ema array;
   (* failure probabilities as EMAs of per-request (or per-attempt for 2PL)
      failure indicators, by slot *)
   probs : ema array;
-  (* mean system time per protocol *)
-  response : (Ccdb_model.Protocol.t, ema) Hashtbl.t;
+  (* mean system time by [Protocol.rank] *)
+  response : ema array;
   mutable commits : int;
   mutable committed_requests : int;
 }
 
-let hold_acc t key =
-  match Hashtbl.find_opt t.hold key with
-  | Some acc -> acc
-  | None ->
-    let acc = ema_make () in
-    Hashtbl.add t.hold key acc;
-    acc
+let rank = Ccdb_model.Protocol.rank
+
+let by_protocol make =
+  Array.init (List.length Ccdb_model.Protocol.all) (fun _ -> make ())
 
 let prob_observe t slot outcome =
   ema_add t.probs.(slot) (if outcome then 1. else 0.);
@@ -160,7 +160,9 @@ let prob_get t slot =
     else
       (ring_sum failures ~now +. (shrinkage *. cumulative)) /. (n +. shrinkage)
 
-let on_event t = function
+let on_event t event =
+  t.seen <- t.seen + 1;
+  match event with
   | Rt.Lock_granted { protocol; op; item; site; _ } ->
     let reads, writes =
       match Hashtbl.find_opt t.copy_grants (item, site) with
@@ -204,21 +206,14 @@ let on_event t = function
      | Ccdb_model.Protocol.Pa -> prob_observe t (pa_backoff op) false
      | Ccdb_model.Protocol.Two_pl -> ())
   | Rt.Lock_released { protocol; granted_at; at; aborted; _ } ->
-    ema_add (hold_acc t (protocol, aborted)) (at -. granted_at);
+    ema_add
+      (if aborted then t.hold_aborted else t.hold).(rank protocol)
+      (at -. granted_at);
     (match t.win with
      | None -> ()
      | Some _ when aborted -> ()
      | Some w ->
-       let sum, count =
-         match Hashtbl.find_opt w.wh protocol with
-         | Some cell -> cell
-         | None ->
-           let cell =
-             (ring_make ~window:w.window, ring_make ~window:w.window)
-           in
-           Hashtbl.add w.wh protocol cell;
-           cell
-       in
+       let sum, count = w.wh.(rank protocol) in
        let now = Rt.now t.rt in
        ring_add sum ~now (at -. granted_at);
        ring_add count ~now 1.;
@@ -234,15 +229,7 @@ let on_event t = function
        let now = Rt.now t.rt in
        ring_add w.wc_commits ~now 1.;
        ring_add w.wc_requests ~now (float_of_int size));
-    let resp =
-      match Hashtbl.find_opt t.response txn.protocol with
-      | Some e -> e
-      | None ->
-        let e = ema_make () in
-        Hashtbl.add t.response txn.protocol e;
-        e
-    in
-    ema_add resp (executed_at -. submitted_at);
+    ema_add t.response.(rank txn.protocol) (executed_at -. submitted_at);
     (match txn.protocol with
      | Ccdb_model.Protocol.Two_pl -> prob_observe t two_pl_abort false
      | Ccdb_model.Protocol.T_o | Ccdb_model.Protocol.Pa -> ())
@@ -274,15 +261,16 @@ let create ?(source = Cumulative) rt =
           wp =
             Array.init n_probs (fun _ ->
                 (ring_make ~window, ring_make ~window));
-          wh = Hashtbl.create 4;
+          wh =
+            by_protocol (fun () -> (ring_make ~window, ring_make ~window));
           wh_all_sum = ring_make ~window; wh_all_count = ring_make ~window }
   in
   let t =
-    { rt; win; created_at = Rt.now rt;
+    { rt; win; created_at = Rt.now rt; seen = 0;
       copy_grants = Hashtbl.create 128; grants_read = 0; grants_write = 0;
-      hold = Hashtbl.create 8;
+      hold = by_protocol ema_make; hold_aborted = by_protocol ema_make;
       probs = Array.init n_probs (fun _ -> ema_make ());
-      response = Hashtbl.create 4; commits = 0; committed_requests = 0 }
+      response = by_protocol ema_make; commits = 0; committed_requests = 0 }
   in
   Rt.subscribe rt (on_event t);
   t
@@ -332,11 +320,18 @@ let windowed_inputs t w =
   end
 
 let snapshot t =
-  let elapsed, rates, grants_read, grants_write, copies, commits,
+  let elapsed, live_rates, grants_read, grants_write, copies, commits,
       committed_requests =
     match t.win with
     | None -> cumulative_inputs t
     | Some w -> windowed_inputs t w
+  in
+  (* [live_rates] reads the live counters: right at this instant only *)
+  let taken_at = Rt.now t.rt and seen = t.seen in
+  let rates copy =
+    if t.seen <> seen || not (Float.equal (Rt.now t.rt) taken_at) then
+      invalid_arg "Estimator.snapshot: rates read after the estimator moved on";
+    live_rates copy
   in
   let grants = grants_read +. grants_write in
   let lambda_a = Float.max 1e-9 (grants /. elapsed) in
@@ -348,18 +343,15 @@ let snapshot t =
     if commits = 0. then 2.
     else Float.max 1. (committed_requests /. commits)
   in
-  let u_cumulative p =
-    ema_get ~prior:prior_hold_time (hold_acc t (p, false))
-  in
+  let u_cumulative p = ema_get ~prior:prior_hold_time t.hold.(rank p) in
   let u p =
     match t.win with
     | None -> u_cumulative p
     | Some w -> (
       let now = Rt.now t.rt in
-      match Hashtbl.find_opt w.wh p with
-      | Some (sum, count) when ring_sum count ~now > 0. ->
-        ring_sum sum ~now /. ring_sum count ~now
-      | _ ->
+      let sum, count = w.wh.(rank p) in
+      if ring_sum count ~now > 0. then ring_sum sum ~now /. ring_sum count ~now
+      else
         (* no recent grants under [p]: inherit the current system-wide
            hold time.  A protocol nobody routes through cannot be assumed
            faster than the shared lock queues everyone else is currently
@@ -373,14 +365,12 @@ let snapshot t =
   let u' p =
     (* with no aborted observations, fall back to the successful hold time
        (an aborted attempt holds its locks for roughly as long) *)
-    let acc = hold_acc t (p, true) in
-    if acc.initialised then acc.value else u p
+    ema_get ~prior:(u p) t.hold_aborted.(rank p)
   in
-  let response_time p =
-    match Hashtbl.find_opt t.response p with
-    | Some e -> ema_get ~prior:(2. *. prior_hold_time) e
-    | None -> 2. *. prior_hold_time
+  let response =
+    Array.map (ema_get ~prior:(2. *. prior_hold_time)) t.response
   in
+  let response_time p = response.(rank p) in
   { params = { lambda_a; lambda_r; lambda_w; q_r; k };
     rates;
     response_time;

@@ -13,14 +13,17 @@
 type snapshot = {
   params : Stl_model.params;
   rates : Txn_cost.rates;
+      (** per-copy read and write rates, read from the live counters when
+          called: valid only until the estimator sees another event or
+          the clock moves, and raises [Invalid_argument] after that *)
   two_pl : Txn_cost.two_pl_stats;
   t_o : Txn_cost.to_stats;
   pa : Txn_cost.pa_stats;
   response_time : Ccdb_model.Protocol.t -> float;
-      (** mean observed system time per protocol (EMA) — input for the
-          response-time selection criterion that section 5.1 argues against
-          (measured by experiment X7); 60, twice the prior hold time,
-          before any observation *)
+      (** mean observed system time per protocol (EMA) when the snapshot
+          was taken — input for the response-time selection criterion that
+          section 5.1 argues against (measured by experiment X7); 60,
+          twice the prior hold time, before any observation *)
 }
 
 (** Where the rate-like estimates come from.

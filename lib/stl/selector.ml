@@ -42,17 +42,13 @@ type t = {
   catalog : Ccdb_storage.Catalog.t;
   snapshot : unit -> Estimator.snapshot;
   cache : (int * int, float * verdict) Hashtbl.t; (* class -> expiry, verdict *)
-  counts : (Ccdb_model.Protocol.t, int ref) Hashtbl.t;
+  counts : int array; (* choices by [Protocol.rank] *)
 }
 
 let create ?(criterion = Min_stl) ~snapshot catalog =
   { criterion; catalog; snapshot;
-    cache = Hashtbl.create 32; counts = Hashtbl.create 4 }
-
-let record t protocol =
-  match Hashtbl.find_opt t.counts protocol with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.counts protocol (ref 1)
+    cache = Hashtbl.create 32;
+    counts = Array.make (List.length Ccdb_model.Protocol.all) 0 }
 
 let choose t ~now (txn : Ccdb_model.Txn.t) =
   let key = (List.length txn.read_set, List.length txn.write_set) in
@@ -71,9 +67,8 @@ let choose t ~now (txn : Ccdb_model.Txn.t) =
     | Some (expiry, verdict) when now < expiry -> verdict
     | Some _ | None -> fresh ()
   in
-  record t verdict.chosen;
+  let rank = Ccdb_model.Protocol.rank verdict.chosen in
+  t.counts.(rank) <- t.counts.(rank) + 1;
   verdict
 
-let decisions t =
-  Hashtbl.fold (fun p r acc -> (p, !r) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> Ccdb_model.Protocol.compare a b)
+let decisions t = Ccdb_model.Protocol.counted t.counts

@@ -56,4 +56,5 @@ val choose : t -> now:float -> Ccdb_model.Txn.t -> verdict
     shape share a cached decision within the TTL. *)
 
 val decisions : t -> (Ccdb_model.Protocol.t * int) list
-(** How many transactions were routed to each protocol so far. *)
+(** How many transactions were routed to each protocol so far, for the
+    protocols chosen at least once, in {!Ccdb_model.Protocol.all} order. *)

@@ -20,7 +20,7 @@
 (* The long (or only) name of each option in [cmd --help=plain], and
    whether it takes a value: [`Flag], [`Value] or [`Optional].  Option
    lines are indented by seven spaces, e.g. "-j N, --jobs=N (absent=2)",
-   "--audit[=PATH] (default=stream)" or "-k VAL (absent=3.)"; their
+   "--insights[=FILE] (default=)" or "-k VAL (absent=3.)"; their
    descriptions by more.  [[]] for a command without --help. *)
 let options cli cmd =
   let ic = Unix.open_process_args_in cli [| cli; cmd; "--help=plain" |] in
@@ -79,7 +79,6 @@ let valid = function
     [ "centralized:100"; "edge-chasing:60"; "centralized:1e308" ]
   | "--prevention" -> [ "none"; "wait-die"; "wound-wait" ]
   | "--mix" -> [ "2PL"; "T/O,PA"; "2pl,to,pa" ]
-  | "--audit" -> [ "stream"; "batch"; "differential" ]
   | "--adaptive" ->
     [ "cumulative"; "configured"; "measured:400"; "measured:0" ]
   | "--insights" | "--json" | "--csv" -> [ "out.txt"; "." ]

@@ -43,12 +43,10 @@ let spec =
 let test_all_modes_audit_clean () =
   List.iter
     (fun mode ->
-      (* Differential: the batch replay and the streaming analyzer both run
-         and must agree — a divergence is itself an error finding *)
-      let r =
-        D.run ~setup:small_setup ~n_txns:80 ~audit:true
-          ~audit_path:D.Differential mode spec
-      in
+      (* with the store checks on, the audit's Theorem 2 verdict is
+         cross-checked against the log scan — a divergence is itself an
+         error finding *)
+      let r = D.run ~setup:small_setup ~n_txns:80 ~audit:true mode spec in
       let report = Option.get r.audit in
       let name = D.mode_name mode in
       check Alcotest.(list string) (name ^ " audits clean") []
@@ -60,6 +58,77 @@ let test_all_modes_audit_clean () =
 let test_audit_off_by_default () =
   let r = D.run ~setup:small_setup ~n_txns:10 (D.Pure P.T_o) spec in
   check Alcotest.bool "no report without ~audit" true (r.audit = None)
+
+(* ------------------------------------------- the Theorem 2 cross-check *)
+
+(* The log scan's verdict against the report's: agreement leaves the
+   report as it is, either disagreement adds one audit.divergence error. *)
+let test_cross_check_verdicts () =
+  let clean = An.Report.make ~events_scanned:7 [] in
+  let flagged =
+    An.Report.make ~events_scanned:7
+      [ An.Finding.make ~txns:[ 1; 2 ]
+          ~check:An.Theorem_audit.not_serializable "cycle" ]
+  in
+  let unchanged label ~serializable report =
+    let out = An.Theorem_audit.cross_check ~serializable report in
+    check Alcotest.(list string) (label ^ ": same findings")
+      (checks_of report) (checks_of out);
+    check Alcotest.int (label ^ ": same events scanned")
+      (An.Report.events_scanned report) (An.Report.events_scanned out)
+  in
+  let diverges label ~serializable report =
+    let out = An.Theorem_audit.cross_check ~serializable report in
+    check Alcotest.(list string) (label ^ ": one divergence added")
+      (List.sort compare ("audit.divergence" :: checks_of report))
+      (List.sort compare (checks_of out));
+    check Alcotest.bool (label ^ ": the divergence is an error") true
+      (has_error out "audit.divergence");
+    check Alcotest.int (label ^ ": same events scanned")
+      (An.Report.events_scanned report) (An.Report.events_scanned out)
+  in
+  unchanged "both serializable" ~serializable:true clean;
+  unchanged "both not serializable" ~serializable:false flagged;
+  diverges "only the audit flags" ~serializable:true flagged;
+  diverges "only the log scan flags" ~serializable:false clean
+
+(* A real violation through the driver: after the workload, two
+   transaction ids it never used implement a read/write cycle over two
+   copies, which the runtime mirrors as Op_implemented events.  Both
+   verdicts must see it, so there is no divergence. *)
+let test_cross_check_sees_a_cycle () =
+  let inject rt =
+    let store = Rt.store rt in
+    let catalog = Rt.catalog rt in
+    let site item = List.hd (Ccdb_storage.Catalog.copies catalog item) in
+    let a = (0, site 0) and b = (1, site 1) in
+    let t1 = 1_000_001 and t2 = 1_000_002 in
+    let read (item, site) txn =
+      Ccdb_storage.Store.log_read store ~item ~site ~txn ~at:(Rt.now rt)
+    and write (item, site) txn =
+      Ccdb_storage.Store.apply_write store ~item ~site ~txn ~value:txn
+        ~at:(Rt.now rt)
+    in
+    read a t1;
+    write a t2;
+    read b t2;
+    write b t1
+  in
+  let r =
+    D.run ~setup:small_setup ~n_txns:20 ~audit:true
+      ~observer:(fun rt ->
+        ignore
+          (Ccdb_sim.Engine.schedule_at (Rt.engine rt) ~at:1e6 (fun () ->
+               inject rt)))
+      D.Unified spec
+  in
+  let report = Option.get r.audit in
+  check Alcotest.bool "the log scan finds the cycle" false
+    r.summary.serializable;
+  check Alcotest.bool "the audit finds the cycle" true
+    (has_error report An.Theorem_audit.not_serializable);
+  check Alcotest.bool "the verdicts agree" false
+    (List.mem "audit.divergence" (checks_of report))
 
 (* -------------------------------------------------- hand-built raw traces *)
 
@@ -482,8 +551,8 @@ let prop_stream_matches_batch_wf =
 
 (* ------------------------------------------- durability against its spec *)
 
-(* Batch and stream share [Theorem_audit.finish], so the differential gate
-   cannot catch a wrong durability check.  Seeded cases and a property
+(* Batch and stream share [Theorem_audit.finish], so diffing them cannot
+   catch a wrong durability check.  Seeded cases and a property
    against the original log scan pin it on their own. *)
 
 let durability_lost findings =
@@ -612,6 +681,10 @@ let suites =
           test_all_modes_audit_clean;
         Alcotest.test_case "audit off by default" `Quick
           test_audit_off_by_default;
+        Alcotest.test_case "cross-check verdicts" `Quick
+          test_cross_check_verdicts;
+        Alcotest.test_case "cross-check sees a cycle" `Quick
+          test_cross_check_sees_a_cycle;
         Alcotest.test_case "legal trace is clean" `Quick
           test_legal_trace_is_clean;
         Alcotest.test_case "co-held conflicting locks" `Quick

@@ -141,14 +141,14 @@ let plans =
     ("fail-stop 2pc", plan fail_stop, two_pc);
     ("fail-stop paxos f=1", plan fail_stop, Rt.Paxos { f = 1 }) ]
 
-(* One differential-audited run with the insights collector: the audit
-   report (findings in order, events scanned), the insights document, and
-   the domain the observers ran on. *)
+(* One audited run, cross-checked against the store checks, with the
+   insights collector: the audit report (findings in order, events
+   scanned), the insights document, and the domain the observers ran
+   on. *)
 let observed_run ?faults ~commit mode =
   let collector = ref None and observed_on = ref None in
   let r =
-    D.run ~setup:{ setup with commit } ~n_txns:60 ~audit:true
-      ~audit_path:D.Differential ?faults
+    D.run ~setup:{ setup with commit } ~n_txns:60 ~audit:true ?faults
       ~observer:(fun rt ->
         collector := Some (Collector.attach ~window:300. rt);
         Rt.observe rt (fun _ ->

@@ -249,13 +249,14 @@ let test_estimator_window_expires_by_bucket () =
                ~protocol:Ccdb_model.Protocol.Two_pl;
            submitted_at = 0.; executed_at = Rt.now rt; restarts = 0 })
   in
-  let snaps = ref [] in
+  let snaps = ref [] and kept = ref [] in
   let at time f =
     ignore (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:time f)
   in
   (* [rates] reads the window when called, so read it at the instant *)
   let snap () =
     let s = Est.snapshot est in
+    kept := s :: !kept;
     snaps :=
       (Rt.now rt, (fst (s.rates (0, 0)), snd (s.rates (1, 1)), s.params.k))
       :: !snaps
@@ -284,7 +285,64 @@ let test_estimator_window_expires_by_bucket () =
   (* bucket 0 (t = 5) gone: 2 reads, 1 commit of 2 requests *)
   expect 85. ~reads:2. ~covered:80. ~k:2.;
   (* bucket 2 (t = 25) gone: no read, no commit (k's prior) *)
-  expect 105. ~reads:0. ~covered:80. ~k:2.
+  expect 105. ~reads:0. ~covered:80. ~k:2.;
+  (* the snapshot taken at 79, read after the run, would mix 79's span
+     with 105's window: it refuses *)
+  match List.rev !kept with
+  | at_79 :: _ ->
+    check Alcotest.bool "a kept snapshot's rates raise" true
+      (match at_79.rates (0, 0) with
+       | _ -> false
+       | exception Invalid_argument _ -> true)
+  | [] -> Alcotest.fail "no snapshot taken"
+
+(* A snapshot holds its own values until the estimator moves on: read at
+   once, [rates] and [response_time] are its own under both sources;
+   after another event [rates] raises and [response_time] still returns
+   the snapshot's value. *)
+let test_estimator_snapshot_is_an_instant () =
+  let commit ~id ~executed_at =
+    Rt.Txn_committed
+      { txn =
+          Ccdb_model.Txn.make ~id ~site:0 ~read_set:[ 0 ] ~write_set:[]
+            ~compute_time:1. ~protocol:Ccdb_model.Protocol.T_o;
+        submitted_at = 0.; executed_at; restarts = 0 }
+  in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let advance rt dt =
+    ignore (Ccdb_sim.Engine.schedule (Rt.engine rt) ~after:dt (fun () -> ()));
+    Rt.quiesce rt
+  in
+  List.iter
+    (fun (name, source) ->
+      let rt = make_runtime () in
+      let est = Est.create ~source rt in
+      advance rt 40.;
+      Rt.emit rt
+        (Rt.Lock_granted
+           { txn = 1; protocol = Ccdb_model.Protocol.T_o;
+             op = Ccdb_model.Op.Read; item = 0; site = 0; mode = None;
+             schedule = Ccdb_model.Lock.Normal; ts = None; at = 40. });
+      Rt.emit rt (commit ~id:1 ~executed_at:40.);
+      let s = Est.snapshot est in
+      check (Alcotest.float 1e-12) (name ^ ": read rate of (0, 0)")
+        (1. /. 40.) (fst (s.rates (0, 0)));
+      check (Alcotest.float 1e-12) (name ^ ": read it again") (1. /. 40.)
+        (fst (s.rates (0, 0)));
+      check (Alcotest.float 0.) (name ^ ": T/O response time") 40.
+        (s.response_time Ccdb_model.Protocol.T_o);
+      Rt.emit rt (commit ~id:2 ~executed_at:80.);
+      check Alcotest.bool (name ^ ": rates raise after an event") true
+        (raises (fun () -> s.rates (0, 0)));
+      check (Alcotest.float 0.) (name ^ ": response time as taken") 40.
+        (s.response_time Ccdb_model.Protocol.T_o);
+      let s' = Est.snapshot est in
+      advance rt 5.;
+      check Alcotest.bool (name ^ ": rates raise once the clock moves") true
+        (raises (fun () -> s'.rates (0, 0))))
+    [ ("cumulative", Est.Cumulative); ("windowed", Est.Windowed 80.) ]
 
 (* --- Selector ---------------------------------------------------------------- *)
 
@@ -382,7 +440,9 @@ let suites =
         Alcotest.test_case "tracks events" `Quick test_estimator_tracks_events;
         Alcotest.test_case "reject probability" `Quick test_estimator_reject_probability;
         Alcotest.test_case "window expires bucket by bucket" `Quick
-          test_estimator_window_expires_by_bucket ] );
+          test_estimator_window_expires_by_bucket;
+        Alcotest.test_case "snapshot is an instant" `Quick
+          test_estimator_snapshot_is_an_instant ] );
     ( "stl.selector",
       [ Alcotest.test_case "footprint" `Quick test_selector_footprint;
         Alcotest.test_case "picks min" `Quick test_selector_picks_min;
