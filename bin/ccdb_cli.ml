@@ -18,29 +18,9 @@ let protocol_conv =
 let mode_conv =
   let module D = Ccdb_harness.Driver in
   let parse s =
-    let s = String.lowercase_ascii s in
-    (* [Some] protocol parse when [s] is [prefix] followed by a name *)
-    let after prefix =
-      let n = String.length prefix in
-      if String.length s > n && String.starts_with ~prefix s then
-        Some
-          (Ccdb_model.Protocol.of_string
-             (String.sub s n (String.length s - n)))
-      else None
-    in
-    match s with
-    | "unified" -> Ok D.Unified
-    | "dynamic" -> Ok D.Dynamic
-    | "full-lock" -> Ok D.Unified_full_lock
-    | "pure-mvto" | "mvto" -> Ok D.Mvto
-    | "pure-cto" | "conservative" -> Ok D.Conservative
-    | _ -> (
-      match (after "pure-", after "unified-") with
-      | Some (Some p), _ -> Ok (D.Pure p)
-      | _, Some (Some p) -> Ok (D.Unified_forced p)
-      | Some None, _ | _, Some None ->
-        Error (`Msg ("unknown protocol in mode: " ^ s))
-      | None, None -> Error (`Msg ("unknown mode: " ^ s)))
+    match D.mode_of_string s with
+    | Some mode -> Ok mode
+    | None -> Error (`Msg ("unknown mode: " ^ s))
   in
   let print ppf mode = Format.pp_print_string ppf (D.mode_name mode) in
   Cmdliner.Arg.conv (parse, print)
@@ -335,12 +315,16 @@ let run_cmd =
   let open Cmdliner in
   let module D = Ccdb_harness.Driver in
   let mode =
+    let names =
+      List.map (fun m -> String.lowercase_ascii (D.mode_name m)) D.modes
+    in
     Arg.(value & opt mode_conv D.Unified
          & info [ "mode" ] ~docv:"MODE"
              ~doc:
-               "System to run: pure-2pl, pure-to, pure-pa, pure-mvto, \
-                pure-cto, unified, unified-2pl, unified-to, unified-pa, \
-                full-lock, dynamic.")
+               (Printf.sprintf
+                  "System to run, in any case: %s; full-lock, mvto and \
+                   conservative are short names."
+                  (String.concat ", " names)))
   in
   let lambda =
     Arg.(value & opt positive_float 0.1

@@ -36,20 +36,25 @@ let () =
     phases;
   let phases = List.rev !schedule in
 
-  (* ids must be globally unique across the phase generators *)
+  (* ids must be globally unique across the phase generators; the phases
+     follow each other, so the arrivals are in time order and each is
+     drawn when its predecessor fires *)
   let arrivals =
-    List.concat_map (fun (_, _, _, arrivals) -> arrivals) phases
+    ref (List.concat_map (fun (_, _, _, arrivals) -> arrivals) phases)
   in
-  Ccdb_sim.Engine.schedule_all (Rt.engine rt)
-    (List.mapi
-       (fun i (at, txn) ->
-         let txn =
-           Ccdb_model.Txn.make ~id:(i + 1) ~site:txn.Ccdb_model.Txn.site
-             ~read_set:txn.read_set ~write_set:txn.write_set
-             ~compute_time:txn.compute_time ~protocol:txn.protocol
-         in
-         (at, fun () -> Core.Dynamic_cc.submit system txn))
-       arrivals);
+  let next_id = ref 0 in
+  Ccdb_sim.Engine.feed (Rt.engine rt) ~n:(List.length !arrivals) (fun () ->
+      match !arrivals with
+      | [] -> assert false
+      | (at, (txn : Ccdb_model.Txn.t)) :: later ->
+        arrivals := later;
+        incr next_id;
+        let txn =
+          Ccdb_model.Txn.make ~id:!next_id ~site:txn.site
+            ~read_set:txn.read_set ~write_set:txn.write_set
+            ~compute_time:txn.compute_time ~protocol:txn.protocol
+        in
+        (at, fun () -> Core.Dynamic_cc.submit system txn));
   (* per phase, by submission time: the sum of S and the commits of each
      protocol, folded in as transactions commit *)
   let sums = Array.make (List.length phases) 0. in

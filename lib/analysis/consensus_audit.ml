@@ -25,98 +25,85 @@ type state = {
   split_reported : unit Lookup.Pair.t;
   (* (site, txn, round) -> highest ballot promised (incl. accept-implied) *)
   promised : int Lookup.Triple.t;
-  (* prepared, not yet decided: (txn, site) -> prepare event index *)
-  in_doubt : int Lookup.Pair.t;
+  (* prepared, not yet decided: (txn, site) *)
+  in_doubt : unit Lookup.Pair.t;
   crashed : unit Lookup.Int.t;
-  mutable findings : Finding.t list; (* newest first, drained by [feed] *)
-  mutable idx : int;
+  sink : Finding.t -> unit;
 }
 
-let create () =
+let create sink =
   { outcomes = Lookup.Pair.create 64;
     split_reported = Lookup.Pair.create 8; promised = Lookup.Triple.create 64;
     in_doubt = Lookup.Pair.create 64; crashed = Lookup.Int.create 8;
-    findings = []; idx = 0 }
+    sink }
 
-let add st f = st.findings <- f :: st.findings
-
-let feed st event =
-  let i = st.idx in
-  st.idx <- st.idx + 1;
-  (match event with
-   | Rt.Site_crashed { site; _ } -> Lookup.Int.replace st.crashed site ()
-   | Rt.Site_recovered { site; _ } -> Lookup.Int.remove st.crashed site
-   | Rt.Prepared { txn; site; _ } ->
-     Lookup.Pair.replace st.in_doubt (txn, site) i
-   | Rt.Decision_logged { txn; site; round; commit; _ } ->
-     Lookup.Pair.remove st.in_doubt (txn, site);
-     let c, a =
-       Option.value ~default:(None, None)
-         (Lookup.Pair.find_opt st.outcomes (txn, round))
-     in
-     let c = if commit && Option.is_none c then Some site else c
-     and a = if (not commit) && Option.is_none a then Some site else a in
-     Lookup.Pair.replace st.outcomes (txn, round) (c, a);
-     (match (c, a) with
-      | Some cs, Some as_
-        when not (Lookup.Pair.mem st.split_reported (txn, round)) ->
-        Lookup.Pair.replace st.split_reported (txn, round) ();
-        add st
-          (Finding.make ~event_index:i ~txns:[ txn ]
-             ~check:"consensus.split-decision"
-             (Printf.sprintf
-                "round %d of t%d committed at site %d but aborted at site %d \
-                 (one outcome per round violated)"
-                round txn cs as_))
-      | _ -> ())
-   | Rt.Acceptor_promised { txn; site; round; ballot; _ } ->
-     let key = (site, txn, round) in
-     let prev =
-       Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
-     in
-     if ballot > prev then Lookup.Triple.replace st.promised key ballot
-   | Rt.Acceptor_accepted { txn; site; round; instance; ballot; _ } ->
-     let key = (site, txn, round) in
-     let prev =
-       Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
-     in
-     if ballot < prev then
-       add st
+let feed st i event =
+  match event with
+  | Rt.Site_crashed { site; _ } -> Lookup.Int.replace st.crashed site ()
+  | Rt.Site_recovered { site; _ } -> Lookup.Int.remove st.crashed site
+  | Rt.Prepared { txn; site; _ } ->
+    Lookup.Pair.replace st.in_doubt (txn, site) ()
+  | Rt.Decision_logged { txn; site; round; commit; _ } ->
+    Lookup.Pair.remove st.in_doubt (txn, site);
+    let c, a =
+      Option.value ~default:(None, None)
+        (Lookup.Pair.find_opt st.outcomes (txn, round))
+    in
+    let c = if commit && Option.is_none c then Some site else c
+    and a = if (not commit) && Option.is_none a then Some site else a in
+    Lookup.Pair.replace st.outcomes (txn, round) (c, a);
+    (match (c, a) with
+     | Some cs, Some as_
+       when not (Lookup.Pair.mem st.split_reported (txn, round)) ->
+       Lookup.Pair.replace st.split_reported (txn, round) ();
+       st.sink
          (Finding.make ~event_index:i ~txns:[ txn ]
-            ~check:"consensus.ballot-regression"
+            ~check:"consensus.split-decision"
             (Printf.sprintf
-               "acceptor site %d accepted ballot %d for t%d round %d \
-                instance %d below its promise %d"
-               site ballot txn round instance prev))
-     else Lookup.Triple.replace st.promised key ballot
-   | Rt.Lock_requested _ | Rt.Lock_granted _ | Rt.Lock_promoted _
-   | Rt.Lock_transformed _ | Rt.Lock_released _ | Rt.Request_withdrawn _
-   | Rt.Ts_updated _ | Rt.Deadlock_detected _ | Rt.Txn_committed _
-   | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Request_dropped _
-   | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Op_implemented _
-   | Rt.Reads_discarded _ -> ());
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+               "round %d of t%d committed at site %d but aborted at site %d \
+                (one outcome per round violated)"
+               round txn cs as_))
+     | _ -> ())
+  | Rt.Acceptor_promised { txn; site; round; ballot; _ } ->
+    let key = (site, txn, round) in
+    let prev =
+      Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
+    in
+    if ballot > prev then Lookup.Triple.replace st.promised key ballot
+  | Rt.Acceptor_accepted { txn; site; round; instance; ballot; _ } ->
+    let key = (site, txn, round) in
+    let prev =
+      Option.value ~default:0 (Lookup.Triple.find_opt st.promised key)
+    in
+    if ballot < prev then
+      st.sink
+        (Finding.make ~event_index:i ~txns:[ txn ]
+           ~check:"consensus.ballot-regression"
+           (Printf.sprintf
+              "acceptor site %d accepted ballot %d for t%d round %d \
+               instance %d below its promise %d"
+              site ballot txn round instance prev))
+    else Lookup.Triple.replace st.promised key ballot
+  | Rt.Lock_requested _ | Rt.Lock_granted _ | Rt.Lock_promoted _
+  | Rt.Lock_transformed _ | Rt.Lock_released _ | Rt.Request_withdrawn _
+  | Rt.Ts_updated _ | Rt.Deadlock_detected _ | Rt.Txn_committed _
+  | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Request_dropped _
+  | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Op_implemented _
+  | Rt.Reads_discarded _ -> ()
 
 let finish st =
   let stuck =
     Lookup.Pair.fold
-      (fun (txn, site) idx acc ->
-        if not (Lookup.Int.mem st.crashed site) then
-          (txn, site, idx) :: acc
-        else acc)
+      (fun (txn, site) () acc ->
+        if Lookup.Int.mem st.crashed site then acc else (txn, site) :: acc)
       st.in_doubt []
   in
   List.iter
-    (fun (txn, site, _) ->
-      add st
+    (fun (txn, site) ->
+      st.sink
         (Finding.make ~txns:[ txn ] ~check:"consensus.blocking-window"
            (Printf.sprintf
               "t%d is still in-doubt at live site %d after quiescence \
                (blocking window never closed)"
               txn site)))
-    (List.sort compare stuck);
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+    (List.sort compare stuck)

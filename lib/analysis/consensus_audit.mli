@@ -6,15 +6,18 @@
     run commits through Paxos Commit (2PC is its [f = 0] case), so all
     three apply to every transaction.
 
-    Event-at-a-time: [create] / [feed] / [finish]. *)
+    Event-at-a-time: [create] a state with the sink its findings go to,
+    [feed] it each event, then [finish]. *)
 
 type state
 
-val create : unit -> state
+val create : (Finding.t -> unit) -> state
 
-val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
-(** Advances the audit by one event; returns the findings it triggered. *)
+val feed : state -> int -> Ccdb_protocols.Runtime.event -> unit
+(** [feed st i event] advances the audit by [event], the [i]-th event of
+    the trace; its findings carry event index [i] and reach the sink at
+    once. *)
 
-val finish : state -> Finding.t list
+val finish : state -> unit
 (** End-of-trace check: the blocking-window scan over participants still
     prepared at sites not inside a crash window. *)

@@ -42,14 +42,13 @@ type state = {
   dropped : unit Lookup.Triple.t;
       (* requests lost in a site wipe by (txn, item, site), cleared by a
          fresh request *)
-  mutable findings : Finding.t list; (* newest first, drained by [feed] *)
-  mutable idx : int;                 (* events fed so far *)
+  sink : Finding.t -> unit;
 }
 
-let create () =
+let create sink =
   { held = Pair_tbl.create 64; performed = Lookup.Triple.create 64;
     committed = Lookup.Int.create 64; dropped = Lookup.Triple.create 16;
-    findings = []; idx = 0 }
+    sink }
 
 (* One int per (txn, op), as [To_queue] keys its index. *)
 let txn_op txn (op : Ccdb_model.Op.kind) =
@@ -58,8 +57,6 @@ let txn_op txn (op : Ccdb_model.Op.kind) =
 let rec remove_held h = function
   | [] -> []
   | h' :: rest -> if h' == h then rest else h' :: remove_held h rest
-
-let add_finding st f = st.findings <- f :: st.findings
 
 let copy_held st copy =
   match Pair_tbl.find_opt st.held copy with
@@ -74,7 +71,7 @@ let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
      Lookup.Triple.length st.dropped > 0
      && Lookup.Triple.mem st.dropped (txn, item, site)
    then
-     add_finding st
+     st.sink
        (Finding.make ~event_index:i ~txns:[ txn ] ~copy:(item, site)
           ~check:"lock.resurrected"
           (Printf.sprintf
@@ -89,7 +86,7 @@ let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
        Ccdb_model.Protocol.equal protocol Ccdb_model.Protocol.Two_pl
        && Lookup.Int.mem st.committed txn
      then
-       add_finding st
+       st.sink
          (Finding.make ~event_index:i ~txns:[ txn ] ~copy
             ~check:"lock.grant-after-commit"
             (Printf.sprintf "2PL %s lock granted after t%d committed"
@@ -104,7 +101,7 @@ let on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule =
             && Ccdb_model.Lock.is_semi h.h_mode
           in
           if not legal then
-            add_finding st
+            st.sink
               (Finding.make ~event_index:i ~txns:[ h.h_txn; txn ] ~copy
                  ~check:"lock.conflict"
                  (Printf.sprintf
@@ -127,7 +124,7 @@ let on_transform st i ~txn ~item ~site ~mode =
   match List.find_opt (fun h -> h.h_txn = txn) !cell with
   | Some h -> h.h_mode <- mode
   | None ->
-    add_finding st
+    st.sink
       (Finding.make ~severity:Finding.Warning ~event_index:i ~txns:[ txn ]
          ~copy:(item, site) ~check:"lock.transform-unheld"
          "transform of a lock that is not held")
@@ -137,7 +134,7 @@ let on_promote st i ~txn ~item ~site =
   let cell = copy_held st copy in
   match List.find_opt (fun h -> h.h_txn = txn) !cell with
   | None ->
-    add_finding st
+    st.sink
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
          ~check:"lock.promote-unheld" "promotion of a lock that is not held")
   | Some h ->
@@ -146,7 +143,7 @@ let on_promote st i ~txn ~item ~site =
         (Ccdb_model.Lock.schedule_equal h.h_schedule
            Ccdb_model.Lock.Pre_scheduled)
     then
-      add_finding st
+      st.sink
         (Finding.make ~severity:Finding.Warning ~event_index:i ~txns:[ txn ]
            ~copy ~check:"lock.promote-normal"
            "promotion of a lock that was already normal");
@@ -157,7 +154,7 @@ let on_promote st i ~txn ~item ~site =
           && h'.h_grant_idx < h.h_grant_idx
           && Ccdb_model.Lock.conflicts h'.h_mode h.h_mode
         then
-          add_finding st
+          st.sink
             (Finding.make ~event_index:i ~txns:[ txn; h'.h_txn ] ~copy
                ~check:"lock.premature-promotion"
                (Printf.sprintf
@@ -184,7 +181,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
        && Ccdb_model.Lock.schedule_equal h.h_schedule
             Ccdb_model.Lock.Pre_scheduled
      then
-       add_finding st
+       st.sink
          (Finding.make ~event_index:i ~txns:[ txn ] ~copy
             ~check:"lock.release-pre-scheduled"
             "lock released while still pre-scheduled (never promoted)")
@@ -193,7 +190,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
      if Lookup.Triple.mem st.performed key then
        Lookup.Triple.remove st.performed key
      else
-       add_finding st
+       st.sink
          (Finding.make ~severity:Finding.Warning ~event_index:i ~txns:[ txn ]
             ~copy ~check:"lock.release-unmatched"
             "release without a matching grant"));
@@ -202,7 +199,7 @@ let on_release st i ~txn ~protocol ~op ~item ~site ~aborted =
     && (not aborted)
     && not (Lookup.Int.mem st.committed txn)
   then
-    add_finding st
+    st.sink
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
          ~check:"lock.release-before-commit"
          (Printf.sprintf "2PL t%d released a lock before committing" txn))
@@ -213,40 +210,32 @@ let on_ts_updated st ~txn ~item ~site ~revoked =
     cell := List.filter (fun h -> h.h_txn <> txn) !cell
   end
 
-let drain st =
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+let feed st i event =
+  match event with
+  | Rt.Lock_granted { txn; protocol; op; item; site; mode; schedule; _ } ->
+    on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule
+  | Rt.Lock_transformed { txn; item; site; mode; _ } ->
+    on_transform st i ~txn ~item ~site ~mode
+  | Rt.Lock_promoted { txn; item; site; _ } ->
+    on_promote st i ~txn ~item ~site
+  | Rt.Lock_released { txn; protocol; op; item; site; aborted; _ } ->
+    on_release st i ~txn ~protocol ~op ~item ~site ~aborted
+  | Rt.Ts_updated { txn; item; site; revoked; _ } ->
+    on_ts_updated st ~txn ~item ~site ~revoked
+  | Rt.Txn_committed { txn; _ } -> Lookup.Int.replace st.committed txn.id ()
+  | Rt.Lock_requested { txn; item; site; _ } ->
+    if Lookup.Triple.length st.dropped > 0 then
+      Lookup.Triple.remove st.dropped (txn, item, site)
+  | Rt.Request_dropped { txn; item; site; _ } ->
+    Lookup.Triple.replace st.dropped (txn, item, site) ()
+  | Rt.Request_withdrawn _ | Rt.Deadlock_detected _
+  | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Site_crashed _
+  | Rt.Site_recovered _ | Rt.Site_wiped _ | Rt.Wal_replayed _
+  | Rt.Prepared _ | Rt.Decision_logged _
+  | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
+  | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ()
 
-let feed st event =
-  let i = st.idx in
-  st.idx <- st.idx + 1;
-  (match event with
-   | Rt.Lock_granted { txn; protocol; op; item; site; mode; schedule; _ } ->
-     on_grant st i ~txn ~protocol ~op ~item ~site ~mode ~schedule
-   | Rt.Lock_transformed { txn; item; site; mode; _ } ->
-     on_transform st i ~txn ~item ~site ~mode
-   | Rt.Lock_promoted { txn; item; site; _ } ->
-     on_promote st i ~txn ~item ~site
-   | Rt.Lock_released { txn; protocol; op; item; site; aborted; _ } ->
-     on_release st i ~txn ~protocol ~op ~item ~site ~aborted
-   | Rt.Ts_updated { txn; item; site; revoked; _ } ->
-     on_ts_updated st ~txn ~item ~site ~revoked
-   | Rt.Txn_committed { txn; _ } -> Lookup.Int.replace st.committed txn.id ()
-   | Rt.Lock_requested { txn; item; site; _ } ->
-     if Lookup.Triple.length st.dropped > 0 then
-       Lookup.Triple.remove st.dropped (txn, item, site)
-   | Rt.Request_dropped { txn; item; site; _ } ->
-     Lookup.Triple.replace st.dropped (txn, item, site) ()
-   | Rt.Request_withdrawn _ | Rt.Deadlock_detected _
-   | Rt.Txn_restarted _ | Rt.Pa_backoff _ | Rt.Site_crashed _
-   | Rt.Site_recovered _ | Rt.Site_wiped _ | Rt.Wal_replayed _
-   | Rt.Prepared _ | Rt.Decision_logged _
-   | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
-   | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ());
-  drain st
-
-let finish_checks st n_events =
+let finish st n_events =
   Pair_tbl.iter
     (fun copy cell ->
       List.iter
@@ -255,7 +244,7 @@ let finish_checks st n_events =
             Ccdb_model.Lock.schedule_equal h.h_schedule
               Ccdb_model.Lock.Pre_scheduled
           then
-            add_finding st
+            st.sink
               (Finding.make ~event_index:n_events ~txns:[ h.h_txn ] ~copy
                  ~check:"lock.never-promoted"
                  (Printf.sprintf
@@ -263,7 +252,7 @@ let finish_checks st n_events =
                     (Ccdb_model.Lock.to_string h.h_mode)
                     h.h_txn))
           else
-            add_finding st
+            st.sink
               (Finding.make ~severity:Finding.Warning ~event_index:n_events
                  ~txns:[ h.h_txn ] ~copy ~check:"lock.leaked"
                  (Printf.sprintf "%s of t%d never released"
@@ -271,7 +260,3 @@ let finish_checks st n_events =
                     h.h_txn)))
         !cell)
     st.held
-
-let finish st =
-  finish_checks st st.idx;
-  drain st

@@ -4,18 +4,20 @@
     promoted, and strict-2PL violations (grant after commit, release before
     commit).
 
-    Event-at-a-time: [create] a state, [feed] it each event as it happens
-    (the returned findings are the ones that event triggered), then [finish]
-    for the end-of-trace checks (leaked locks, never-promoted grants).
-    {!Stream} fans each event out to every audit. *)
+    Event-at-a-time: [create] a state with the sink its findings go to,
+    [feed] it each event as it happens (each finding reaches the sink as
+    the event raises it), then [finish] for the end-of-trace checks
+    (leaked locks, never-promoted grants).  {!Stream} numbers the events,
+    owns the sink and fans each event out to every audit. *)
 
 type state
 
-val create : unit -> state
+val create : (Finding.t -> unit) -> state
 
-val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
-(** Advances the audit by one event; returns the findings it triggered. *)
+val feed : state -> int -> Ccdb_protocols.Runtime.event -> unit
+(** [feed st i event] advances the audit by [event], the [i]-th event of
+    the trace; its findings carry event index [i]. *)
 
-val finish : state -> Finding.t list
-(** End-of-trace checks; event index of these findings is the number of
-    events fed. *)
+val finish : state -> int -> unit
+(** [finish st n]: the end-of-trace checks, whose findings carry event
+    index [n], the number of events fed. *)

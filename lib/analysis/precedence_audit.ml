@@ -76,15 +76,12 @@ type state = {
   copies : cstate Lookup.Pair.t; (* by (item, site) *)
   tentative_at : (int * int) list Lookup.Int.t;
       (* txn -> copies where it has tentative reads *)
-  mutable findings : Finding.t list; (* newest first, drained by [feed] *)
-  mutable idx : int;                 (* events fed so far *)
+  sink : Finding.t -> unit;
 }
 
-let create () =
+let create sink =
   { copies = Lookup.Pair.create 64; tentative_at = Lookup.Int.create 64;
-    findings = []; idx = 0 }
-
-let add_finding st f = st.findings <- f :: st.findings
+    sink }
 
 let cstate st copy =
   match Lookup.Pair.find_opt st.copies copy with
@@ -120,7 +117,7 @@ let implement ?(tentative = false) st c i ~copy e =
   (match e.p_op with
    | Ccdb_model.Op.Read ->
      if e.p_ts < c.impl_w then
-       add_finding st
+       st.sink
          (Finding.make ~event_index:i ~txns:[ e.p_txn ] ~copy
             ~check:"prec.e1-read-order"
             (Printf.sprintf
@@ -129,7 +126,7 @@ let implement ?(tentative = false) st c i ~copy e =
    | Ccdb_model.Op.Write ->
      let impl_any = implemented_max c in
      if e.p_ts < impl_any then
-       add_finding st
+       st.sink
          (Finding.make ~event_index:i ~txns:[ e.p_txn ] ~copy
             ~check:"prec.e1-write-order"
             (Printf.sprintf
@@ -175,7 +172,7 @@ let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
     admit ~ts:c.max_ts_seen ~blocked:false ~two_pl:true
   | Rt.Req_admitted, Some ts ->
     if ts <= floor_for c op then
-      add_finding st
+      st.sink
         (Finding.make ~event_index:i ~txns:[ txn ] ~copy
            ~check:"prec.admit-below-floor"
            (Printf.sprintf "%s request admitted with ts %d <= floor %d"
@@ -183,7 +180,7 @@ let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
     admit ~ts ~blocked:false ~two_pl:false
   | Rt.Req_rejected, Some ts ->
     if ts > floor_for c op then
-      add_finding st
+      st.sink
         (Finding.make ~event_index:i ~txns:[ txn ] ~copy
            ~check:"prec.bad-rejection"
            (Printf.sprintf
@@ -192,27 +189,27 @@ let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
   | Rt.Req_ignored, Some ts ->
     (* Thomas Write Rule: only a dead write may be dropped *)
     if ts > floor_for c op then
-      add_finding st
+      st.sink
         (Finding.make ~event_index:i ~txns:[ txn ] ~copy
            ~check:"prec.bad-ignore"
            (Printf.sprintf "live write (ts %d > floor %d) dropped as dead"
               ts (floor_for c op)))
   | Rt.Req_backoff ts', Some ts ->
     if ts > floor_for c op then
-      add_finding st
+      st.sink
         (Finding.make ~event_index:i ~txns:[ txn ] ~copy
            ~check:"prec.bad-backoff"
            (Printf.sprintf
               "PA request backed off with ts %d above the floor %d" ts
               (floor_for c op)));
     if ts' <= ts then
-      add_finding st
+      st.sink
         (Finding.make ~event_index:i ~txns:[ txn ] ~copy
            ~check:"prec.backoff-not-later"
            (Printf.sprintf "back-off timestamp %d does not exceed %d" ts' ts));
     admit ~ts:ts' ~blocked:true ~two_pl:false
   | (Rt.Req_rejected | Rt.Req_backoff _ | Rt.Req_ignored), None ->
-    add_finding st
+    st.sink
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
          ~check:"prec.outcome-without-ts"
          "rejection/back-off outcome on a request with no timestamp")
@@ -227,7 +224,7 @@ let check_grant_order st c i ~copy ~mode e =
     List.iter
       (fun e' ->
         if compare_prec e' e < 0 && not e'.p_granted then
-          add_finding st
+          st.sink
             (Finding.make ~event_index:i ~txns:[ e.p_txn; e'.p_txn ] ~copy
                ~check:"prec.grant-order"
                (Printf.sprintf
@@ -248,7 +245,7 @@ let check_grant_order st c i ~copy ~mode e =
             Ccdb_model.Op.equal e'.p_op Ccdb_model.Op.Write
         in
         if conflicting && compare_prec e' e < 0 then
-          add_finding st
+          st.sink
             (Finding.make ~event_index:i ~txns:[ e.p_txn; e'.p_txn ] ~copy
                ~check:"prec.perform-order"
                (Printf.sprintf
@@ -294,7 +291,7 @@ let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
       e
   in
   if e.p_ts <> ts then
-    add_finding st
+    st.sink
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
          ~check:(if e.p_two_pl then "prec.pin-mismatch" else "prec.ts-mismatch")
          (Printf.sprintf
@@ -302,7 +299,7 @@ let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
             (if e.p_two_pl then "pinned high-water mark " else "")
             e.p_ts));
   if e.p_blocked then
-    add_finding st
+    st.sink
       (Finding.make ~event_index:i ~txns:[ txn ] ~copy
          ~check:"prec.grant-blocked"
          "grant to an entry still blocked on its back-off");
@@ -389,38 +386,33 @@ let on_ts_updated st ~txn ~ts ~copy =
     e.p_granted <- false;
     e.p_blocked <- false
 
-let feed st event =
-  let i = st.idx in
-  st.idx <- st.idx + 1;
-  (match event with
-   | Rt.Lock_requested { txn; protocol; op; item; site; origin; ts;
-                         outcome; _ } ->
-     on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome
-       ~copy:(item, site)
-   | Rt.Lock_granted { ts = None; _ } -> () (* no precedence space *)
-   | Rt.Lock_granted { txn; protocol; op; item; site; mode; ts = Some ts;
-                       _ } ->
-     on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy:(item, site)
-   | Rt.Lock_released { txn; op; item; site; aborted; _ } ->
-     on_release st i ~txn ~op ~aborted ~copy:(item, site)
-   | Rt.Lock_transformed { txn; item; site; _ } ->
-     on_transform st i ~txn ~copy:(item, site)
-   | Rt.Request_withdrawn { txn; item; site; _ } ->
-     on_withdrawn st ~txn ~copy:(item, site)
-   | Rt.Request_dropped { txn; item; site; _ } ->
-     (* a site wipe removes the ungranted entry exactly like a
-        withdrawal: the issuer must re-request after the crash *)
-     on_withdrawn st ~txn ~copy:(item, site)
-   | Rt.Ts_updated { txn; item; site; ts; _ } ->
-     on_ts_updated st ~txn ~ts ~copy:(item, site)
-   | Rt.Reads_discarded { txn; item; site; _ } ->
-     on_reads_discarded st ~txn ~copy:(item, site)
-   | Rt.Txn_committed { txn; _ } -> on_committed st ~txn:txn.Ccdb_model.Txn.id
-   | Rt.Lock_promoted _ | Rt.Deadlock_detected _ | Rt.Txn_restarted _
-   | Rt.Pa_backoff _ | Rt.Site_crashed _ | Rt.Site_recovered _
-   | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Prepared _
-   | Rt.Decision_logged _ | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
-   | Rt.Op_implemented _ -> ());
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+let feed st i event =
+  match event with
+  | Rt.Lock_requested { txn; protocol; op; item; site; origin; ts;
+                        outcome; _ } ->
+    on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome
+      ~copy:(item, site)
+  | Rt.Lock_granted { ts = None; _ } -> () (* no precedence space *)
+  | Rt.Lock_granted { txn; protocol; op; item; site; mode; ts = Some ts;
+                      _ } ->
+    on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy:(item, site)
+  | Rt.Lock_released { txn; op; item; site; aborted; _ } ->
+    on_release st i ~txn ~op ~aborted ~copy:(item, site)
+  | Rt.Lock_transformed { txn; item; site; _ } ->
+    on_transform st i ~txn ~copy:(item, site)
+  | Rt.Request_withdrawn { txn; item; site; _ } ->
+    on_withdrawn st ~txn ~copy:(item, site)
+  | Rt.Request_dropped { txn; item; site; _ } ->
+    (* a site wipe removes the ungranted entry exactly like a
+       withdrawal: the issuer must re-request after the crash *)
+    on_withdrawn st ~txn ~copy:(item, site)
+  | Rt.Ts_updated { txn; item; site; ts; _ } ->
+    on_ts_updated st ~txn ~ts ~copy:(item, site)
+  | Rt.Reads_discarded { txn; item; site; _ } ->
+    on_reads_discarded st ~txn ~copy:(item, site)
+  | Rt.Txn_committed { txn; _ } -> on_committed st ~txn:txn.Ccdb_model.Txn.id
+  | Rt.Lock_promoted _ | Rt.Deadlock_detected _ | Rt.Txn_restarted _
+  | Rt.Pa_backoff _ | Rt.Site_crashed _ | Rt.Site_recovered _
+  | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Prepared _
+  | Rt.Decision_logged _ | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
+  | Rt.Op_implemented _ -> ()

@@ -67,14 +67,16 @@ type state = {
   cons : Consensus_audit.state;
   ser : ser option;
   mutable events_fed : int;
-  mutable all : Finding.t list; (* newest first; every finding [feed] raised *)
+  found : Finding.t list ref; (* newest first; every finding the audits raised *)
 }
 
 let create ?(theorem2 = true) ?catalog () =
-  { lock = Lock_audit.create ();
-    prec = Precedence_audit.create ();
-    thm = Theorem_audit.create ();
-    cons = Consensus_audit.create ();
+  let found = ref [] in
+  let sink f = found := f :: !found in
+  { lock = Lock_audit.create sink;
+    prec = Precedence_audit.create sink;
+    thm = Theorem_audit.create sink;
+    cons = Consensus_audit.create sink;
     ser =
       (if theorem2 then
          Some
@@ -84,7 +86,7 @@ let create ?(theorem2 = true) ?catalog () =
              expected = Lookup.Int.create 128; catalog }
        else None);
     events_fed = 0;
-    all = [] }
+    found }
 
 let copy_state s c =
   match Lookup.Pair.find_opt s.copies c with
@@ -186,25 +188,22 @@ let ser_feed s (event : Rt.event) =
   | _ -> ()
 
 let feed st event =
-  st.events_fed <- st.events_fed + 1;
-  let fs =
-    Lock_audit.feed st.lock event
-    @ Precedence_audit.feed st.prec event
-    @ Theorem_audit.feed st.thm event
-    @ Consensus_audit.feed st.cons event
-  in
-  (match st.ser with Some s -> ser_feed s event | None -> ());
-  st.all <- List.rev_append fs st.all
+  let i = st.events_fed in
+  st.events_fed <- i + 1;
+  Lock_audit.feed st.lock i event;
+  Precedence_audit.feed st.prec i event;
+  Theorem_audit.feed st.thm i event;
+  Consensus_audit.feed st.cons i event;
+  match st.ser with Some s -> ser_feed s event | None -> ()
 
 let report ?store st =
   let serializability =
     Option.map (fun s () -> Inc.check_deferred s.graph) st.ser
   in
-  Report.make ~events_scanned:st.events_fed
-    (List.rev_append st.all
-       (Lock_audit.finish st.lock
-       @ Theorem_audit.finish ?store ?serializability st.thm
-       @ Consensus_audit.finish st.cons))
+  Lock_audit.finish st.lock st.events_fed;
+  Theorem_audit.finish ?store ?serializability st.thm;
+  Consensus_audit.finish st.cons;
+  Report.make ~events_scanned:st.events_fed (List.rev !(st.found))
 
 type stats = {
   events_fed : int;

@@ -2,7 +2,8 @@
     check, advanced one event at a time while the simulation runs.
 
     Subscribe [feed] to the runtime's event stream (or fold it over a
-    recorded trace) and call [report] once at end of run.  The
+    recorded trace) and call [report] once at end of run.  It numbers
+    the events and collects every audit's findings through one sink.  The
     serializability side consumes the {!Ccdb_protocols.Runtime.event.Op_implemented}
     / [Reads_discarded] events the store emits, maintaining a
     Pearce–Kelly incremental conflict graph whose verdict matches the
@@ -21,14 +22,16 @@ val create :
     events may not line up with any catalog. *)
 
 val feed : state -> Ccdb_protocols.Runtime.event -> unit
-(** Advances every audit by one event (flat per-event cost). *)
+(** Advances every audit by one event (flat per-event cost): lock,
+    precedence, theorem, consensus. *)
 
 val report : ?store:Ccdb_storage.Store.t -> state -> Report.t
 (** Every finding [feed] raised plus the end-of-trace ones — leaked
     locks, 2PC atomicity and, when [store] is given, as for the batch
     analyzer, the Theorem 2 serializability verdict (from the incremental
     graph, not a log scan), replica convergence and durability — as a
-    sorted report comparable to {!Analyzer.analyze}'s.  Call once. *)
+    sorted report comparable to {!Analyzer.analyze}'s.  Call once: a
+    second call collects the end-of-trace findings again. *)
 
 type stats = {
   events_fed : int;

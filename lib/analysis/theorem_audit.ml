@@ -39,16 +39,13 @@ type state = {
   (* terminal 2PC decision per (txn, site): commits are final, an abort may
      be superseded by a later round's commit *)
   last_decision : bool Pair_tbl.t;
-  mutable findings : Finding.t list; (* newest first, drained by [feed] *)
-  mutable idx : int;
+  sink : Finding.t -> unit;
 }
 
-let create () =
+let create sink =
   { protocol_of = Lookup.Int.create 64; committed_txns = Int_tbl.create 64;
     twr_dropped = Lookup.Triple.create 16; last_decision = Pair_tbl.create 64;
-    findings = []; idx = 0 }
-
-let add st f = st.findings <- f :: st.findings
+    sink }
 
 let is_pa st txn =
   match Lookup.Int.find_opt st.protocol_of txn with
@@ -60,97 +57,92 @@ let is_two_pl st txn =
   | Some p -> Ccdb_model.Protocol.equal p Ccdb_model.Protocol.Two_pl
   | None -> false
 
-let feed st event =
-  let i = st.idx in
-  st.idx <- st.idx + 1;
-  (match event with
-   | Rt.Lock_requested { txn; protocol; item; site; outcome; _ } ->
-     Lookup.Int.replace st.protocol_of txn protocol;
-     (match outcome with
-      | Rt.Req_ignored ->
-        Lookup.Triple.replace st.twr_dropped (txn, item, site) ()
-      | Rt.Req_admitted | Rt.Req_rejected | Rt.Req_backoff _ -> ())
-   | Rt.Lock_granted { txn; protocol; _ } ->
-     Lookup.Int.replace st.protocol_of txn protocol
-   | Rt.Txn_restarted { txn; reason; _ } ->
-     Lookup.Int.replace st.protocol_of txn.id txn.protocol;
-     if Ccdb_model.Protocol.equal txn.protocol Ccdb_model.Protocol.Pa then
-       add st
-         (Finding.make ~event_index:i ~txns:[ txn.id ]
-            ~check:"thm.pa-restarted"
-            (Printf.sprintf
-               "PA transaction t%d restarted (%s): contradicts Corollary 1 \
-                (PA is restart-free)"
-               txn.id
-               (match reason with
-                | Rt.To_rejected _ -> "rejection"
-                | Rt.Deadlock_victim -> "deadlock victim"
-                | Rt.Prevention_kill -> "prevention kill"
-                | Rt.Site_failure -> "site failure")))
-   | Rt.Txn_committed { txn; _ } ->
-     Lookup.Int.replace st.protocol_of txn.id txn.protocol;
-     Int_tbl.replace st.committed_txns txn.id txn
-   | Rt.Decision_logged { txn; site; commit; _ } -> (
-     match Pair_tbl.find_opt st.last_decision (txn, site) with
-     | Some true -> ()
-     | Some false | None ->
-       Pair_tbl.replace st.last_decision (txn, site) commit)
-   | Rt.Deadlock_detected { cycle; victim; _ } -> (
-     match victim with
-     | None ->
-       add st
-         (Finding.make ~severity:Finding.Info ~event_index:i ~txns:cycle
-            ~check:"thm.cycle-no-victim"
-            "detector snapshot offered no victim (phantom or already \
-             breaking)")
-     | Some v ->
-       if not (is_two_pl st v) then
-         add st
-           (Finding.make ~event_index:i ~txns:[ v ]
-              ~check:"thm.victim-not-2pl"
-              (Printf.sprintf
-                 "deadlock victim t%d is %s, not 2PL (Corollary 2)" v
-                 (match Lookup.Int.find_opt st.protocol_of v with
-                  | Some p -> protocol_name p
-                  | None -> "unknown")));
-       if List.length cycle > 1 && not (List.exists (is_two_pl st) cycle)
-       then
-         add st
-           (Finding.make ~event_index:i ~txns:cycle
-              ~check:"thm.cycle-without-2pl"
-              "deadlock cycle contains no 2PL transaction (contradicts \
-               Theorem 3 / Corollary 2)");
-       if is_pa st v then
-         add st
-           (Finding.make ~event_index:i ~txns:[ v ] ~check:"thm.pa-victim"
-              (Printf.sprintf
-                 "PA transaction t%d aborted for deadlock: contradicts \
-                  Corollary 1"
-                 v))
-       else
-         (* a PA member of a mixed cycle is legitimate: Theorem 3 only
-            promises the cycle has a 2PL member to victimize, and the PA
-            transaction merely waits while the 2PL victim is aborted *)
-         List.iter
-           (fun m ->
-             if is_pa st m then
-               add st
-                 (Finding.make ~severity:Finding.Info ~event_index:i
-                    ~txns:[ m ] ~check:"thm.pa-in-cycle"
-                    (Printf.sprintf
-                       "PA transaction t%d waits in a mixed deadlock cycle \
-                        (broken by a 2PL victim)"
-                       m)))
-           cycle)
-   | Rt.Lock_promoted _ | Rt.Lock_transformed _ | Rt.Lock_released _
-   | Rt.Request_withdrawn _ | Rt.Ts_updated _ | Rt.Pa_backoff _
-   | Rt.Site_crashed _ | Rt.Site_recovered _ | Rt.Request_dropped _
-   | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Prepared _
-   | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
-   | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ());
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+let feed st i event =
+  match event with
+  | Rt.Lock_requested { txn; protocol; item; site; outcome; _ } ->
+    Lookup.Int.replace st.protocol_of txn protocol;
+    (match outcome with
+     | Rt.Req_ignored ->
+       Lookup.Triple.replace st.twr_dropped (txn, item, site) ()
+     | Rt.Req_admitted | Rt.Req_rejected | Rt.Req_backoff _ -> ())
+  | Rt.Lock_granted { txn; protocol; _ } ->
+    Lookup.Int.replace st.protocol_of txn protocol
+  | Rt.Txn_restarted { txn; reason; _ } ->
+    Lookup.Int.replace st.protocol_of txn.id txn.protocol;
+    if Ccdb_model.Protocol.equal txn.protocol Ccdb_model.Protocol.Pa then
+      st.sink
+        (Finding.make ~event_index:i ~txns:[ txn.id ]
+           ~check:"thm.pa-restarted"
+           (Printf.sprintf
+              "PA transaction t%d restarted (%s): contradicts Corollary 1 \
+               (PA is restart-free)"
+              txn.id
+              (match reason with
+               | Rt.To_rejected _ -> "rejection"
+               | Rt.Deadlock_victim -> "deadlock victim"
+               | Rt.Prevention_kill -> "prevention kill"
+               | Rt.Site_failure -> "site failure")))
+  | Rt.Txn_committed { txn; _ } ->
+    Lookup.Int.replace st.protocol_of txn.id txn.protocol;
+    Int_tbl.replace st.committed_txns txn.id txn
+  | Rt.Decision_logged { txn; site; commit; _ } -> (
+    match Pair_tbl.find_opt st.last_decision (txn, site) with
+    | Some true -> ()
+    | Some false | None ->
+      Pair_tbl.replace st.last_decision (txn, site) commit)
+  | Rt.Deadlock_detected { cycle; victim; _ } -> (
+    match victim with
+    | None ->
+      st.sink
+        (Finding.make ~severity:Finding.Info ~event_index:i ~txns:cycle
+           ~check:"thm.cycle-no-victim"
+           "detector snapshot offered no victim (phantom or already \
+            breaking)")
+    | Some v ->
+      if not (is_two_pl st v) then
+        st.sink
+          (Finding.make ~event_index:i ~txns:[ v ]
+             ~check:"thm.victim-not-2pl"
+             (Printf.sprintf
+                "deadlock victim t%d is %s, not 2PL (Corollary 2)" v
+                (match Lookup.Int.find_opt st.protocol_of v with
+                 | Some p -> protocol_name p
+                 | None -> "unknown")));
+      if List.length cycle > 1 && not (List.exists (is_two_pl st) cycle)
+      then
+        st.sink
+          (Finding.make ~event_index:i ~txns:cycle
+             ~check:"thm.cycle-without-2pl"
+             "deadlock cycle contains no 2PL transaction (contradicts \
+              Theorem 3 / Corollary 2)");
+      if is_pa st v then
+        st.sink
+          (Finding.make ~event_index:i ~txns:[ v ] ~check:"thm.pa-victim"
+             (Printf.sprintf
+                "PA transaction t%d aborted for deadlock: contradicts \
+                 Corollary 1"
+                v))
+      else
+        (* a PA member of a mixed cycle is legitimate: Theorem 3 only
+           promises the cycle has a 2PL member to victimize, and the PA
+           transaction merely waits while the 2PL victim is aborted *)
+        List.iter
+          (fun m ->
+            if is_pa st m then
+              st.sink
+                (Finding.make ~severity:Finding.Info ~event_index:i
+                   ~txns:[ m ] ~check:"thm.pa-in-cycle"
+                   (Printf.sprintf
+                      "PA transaction t%d waits in a mixed deadlock cycle \
+                       (broken by a 2PL victim)"
+                      m)))
+          cycle)
+  | Rt.Lock_promoted _ | Rt.Lock_transformed _ | Rt.Lock_released _
+  | Rt.Request_withdrawn _ | Rt.Ts_updated _ | Rt.Pa_backoff _
+  | Rt.Site_crashed _ | Rt.Site_recovered _ | Rt.Request_dropped _
+  | Rt.Site_wiped _ | Rt.Wal_replayed _ | Rt.Prepared _
+  | Rt.Acceptor_promised _ | Rt.Acceptor_accepted _
+  | Rt.Op_implemented _ | Rt.Reads_discarded _ -> ()
 
 let sorted_writers store ~item ~site =
   let writers =
@@ -194,7 +186,7 @@ let finish ?store ?serializability st =
         List.filter_map (fun (s, c) -> if not c then Some s else None) !r
       in
       if committed_at <> [] && aborted_at <> [] then
-        add st
+        st.sink
           (Finding.make ~txns:[ txn ] ~check:"thm.partial-commit"
              (Printf.sprintf
                 "t%d committed at site%s %s but its last decision at site%s \
@@ -224,7 +216,7 @@ let finish ?store ?serializability st =
      (match witness with
       | None -> ()
       | Some edges ->
-        add st
+        st.sink
           (Finding.make
              ~txns:
                (List.map
@@ -234,7 +226,7 @@ let finish ?store ?serializability st =
              "implementation logs are not conflict-serializable \
               (contradicts Theorem 2)"));
      if not (Ccdb_serial.Check.replica_consistent store) then
-       add st
+       st.sink
          (Finding.make ~check:"thm.replica-divergence"
             "replicas of at least one item diverge (contradicts \
              read-one/write-all under Theorem 2)");
@@ -266,7 +258,7 @@ let finish ?store ?serializability st =
                    (not (Lookup.Triple.mem st.twr_dropped (id, item, site)))
                    && not (implemented ~item ~site id)
                  then
-                   add st
+                   st.sink
                      (Finding.make ~txns:[ id ] ~copy:(item, site)
                         ~check:"thm.durability-lost"
                         (Printf.sprintf
@@ -275,10 +267,7 @@ let finish ?store ?serializability st =
                            id item site)))
                (Ccdb_storage.Catalog.copies catalog item))
            txn.write_set)
-       st.committed_txns);
-  let out = List.rev st.findings in
-  st.findings <- [];
-  out
+       st.committed_txns)
 
 let cross_check ~serializable report =
   let findings = Report.findings report in

@@ -4,25 +4,29 @@
     Theorem 2 (conflict-serializable logs, convergent replicas) plus the
     fail-stop durability and 2PC-atomicity checks.
 
-    Event-at-a-time: [create] / [feed] / [finish]. *)
+    Event-at-a-time: [create] a state with the sink its findings go to,
+    [feed] it each event, then [finish]. *)
 
 val not_serializable : string
 (** ["thm.not-serializable"], the check name of a Theorem 2 violation. *)
 
 type state
 
-val create : unit -> state
+val create : (Finding.t -> unit) -> state
 
-val feed : state -> Ccdb_protocols.Runtime.event -> Finding.t list
-(** Advances the audit by one event; returns the findings it triggered. *)
+val feed : state -> int -> Ccdb_protocols.Runtime.event -> unit
+(** [feed st i event] advances the audit by [event], the [i]-th event of
+    the trace; its findings carry event index [i] and reach the sink at
+    once. *)
 
 val finish :
   ?store:Ccdb_storage.Store.t ->
   ?serializability:(unit -> Ccdb_serial.Incremental.edge list option) ->
   state ->
-  Finding.t list
+  unit
 (** End-of-trace checks (2PC atomicity and, with [store], Theorem 2 +
-    durability).  When [serializability] is given it supplies the
+    durability), whose findings carry no event index.  When
+    [serializability] is given it supplies the
     conflict-serializability verdict — [Some cycle] when violated — in
     place of the batch scan of the store's logs (the streaming analyzer
     passes its incremental graph's verdict here). *)

@@ -67,4 +67,3 @@ let submit t ?payload txn =
   Unified_system.submit t.system ?payload routed
 
 let decisions t = Ccdb_stl.Selector.decisions t.selector
-let unified t = t.system

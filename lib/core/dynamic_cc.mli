@@ -51,5 +51,3 @@ val submit :
 
 val decisions : t -> (Ccdb_model.Protocol.t * int) list
 (** Transactions routed to each protocol so far. *)
-
-val unified : t -> Unified_system.t

@@ -31,8 +31,7 @@ type txn_state = {
   payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int option; (* None for 2PL *)
-  mutable epoch : int;
-  mutable restarts : int;
+  mutable epoch : int; (* also its restart count *)
   mutable backed_off : bool;
   mutable phase : phase;
   mutable slots : slot list;
@@ -339,11 +338,8 @@ and finish t st =
   end
 
 and commit_txn t st =
-  Rt.emit t.rt
-    (Rt.Txn_committed
-       { txn = st.txn; submitted_at = st.submitted_at;
-         executed_at = st.executed; restarts = st.restarts });
-  L.retire t.live
+  L.commit t.live st.txn ~submitted_at:st.submitted_at
+    ~executed_at:st.executed ~restarts:st.epoch
 
 and value_for_fn st =
   let txn = st.txn in
@@ -375,7 +371,6 @@ and restart t st ~except ~reason =
   st.phase <- Restarting;
   L.unblocked t.live txn.id;
   Rt.emit t.rt (Rt.Txn_restarted { txn; reason; at = Rt.now t.rt });
-  st.restarts <- st.restarts + 1;
   st.epoch <- st.epoch + 1;
   (* invalidate until the next attempt begins *)
   (match st.ts with Some _ -> st.ts <- Some (-1) | None -> ());
@@ -390,13 +385,13 @@ and restart t st ~except ~reason =
   st.slots <- [];
   st.reads <- [];
   L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
-    ~attempt:st.restarts (fun () -> begin_attempt t st)
+    ~attempt:st.epoch (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   (* future-work item (4) of the paper: a restarted transaction may switch
      its concurrency-control method *)
   (match t.reselect with
-   | Some choose when st.restarts > 0 ->
+   | Some choose when st.epoch > 0 ->
      let protocol = choose st.txn in
      if not (Ccdb_model.Protocol.equal protocol st.txn.protocol) then
        st.txn <-
@@ -535,37 +530,27 @@ let create ?(config = default_config) ?reselect rt =
       ~preserved:(fun q -> List.length (Q.entries q));
     t.committer <-
       Some
-        (Ccdb_protocols.Commit.create rt
-           { Ccdb_protocols.Commit.apply =
-               (fun ~txn ~site actions ->
-                 List.iter
-                   (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release_msg t ~item:a.item ~site txn a.value)
-                   actions);
-             commit_point =
-               (fun ~txn ->
-                 match L.find t.live txn with
-                 | Some st ->
-                   commit_txn t st;
-                   L.remove t.live txn
-                 | None -> ()) })
+        (L.commit_engine t.live
+           ~release:(fun ~txn ~site (a : Ccdb_storage.Wal.action) ->
+             on_release_msg t ~item:a.item ~site txn a.value)
+           ~commit_point:(fun st ->
+             commit_txn t st;
+             L.remove t.live st.txn.id))
   end;
   t
 
 let submit t ?payload txn =
   let st =
     { txn; payload; submitted_at = Rt.now t.rt; ts = None; epoch = 0;
-      restarts = 0; backed_off = false; phase = Negotiating; slots = [];
-      reads = []; write_values = []; executed = 0. }
+      backed_off = false; phase = Negotiating; slots = []; reads = [];
+      write_values = []; executed = 0. }
   in
   L.admit t.live ~duplicate:"Unified_system.submit: duplicate transaction id"
     txn.Ccdb_model.Txn.id st;
   L.start_detector t.live;
   begin_attempt t st
 
-let active t = L.active t.live
 let draining t = t.draining
-let detector_cycles t = L.detector_cycles t.live
 
 let unimplemented_requests t =
   let unimplemented (e : Q.entry) =

@@ -53,13 +53,8 @@ val submit :
 (** Runs the transaction under the protocol in its [protocol] field.
     @raise Invalid_argument on a duplicate live transaction id. *)
 
-val active : t -> int
-(** Transactions submitted but not yet executed. *)
-
 val draining : t -> int
 (** Executed T/O transactions still holding semi-locks. *)
-
-val detector_cycles : t -> int
 
 val unimplemented_requests :
   t -> (Ccdb_model.Precedence.t * Ccdb_model.Protocol.t) list

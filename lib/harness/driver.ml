@@ -37,6 +37,12 @@ type mode =
   | Mvto
   | Conservative
 
+let modes =
+  List.map (fun p -> Pure p) Ccdb_model.Protocol.all
+  @ [ Mvto; Conservative; Unified ]
+  @ List.map (fun p -> Unified_forced p) Ccdb_model.Protocol.all
+  @ [ Unified_full_lock; Dynamic ]
+
 let mode_name = function
   | Pure p -> "pure-" ^ Ccdb_model.Protocol.to_string p
   | Unified -> "unified"
@@ -45,6 +51,23 @@ let mode_name = function
   | Dynamic -> "dynamic"
   | Mvto -> "pure-mvto"
   | Conservative -> "pure-cto"
+
+let mode_of_string s =
+  let s = String.lowercase_ascii s in
+  let protocol_after prefix =
+    let n = String.length prefix in
+    if String.starts_with ~prefix s then
+      Ccdb_model.Protocol.of_string (String.sub s n (String.length s - n))
+    else None
+  in
+  match s, protocol_after "pure-", protocol_after "unified-" with
+  | "full-lock", _, _ -> Some Unified_full_lock
+  | "mvto", _, _ -> Some Mvto
+  | "conservative", _, _ -> Some Conservative
+  | _, Some p, _ -> Some (Pure p)
+  | _, None, Some p -> Some (Unified_forced p)
+  | _, None, None ->
+    List.find_opt (fun m -> String.lowercase_ascii (mode_name m) = s) modes
 
 type result = {
   summary : Metrics.summary;

@@ -1,5 +1,6 @@
 (** One-call experiment driver: build a runtime, pick a system, inject a
-    workload, quiesce, summarize. *)
+    workload, quiesce, summarize; and the one list, printer and parser
+    of the modes that [ccdb_cli run --mode] uses. *)
 
 (** Parameter source for the [Dynamic] mode's STL selector (inert in every
     other mode); maps onto {!Core.Dynamic_cc.adaptivity}. *)
@@ -82,7 +83,15 @@ type mode =
   | Conservative
       (** the conservative T/O baseline (tick-driven, restart-free) *)
 
+val modes : mode list
+(** The eleven modes, in the order [run --help] lists them. *)
+
 val mode_name : mode -> string
+
+val mode_of_string : string -> mode option
+(** Inverts {!mode_name} in any case, and also reads ["full-lock"],
+    ["mvto"], ["conservative"] and ["pure-"] or ["unified-"] before any
+    {!Ccdb_model.Protocol.of_string} spelling. *)
 
 type result = {
   summary : Metrics.summary;

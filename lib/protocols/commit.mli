@@ -53,8 +53,8 @@ type hooks = {
           (txn, site) *)
   commit_point : txn:int -> unit;
       (** the transaction's global outcome is commit; called exactly once
-          per txn — systems emit {!Runtime.event.Txn_committed} and drop
-          their state here *)
+          per txn — {!Lifecycle.commit_engine} runs the system's commit
+          step here *)
 }
 
 type t

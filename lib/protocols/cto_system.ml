@@ -162,13 +162,9 @@ and on_write_applied t txn_id copy =
     end
 
 and finalize t st =
-  let txn = st.txn in
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
-         restarts = 0 });
-  L.remove t.live txn.id;
-  L.retire t.live
+  L.commit t.live st.txn ~submitted_at:st.submitted_at
+    ~executed_at:(Runtime.now t.rt) ~restarts:0;
+  L.remove t.live st.txn.id
 
 (* --- advertisements ----------------------------------------------------- *)
 
@@ -248,5 +244,4 @@ let submit t ?payload txn =
     tick_loop t
   end
 
-let active t = L.active t.live
 let ticks_sent t = t.ticks_sent

@@ -33,7 +33,5 @@ val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
     access sets.
     @raise Invalid_argument on a duplicate live transaction id. *)
 
-val active : t -> int
-
 val ticks_sent : t -> int
 (** Null messages broadcast so far (the protocol's communication cost). *)

@@ -26,7 +26,9 @@ let admit live ~duplicate id st =
 let find live id = Live_tbl.find_opt live.states id
 let remove live id = Live_tbl.remove live.states id
 
-let retire live =
+let commit live txn ~submitted_at ~executed_at ~restarts =
+  Runtime.emit live.rt
+    (Runtime.Txn_committed { txn; submitted_at; executed_at; restarts });
   live.active <- live.active - 1;
   if live.active = 0 then
     match live.detector with
@@ -34,6 +36,15 @@ let retire live =
     | Probing _ | Off -> ()
 
 let active live = live.active
+
+let commit_engine live ~release ~commit_point =
+  Commit.create live.rt
+    { Commit.apply =
+        (fun ~txn ~site actions ->
+          List.iter (fun action -> release ~txn ~site action) actions);
+      commit_point =
+        (fun ~txn ->
+          match find live txn with Some st -> commit_point st | None -> ()) }
 
 (* --- footprint and payload ------------------------------------------------ *)
 

@@ -7,9 +7,11 @@
     releases or commits; a failed attempt restarts after a backoff.  What
     differs is the queue discipline at each copy and the issuer's state
     machine, and those stay in each system.  The plumbing around them is
-    written once here: the live-transaction registry, the footprint and
-    payload helpers, the restart timer, the crash and wipe handlers,
-    and the deadlock-detector glue of the 2PL-capable systems.
+    written once here: the live-transaction registry and the commit
+    announcement, the footprint and payload helpers, the restart timer,
+    the crash and wipe handlers, the commit engine of the durable
+    lock-based systems and the deadlock-detector glue of the 2PL-capable
+    systems.
 
     None of it branches on which system calls it: each system passes in
     the predicates that make it different. *)
@@ -38,11 +40,29 @@ val find : 'st live -> int -> 'st option
 val remove : 'st live -> int -> unit
 (** The transaction is no longer findable. *)
 
-val retire : 'st live -> unit
-(** One fewer active transaction (it committed).  When none is left the
-    centralized detector stops scanning. *)
+val commit :
+  'st live ->
+  Ccdb_model.Txn.t ->
+  submitted_at:float ->
+  executed_at:float ->
+  restarts:int ->
+  unit
+(** The transaction committed: emits its {!Runtime.event.Txn_committed}
+    and counts one fewer active transaction, stopping the centralized
+    detector when none is left.  It stays findable until the caller
+    {!remove}s it. *)
 
 val active : 'st live -> int
+
+val commit_engine :
+  'st live ->
+  release:(txn:int -> site:int -> Ccdb_storage.Wal.action -> unit) ->
+  commit_point:('st -> unit) ->
+  Commit.t
+(** The durable runtime's {!Commit} engine: a round decided commit
+    releases its WAL actions one by one at their site, and the commit
+    point runs [commit_point] on the transaction while it is live.  Its
+    wipe handler runs after those registered before the call. *)
 
 (** {2 The footprint and the payload} *)
 

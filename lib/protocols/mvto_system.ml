@@ -156,12 +156,9 @@ and finalize t st =
    | Some reads -> t.committed_reads <- reads @ t.committed_reads
    | None -> ());
   Int_tbl.remove t.pending_reads txn.id;
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
-         restarts = st.restarts });
-  L.remove t.live txn.id;
-  L.retire t.live
+  L.commit t.live txn ~submitted_at:st.submitted_at
+    ~executed_at:(Runtime.now t.rt) ~restarts:st.restarts;
+  L.remove t.live txn.id
 
 and on_reject t txn_id ~ts rejected_copy =
   match L.find t.live txn_id with
@@ -260,8 +257,6 @@ let submit t txn =
   L.admit t.live ~duplicate:"Mvto_system.submit: duplicate transaction id"
     txn.Ccdb_model.Txn.id st;
   begin_attempt t st
-
-let active t = L.active t.live
 
 let verify t =
   (* every committed read observed the committed version with the largest

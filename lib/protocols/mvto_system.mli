@@ -28,8 +28,6 @@ val submit : t -> Ccdb_model.Txn.t -> unit
     MVTO read of the write set would need its own read timestamps).
     @raise Invalid_argument on a duplicate live transaction id. *)
 
-val active : t -> int
-
 val verify : t -> bool
 (** The MVTO invariant over the whole run (see above); also checks that the
     physical store holds each copy's newest committed version. *)

@@ -176,12 +176,9 @@ and finish t st =
     commit_txn t st
 
 and commit_txn t st =
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn = st.txn; submitted_at = st.submitted_at;
-         executed_at = st.executed; restarts = 0 });
-  L.remove t.live st.txn.id;
-  L.retire t.live
+  L.commit t.live st.txn ~submitted_at:st.submitted_at
+    ~executed_at:st.executed ~restarts:0;
+  L.remove t.live st.txn.id
 
 and on_release t ~item ~site txn_id op wvalue =
   match Pa_queue.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
@@ -261,19 +258,9 @@ let create rt =
       ~preserved:(fun q -> List.length (Pa_queue.entries q));
     t.committer <-
       Some
-        (Commit.create rt
-           { Commit.apply =
-               (fun ~txn ~site actions ->
-                 List.iter
-                   (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release t ~item:a.item ~site txn a.op a.value)
-                   actions);
-             commit_point =
-               (fun ~txn ->
-                 match L.find t.live txn with
-                 | Some st -> commit_txn t st
-                 | None -> ()) })
+        (L.commit_engine t.live
+           ~release:(fun ~txn ~site (a : Ccdb_storage.Wal.action) ->
+             on_release t ~item:a.item ~site txn a.op a.value)
+           ~commit_point:(commit_txn t))
   end;
   t
-
-let active t = L.active t.live

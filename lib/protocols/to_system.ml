@@ -190,13 +190,9 @@ and on_write_applied t txn_id ~ts copy =
 
 (* the transaction leaves the system once every write has been applied *)
 and finalize t st =
-  let txn = st.txn in
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
-         restarts = st.restarts });
-  L.remove t.live txn.id;
-  L.retire t.live
+  L.commit t.live st.txn ~submitted_at:st.submitted_at
+    ~executed_at:(Runtime.now t.rt) ~restarts:st.restarts;
+  L.remove t.live st.txn.id
 
 and on_reject t txn_id ~ts rejected_copy op =
   match L.find t.live txn_id with
@@ -329,5 +325,3 @@ let submit t ?payload txn =
   L.admit t.live ~duplicate:"To_system.submit: duplicate transaction id"
     txn.id st;
   begin_attempt t st
-
-let active t = L.active t.live

@@ -38,5 +38,3 @@ val create : ?config:config -> Runtime.t -> t
 
 val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)
-
-val active : t -> int

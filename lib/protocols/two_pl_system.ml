@@ -20,8 +20,7 @@ type txn_state = {
   txn : Ccdb_model.Txn.t;
   payload : L.payload_fn option;
   submitted_at : float;
-  mutable attempt : int;
-  mutable restarts : int;
+  mutable attempt : int; (* also its restart count *)
   mutable phase : phase;
   mutable awaiting : (int * int) list; (* copies not yet granted *)
   mutable granted : ((int * int) * Ccdb_model.Op.kind * float) list;
@@ -42,13 +41,9 @@ type t = {
    protocol this is the end of the compute phase; with one, the learned
    decision. *)
 let commit_txn t st =
-  let txn = st.txn in
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = st.executed;
-         restarts = st.restarts });
-  L.remove t.live txn.id;
-  L.retire t.live
+  L.commit t.live st.txn ~submitted_at:st.submitted_at
+    ~executed_at:st.executed ~restarts:st.attempt;
+  L.remove t.live st.txn.id
 
 (* The per-site 2PC payload: every granted copy, grouped by site, with the
    value its release must implement. *)
@@ -275,11 +270,10 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
                 pump t (item, site)))
         (L.copies t.rt txn);
       st.attempt <- st.attempt + 1;
-      st.restarts <- st.restarts + 1;
       st.awaiting <- [];
       st.granted <- [];
       L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
-        ~attempt:st.restarts (fun () -> send_requests t st)
+        ~attempt:st.attempt (fun () -> send_requests t st)
     end
 
 (* Crash cleanup: restart every transaction still in its read (Waiting)
@@ -331,25 +325,17 @@ let create ?(config = default_config) rt =
       ~preserved:(fun tbl -> List.length (Lock_table.entries tbl));
     t.committer <-
       Some
-        (Commit.create rt
-           { Commit.apply =
-               (fun ~txn ~site actions ->
-                 List.iter
-                   (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release t (a.item, site) txn a.attempt a.op a.value
-                       a.granted_at)
-                   actions);
-             commit_point =
-               (fun ~txn ->
-                 match L.find t.live txn with
-                 | Some st -> commit_txn t st
-                 | None -> ()) })
+        (L.commit_engine t.live
+           ~release:(fun ~txn ~site (a : Ccdb_storage.Wal.action) ->
+             on_release t (a.item, site) txn a.attempt a.op a.value
+               a.granted_at)
+           ~commit_point:(commit_txn t))
   end;
   t
 
 let submit t ?payload txn =
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; attempt = 0; restarts = 0;
+    { txn; payload; submitted_at = Runtime.now t.rt; attempt = 0;
       phase = Waiting; awaiting = []; granted = []; reads = []; executed = 0. }
   in
   L.admit t.live ~duplicate:"Two_pl_system.submit: duplicate transaction id"

@@ -188,31 +188,6 @@ let feed t ~n next =
     t.deferred <- t.deferred + (n - 1)
   end
 
-let schedule_all t batch =
-  let rec scan prev sorted n = function
-    | [] -> (sorted, n)
-    | (at, _) :: rest ->
-      if not (at >= t.clock) then
-        invalid_arg "Engine.schedule_all: time in the past";
-      scan at (sorted && at >= prev) (n + 1) rest
-  in
-  let sorted, n = scan t.clock true 0 batch in
-  if sorted then begin
-    let rest = ref batch in
-    feed t ~n (fun () ->
-        match !rest with
-        | member :: later ->
-          rest := later;
-          member
-        | [] -> assert false)
-  end
-  else
-    let seq = reserve t n in
-    List.iteri
-      (fun i (at, action) ->
-        ignore (schedule_reserved t ~at ~seq:(seq + i) action))
-      batch
-
 (* A live slot's generation is the one its handle was given; a removal
    bumps it, so a spent handle no longer matches even once its slot is
    live again.  A free slot has no position, so no int names it. *)

@@ -60,16 +60,9 @@ val feed : t -> n:int -> (unit -> time * (unit -> unit)) -> unit
     (the first, no earlier than [now t]).
     @raise Invalid_argument if [n < 0], or when a drawn member is due
     before its predecessor or at a NaN time: from the call for the first
-    member, from {!run} or {!step} for the others. *)
-
-val schedule_all : t -> (time * (unit -> unit)) list -> unit
-(** [schedule_all t batch] schedules every [(at, f)] of [batch] at absolute
-    time [at], firing exactly as [List.iter] over {!schedule_at} would: the
-    members take one consecutive block of sequence numbers in list order.
-    A batch sorted by time is {!feed}: a long arrival list does not
-    deepen the queue; members cannot be cancelled.  Raises
-    [Invalid_argument] and schedules nothing if any [at] is before
-    [now t] or NaN. *)
+    member, from {!run} or {!step} for the others.  A list sorted by time
+    is fed by drawing its members in order; an unsorted batch takes a
+    {!reserve}d block and {!schedule_reserved}. *)
 
 val cancel : t -> handle -> bool
 (** [cancel t h] prevents the event from firing; returns [false] if it

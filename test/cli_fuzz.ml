@@ -69,7 +69,8 @@ let pool =
 let valid = function
   | "--mode" ->
     [ "unified"; "pure-2pl"; "pure-to"; "pure-pa"; "pure-mvto"; "pure-cto";
-      "unified-to"; "full-lock"; "dynamic"; "pure-2pl,dynamic" ]
+      "unified-2pl"; "unified-to"; "full-lock"; "unified-full-lock";
+      "dynamic"; "pure-2pl,dynamic" ]
   | "--plan" ->
     [ "drop=0.1,seed=3"; "drop=0.2,dup=0.1,delay=0.1x5,seed=5";
       "crash=1@100+100,seed=2"; "crash=coordinator@50+100,wipe=true,seed=1";

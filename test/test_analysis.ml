@@ -51,9 +51,7 @@ let test_all_modes_audit_clean () =
       let name = D.mode_name mode in
       check Alcotest.(list string) (name ^ " audits clean") []
         (error_checks report))
-    [ D.Pure P.Two_pl; D.Pure P.T_o; D.Pure P.Pa; D.Mvto; D.Conservative;
-      D.Unified; D.Unified_forced P.Two_pl; D.Unified_forced P.T_o;
-      D.Unified_forced P.Pa; D.Unified_full_lock; D.Dynamic ]
+    D.modes
 
 let test_audit_off_by_default () =
   let r = D.run ~setup:small_setup ~n_txns:10 (D.Pure P.T_o) spec in
@@ -276,6 +274,60 @@ let test_detects_non_2pl_victim () =
     (has_error report "thm.victim-not-2pl");
   check Alcotest.bool "thm.cycle-without-2pl reported" true
     (has_error report "thm.cycle-without-2pl")
+
+(* One trace that trips all four audits: the lock and precedence audits
+   at one event (index 4), the lock audit twice there, then the theorem
+   and consensus audits, and the end-of-trace checks of the lock,
+   theorem and consensus audits (two participants left in doubt).  [Stream] numbers the events and
+   collects every finding through one sink; the report's (check, event
+   index, txns) list is pinned as it was when each audit kept its own
+   counter and findings buffer. *)
+let test_report_order_pinned () =
+  let report =
+    analyze
+      [ request ~txn:1 ~op:Op.Write ~ts:5 ~outcome:Rt.Req_admitted ~at:1. ();
+        request ~txn:2 ~op:Op.Write ~ts:9 ~outcome:Rt.Req_admitted ~at:2. ();
+        grant ~txn:2 ~protocol:P.T_o ~ts:9 ~at:3. ();
+        grant ~txn:8 ~op:Op.Read ~mode:(Some L.Rl) ~at:4. ();
+        grant ~txn:3 ~protocol:P.T_o ~ts:7 ~at:5. ();
+        Rt.Txn_restarted
+          { txn = mk_txn ~protocol:P.Pa 4; reason = Rt.Deadlock_victim;
+            at = 6. };
+        Rt.Deadlock_detected { cycle = [ 1; 2 ]; victim = None; at = 7. };
+        Rt.Prepared { txn = 9; site = 0; round = 0; at = 8. };
+        Rt.Prepared { txn = 5; site = 1; round = 0; at = 8. };
+        Rt.Decision_logged
+          { txn = 6; site = 0; round = 0; commit = true; at = 9. };
+        Rt.Decision_logged
+          { txn = 6; site = 1; round = 0; commit = false; at = 10. };
+        Rt.Acceptor_promised
+          { txn = 7; site = 0; round = 0; ballot = 5; at = 11. };
+        Rt.Acceptor_accepted
+          { txn = 7; site = 0; round = 0; instance = 0; ballot = 3;
+            prepared = true; at = 12. } ]
+  in
+  check Alcotest.int "events scanned" 13 (An.Report.events_scanned report);
+  check
+    Alcotest.(list (triple string (option int) (list int)))
+    "findings in report order"
+    [ ("prec.grant-order", Some 2, [ 2; 1 ]);
+      ("lock.conflict", Some 3, [ 2; 8 ]);
+      ("lock.conflict", Some 4, [ 8; 3 ]);
+      ("lock.conflict", Some 4, [ 2; 3 ]);
+      ("prec.grant-order", Some 4, [ 3; 1 ]);
+      ("thm.pa-restarted", Some 5, [ 4 ]);
+      ("consensus.split-decision", Some 10, [ 6 ]);
+      ("consensus.ballot-regression", Some 12, [ 7 ]);
+      ("consensus.blocking-window", None, [ 5 ]);
+      ("consensus.blocking-window", None, [ 9 ]);
+      ("thm.partial-commit", None, [ 6 ]);
+      ("lock.leaked", Some 13, [ 3 ]);
+      ("lock.leaked", Some 13, [ 8 ]);
+      ("lock.leaked", Some 13, [ 2 ]);
+      ("thm.cycle-no-victim", Some 6, [ 1; 2 ]) ]
+    (List.map
+       (fun (f : An.Finding.t) -> (f.check, f.event_index, f.txns))
+       (An.Report.findings report))
 
 (* ------------------------------------------ seeded-corruption witnesses *)
 
@@ -703,7 +755,9 @@ let suites =
         Alcotest.test_case "non-2PL deadlock victim" `Quick
           test_detects_non_2pl_victim;
         Alcotest.test_case "not-serializable witness" `Quick
-          test_not_serializable_witness ] );
+          test_not_serializable_witness;
+        Alcotest.test_case "report order pinned" `Quick
+          test_report_order_pinned ] );
     ( "analysis.differential",
       [ prop_stream_matches_batch_raw; prop_stream_matches_batch_wf ] );
     ( "analysis.durability",

@@ -480,18 +480,7 @@ let spec_cli =
 let acceptance_plan =
   plan_of_string "drop=0.1,crash=1@400+300,crash=2@1200+300,seed=11"
 
-let all_modes =
-  [ D.Pure Ccdb_model.Protocol.Two_pl;
-    D.Pure Ccdb_model.Protocol.T_o;
-    D.Pure Ccdb_model.Protocol.Pa;
-    D.Unified;
-    D.Unified_forced Ccdb_model.Protocol.Two_pl;
-    D.Unified_forced Ccdb_model.Protocol.T_o;
-    D.Unified_forced Ccdb_model.Protocol.Pa;
-    D.Unified_full_lock;
-    D.Dynamic;
-    D.Mvto;
-    D.Conservative ]
+let all_modes = D.modes
 
 let test_every_system_survives_the_acceptance_plan () =
   List.iter

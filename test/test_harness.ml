@@ -115,9 +115,36 @@ let test_seed_changes_run () =
   check Alcotest.bool "different runs" true
     (a.summary.mean_system_time <> b.summary.mean_system_time)
 
+(* The CLI's [--mode] parses through [mode_of_string], and prints
+   through [mode_name]: every printed name must parse back, and every
+   spelling the flag has accepted must still parse. *)
+let test_mode_names_parse_back () =
+  let module P = Ccdb_model.Protocol in
+  let parses s mode =
+    check Alcotest.bool (s ^ " parses") true (D.mode_of_string s = Some mode)
+  in
+  check Alcotest.int "eleven modes" 11
+    (List.length (List.sort_uniq compare (List.map D.mode_name D.modes)));
+  List.iter (fun mode -> parses (D.mode_name mode) mode) D.modes;
+  List.iter
+    (fun (s, mode) -> parses s mode)
+    [ ("full-lock", D.Unified_full_lock); ("MVTO", D.Mvto);
+      ("conservative", D.Conservative); ("pure-2pl", D.Pure P.Two_pl);
+      ("Pure-TO", D.Pure P.T_o); ("pure-t_o", D.Pure P.T_o);
+      ("unified-tso", D.Unified_forced P.T_o);
+      ("unified-twopl", D.Unified_forced P.Two_pl);
+      ("UNIFIED-pa", D.Unified_forced P.Pa) ];
+  List.iter
+    (fun s ->
+      check Alcotest.bool (s ^ " refused") true (D.mode_of_string s = None))
+    [ ""; "pure-"; "unified-"; "pure-xyz"; "unified-mvto"; "unified-full";
+      "full-lock-2pl" ]
+
 let suites =
   [ ( "harness.driver",
       [ Alcotest.test_case "all modes run" `Slow test_all_modes_complete_and_serialize;
+        Alcotest.test_case "mode names parse back" `Quick
+          test_mode_names_parse_back;
         Alcotest.test_case "unified mix" `Quick test_unified_runs_the_assigned_mix;
         Alcotest.test_case "forced mode" `Quick test_forced_mode_routes_everything_one_way;
         Alcotest.test_case "pure modes' mix" `Quick
@@ -253,18 +280,7 @@ let check_summary_against_reference ?faults ?(setup = small_setup) mode =
       (exact *. (1. +. (1. /. 16.)))
 
 let test_summary_matches_reference_fault_free () =
-  List.iter check_summary_against_reference
-    [ D.Pure Ccdb_model.Protocol.Two_pl;
-      D.Pure Ccdb_model.Protocol.T_o;
-      D.Pure Ccdb_model.Protocol.Pa;
-      D.Mvto;
-      D.Conservative;
-      D.Unified;
-      D.Unified_forced Ccdb_model.Protocol.Two_pl;
-      D.Unified_forced Ccdb_model.Protocol.T_o;
-      D.Unified_forced Ccdb_model.Protocol.Pa;
-      D.Unified_full_lock;
-      D.Dynamic ]
+  List.iter check_summary_against_reference D.modes
 
 let test_summary_matches_reference_paxos () =
   let faults =
@@ -340,14 +356,6 @@ let test_consumer_predicate () =
    work at the same instants, and a traced run's digest does not move
    under the listener either. *)
 let test_noop_listener_changes_nothing () =
-  let modes =
-    [ D.Pure Ccdb_model.Protocol.Two_pl; D.Pure Ccdb_model.Protocol.T_o;
-      D.Pure Ccdb_model.Protocol.Pa; D.Unified;
-      D.Unified_forced Ccdb_model.Protocol.Two_pl;
-      D.Unified_forced Ccdb_model.Protocol.T_o;
-      D.Unified_forced Ccdb_model.Protocol.Pa; D.Unified_full_lock; D.Dynamic;
-      D.Mvto; D.Conservative ]
-  in
   let run ?(listen = false) ?(trace = false) mode =
     let traced = ref None in
     let r =
@@ -393,7 +401,7 @@ let test_noop_listener_changes_nothing () =
       let _, _, _, _, traced = run ~trace:true mode in
       let _, _, _, _, traced' = run ~trace:true ~listen:true mode in
       check Alcotest.string (name ^ " trace digest") traced traced')
-    modes
+    D.modes
 
 (* Under [Configured] adaptivity the selector reads design-time parameters
    only, so no estimator subscribes: after set-up the runtime has no

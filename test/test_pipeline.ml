@@ -119,10 +119,7 @@ let spec =
 
 let setup = { D.default_setup with items = 12 }
 
-let all_modes =
-  [ D.Pure P.Two_pl; D.Pure P.T_o; D.Pure P.Pa; D.Mvto; D.Conservative;
-    D.Unified; D.Unified_forced P.Two_pl; D.Unified_forced P.T_o;
-    D.Unified_forced P.Pa; D.Unified_full_lock; D.Dynamic ]
+let all_modes = D.modes
 
 let plan text =
   match Ccdb_sim.Fault_plan.of_string text with
@@ -267,10 +264,13 @@ let test_budget_exhausted () =
       (G.create spec ~sites ~items (Ccdb_util.Rng.create ~seed:5))
       ~n:20 ~start:0.
   in
-  Ccdb_sim.Engine.schedule_all (Rt.engine rt)
-    (List.map
-       (fun (at, txn) -> (at, fun () -> Core.Unified_system.submit sys txn))
-       arrivals);
+  let rest = ref arrivals in
+  Ccdb_sim.Engine.feed (Rt.engine rt) ~n:(List.length arrivals) (fun () ->
+      match !rest with
+      | (at, txn) :: later ->
+        rest := later;
+        (at, fun () -> Core.Unified_system.submit sys txn)
+      | [] -> Alcotest.fail "feed drew past its count");
   (match Rt.quiesce ~max_events:40 rt with
    | () -> Alcotest.fail "40 events cannot finish 20 transactions"
    | exception Rt.Event_budget_exhausted { fired; pending; clock } ->

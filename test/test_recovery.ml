@@ -25,18 +25,7 @@ let spec =
         (Ccdb_model.Protocol.T_o, 1.);
         (Ccdb_model.Protocol.Pa, 1.) ] }
 
-let all_modes =
-  [ D.Pure Ccdb_model.Protocol.Two_pl;
-    D.Pure Ccdb_model.Protocol.T_o;
-    D.Pure Ccdb_model.Protocol.Pa;
-    D.Unified;
-    D.Unified_forced Ccdb_model.Protocol.Two_pl;
-    D.Unified_forced Ccdb_model.Protocol.T_o;
-    D.Unified_forced Ccdb_model.Protocol.Pa;
-    D.Unified_full_lock;
-    D.Dynamic;
-    D.Mvto;
-    D.Conservative ]
+let all_modes = D.modes
 
 (* the durability invariants a fail-stop run must never trip, at any
    severity *)

@@ -140,16 +140,26 @@ let test_engine_step () =
   check Alcotest.bool "step" true (Ccdb_sim.Engine.step e);
   check Alcotest.bool "drained" false (Ccdb_sim.Engine.step e)
 
-(* A sorted batch takes one block of sequence numbers at the call, so its
-   members keep their place among ties scheduled before and after it, and
-   the members not yet in the heap still count as pending. *)
-let test_engine_schedule_all () =
+(* [next] for a feed of [members], in list order. *)
+let draw_from members =
+  let rest = ref members in
+  fun () ->
+    match !rest with
+    | member :: later ->
+      rest := later;
+      member
+    | [] -> Alcotest.fail "feed drew past its count"
+
+(* A feed takes one block of sequence numbers at the call, so its members
+   keep their place among ties scheduled before and after it, and the
+   members not drawn yet still count as pending. *)
+let test_engine_feed_order () =
   let e = Ccdb_sim.Engine.create () in
   let trace = ref [] in
   let record tag () = trace := tag :: !trace in
   ignore (Ccdb_sim.Engine.schedule_at e ~at:2. (record "x"));
-  Ccdb_sim.Engine.schedule_all e
-    [ (1., record "a"); (2., record "b"); (2., record "c") ];
+  Ccdb_sim.Engine.feed e ~n:3
+    (draw_from [ (1., record "a"); (2., record "b"); (2., record "c") ]);
   ignore (Ccdb_sim.Engine.schedule_at e ~at:2. (record "y"));
   check Alcotest.int "pending" 5 (Ccdb_sim.Engine.pending e);
   Ccdb_sim.Engine.run ~max_events:1 e;
@@ -158,20 +168,26 @@ let test_engine_schedule_all () =
   check (Alcotest.list Alcotest.string) "order" [ "a"; "x"; "b"; "c"; "y" ]
     (List.rev !trace)
 
-let test_engine_schedule_all_rejects () =
+(* The first member is drawn at the call, so one due in the past or at a
+   NaN time raises there and queues nothing (a later member out of order
+   raises from the run: test_workload.ml's streamed arrivals), and an
+   empty feed draws nothing. *)
+let test_engine_feed_rejects () =
   let e = Ccdb_sim.Engine.create () in
   ignore (Ccdb_sim.Engine.schedule e ~after:5. ignore);
   Ccdb_sim.Engine.run e;
   let fired = ref false in
   let f () = fired := true in
   List.iter
-    (fun (what, batch) ->
+    (fun (what, first) ->
       Alcotest.check_raises what
-        (Invalid_argument "Engine.schedule_all: time in the past") (fun () ->
-          Ccdb_sim.Engine.schedule_all e batch))
-    [ ("past", [ (6., f); (7., f); (1., f) ]);
-      ("nan", [ (6., f); (nan, f); (7., f) ]);
-      ("unsorted past", [ (7., f); (6., f); (4., f) ]) ];
+        (Invalid_argument "Engine.feed: member out of order") (fun () ->
+          Ccdb_sim.Engine.feed e ~n:2 (draw_from [ (first, f); (7., f) ])))
+    [ ("past", 1.); ("nan", nan) ];
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Engine.feed: negative count") (fun () ->
+      Ccdb_sim.Engine.feed e ~n:(-1) (draw_from []));
+  Ccdb_sim.Engine.feed e ~n:0 (draw_from []);
   check Alcotest.int "nothing queued" 0 (Ccdb_sim.Engine.pending e);
   Ccdb_sim.Engine.run e;
   check Alcotest.bool "nothing fired" false !fired
@@ -304,8 +320,13 @@ module Reference = struct
 
   let schedule t ~after action = schedule_at t ~at:(t.clock +. after) action
 
-  let schedule_all t batch =
-    List.iter (fun (at, action) -> ignore (schedule_at t ~at action)) batch
+  (* every member drawn at the call, under the block's keys *)
+  let feed t ~n next =
+    let seq = reserve t n in
+    for i = 0 to n - 1 do
+      let at, action = next () in
+      ignore (schedule_reserved t ~at ~seq:(seq + i) action)
+    done
 
   let cancel t ev =
     ev.queued
@@ -341,7 +362,7 @@ module type ENGINE = sig
   val now : t -> float
   val schedule : t -> after:float -> (unit -> unit) -> handle
   val schedule_at : t -> at:float -> (unit -> unit) -> handle
-  val schedule_all : t -> (float * (unit -> unit)) list -> unit
+  val feed : t -> n:int -> (unit -> float * (unit -> unit)) -> unit
   val reserve : t -> int -> int
   val schedule_reserved : t -> at:float -> seq:int -> (unit -> unit) -> handle
   val cancel : t -> handle -> bool
@@ -360,9 +381,11 @@ type drive = One_shot | Split of float list | Sliced of int
    before the child, at once, or never), and events cancelled before they
    fire.  The seeds are scheduled one by one around a random batch, and
    one event schedules a second batch as it fires.  A batch is empty,
-   sorted by time with equal-time runs, or in random order.  Returns the
-   firing log (time, id, pending), the fired count, the final clock and,
-   under [Sliced], the pending count after each slice. *)
+   sorted by time with equal-time runs, or in random order: an empty or
+   sorted one is fed, an unsorted one pushed under one reserved block
+   with [schedule_reserved].  Returns the firing log (time, id,
+   pending), the fired count, the final clock and, under [Sliced], the
+   pending count after each slice. *)
 module Script (E : ENGINE) = struct
   let run ~seed drive =
     let eng = E.create () in
@@ -378,17 +401,28 @@ module Script (E : ENGINE) = struct
       incr next_id;
       id
     in
+    let push_batch (sorted, members) =
+      let n = List.length members in
+      if sorted then E.feed eng ~n (draw_from members)
+      else
+        let seq = E.reserve eng n in
+        List.iteri
+          (fun i (at, action) ->
+            ignore (E.schedule_reserved eng ~at ~seq:(seq + i) action))
+          members
+    in
     let rec batch ~from =
       let times n =
         List.init n (fun _ -> from +. float_of_int (Ccdb_util.Rng.int rng 8))
       in
-      let times =
+      let sorted, times =
         match Ccdb_util.Rng.int rng 3 with
-        | 0 -> []
-        | 1 -> List.sort Float.compare (times (1 + Ccdb_util.Rng.int rng 6))
-        | _ -> times (1 + Ccdb_util.Rng.int rng 6)
+        | 0 -> (true, [])
+        | 1 ->
+          (true, List.sort Float.compare (times (1 + Ccdb_util.Rng.int rng 6)))
+        | _ -> (false, times (1 + Ccdb_util.Rng.int rng 6))
       in
-      List.map (fun at -> (at, node (fresh ()))) times
+      (sorted, List.map (fun at -> (at, node (fresh ()))) times)
     and node id () =
       log := (E.now eng, id, E.pending eng) :: !log;
       (* a spent handle is refused, even once a queued event has taken
@@ -403,7 +437,7 @@ module Script (E : ENGINE) = struct
        | _ -> ());
       if !inner_batch && !budget < 60 then begin
         inner_batch := false;
-        E.schedule_all eng (batch ~from:(E.now eng))
+        push_batch (batch ~from:(E.now eng))
       end;
       if !budget > 0 then
         for _ = 1 to Ccdb_util.Rng.int rng 3 do
@@ -464,7 +498,7 @@ module Script (E : ENGINE) = struct
     in
     seed_one ();
     seed_one ();
-    E.schedule_all eng (batch ~from:(float_of_int (Ccdb_util.Rng.int rng 30)));
+    push_batch (batch ~from:(float_of_int (Ccdb_util.Rng.int rng 30)));
     seed_one ();
     seed_one ();
     let slices = ref [] in
@@ -586,11 +620,10 @@ let suites =
         Alcotest.test_case "schedule in past" `Quick test_engine_past_schedule_at;
         Alcotest.test_case "nan times" `Quick test_engine_nan_times;
         Alcotest.test_case "step" `Quick test_engine_step;
-        Alcotest.test_case "schedule_all order" `Quick test_engine_schedule_all;
+        Alcotest.test_case "feed order" `Quick test_engine_feed_order;
         Alcotest.test_case "reserved keys" `Quick
           test_engine_schedule_reserved;
-        Alcotest.test_case "schedule_all rejects" `Quick
-          test_engine_schedule_all_rejects;
+        Alcotest.test_case "feed rejects" `Quick test_engine_feed_rejects;
         Alcotest.test_case "fired and cancelled closures released" `Quick
           test_engine_releases_closures;
         Alcotest.test_case "1000-script fuzz vs sorted-list reference" `Quick
