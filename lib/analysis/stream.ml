@@ -208,21 +208,17 @@ let report ?store st =
 type stats = {
   events_fed : int;
   live_nodes : int;
-  live_edges : int;
   collected_nodes : int;
-  deferred_edges : int;
   graph_work : int;
 }
 
 let stats st =
   match st.ser with
   | None ->
-    { events_fed = st.events_fed; live_nodes = 0; live_edges = 0;
-      collected_nodes = 0; deferred_edges = 0; graph_work = 0 }
+    { events_fed = st.events_fed; live_nodes = 0; collected_nodes = 0;
+      graph_work = 0 }
   | Some s ->
     { events_fed = st.events_fed;
       live_nodes = Inc.live_nodes s.graph;
-      live_edges = Inc.live_edges s.graph;
       collected_nodes = Inc.collected s.graph;
-      deferred_edges = Inc.deferred_edges s.graph;
       graph_work = Inc.work s.graph }

@@ -36,10 +36,11 @@ val report : ?store:Ccdb_storage.Store.t -> state -> Report.t
 type stats = {
   events_fed : int;
   live_nodes : int;       (** conflict-graph nodes not yet collected *)
-  live_edges : int;       (** distinct live edges *)
   collected_nodes : int;  (** retired and garbage-collected transactions *)
-  deferred_edges : int;   (** parked cycle-closing edges *)
   graph_work : int;       (** {!Ccdb_serial.Incremental.work} *)
 }
 
 val stats : state -> stats
+(** Events fed so far and the incremental conflict graph's size and work,
+    the columns of experiment E13 (the graph's fields read [0] under
+    [~theorem2:false]). *)

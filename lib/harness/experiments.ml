@@ -68,17 +68,15 @@ let n_for quick full = if quick then max 40 (full / 5) else full
 
 let protocol_name = Ccdb_model.Protocol.to_string
 
-let winner_of ?(tie_margin = 0.03) cells =
+let winner_of cells =
   let _, best_v =
     List.fold_left
       (fun ((_, bv) as best) ((_, v) as cand) -> if v < bv then cand else best)
       (List.hd cells) (List.tl cells)
   in
-  (* report near-ties honestly: low-load protocol differences sit inside
-     seed noise *)
-  let winners =
-    List.filter (fun (_, v) -> v <= best_v *. (1. +. tie_margin)) cells
-  in
+  (* report near-ties (within 3%) honestly: low-load protocol differences
+     sit inside seed noise *)
+  let winners = List.filter (fun (_, v) -> v <= best_v *. 1.03) cells in
   String.concat "~" (List.map fst winners)
 
 (* ---------------------------------------------------------------- E1 --- *)

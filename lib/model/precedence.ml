@@ -23,8 +23,6 @@ let compare a b =
       let c = Int.compare sa sb in
       if c <> 0 then c else Int.compare ta tb
 
-let equal a b = compare a b = 0
-
 let is_two_pl t =
   match t.origin with Queue_local _ -> true | Timestamped _ -> false
 

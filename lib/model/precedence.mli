@@ -30,7 +30,6 @@ val timestamped : ts:Timestamp.t -> site:int -> txn:int -> t
 val queue_local : ts:Timestamp.t -> arrival:int -> t
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val is_two_pl : t -> bool

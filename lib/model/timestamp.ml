@@ -1,7 +1,6 @@
 type t = int
 
 let compare = Int.compare
-let pp = Format.pp_print_int
 
 let backoff_interval = 8
 

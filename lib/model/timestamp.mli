@@ -7,7 +7,6 @@
 type t = int
 
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 val backoff_interval : int
 (** INT, the back-off step of every PA transaction, in the pure PA system

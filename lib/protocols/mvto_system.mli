@@ -16,12 +16,10 @@
 
 type config = { restart_delay : float }
 
-val default_config : config
-(** restart_delay 50. *)
-
 type t
 
 val create : ?config:config -> Runtime.t -> t
+(** [config] defaults to restart_delay 50. *)
 
 val submit : t -> Ccdb_model.Txn.t -> unit
 (** Write values are the transaction id (payloads are not supported: an

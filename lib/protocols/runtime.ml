@@ -211,7 +211,6 @@ type system_time = {
 type t = {
   engine : Ccdb_sim.Engine.t;
   net : Ccdb_sim.Net.t;
-  rng : Ccdb_util.Rng.t;
   catalog : Ccdb_storage.Catalog.t;
   store : Ccdb_storage.Store.t;
   ts_source : Ccdb_model.Timestamp.Source.t;
@@ -236,7 +235,6 @@ type t = {
 
 let engine t = t.engine
 let net t = t.net
-let rng t = t.rng
 let catalog t = t.catalog
 let store t = t.store
 let ts_source t = t.ts_source
@@ -393,7 +391,6 @@ let create ?(seed = 42) ?faults ?(commit = Paxos { f = 0 }) ~net_config
   let t =
     { engine;
       net;
-      rng;
       catalog;
       store = Ccdb_storage.Store.create catalog;
       ts_source = Ccdb_model.Timestamp.Source.create ();

@@ -252,7 +252,6 @@ val create :
 
 val engine : t -> Ccdb_sim.Engine.t
 val net : t -> Ccdb_sim.Net.t
-val rng : t -> Ccdb_util.Rng.t
 val catalog : t -> Ccdb_storage.Catalog.t
 val store : t -> Ccdb_storage.Store.t
 val ts_source : t -> Ccdb_model.Timestamp.Source.t

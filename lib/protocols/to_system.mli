@@ -29,12 +29,10 @@ type config = {
           measured by the X2 ablation *)
 }
 
-val default_config : config
-(** restart_delay 50., Thomas Write Rule off. *)
-
 type t
 
 val create : ?config:config -> Runtime.t -> t
+(** [config] defaults to restart_delay 50., Thomas Write Rule off. *)
 
 val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)

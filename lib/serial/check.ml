@@ -69,10 +69,10 @@ let rec permutations = function
         List.map (fun perm -> x :: perm) (permutations rest))
       l
 
-let brute_force_serializable ?(max_txns = 8) logs =
+let brute_force_serializable logs =
   let g = Conflict_graph.of_logs logs in
   let txns = Conflict_graph.nodes g in
-  if List.length txns > max_txns then None
+  if List.length txns > 8 then None
   else begin
     let pairs = conflict_pairs logs in
     let respects perm =

@@ -21,10 +21,10 @@ val witness_detail : logs -> int list -> Incremental.edge list
     conflicting operation pair that orders it.  Pairs with no such log
     evidence are dropped (never happens on a genuine witness). *)
 
-val brute_force_serializable : ?max_txns:int -> logs -> bool option
+val brute_force_serializable : logs -> bool option
 (** Independent oracle: enumerates all permutations of the transactions and
     checks each conflicting pair is consistently ordered.  Returns [None]
-    when more than [max_txns] (default 8) transactions are involved. *)
+    when more than 8 transactions are involved (8! = 40,320 orders). *)
 
 val replica_consistent : Ccdb_storage.Store.t -> bool
 (** With read-one/write-all, every copy of an item must apply the same

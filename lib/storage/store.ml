@@ -4,9 +4,7 @@ type log_entry = { txn : int; kind : Ccdb_model.Op.kind; at : float }
 
 type cell = {
   mutable value : int;
-  mutable writer : int;
-  mutable history : (int * int * float) list; (* newest first *)
-  mutable log : log_entry list;               (* newest first *)
+  mutable log : log_entry list; (* newest first *)
 }
 
 (* Cells are created on a copy's first write or logged read; a copy never
@@ -21,13 +19,9 @@ type t = {
     (item:int -> site:int -> txn:int -> removed:int -> unit) list;
 }
 
-let initial_history = [ (-1, 0, 0.) ]
-
 let create catalog =
   { catalog;
-    cells =
-      Copy_table.create catalog (fun () ->
-          { value = 0; writer = -1; history = initial_history; log = [] });
+    cells = Copy_table.create catalog (fun () -> { value = 0; log = [] });
     append_obs = []; discard_obs = [] }
 
 let on_append t f = t.append_obs <- f :: t.append_obs
@@ -50,9 +44,6 @@ let find_cell t ~item ~site =
 let read t ~item ~site =
   match find_cell t ~item ~site with Some c -> c.value | None -> 0
 
-let writer_of t ~item ~site =
-  match find_cell t ~item ~site with Some c -> c.writer | None -> -1
-
 (* Calls each observer in turn, with no closure or copy pair per append. *)
 let rec notify_append ~item ~site entry = function
   | [] -> ()
@@ -63,8 +54,6 @@ let rec notify_append ~item ~site entry = function
 let apply_write t ~item ~site ~txn ~value ~at =
   let c = cell t ~item ~site in
   c.value <- value;
-  c.writer <- txn;
-  c.history <- (txn, value, at) :: c.history;
   let entry = { txn; kind = Ccdb_model.Op.Write; at } in
   c.log <- entry :: c.log;
   notify_append ~item ~site entry t.append_obs
@@ -99,9 +88,3 @@ let log t ~item ~site =
 let logs t =
   Catalog.all_copies t.catalog
   |> List.map (fun (item, site) -> ((item, site), log t ~item ~site))
-
-let versions t ~item ~site =
-  List.rev
-    (match find_cell t ~item ~site with
-     | Some c -> c.history
-     | None -> initial_history)

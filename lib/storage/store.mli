@@ -1,7 +1,9 @@
-(** Physical storage: one integer-valued cell per physical copy, with full
-    version history and the per-copy {e implementation log} that is the
+(** Physical storage: one integer-valued cell per physical copy, holding
+    its current value and the per-copy {e implementation log} that is the
     paper's model of execution (section 2: "there is one log associated with
-    each physical data item").
+    each physical data item").  The log is the copy's only history: each
+    write's transaction, instant and order are read from it, and no earlier
+    value is kept.
 
     The queue managers call [log_read]/[apply_write] at the instant an
     operation is {e implemented} in the paper's sense (section 4.3): at lock
@@ -20,7 +22,7 @@ type log_entry = {
 type t
 
 val create : Catalog.t -> t
-(** All copies start with value [0] written by pseudo-transaction [-1]. *)
+(** All copies start with value [0] and an empty log. *)
 
 val catalog : t -> Catalog.t
 
@@ -28,12 +30,9 @@ val read : t -> item:int -> site:int -> int
 (** Current value of the copy.  @raise Invalid_argument if the site holds no
     copy of the item. *)
 
-val writer_of : t -> item:int -> site:int -> int
-(** Transaction id of the last implemented write ([-1] initially). *)
-
 val apply_write : t -> item:int -> site:int -> txn:int -> value:int -> at:float -> unit
-(** Implements a physical write: updates the value, appends to the version
-    history and the implementation log. *)
+(** Implements a physical write: updates the value and appends to the
+    implementation log. *)
 
 val log_read : t -> item:int -> site:int -> txn:int -> at:float -> unit
 (** Implements a physical read (appends to the implementation log only). *)
@@ -51,10 +50,6 @@ val log : t -> item:int -> site:int -> log_entry list
 val logs : t -> (copy * log_entry list) list
 (** All per-copy logs, copies in lexicographic order, entries oldest
     first. *)
-
-val versions : t -> item:int -> site:int -> (int * int * float) list
-(** Version history [(txn, value, at)], oldest first, including the initial
-    version. *)
 
 val on_append : t -> (item:int -> site:int -> log_entry -> unit) -> unit
 (** Registers an observer called synchronously after every log append

@@ -61,11 +61,9 @@ let records t ~site =
   List.rev t.logs.(site)
 
 type replay = {
-  scanned : int;
   live_grants : int;
   in_doubt : (int * int * action list) list;
   decided : (int * int * bool) list;
-  applied : int list;
   promised : ((int * int) * int) list;
   accepted : ((int * int * int) * (int * bool)) list;
   acc_meta : ((int * int) * (int * int list)) list;
@@ -74,7 +72,6 @@ type replay = {
 let replay t ~site =
   check t site "Wal.replay";
   let log = List.rev t.logs.(site) in
-  let scanned = List.length log in
   let live = ref 0 in
   (* participant bookkeeping keyed by (txn, round) *)
   let votes : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -131,12 +128,11 @@ let replay t ~site =
               accept_order := key :: !accept_order;
               Hashtbl.replace accepts key (ballot, prepared)))
     log;
-  let applied_set = !applied in
   let in_doubt =
     List.rev !vote_order
     |> List.filter_map (fun (txn, round) ->
            if Hashtbl.mem decisions (txn, round) then None
-           else if List.mem txn applied_set then None
+           else if List.mem txn !applied then None
            else
              let actions =
                match Hashtbl.find_opt prewrites (txn, round) with
@@ -146,11 +142,9 @@ let replay t ~site =
              Some (txn, round, actions))
   in
   {
-    scanned;
     live_grants = !live;
     in_doubt;
     decided = List.rev !decided;
-    applied = List.rev !applied;
     promised =
       List.rev !promise_order
       |> List.map (fun key -> (key, Hashtbl.find promises key));

@@ -92,17 +92,15 @@ val records : t -> site:int -> entry list
 (** The site's log, oldest first. *)
 
 type replay = {
-  scanned : int;  (** records scanned by this replay *)
   live_grants : int;
       (** grants not yet released or revoked — the semi-locks and locks the
           recovering site still holds on behalf of remote issuers *)
   in_doubt : (int * int * action list) list;
-      (** [(txn, round, actions)]: voted rounds with no decision and no
-          applied transaction — must re-inquire *)
+      (** [(txn, round, actions)]: voted rounds, oldest vote first, with no
+          decision for that round and no {!record.Applied} record for the
+          transaction — must re-inquire; [actions] in prewrite order *)
   decided : (int * int * bool) list;
       (** [(txn, round, commit)] decision records, oldest first *)
-  applied : int list;
-      (** transactions whose committed actions were implemented here *)
   promised : ((int * int) * int) list;
       (** [((txn, round), ballot)]: the highest ballot this site promised
           for each commit round it acted as a Paxos acceptor for, in first-
@@ -118,7 +116,10 @@ type replay = {
 }
 
 val replay : t -> site:int -> replay
-(** Scans the site's log and summarizes what recovery must restore.  Pure:
-    replaying twice (a crash inside a replay window) is idempotent. *)
+(** Scans the site's log and summarizes what recovery must restore: the
+    grants still live, the commit rounds to re-inquire or re-apply and the
+    acceptor state.  The number of records scanned is {!site_appends}.
+    Pure: replaying twice (a crash inside a replay window) is
+    idempotent. *)
 
 val pp_record : Format.formatter -> record -> unit

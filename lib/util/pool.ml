@@ -53,7 +53,7 @@ let worker_loop t =
   loop ()
 
 let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if jobs < 1 then invalid_arg "Pool.with_pool: jobs must be >= 1";
   let t =
     { queue = Queue.create (); lock = Mutex.create ();
       nonempty = Condition.create (); closed = false; workers = [] }

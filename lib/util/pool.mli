@@ -28,10 +28,6 @@ val reserve_domain : unit -> bool
 val release_domain : unit -> unit
 (** Returns a domain claimed with {!reserve_domain}. *)
 
-val create : jobs:int -> t
-(** Spawns [jobs - 1] worker domains.  @raise Invalid_argument when
-    [jobs < 1]. *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map: the result list matches the input
     order no matter which domain ran which element.  If one or more
@@ -39,4 +35,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     on the caller after every task of the batch has settled. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], apply, then join the worker domains (also on exception). *)
+(** Spawns [jobs - 1] worker domains, applies the function to the pool,
+    then joins the workers (also on exception).  @raise Invalid_argument
+    when [jobs < 1]. *)

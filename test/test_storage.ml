@@ -1,4 +1,4 @@
-(* Tests for Ccdb_storage: Catalog and Store. *)
+(* Tests for Ccdb_storage: Catalog, Copy_table, Store and Wal. *)
 
 let check = Alcotest.check
 
@@ -217,19 +217,28 @@ let make_store () =
   let c = Ccdb_storage.Catalog.create ~items:4 ~sites:2 ~replication:2 in
   Ccdb_storage.Store.create c
 
+(* The transactions of a copy's logged writes, oldest first. *)
+let writers s ~item ~site =
+  List.filter_map
+    (fun (e : Ccdb_storage.Store.log_entry) ->
+      match e.kind with
+      | Ccdb_model.Op.Write -> Some e.txn
+      | Ccdb_model.Op.Read -> None)
+    (Ccdb_storage.Store.log s ~item ~site)
+
 let test_store_initial () =
   let s = make_store () in
   check Alcotest.int "initial value" 0 (Ccdb_storage.Store.read s ~item:0 ~site:0);
-  check Alcotest.int "initial writer" (-1)
-    (Ccdb_storage.Store.writer_of s ~item:0 ~site:0);
   check Alcotest.int "no log" 0
     (List.length (Ccdb_storage.Store.log s ~item:0 ~site:0))
 
 let test_store_write_read () =
   let s = make_store () in
+  Ccdb_storage.Store.log_read s ~item:1 ~site:0 ~txn:3 ~at:0.5;
   Ccdb_storage.Store.apply_write s ~item:1 ~site:0 ~txn:7 ~value:42 ~at:1.0;
+  Ccdb_storage.Store.log_read s ~item:1 ~site:0 ~txn:8 ~at:1.5;
   check Alcotest.int "value" 42 (Ccdb_storage.Store.read s ~item:1 ~site:0);
-  check Alcotest.int "writer" 7 (Ccdb_storage.Store.writer_of s ~item:1 ~site:0);
+  check (Alcotest.list Alcotest.int) "writer" [ 7 ] (writers s ~item:1 ~site:0);
   (* the other copy is untouched: writes are per physical copy *)
   check Alcotest.int "other copy" 0 (Ccdb_storage.Store.read s ~item:1 ~site:1)
 
@@ -247,15 +256,39 @@ let test_store_log_order () =
          Ccdb_model.Op.equal e.kind Ccdb_model.Op.Write)
        log)
 
+(* The store keeps no earlier value: the copy's log orders its writes. *)
 let test_store_versions () =
   let s = make_store () in
   Ccdb_storage.Store.apply_write s ~item:0 ~site:1 ~txn:1 ~value:10 ~at:1.0;
   Ccdb_storage.Store.apply_write s ~item:0 ~site:1 ~txn:2 ~value:20 ~at:2.0;
-  check
-    (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int (Alcotest.float 1e-9)))
-    "history"
-    [ (-1, 0, 0.); (1, 10, 1.0); (2, 20, 2.0) ]
-    (Ccdb_storage.Store.versions s ~item:0 ~site:1)
+  check Alcotest.int "latest value" 20 (Ccdb_storage.Store.read s ~item:0 ~site:1);
+  check (Alcotest.list Alcotest.int) "writers in order" [ 1; 2 ]
+    (writers s ~item:0 ~site:1);
+  check (Alcotest.list (Alcotest.float 1e-9)) "write instants" [ 1.0; 2.0 ]
+    (List.map
+       (fun (e : Ccdb_storage.Store.log_entry) -> e.at)
+       (Ccdb_storage.Store.log s ~item:0 ~site:1))
+
+(* A write retains what a read does: one log entry, no second record. *)
+let test_store_write_footprint () =
+  let growth op =
+    let s = make_store () in
+    let before = Obj.reachable_words (Obj.repr s) in
+    for i = 1 to 1000 do
+      op s ~txn:i ~at:(float_of_int i)
+    done;
+    Obj.reachable_words (Obj.repr s) - before
+  in
+  let writes =
+    growth (fun s ~txn ~at ->
+        Ccdb_storage.Store.apply_write s ~item:0 ~site:0 ~txn ~value:txn ~at)
+  in
+  let reads =
+    growth (fun s ~txn ~at ->
+        Ccdb_storage.Store.log_read s ~item:0 ~site:0 ~txn ~at)
+  in
+  if writes > reads then
+    Alcotest.failf "1000 writes retain %d words, 1000 reads %d" writes reads
 
 let test_store_missing_copy () =
   let c = Ccdb_storage.Catalog.create ~items:2 ~sites:3 ~replication:1 in
@@ -284,6 +317,88 @@ let test_store_logs_cover_all_copies () =
   let logs = Ccdb_storage.Store.logs s in
   check Alcotest.int "one log per copy" 8 (List.length logs)
 
+(* --- Wal ------------------------------------------------------------------ *)
+
+module Wal = Ccdb_storage.Wal
+
+let prewrite ~item ~value =
+  { Wal.item; op = Ccdb_model.Op.Write; value = Some value; attempt = 0;
+    granted_at = float_of_int item }
+
+(* One site's log, written by hand: lock grants, three commit rounds and a
+   Paxos acceptor's promises and accepts, interleaved as a site writes
+   them. *)
+let test_wal_replay () =
+  let w = Wal.create ~sites:2 in
+  let a1 = prewrite ~item:4 ~value:40 and a2 = prewrite ~item:5 ~value:50 in
+  let accept ~txn ~instance ~ballot ~prepared ~home ~psites =
+    Wal.Acceptor_accept { txn; round = 0; instance; ballot; prepared; home; psites }
+  in
+  List.iteri
+    (fun i r -> Wal.append w ~site:0 ~at:(float_of_int i) r)
+    [ Wal.Grant { txn = 1; item = 0; op = Ccdb_model.Op.Read; ts = None };
+      Wal.Admit { txn = 2; item = 1; op = Ccdb_model.Op.Write; ts = 9 };
+      Wal.Grant { txn = 2; item = 1; op = Ccdb_model.Op.Write; ts = Some 9 };
+      Wal.Grant { txn = 3; item = 2; op = Ccdb_model.Op.Write; ts = Some 4 };
+      Wal.Release { txn = 1; item = 0; op = Ccdb_model.Op.Read; aborted = false };
+      (* a decided round *)
+      Wal.Prewrite { txn = 10; round = 0; action = a1 };
+      Wal.Vote { txn = 10; round = 0; coordinator = 1 };
+      (* an undecided round, its prewrites split by another record *)
+      Wal.Prewrite { txn = 11; round = 1; action = a2 };
+      Wal.Acceptor_promise { txn = 20; round = 0; ballot = 3 };
+      Wal.Prewrite { txn = 11; round = 1; action = a1 };
+      Wal.Vote { txn = 11; round = 1; coordinator = 0 };
+      Wal.Revoke { txn = 3; item = 2 };
+      Wal.Decision { txn = 10; round = 0; commit = true };
+      (* a round whose transaction was applied here *)
+      Wal.Prewrite { txn = 12; round = 2; action = a2 };
+      Wal.Vote { txn = 12; round = 2; coordinator = 1 };
+      Wal.Applied { txn = 12; round = 2 };
+      Wal.Decision { txn = 13; round = 0; commit = false };
+      Wal.Acceptor_promise { txn = 21; round = 0; ballot = 1 };
+      Wal.Acceptor_promise { txn = 20; round = 0; ballot = 5 };
+      Wal.Acceptor_promise { txn = 20; round = 0; ballot = 4 };
+      accept ~txn:20 ~instance:1 ~ballot:5 ~prepared:true ~home:0 ~psites:[ 1; 2 ];
+      accept ~txn:21 ~instance:0 ~ballot:1 ~prepared:true ~home:1 ~psites:[ 0 ];
+      accept ~txn:20 ~instance:2 ~ballot:5 ~prepared:false ~home:0
+        ~psites:[ 1; 2 ];
+      accept ~txn:20 ~instance:1 ~ballot:7 ~prepared:false ~home:2
+        ~psites:[ 2; 1 ];
+      accept ~txn:20 ~instance:1 ~ballot:6 ~prepared:true ~home:0
+        ~psites:[ 1; 2 ] ];
+  let r = Wal.replay w ~site:0 in
+  check Alcotest.int "live grants: three granted, one released, one revoked"
+    1 r.live_grants;
+  check Alcotest.bool "in doubt: only the undecided, unapplied round" true
+    (r.in_doubt = [ (11, 1, [ a2; a1 ]) ]);
+  check
+    Alcotest.(list (triple int int bool))
+    "decisions, oldest first"
+    [ (10, 0, true); (13, 0, false) ]
+    r.decided;
+  check
+    Alcotest.(list (pair (pair int int) int))
+    "highest promise per round, first-seen order"
+    [ ((20, 0), 5); ((21, 0), 1) ]
+    r.promised;
+  check
+    Alcotest.(list (pair (triple int int int) (pair int bool)))
+    "highest-ballot accept per instance, first-seen order"
+    [ ((20, 0, 1), (7, false)); ((21, 0, 0), (1, true)); ((20, 0, 2), (5, false)) ]
+    r.accepted;
+  check
+    Alcotest.(list (pair (pair int int) (pair int (list int))))
+    "home and participants from each round's first accept"
+    [ ((20, 0), (0, [ 1; 2 ])); ((21, 0), (1, [ 0 ])) ]
+    r.acc_meta;
+  check Alcotest.bool "replaying twice gives the same summary" true
+    (Wal.replay w ~site:0 = r);
+  let empty = Wal.replay w ~site:1 in
+  check Alcotest.bool "an empty log replays to nothing" true
+    (empty.live_grants = 0 && empty.in_doubt = [] && empty.decided = []
+     && empty.promised = [] && empty.accepted = [] && empty.acc_meta = [])
+
 let suites =
   [ ( "storage.catalog",
       [ Alcotest.test_case "shape" `Quick test_catalog_shape;
@@ -303,7 +418,10 @@ let suites =
         Alcotest.test_case "write/read" `Quick test_store_write_read;
         Alcotest.test_case "log order" `Quick test_store_log_order;
         Alcotest.test_case "versions" `Quick test_store_versions;
+        Alcotest.test_case "a write retains what a read does" `Quick
+          test_store_write_footprint;
         Alcotest.test_case "missing copy" `Quick test_store_missing_copy;
         Alcotest.test_case "write to a missing copy" `Quick
           test_store_write_missing_copy;
-        Alcotest.test_case "logs per copy" `Quick test_store_logs_cover_all_copies ] ) ]
+        Alcotest.test_case "logs per copy" `Quick test_store_logs_cover_all_copies ] );
+    ("storage.wal", [ Alcotest.test_case "replay" `Quick test_wal_replay ]) ]
