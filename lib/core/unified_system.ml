@@ -35,8 +35,6 @@ type txn_state = {
   mutable backed_off : bool;
   mutable phase : phase;
   mutable slots : slot list;
-  mutable reads : (int * int) list;
-  mutable write_values : (int * int) list; (* fixed at compute end *)
   mutable executed : float; (* end of the compute phase; under 2PC the
                                commit point fires later *)
 }
@@ -263,7 +261,6 @@ and check_progress t st =
       let ts' = List.fold_left Int.max ts0 backs in
       st.ts <- Some ts';
       List.iter (fun s -> s.state <- Waiting) st.slots;
-      st.reads <- [];
       List.iter
         (fun { item; site; _ } ->
           send t ~src:st.txn.site ~dst:site ~kind:"u-update" (fun () ->
@@ -284,14 +281,6 @@ and check_progress t st =
 
 and start_compute t st =
   L.unblocked t.live st.txn.id;
-  List.iter
-    (fun { item; state; _ } ->
-      match state with
-      | Granted { value; _ } ->
-        if not (Int_list.mem_assoc item st.reads) then
-          st.reads <- (item, value) :: st.reads
-      | Waiting | Backed _ -> assert false)
-    st.slots;
   st.phase <- Computing;
   ignore
     (Ccdb_sim.Engine.schedule (Rt.engine t.rt) ~after:st.txn.compute_time
@@ -299,7 +288,6 @@ and start_compute t st =
 
 and finish t st =
   let txn = st.txn in
-  st.write_values <- L.writes st.payload ~reads:st.reads txn;
   st.executed <- Rt.now t.rt;
   let commit () = commit_txn t st in
   if all_normal st then begin
@@ -341,12 +329,22 @@ and commit_txn t st =
   L.commit t.live st.txn ~submitted_at:st.submitted_at
     ~executed_at:st.executed ~restarts:st.epoch
 
+(* What a payload reads: the value the first slot of [item], in footprint
+   order, was granted with.  Past the compute start every slot is granted,
+   and none changes before the releases. *)
+and read_slot st item =
+  match List.find (fun s -> s.item = item) st.slots with
+  | { state = Granted { value; _ }; _ } -> value
+  | { state = Waiting | Backed _; _ } -> assert false
+  | exception Not_found -> 0
+
+(* The value each slot's release carries: [None] for a read-only item.
+   The payload, if any, runs at each call. *)
 and value_for_fn st =
   let txn = st.txn in
+  let value = L.write_value st.payload ~read:(read_slot st) txn in
   fun item ->
-    if Int_list.mem item txn.write_set then
-      Some (L.value_for st.write_values txn item)
-    else None
+    if Int_list.mem item txn.write_set then Some (value item) else None
 
 and send_releases t st =
   let txn = st.txn in
@@ -383,7 +381,6 @@ and restart t st ~except ~reason =
             on_abort_msg t ~item ~site txn.id))
     (L.copies t.rt txn);
   st.slots <- [];
-  st.reads <- [];
   L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
     ~attempt:st.epoch (fun () -> begin_attempt t st)
 
@@ -410,7 +407,6 @@ and begin_attempt t st =
   let copies = L.copies t.rt txn in
   st.slots <-
     List.map (fun (item, site, _) -> { item; site; state = Waiting }) copies;
-  st.reads <- [];
   let epoch = st.epoch in
   let ts = st.ts in
   List.iter
@@ -542,8 +538,7 @@ let create ?(config = default_config) ?reselect rt =
 let submit t ?payload txn =
   let st =
     { txn; payload; submitted_at = Rt.now t.rt; ts = None; epoch = 0;
-      backed_off = false; phase = Negotiating; slots = []; reads = [];
-      write_values = []; executed = 0. }
+      backed_off = false; phase = Negotiating; slots = []; executed = 0. }
   in
   L.admit t.live ~duplicate:"Unified_system.submit: duplicate transaction id"
     txn.Ccdb_model.Txn.id st;

@@ -1,4 +1,6 @@
+module Int_list = Ccdb_util.Int_list
 module L = Lifecycle
+module Pair_tbl = Ccdb_util.Pair_tbl
 
 (* period of the null-message broadcast that keeps idle sites from
    stalling the others *)
@@ -8,21 +10,15 @@ type phase = Reading | Computing | Committing
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : L.payload_fn option;
   submitted_at : float;
   ts : int;
   mutable phase : phase;
   mutable awaiting : (int * int) list;
-  mutable reads : (int * int) list;
 }
 
-(* a buffered operation at one copy *)
-type entry = {
-  e_txn : int;
-  e_ts : int;
-  e_op : Ccdb_model.Op.kind;
-  e_value : int option; (* writes carry their value *)
-}
+(* a buffered operation at one copy; a write implements its transaction
+   id *)
+type entry = { e_txn : int; e_ts : int; e_op : Ccdb_model.Op.kind }
 
 type t = {
   rt : Runtime.t;
@@ -34,18 +30,18 @@ type t = {
   advertised : int array;
   (* in-flight timestamps per site, sorted ascending *)
   in_flight : int list array;
-  buffers : (int * int, entry list ref) Hashtbl.t; (* sorted by ts *)
+  buffers : entry list ref Pair_tbl.t; (* sorted by ts *)
   live : txn_state L.live;
   mutable ticks_sent : int;
   mutable ticking : bool;
 }
 
 let buffer t copy =
-  match Hashtbl.find_opt t.buffers copy with
+  match Pair_tbl.find_opt t.buffers copy with
   | Some b -> b
   | None ->
     let b = ref [] in
-    Hashtbl.add t.buffers copy b;
+    Pair_tbl.add t.buffers copy b;
     b
 
 let insert_sorted entries e =
@@ -62,7 +58,7 @@ let safe t qm_site = Array.fold_left min max_int t.hw.(qm_site)
 
 let rec pump_site t qm_site =
   let horizon = safe t qm_site in
-  Hashtbl.iter
+  Pair_tbl.iter
     (fun ((item, site) as copy) b ->
       if site = qm_site then begin
         let rec run () =
@@ -86,9 +82,10 @@ and execute t copy ~item ~site e =
          { txn = e.e_txn; protocol = Ccdb_model.Protocol.T_o; op = e.e_op; item;
            site; mode = None; schedule = Ccdb_model.Lock.Normal;
            ts = Some e.e_ts; at });
-  match e.e_op, e.e_value with
-  | Ccdb_model.Op.Write, Some value ->
-    Ccdb_storage.Store.apply_write store ~item ~site ~txn:e.e_txn ~value ~at;
+  match e.e_op with
+  | Ccdb_model.Op.Write ->
+    Ccdb_storage.Store.apply_write store ~item ~site ~txn:e.e_txn
+      ~value:e.e_txn ~at;
     if Runtime.has_consumer t.rt then
       Runtime.emit t.rt
         (Runtime.Lock_released
@@ -100,25 +97,20 @@ and execute t copy ~item ~site e =
      | Some st ->
        Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
          ~kind:"cto-wack" (fun () -> on_write_applied t e.e_txn copy))
-  | Ccdb_model.Op.Write, None -> assert false
-  | Ccdb_model.Op.Read, _ ->
+  | Ccdb_model.Op.Read ->
     Ccdb_storage.Store.log_read store ~item ~site ~txn:e.e_txn ~at;
-    let value = Ccdb_storage.Store.read store ~item ~site in
     (match L.find t.live e.e_txn with
      | None -> ()
      | Some st ->
        Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
-         ~kind:"cto-val" (fun () -> on_read_value t e.e_txn copy value))
+         ~kind:"cto-val" (fun () -> on_read_value t e.e_txn copy))
 
-and on_read_value t txn_id copy value =
+and on_read_value t txn_id copy =
   match L.find t.live txn_id with
   | None -> ()
   | Some st ->
-    if st.phase = Reading && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
-      let item = fst copy in
-      if not (List.mem_assoc item st.reads) then
-        st.reads <- (item, value) :: st.reads;
+    if st.phase = Reading && Int_list.mem_pair copy st.awaiting then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then start_compute t st
     end
 
@@ -130,21 +122,17 @@ and start_compute t st =
 
 and send_writes t st =
   let txn = st.txn in
-  let writes = L.writes st.payload ~reads:st.reads txn in
-  let value_for item = L.value_for writes txn item in
   st.phase <- Committing;
   let copies = L.write_copies t.rt txn in
   st.awaiting <- copies;
   List.iter
-    (fun ((item, site) as copy) ->
-      let value = value_for item in
+    (fun ((_, site) as copy) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"cto-write" (fun () ->
           let b = buffer t copy in
           b :=
             insert_sorted !b
-              { e_txn = txn.id; e_ts = st.ts; e_op = Ccdb_model.Op.Write;
-                e_value = Some value };
+              { e_txn = txn.id; e_ts = st.ts; e_op = Ccdb_model.Op.Write };
           pump_site t site))
     copies;
   (* every message carrying this timestamp is now on a FIFO channel: the
@@ -156,8 +144,8 @@ and on_write_applied t txn_id copy =
   match L.find t.live txn_id with
   | None -> ()
   | Some st ->
-    if st.phase = Committing && List.mem copy st.awaiting then begin
-      st.awaiting <- List.filter (fun c -> c <> copy) st.awaiting;
+    if st.phase = Committing && Int_list.mem_pair copy st.awaiting then begin
+      st.awaiting <- Int_list.remove_pair copy st.awaiting;
       if st.awaiting = [] then finalize t st
     end
 
@@ -212,14 +200,14 @@ let create rt =
     hw = Array.make_matrix sites sites (-1);
     advertised = Array.make sites (-1);
     in_flight = Array.make sites [];
-    buffers = Hashtbl.create 64; live = L.live rt; ticks_sent = 0;
+    buffers = Pair_tbl.create 64; live = L.live rt; ticks_sent = 0;
     ticking = false }
 
-let submit t ?payload txn =
+let submit t txn =
   let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; ts; phase = Reading;
-      awaiting = []; reads = [] }
+    { txn; submitted_at = Runtime.now t.rt; ts; phase = Reading;
+      awaiting = [] }
   in
   L.admit t.live ~duplicate:"Cto_system.submit: duplicate transaction id"
     txn.Ccdb_model.Txn.id st;
@@ -234,8 +222,7 @@ let submit t ?payload txn =
           let b = buffer t copy in
           b :=
             insert_sorted !b
-              { e_txn = txn.id; e_ts = ts; e_op = Ccdb_model.Op.Read;
-                e_value = None };
+              { e_txn = txn.id; e_ts = ts; e_op = Ccdb_model.Op.Read };
           pump_site t site))
     copies;
   if copies = [] then start_compute t st;

@@ -22,16 +22,17 @@
     been sent (its timestamp can no longer appear on any channel).  Every
     site broadcasts its advertisement as a null message every 25 time
     units while transactions are live, so idle sites do not stall the
-    others. *)
+    others.
+
+    Every write implements the transaction id; read-modify-write payloads
+    run on the unified system. *)
 
 type t
 
 val create : Runtime.t -> t
 
-val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
-(** The payload has {!To_system}'s blind-write caveat for items in both
-    access sets.
-    @raise Invalid_argument on a duplicate live transaction id. *)
+val submit : t -> Ccdb_model.Txn.t -> unit
+(** @raise Invalid_argument on a duplicate live transaction id. *)
 
 val ticks_sent : t -> int
 (** Null messages broadcast so far (the protocol's communication cost). *)

@@ -59,16 +59,13 @@ let read_copies rt (txn : Ccdb_model.Txn.t) =
 let write_copies rt (txn : Ccdb_model.Txn.t) =
   Ccdb_storage.Catalog.write_copies (Runtime.catalog rt) txn.write_set
 
-let writes payload ~reads (txn : Ccdb_model.Txn.t) =
-  let read_value item =
-    match Int_list.assoc_opt item reads with Some v -> v | None -> 0
-  in
+let write_value payload ~read (txn : Ccdb_model.Txn.t) =
   match payload with
-  | Some f -> f read_value
-  | None -> List.map (fun item -> (item, txn.id)) txn.write_set
-
-let value_for writes (txn : Ccdb_model.Txn.t) item =
-  match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
+  | None -> fun _ -> txn.id
+  | Some f ->
+    let writes = f read in
+    fun item ->
+      match Int_list.assoc_opt item writes with Some v -> v | None -> txn.id
 
 (* --- restarts and failures ------------------------------------------------ *)
 

@@ -19,7 +19,10 @@
 type payload_fn = (int -> int) -> (int * int) list
 (** A transaction body: given a function returning the value read for each
     item in its access sets, produces the [(item, value)] pairs to write.
-    When omitted, every written item receives the transaction id. *)
+    It must be a function of what it reads alone: a system may run it more
+    than once per commit.  When omitted, every written item receives the
+    transaction id.  Only pure 2PL and the unified system take one; every
+    other system writes the transaction id. *)
 
 (** {2 Live transactions} *)
 
@@ -77,16 +80,14 @@ val read_copies : Runtime.t -> Ccdb_model.Txn.t -> (int * int) list
 val write_copies : Runtime.t -> Ccdb_model.Txn.t -> (int * int) list
 (** {!Ccdb_storage.Catalog.write_copies} of the transaction's write set. *)
 
-val writes :
-  payload_fn option -> reads:(int * int) list -> Ccdb_model.Txn.t ->
-  (int * int) list
-(** The [(item, value)] pairs a transaction writes, given the
-    [(item, value)] pairs it read (an item it did not read reads as [0]):
-    its payload's result, or its id for every written item. *)
-
-val value_for : (int * int) list -> Ccdb_model.Txn.t -> int -> int
-(** [value_for writes txn item] is the value [writes] gives [item], or the
-    transaction id when the payload left [item] out. *)
+val write_value :
+  payload_fn option -> read:(int -> int) -> Ccdb_model.Txn.t -> int -> int
+(** [write_value payload ~read txn] is the value the transaction writes to
+    each item.  Without a payload it is the transaction id, and nothing is
+    built or read.  With one, the payload runs once, at this partial
+    application, over [read] (the value each item's grant delivered, [0]
+    for an item the transaction did not access), and an item it leaves out
+    receives the transaction id. *)
 
 (** {2 Restarts and failures} *)
 

@@ -1,8 +1,7 @@
 module Copies = Ccdb_storage.Copy_table
-module Int_list = Ccdb_util.Int_list
 module L = Lifecycle
 
-type slot_state = Waiting | Granted of int | Backed of int
+type slot_state = Waiting | Granted | Backed of int
 
 (* one per copy the transaction negotiates *)
 type slot = { item : int; site : int; mutable state : slot_state }
@@ -11,13 +10,11 @@ type phase = Negotiating | Computing | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int;            (* current timestamp (TS, then TS') *)
   mutable backed_off : bool;   (* already in phase 2 *)
   mutable phase : phase;
   slots : slot list;
-  mutable reads : (int * int) list;
   mutable executed : float;
 }
 
@@ -38,7 +35,6 @@ let set_slot st ~item ~site state =
 let rec pump t ~item ~site =
   let q = Copies.get t.queues ~item ~site in
   let newly = Pa_queue.grant_ready q ~now:(Runtime.now t.rt) in
-  let store = Runtime.store t.rt in
   List.iter
     (fun (e : Pa_queue.entry) ->
       if Runtime.has_consumer t.rt then
@@ -53,18 +49,17 @@ let rec pump t ~item ~site =
                     | Ccdb_model.Op.Write -> Ccdb_model.Lock.Wl);
                schedule = Ccdb_model.Lock.Normal; ts = Some e.ts;
                at = Runtime.now t.rt });
-      let value = Ccdb_storage.Store.read store ~item ~site in
       let ts = e.ts in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:e.site
-        ~kind:"pa-grant" (fun () -> on_grant t e.txn ~ts ~item ~site value))
+        ~kind:"pa-grant" (fun () -> on_grant t e.txn ~ts ~item ~site))
     newly
 
-and on_grant t txn_id ~ts ~item ~site value =
+and on_grant t txn_id ~ts ~item ~site =
   match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
-      set_slot st ~item ~site (Granted value);
+      set_slot st ~item ~site Granted;
       check_negotiation t st
     end
 
@@ -83,7 +78,7 @@ and check_negotiation t st =
   let undecided =
     List.exists
       (fun s ->
-        match s.state with Waiting -> true | Granted _ | Backed _ -> false)
+        match s.state with Waiting -> true | Granted | Backed _ -> false)
       st.slots
   in
   if not undecided then begin
@@ -102,7 +97,6 @@ and check_negotiation t st =
       let ts' = List.fold_left Int.max st.ts backs in
       st.ts <- ts';
       List.iter (fun s -> s.state <- Waiting) st.slots;
-      st.reads <- [];
       List.iter
         (fun { item; site; _ } ->
           Ccdb_sim.Net.send (Runtime.net t.rt) ~src:st.txn.site ~dst:site
@@ -123,18 +117,6 @@ and check_negotiation t st =
   end
 
 and start_compute t st =
-  (* harvest the read values from the grant slots *)
-  let copies = L.copies t.rt st.txn in
-  List.iter
-    (fun (item, site, _) ->
-      match
-        List.find_opt (fun s -> s.item = item && s.site = site) st.slots
-      with
-      | Some { state = Granted v; _ } ->
-        if not (Int_list.mem_assoc item st.reads) then
-          st.reads <- (item, v) :: st.reads
-      | Some { state = Waiting | Backed _; _ } | None -> assert false)
-    copies;
   st.phase <- Computing;
   ignore
     (Ccdb_sim.Engine.schedule (Runtime.engine t.rt) ~after:st.txn.compute_time
@@ -142,8 +124,6 @@ and start_compute t st =
 
 and finish t st =
   let txn = st.txn in
-  let writes = L.writes st.payload ~reads:st.reads txn in
-  let value_for item = L.value_for writes txn item in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
   match t.committer with
@@ -156,7 +136,7 @@ and finish t st =
            ~action:(fun (item, _, op) ->
              let value =
                match op with
-               | Ccdb_model.Op.Write -> Some (value_for item)
+               | Ccdb_model.Op.Write -> Some txn.id
                | Ccdb_model.Op.Read -> None
              in
              { Ccdb_storage.Wal.item; op; value; attempt = 0;
@@ -164,14 +144,8 @@ and finish t st =
   | None ->
     List.iter
       (fun (item, site, op) ->
-        let wvalue =
-          match op with
-          | Ccdb_model.Op.Write -> Some (value_for item)
-          | Ccdb_model.Op.Read -> None
-        in
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
-          ~kind:"pa-release" (fun () ->
-            on_release t ~item ~site txn.id op wvalue))
+          ~kind:"pa-release" (fun () -> on_release t ~item ~site txn.id op))
       (L.copies t.rt txn);
     commit_txn t st
 
@@ -180,18 +154,19 @@ and commit_txn t st =
     ~executed_at:st.executed ~restarts:0;
   L.remove t.live st.txn.id
 
-and on_release t ~item ~site txn_id op wvalue =
+and on_release t ~item ~site txn_id op =
   match Pa_queue.release (Copies.get t.queues ~item ~site) ~txn:txn_id with
   | None -> ()
   | Some entry ->
     let store = Runtime.store t.rt in
     let at = Runtime.now t.rt in
-    (* PA operations are implemented at lock release (section 4.3) *)
-    (match op, wvalue with
-     | Ccdb_model.Op.Write, Some value ->
-       Ccdb_storage.Store.apply_write store ~item ~site ~txn:txn_id ~value ~at
-     | Ccdb_model.Op.Write, None -> assert false
-     | Ccdb_model.Op.Read, _ ->
+    (* PA operations are implemented at lock release (section 4.3); a write
+       implements the transaction id *)
+    (match op with
+     | Ccdb_model.Op.Write ->
+       Ccdb_storage.Store.apply_write store ~item ~site ~txn:txn_id
+         ~value:txn_id ~at
+     | Ccdb_model.Op.Read ->
        Ccdb_storage.Store.log_read store ~item ~site ~txn:txn_id ~at);
     if Runtime.has_consumer t.rt then
       Runtime.emit t.rt
@@ -203,17 +178,17 @@ and on_release t ~item ~site txn_id op wvalue =
 
 (* --- submission --------------------------------------------------------- *)
 
-let submit t ?payload txn =
+let submit t txn =
   let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
   let copies = L.copies t.rt txn in
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; ts; backed_off = false;
+    { txn; submitted_at = Runtime.now t.rt; ts; backed_off = false;
       phase = Negotiating;
       slots =
         List.map
           (fun (item, site, _) -> { item; site; state = Waiting })
           copies;
-      reads = []; executed = 0. }
+      executed = 0. }
   in
   L.admit t.live ~duplicate:"Pa_system.submit: duplicate transaction id"
     txn.id st;
@@ -260,7 +235,7 @@ let create rt =
       Some
         (L.commit_engine t.live
            ~release:(fun ~txn ~site (a : Ccdb_storage.Wal.action) ->
-             on_release t ~item:a.item ~site txn a.op a.value)
+             on_release t ~item:a.item ~site txn a.op)
            ~commit_point:(commit_txn t))
   end;
   t

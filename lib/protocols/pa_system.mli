@@ -7,7 +7,8 @@
     the issuer agrees on [TS' = max_j TS'_ij], updates every queue (grants
     already received are revoked and re-issued), waits for all grants,
     executes, and releases.  PA transactions never restart and never
-    deadlock (Corollary 1). *)
+    deadlock (Corollary 1).  A grant carries no value: every write
+    implements the transaction id. *)
 
 type t
 
@@ -15,5 +16,5 @@ val create : Runtime.t -> t
 (** Every transaction backs off by the one INT,
     {!Ccdb_model.Timestamp.backoff_interval}. *)
 
-val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
+val submit : t -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)

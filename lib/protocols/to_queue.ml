@@ -1,17 +1,12 @@
 type verdict = Accepted | Rejected | Ignored
 
-type performed = {
-  txn : int;
-  ts : int;
-  op : Ccdb_model.Op.kind;
-  value : int option;
-}
+type performed = { txn : int; ts : int; op : Ccdb_model.Op.kind }
 
 type entry = {
   e_txn : int;
   e_ts : int;
   e_op : Ccdb_model.Op.kind;
-  mutable e_value : int option; (* committed value of a prewrite *)
+  mutable e_committed : bool; (* a prewrite's transaction committed *)
 }
 
 (* The [index] is only looked up, never iterated, so the key is its own
@@ -62,15 +57,15 @@ let request t ~txn ~ts ~op =
   in
   if verdict <> Accepted then verdict
   else begin
-    let e = { e_txn = txn; e_ts = ts; e_op = op; e_value = None } in
+    let e = { e_txn = txn; e_ts = ts; e_op = op; e_committed = false } in
     t.entries <- insert_sorted t.entries e;
     Index.add t.index (key txn op) e;
     Accepted
   end
 
-let commit_write t ~txn ~value =
+let commit_write t ~txn =
   match Index.find_opt t.index (key txn Ccdb_model.Op.Write) with
-  | Some e -> e.e_value <- Some value
+  | Some e -> e.e_committed <- true
   | None -> ()
 
 let abort t ~txn =
@@ -101,16 +96,14 @@ let perform_ready t =
       let performable =
         match e.e_op with
         | Ccdb_model.Op.Read -> not kept_write
-        | Ccdb_model.Op.Write -> (not kept_any) && Option.is_some e.e_value
+        | Ccdb_model.Op.Write -> (not kept_any) && e.e_committed
       in
       if performable then begin
         (match e.e_op with
          | Ccdb_model.Op.Read -> t.r_ts <- Int.max t.r_ts e.e_ts
          | Ccdb_model.Op.Write -> t.w_ts <- Int.max t.w_ts e.e_ts);
         Index.remove t.index (key e.e_txn e.e_op);
-        performed :=
-          { txn = e.e_txn; ts = e.e_ts; op = e.e_op; value = e.e_value }
-          :: !performed;
+        performed := { txn = e.e_txn; ts = e.e_ts; op = e.e_op } :: !performed;
         scan kept_write kept_any rest
       end
       else

@@ -2,16 +2,16 @@
 
     Requests arriving out of timestamp order are rejected (E1 enforced by
     restarts); accepted requests are ordered by timestamp.  Write requests
-    are buffered as prewrites until the transaction commits its value, and
-    a request is {e performed} only when every smaller-timestamp conflicting
-    request has been performed:
+    are buffered as prewrites until the transaction commits, and a request
+    is {e performed} only when every smaller-timestamp conflicting request
+    has been performed:
 
-    - a read is performed (value returned, [r_ts] advanced) once no smaller-
+    - a read is performed (logged, [r_ts] advanced) once no smaller-
       timestamp write is still pending — a granted read never blocks later
       writes;
-    - a write is performed (value applied, [w_ts] advanced) once every
+    - a write is performed (applied, [w_ts] advanced) once every
       smaller-timestamp request, read or write, has been performed {e and}
-      its own value has been committed by the issuing transaction.
+      the issuing transaction has committed it.
 
     The caller owns timing and storage: this module returns the requests
     that just became performable and the caller implements them. *)
@@ -25,12 +25,7 @@ type verdict =
           ever being seen, so it is silently dropped instead of restarting
           the transaction.  Only produced with [thomas_write_rule:true]. *)
 
-type performed = {
-  txn : int;
-  ts : int;
-  op : Ccdb_model.Op.kind;
-  value : int option;  (** [Some v] for a performed write, [None] for reads *)
-}
+type performed = { txn : int; ts : int; op : Ccdb_model.Op.kind }
 
 type t
 
@@ -52,8 +47,9 @@ val request : t -> txn:int -> ts:int -> op:Ccdb_model.Op.kind -> verdict
     @raise Invalid_argument if the transaction already has a request of the
     same kind pending here. *)
 
-val commit_write : t -> txn:int -> value:int -> unit
-(** Supplies the committed value for the transaction's buffered prewrite.
+val commit_write : t -> txn:int -> unit
+(** The transaction committed: its buffered prewrite may perform.  A write
+    carries no value of its own: the caller writes the transaction id.
     No-op if the prewrite was already withdrawn by {!abort}. *)
 
 val abort : t -> txn:int -> unit
@@ -62,7 +58,7 @@ val abort : t -> txn:int -> unit
 
 val wipe_reads : t -> int list
 (** Fail-stop crash: drops every pending read (volatile — nothing was
-    promised to the issuer until the value message leaves) and returns the
+    promised to the issuer until the read's reply leaves) and returns the
     owning transaction ids in timestamp order.  Accepted write prewrites
     and the [r_ts]/[w_ts] floors survive: the admission of a prewrite was
     acknowledged, i.e. force-logged, and dropping it would make the later

@@ -10,14 +10,11 @@ type phase = Reading | Computing | Prewriting | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : L.payload_fn option;
   submitted_at : float;
   mutable ts : int;
   mutable restarts : int;
   mutable phase : phase;
-  mutable awaiting : (int * int) list; (* copies with outstanding value/ack *)
-  mutable reads : (int * int) list;
-  mutable write_values : (int * int) list;
+  mutable awaiting : (int * int) list; (* copies with outstanding read/ack *)
   mutable ignored : (int * int) list; (* dead writes under the TWR *)
 }
 
@@ -28,8 +25,9 @@ type t = {
   live : txn_state L.live;
 }
 
-(* Implement everything the queue made performable: log the reads and send
-   their values home, apply the committed writes. *)
+(* Implement everything the queue made performable: log the reads and tell
+   their issuers, apply the committed writes, each the id of its
+   transaction. *)
 let rec drain t ((item, site) as copy) =
   let q = Copies.get t.queues ~item ~site in
   let performed = To_queue.perform_ready q in
@@ -43,9 +41,10 @@ let rec drain t ((item, site) as copy) =
              { txn = p.txn; protocol = Ccdb_model.Protocol.T_o; op = p.op; item;
                site; mode = None; schedule = Ccdb_model.Lock.Normal;
                ts = Some p.ts; at });
-      match p.op, p.value with
-      | Ccdb_model.Op.Write, Some value ->
-        Ccdb_storage.Store.apply_write store ~item ~site ~txn:p.txn ~value ~at;
+      match p.op with
+      | Ccdb_model.Op.Write ->
+        Ccdb_storage.Store.apply_write store ~item ~site ~txn:p.txn
+          ~value:p.txn ~at;
         if Runtime.has_consumer t.rt then
           Runtime.emit t.rt
             (Runtime.Lock_released
@@ -60,28 +59,22 @@ let rec drain t ((item, site) as copy) =
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
              ~kind:"to-wack" (fun () ->
                on_write_applied t p.txn ~ts:p.ts copy))
-      | Ccdb_model.Op.Write, None -> assert false
-      | Ccdb_model.Op.Read, _ ->
+      | Ccdb_model.Op.Read ->
         Ccdb_storage.Store.log_read store ~item ~site ~txn:p.txn ~at;
-        let value = Ccdb_storage.Store.read store ~item ~site in
         (match L.find t.live p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
-             ~kind:"to-val" (fun () ->
-               on_read_value t p.txn ~ts:p.ts copy value)))
+             ~kind:"to-val" (fun () -> on_read_value t p.txn ~ts:p.ts copy)))
     performed
 
-and on_read_value t txn_id ~ts copy value =
+and on_read_value t txn_id ~ts copy =
   match L.find t.live txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Reading && Int_list.mem_pair copy st.awaiting
     then begin
       st.awaiting <- Int_list.remove_pair copy st.awaiting;
-      let item = fst copy in
-      if not (Int_list.mem_assoc item st.reads) then
-        st.reads <- (item, value) :: st.reads;
       if st.awaiting = [] then start_compute t st
     end
 
@@ -93,7 +86,6 @@ and start_compute t st =
 
 and send_prewrites t st =
   let txn = st.txn in
-  st.write_values <- L.writes st.payload ~reads:st.reads txn;
   if txn.write_set = [] then commit t st
   else begin
     st.phase <- Prewriting;
@@ -160,7 +152,6 @@ and on_prewrite_ack t txn_id ~ts copy =
 and commit t st =
   let txn = st.txn in
   st.phase <- Done;
-  let value_for item = L.value_for st.write_values txn item in
   let copies =
     List.filter
       (fun copy -> not (Int_list.mem_pair copy st.ignored))
@@ -169,11 +160,9 @@ and commit t st =
   st.awaiting <- copies;
   List.iter
     (fun ((item, site) as copy) ->
-      let value = value_for item in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"to-commit" (fun () ->
-          To_queue.commit_write (Copies.get t.queues ~item ~site) ~txn:txn.id
-            ~value;
+          To_queue.commit_write (Copies.get t.queues ~item ~site) ~txn:txn.id;
           drain t copy))
     copies;
   if copies = [] then finalize t st
@@ -236,8 +225,6 @@ and restart t st ~except ~reason =
     touched;
   st.phase <- Reading;
   st.awaiting <- [];
-  st.reads <- [];
-  st.write_values <- [];
   st.ignored <- [];
   L.schedule_restart t.rt ~site:txn.site ~base:t.config.restart_delay
     ~attempt:st.restarts (fun () -> begin_attempt t st)
@@ -246,8 +233,6 @@ and begin_attempt t st =
   let txn = st.txn in
   st.ts <- Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt);
   st.phase <- Reading;
-  st.reads <- [];
-  st.write_values <- [];
   st.ignored <- [];
   let copies = L.read_copies t.rt txn in
   st.awaiting <- copies;
@@ -316,11 +301,10 @@ let create ?(config = default_config) rt =
       ~preserved:To_queue.pending;
   t
 
-let submit t ?payload txn =
+let submit t txn =
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
-      phase = Reading; awaiting = []; reads = []; write_values = [];
-      ignored = [] }
+    { txn; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
+      phase = Reading; awaiting = []; ignored = [] }
   in
   L.admit t.live ~duplicate:"To_system.submit: duplicate transaction id"
     txn.id st;

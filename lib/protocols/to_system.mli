@@ -1,7 +1,7 @@
 (** Pure Basic Timestamp Ordering baseline (Bernstein & Goodman [3]).
 
-    The classic lifecycle: the transaction sends its read requests, collects
-    the values (a read waits behind smaller-timestamp buffered prewrites),
+    The classic lifecycle: the transaction sends its read requests, awaits
+    their replies (a read waits behind smaller-timestamp buffered prewrites),
     computes, then sends one prewrite per written copy.  A prewrite is
     rejected when it arrives out of timestamp order; once every prewrite is
     acknowledged the transaction commits and the buffered writes apply in
@@ -15,11 +15,8 @@
     transactions predeclared write locks), a committed write here never
     waits for a lock-release round — there are no locks at all.
 
-    Read-modify-write payloads: an item in both access sets is accessed
-    through a single blind write (see {!Ccdb_model.Txn.make}); under pure
-    Basic T/O the payload reads [0] for such items because nothing is read.
-    Keep RMW workloads on the unified system, whose write grants carry the
-    current value. *)
+    Every write implements the transaction id; read-modify-write payloads
+    run on the unified system. *)
 
 type config = {
   restart_delay : float;
@@ -34,5 +31,5 @@ type t
 val create : ?config:config -> Runtime.t -> t
 (** [config] defaults to restart_delay 50., Thomas Write Rule off. *)
 
-val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
+val submit : t -> Ccdb_model.Txn.t -> unit
 (** @raise Invalid_argument on a duplicate live transaction id. *)

@@ -23,8 +23,8 @@ type txn_state = {
   mutable attempt : int; (* also its restart count *)
   mutable phase : phase;
   mutable awaiting : (int * int) list; (* copies not yet granted *)
-  mutable granted : ((int * int) * Ccdb_model.Op.kind * float) list;
-  mutable reads : (int * int) list;    (* item -> value observed at grant *)
+  mutable granted : ((int * int) * Ccdb_model.Op.kind * float * int) list;
+      (* newest first: copy, operation, grant time, value delivered *)
   mutable executed : float; (* end of the compute phase; under 2PC the
                                commit point fires later *)
 }
@@ -49,14 +49,21 @@ let commit_txn t st =
    value its release must implement. *)
 let participants_of st value_for =
   Commit.participants st.granted
-    ~site:(fun ((_, site), _, _) -> site)
-    ~action:(fun ((item, _), op, granted_at) ->
+    ~site:(fun ((_, site), _, _, _) -> site)
+    ~action:(fun ((item, _), op, granted_at, _) ->
       let value =
         match op with
         | Ccdb_model.Op.Write -> Some (value_for item)
         | Ccdb_model.Op.Read -> None
       in
       { Ccdb_storage.Wal.item; op; value; attempt = st.attempt; granted_at })
+
+(* What a payload reads: the value the first grant of [item] delivered
+   (the oldest match in [granted]), or 0. *)
+let read_granted st item =
+  List.fold_left
+    (fun v ((i, _), _, _, value) -> if i = item then value else v)
+    0 st.granted
 
 (* --- grant pump ------------------------------------------------------- *)
 
@@ -97,10 +104,7 @@ and on_grant t txn_id attempt copy op value =
        && Int_list.mem_pair copy st.awaiting then begin
       st.awaiting <- Int_list.remove_pair copy st.awaiting;
       L.progress t.live txn_id;
-      st.granted <- (copy, op, Runtime.now t.rt) :: st.granted;
-      let item = fst copy in
-      if not (Int_list.mem_assoc item st.reads) then
-        st.reads <- (item, value) :: st.reads;
+      st.granted <- (copy, op, Runtime.now t.rt, value) :: st.granted;
       if st.awaiting = [] then begin
         st.phase <- Computing;
         L.unblocked t.live txn_id;
@@ -112,8 +116,7 @@ and on_grant t txn_id attempt copy op value =
 
 and finish t st =
   let txn = st.txn in
-  let writes = L.writes st.payload ~reads:st.reads txn in
-  let value_for item = L.value_for writes txn item in
+  let value_for = L.write_value st.payload ~read:(read_granted st) txn in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
   match t.committer with
@@ -125,7 +128,7 @@ and finish t st =
       ~participants:(participants_of st value_for)
   | None ->
     List.iter
-      (fun (((item, site) as copy), op, granted_at) ->
+      (fun (((item, site) as copy), op, granted_at, _) ->
         let wvalue =
           match op with
           | Ccdb_model.Op.Write -> Some (value_for item)
@@ -163,7 +166,7 @@ and on_release t ((item, site) as copy) txn_id attempt op wvalue granted_at =
 
 let rec granted_at_of ~(item : int) ~(site : int) = function
   | [] -> None
-  | ((i, s), _, at) :: rest ->
+  | ((i, s), _, at, _) :: rest ->
     if i = item && s = site then Some at else granted_at_of ~item ~site rest
 
 (* Conflicting entries of other transactions already queued or granted at
@@ -179,7 +182,6 @@ let rec send_requests t st =
   let copies = L.copies t.rt txn in
   st.awaiting <- List.map (fun (item, site, _) -> (item, site)) copies;
   st.granted <- [];
-  st.reads <- [];
   st.phase <- Waiting;
   L.blocked t.live txn.id;
   List.iter
@@ -291,7 +293,7 @@ and abort_victim ?(reason = Runtime.Deadlock_victim) t victim =
 let depends_on_site st site =
   st.txn.Ccdb_model.Txn.site = site
   || List.exists (fun (_, s) -> s = site) st.awaiting
-  || List.exists (fun ((_, s), _, _) -> s = site) st.granted
+  || List.exists (fun ((_, s), _, _, _) -> s = site) st.granted
 
 let create ?(config = default_config) rt =
   let t =
@@ -336,7 +338,7 @@ let create ?(config = default_config) rt =
 let submit t ?payload txn =
   let st =
     { txn; payload; submitted_at = Runtime.now t.rt; attempt = 0;
-      phase = Waiting; awaiting = []; granted = []; reads = []; executed = 0. }
+      phase = Waiting; awaiting = []; granted = []; executed = 0. }
   in
   L.admit t.live ~duplicate:"Two_pl_system.submit: duplicate transaction id"
     txn.id st;

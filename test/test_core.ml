@@ -948,3 +948,133 @@ let prop_u_theorem3 =
 
 let suites =
   suites @ [ ("core.theorem3", [ prop_u_theorem3 ]) ]
+
+(* --- read-modify-write payloads over replicated items -------------------- *)
+
+(* Sum-preserving transfers over accounts held at two sites each.  A
+   transfer writes two accounts and moves an amount set by a third, which
+   it only reads, so its payload reads both a read grant and the write
+   grants of a replicated item.  In every system that takes a payload,
+   money is conserved, each account's copies end equal, and the run is
+   conflict serializable with the values it wrote: replaying the payloads
+   in a serialization order ends with the balances the copies hold. *)
+let accounts = 6
+let initial_balance = 100
+
+let transfer_systems =
+  let unified rt =
+    let sys = U.create rt in
+    fun ~payload txn -> U.submit sys ~payload txn
+  in
+  let mixed rng = List.nth [ two_pl; t_o; pa ] (Ccdb_util.Rng.int rng 3) in
+  [ ( "pure-2pl",
+      (fun rt ->
+        let sys = Ccdb_protocols.Two_pl_system.create rt in
+        fun ~payload txn ->
+          Ccdb_protocols.Two_pl_system.submit sys ~payload txn),
+      fun _ -> two_pl );
+    ("unified-2pl", unified, fun _ -> two_pl);
+    ("unified-to", unified, fun _ -> t_o);
+    ("unified-pa", unified, fun _ -> pa);
+    ("unified", unified, mixed);
+    ( "dynamic",
+      (fun rt ->
+        let sys = Core.Dynamic_cc.create rt in
+        fun ~payload txn -> Core.Dynamic_cc.submit sys ~payload txn),
+      mixed ) ]
+
+let transfers_conserve_money ~seed ~n (name, create, protocol) =
+  let sites = 3 in
+  let rt =
+    make_runtime ~seed ~sites ~items:accounts ~replication:2 ()
+  in
+  let create = create rt in
+  let payloads = Hashtbl.create 64 in
+  let submit ~payload (txn : Ccdb_model.Txn.t) =
+    Hashtbl.replace payloads txn.id payload;
+    create ~payload txn
+  in
+  for account = 0 to accounts - 1 do
+    submit
+      ~payload:(fun _ -> [ (account, initial_balance) ])
+      (mk_txn ~site:(account mod sites) ~writes:[ account ] (1000 + account))
+  done;
+  Rt.quiesce rt;
+  let rng = Ccdb_util.Rng.create ~seed in
+  for i = 1 to n do
+    let src = Ccdb_util.Rng.int rng accounts in
+    let dst = (src + 1 + Ccdb_util.Rng.int rng (accounts - 1)) mod accounts in
+    let rec pick () =
+      let a = Ccdb_util.Rng.int rng accounts in
+      if a = src || a = dst then pick () else a
+    in
+    let by = pick () in
+    let txn =
+      mk_txn ~site:(Ccdb_util.Rng.int rng sites) ~reads:[ by ]
+        ~writes:[ src; dst ] ~compute:(Ccdb_util.Rng.float rng 5.)
+        ~protocol:(protocol rng) i
+    in
+    let payload read =
+      let amount = 1 + (abs (read by) mod 10) in
+      [ (src, read src - amount); (dst, read dst + amount) ]
+    in
+    ignore
+      (Ccdb_sim.Engine.schedule (Rt.engine rt)
+         ~after:(Ccdb_util.Rng.float rng 300.) (fun () -> submit ~payload txn))
+  done;
+  Rt.quiesce rt;
+  let store = Rt.store rt in
+  let balances account =
+    List.map
+      (fun site -> Ccdb_storage.Store.read store ~item:account ~site)
+      (Ccdb_storage.Catalog.copies (Rt.catalog rt) account)
+  in
+  let total =
+    List.fold_left ( + ) 0
+      (List.init accounts (fun account -> List.hd (balances account)))
+  in
+  let split =
+    List.filter
+      (fun account ->
+        match balances account with
+        | b :: rest -> List.exists (( <> ) b) rest
+        | [] -> false)
+      (List.init accounts Fun.id)
+  in
+  let committed = (Rt.counters rt).committed in
+  if committed <> n + accounts then
+    QCheck.Test.fail_reportf "%s: %d of %d committed" name committed
+      (n + accounts);
+  if total <> accounts * initial_balance then
+    QCheck.Test.fail_reportf "%s: total %d, expected %d" name total
+      (accounts * initial_balance);
+  if split <> [] then
+    QCheck.Test.fail_reportf "%s: the copies of account %d disagree" name
+      (List.hd split);
+  match
+    Ccdb_serial.Check.serialization_order (Ccdb_storage.Store.logs store)
+  with
+  | None -> QCheck.Test.fail_reportf "%s: not conflict serializable" name
+  | Some order ->
+    let serial = Array.make accounts 0 in
+    List.iter
+      (fun id ->
+        List.iter
+          (fun (account, v) -> serial.(account) <- v)
+          ((Hashtbl.find payloads id) (Array.get serial)))
+      order;
+    List.for_all
+      (fun account ->
+        serial.(account) = List.hd (balances account)
+        || QCheck.Test.fail_reportf "%s: account %d holds %d, serially %d"
+             name account (List.hd (balances account)) serial.(account))
+      (List.init accounts Fun.id)
+
+let prop_transfers_conserve_money =
+  qtest ~count:10 "replicated transfers conserve money"
+    QCheck.(pair (int_range 0 100_000) (int_range 5 40))
+    (fun (seed, n) ->
+      List.for_all (transfers_conserve_money ~seed ~n) transfer_systems)
+
+let suites =
+  suites @ [ ("core.payload", [ prop_transfers_conserve_money ]) ]

@@ -304,7 +304,7 @@ let test_to_queue_reject_late_read () =
   let q = Toq.create () in
   check Alcotest.bool "w accepted" true
     (Toq.request q ~txn:1 ~ts:10 ~op:Ccdb_model.Op.Write = Toq.Accepted);
-  Toq.commit_write q ~txn:1 ~value:5;
+  Toq.commit_write q ~txn:1;
   ignore (Toq.perform_ready q);
   check Alcotest.int "w_ts" 10 (Toq.w_ts q);
   check Alcotest.bool "late read rejected" true
@@ -326,7 +326,7 @@ let test_to_queue_read_waits_for_prewrite () =
   ignore (Toq.request q ~txn:1 ~ts:5 ~op:Ccdb_model.Op.Write);
   ignore (Toq.request q ~txn:2 ~ts:7 ~op:Ccdb_model.Op.Read);
   check Alcotest.int "nothing performable" 0 (List.length (Toq.perform_ready q));
-  Toq.commit_write q ~txn:1 ~value:9;
+  Toq.commit_write q ~txn:1;
   let done_ = Toq.perform_ready q in
   check (Alcotest.list Alcotest.int) "write then read" [ 1; 2 ]
     (List.map (fun (p : Toq.performed) -> p.txn) done_)
@@ -346,7 +346,7 @@ let test_to_queue_granted_read_never_blocks_later_write () =
   ignore (Toq.request q ~txn:1 ~ts:5 ~op:Ccdb_model.Op.Read);
   ignore (Toq.perform_ready q);
   ignore (Toq.request q ~txn:2 ~ts:6 ~op:Ccdb_model.Op.Write);
-  Toq.commit_write q ~txn:2 ~value:1;
+  Toq.commit_write q ~txn:2;
   let done_ = Toq.perform_ready q in
   check (Alcotest.list Alcotest.int) "write proceeds" [ 2 ]
     (List.map (fun (p : Toq.performed) -> p.txn) done_)
@@ -355,9 +355,9 @@ let test_to_queue_writes_apply_in_ts_order () =
   let q = Toq.create () in
   ignore (Toq.request q ~txn:1 ~ts:5 ~op:Ccdb_model.Op.Write);
   ignore (Toq.request q ~txn:2 ~ts:7 ~op:Ccdb_model.Op.Write);
-  Toq.commit_write q ~txn:2 ~value:2;
+  Toq.commit_write q ~txn:2;
   check Alcotest.int "later write blocked" 0 (List.length (Toq.perform_ready q));
-  Toq.commit_write q ~txn:1 ~value:1;
+  Toq.commit_write q ~txn:1;
   check (Alcotest.list Alcotest.int) "both in order" [ 1; 2 ]
     (List.map (fun (p : Toq.performed) -> p.txn) (Toq.perform_ready q))
 
@@ -688,7 +688,7 @@ let suites =
 let test_twr_queue_verdicts () =
   let q = Toq.create ~thomas_write_rule:true () in
   ignore (Toq.request q ~txn:1 ~ts:10 ~op:Ccdb_model.Op.Write);
-  Toq.commit_write q ~txn:1 ~value:1;
+  Toq.commit_write q ~txn:1;
   ignore (Toq.perform_ready q);
   (* obsolete write: ignored, not rejected *)
   check Alcotest.bool "ignored" true
@@ -701,7 +701,7 @@ let test_twr_queue_verdicts () =
   (* without the rule the same write is rejected *)
   let q' = Toq.create () in
   ignore (Toq.request q' ~txn:1 ~ts:10 ~op:Ccdb_model.Op.Write);
-  Toq.commit_write q' ~txn:1 ~value:1;
+  Toq.commit_write q' ~txn:1;
   ignore (Toq.perform_ready q');
   check Alcotest.bool "rejected without TWR" true
     (Toq.request q' ~txn:2 ~ts:5 ~op:Ccdb_model.Op.Write = Toq.Rejected)
@@ -1255,7 +1255,7 @@ let prop_to_queue_random_ops =
             | [] -> ()
             | w :: rest ->
               pending_writes := rest;
-              if Ccdb_util.Rng.bool rng then Toq.commit_write q ~txn:w ~value:w
+              if Ccdb_util.Rng.bool rng then Toq.commit_write q ~txn:w
               else Toq.abort q ~txn:w)
          | _ ->
            List.iter
@@ -1266,8 +1266,8 @@ let prop_to_queue_random_ops =
           (fun ts -> if ts > max (Toq.r_ts q) (Toq.w_ts q) then ok := false)
           !performed_ts
       done;
-      (* drain: after committing everything, nothing pending with a value *)
-      List.iter (fun w -> Toq.commit_write q ~txn:w ~value:w) !pending_writes;
+      (* drain: commit every pending write, then perform everything *)
+      List.iter (fun w -> Toq.commit_write q ~txn:w) !pending_writes;
       ignore (Toq.perform_ready q);
       !ok)
 

@@ -86,6 +86,58 @@ let test_every_system_survives_fail_stop () =
           r.summary.restarts_per_txn)
     all_modes
 
+(* --- without a payload a write implements its transaction id ------------- *)
+
+(* Every mode but MVTO (which keeps versions, not a single-version log)
+   writes the transaction id: each copy ends holding the id of the newest
+   write in its implementation log, or 0 if none wrote it, fault-free and
+   through the fail-stop plan's wipes and WAL replays. *)
+let test_writes_implement_txn_ids () =
+  let twr = { D.default_setup with thomas_write_rule = true } in
+  let cases =
+    (twr, D.Pure Ccdb_model.Protocol.T_o)
+    :: List.filter_map
+         (fun mode ->
+           if mode = D.Mvto then None else Some (D.default_setup, mode))
+         all_modes
+  in
+  List.iter
+    (fun (label, faults) ->
+      List.iter
+        (fun ((setup : D.setup), mode) ->
+          let name =
+            label ^ D.mode_name mode
+            ^ if setup.thomas_write_rule then " +twr" else ""
+          in
+          let r = D.run ~setup ~n_txns:200 ?faults mode spec in
+          check Alcotest.int (name ^ " all txns commit") 200
+            r.summary.committed;
+          let store = Rt.store r.runtime in
+          let written = ref 0 in
+          for item = 0 to setup.items - 1 do
+            List.iter
+              (fun site ->
+                let newest =
+                  List.fold_left
+                    (fun id (e : Ccdb_storage.Store.log_entry) ->
+                      match e.kind with
+                      | Ccdb_model.Op.Write -> e.txn
+                      | Ccdb_model.Op.Read -> id)
+                    0
+                    (Ccdb_storage.Store.log store ~item ~site)
+                in
+                if newest <> 0 then incr written;
+                check Alcotest.int
+                  (Printf.sprintf "%s copy (%d, %d)" name item site)
+                  newest
+                  (Ccdb_storage.Store.read store ~item ~site))
+              (Ccdb_storage.Catalog.copies (Rt.catalog r.runtime) item)
+          done;
+          check Alcotest.bool (name ^ " some copy written") true
+            (!written > 0))
+        cases)
+    [ ("", None); ("fail-stop ", Some wipe_plan) ]
+
 (* --- crash during recovery ---------------------------------------------- *)
 
 (* Site 1's recovery at t=400 opens a replay window of 0.05 time units per
@@ -472,7 +524,9 @@ let suites =
         Alcotest.test_case "duplicated paxos messages" `Slow
           test_duplicate_paxos_delivery;
         Alcotest.test_case "wipe drops in item order" `Quick
-          test_wipe_drop_order ] );
+          test_wipe_drop_order;
+        Alcotest.test_case "writes implement txn ids, all systems" `Slow
+          test_writes_implement_txn_ids ] );
     ( "recovery.gating",
       [ Alcotest.test_case "inert without wipe" `Quick
           test_durability_inert_without_wipe;
